@@ -29,6 +29,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use omos_blueprint::eval::LibraryUse;
 use omos_blueprint::{eval_blueprint, Blueprint, EvalContext, EvalOutput, LinkPolicy, PolicyKind};
 use omos_constraint::{
     PlacementRequest, PlacementSolver, RegionClass, SegmentRequest, SolverState,
@@ -36,7 +37,7 @@ use omos_constraint::{
 use omos_link::{layout_symbols, LinkOptions};
 use omos_obj::encode::container::{self, ContainerKind};
 use omos_obj::encode::{Reader, Writer};
-use omos_obj::{fnv1a, ContentHash, ObjError, SectionKind};
+use omos_obj::{fnv1a, ContentHash, ObjError, ObjectFile, SectionKind};
 
 use crate::analyzer::analyze_blueprint_report;
 use crate::{Diagnostic, LintContext, Severity};
@@ -497,8 +498,69 @@ pub fn divergence(derived: &ResolutionManifest, actual: &ResolutionManifest) -> 
     diags
 }
 
-fn round_page(v: u64) -> u64 {
-    (v + 4095) & !4095
+/// The placement request for one library image: text (plus rodata)
+/// and data (plus bss) segments rounded up to whole pages, each
+/// preferring the library's constraint-pinned address when it has one.
+/// Shared by the server's library placement and the static derivation.
+#[must_use]
+pub fn library_placement(lib: &LibraryUse, obj: &ObjectFile) -> PlacementRequest {
+    let segment = |class, size: u64| SegmentRequest {
+        class,
+        size: (size.max(1) + 4095) & !4095,
+        align: 4096,
+        preferred: lib
+            .constraints
+            .iter()
+            .find(|(c, _)| *c == class)
+            .map(|&(_, a)| a),
+    };
+    let text = obj.size_of_kind(SectionKind::Text) + obj.size_of_kind(SectionKind::RoData);
+    let data = obj.size_of_kind(SectionKind::Data) + obj.size_of_kind(SectionKind::Bss);
+    PlacementRequest {
+        name: lib.name.clone(),
+        key: lib.key.0,
+        segments: vec![
+            segment(RegionClass::Text, text),
+            segment(RegionClass::Data, data),
+        ],
+    }
+}
+
+/// A library's bound-image key: its content key, its placed bases, and
+/// the extern bindings it links against. If a dependency moved or was
+/// rebuilt, the library's bound image is stale even though its own
+/// bytes and bases are unchanged.
+#[must_use]
+pub fn library_image_key(
+    key: ContentHash,
+    (text_base, data_base): (u32, u32),
+    externs: &HashMap<String, u32>,
+) -> ContentHash {
+    let mut ext: Vec<(&String, &u32)> = externs.iter().collect();
+    ext.sort();
+    ext.into_iter().fold(
+        key.with_str("library")
+            .with_u64(u64::from(text_base))
+            .with_u64(u64::from(data_base)),
+        |k, (name, addr)| k.with_str(name).with_u64(u64::from(*addr)),
+    )
+}
+
+/// A program's bound-image key: its module content, the image key of
+/// every library it links against (in resolution order), and its
+/// client bases. Content-derived, so rebound fragments produce fresh
+/// images.
+#[must_use]
+pub fn program_image_key(
+    content: ContentHash,
+    libraries: impl IntoIterator<Item = ContentHash>,
+    (text_base, data_base): (u32, u32),
+) -> ContentHash {
+    libraries
+        .into_iter()
+        .fold(content.with_str("program"), ContentHash::combine)
+        .with_u64(u64::from(text_base))
+        .with_u64(u64::from(data_base))
 }
 
 /// Derives the resolution manifest for `bp` by symbolic traversal:
@@ -538,78 +600,31 @@ pub fn derive_manifest_from_eval(
     let mut sv = PlacementSolver::import_state(solver);
 
     let mut externs: HashMap<String, u32> = HashMap::new();
-    let mut providers: HashMap<String, String> = HashMap::new();
     let mut libraries = Vec::with_capacity(out.libraries.len());
+    let mut exports = Vec::with_capacity(out.libraries.len());
     for lib in &out.libraries {
         let obj = lib
             .module
             .materialize()
             .map_err(|e| format!("materialize `{}` failed: {e}", lib.name))?;
-        let text_size = obj.size_of_kind(SectionKind::Text) + obj.size_of_kind(SectionKind::RoData);
-        let data_size = obj.size_of_kind(SectionKind::Data) + obj.size_of_kind(SectionKind::Bss);
-        let pref = |class| {
-            lib.constraints
-                .iter()
-                .find(|(c, _)| *c == class)
-                .map(|&(_, a)| a)
-        };
-        let segments = vec![
-            SegmentRequest {
-                class: RegionClass::Text,
-                size: round_page(text_size.max(1)),
-                align: 4096,
-                preferred: pref(RegionClass::Text),
-            },
-            SegmentRequest {
-                class: RegionClass::Data,
-                size: round_page(data_size.max(1)),
-                align: 4096,
-                preferred: pref(RegionClass::Data),
-            },
-        ];
         let placement = sv
-            .place(
-                &PlacementRequest {
-                    name: lib.name.clone(),
-                    key: lib.key.0,
-                    segments,
-                },
-                &[],
-            )
+            .place(&library_placement(lib, &obj), &[])
             .map_err(|e| format!("placement of `{}` failed: {e}", lib.name))?;
         let text_base = placement.allocations[0].base as u32;
         let data_base = placement.allocations[1].base as u32;
-
-        // The image key recipe must match the server's exactly: content,
-        // placement, and the extern bindings the library links against.
-        let mut image_key = lib
-            .key
-            .with_str("library")
-            .with_u64(u64::from(text_base))
-            .with_u64(u64::from(data_base));
-        {
-            let mut ext: Vec<(&String, &u32)> = externs.iter().collect();
-            ext.sort();
-            for (name, addr) in ext {
-                image_key = image_key.with_str(name).with_u64(u64::from(*addr));
-            }
-        }
-
-        let mut opts = LinkOptions::library(&lib.name, text_base, data_base);
-        opts.externs = externs.clone();
+        let image_key = library_image_key(lib.key, (text_base, data_base), &externs);
+        // Exports depend on layout alone (externs only affect
+        // relocation), so the options carry no extern environment.
+        let opts = LinkOptions::library(&lib.name, text_base, data_base);
         let symbols = layout_symbols(std::slice::from_ref(&obj), &opts)
             .map_err(|e| format!("layout of `{}` failed: {e}", lib.name))?;
         // Left-to-right, first-definition-wins extern fold ("all
         // definitions of variables must be made in the library furthest
         // downstream").
-        let mut syms: Vec<(String, u32)> = symbols.into_iter().collect();
-        syms.sort();
-        for (s, a) in syms {
-            if !externs.contains_key(&s) {
-                externs.insert(s.clone(), a);
-                providers.insert(s, lib.name.clone());
-            }
+        for (s, a) in &symbols {
+            externs.entry(s.clone()).or_insert(*a);
         }
+        exports.push(symbols);
         libraries.push(LibraryResolution {
             name: lib.name.clone(),
             key: lib.key,
@@ -620,14 +635,11 @@ pub fn derive_manifest_from_eval(
     }
 
     let (text_base, data_base) = client_bases(&out.constraints);
-    let program_key = {
-        let mut k = out.module.content_hash().with_str("program");
-        for l in &libraries {
-            k = k.combine(l.image_key);
-        }
-        k.with_u64(u64::from(text_base))
-            .with_u64(u64::from(data_base))
-    };
+    let image_key = program_image_key(
+        out.module.content_hash(),
+        libraries.iter().map(|l| l.image_key),
+        (text_base, data_base),
+    );
     let prog_obj = out
         .module
         .materialize()
@@ -635,46 +647,61 @@ pub fn derive_manifest_from_eval(
     let mut opts = LinkOptions::program("program");
     opts.text_base = text_base;
     opts.data_base = data_base;
-    opts.externs = externs.clone();
     let prog_syms = layout_symbols(std::slice::from_ref(&prog_obj), &opts)
         .map_err(|e| format!("program layout failed: {e}"))?;
+    let program = ProgramResolution {
+        text_base,
+        data_base,
+        image_key,
+    };
+    Ok(assemble_manifest(
+        bp, libraries, &exports, program, &prog_syms, lint_ctx,
+    ))
+}
 
-    // The binding map: library exports first, then the client's own
-    // definitions (the program's internal definition wins over any
-    // extern for the client's references).
-    let mut map: BTreeMap<String, (String, u32)> = BTreeMap::new();
-    for (s, a) in &externs {
-        map.insert(s.clone(), (providers[s].clone(), *a));
+/// Assembles the canonical manifest from a resolution's parts: the
+/// library rows with each library's exports, in resolution order, and
+/// the program row with the program's own definitions. Library exports
+/// bind first definition wins; the program's definitions override any
+/// of them (its internal resolution beats any extern). Shared by the
+/// static derivation and the server's manifest of what a build actually
+/// produced, so the two canonicalize identically.
+pub fn assemble_manifest<'a>(
+    bp: &Blueprint,
+    libraries: Vec<LibraryResolution>,
+    exports: impl IntoIterator<Item = &'a HashMap<String, u32>>,
+    program: ProgramResolution,
+    program_exports: &HashMap<String, u32>,
+    lint_ctx: &mut dyn LintContext,
+) -> ResolutionManifest {
+    let mut map: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
+    for (lib, symbols) in libraries.iter().zip(exports) {
+        for (s, a) in symbols {
+            map.entry(s).or_insert((&lib.name, *a));
+        }
     }
-    for (s, a) in prog_syms {
-        map.insert(s, (PROGRAM_PROVIDER.to_string(), a));
+    for (s, a) in program_exports {
+        map.insert(s, (PROGRAM_PROVIDER, *a));
     }
     let bindings = map
         .into_iter()
         .map(|(symbol, (provider, addr))| Binding {
-            symbol,
-            provider,
+            symbol: symbol.to_string(),
+            provider: provider.to_string(),
             addr,
         })
         .collect();
-
-    let report = analyze_blueprint_report(bp, lint_ctx);
-    let mut interpositions = report.interpositions;
+    let mut interpositions = analyze_blueprint_report(bp, lint_ctx).interpositions;
     interpositions.sort();
     interpositions.dedup();
-
-    Ok(ResolutionManifest {
+    ResolutionManifest {
         root: bp.hash(),
         libraries,
-        program: ProgramResolution {
-            text_base,
-            data_base,
-            image_key: program_key,
-        },
+        program,
         bindings,
         interpositions,
         policies: bp.canonical_policies(),
-    })
+    }
 }
 
 #[cfg(test)]

@@ -365,4 +365,143 @@ mod tests {
         assert_eq!(a.module.content_hash(), b.module.content_hash());
         assert_eq!(oa.audits, vec!["_start", "_work"], "ids are sorted order");
     }
+
+    /// The §6 monitor's sample program: `_start` calls `_beta`,
+    /// `_alpha`, `_beta`; `_beta` calls `_gamma`.
+    fn monitor_sample() -> omos_obj::ObjectFile {
+        assemble(
+            "prog.o",
+            r#"
+            .text
+            .global _start, _alpha, _beta, _gamma
+_start:     call _beta
+            call _alpha
+            call _beta
+            sys 0
+_alpha:     li r1, 1
+            ret
+_beta:      mov r8, r15
+            call _gamma
+            mov r15, r8
+            ret
+_gamma:     li r1, 3
+            ret
+            "#,
+        )
+        .unwrap()
+    }
+
+    /// Audit-wraps the routines of `obj` matching `pattern`, the way a
+    /// monitored instantiation does: the bound blueprint plus one audit
+    /// policy.
+    fn audit(obj: omos_obj::ObjectFile, pattern: &str) -> (Module, PolicyOutcome) {
+        let mut objs = HashMap::new();
+        objs.insert("/obj/m.o".to_string(), Arc::new(obj));
+        let mut bp = Blueprint::parse("(merge /obj/m.o)").unwrap();
+        bp.policies.push(LinkPolicy {
+            kind: PolicyKind::Audit,
+            pattern: pattern.to_string(),
+        });
+        let mut out = eval_blueprint(&bp, &Ctx { objs }).unwrap();
+        let o = apply_link_policies(&bp, &mut out).unwrap();
+        (out.module, o)
+    }
+
+    fn run(m: &Module) -> omos_os::process::RunOutcome {
+        use omos_os::process::{run_process, NoBinder, Process};
+        use omos_os::{CostModel, ImageFrames, InMemFs, SimClock};
+        let obj = m.materialize().unwrap();
+        let out = omos_link::link(&[obj], &omos_link::LinkOptions::program("t")).unwrap();
+        let (mut clock, cost, mut fs) = (SimClock::new(), CostModel::hpux(), InMemFs::new());
+        let frames = ImageFrames::from_image(&out.image);
+        let mut proc = Process::spawn(&frames, &mut clock, &cost).unwrap();
+        run_process(
+            &mut proc,
+            &mut clock,
+            &cost,
+            &mut fs,
+            &mut NoBinder,
+            100_000,
+        )
+    }
+
+    #[test]
+    fn instrumented_program_logs_call_order() {
+        let (m, o) = audit(monitor_sample(), "^_(alpha|beta|gamma)$");
+        assert_eq!(o.audits, vec!["_alpha", "_beta", "_gamma"]);
+        let run = run(&m);
+        assert!(matches!(run.stop, omos_isa::StopReason::Exited(_)));
+        // Call order: beta, gamma (from beta), alpha, beta (again), gamma.
+        let called: Vec<&str> = run
+            .monitor_events
+            .iter()
+            .map(|&i| o.audits[i as usize].as_str())
+            .collect();
+        assert_eq!(called, vec!["_beta", "_gamma", "_alpha", "_beta", "_gamma"]);
+    }
+
+    #[test]
+    fn wrapper_preserves_results() {
+        let (m, _) = audit(monitor_sample(), "^_(alpha|beta|gamma)$");
+        // Final r1 comes from the last `call _beta` → `_gamma` → 3.
+        assert_eq!(run(&m).stop, omos_isa::StopReason::Exited(3));
+    }
+
+    #[test]
+    fn escape_protects_metacharacters() {
+        assert_eq!(escape("_f$real"), "_f\\$real");
+        let re = Regex::new(&format!("^{}$", escape("_f$real"))).unwrap();
+        assert!(re.is_match("_f$real"));
+        assert!(!re.is_match("_fXreal"));
+    }
+
+    #[test]
+    fn escape_protects_braces() {
+        // Unescaped, `^_f{1}$` is a counted repetition matching `_f` —
+        // the exact silent mis-rename this guards against.
+        assert_eq!(escape("_f{1}"), "_f\\{1\\}");
+        let re = Regex::new(&format!("^{}$", escape("_f{1}"))).unwrap();
+        assert!(re.is_match("_f{1}"));
+        assert!(!re.is_match("_f"));
+    }
+
+    #[test]
+    fn braced_symbol_names_instrument_correctly() {
+        use omos_isa::{Inst, Opcode};
+        use omos_obj::{ObjectFile, Section, SectionKind, Symbol};
+        // Braces are legal in the object format's symbol names; build
+        // one by hand (the assembler's label syntax won't take them).
+        let mut obj = ObjectFile::new("braced.o");
+        let text = obj.add_section(Section::with_bytes(
+            ".text",
+            SectionKind::Text,
+            Vec::new(),
+            8,
+        ));
+        obj.sections[text].append(&Inst::new(Opcode::Li).ra(1).imm(7).encode());
+        obj.sections[text].append(&Inst::new(Opcode::Ret).encode());
+        let _ = obj.define(Symbol::defined("_f{1}", text, 0));
+        let (m, o) = audit(obj, r"^_f\{1\}$");
+        assert_eq!(o.audits, vec!["_f{1}"]);
+        let exports = m.exports().unwrap();
+        assert!(
+            exports.contains(&"_f{1}$real".to_string()),
+            "the braced definition was renamed aside: {exports:?}"
+        );
+        assert!(
+            exports.contains(&"_f{1}".to_string()),
+            "the stub took the original braced name"
+        );
+    }
+
+    #[test]
+    fn uninstrumented_names_untouched() {
+        let (m, o) = audit(monitor_sample(), "^_alpha$");
+        assert_eq!(o.audits, vec!["_alpha"]);
+        let exports = m.exports().unwrap();
+        assert!(exports.contains(&"_beta".to_string()));
+        assert!(exports.contains(&"_alpha".to_string()));
+        assert!(exports.contains(&"_alpha$real".to_string()));
+        assert!(!exports.contains(&"_beta$real".to_string()));
+    }
 }

@@ -13,8 +13,9 @@
 //! The same property is guarded for intra-request parallelism: a sweep
 //! with `OMOS_EVAL_JOBS=8` must produce the same cold and warm sim
 //! makespans as `OMOS_EVAL_JOBS=1` (the schedule may only move
-//! `latency_ns`, never the billed work), and at jobs=1 the sequential
-//! path runs verbatim, so any sim difference is a hard failure.
+//! `latency_ns`, never the billed work), and at jobs=1 each library is
+//! placed and then linked in turn, so any sim difference is a hard
+//! failure.
 
 use omos_bench::mcbench::{run_cold_link, run_multiclient, run_transport_overhead};
 use omos_bench::workload::WorkloadSizes;

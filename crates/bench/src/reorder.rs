@@ -3,18 +3,19 @@
 //!
 //! A library of many small routines is laid out in "source order", with
 //! the program's hot routines scattered one per page among cold ones.
-//! OMOS's monitoring machinery (wrapper interposition, `MONLOG` events)
-//! observes the call order; the derived layout packs hot routines
-//! together, and the same program reruns measurably faster because the
-//! locality model (i-cache + resident-set paging) charges fewer misses
-//! and faults.
+//! OMOS's monitoring machinery (a monitored instantiation: audit-stub
+//! interposition, `MONLOG` events) observes the call order; the derived
+//! layout packs hot routines together, and the same program reruns
+//! measurably faster because the locality model (i-cache + resident-set
+//! paging) charges fewer misses and faults.
 
-use omos_core::monitor::{derive_order, instrument};
+use omos_core::monitor::derive_order;
+use omos_core::Omos;
 use omos_isa::assemble;
 use omos_isa::locality::{LocalityConfig, LocalityReport, Tracker};
 use omos_isa::StopReason;
-use omos_module::Module;
 use omos_obj::ObjectFile;
+use omos_os::ipc::Transport;
 use omos_os::process::{run_process, NoBinder, Process};
 use omos_os::{CostModel, ImageFrames, InMemFs, SimClock, Times};
 
@@ -192,18 +193,28 @@ pub fn run_reorder_experiment(cfg: &ReorderConfig) -> Result<ReorderResult, Stri
     // 1. Baseline layout.
     let before = run_layout(&driver, &routines, &source_order, cfg)?;
 
-    // 2. Monitoring run: instrument the merged program, collect events.
-    let mut modules = vec![Module::from_object(driver.clone())];
-    modules.extend(routines.iter().map(|r| Module::from_object(r.clone())));
-    let merged = Module::merge_all(&modules).map_err(|e| e.to_string())?;
-    let (instrumented, id_names) = instrument(&merged, "^_r[0-9]+$").map_err(|e| e.to_string())?;
-    let obj = instrumented.materialize().map_err(|e| e.to_string())?;
-    let out = omos_link::link(&[obj], &omos_link::LinkOptions::program("mon"))
+    // 2. Monitoring run: OMOS serves the merged program with an audit
+    //    policy wrapping every routine, and the run collects the events.
+    let server = Omos::new(cfg.cost, Transport::SysVMsg);
+    let mut leaves = String::from("/o/driver");
+    server.namespace.bind_object("/o/driver", driver.clone());
+    for (i, r) in routines.iter().enumerate() {
+        let path = format!("/o/r{i}");
+        server.namespace.bind_object(&path, r.clone());
+        leaves.push(' ');
+        leaves.push_str(&path);
+    }
+    server
+        .namespace
+        .bind_blueprint("/bin/exp", &format!("(merge {leaves})"))
         .map_err(|e| e.to_string())?;
-    let frames = ImageFrames::from_image(&out.image);
+    let (reply, id_names) = server
+        .instantiate_monitored("/bin/exp", "^_r[0-9]+$")
+        .map_err(|e| e.to_string())?;
+    let frames = &reply.program.frames;
     let mut clock = SimClock::new();
     let mut fs = InMemFs::new();
-    let mut proc = Process::spawn(&frames, &mut clock, &cfg.cost)?;
+    let mut proc = Process::spawn(frames, &mut clock, &cfg.cost)?;
     let run = run_process(
         &mut proc,
         &mut clock,

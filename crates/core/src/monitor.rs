@@ -7,80 +7,16 @@
 //! around each, to log entry ... The wrapper functions are interposed
 //! between each caller and the called routine."
 //!
-//! [`instrument`] performs exactly that interposition: every selected
-//! exported routine `f` has its *definition* renamed to `f$real` (the
-//! defs-only rename leaves all references — internal and external —
-//! pointing at `f`), and a generated wrapper `f` logs the routine id via
-//! the `MONLOG` syscall and tail-jumps to `f$real`. Running the
-//! instrumented program yields the call order; [`derive_order`] turns it
-//! into a layout permutation ("a preferred routine order") that the
-//! workload generator / linker applies by permuting the function
-//! fragments.
-
-use omos_isa::{sysno, Inst, Opcode};
-use omos_module::Module;
-use omos_obj::view::RenameTarget;
-use omos_obj::{ObjectFile, RelocKind, Relocation, Result, Section, SectionKind, Symbol};
-
-/// Instruments `module`, wrapping every exported routine whose name
-/// matches `pattern` (a regex). Returns the instrumented module and the
-/// id → routine-name table (ids are what `MONLOG` events carry).
-pub fn instrument(module: &Module, pattern: &str) -> Result<(Module, Vec<String>)> {
-    let re = omos_obj::Regex::new(pattern)?;
-    let mut names: Vec<String> = module
-        .exports()?
-        .into_iter()
-        .filter(|n| re.is_match(n))
-        .collect();
-    names.sort();
-
-    // Move the real definitions aside; references keep following `f` and
-    // will bind to the wrappers.
-    let mut m = module.clone();
-    for n in &names {
-        m = m.rename(
-            &format!("^{}$", escape(n)),
-            &format!("{n}$real"),
-            RenameTarget::Defs,
-        )?;
-    }
-    let wrappers = make_wrappers(&names);
-    let instrumented = m.merge_with(&Module::from_object(wrappers))?;
-    Ok((instrumented, names))
-}
-
-/// Builds the wrapper object: per routine,
-///
-/// ```text
-/// f:  li  r5, ID
-///     sys MONLOG
-///     jmp f$real          ; tail jump preserves arguments and lr
-/// ```
-fn make_wrappers(names: &[String]) -> ObjectFile {
-    let mut obj = ObjectFile::new("<monitor-wrappers>");
-    let text = obj.add_section(Section::with_bytes(
-        ".text",
-        SectionKind::Text,
-        Vec::new(),
-        8,
-    ));
-    for (id, name) in names.iter().enumerate() {
-        let off = obj.sections[text].size;
-        obj.sections[text].append(&Inst::new(Opcode::Li).ra(5).imm(id as u32).encode());
-        obj.sections[text].append(&Inst::new(Opcode::Sys).imm(sysno::MONLOG).encode());
-        let jmp_off = obj.sections[text].size;
-        obj.sections[text].append(&Inst::new(Opcode::Jmp).encode());
-        // Fresh object: definitions cannot collide.
-        let _ = obj.define(Symbol::defined(name, text, off));
-        obj.relocate(Relocation::new(
-            text,
-            jmp_off + 4,
-            RelocKind::Abs32,
-            &format!("{name}$real"),
-        ));
-    }
-    obj
-}
+//! The interposition itself is the audit link policy
+//! ([`omos_analysis::apply_link_policies`]):
+//! [`crate::Omos::instantiate_monitored`] serves the bound blueprint
+//! plus `(policy audit PATTERN)`, so every selected routine `f` has its
+//! definition renamed to `f$real` and a generated stub `f` logs the
+//! routine id via the `MONLOG` syscall before tail-jumping to `f$real`.
+//! Running the monitored program yields the call order; [`derive_order`]
+//! turns it into a layout permutation ("a preferred routine order")
+//! that the workload generator / linker applies by permuting the
+//! function fragments.
 
 /// Derives the preferred routine order from monitor events: first-use
 /// order, with never-called routines appended in their original order
@@ -104,108 +40,9 @@ pub fn derive_order(events: &[u32], id_names: &[String]) -> Vec<String> {
     order
 }
 
-/// Escapes a symbol name for use inside a regex pattern. Braces must be
-/// escaped too: they are legal in symbol names, and an unescaped `{n}`
-/// is a counted repetition — `^_f{1}$` matches `_f`, not `_f{1}`, so
-/// the rename would silently miss (or hit the wrong) routine.
-fn escape(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 4);
-    for c in name.chars() {
-        if "\\^$.|?*+()[]{}".contains(c) {
-            out.push('\\');
-        }
-        out.push(c);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omos_isa::assemble;
-    use omos_link::{link, LinkOptions};
-    use omos_os::process::{run_process, NoBinder, Process};
-    use omos_os::{CostModel, ImageFrames, InMemFs, SimClock};
-
-    fn sample_module() -> Module {
-        Module::from_object(
-            assemble(
-                "prog.o",
-                r#"
-                .text
-                .global _start, _alpha, _beta, _gamma
-_start:         call _beta
-                call _alpha
-                call _beta
-                sys 0
-_alpha:         li r1, 1
-                ret
-_beta:          mov r8, r15
-                call _gamma
-                mov r15, r8
-                ret
-_gamma:         li r1, 3
-                ret
-                "#,
-            )
-            .unwrap(),
-        )
-    }
-
-    #[test]
-    fn instrumented_program_logs_call_order() {
-        let (m, names) = instrument(&sample_module(), "^_(alpha|beta|gamma)$").unwrap();
-        assert_eq!(names, vec!["_alpha", "_beta", "_gamma"]);
-        let obj = m.materialize().unwrap();
-        let out = link(&[obj], &LinkOptions::program("t")).unwrap();
-
-        let mut clock = SimClock::new();
-        let cost = CostModel::hpux();
-        let mut fs = InMemFs::new();
-        let frames = ImageFrames::from_image(&out.image);
-        let mut proc = Process::spawn(&frames, &mut clock, &cost).unwrap();
-        let run = run_process(
-            &mut proc,
-            &mut clock,
-            &cost,
-            &mut fs,
-            &mut NoBinder,
-            100_000,
-        );
-        assert!(matches!(run.stop, omos_isa::StopReason::Exited(_)));
-        // Call order: beta, gamma (from beta), alpha, beta (again), gamma.
-        let names_called: Vec<&str> = run
-            .monitor_events
-            .iter()
-            .map(|&i| names[i as usize].as_str())
-            .collect();
-        assert_eq!(
-            names_called,
-            vec!["_beta", "_gamma", "_alpha", "_beta", "_gamma"]
-        );
-    }
-
-    #[test]
-    fn wrapper_preserves_results() {
-        let (m, _) = instrument(&sample_module(), "^_(alpha|beta|gamma)$").unwrap();
-        let obj = m.materialize().unwrap();
-        let out = link(&[obj], &LinkOptions::program("t")).unwrap();
-        let mut clock = SimClock::new();
-        let cost = CostModel::hpux();
-        let mut fs = InMemFs::new();
-        let frames = ImageFrames::from_image(&out.image);
-        let mut proc = Process::spawn(&frames, &mut clock, &cost).unwrap();
-        let run = run_process(
-            &mut proc,
-            &mut clock,
-            &cost,
-            &mut fs,
-            &mut NoBinder,
-            100_000,
-        );
-        // Final r1 comes from the last `call _beta` → `_gamma` → 3.
-        assert_eq!(run.stop, omos_isa::StopReason::Exited(3));
-    }
 
     #[test]
     fn derive_order_first_use_then_cold() {
@@ -222,61 +59,5 @@ _gamma:         li r1, 3
     fn derive_order_ignores_bogus_ids() {
         let names: Vec<String> = vec!["_a".into()];
         assert_eq!(derive_order(&[7, 0], &names), vec!["_a".to_string()]);
-    }
-
-    #[test]
-    fn escape_protects_metacharacters() {
-        assert_eq!(escape("_f$real"), "_f\\$real");
-        let re = omos_obj::Regex::new(&format!("^{}$", escape("_f$real"))).unwrap();
-        assert!(re.is_match("_f$real"));
-        assert!(!re.is_match("_fXreal"));
-    }
-
-    #[test]
-    fn escape_protects_braces() {
-        // Unescaped, `^_f{1}$` is a counted repetition matching `_f` —
-        // the exact silent mis-rename this guards against.
-        assert_eq!(escape("_f{1}"), "_f\\{1\\}");
-        let re = omos_obj::Regex::new(&format!("^{}$", escape("_f{1}"))).unwrap();
-        assert!(re.is_match("_f{1}"));
-        assert!(!re.is_match("_f"));
-    }
-
-    #[test]
-    fn braced_symbol_names_instrument_correctly() {
-        // Braces are legal in the object format's symbol names; build
-        // one by hand (the assembler's label syntax won't take them).
-        let mut obj = ObjectFile::new("braced.o");
-        let text = obj.add_section(Section::with_bytes(
-            ".text",
-            SectionKind::Text,
-            Vec::new(),
-            8,
-        ));
-        obj.sections[text].append(&Inst::new(Opcode::Li).ra(1).imm(7).encode());
-        obj.sections[text].append(&Inst::new(Opcode::Ret).encode());
-        let _ = obj.define(Symbol::defined("_f{1}", text, 0));
-        let (m, names) = instrument(&Module::from_object(obj), r"^_f\{1\}$").unwrap();
-        assert_eq!(names, vec!["_f{1}"]);
-        let exports = m.exports().unwrap();
-        assert!(
-            exports.contains(&"_f{1}$real".to_string()),
-            "the braced definition was renamed aside: {exports:?}"
-        );
-        assert!(
-            exports.contains(&"_f{1}".to_string()),
-            "the wrapper took the original braced name"
-        );
-    }
-
-    #[test]
-    fn uninstrumented_names_untouched() {
-        let (m, names) = instrument(&sample_module(), "^_alpha$").unwrap();
-        assert_eq!(names, vec!["_alpha"]);
-        let exports = m.exports().unwrap();
-        assert!(exports.contains(&"_beta".to_string()));
-        assert!(exports.contains(&"_alpha".to_string()));
-        assert!(exports.contains(&"_alpha$real".to_string()));
-        assert!(!exports.contains(&"_beta$real".to_string()));
     }
 }

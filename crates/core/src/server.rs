@@ -40,21 +40,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use omos_analysis::manifest::{
-    derive_manifest, derive_manifest_from_eval, Binding, LibraryResolution, ProgramResolution,
-    ResolutionManifest, PROGRAM_PROVIDER,
+    assemble_manifest, client_bases, derive_manifest, derive_manifest_from_eval, library_image_key,
+    library_placement, program_image_key, LibraryResolution, ProgramResolution, ResolutionManifest,
 };
 use omos_analysis::relink::{plan_relink, LibAction};
 use omos_analysis::{
-    analyze_blueprint, analyze_blueprint_report, apply_link_policies, Diagnostic, LintContext,
-    LintResolved, PolicyError, Severity,
+    analyze_blueprint, apply_link_policies, Diagnostic, LintContext, LintResolved, PolicyError,
+    Severity,
 };
 use omos_blueprint::eval::LibraryUse;
 use omos_blueprint::{
     eval_blueprint, eval_blueprint_parallel, Blueprint, CachedEval, EvalContext, EvalError,
-    EvalOutput, EvalStats, MNode, ResolvedNode, UnitReport,
+    EvalOutput, EvalStats, LinkPolicy, MNode, PolicyKind, ResolvedNode,
 };
-use omos_constraint::{PlacementRequest, PlacementSolver, RegionClass, SegmentRequest};
-use omos_link::{layout_symbols, link, FunctionHashTable, LinkOptions, LinkStats};
+use omos_constraint::PlacementSolver;
+use omos_link::{
+    layout_resolved, link, scan_audit_stubs, FunctionHashTable, LinkOptions, LinkStats, LinkedImage,
+};
 use omos_module::Module;
 use omos_obj::{ContentHash, ObjectFile, SectionKind};
 use omos_os::ipc::{ImageDescriptor, ReplyShape, Transport};
@@ -75,10 +77,6 @@ use crate::trace::{
 pub const CLIENT_TEXT_BASE: u32 = omos_analysis::manifest::CLIENT_TEXT_BASE;
 /// Default client data base, kept below the library data window.
 pub const CLIENT_DATA_BASE: u32 = omos_analysis::manifest::CLIENT_DATA_BASE;
-
-/// A built shared library: the cached image, its simulated build cost
-/// in ns, and the (text, data) bases the solver placed it at.
-type LibraryBuild = (Arc<CachedImage>, u64, (u32, u32));
 
 /// Shards for the eval and reply caches.
 const CACHE_SHARDS: usize = 8;
@@ -144,8 +142,8 @@ pub struct InstantiateReply {
     pub req: u64,
     /// Hash of the canonical [`ResolutionManifest`] this reply commits
     /// to: which library provides each symbol, where everything is
-    /// placed, and the image keys. Zero only for replies built outside
-    /// the normal cache (monitored specializations).
+    /// placed, and the image keys. Every built reply has one, monitored
+    /// ones included.
     pub manifest: ContentHash,
 }
 
@@ -360,10 +358,11 @@ impl Omos {
 
     /// Sets the intra-request parallelism: cold builds plan the m-graph
     /// into a work-unit DAG and execute it (plus the independent
-    /// library links) on `jobs` workers. 1 (the default, or the
-    /// `OMOS_EVAL_JOBS` environment variable at construction) keeps the
-    /// sequential path. Results are byte-identical either way; only
-    /// [`InstantiateReply::latency_ns`] and the span timeline change.
+    /// library links) on `jobs` workers. At 1 (the default, or the
+    /// `OMOS_EVAL_JOBS` environment variable at construction) each
+    /// library is placed and then linked in turn. Results are
+    /// byte-identical either way; only [`InstantiateReply::latency_ns`]
+    /// and the span timeline change.
     pub fn set_eval_jobs(&self, jobs: usize) {
         self.eval_jobs.store(jobs.max(1), Ordering::Relaxed);
     }
@@ -465,12 +464,17 @@ impl Omos {
     /// Lints the meta-object (or bare fragment) at `path` without
     /// instantiating anything.
     pub fn lint(&self, path: &str) -> Result<Vec<Diagnostic>, OmosError> {
-        let bp = match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => (*bp).clone(),
-            Some(Entry::Object(_)) => Blueprint::from_root(MNode::Leaf(path.to_string())),
-            None => return Err(OmosError::NoSuchName(path.to_string())),
-        };
-        Ok(self.lint_blueprint(&bp))
+        Ok(self.lint_blueprint(&self.blueprint_at(path)?))
+    }
+
+    /// The blueprint bound at `path`: a meta-object's own, or a bare
+    /// fragment wrapped as a leaf.
+    fn blueprint_at(&self, path: &str) -> Result<Blueprint, OmosError> {
+        match self.namespace.lookup(path) {
+            Some(Entry::Meta(bp)) => Ok((*bp).clone()),
+            Some(Entry::Object(_)) => Ok(Blueprint::from_root(MNode::Leaf(path.to_string()))),
+            None => Err(OmosError::NoSuchName(path.to_string())),
+        }
     }
 
     /// Statically analyzes an arbitrary blueprint against this server's
@@ -490,11 +494,7 @@ impl Omos {
     /// Instantiates the meta-object (or bare fragment) at `path`.
     pub fn instantiate(&self, path: &str) -> Result<InstantiateReply, OmosError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let bp = match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => (*bp).clone(),
-            Some(Entry::Object(_)) => Blueprint::from_root(MNode::Leaf(path.to_string())),
-            None => return Err(OmosError::NoSuchName(path.to_string())),
-        };
+        let bp = self.blueprint_at(path)?;
         self.request(&bp, Some(path))
     }
 
@@ -623,13 +623,13 @@ impl Omos {
         }
         if self.incremental_relink() {
             if let Some(seed) = seed {
-                if let Some(reply) = self.relink_reply(bp, root, key, &seed, seeded) {
+                if let Ok(reply) = self.build_reply(bp, root, key, Some((&seed, seeded))) {
                     return Ok(reply);
                 }
                 self.tracer.relink_fallback();
             }
         }
-        self.build_reply(bp, root, key)
+        self.build_reply(bp, root, key, None)
     }
 
     /// Applies the blueprint's link policies to a fresh evaluation:
@@ -660,98 +660,454 @@ impl Omos {
         result
     }
 
-    /// Leader path: evaluate the blueprint, build libraries and the
-    /// program image, cache the reply with its dependency record.
+    /// The eval step. At one lane the m-graph is evaluated sequentially;
+    /// above one it is planned into a work-unit DAG and executed on a
+    /// `lanes`-wide worker pool. Returns the output, the billed work
+    /// (identical at every lane count), and the critical path the Eval
+    /// span covers.
+    fn eval(
+        &self,
+        bp: &Blueprint,
+        ctx: &ReqCtx<'_>,
+        lanes: usize,
+    ) -> Result<(EvalOutput, u64, u64), OmosError> {
+        let span = self.tracer.open(SpanKind::Eval);
+        if lanes == 1 {
+            let out = eval_blueprint(bp, ctx);
+            let ns = out
+                .as_ref()
+                .map_or(0, |o| eval_work_ns(&o.stats, &self.cost));
+            self.tracer.close_leaf(span, Stage::Eval, ns);
+            return Ok((out?, ns, ns));
+        }
+        let par = eval_blueprint_parallel(bp, ctx, lanes);
+        let (work_ns, path_ns) = match &par {
+            Ok(p) => {
+                // Planning is serial; the unit makespan is what the pool
+                // needs.
+                let plan_ns = p.output.stats.nodes * self.cost.lookup_ns;
+                // Units cost their simulated work (merge steps and
+                // source compiles); pure view shuffles are free.
+                let durs: Vec<u64> = p
+                    .units
+                    .iter()
+                    .map(|u| {
+                        u.merges * self.cost.server_merge_ns
+                            + u.source_compiles * self.cost.server_compile_ns
+                    })
+                    .collect();
+                let units = durs.iter().zip(&p.units).map(|(&d, u)| (d, &u.deps[..]));
+                let (slots, makespan) = schedule(units, lanes);
+                for (&(start, lane), &dur) in slots.iter().zip(&durs) {
+                    if dur > 0 {
+                        self.tracer
+                            .span_at(SpanKind::EvalUnit, plan_ns + start, dur, lane);
+                    }
+                }
+                (
+                    eval_work_ns(&p.output.stats, &self.cost),
+                    plan_ns + makespan,
+                )
+            }
+            Err(_) => (0, 0),
+        };
+        self.tracer.close_leaf(span, Stage::Eval, path_ns);
+        Ok((par?.output, work_ns, path_ns))
+    }
+
+    /// The one link pipeline: eval, policies, the library executor, the
+    /// program link, the manifest, and the cached reply.
+    ///
+    /// A cold build (`seed` is `None`) runs on `eval_jobs` lanes and
+    /// links every library. A stale or seeded reply (the old manifest,
+    /// and whether a restore seeded it) runs on one lane: the new
+    /// resolution is derived without linking, and libraries whose
+    /// resolution row is unchanged reuse their cached images. The
+    /// manifest of what was actually assembled must then equal the
+    /// derived one; any mismatch is an error, on which the caller falls
+    /// back to the cold build.
     fn build_reply(
         &self,
         bp: &Blueprint,
         root: Option<&str>,
         key: ContentHash,
+        seed: Option<(&[u8], bool)>,
     ) -> Result<InstantiateReply, OmosError> {
+        let before = seed
+            .map(|(bytes, _)| ResolutionManifest::decode(bytes))
+            .transpose()?;
         // Snapshot the generation *before* resolving anything: a bind
         // racing this build lands after the snapshot and invalidates
         // the entry on its next lookup.
         let ctx = ReqCtx::new(self);
-        let jobs = self.eval_jobs();
-        if jobs > 1 {
-            return self.build_reply_parallel(bp, root, key, &ctx, jobs);
-        }
-        let mut server_ns = self.cost.server_cached_request_ns; // baseline handling
-        self.tracer.advance(self.cost.server_cached_request_ns);
-        let span = self.tracer.open(SpanKind::Eval);
-        let out = eval_blueprint(bp, &ctx);
-        let eval_ns = out
+        let lanes = before.as_ref().map_or_else(|| self.eval_jobs(), |_| 1);
+        let base_ns = self.cost.server_cached_request_ns; // baseline handling
+        self.tracer.advance(base_ns);
+        let (mut out, eval_ns, eval_path_ns) = self.eval(bp, &ctx, lanes)?;
+        // Policy application is serial (it rewrites the single program
+        // module), so it lands on the critical path as well.
+        let policy_ns = self.apply_policies(bp, &mut out)?;
+
+        let (rows, derived) = match &before {
+            Some(before) => {
+                let (derived, rows, changed) = self.plan_rows(bp, &out, before)?;
+                (rows, Some((derived, changed)))
+            }
+            None => (vec![Row::Link; out.libraries.len()], None),
+        };
+        let span = derived
             .as_ref()
-            .map_or(0, |o| eval_work_ns(&o.stats, &self.cost));
-        self.tracer.close_leaf(span, Stage::Eval, eval_ns);
-        let mut out = out?;
-        server_ns += eval_ns;
-        server_ns += self.apply_policies(bp, &mut out)?;
-
-        // Build (or reuse) each referenced library, resolving
-        // inter-library references left to right ("all definitions of
-        // variables must be made in the library furthest downstream").
-        let mut externs: HashMap<String, u32> = HashMap::new();
-        let mut libraries = Vec::with_capacity(out.libraries.len());
-        let mut bases = Vec::with_capacity(out.libraries.len());
-        for lib in &out.libraries {
-            let (img, ns, placed) = self.instantiate_library(lib, &externs)?;
-            server_ns += ns;
-            for (s, a) in &img.image.symbols {
-                externs.entry(s.clone()).or_insert(*a);
-            }
-            libraries.push(img);
-            bases.push(placed);
+            .map(|_| self.tracer.open(SpanKind::RelinkPartial));
+        let built = self
+            .link_libraries(&out.libraries, &rows, lanes, HashMap::new())
+            .and_then(|libs| {
+                let program = self.link_program(&out, key, &libs)?;
+                Ok((libs, program))
+            });
+        if let Some(span) = span {
+            let relink_ns = built.as_ref().map_or(0, |(l, p)| l.work_ns + p.2);
+            self.tracer.note(Stage::RelinkPartial, relink_ns);
+            self.tracer.close(span);
+        }
+        let (libs, (program, client, prog_ns)) = built?;
+        let mut server_ns = base_ns + eval_ns + policy_ns + libs.work_ns + prog_ns;
+        let mut latency_ns = base_ns + eval_path_ns + policy_ns + libs.path_ns + prog_ns;
+        if let Some((_, changed)) = &derived {
+            // Patching the cached reply's bindings for the dirtied
+            // symbols is real (cheap) work: one relocation-sized write
+            // per changed binding.
+            let patch_ns = *changed as u64 * self.cost.reloc_ns;
+            server_ns += patch_ns;
+            latency_ns += patch_ns;
+            self.tracer.advance(patch_ns);
         }
 
-        // Link the client against the placed libraries.
-        let (text_base, data_base) = client_bases(&out.constraints);
-        let image_key = {
-            // Content-derived, so rebound fragments produce fresh images.
-            let mut k = out.module.content_hash().with_str("program");
-            for l in &libraries {
-                k = k.combine(l.key);
-            }
-            k.with_u64(u64::from(text_base))
-                .with_u64(u64::from(data_base))
-        };
-        let program = match self.images.get(image_key) {
-            Some(img) => img,
-            None => {
-                let (img, ns) = self.build_program(
-                    &out.module,
-                    image_key,
-                    key,
-                    text_base,
-                    data_base,
-                    &externs,
-                )?;
-                server_ns += ns;
-                img
-            }
-        };
-
-        let manifest = self.manifest_from_actuals(
-            bp,
-            key,
-            &out.libraries,
-            &libraries,
-            &bases,
-            &program,
-            (text_base, data_base),
-        );
+        let manifest = self.manifest_from_actuals(bp, &out.libraries, &libs, &program, client);
+        if derived.as_ref().is_some_and(|(d, _)| *d != manifest) {
+            return Err(OmosError::Client(
+                "relinked resolution diverged from its derivation".to_string(),
+            ));
+        }
         self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
+        let avoided_ns = libs.avoided_ns + if prog_ns == 0 { program.rebuild_ns } else { 0 };
         let reply = InstantiateReply {
             program,
-            libraries,
+            libraries: libs.images,
             server_ns,
-            latency_ns: server_ns, // sequential: latency is the work sum
+            latency_ns,
             cache_hit: false,
             req: 0, // attributed by `request`
             manifest: manifest.hash(),
         };
+        // A relink lands as an in-place overwrite of the reply-cache
+        // slot (same key) rather than an evict-then-miss cycle.
         self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, &manifest);
+        if let Some((_, seeded)) = seed {
+            let relinked = rows.len() as u64 - libs.reused;
+            self.tracer
+                .relink(libs.reused, relinked, !seeded, seeded, avoided_ns);
+        }
         Ok(reply)
+    }
+
+    /// Derives the resolution `out` links to, by a placement replay on a
+    /// copy of the solver state with no link run, and plans the relink
+    /// against `before`. Returns the derived manifest, one row per
+    /// library (`Reuse` where the resolution row is unchanged: its image
+    /// key covers content, placement and externs, so the cached image is
+    /// valid as is), and how many bindings the reply patch rewrites.
+    fn plan_rows(
+        &self,
+        bp: &Blueprint,
+        out: &EvalOutput,
+        before: &ResolutionManifest,
+    ) -> Result<(ResolutionManifest, Vec<Row>, usize), OmosError> {
+        let derived = {
+            let state = self.solver().export_state();
+            let mut lint = NamespaceLint(&self.namespace);
+            derive_manifest_from_eval(bp, out, &mut lint, &state).map_err(OmosError::Client)?
+        };
+        // The derivation walks `out.libraries` in order, one row each,
+        // so its rows line up with the executor's libraries.
+        let plan = plan_relink(before, &derived);
+        let rows = plan
+            .libraries
+            .iter()
+            .zip(&derived.libraries)
+            .map(|(row, lib)| match row.action {
+                LibAction::Reuse => Row::Reuse {
+                    bases: (lib.text_base, lib.data_base),
+                    image_key: lib.image_key,
+                },
+                LibAction::Relink => Row::Link,
+            })
+            .collect();
+        Ok((derived, rows, plan.diff.changed_symbols().len()))
+    }
+
+    /// The library executor: runs one row per library in `libs`, in
+    /// resolution order, folding each library's exports into `externs`
+    /// left to right ("all definitions of variables must be made in the
+    /// library furthest downstream").
+    ///
+    /// At one lane each library is placed and then linked in turn.
+    /// Above one, placement and the fold stay serial (cheap and
+    /// order-sensitive), exports come from layout ([`layout_resolved`]),
+    /// and the links run concurrently afterwards. Layout also makes the
+    /// link's undefined-reference check, so a library that cannot link
+    /// stops the pass before the next is placed, and the libraries
+    /// before it are linked before its error surfaces: every lane count
+    /// leaves the same bookings and images. The billed work is the same
+    /// at every lane count; only the critical path shrinks.
+    fn link_libraries(
+        &self,
+        libs: &[LibraryUse],
+        rows: &[Row],
+        lanes: usize,
+        mut externs: HashMap<String, u32>,
+    ) -> Result<Libraries, OmosError> {
+        let mut slots = Vec::with_capacity(libs.len());
+        let mut bases = Vec::with_capacity(libs.len());
+        let mut pending: Vec<(ContentHash, ObjectFile, LinkOptions)> = Vec::new();
+        let (mut inline_ns, mut reused, mut avoided_ns) = (0, 0, 0);
+        let mut failed = None;
+        for (lib, row) in libs.iter().zip(rows) {
+            if let Row::Reuse {
+                bases: at,
+                image_key,
+            } = *row
+            {
+                // Replay the retained placement (re-booking the
+                // manifest's exact ranges; no solving), then fetch the
+                // cached image by content key. If either fails the row
+                // relinks, which reproduces the identical image.
+                let retained = [u64::from(at.0), u64::from(at.1)];
+                let reuse = self
+                    .solver()
+                    .replay_retained(&lib.name, lib.key.0, &retained)
+                    .and_then(|_| self.images.get(image_key));
+                if let Some(img) = reuse {
+                    let span = self.tracer.open(SpanKind::Reuse);
+                    self.tracer.close_leaf(span, Stage::Reuse, 0);
+                    fold_exports(&mut externs, &img.image.symbols);
+                    // The link work this reuse skipped; a cold full
+                    // relink would re-pay exactly this (the simulation
+                    // is deterministic).
+                    avoided_ns += img.rebuild_ns;
+                    reused += 1;
+                    slots.push(Slot::Ready(img));
+                    bases.push(at);
+                    continue;
+                }
+            }
+            // At one lane a library's placement and link nest under one
+            // library-build span; above one, its link lands later as a
+            // lane span.
+            let span = (lanes == 1).then(|| self.tracer.open(SpanKind::LibraryBuild));
+            let step = self.place_library(lib, &externs, lanes);
+            if let Some(span) = span {
+                self.tracer.close(span);
+            }
+            match step {
+                Ok((at, Built::Image(img, ns))) => {
+                    fold_exports(&mut externs, &img.image.symbols);
+                    inline_ns += ns;
+                    slots.push(Slot::Ready(img));
+                    bases.push(at);
+                }
+                Ok((at, Built::Pending(link, exports))) => {
+                    fold_exports(&mut externs, &exports);
+                    bases.push(at);
+                    // A duplicate image key within this request links
+                    // once; later occurrences share the first's result
+                    // at zero cost.
+                    let i = pending
+                        .iter()
+                        .position(|p| p.0 == link.0)
+                        .unwrap_or_else(|| {
+                            pending.push(*link);
+                            pending.len() - 1
+                        });
+                    slots.push(Slot::Pending(i));
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+
+        // Link the pending libraries concurrently: workers claim items
+        // off a shared cursor and coalesce through the single-flight
+        // image cache. Worker threads carry no per-request trace state,
+        // so the work is metered onto the request timeline afterwards,
+        // as sibling lane spans.
+        let mut linked = Vec::with_capacity(pending.len());
+        if !pending.is_empty() {
+            let cursor = AtomicUsize::new(0);
+            type LinkResult = Result<(Arc<CachedImage>, u64), OmosError>;
+            let results: Mutex<Vec<(usize, LinkResult)>> =
+                Mutex::new(Vec::with_capacity(pending.len()));
+            std::thread::scope(|s| {
+                for _ in 0..lanes.min(pending.len()) {
+                    s.spawn(|| loop {
+                        let at = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some((image_key, obj, opts)) = pending.get(at) else {
+                            break;
+                        };
+                        let r =
+                            self.link_image(*image_key, obj, opts, &self.counters.libraries_built);
+                        lock(&results).push((at, r));
+                    });
+                }
+            });
+            let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+            // Surface the first error in *library order*, not
+            // completion order, so failures match the one-lane path.
+            results.sort_by_key(|(i, _)| *i);
+            for (_, r) in results {
+                linked.push(r?);
+            }
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let durs: Vec<u64> = linked.iter().map(|(_, ns)| *ns).collect();
+        let (lane_slots, makespan) = schedule(durs.iter().map(|&d| (d, &[][..])), lanes);
+        for (&(start, lane), &ns) in lane_slots.iter().zip(&durs) {
+            if ns > 0 {
+                self.tracer.span_at(SpanKind::Link, start, ns, lane);
+                self.tracer.note(Stage::Link, ns);
+            }
+        }
+        self.tracer.advance(makespan);
+        // Linked images flow to the reply directly — never re-probe the
+        // cache here, which under a tight byte budget may have evicted
+        // the image already.
+        let images = slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Ready(img) => img,
+                Slot::Pending(at) => Arc::clone(&linked[at].0),
+            })
+            .collect();
+        Ok(Libraries {
+            images,
+            bases,
+            externs,
+            work_ns: inline_ns + durs.iter().sum::<u64>(),
+            path_ns: inline_ns + makespan,
+            reused,
+            avoided_ns,
+        })
+    }
+
+    /// Places one library with the constraint solver and computes its
+    /// bound-image key against `externs` — the only place either
+    /// happens — then gets its image: from the cache, else linked on
+    /// the spot at one lane, else left for the concurrent link phase
+    /// with the exports its layout plans.
+    fn place_library(
+        &self,
+        lib: &LibraryUse,
+        externs: &HashMap<String, u32>,
+        lanes: usize,
+    ) -> Result<((u32, u32), Built), OmosError> {
+        let obj = lib.module.materialize().map_err(OmosError::Obj)?;
+        // Placement is get-or-reuse per (name, key): concurrent callers
+        // for the same library receive the same bases. The span's cost
+        // is metered (one lookup per segment) but unbilled: placement
+        // state is global, its cost amortized across all clients.
+        let span = self.tracer.open(SpanKind::Placement);
+        let placement = self.solver().place(&library_placement(lib, &obj), &[]);
+        let place_ns = placement
+            .as_ref()
+            .map_or(0, |p| p.allocations.len() as u64 * self.cost.lookup_ns);
+        self.tracer.close_leaf(span, Stage::Placement, place_ns);
+        let placement = placement?;
+        let bases = (
+            placement.allocations[0].base as u32,
+            placement.allocations[1].base as u32,
+        );
+        let image_key = library_image_key(lib.key, bases, externs);
+        if let Some(img) = self.images.get(image_key) {
+            return Ok((bases, Built::Image(img, 0)));
+        }
+        let mut opts = LinkOptions::library(&lib.name, bases.0, bases.1);
+        opts.externs = externs.clone();
+        if lanes == 1 {
+            let built = &self.counters.libraries_built;
+            let (img, ns) = self.link_image(image_key, &obj, &opts, built)?;
+            return Ok((bases, Built::Image(img, ns)));
+        }
+        let exports = layout_resolved(std::slice::from_ref(&obj), &opts)?;
+        Ok((
+            bases,
+            Built::Pending(Box::new((image_key, obj, opts)), exports),
+        ))
+    }
+
+    /// Links the client program against the libraries, or fetches it by
+    /// image key — the only place a program is linked.
+    fn link_program(
+        &self,
+        out: &EvalOutput,
+        reply_key: ContentHash,
+        libs: &Libraries,
+    ) -> Result<ProgramBuild, OmosError> {
+        let bases = client_bases(&out.constraints);
+        let image_key = program_image_key(
+            out.module.content_hash(),
+            libs.images.iter().map(|l| l.key),
+            bases,
+        );
+        if let Some(img) = self.images.get(image_key) {
+            return Ok((img, bases, 0));
+        }
+        let obj = out.module.materialize().map_err(OmosError::Obj)?;
+        let mut opts = LinkOptions::program("program");
+        opts.name = format!("<program:{reply_key}>");
+        opts.text_base = bases.0;
+        opts.data_base = bases.1;
+        opts.externs = libs.externs.clone();
+        let (img, ns) = self.link_image(image_key, &obj, &opts, &self.counters.programs_built)?;
+        Ok((img, bases, ns))
+    }
+
+    /// Links one image and caches it under `image_key`, single-flight
+    /// per key: concurrent builds of the same image coalesce. Counts the
+    /// build in `built`. On a link worker thread the trace hooks are
+    /// no-ops; the executor meters the returned work instead.
+    fn link_image(
+        &self,
+        image_key: ContentHash,
+        obj: &ObjectFile,
+        opts: &LinkOptions,
+        built: &AtomicU64,
+    ) -> Result<(Arc<CachedImage>, u64), OmosError> {
+        let (result, _led) = self.image_flight.run(image_key, || {
+            if let Some(img) = self.images.get(image_key) {
+                return Ok((img, 0));
+            }
+            let span = self.tracer.open(SpanKind::Link);
+            let linked = link(std::slice::from_ref(obj), opts);
+            let ns = linked
+                .as_ref()
+                .map_or(0, |l| link_work_ns(&l.stats, &self.cost));
+            self.tracer.close_leaf(span, Stage::Link, ns);
+            let linked = linked?;
+            built.fetch_add(1, Ordering::Relaxed);
+            let img = self.images.insert(CachedImage {
+                key: image_key,
+                frames: self.framed(&linked.image),
+                image: linked.image,
+                link_stats: linked.stats,
+                rebuild_ns: ns,
+                epoch: 0,
+            });
+            Ok((img, ns))
+        });
+        result
     }
 
     /// Builds the resolution manifest from what the build *actually*
@@ -759,282 +1115,39 @@ impl Omos {
     /// the bound images, image keys from the cache entries. The
     /// statically derived manifest ([`derive_manifest`]) must agree
     /// byte-for-byte — the differential tests compare the two with
-    /// [`divergence`].
-    #[allow(clippy::too_many_arguments)]
+    /// [`divergence`](omos_analysis::manifest::divergence).
     fn manifest_from_actuals(
         &self,
         bp: &Blueprint,
-        key: ContentHash,
         uses: &[LibraryUse],
-        libraries: &[Arc<CachedImage>],
-        bases: &[(u32, u32)],
-        program: &Arc<CachedImage>,
-        client: (u32, u32),
+        libs: &Libraries,
+        program: &CachedImage,
+        (text_base, data_base): (u32, u32),
     ) -> ResolutionManifest {
-        let mut lib_res = Vec::with_capacity(libraries.len());
-        for ((u, img), &(text_base, data_base)) in uses.iter().zip(libraries).zip(bases) {
-            lib_res.push(LibraryResolution {
+        let rows = uses
+            .iter()
+            .zip(&libs.images)
+            .zip(&libs.bases)
+            .map(|((u, img), &(text_base, data_base))| LibraryResolution {
                 name: u.name.clone(),
                 key: u.key,
                 text_base,
                 data_base,
                 image_key: img.key,
-            });
-        }
-        // First-definition-wins fold in library order, then the
-        // client's own definitions override (its internal resolution
-        // beats any extern).
-        let mut map: std::collections::BTreeMap<String, (String, u32)> =
-            std::collections::BTreeMap::new();
-        for (u, img) in uses.iter().zip(libraries) {
-            for (s, a) in &img.image.symbols {
-                map.entry(s.clone()).or_insert((u.name.clone(), *a));
-            }
-        }
-        for (s, a) in &program.image.symbols {
-            map.insert(s.clone(), (PROGRAM_PROVIDER.to_string(), *a));
-        }
-        let bindings = map
-            .into_iter()
-            .map(|(symbol, (provider, addr))| Binding {
-                symbol,
-                provider,
-                addr,
             })
             .collect();
-        let report = analyze_blueprint_report(bp, &mut NamespaceLint(&self.namespace));
-        let mut interpositions = report.interpositions;
-        interpositions.sort();
-        interpositions.dedup();
-        ResolutionManifest {
-            root: key,
-            libraries: lib_res,
-            program: ProgramResolution {
-                text_base: client.0,
-                data_base: client.1,
+        assemble_manifest(
+            bp,
+            rows,
+            libs.images.iter().map(|img| &img.image.symbols),
+            ProgramResolution {
+                text_base,
+                data_base,
                 image_key: program.key,
             },
-            bindings,
-            interpositions,
-            policies: bp.canonical_policies(),
-        }
-    }
-
-    /// The incremental relink engine: rebuilds a stale reply by
-    /// relinking only the subgraph the old→new manifest diff dirties.
-    ///
-    /// The old (seed) manifest records the resolution the dropped reply
-    /// committed to; the new resolution is derived statically from a
-    /// fresh evaluation plus a placement replay on a copy of the solver
-    /// state ([`derive_manifest_from_eval`] — no link runs). The plan
-    /// ([`plan_relink`]) then classifies each library: an identical
-    /// resolution row means the cached image is byte-valid as-is (its
-    /// image key covers content, placement, and extern environment), so
-    /// it is reused at zero link cost with its retained placement
-    /// replayed into the solver; anything else places and links through
-    /// the ordinary library path. The program frame relinks whenever
-    /// its image key moved.
-    ///
-    /// Every reused artifact is *verified* against the derivation
-    /// (image key, placed bases), and the final manifest built from
-    /// actual artifacts must equal the derived one — any mismatch
-    /// returns `None` and the caller falls back to the authoritative
-    /// full build. Evaluation runs sequentially regardless of
-    /// `eval_jobs`: results are byte-identical either way, and the
-    /// incremental path's work is dominated by reuse.
-    fn relink_reply(
-        &self,
-        bp: &Blueprint,
-        root: Option<&str>,
-        key: ContentHash,
-        seed: &[u8],
-        seeded: bool,
-    ) -> Option<InstantiateReply> {
-        let before = ResolutionManifest::decode(seed).ok()?;
-        let ctx = ReqCtx::new(self);
-        let mut server_ns = self.cost.server_cached_request_ns; // baseline handling
-        self.tracer.advance(self.cost.server_cached_request_ns);
-
-        let span = self.tracer.open(SpanKind::Eval);
-        let out = eval_blueprint(bp, &ctx);
-        let eval_ns = out
-            .as_ref()
-            .map_or(0, |o| eval_work_ns(&o.stats, &self.cost));
-        self.tracer.close_leaf(span, Stage::Eval, eval_ns);
-        // An eval error falls back: the full path surfaces it with its
-        // exact error shape (and pays nothing extra — the eval cache
-        // holds every subtree this attempt resolved).
-        let mut out = out.ok()?;
-        server_ns += eval_ns;
-        // A policy rejection falls back too: the full path re-applies
-        // the policies and surfaces the deny with its exact error shape.
-        server_ns += self.apply_policies(bp, &mut out).ok()?;
-
-        let derived = {
-            let state = self.solver().export_state();
-            let mut lint = NamespaceLint(&self.namespace);
-            derive_manifest_from_eval(bp, &out, &mut lint, &state).ok()?
-        };
-        if derived.libraries.len() != out.libraries.len() {
-            return None;
-        }
-        let plan = plan_relink(&before, &derived);
-
-        // Execute the plan in resolution order: reuses fold their
-        // cached exports into the extern environment exactly as a
-        // rebuild would, so downstream relinks see identical inputs.
-        let relink_span = self.tracer.open(SpanKind::RelinkPartial);
-        let mut externs: HashMap<String, u32> = HashMap::new();
-        let mut libraries = Vec::with_capacity(out.libraries.len());
-        let mut bases = Vec::with_capacity(out.libraries.len());
-        let mut reused = 0u64;
-        let mut relinked = 0u64;
-        let mut relink_ns = 0u64;
-        let mut avoided_ns = 0u64;
-        let mut ok = true;
-        for ((lu, dr), row) in out
-            .libraries
-            .iter()
-            .zip(&derived.libraries)
-            .zip(&plan.libraries)
-        {
-            if lu.name != dr.name || lu.key != dr.key {
-                ok = false;
-                break;
-            }
-            let mut done = false;
-            if row.action == LibAction::Reuse {
-                // Replay the retained placement (re-books the manifest's
-                // exact ranges; no solving), then reuse the cached image
-                // by content key. Either failing demotes to a relink —
-                // which reproduces the identical image by construction.
-                let replayed = self
-                    .solver()
-                    .replay_retained(
-                        &lu.name,
-                        lu.key.0,
-                        &[u64::from(dr.text_base), u64::from(dr.data_base)],
-                    )
-                    .is_some();
-                if replayed {
-                    if let Some(img) = self.images.get(dr.image_key) {
-                        let span = self.tracer.open(SpanKind::Reuse);
-                        self.tracer.close_leaf(span, Stage::Reuse, 0);
-                        for (s, a) in &img.image.symbols {
-                            externs.entry(s.clone()).or_insert(*a);
-                        }
-                        // The link work this reuse skipped; a cold full
-                        // relink would re-pay exactly this (the
-                        // simulation is deterministic).
-                        avoided_ns += img.rebuild_ns;
-                        libraries.push(img);
-                        bases.push((dr.text_base, dr.data_base));
-                        reused += 1;
-                        done = true;
-                    }
-                }
-            }
-            if !done {
-                let Ok((img, ns, placed)) = self.instantiate_library(lu, &externs) else {
-                    ok = false;
-                    break;
-                };
-                // The derivation is the oracle of what this build must
-                // produce; disagreement means the plan was computed
-                // against a state that has since moved.
-                if img.key != dr.image_key || placed != (dr.text_base, dr.data_base) {
-                    ok = false;
-                    break;
-                }
-                server_ns += ns;
-                relink_ns += ns;
-                for (s, a) in &img.image.symbols {
-                    externs.entry(s.clone()).or_insert(*a);
-                }
-                libraries.push(img);
-                bases.push(placed);
-                relinked += 1;
-            }
-        }
-
-        let mut program = None;
-        if ok {
-            let (text_base, data_base) = client_bases(&out.constraints);
-            let image_key = {
-                let mut k = out.module.content_hash().with_str("program");
-                for l in &libraries {
-                    k = k.combine(l.key);
-                }
-                k.with_u64(u64::from(text_base))
-                    .with_u64(u64::from(data_base))
-            };
-            if image_key == derived.program.image_key
-                && (text_base, data_base) == (derived.program.text_base, derived.program.data_base)
-            {
-                match self.images.get(image_key) {
-                    Some(img) => {
-                        avoided_ns += img.rebuild_ns;
-                        program = Some((img, text_base, data_base));
-                    }
-                    None => {
-                        if let Ok((img, ns)) = self.build_program(
-                            &out.module,
-                            image_key,
-                            key,
-                            text_base,
-                            data_base,
-                            &externs,
-                        ) {
-                            server_ns += ns;
-                            relink_ns += ns;
-                            program = Some((img, text_base, data_base));
-                        }
-                    }
-                }
-            }
-        }
-        self.tracer.note(Stage::RelinkPartial, relink_ns);
-        self.tracer.close(relink_span);
-        let (program, text_base, data_base) = program?;
-
-        // Patching the cached reply's bindings for the dirtied symbols
-        // is real (cheap) work: one relocation-sized write per changed
-        // binding.
-        let patch_ns = plan.diff.changed_symbols().len() as u64 * self.cost.reloc_ns;
-        server_ns += patch_ns;
-        self.tracer.advance(patch_ns);
-
-        // Final guard: the manifest built from the artifacts actually
-        // assembled must equal the derived one bit-for-bit. This is the
-        // same contract the differential tests pin for the full path.
-        let manifest = self.manifest_from_actuals(
-            bp,
-            key,
-            &out.libraries,
-            &libraries,
-            &bases,
-            &program,
-            (text_base, data_base),
-        );
-        if manifest != derived {
-            return None;
-        }
-        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
-        let reply = InstantiateReply {
-            program,
-            libraries,
-            server_ns,
-            latency_ns: server_ns, // sequential: latency is the work sum
-            cache_hit: false,
-            req: 0, // attributed by `request`
-            manifest: manifest.hash(),
-        };
-        // The patch lands as an in-place overwrite of the reply-cache
-        // slot (same key) rather than an evict-then-miss cycle.
-        self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, &manifest);
-        self.tracer
-            .relink(reused, relinked, !seeded, seeded, avoided_ns);
-        Some(reply)
+            &program.image.symbols,
+            &mut NamespaceLint(&self.namespace),
+        )
     }
 
     /// The canonical resolution manifest for an arbitrary blueprint,
@@ -1052,203 +1165,7 @@ impl Omos {
     /// [`Omos::explain_blueprint`] for the meta-object (or bare
     /// fragment) bound at `path`.
     pub fn explain(&self, path: &str) -> Result<ResolutionManifest, OmosError> {
-        let bp = match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => (*bp).clone(),
-            Some(Entry::Object(_)) => Blueprint::from_root(MNode::Leaf(path.to_string())),
-            None => return Err(OmosError::NoSuchName(path.to_string())),
-        };
-        self.explain_blueprint(&bp)
-    }
-
-    /// The parallel cold-build path (`eval_jobs > 1`): plans the
-    /// m-graph into a work-unit DAG and executes it on a scoped worker
-    /// pool, prepares every referenced library serially (placement and
-    /// symbol layout — cheap and order-sensitive), then links the
-    /// independent library images concurrently before the final
-    /// program link. `server_ns` bills exactly the work sum the
-    /// sequential path would, regardless of completion order;
-    /// `latency_ns` (and the span timeline) bill the critical path of
-    /// the simulated schedule.
-    fn build_reply_parallel(
-        &self,
-        bp: &Blueprint,
-        root: Option<&str>,
-        key: ContentHash,
-        ctx: &ReqCtx<'_>,
-        jobs: usize,
-    ) -> Result<InstantiateReply, OmosError> {
-        let mut server_ns = self.cost.server_cached_request_ns; // baseline handling
-        self.tracer.advance(self.cost.server_cached_request_ns);
-
-        // Evaluate: plan (serial) + execute on the work-stealing pool.
-        let span = self.tracer.open(SpanKind::Eval);
-        let par = eval_blueprint_parallel(bp, ctx, jobs);
-        let (eval_ns, plan_ns, eval_makespan) = match &par {
-            Ok(p) => {
-                let plan_ns = p.output.stats.nodes * self.cost.lookup_ns;
-                let (slots, makespan) = schedule_units(&p.units, &self.cost, jobs);
-                for &(start, lane, dur) in &slots {
-                    if dur > 0 {
-                        self.tracer
-                            .span_at(SpanKind::EvalUnit, plan_ns + start, dur, lane);
-                    }
-                }
-                (eval_work_ns(&p.output.stats, &self.cost), plan_ns, makespan)
-            }
-            Err(_) => (0, 0, 0),
-        };
-        // Close the Eval span over the *critical path*: planning is
-        // serial, the unit makespan is what a `jobs`-wide pool needs.
-        // The billed work (`server_ns`) is still the full sum.
-        self.tracer
-            .close_leaf(span, Stage::Eval, plan_ns + eval_makespan);
-        let mut out = par?.output;
-        server_ns += eval_ns;
-        // Policy application is serial (it rewrites the single program
-        // module), so it lands on the critical path as well.
-        let policy_ns = self.apply_policies(bp, &mut out)?;
-        server_ns += policy_ns;
-
-        // Prepare every library serially: placement order and the
-        // left-to-right extern fold are semantically ordered ("all
-        // definitions of variables must be made in the library furthest
-        // downstream"), and both are cheap. `layout_symbols` yields
-        // each library's final export addresses from layout alone, so
-        // the expensive part — the links — can run concurrently below.
-        let mut externs: HashMap<String, u32> = HashMap::new();
-        let mut prepared = Vec::with_capacity(out.libraries.len());
-        let mut seen_keys = std::collections::HashSet::new();
-        for lib in &out.libraries {
-            let mut p = self.prepare_library(lib, &externs)?;
-            if p.work.is_some() && !seen_keys.insert(p.image_key) {
-                // Duplicate image key within this request: the first
-                // occurrence links it; this one reuses the cached image
-                // at zero cost (as the sequential fast path would).
-                p.work = None;
-            }
-            for (s, a) in &p.symbols {
-                externs.entry(s.clone()).or_insert(*a);
-            }
-            prepared.push(p);
-        }
-
-        // Link whatever wasn't cached, concurrently: workers claim
-        // items off a shared cursor and coalesce through the
-        // single-flight image cache. Worker threads carry no
-        // per-request trace state, so the work is metered onto the
-        // request timeline afterwards, as sibling lane spans.
-        let work: Vec<(usize, ObjectFile, LinkOptions, ContentHash)> = prepared
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, p)| p.work.take().map(|(obj, opts)| (i, obj, opts, p.image_key)))
-            .collect();
-        let mut link_ns = vec![0u64; prepared.len()];
-        let mut linked_by_key: HashMap<ContentHash, Arc<CachedImage>> = HashMap::new();
-        if !work.is_empty() {
-            let cursor = AtomicUsize::new(0);
-            type LinkResult = Result<(Arc<CachedImage>, u64), OmosError>;
-            let results: Mutex<Vec<(usize, LinkResult)>> =
-                Mutex::new(Vec::with_capacity(work.len()));
-            std::thread::scope(|s| {
-                for _ in 0..jobs.min(work.len()) {
-                    s.spawn(|| loop {
-                        let at = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((idx, obj, opts, image_key)) = work.get(at) else {
-                            break;
-                        };
-                        let r = self.link_prepared(obj, opts, *image_key);
-                        lock(&results).push((*idx, r));
-                    });
-                }
-            });
-            let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-            // Surface the first error in *library order*, not
-            // completion order, so failures match the sequential path.
-            results.sort_by_key(|(i, _)| *i);
-            for (idx, r) in results {
-                let (img, ns) = r?;
-                link_ns[idx] = ns;
-                // Hold the Arc: probing the cache again below would
-                // race a tight budget that already evicted the image.
-                linked_by_key.insert(prepared[idx].image_key, img);
-            }
-        }
-        let (slots, link_makespan) = schedule_independent(&link_ns, jobs);
-        for (i, &(start, lane)) in slots.iter().enumerate() {
-            if link_ns[i] > 0 {
-                self.tracer.span_at(SpanKind::Link, start, link_ns[i], lane);
-                self.tracer.note(Stage::Link, link_ns[i]);
-            }
-        }
-        self.tracer.advance(link_makespan);
-        server_ns += link_ns.iter().sum::<u64>();
-        // Every uncached entry was either linked above or deduped
-        // against an earlier work item with the same key, so
-        // `linked_by_key` covers it — never re-probe the cache here,
-        // which under a tight byte budget may have evicted the image
-        // already (that re-probe used to be an `expect()` panic).
-        let libraries: Vec<Arc<CachedImage>> = prepared
-            .iter()
-            .map(|p| match (&p.cached, linked_by_key.get(&p.image_key)) {
-                (Some(img), _) | (None, Some(img)) => Ok(Arc::clone(img)),
-                (None, None) => Err(OmosError::Client(format!(
-                    "library image {:?} vanished during linking",
-                    p.image_key
-                ))),
-            })
-            .collect::<Result<_, _>>()?;
-
-        // Link the client against the placed libraries (single-flight,
-        // on the request thread: the address-constraint solve and the
-        // program link stay serialized).
-        let (text_base, data_base) = client_bases(&out.constraints);
-        let image_key = {
-            let mut k = out.module.content_hash().with_str("program");
-            for l in &libraries {
-                k = k.combine(l.key);
-            }
-            k.with_u64(u64::from(text_base))
-                .with_u64(u64::from(data_base))
-        };
-        let (program, prog_ns) = match self.images.get(image_key) {
-            Some(img) => (img, 0),
-            None => {
-                self.build_program(&out.module, image_key, key, text_base, data_base, &externs)?
-            }
-        };
-        server_ns += prog_ns;
-
-        let bases: Vec<(u32, u32)> = prepared
-            .iter()
-            .map(|p| (p.text_base, p.data_base))
-            .collect();
-        let manifest = self.manifest_from_actuals(
-            bp,
-            key,
-            &out.libraries,
-            &libraries,
-            &bases,
-            &program,
-            (text_base, data_base),
-        );
-        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
-        let latency_ns = self.cost.server_cached_request_ns
-            + plan_ns
-            + eval_makespan
-            + policy_ns
-            + link_makespan
-            + prog_ns;
-        let reply = InstantiateReply {
-            program,
-            libraries,
-            server_ns,
-            latency_ns,
-            cache_hit: false,
-            req: 0, // attributed by `request`
-            manifest: manifest.hash(),
-        };
-        self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, &manifest);
-        Ok(reply)
+        self.explain_blueprint(&self.blueprint_at(path)?)
     }
 
     /// Caches a freshly built reply under its blueprint key. The
@@ -1280,48 +1197,6 @@ impl Omos {
         );
     }
 
-    /// Links the client program image (single-flight per image key:
-    /// different blueprints can demand the same program image).
-    fn build_program(
-        &self,
-        module: &Module,
-        image_key: ContentHash,
-        reply_key: ContentHash,
-        text_base: u32,
-        data_base: u32,
-        externs: &HashMap<String, u32>,
-    ) -> Result<(Arc<CachedImage>, u64), OmosError> {
-        let (result, _led) = self.image_flight.run(image_key, || {
-            if let Some(img) = self.images.get(image_key) {
-                return Ok((img, 0));
-            }
-            let obj = module.materialize().map_err(OmosError::Obj)?;
-            let mut opts = LinkOptions::program("program");
-            opts.name = format!("<program:{reply_key}>");
-            opts.text_base = text_base;
-            opts.data_base = data_base;
-            opts.externs = externs.clone();
-            let span = self.tracer.open(SpanKind::Link);
-            let linked = link(&[obj], &opts);
-            let ns = linked
-                .as_ref()
-                .map_or(0, |l| link_work_ns(&l.stats, &self.cost));
-            self.tracer.close_leaf(span, Stage::Link, ns);
-            let linked = linked?;
-            self.counters.programs_built.fetch_add(1, Ordering::Relaxed);
-            let img = self.images.insert(CachedImage {
-                key: image_key,
-                frames: self.framed(&linked.image),
-                image: linked.image,
-                link_stats: linked.stats,
-                rebuild_ns: ns,
-                epoch: 0,
-            });
-            Ok((img, ns))
-        });
-        result
-    }
-
     /// Frames an image, recording a metered (but unbilled) Frame span:
     /// framing cost is amortized across every client that maps the
     /// image, so it appears on the trace timeline without inflating any
@@ -1335,233 +1210,6 @@ impl Omos {
             frames.total_pages() * self.cost.map_page_ns,
         );
         frames
-    }
-
-    /// Builds (or reuses) one self-contained shared library: place with
-    /// the constraint solver, link at the chosen fixed addresses, frame,
-    /// and cache. Concurrent builds of the same placed library coalesce
-    /// on the image key.
-    ///
-    /// Returns the cached image, its simulated build cost in ns, and
-    /// the (text, data) bases it was placed at.
-    fn instantiate_library(
-        &self,
-        lib: &LibraryUse,
-        externs: &HashMap<String, u32>,
-    ) -> Result<LibraryBuild, OmosError> {
-        let span = self.tracer.open(SpanKind::LibraryBuild);
-        let result = self.instantiate_library_inner(lib, externs);
-        self.tracer.close(span);
-        result
-    }
-
-    fn instantiate_library_inner(
-        &self,
-        lib: &LibraryUse,
-        externs: &HashMap<String, u32>,
-    ) -> Result<LibraryBuild, OmosError> {
-        let obj = lib.module.materialize().map_err(OmosError::Obj)?;
-        let text_size = obj.size_of_kind(SectionKind::Text) + obj.size_of_kind(SectionKind::RoData);
-        let data_size = obj.size_of_kind(SectionKind::Data) + obj.size_of_kind(SectionKind::Bss);
-
-        let mut segments = Vec::new();
-        let text_pref = pref_for(&lib.constraints, RegionClass::Text);
-        let data_pref = pref_for(&lib.constraints, RegionClass::Data);
-        segments.push(SegmentRequest {
-            class: RegionClass::Text,
-            size: round_page(text_size.max(1)),
-            align: 4096,
-            preferred: text_pref,
-        });
-        segments.push(SegmentRequest {
-            class: RegionClass::Data,
-            size: round_page(data_size.max(1)),
-            align: 4096,
-            preferred: data_pref,
-        });
-        // Placement is get-or-reuse per (name, key): concurrent callers
-        // for the same library receive the same bases. The span's cost
-        // is metered (one lookup per segment) but unbilled: placement
-        // state is global, its cost amortized across all clients.
-        let span = self.tracer.open(SpanKind::Placement);
-        let placement = self.solver().place(
-            &PlacementRequest {
-                name: lib.name.clone(),
-                key: lib.key.0,
-                segments,
-            },
-            &[],
-        );
-        let place_ns = placement
-            .as_ref()
-            .map_or(0, |p| p.allocations.len() as u64 * self.cost.lookup_ns);
-        self.tracer.close_leaf(span, Stage::Placement, place_ns);
-        let placement = placement?;
-        let text_base = placement.allocations[0].base as u32;
-        let data_base = placement.allocations[1].base as u32;
-
-        // The key covers content, placement, AND the extern bindings the
-        // library links against: if a dependency moved or was rebuilt,
-        // this library's bound image is stale even though its own bytes
-        // and base are unchanged.
-        let mut image_key = lib
-            .key
-            .with_str("library")
-            .with_u64(u64::from(text_base))
-            .with_u64(u64::from(data_base));
-        {
-            let mut ext: Vec<(&String, &u32)> = externs.iter().collect();
-            ext.sort();
-            for (name, addr) in ext {
-                image_key = image_key.with_str(name).with_u64(u64::from(*addr));
-            }
-        }
-        if let Some(img) = self.images.get(image_key) {
-            return Ok((img, 0, (text_base, data_base)));
-        }
-
-        let (result, _led) = self.image_flight.run(image_key, || {
-            if let Some(img) = self.images.get(image_key) {
-                return Ok((img, 0));
-            }
-            let mut opts = LinkOptions::library(&lib.name, text_base, data_base);
-            opts.externs = externs.clone();
-            let span = self.tracer.open(SpanKind::Link);
-            let linked = link(std::slice::from_ref(&obj), &opts);
-            let server_ns = linked
-                .as_ref()
-                .map_or(0, |l| link_work_ns(&l.stats, &self.cost));
-            self.tracer.close_leaf(span, Stage::Link, server_ns);
-            let linked = linked?;
-            self.counters
-                .libraries_built
-                .fetch_add(1, Ordering::Relaxed);
-            let img = self.images.insert(CachedImage {
-                key: image_key,
-                frames: self.framed(&linked.image),
-                image: linked.image,
-                link_stats: linked.stats,
-                rebuild_ns: server_ns,
-                epoch: 0,
-            });
-            Ok((img, server_ns))
-        });
-        result.map(|(img, ns)| (img, ns, (text_base, data_base)))
-    }
-
-    /// Places one library and computes its planned export map
-    /// *without linking*: [`layout_symbols`] derives the final
-    /// addresses from layout alone (the linker's own layout pass), so
-    /// downstream libraries' extern folds and image keys are available
-    /// before any link has run — which is what frees the links
-    /// themselves to run concurrently.
-    fn prepare_library(
-        &self,
-        lib: &LibraryUse,
-        externs: &HashMap<String, u32>,
-    ) -> Result<PreparedLib, OmosError> {
-        let obj = lib.module.materialize().map_err(OmosError::Obj)?;
-        let text_size = obj.size_of_kind(SectionKind::Text) + obj.size_of_kind(SectionKind::RoData);
-        let data_size = obj.size_of_kind(SectionKind::Data) + obj.size_of_kind(SectionKind::Bss);
-
-        let mut segments = Vec::new();
-        let text_pref = pref_for(&lib.constraints, RegionClass::Text);
-        let data_pref = pref_for(&lib.constraints, RegionClass::Data);
-        segments.push(SegmentRequest {
-            class: RegionClass::Text,
-            size: round_page(text_size.max(1)),
-            align: 4096,
-            preferred: text_pref,
-        });
-        segments.push(SegmentRequest {
-            class: RegionClass::Data,
-            size: round_page(data_size.max(1)),
-            align: 4096,
-            preferred: data_pref,
-        });
-        let span = self.tracer.open(SpanKind::Placement);
-        let placement = self.solver().place(
-            &PlacementRequest {
-                name: lib.name.clone(),
-                key: lib.key.0,
-                segments,
-            },
-            &[],
-        );
-        let place_ns = placement
-            .as_ref()
-            .map_or(0, |p| p.allocations.len() as u64 * self.cost.lookup_ns);
-        self.tracer.close_leaf(span, Stage::Placement, place_ns);
-        let placement = placement?;
-        let text_base = placement.allocations[0].base as u32;
-        let data_base = placement.allocations[1].base as u32;
-
-        let mut image_key = lib
-            .key
-            .with_str("library")
-            .with_u64(u64::from(text_base))
-            .with_u64(u64::from(data_base));
-        {
-            let mut ext: Vec<(&String, &u32)> = externs.iter().collect();
-            ext.sort();
-            for (name, addr) in ext {
-                image_key = image_key.with_str(name).with_u64(u64::from(*addr));
-            }
-        }
-        if let Some(img) = self.images.get(image_key) {
-            let symbols = img.image.symbols.clone();
-            return Ok(PreparedLib {
-                image_key,
-                text_base,
-                data_base,
-                symbols,
-                cached: Some(img),
-                work: None,
-            });
-        }
-        let mut opts = LinkOptions::library(&lib.name, text_base, data_base);
-        opts.externs = externs.clone();
-        let symbols = layout_symbols(std::slice::from_ref(&obj), &opts)?;
-        Ok(PreparedLib {
-            image_key,
-            text_base,
-            data_base,
-            symbols,
-            cached: None,
-            work: Some((obj, opts)),
-        })
-    }
-
-    /// Links one prepared library image (single-flight per image key).
-    /// Runs on link worker threads, where per-request trace state is
-    /// absent — the caller meters the returned work onto the request
-    /// timeline instead.
-    fn link_prepared(
-        &self,
-        obj: &ObjectFile,
-        opts: &LinkOptions,
-        image_key: ContentHash,
-    ) -> Result<(Arc<CachedImage>, u64), OmosError> {
-        let (result, _led) = self.image_flight.run(image_key, || {
-            if let Some(img) = self.images.get(image_key) {
-                return Ok((img, 0));
-            }
-            let linked = link(std::slice::from_ref(obj), opts)?;
-            let ns = link_work_ns(&linked.stats, &self.cost);
-            self.counters
-                .libraries_built
-                .fetch_add(1, Ordering::Relaxed);
-            let img = self.images.insert(CachedImage {
-                key: image_key,
-                frames: self.framed(&linked.image),
-                image: linked.image,
-                link_stats: linked.stats,
-                rebuild_ns: ns,
-                epoch: 0,
-            });
-            Ok((img, ns))
-        });
-        result
     }
 
     /// Registers (or finds) a `lib-dynamic` implementation.
@@ -1602,30 +1250,32 @@ impl Omos {
                 .cloned()
                 .ok_or(OmosError::NoSuchLibrary(lib_id))?
         };
-        let mut built = lock(&lib.built);
+        let mut slot = lock(&lib.built);
         let mut server_ns = 0;
-        if built.is_none() {
+        if slot.is_none() {
             let lib_use = LibraryUse {
                 name: format!("<dynamic:{lib_id}>"),
                 key: lib.key,
                 module: lib.module.clone(),
                 constraints: Vec::new(),
             };
-            let (img, ns, _) = self.instantiate_library(&lib_use, &HashMap::new())?;
-            server_ns += ns;
-            let entries: Vec<(String, u32)> = img
+            let libs = std::slice::from_ref(&lib_use);
+            let mut built = self.link_libraries(libs, &[Row::Link], 1, HashMap::new())?;
+            server_ns = built.work_ns;
+            let instance = built.images.remove(0);
+            let entries: Vec<(String, u32)> = instance
                 .image
                 .symbols
                 .iter()
                 .map(|(s, a)| (s.clone(), *a))
                 .collect();
-            *built = Some(BuiltDyn {
+            *slot = Some(BuiltDyn {
                 htab: FunctionHashTable::build(&entries),
-                instance: img,
+                instance,
             });
             self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
         }
-        let b = built.as_ref().expect("built above");
+        let b = slot.as_ref().expect("built above");
         let (target, probes) = b
             .htab
             .lookup(name)
@@ -1739,93 +1389,89 @@ impl EvalContext for ReqCtx<'_> {
     }
 }
 
-/// One library readied for the concurrent link phase: placed, keyed,
-/// and with its planned export map already derived from layout.
-struct PreparedLib {
-    image_key: ContentHash,
-    /// Placed text-segment base (for the reply's manifest).
-    text_base: u32,
-    /// Placed data-segment base.
-    data_base: u32,
-    /// Export name → final address (from the cached image or from
-    /// [`layout_symbols`]); folded into downstream externs.
-    symbols: HashMap<String, u32>,
-    /// Already in the image cache (no link needed).
-    cached: Option<Arc<CachedImage>>,
-    /// Needs a link: the materialized object and the bound options.
-    work: Option<(ObjectFile, LinkOptions)>,
+/// One library row of a link plan.
+#[derive(Debug, Clone, Copy)]
+enum Row {
+    /// Place, then link (or fetch the image by key).
+    Link,
+    /// Replay the retained placement at `bases` and reuse the cached
+    /// image at `image_key`; demoted to `Link` if either is gone.
+    Reuse {
+        bases: (u32, u32),
+        image_key: ContentHash,
+    },
 }
 
-/// Deterministic greedy list schedule of the work-unit DAG onto
-/// `lanes` identical simulated workers: units in plan (ordinal) order,
-/// each placed on the lane that lets it start earliest, ties to the
-/// lowest lane. Units are costed at their simulated work (merge steps
-/// and source compiles); pure view shuffles are free. Returns per-unit
-/// `(start, lane, dur)` — lanes 1-based, for span `worker` ids — and
-/// the makespan: the simulated critical path of the evaluation phase.
-fn schedule_units(
-    units: &[UnitReport],
-    cost: &CostModel,
+/// How a placed library gets its image.
+enum Built {
+    /// In hand (cached, or linked on the spot), with the link work paid.
+    Image(Arc<CachedImage>, u64),
+    /// Left for the concurrent link phase: the image key, the object
+    /// and its bound options, and the exports its layout plans.
+    Pending(
+        Box<(ContentHash, ObjectFile, LinkOptions)>,
+        HashMap<String, u32>,
+    ),
+}
+
+/// A linked (or fetched) program: the image, its client bases, and the
+/// link work paid.
+type ProgramBuild = (Arc<CachedImage>, (u32, u32), u64);
+
+/// One executor slot, in resolution order.
+enum Slot {
+    Ready(Arc<CachedImage>),
+    /// Index into the executor's pending links.
+    Pending(usize),
+}
+
+/// What the library executor assembled, in resolution order.
+struct Libraries {
+    images: Vec<Arc<CachedImage>>,
+    /// Placed (text, data) bases.
+    bases: Vec<(u32, u32)>,
+    /// The extern environment every library folded into.
+    externs: HashMap<String, u32>,
+    /// Link work billed.
+    work_ns: u64,
+    /// Critical path of that work on the executor's lanes.
+    path_ns: u64,
+    /// Rows served by reuse, and the link work they skipped.
+    reused: u64,
+    avoided_ns: u64,
+}
+
+/// Deterministic greedy list schedule onto `lanes` identical simulated
+/// workers: items in order, each a `(duration, dependencies)` pair
+/// placed on the lane that lets it start earliest, ties to the lowest
+/// lane. Returns per-item `(start, lane)` — lanes 1-based, for span
+/// `worker` ids — and the makespan: the simulated critical path.
+fn schedule<'a>(
+    items: impl IntoIterator<Item = (u64, &'a [usize])>,
     lanes: usize,
-) -> (Vec<(u64, u16, u64)>, u64) {
-    let lanes = lanes.max(1);
-    let mut lane_free = vec![0u64; lanes];
-    let mut finish = vec![0u64; units.len()];
-    let mut placed = Vec::with_capacity(units.len());
-    let mut makespan = 0;
-    for (i, u) in units.iter().enumerate() {
-        let dur = u.merges * cost.server_merge_ns + u.source_compiles * cost.server_compile_ns;
-        let ready = u.deps.iter().map(|&d| finish[d]).max().unwrap_or(0);
-        let mut best = 0;
-        for l in 1..lanes {
-            if lane_free[l].max(ready) < lane_free[best].max(ready) {
-                best = l;
-            }
-        }
+) -> (Vec<(u64, u16)>, u64) {
+    let mut lane_free = vec![0u64; lanes.max(1)];
+    let mut finish = Vec::new();
+    let mut placed = Vec::new();
+    for (dur, deps) in items {
+        let ready = deps.iter().map(|&d| finish[d]).max().unwrap_or(0);
+        let best = (0..lane_free.len())
+            .min_by_key(|&l| lane_free[l].max(ready))
+            .unwrap_or(0);
         let start = lane_free[best].max(ready);
-        finish[i] = start + dur;
-        lane_free[best] = finish[i];
-        makespan = makespan.max(finish[i]);
-        placed.push((start, (best + 1) as u16, dur));
-    }
-    (placed, makespan)
-}
-
-/// [`schedule_units`] for independent items (the library links): pack
-/// each, in order, onto the least-loaded lane.
-fn schedule_independent(durs: &[u64], lanes: usize) -> (Vec<(u64, u16)>, u64) {
-    let lanes = lanes.max(1);
-    let mut lane_free = vec![0u64; lanes];
-    let mut placed = Vec::with_capacity(durs.len());
-    let mut makespan = 0;
-    for &dur in durs {
-        let mut best = 0;
-        for l in 1..lanes {
-            if lane_free[l] < lane_free[best] {
-                best = l;
-            }
-        }
-        let start = lane_free[best];
         lane_free[best] = start + dur;
-        makespan = makespan.max(start + dur);
+        finish.push(start + dur);
         placed.push((start, (best + 1) as u16));
     }
-    (placed, makespan)
+    (placed, finish.into_iter().max().unwrap_or(0))
 }
 
-fn round_page(v: u64) -> u64 {
-    (v + 4095) & !4095
-}
-
-fn pref_for(cs: &[(RegionClass, u64)], class: RegionClass) -> Option<u64> {
-    cs.iter().find(|(c, _)| *c == class).map(|(_, a)| *a)
-}
-
-fn client_bases(cs: &[(RegionClass, u64)]) -> (u32, u32) {
-    (
-        pref_for(cs, RegionClass::Text).map_or(CLIENT_TEXT_BASE, |a| a as u32),
-        pref_for(cs, RegionClass::Data).map_or(CLIENT_DATA_BASE, |a| a as u32),
-    )
+/// Folds a library's exports into the extern environment: the first
+/// definition wins.
+fn fold_exports(externs: &mut HashMap<String, u32>, exports: &HashMap<String, u32>) {
+    for (s, a) in exports {
+        externs.entry(s.clone()).or_insert(*a);
+    }
 }
 
 pub(crate) fn link_work_ns(s: &LinkStats, cost: &CostModel) -> u64 {
@@ -2141,35 +1787,24 @@ impl Omos {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let _guard = self.tracer.begin_request(SpanKind::Request);
         let ctx = ReqCtx::new(self);
-        let mut server_ns = self.cost.server_cached_request_ns;
-        self.tracer.advance(self.cost.server_cached_request_ns);
-        let span = self.tracer.open(SpanKind::Eval);
-        let out = eval_blueprint(bp, &ctx);
-        let eval_ns = out
-            .as_ref()
-            .map_or(0, |o| eval_work_ns(&o.stats, &self.cost));
-        self.tracer.close_leaf(span, Stage::Eval, eval_ns);
-        let out = out?;
-        server_ns += eval_ns;
+        let base_ns = self.cost.server_cached_request_ns;
+        self.tracer.advance(base_ns);
+        let (out, eval_ns, _) = self.eval(bp, &ctx, 1)?;
 
         // Resolve any referenced self-contained libraries first, then
-        // bind the class against libraries + the client's own exports.
-        let mut externs = client_exports.clone();
-        for lib in &out.libraries {
-            let (img, ns, _) = self.instantiate_library(lib, &externs)?;
-            server_ns += ns;
-            for (s, a) in &img.image.symbols {
-                externs.entry(s.clone()).or_insert(*a);
-            }
-        }
-        let lib_use = LibraryUse {
+        // bind the class against libraries + the client's own exports:
+        // the class is the last row, placed like a library.
+        let mut libs = out.libraries;
+        libs.push(LibraryUse {
             name: format!("<dynload:{}>", bp.hash()),
             key: out.module.content_hash().with_str("dynload"),
             module: out.module,
-            constraints: out.constraints.clone(),
-        };
-        let (img, ns, _) = self.instantiate_library(&lib_use, &externs)?;
-        server_ns += ns;
+            constraints: out.constraints,
+        });
+        let rows = vec![Row::Link; libs.len()];
+        let built = self.link_libraries(&libs, &rows, 1, client_exports.clone())?;
+        let server_ns = base_ns + eval_ns + built.work_ns;
+        let img = &built.images[libs.len() - 1];
 
         let mut values = HashMap::new();
         for name in wanted {
@@ -2239,92 +1874,53 @@ impl Omos {
         }
     }
 }
-
 impl Omos {
     /// Instantiates `path` with monitoring wrappers interposed around
     /// every routine matching `pattern` (§4.1/§6: "OMOS can
     /// transparently modify program executables to provide monitoring
-    /// data"). The instrumented image is built outside the normal reply
-    /// cache (it is a specialization, not the base instance) and the
-    /// id→routine table is returned for decoding `MONLOG` events.
+    /// data"). The monitored variant is the bound blueprint plus an
+    /// audit policy on `pattern`, served and cached like any other
+    /// blueprint under its own hash. Also returns the id → routine
+    /// table for decoding `MONLOG` events, read back from the image's
+    /// audit stubs.
     pub fn instantiate_monitored(
         &self,
         path: &str,
         pattern: &str,
     ) -> Result<(InstantiateReply, Vec<String>), OmosError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let guard = self.tracer.begin_request(SpanKind::Request);
-        let bp = match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => (*bp).clone(),
-            Some(Entry::Object(_)) => Blueprint::from_root(MNode::Leaf(path.to_string())),
-            None => return Err(OmosError::NoSuchName(path.to_string())),
-        };
-        let ctx = ReqCtx::new(self);
-        let mut server_ns = self.cost.server_cached_request_ns;
-        self.tracer.advance(self.cost.server_cached_request_ns);
-        let span = self.tracer.open(SpanKind::Eval);
-        let out = eval_blueprint(&bp, &ctx);
-        let eval_ns = out
-            .as_ref()
-            .map_or(0, |o| eval_work_ns(&o.stats, &self.cost));
-        self.tracer.close_leaf(span, Stage::Eval, eval_ns);
-        let out = out?;
-        server_ns += eval_ns;
-
-        let mut externs: HashMap<String, u32> = HashMap::new();
-        let mut libraries = Vec::with_capacity(out.libraries.len());
-        for lib in &out.libraries {
-            let (img, ns, _) = self.instantiate_library(lib, &externs)?;
-            server_ns += ns;
-            for (s, a) in &img.image.symbols {
-                externs.entry(s.clone()).or_insert(*a);
-            }
-            libraries.push(img);
-        }
-
-        let (instrumented, id_names) =
-            crate::monitor::instrument(&out.module, pattern).map_err(OmosError::Obj)?;
-        let obj = instrumented.materialize().map_err(OmosError::Obj)?;
-        let (text_base, data_base) = client_bases(&out.constraints);
-        let mut opts = LinkOptions::program("monitored");
-        opts.name = format!("<monitored:{path}>");
-        opts.text_base = text_base;
-        opts.data_base = data_base;
-        opts.externs = externs;
-        let span = self.tracer.open(SpanKind::Link);
-        let linked = link(&[obj], &opts);
-        let link_ns = linked
-            .as_ref()
-            .map_or(0, |l| link_work_ns(&l.stats, &self.cost));
-        self.tracer.close_leaf(span, Stage::Link, link_ns);
-        let linked = linked?;
-        server_ns += link_ns;
-        let image_key = instrumented
-            .content_hash()
-            .with_str("monitored")
-            .with_u64(u64::from(text_base));
-        let program = self.images.insert(CachedImage {
-            key: image_key,
-            frames: self.framed(&linked.image),
-            image: linked.image,
-            link_stats: linked.stats,
-            rebuild_ns: link_ns,
-            epoch: 0,
+        let mut bp = self.blueprint_at(path)?;
+        bp.policies.push(LinkPolicy {
+            kind: PolicyKind::Audit,
+            pattern: pattern.to_string(),
         });
-        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
-        Ok((
-            InstantiateReply {
-                program,
-                libraries,
-                server_ns,
-                latency_ns: server_ns,
-                cache_hit: false,
-                req: guard.req(),
-                // A monitored specialization is built outside the reply
-                // cache and carries no manifest.
-                manifest: ContentHash(0),
-            },
-            id_names,
-        ))
+        let reply = self.request(&bp, Some(path))?;
+        let names = audit_names(&reply.program.image);
+        Ok((reply, names))
     }
+}
+
+/// The audit id table of a linked program: entry `i` names the routine
+/// whose stub logs id `i` — the wrapper symbol at the stub's address
+/// whose `$real` twin is the stub's jump target.
+fn audit_names(image: &LinkedImage) -> Vec<String> {
+    let wrappers: HashMap<(u32, u32), &String> = image
+        .symbols
+        .iter()
+        .filter_map(|(name, &addr)| {
+            let real = *image.symbols.get(&format!("{name}$real"))?;
+            Some(((addr, real), name))
+        })
+        .collect();
+    let sites = scan_audit_stubs(image);
+    let mut names = vec![String::new(); sites.len()];
+    for site in sites {
+        if let (Some(slot), Some(name)) = (
+            names.get_mut(site.id as usize),
+            wrappers.get(&(site.stub_addr, site.target)),
+        ) {
+            slot.clone_from(name);
+        }
+    }
+    names
 }

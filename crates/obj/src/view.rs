@@ -11,7 +11,7 @@
 //! [`View::materialize`] (called by `merge`, `freeze`, and the linker) pays
 //! to apply the transformations to a concrete [`ObjectFile`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::error::{ObjError, Result};
@@ -177,7 +177,7 @@ impl View {
     /// This is the expensive path that `merge` and `freeze` take; every
     /// other operator just derives a new view.
     pub fn materialize(&self) -> Result<ObjectFile> {
-        MATERIALIZE_COUNT.fetch_add(1, Ordering::Relaxed);
+        MATERIALIZE_COUNT.with(|c| c.set(c.get() + 1));
         let mut obj = (*self.base).clone();
         let mut hidden_counter = 0usize;
         for op in &self.ops {
@@ -213,17 +213,21 @@ impl View {
     }
 }
 
-/// Process-wide count of [`View::materialize`] calls.
-///
-/// Materialization is the *expensive* path (it clones section bytes);
-/// code that promises to stay on the cheap name-only path — notably the
-/// static analyzer's lint pass — asserts this counter does not move.
-static MATERIALIZE_COUNT: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of [`View::materialize`] calls.
+    ///
+    /// Materialization is the *expensive* path (it clones section
+    /// bytes); code that promises to stay on the cheap name-only path —
+    /// notably the static analyzer's lint pass — asserts this counter
+    /// does not move. Per thread, so work on other threads (concurrent
+    /// tests, other requests) cannot move it.
+    static MATERIALIZE_COUNT: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The number of [`View::materialize`] calls made by this process so far.
+/// The number of [`View::materialize`] calls made on this thread so far.
 #[must_use]
 pub fn materialize_count() -> u64 {
-    MATERIALIZE_COUNT.load(Ordering::Relaxed)
+    MATERIALIZE_COUNT.with(Cell::get)
 }
 
 /// Applies one view operation to a concrete object file.

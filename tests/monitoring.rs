@@ -138,3 +138,60 @@ fn monitored_program_still_computes_the_same_answer() {
     let mon = run_process(&mut proc, &mut clock, &cost, &mut fs, &mut binder, 100_000);
     assert_eq!(plain.stop, mon.stop);
 }
+
+/// The blueprint a monitored instantiation of `/bin/app` serves: the
+/// bound one plus an audit policy on `pattern`.
+fn audit_blueprint(pattern: &str) -> omos::blueprint::Blueprint {
+    let mut bp = omos::blueprint::Blueprint::parse("(merge /obj/app.o)").unwrap();
+    bp.policies.push(omos::blueprint::LinkPolicy {
+        kind: omos::blueprint::PolicyKind::Audit,
+        pattern: pattern.to_string(),
+    });
+    bp
+}
+
+#[test]
+fn monitored_reply_commits_to_the_audit_blueprints_manifest() {
+    let s = world();
+    let (reply, id_names) = s
+        .instantiate_monitored("/bin/app", "^_(alpha|beta)$")
+        .unwrap();
+    assert_ne!(reply.manifest.0, 0, "monitored replies carry a manifest");
+    let explained = s
+        .explain_blueprint(&audit_blueprint("^_(alpha|beta)$"))
+        .unwrap();
+    assert_eq!(reply.manifest, explained.hash());
+    // The id table is the audit policy's sorted wrap set.
+    assert_eq!(id_names, vec!["_alpha", "_beta"]);
+    // A repeat is served from the reply cache under the audit
+    // blueprint's own hash, with the same id table.
+    let (again, names_again) = s
+        .instantiate_monitored("/bin/app", "^_(alpha|beta)$")
+        .unwrap();
+    assert!(again.cache_hit);
+    assert_eq!(again.manifest, reply.manifest);
+    assert_eq!(names_again, id_names);
+}
+
+#[test]
+fn monitored_requests_keep_the_counter_identity() {
+    let s = world();
+    let _ = s.instantiate("/bin/app").unwrap();
+    let _ = s.instantiate_monitored("/bin/app", "^_alpha$").unwrap();
+    let _ = s.instantiate("/bin/app").unwrap();
+    let _ = s.instantiate_monitored("/bin/app", "^_alpha$").unwrap();
+    let _ = s.instantiate_monitored("/bin/app", "^_beta$").unwrap();
+    // A rebind invalidates plain and monitored replies alike.
+    s.namespace
+        .bind_blueprint("/bin/app", "(merge /obj/app.o)")
+        .unwrap();
+    let _ = s.instantiate_monitored("/bin/app", "^_alpha$").unwrap();
+    let _ = s.instantiate("/bin/app").unwrap();
+    let st = s.stats();
+    assert_eq!(st.requests, 7);
+    assert_eq!(
+        st.requests,
+        st.reply_cache_hits + st.coalesced + st.replies_built,
+        "{st:?}"
+    );
+}

@@ -230,3 +230,101 @@ fn warm_hits_bill_latency_equal_to_work_at_any_parallelism() {
     assert_eq!(warm.latency_ns, warm.server_ns);
     assert!(warm.server_ns < cold.server_ns);
 }
+
+/// What a failed cold build leaves behind, and what the next, unrelated
+/// build then produces: the build error, the solver's allocation count,
+/// the image-cache byte total, and the fingerprint of `/bin/good`.
+#[derive(Debug, PartialEq, Eq)]
+struct AfterFailure {
+    error: String,
+    allocations: usize,
+    cached_images: usize,
+    good: Fingerprint,
+    good_text_bases: Vec<u32>,
+}
+
+/// Libraries l1..l3 pinned at consecutive text addresses, l2 calling an
+/// undefined `_missing`, and l4 pinned where l3 is: `/bin/bad` fails to
+/// link at l2, then `/bin/good` places l4.
+fn run_after_failure(jobs: usize) -> AfterFailure {
+    let s = Omos::new(CostModel::hpux(), Transport::SysVMsg);
+    s.set_eval_jobs(jobs);
+    s.namespace.bind_object(
+        "/o/main",
+        assemble("main.o", ".text\n.global _start\n_start: sys 0\n").unwrap(),
+    );
+    for (i, body, text) in [
+        (1, "ret", 0x0100_0000),
+        (2, "call _missing\n ret", 0x0110_0000),
+        (3, "ret", 0x0120_0000),
+        (4, "ret", 0x0120_0000),
+    ] {
+        s.namespace.bind_object(
+            &format!("/o/l{i}.o"),
+            assemble(
+                &format!("l{i}.o"),
+                &format!(".text\n.global _f{i}\n_f{i}: {body}\n"),
+            )
+            .unwrap(),
+        );
+        s.namespace
+            .bind_blueprint(
+                &format!("/lib/l{i}"),
+                &format!("(constraint-list \"T\" {text:#x})\n(merge /o/l{i}.o)"),
+            )
+            .unwrap();
+    }
+    s.namespace
+        .bind_blueprint("/bin/bad", "(merge /o/main /lib/l1 /lib/l2 /lib/l3)")
+        .unwrap();
+    s.namespace
+        .bind_blueprint("/bin/good", "(merge /o/main /lib/l4)")
+        .unwrap();
+    let error = s.instantiate("/bin/bad").unwrap_err().to_string();
+    let allocations = s.solver().allocations().count();
+    let cached_images = s.images.len();
+    let r = s.instantiate("/bin/good").unwrap();
+    AfterFailure {
+        error,
+        allocations,
+        cached_images,
+        good: Fingerprint {
+            program: r.program.image.content_hash().0,
+            program_symbols: r
+                .program
+                .image
+                .symbols
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
+            libraries: r
+                .libraries
+                .iter()
+                .map(|l| l.image.content_hash().0)
+                .collect(),
+            server_ns: r.server_ns,
+            dynamic_libs: s.dynamic_lib_count(),
+        },
+        good_text_bases: r
+            .libraries
+            .iter()
+            .filter_map(|l| {
+                l.image
+                    .segments
+                    .iter()
+                    .find(|seg| seg.kind == SectionKind::Text)
+                    .map(|seg| seg.vaddr)
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn failed_build_leaves_the_same_bookings_at_every_parallelism() {
+    let seq = run_after_failure(1);
+    assert_eq!(seq.error, "undefined symbols: _missing");
+    assert_eq!(seq.good_text_bases, vec![0x0120_0000], "l4 gets its pin");
+    for jobs in [2, 8] {
+        assert_eq!(run_after_failure(jobs), seq, "jobs={jobs}");
+    }
+}
