@@ -407,7 +407,7 @@ impl Analyzer<'_> {
                 path.push(i);
                 let st = self.descend(operand, path, 0);
                 path.pop();
-                Some(self.lib_info(leaf_name(operand), &st, cs.clone(), span))
+                Some(self.lib_info(operand.library_name(), &st, cs.clone(), span))
             }
             MNode::Leaf(p) => match self.ctx.resolve(p) {
                 LintResolved::Meta(bp2) if !bp2.constraints.is_empty() => {
@@ -941,13 +941,6 @@ fn exported(obj: &ObjectFile) -> Vec<String> {
         .filter(|s| s.def.is_definition() && s.binding != SymbolBinding::Local)
         .map(|s| s.name.clone())
         .collect()
-}
-
-fn leaf_name(n: &MNode) -> String {
-    match n {
-        MNode::Leaf(p) => p.clone(),
-        other => format!("<inline:{}>", other.hash()),
-    }
 }
 
 fn round_page(v: u64) -> u64 {

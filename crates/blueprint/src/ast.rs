@@ -208,6 +208,36 @@ impl MNode {
         self.hash_into(ContentHash::EMPTY)
     }
 
+    /// The name a library use of this node carries: the namespace path
+    /// of a leaf, else a synthetic name from the structural hash.
+    #[must_use]
+    pub fn library_name(&self) -> String {
+        match self {
+            MNode::Leaf(p) => p.clone(),
+            other => format!("<inline:{}>", other.hash()),
+        }
+    }
+
+    /// The node's direct operands, in source order (a `merge`'s items,
+    /// `override`'s two sides, every other operator's single operand).
+    pub fn operands(&self) -> impl Iterator<Item = &MNode> {
+        let (items, sides): (&[MNode], [Option<&MNode>; 2]) = match self {
+            MNode::Leaf(_) | MNode::Source { .. } => (&[], [None, None]),
+            MNode::Merge(items) => (items, [None, None]),
+            MNode::Override(a, b) => (&[], [Some(a), Some(b)]),
+            MNode::Rename { operand, .. }
+            | MNode::Hide { operand, .. }
+            | MNode::Show { operand, .. }
+            | MNode::Restrict { operand, .. }
+            | MNode::Project { operand, .. }
+            | MNode::CopyAs { operand, .. }
+            | MNode::Freeze { operand, .. }
+            | MNode::Initializers(operand)
+            | MNode::Specialize { operand, .. } => (&[], [Some(operand), None]),
+        };
+        items.iter().chain(sides.into_iter().flatten())
+    }
+
     fn hash_into(&self, h: ContentHash) -> ContentHash {
         match self {
             MNode::Leaf(p) => h.with_str("leaf").with_str(p),

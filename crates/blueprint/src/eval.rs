@@ -2,9 +2,12 @@
 //!
 //! Executing an m-graph "may result in OMOS compiling source code,
 //! performing symbol translations, and combining and relocating
-//! fragments". The evaluator is deliberately *server-agnostic*: namespace
+//! fragments". Evaluation is deliberately *server-agnostic*: namespace
 //! resolution, sub-result caching, and dynamic-library registration come
 //! through the [`EvalContext`] trait, which the OMOS server implements.
+//! This module holds the evaluation's vocabulary — context, errors,
+//! output — and [`eval_blueprint`]; the walk itself is
+//! [`plan`](crate::plan)'s planner and executor.
 //!
 //! The output separates the *client module* (everything merged inline)
 //! from the *shared libraries* it references ([`LibraryUse`]): a leaf that
@@ -20,13 +23,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use omos_constraint::RegionClass;
-use omos_link::make_partial_stubs;
 use omos_module::Module;
 use omos_obj::{ContentHash, ObjError};
 
-use crate::ast::{Blueprint, BlueprintError, MNode, SpecKind};
+use crate::ast::{Blueprint, BlueprintError, MNode};
 use crate::sexpr::Span;
-use crate::source::{compile_source, SourceError};
+use crate::source::SourceError;
 
 /// Evaluation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,8 +46,8 @@ pub enum EvalError {
     /// An operation appeared somewhere it cannot (e.g. constrained
     /// library under `hide`).
     Misplaced(String),
-    /// A parallel evaluation worker died (panicked) while executing a
-    /// work unit; the request aborts cleanly.
+    /// A work unit panicked while executing, on whichever lane ran it;
+    /// the evaluation aborts cleanly.
     Worker(String),
 }
 
@@ -106,8 +108,8 @@ pub struct CachedEval {
 /// Server services the evaluator needs.
 ///
 /// Every method takes `&self`: the server's caches are internally
-/// synchronized (sharded locks, atomics), and the parallel executor
-/// probes and publishes from worker threads sharing one context. The
+/// synchronized (sharded locks, atomics), and above one lane the
+/// executor publishes results from worker threads sharing one context. The
 /// `Sync` supertrait makes `&dyn EvalContext` shareable across a
 /// scoped worker pool.
 pub trait EvalContext: Sync {
@@ -172,249 +174,11 @@ pub struct EvalOutput {
     pub deps: BTreeSet<String>,
 }
 
-struct Evaluator<'a> {
-    ctx: &'a dyn EvalContext,
-    stats: EvalStats,
-    libraries: Vec<LibraryUse>,
-    visiting: Vec<String>,
-    /// Dependency scopes mirroring the recursion: `scopes[0]` is the
-    /// whole evaluation's record; a deeper entry collects the paths one
-    /// cache-missing subtree resolves, becoming that subtree's cache
-    /// entry record when it completes (and folding into its parent).
-    scopes: Vec<BTreeSet<String>>,
-}
-
-/// Evaluates a blueprint to a client module plus its library uses.
+/// Evaluates a blueprint to a client module plus its library uses: the
+/// planned evaluation of [`plan`](crate::plan) at one lane, on the
+/// calling thread.
 pub fn eval_blueprint(bp: &Blueprint, ctx: &dyn EvalContext) -> Result<EvalOutput, EvalError> {
-    let mut ev = Evaluator {
-        ctx,
-        stats: EvalStats::default(),
-        libraries: Vec::new(),
-        visiting: Vec::new(),
-        scopes: vec![BTreeSet::new()],
-    };
-    let module = ev.node(&bp.root).map_err(|e| locate_error(e, bp))?;
-    let mut deps = BTreeSet::new();
-    for s in ev.scopes {
-        deps.extend(s);
-    }
-    Ok(EvalOutput {
-        module,
-        libraries: ev.libraries,
-        constraints: bp.constraints.clone(),
-        stats: ev.stats,
-        deps,
-    })
-}
-
-impl Evaluator<'_> {
-    fn record(&mut self, path: &str) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(path.to_string());
-    }
-
-    fn fold_deps(&mut self, deps: &BTreeSet<String>) {
-        let top = self.scopes.last_mut().expect("scope stack never empty");
-        for d in deps {
-            top.insert(d.clone());
-        }
-    }
-
-    fn node(&mut self, n: &MNode) -> Result<Module, EvalError> {
-        self.stats.nodes += 1;
-        let key = n.hash();
-        if let Some(c) = self.ctx.cache_get(key) {
-            self.stats.cache_hits += 1;
-            // A hit stands on the entry's own dependency record: fold it
-            // into the enclosing scope so the result invalidates when any
-            // of those paths change.
-            self.fold_deps(&c.deps);
-            // Cached result for a subtree: library uses under it were
-            // recorded when it was first evaluated and are re-declared by
-            // re-walking only the library-introducing nodes.
-            self.collect_library_uses(n)?;
-            return Ok(c.module);
-        }
-        self.scopes.push(BTreeSet::new());
-        let m = self.node_uncached(n)?;
-        let deps = Arc::new(self.scopes.pop().expect("scope pushed above"));
-        self.ctx.cache_put(key, &m, &deps);
-        self.fold_deps(&deps);
-        Ok(m)
-    }
-
-    fn node_uncached(&mut self, n: &MNode) -> Result<Module, EvalError> {
-        match n {
-            MNode::Leaf(path) => self.leaf(path),
-            MNode::Merge(items) => {
-                let mut acc: Option<Module> = None;
-                for it in items {
-                    let m = match self.library_candidate(it)? {
-                        Some(()) => continue, // recorded as a library use
-                        None => self.node(it)?,
-                    };
-                    acc = Some(match acc {
-                        None => m,
-                        Some(a) => {
-                            self.stats.merges += 1;
-                            a.merge_with(&m)?
-                        }
-                    });
-                }
-                match acc {
-                    Some(a) => Ok(a),
-                    None => {
-                        // Every operand was a shared library: the "client"
-                        // is empty, which is a blueprint bug.
-                        Err(EvalError::Misplaced(
-                            "merge of only shared libraries produces an empty client".into(),
-                        ))
-                    }
-                }
-            }
-            MNode::Override(a, b) => {
-                let ma = self.node(a)?;
-                let mb = self.node(b)?;
-                self.stats.merges += 1;
-                Ok(ma.override_with(&mb)?)
-            }
-            MNode::Rename {
-                pattern,
-                replacement,
-                target,
-                operand,
-            } => Ok(self.node(operand)?.rename(pattern, replacement, *target)?),
-            MNode::Hide { pattern, operand } => Ok(self.node(operand)?.hide(pattern)?),
-            MNode::Show { pattern, operand } => Ok(self.node(operand)?.show(pattern)?),
-            MNode::Restrict { pattern, operand } => Ok(self.node(operand)?.restrict(pattern)?),
-            MNode::Project { pattern, operand } => Ok(self.node(operand)?.project(pattern)?),
-            MNode::CopyAs {
-                pattern,
-                replacement,
-                operand,
-            } => Ok(self.node(operand)?.copy_as(pattern, replacement)?),
-            MNode::Freeze { pattern, operand } => Ok(self.node(operand)?.freeze(pattern)?),
-            MNode::Initializers(o) => Ok(self.node(o)?.initializers()?),
-            MNode::Source { lang, code } => {
-                self.stats.source_compiles += 1;
-                let obj = compile_source(lang, code, "<source>")?;
-                Ok(Module::from_object(obj))
-            }
-            MNode::Specialize { kind, operand } => match kind {
-                SpecKind::Static | SpecKind::DynamicImpl => self.node(operand),
-                SpecKind::Dynamic => {
-                    let impl_module = self.node(operand)?;
-                    let key = impl_module.content_hash().with_str("dynamic-impl");
-                    let lib_id = self.ctx.register_dynamic_impl(key, &impl_module)?;
-                    let mut exports = impl_module.exports()?;
-                    exports.sort();
-                    Ok(Module::from_object(make_partial_stubs(lib_id, &exports)))
-                }
-                SpecKind::Constrained(cs) => {
-                    // A constrained specialization evaluated in a position
-                    // where its module is demanded directly (not under a
-                    // merge): produce the module; the constraints apply
-                    // when the server instantiates it standalone.
-                    let m = self.node(operand)?;
-                    let _ = cs;
-                    Ok(m)
-                }
-            },
-        }
-    }
-
-    /// If `n` introduces a self-contained shared library inside a merge,
-    /// records the library use and returns `Some(())`.
-    fn library_candidate(&mut self, n: &MNode) -> Result<Option<()>, EvalError> {
-        match n {
-            MNode::Specialize {
-                kind: SpecKind::Constrained(cs),
-                operand,
-            } => {
-                let module = self.node(operand)?;
-                self.libraries.push(LibraryUse {
-                    name: leaf_name(operand),
-                    // Content-derived: rebuilding the library's fragments
-                    // must produce a new key even under an unchanged graph.
-                    key: module.content_hash(),
-                    module,
-                    constraints: cs.clone(),
-                });
-                Ok(Some(()))
-            }
-            MNode::Leaf(path) => {
-                // A leaf naming a library-class meta-object (one with a
-                // constraint-list) is a self-contained library reference.
-                self.record(path);
-                match self.ctx.resolve(path)? {
-                    ResolvedNode::Meta(bp) if !bp.constraints.is_empty() => {
-                        let module = self.meta(path, &bp)?;
-                        self.libraries.push(LibraryUse {
-                            name: path.clone(),
-                            key: module.content_hash(),
-                            module,
-                            constraints: bp.constraints.clone(),
-                        });
-                        Ok(Some(()))
-                    }
-                    _ => Ok(None),
-                }
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Re-declares library uses under an already-cached subtree without
-    /// re-evaluating the expensive parts (modules come from the cache).
-    fn collect_library_uses(&mut self, n: &MNode) -> Result<(), EvalError> {
-        match n {
-            MNode::Merge(items) => {
-                for it in items {
-                    if self.library_candidate(it)?.is_none() {
-                        self.collect_library_uses(it)?;
-                    }
-                }
-                Ok(())
-            }
-            MNode::Override(a, b) => {
-                self.collect_library_uses(a)?;
-                self.collect_library_uses(b)
-            }
-            MNode::Rename { operand, .. }
-            | MNode::Hide { operand, .. }
-            | MNode::Show { operand, .. }
-            | MNode::Restrict { operand, .. }
-            | MNode::Project { operand, .. }
-            | MNode::CopyAs { operand, .. }
-            | MNode::Freeze { operand, .. }
-            | MNode::Specialize { operand, .. } => self.collect_library_uses(operand),
-            MNode::Initializers(o) => self.collect_library_uses(o),
-            MNode::Leaf(_) | MNode::Source { .. } => Ok(()),
-        }
-    }
-
-    fn leaf(&mut self, path: &str) -> Result<Module, EvalError> {
-        self.record(path);
-        match self.ctx.resolve(path)? {
-            ResolvedNode::Object(obj) => {
-                self.stats.leaves += 1;
-                Ok(Module::from_arc(obj))
-            }
-            ResolvedNode::Meta(bp) => self.meta(path, &bp),
-        }
-    }
-
-    fn meta(&mut self, path: &str, bp: &Blueprint) -> Result<Module, EvalError> {
-        if let Some(pos) = self.visiting.iter().position(|p| p == path) {
-            return Err(EvalError::Cycle(cycle_chain(&self.visiting[pos..], path)));
-        }
-        self.visiting.push(path.to_string());
-        let result = self.node(&bp.root);
-        self.visiting.pop();
-        result
-    }
+    crate::plan::eval_blueprint_parallel(bp, ctx, 1).map(|p| p.output)
 }
 
 /// Formats the full blueprint path chain of a detected cycle: every
@@ -424,13 +188,6 @@ pub(crate) fn cycle_chain(visiting_tail: &[String], repeat: &str) -> String {
     let mut chain: Vec<&str> = visiting_tail.iter().map(String::as_str).collect();
     chain.push(repeat);
     chain.join(" -> ")
-}
-
-pub(crate) fn leaf_name(n: &MNode) -> String {
-    match n {
-        MNode::Leaf(p) => p.clone(),
-        other => format!("<inline:{}>", other.hash()),
-    }
 }
 
 /// Attaches the blueprint source location of the failing leaf to
@@ -470,21 +227,10 @@ fn find_leaf_span(n: &MNode, target: &str, path: &mut Vec<u32>, bp: &Blueprint) 
     };
     match n {
         MNode::Leaf(p) if p == target => bp.spans.get(path),
-        MNode::Leaf(_) | MNode::Source { .. } => None,
-        MNode::Merge(items) => items
-            .iter()
+        _ => n
+            .operands()
             .enumerate()
             .find_map(|(i, c)| descend(i as u32, c)),
-        MNode::Override(a, b) => descend(0, a).or_else(|| descend(1, b)),
-        MNode::Rename { operand, .. }
-        | MNode::Hide { operand, .. }
-        | MNode::Show { operand, .. }
-        | MNode::Restrict { operand, .. }
-        | MNode::Project { operand, .. }
-        | MNode::CopyAs { operand, .. }
-        | MNode::Freeze { operand, .. }
-        | MNode::Specialize { operand, .. } => descend(0, operand),
-        MNode::Initializers(o) => descend(0, o),
     }
 }
 
@@ -505,7 +251,8 @@ pub(crate) mod tests {
         pub(crate) metas: HashMap<String, Blueprint>,
         pub(crate) cache: Mutex<HashMap<ContentHash, CachedEval>>,
         pub(crate) dynamic: Mutex<Vec<(ContentHash, Module)>>,
-        pub(crate) resolve_calls: AtomicU64,
+        /// `cache_get` probes that found an entry.
+        pub(crate) hit_probes: AtomicU64,
     }
 
     impl TestCtx {
@@ -528,7 +275,6 @@ pub(crate) mod tests {
 
     impl EvalContext for TestCtx {
         fn resolve(&self, path: &str) -> Result<ResolvedNode, EvalError> {
-            self.resolve_calls.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = self.objects.get(path) {
                 return Ok(ResolvedNode::Object(Arc::clone(o)));
             }
@@ -539,7 +285,11 @@ pub(crate) mod tests {
         }
 
         fn cache_get(&self, key: ContentHash) -> Option<CachedEval> {
-            self.cache.lock().unwrap().get(&key).cloned()
+            let hit = self.cache.lock().unwrap().get(&key).cloned();
+            if hit.is_some() {
+                self.hit_probes.fetch_add(1, Ordering::Relaxed);
+            }
+            hit
         }
 
         fn cache_put(&self, key: ContentHash, module: &Module, deps: &Arc<BTreeSet<String>>) {
@@ -600,6 +350,25 @@ pub(crate) mod tests {
         assert_eq!(second.stats.cache_hits, 1, "root served from cache");
         assert_eq!(second.stats.merges, 0, "no merge redone");
         assert_eq!(first.module.content_hash(), second.module.content_hash());
+    }
+
+    #[test]
+    fn repeated_subtree_is_served_from_the_plan() {
+        let mut ctx = TestCtx::default();
+        ctx.add_asm("/obj/spin.o", ".text\nspin: call _puts\n ret\n");
+        let bp = Blueprint::parse("(merge /obj/spin.o /obj/spin.o)").unwrap();
+        let out = eval_blueprint(&bp, &ctx).unwrap();
+        let want = EvalStats {
+            nodes: 3,
+            cache_hits: 1,
+            merges: 1,
+            source_compiles: 0,
+            leaves: 1,
+        };
+        assert_eq!(out.stats, want);
+        // The repeat counts as a hit but never probes the cache: the
+        // first visit has not published its result yet.
+        assert_eq!(ctx.hit_probes.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //!   with structural hashing for the server caches;
 //! * [`source`] — the `source` operator: assembles U32 assembly or
 //!   compiles the mini-C subset the paper's Figure 3 uses;
-//! * [`eval`] — m-graph execution against a pluggable [`eval::EvalContext`]
-//!   (namespace resolution, sub-result caching, dynamic-library
-//!   registration), producing a linked-ready [`omos_module::Module`];
-//! * [`plan`] — the same evaluation split into a planning pass (lower
-//!   the m-graph into a DAG of work units) and a work-stealing parallel
-//!   execution pass, deterministic and byte-identical to [`eval`].
+//! * [`eval`] — the evaluation's interface: a pluggable
+//!   [`eval::EvalContext`] (namespace resolution, sub-result caching,
+//!   dynamic-library registration), its errors and output, and
+//!   [`eval::eval_blueprint`], producing a link-ready
+//!   [`omos_module::Module`];
+//! * [`plan`] — the evaluation itself: a planning pass lowers the
+//!   m-graph into a DAG of work units, and a work-stealing execution
+//!   pass runs them on one or more lanes with the same result at each.
 
 pub mod ast;
 pub mod eval;

@@ -50,8 +50,8 @@ use omos_analysis::{
 };
 use omos_blueprint::eval::LibraryUse;
 use omos_blueprint::{
-    eval_blueprint, eval_blueprint_parallel, Blueprint, CachedEval, EvalContext, EvalError,
-    EvalOutput, EvalStats, LinkPolicy, MNode, PolicyKind, ResolvedNode,
+    eval_blueprint_parallel, Blueprint, CachedEval, EvalContext, EvalError, EvalOutput, EvalStats,
+    LinkPolicy, MNode, PolicyKind, ResolvedNode,
 };
 use omos_constraint::PlacementSolver;
 use omos_link::{
@@ -356,13 +356,14 @@ impl Omos {
         }
     }
 
-    /// Sets the intra-request parallelism: cold builds plan the m-graph
-    /// into a work-unit DAG and execute it (plus the independent
-    /// library links) on `jobs` workers. At 1 (the default, or the
-    /// `OMOS_EVAL_JOBS` environment variable at construction) each
-    /// library is placed and then linked in turn. Results are
-    /// byte-identical either way; only [`InstantiateReply::latency_ns`]
-    /// and the span timeline change.
+    /// Sets the intra-request parallelism: every build plans the m-graph
+    /// into a work-unit DAG, and a cold build executes it (plus the
+    /// independent library links) on `jobs` lanes. At 1 (the default,
+    /// or the `OMOS_EVAL_JOBS` environment variable at construction)
+    /// the units run on the requesting thread and each library is
+    /// placed and then linked in turn. Results are byte-identical at
+    /// every width; only [`InstantiateReply::latency_ns`] and the span
+    /// timeline change.
     pub fn set_eval_jobs(&self, jobs: usize) {
         self.eval_jobs.store(jobs.max(1), Ordering::Relaxed);
     }
@@ -660,11 +661,11 @@ impl Omos {
         result
     }
 
-    /// The eval step. At one lane the m-graph is evaluated sequentially;
-    /// above one it is planned into a work-unit DAG and executed on a
-    /// `lanes`-wide worker pool. Returns the output, the billed work
+    /// The eval step: the m-graph is planned into a work-unit DAG and
+    /// executed on `lanes` workers. Returns the output, the billed work
     /// (identical at every lane count), and the critical path the Eval
-    /// span covers.
+    /// span covers: planning plus the units' list-scheduled makespan,
+    /// which at one lane is the billed work itself.
     fn eval(
         &self,
         bp: &Blueprint,
@@ -672,14 +673,6 @@ impl Omos {
         lanes: usize,
     ) -> Result<(EvalOutput, u64, u64), OmosError> {
         let span = self.tracer.open(SpanKind::Eval);
-        if lanes == 1 {
-            let out = eval_blueprint(bp, ctx);
-            let ns = out
-                .as_ref()
-                .map_or(0, |o| eval_work_ns(&o.stats, &self.cost));
-            self.tracer.close_leaf(span, Stage::Eval, ns);
-            return Ok((out?, ns, ns));
-        }
         let par = eval_blueprint_parallel(bp, ctx, lanes);
         let (work_ns, path_ns) = match &par {
             Ok(p) => {
@@ -698,10 +691,14 @@ impl Omos {
                     .collect();
                 let units = durs.iter().zip(&p.units).map(|(&d, u)| (d, &u.deps[..]));
                 let (slots, makespan) = schedule(units, lanes);
-                for (&(start, lane), &dur) in slots.iter().zip(&durs) {
-                    if dur > 0 {
-                        self.tracer
-                            .span_at(SpanKind::EvalUnit, plan_ns + start, dur, lane);
+                // One lane's units run back to back inside the Eval
+                // span; only a wider schedule lays them out on lanes.
+                if lanes > 1 {
+                    for (&(start, lane), &dur) in slots.iter().zip(&durs) {
+                        if dur > 0 {
+                            self.tracer
+                                .span_at(SpanKind::EvalUnit, plan_ns + start, dur, lane);
+                        }
                     }
                 }
                 (

@@ -394,24 +394,9 @@ fn bind_operands(
 
 /// Collects every `Leaf` path in an m-graph, depth first.
 fn collect_leaves(node: &omos_blueprint::MNode, out: &mut Vec<String>) {
-    use omos_blueprint::MNode as N;
     match node {
-        N::Leaf(p) => out.push(p.clone()),
-        N::Merge(items) => items.iter().for_each(|n| collect_leaves(n, out)),
-        N::Override(a, b) => {
-            collect_leaves(a, out);
-            collect_leaves(b, out);
-        }
-        N::Rename { operand, .. }
-        | N::Hide { operand, .. }
-        | N::Show { operand, .. }
-        | N::Restrict { operand, .. }
-        | N::Project { operand, .. }
-        | N::CopyAs { operand, .. }
-        | N::Freeze { operand, .. }
-        | N::Initializers(operand)
-        | N::Specialize { operand, .. } => collect_leaves(operand, out),
-        N::Source { .. } => {}
+        omos_blueprint::MNode::Leaf(p) => out.push(p.clone()),
+        _ => node.operands().for_each(|n| collect_leaves(n, out)),
     }
 }
 

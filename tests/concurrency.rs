@@ -377,48 +377,50 @@ fn concurrent_clear_and_insert_keep_byte_counter_consistent() {
 
 #[test]
 fn injected_worker_panic_aborts_cleanly_and_server_recovers() {
-    let s = world(2);
-    s.set_eval_jobs(8);
-    // Arm a one-shot panic inside one work unit of the next parallel
-    // evaluation of /bin/p0's blueprint.
-    let bp = omos::blueprint::Blueprint::parse("(merge /obj/p0.o /lib/libc)").unwrap();
-    omos::blueprint::plan::testhooks::arm_panic(bp.root.hash());
+    for jobs in [1, 8] {
+        let s = world(2);
+        s.set_eval_jobs(jobs);
+        // Arm a one-shot panic inside one work unit of the next
+        // evaluation of /bin/p0's blueprint on this thread.
+        let bp = omos::blueprint::Blueprint::parse("(merge /obj/p0.o /lib/libc)").unwrap();
+        omos::blueprint::plan::testhooks::arm_panic(bp.root.hash());
 
-    let err = s
-        .instantiate("/bin/p0")
-        .expect_err("armed panic must abort the request");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("evaluation worker failed"),
-        "panic must surface as a clean eval error, got: {msg}"
-    );
+        let err = s
+            .instantiate("/bin/p0")
+            .expect_err("armed panic must abort the request");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("evaluation worker failed"),
+            "jobs={jobs}: panic must surface as a clean eval error, got: {msg}"
+        );
 
-    // The failure is contained: no poisoned caches, no leaked
-    // single-flight entries — the same request immediately rebuilds
-    // (no hang, no stale error), an unrelated one is untouched, and
-    // the rebuilt image matches a sequential oracle bit for bit.
-    let ok = s.instantiate("/bin/p0").expect("server recovered");
-    assert!(!ok.cache_hit, "failed build must not have been cached");
-    let p1 = s.instantiate("/bin/p1").expect("unrelated program works");
-    assert!(!p1.cache_hit);
-    let oracle = world(2);
-    let want = oracle.instantiate("/bin/p0").unwrap();
-    assert_eq!(
-        ok.program.image.content_hash(),
-        want.program.image.content_hash(),
-        "recovered build diverges from the sequential oracle"
-    );
-    // Subtrees that completed before the panic were legitimately
-    // cached (exactly as an aborted sequential request leaves them),
-    // so the retry can only be cheaper than a fully cold build.
-    assert!(ok.server_ns <= want.server_ns);
+        // The failure is contained: no poisoned caches, no leaked
+        // single-flight entries — the same request immediately rebuilds
+        // (no hang, no stale error), an unrelated one is untouched, and
+        // the rebuilt image matches a fresh server's bit for bit.
+        let ok = s.instantiate("/bin/p0").expect("server recovered");
+        assert!(!ok.cache_hit, "failed build must not have been cached");
+        let p1 = s.instantiate("/bin/p1").expect("unrelated program works");
+        assert!(!p1.cache_hit);
+        let oracle = world(2);
+        let want = oracle.instantiate("/bin/p0").unwrap();
+        assert_eq!(
+            ok.program.image.content_hash(),
+            want.program.image.content_hash(),
+            "jobs={jobs}: recovered build diverges from a fresh server's"
+        );
+        // Subtrees that completed before the panic were legitimately
+        // cached (exactly as any aborted request leaves them), so the
+        // retry can only be cheaper than a fully cold build.
+        assert!(ok.server_ns <= want.server_ns);
 
-    let st = s.stats();
-    assert_eq!(
-        st.reply_cache_hits + st.coalesced + st.replies_built,
-        st.requests,
-        "every request accounted for, failure included: {st:?}"
-    );
+        let st = s.stats();
+        assert_eq!(
+            st.reply_cache_hits + st.coalesced + st.replies_built,
+            st.requests,
+            "every request accounted for, failure included: {st:?}"
+        );
+    }
 }
 
 #[test]
