@@ -14,7 +14,7 @@ use omos_blueprint::{Blueprint, MNode, Span, SpecKind};
 use omos_constraint::RegionClass;
 use omos_link::make_partial_stubs;
 use omos_module::generate_initializers;
-use omos_obj::view::{apply_view_op, ViewOp};
+use omos_obj::view::{apply_view_op, ViewKind, ViewOp};
 use omos_obj::{
     ObjError, ObjectFile, Regex, Relocation, Section, SectionKind, Symbol, SymbolBinding, SymbolDef,
 };
@@ -197,60 +197,8 @@ impl Analyzer<'_> {
                 let sb = self.descend(b, path, 1);
                 self.override_fold(sa, sb, span)
             }
-            MNode::Rename {
-                pattern,
-                replacement,
-                target,
-                operand,
-            } => {
-                let st = self.descend(operand, path, 0);
-                let Some(re) = self.regex(pattern, span) else {
-                    return st;
-                };
-                self.check_pattern(&st, &re, "rename", PatternRole::AnySymbol, span);
-                self.apply(
-                    st,
-                    ViewOp::Rename {
-                        pattern: re,
-                        replacement: replacement.clone(),
-                        target: *target,
-                    },
-                    span,
-                )
-            }
-            MNode::Hide { pattern, operand } => {
-                let st = self.descend(operand, path, 0);
-                let Some(re) = self.regex(pattern, span) else {
-                    return st;
-                };
-                self.check_pattern(&st, &re, "hide", PatternRole::SkipsFrozenDefs, span);
-                self.apply(st, ViewOp::Hide { pattern: re }, span)
-            }
-            MNode::Show { pattern, operand } => {
-                let st = self.descend(operand, path, 0);
-                let Some(re) = self.regex(pattern, span) else {
-                    return st;
-                };
-                self.check_pattern(&st, &re, "show", PatternRole::KeepsDefs, span);
-                self.apply(st, ViewOp::Show { pattern: re }, span)
-            }
-            MNode::Restrict { pattern, operand } => {
-                let st = self.descend(operand, path, 0);
-                let Some(re) = self.regex(pattern, span) else {
-                    return st;
-                };
-                self.check_pattern(&st, &re, "restrict", PatternRole::SkipsFrozenDefs, span);
-                self.apply(st, ViewOp::Restrict { pattern: re }, span)
-            }
-            MNode::Project { pattern, operand } => {
-                let st = self.descend(operand, path, 0);
-                let Some(re) = self.regex(pattern, span) else {
-                    return st;
-                };
-                self.check_pattern(&st, &re, "project", PatternRole::KeepsDefs, span);
-                self.apply(st, ViewOp::Project { pattern: re }, span)
-            }
-            MNode::CopyAs {
+            MNode::View {
+                kind,
                 pattern,
                 replacement,
                 operand,
@@ -259,23 +207,13 @@ impl Analyzer<'_> {
                 let Some(re) = self.regex(pattern, span) else {
                     return st;
                 };
-                self.check_pattern(&st, &re, "copy_as", PatternRole::AnyDef, span);
-                self.apply(
-                    st,
-                    ViewOp::CopyAs {
-                        pattern: re,
-                        replacement: replacement.clone(),
-                    },
-                    span,
-                )
-            }
-            MNode::Freeze { pattern, operand } => {
-                let st = self.descend(operand, path, 0);
-                let Some(re) = self.regex(pattern, span) else {
-                    return st;
+                self.check_pattern(&st, &re, *kind, span);
+                let op = ViewOp {
+                    kind: *kind,
+                    pattern: re,
+                    replacement: replacement.clone(),
                 };
-                self.check_pattern(&st, &re, "freeze", PatternRole::AnySymbol, span);
-                self.apply(st, ViewOp::Freeze { pattern: re }, span)
+                self.apply(st, op, span)
             }
             MNode::Initializers(o) => {
                 let st = self.descend(o, path, 0);
@@ -541,50 +479,35 @@ impl Analyzer<'_> {
 
     /// Dead-pattern (OM005) and frozen-name (OM007) checks, before the
     /// operation is applied.
-    fn check_pattern(
-        &mut self,
-        st: &NodeState,
-        re: &Regex,
-        op: &str,
-        role: PatternRole,
-        span: Option<Span>,
-    ) {
+    fn check_pattern(&mut self, st: &NodeState, re: &Regex, kind: ViewKind, span: Option<Span>) {
+        let (op, role) = match kind {
+            ViewKind::Rename(_) => ("rename", PatternRole::AnySymbol),
+            ViewKind::Hide => ("hide", PatternRole::SkipsFrozenDefs),
+            ViewKind::Show => ("show", PatternRole::KeepsDefs),
+            ViewKind::Restrict => ("restrict", PatternRole::SkipsFrozenDefs),
+            ViewKind::Project => ("project", PatternRole::KeepsDefs),
+            ViewKind::CopyAs => ("copy_as", PatternRole::AnyDef),
+            ViewKind::Freeze => ("freeze", PatternRole::AnySymbol),
+        };
         if st.poisoned {
             return; // symbols are incomplete; anything we said would cascade
         }
         let matches_def = |s: &Symbol| {
             s.def.is_definition() && s.binding != SymbolBinding::Local && re.is_match(&s.name)
         };
-        let (matched, frozen_hit): (bool, Option<String>) = match role {
-            PatternRole::AnySymbol => {
-                let mut hit = None;
-                let mut any = false;
-                for s in st.obj.symbols.iter() {
-                    if re.is_match(&s.name) {
-                        any = true;
-                        if s.frozen && hit.is_none() {
-                            hit = Some(s.name.clone());
-                        }
-                    }
-                }
-                (any, hit)
-            }
-            PatternRole::SkipsFrozenDefs => {
-                let mut hit = None;
-                let mut any = false;
-                for s in st.obj.symbols.iter() {
-                    if matches_def(s) {
-                        any = true;
-                        if s.frozen && hit.is_none() {
-                            hit = Some(s.name.clone());
-                        }
-                    }
-                }
-                (any, hit)
-            }
-            PatternRole::AnyDef | PatternRole::KeepsDefs => {
-                (st.obj.symbols.iter().any(matches_def), None)
-            }
+        let selected = |s: &Symbol| match role {
+            PatternRole::AnySymbol => re.is_match(&s.name),
+            _ => matches_def(s),
+        };
+        let matched = st.obj.symbols.iter().any(selected);
+        let frozen_hit = match role {
+            PatternRole::AnySymbol | PatternRole::SkipsFrozenDefs => st
+                .obj
+                .symbols
+                .iter()
+                .find(|s| s.frozen && selected(s))
+                .map(|s| s.name.clone()),
+            PatternRole::AnyDef | PatternRole::KeepsDefs => None,
         };
         if !matched {
             let consequence = match role {
@@ -603,7 +526,7 @@ impl Analyzer<'_> {
         } else if let Some(name) = frozen_hit {
             // `freeze` on an already-frozen name is a harmless no-op, so
             // AnySymbol only reaches here for rename.
-            if op != "freeze" {
+            if kind != ViewKind::Freeze {
                 self.emit(
                     Severity::Warning,
                     "OM007",

@@ -12,7 +12,7 @@ use omos_constraint::deltablue::ChainLayout;
 use omos_constraint::{PlacementRequest, PlacementSolver, RegionClass, SegmentRequest};
 use omos_module::Module;
 use omos_obj::encode::{read, write, Format};
-use omos_obj::view::{RenameTarget, ViewOp};
+use omos_obj::view::{RenameTarget, ViewKind, ViewOp};
 use omos_obj::{ObjectFile, Regex, View};
 
 fn sample_objects() -> Vec<ObjectFile> {
@@ -37,19 +37,23 @@ fn bench_views(c: &mut Criterion) {
     let view = View::from_object(obj);
     c.bench_function("view/derive", |b| {
         b.iter(|| {
-            black_box(view.derive(ViewOp::Hide {
+            black_box(view.derive(ViewOp {
+                kind: ViewKind::Hide,
                 pattern: Regex::new("^_strlen$").unwrap(),
+                replacement: String::new(),
             }))
         })
     });
     let derived = view
-        .derive(ViewOp::Rename {
+        .derive(ViewOp {
+            kind: ViewKind::Rename(RenameTarget::Both),
             pattern: Regex::new("^_str").unwrap(),
             replacement: "_STR".into(),
-            target: RenameTarget::Both,
         })
-        .derive(ViewOp::Hide {
+        .derive(ViewOp {
+            kind: ViewKind::Hide,
             pattern: Regex::new("^_memcpy$").unwrap(),
+            replacement: String::new(),
         });
     c.bench_function("view/materialize", |b| {
         b.iter(|| derived.materialize().unwrap())

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use omos_constraint::RegionClass;
-use omos_obj::view::RenameTarget;
+use omos_obj::view::ViewKind;
 use omos_obj::{ContentHash, Regex};
 
 use crate::sexpr::{parse_sexprs, Sexpr, Span};
@@ -128,58 +128,18 @@ pub enum MNode {
     Merge(Vec<MNode>),
     /// `override`: conflicts resolve in favor of the second operand.
     Override(Box<MNode>, Box<MNode>),
-    /// `rename` (and the ref/def-only variants).
-    Rename {
+    /// A view operator — `rename` (and its ref/def-only variants),
+    /// `hide`, `show`, `restrict`, `project`, `copy_as` or `freeze` —
+    /// applied to its operand. The [`ViewKind`] table holds the
+    /// operators' names, arities and hash tags.
+    View {
+        /// Which operator.
+        kind: ViewKind,
         /// Symbol selector.
         pattern: String,
-        /// Replacement for the matched span.
+        /// Replacement for the matched span; empty unless
+        /// [`ViewKind::takes_replacement`].
         replacement: String,
-        /// Which roles to rename.
-        target: RenameTarget,
-        /// Operand.
-        operand: Box<MNode>,
-    },
-    /// `hide`.
-    Hide {
-        /// Symbol selector.
-        pattern: String,
-        /// Operand.
-        operand: Box<MNode>,
-    },
-    /// `show`.
-    Show {
-        /// Symbol selector.
-        pattern: String,
-        /// Operand.
-        operand: Box<MNode>,
-    },
-    /// `restrict`.
-    Restrict {
-        /// Symbol selector.
-        pattern: String,
-        /// Operand.
-        operand: Box<MNode>,
-    },
-    /// `project`.
-    Project {
-        /// Symbol selector.
-        pattern: String,
-        /// Operand.
-        operand: Box<MNode>,
-    },
-    /// `copy_as`.
-    CopyAs {
-        /// Symbol selector.
-        pattern: String,
-        /// Replacement producing the copy's name.
-        replacement: String,
-        /// Operand.
-        operand: Box<MNode>,
-    },
-    /// `freeze`.
-    Freeze {
-        /// Symbol selector.
-        pattern: String,
         /// Operand.
         operand: Box<MNode>,
     },
@@ -225,13 +185,7 @@ impl MNode {
             MNode::Leaf(_) | MNode::Source { .. } => (&[], [None, None]),
             MNode::Merge(items) => (items, [None, None]),
             MNode::Override(a, b) => (&[], [Some(a), Some(b)]),
-            MNode::Rename { operand, .. }
-            | MNode::Hide { operand, .. }
-            | MNode::Show { operand, .. }
-            | MNode::Restrict { operand, .. }
-            | MNode::Project { operand, .. }
-            | MNode::CopyAs { operand, .. }
-            | MNode::Freeze { operand, .. }
+            MNode::View { operand, .. }
             | MNode::Initializers(operand)
             | MNode::Specialize { operand, .. } => (&[], [Some(operand), None]),
         };
@@ -249,45 +203,12 @@ impl MNode {
                 h
             }
             MNode::Override(a, b) => b.hash_into(a.hash_into(h.with_str("override"))),
-            MNode::Rename {
-                pattern,
-                replacement,
-                target,
-                operand,
-            } => operand.hash_into(
-                h.with_str("rename")
-                    .with_str(pattern)
-                    .with_str(replacement)
-                    .with_u64(match target {
-                        RenameTarget::Defs => 0,
-                        RenameTarget::Refs => 1,
-                        RenameTarget::Both => 2,
-                    }),
-            ),
-            MNode::Hide { pattern, operand } => {
-                operand.hash_into(h.with_str("hide").with_str(pattern))
-            }
-            MNode::Show { pattern, operand } => {
-                operand.hash_into(h.with_str("show").with_str(pattern))
-            }
-            MNode::Restrict { pattern, operand } => {
-                operand.hash_into(h.with_str("restrict").with_str(pattern))
-            }
-            MNode::Project { pattern, operand } => {
-                operand.hash_into(h.with_str("project").with_str(pattern))
-            }
-            MNode::CopyAs {
+            MNode::View {
+                kind,
                 pattern,
                 replacement,
                 operand,
-            } => operand.hash_into(
-                h.with_str("copy-as")
-                    .with_str(pattern)
-                    .with_str(replacement),
-            ),
-            MNode::Freeze { pattern, operand } => {
-                operand.hash_into(h.with_str("freeze").with_str(pattern))
-            }
+            } => operand.hash_into(kind.hash_into(h, pattern, replacement)),
             MNode::Initializers(o) => o.hash_into(h.with_str("initializers")),
             MNode::Source { lang, code } => h.with_str("source").with_str(lang).with_str(code),
             MNode::Specialize { kind, operand } => {
@@ -298,13 +219,7 @@ impl MNode {
                     SpecKind::Constrained(cs) => {
                         let mut h = h.with_str("spec-constrained");
                         for (c, a) in cs {
-                            h = h
-                                .with_str(match c {
-                                    RegionClass::Text => "T",
-                                    RegionClass::Data => "D",
-                                    RegionClass::PolicyData => "P",
-                                })
-                                .with_u64(*a);
+                            h = h.with_str(c.tag()).with_u64(*a);
                         }
                         h
                     }
@@ -346,6 +261,9 @@ impl MNode {
             return berr_at("operation list must start with an operator symbol", s.span);
         };
         let args = &items[1..];
+        if let Some(kind) = ViewKind::from_name(op) {
+            return parse_view(op, kind, s, args, &path, spans);
+        }
         match op {
             "merge" => {
                 if args.is_empty() {
@@ -366,38 +284,6 @@ impl MNode {
                     Box::new(MNode::from_sexpr_spanned(&args[0], child(0), spans)?),
                     Box::new(MNode::from_sexpr_spanned(&args[1], child(1), spans)?),
                 ))
-            }
-            "rename" | "rename-refs" | "rename-defs" => {
-                let (pattern, replacement, operand) = str_str_node(op, s, args, &path, spans)?;
-                let target = match op {
-                    "rename-refs" => RenameTarget::Refs,
-                    "rename-defs" => RenameTarget::Defs,
-                    _ => RenameTarget::Both,
-                };
-                Ok(MNode::Rename {
-                    pattern,
-                    replacement,
-                    target,
-                    operand,
-                })
-            }
-            "hide" | "show" | "restrict" | "project" | "freeze" => {
-                let (pattern, operand) = str_node(op, s, args, &path, spans)?;
-                Ok(match op {
-                    "hide" => MNode::Hide { pattern, operand },
-                    "show" => MNode::Show { pattern, operand },
-                    "restrict" => MNode::Restrict { pattern, operand },
-                    "project" => MNode::Project { pattern, operand },
-                    _ => MNode::Freeze { pattern, operand },
-                })
-            }
-            "copy_as" | "copy-as" => {
-                let (pattern, replacement, operand) = str_str_node(op, s, args, &path, spans)?;
-                Ok(MNode::CopyAs {
-                    pattern,
-                    replacement,
-                    operand,
-                })
             }
             "initializers" => {
                 if args.len() != 1 {
@@ -440,50 +326,44 @@ impl MNode {
     }
 }
 
-fn str_node(
+/// Parses `(OP PATTERN [REPLACEMENT] OPERAND)` for a view operator.
+fn parse_view(
     op: &str,
+    kind: ViewKind,
     form: &Sexpr,
     args: &[Sexpr],
     path: &[u32],
     spans: &mut SpanMap,
-) -> Result<(String, Box<MNode>), BlueprintError> {
-    if args.len() != 2 {
-        return berr_at(format!("{op} needs PATTERN OPERAND"), form.span);
+) -> Result<MNode, BlueprintError> {
+    let takes_replacement = kind.takes_replacement();
+    let arity = if takes_replacement { 3 } else { 2 };
+    if args.len() != arity {
+        let shape = if takes_replacement {
+            "PATTERN REPLACEMENT OPERAND"
+        } else {
+            "PATTERN OPERAND"
+        };
+        return berr_at(format!("{op} needs {shape}"), form.span);
     }
-    let pattern = args[0].as_str().ok_or_else(|| {
-        BlueprintError::new(format!("{op}: pattern must be a string")).at(form.span)
-    })?;
+    let string = |arg: &Sexpr, what: &str| {
+        arg.as_str().map(str::to_string).ok_or_else(|| {
+            BlueprintError::new(format!("{op}: {what} must be a string")).at(form.span)
+        })
+    };
+    let pattern = string(&args[0], "pattern")?;
+    let replacement = if takes_replacement {
+        string(&args[1], "replacement")?
+    } else {
+        String::new()
+    };
     let mut child = path.to_vec();
     child.push(0);
-    Ok((
-        pattern.to_string(),
-        Box::new(MNode::from_sexpr_spanned(&args[1], child, spans)?),
-    ))
-}
-
-fn str_str_node(
-    op: &str,
-    form: &Sexpr,
-    args: &[Sexpr],
-    path: &[u32],
-    spans: &mut SpanMap,
-) -> Result<(String, String, Box<MNode>), BlueprintError> {
-    if args.len() != 3 {
-        return berr_at(format!("{op} needs PATTERN REPLACEMENT OPERAND"), form.span);
-    }
-    let pattern = args[0].as_str().ok_or_else(|| {
-        BlueprintError::new(format!("{op}: pattern must be a string")).at(form.span)
-    })?;
-    let replacement = args[1].as_str().ok_or_else(|| {
-        BlueprintError::new(format!("{op}: replacement must be a string")).at(form.span)
-    })?;
-    let mut child = path.to_vec();
-    child.push(0);
-    Ok((
-        pattern.to_string(),
-        replacement.to_string(),
-        Box::new(MNode::from_sexpr_spanned(&args[2], child, spans)?),
-    ))
+    Ok(MNode::View {
+        kind,
+        pattern,
+        replacement,
+        operand: Box::new(MNode::from_sexpr_spanned(&args[arity - 1], child, spans)?),
+    })
 }
 
 fn parse_specialize(
@@ -496,35 +376,20 @@ fn parse_specialize(
         .first()
         .and_then(Sexpr::as_str)
         .ok_or_else(|| BlueprintError::new("specialize needs a kind string").at(form.span))?;
-    let mut child = path.to_vec();
-    child.push(0);
-    match kind_name {
-        "lib-static" => {
+    let (kind, operand) = match kind_name {
+        "lib-static" | "lib-dynamic" | "lib-dynamic-impl" => {
             if args.len() != 2 {
-                return berr_at("specialize lib-static needs one operand", form.span);
+                return berr_at(
+                    format!("specialize {kind_name} needs one operand"),
+                    form.span,
+                );
             }
-            Ok(MNode::Specialize {
-                kind: SpecKind::Static,
-                operand: Box::new(MNode::from_sexpr_spanned(&args[1], child, spans)?),
-            })
-        }
-        "lib-dynamic" => {
-            if args.len() != 2 {
-                return berr_at("specialize lib-dynamic needs one operand", form.span);
-            }
-            Ok(MNode::Specialize {
-                kind: SpecKind::Dynamic,
-                operand: Box::new(MNode::from_sexpr_spanned(&args[1], child, spans)?),
-            })
-        }
-        "lib-dynamic-impl" => {
-            if args.len() != 2 {
-                return berr_at("specialize lib-dynamic-impl needs one operand", form.span);
-            }
-            Ok(MNode::Specialize {
-                kind: SpecKind::DynamicImpl,
-                operand: Box::new(MNode::from_sexpr_spanned(&args[1], child, spans)?),
-            })
+            let kind = match kind_name {
+                "lib-static" => SpecKind::Static,
+                "lib-dynamic" => SpecKind::Dynamic,
+                _ => SpecKind::DynamicImpl,
+            };
+            (kind, &args[1])
         }
         "lib-constrained" => {
             // (specialize "lib-constrained" (list "T" 0x1000000) /lib/libc)
@@ -541,14 +406,19 @@ fn parse_specialize(
                     BlueprintError::new("lib-constrained constraints must be a (list ...)")
                         .at(args[1].span)
                 })?;
-            let cs = parse_constraint_pairs(&list[1..])?;
-            Ok(MNode::Specialize {
-                kind: SpecKind::Constrained(cs),
-                operand: Box::new(MNode::from_sexpr_spanned(&args[2], child, spans)?),
-            })
+            (
+                SpecKind::Constrained(parse_constraint_pairs(&list[1..])?),
+                &args[2],
+            )
         }
-        other => berr_at(format!("unknown specialization `{other}`"), form.span),
-    }
+        other => return berr_at(format!("unknown specialization `{other}`"), form.span),
+    };
+    let mut child = path.to_vec();
+    child.push(0);
+    Ok(MNode::Specialize {
+        kind,
+        operand: Box::new(MNode::from_sexpr_spanned(operand, child, spans)?),
+    })
 }
 
 fn parse_constraint_pairs(items: &[Sexpr]) -> Result<Vec<(RegionClass, u64)>, BlueprintError> {
@@ -737,13 +607,7 @@ impl Blueprint {
     pub fn hash(&self) -> ContentHash {
         let mut h = ContentHash::EMPTY.with_str("blueprint");
         for (c, a) in &self.constraints {
-            h = h
-                .with_str(match c {
-                    RegionClass::Text => "T",
-                    RegionClass::Data => "D",
-                    RegionClass::PolicyData => "P",
-                })
-                .with_u64(*a);
+            h = h.with_str(c.tag()).with_u64(*a);
         }
         // Gated on non-empty so policy-free blueprints hash exactly as
         // they always have (cache keys, manifests, and replies for the
@@ -789,6 +653,7 @@ fn parse_policy(form: &Sexpr, args: &[Sexpr]) -> Result<LinkPolicy, BlueprintErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omos_obj::view::RenameTarget;
 
     #[test]
     fn figure1_blueprint_parses() {
@@ -827,7 +692,13 @@ mod tests {
             "#,
         )
         .unwrap();
-        let MNode::Hide { pattern, operand } = &bp.root else {
+        let MNode::View {
+            kind: ViewKind::Hide,
+            pattern,
+            operand,
+            ..
+        } = &bp.root
+        else {
             panic!("expected hide at root");
         };
         assert_eq!(pattern, "_REAL_malloc");
@@ -853,7 +724,7 @@ mod tests {
         };
         assert!(matches!(items[0], MNode::Source { ref lang, .. } if lang == "c"));
         assert!(
-            matches!(items[1], MNode::Rename { ref target, .. } if *target == RenameTarget::Both)
+            matches!(items[1], MNode::View { kind, .. } if kind == ViewKind::Rename(RenameTarget::Both))
         );
     }
 
@@ -984,19 +855,52 @@ mod tests {
         let refs = Blueprint::parse(r#"(rename-refs "a" "b" /x)"#).unwrap();
         assert!(matches!(
             refs.root,
-            MNode::Rename {
-                target: RenameTarget::Refs,
+            MNode::View {
+                kind: ViewKind::Rename(RenameTarget::Refs),
                 ..
             }
         ));
         let defs = Blueprint::parse(r#"(rename-defs "a" "b" /x)"#).unwrap();
         assert!(matches!(
             defs.root,
-            MNode::Rename {
-                target: RenameTarget::Defs,
+            MNode::View {
+                kind: ViewKind::Rename(RenameTarget::Defs),
                 ..
             }
         ));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn one_view_node_keeps_mnode_small() {
+        // The largest variant is a view node: two strings, a box and a
+        // one-byte kind whose spare values hold the discriminant.
+        assert!(std::mem::size_of::<MNode>() <= 64);
+    }
+
+    #[test]
+    fn view_shape_errors_name_the_operator() {
+        for (src, msg) in [
+            ("(hide /x)", "hide needs PATTERN OPERAND"),
+            (
+                "(copy-as \"a\" /x)",
+                "copy-as needs PATTERN REPLACEMENT OPERAND",
+            ),
+            (
+                "(rename-defs /a \"b\" /x)",
+                "rename-defs: pattern must be a string",
+            ),
+            (
+                "(copy_as \"a\" /b /x)",
+                "copy_as: replacement must be a string",
+            ),
+            (
+                "(specialize \"lib-dynamic\")",
+                "specialize lib-dynamic needs one operand",
+            ),
+        ] {
+            assert_eq!(Blueprint::parse(src).unwrap_err().msg, msg, "{src}");
+        }
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub use eval::{
     ResolvedNode,
 };
 pub use plan::{eval_blueprint_parallel, ParallelOutput, UnitReport};
-pub use sexpr::{parse_sexprs, Sexpr, SexprKind, Span};
+pub use sexpr::{parse_sexprs, Sexpr, SexprKind, Span, MAX_NODE_DEPTH};
 pub use source::{compile_source, SourceError};

@@ -77,8 +77,7 @@ enum Op {
         a: usize,
         b: usize,
     },
-    /// rename, hide, show, restrict, project, copy_as, freeze or
-    /// initializers (see [`unary`]).
+    /// A view operator or `initializers` (see [`unary`]).
     Unary {
         apply: UnaryFn,
         operand: usize,
@@ -107,41 +106,23 @@ impl Op {
     }
 }
 
-/// Splits a single-operand operator — rename, hide, show, restrict,
-/// project, copy_as, freeze, initializers — into its operand and the
-/// function it applies to the operand's module.
+/// Splits a single-operand operator — a view operator or
+/// `initializers` — into its operand and the function it applies to the
+/// operand's module.
 fn unary(n: &MNode) -> Option<(&MNode, UnaryFn)> {
-    fn by_pattern(pattern: &str, op: fn(&Module, &str) -> Result<Module, ObjError>) -> UnaryFn {
-        let pattern = pattern.to_string();
-        Box::new(move |m| op(m, &pattern))
+    match n {
+        MNode::View {
+            kind,
+            pattern,
+            replacement,
+            operand,
+        } => {
+            let (kind, p, r) = (*kind, pattern.clone(), replacement.clone());
+            Some((operand, Box::new(move |m| m.apply_view(kind, &p, &r))))
+        }
+        MNode::Initializers(operand) => Some((operand, Box::new(Module::initializers))),
+        _ => None,
     }
-    let split: (&MNode, UnaryFn) = match n {
-        MNode::Rename {
-            pattern,
-            replacement,
-            target,
-            operand,
-        } => {
-            let (p, r, t) = (pattern.clone(), replacement.clone(), *target);
-            (operand, Box::new(move |m| m.rename(&p, &r, t)))
-        }
-        MNode::CopyAs {
-            pattern,
-            replacement,
-            operand,
-        } => {
-            let (p, r) = (pattern.clone(), replacement.clone());
-            (operand, Box::new(move |m| m.copy_as(&p, &r)))
-        }
-        MNode::Hide { pattern, operand } => (operand, by_pattern(pattern, Module::hide)),
-        MNode::Show { pattern, operand } => (operand, by_pattern(pattern, Module::show)),
-        MNode::Restrict { pattern, operand } => (operand, by_pattern(pattern, Module::restrict)),
-        MNode::Project { pattern, operand } => (operand, by_pattern(pattern, Module::project)),
-        MNode::Freeze { pattern, operand } => (operand, by_pattern(pattern, Module::freeze)),
-        MNode::Initializers(operand) => (operand, Box::new(Module::initializers)),
-        _ => return None,
-    };
-    Some(split)
 }
 
 /// A planned work unit.

@@ -152,11 +152,22 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest an m-graph node may sit below its blueprint's root (the
+/// root is depth 0). [`parse_sexprs`] rejects deeper nesting and the
+/// persisted-blueprint decoder enforces the same bound, so every
+/// blueprint the parser accepts survives checkpoint, restore and
+/// journal replay, and no input can exhaust the recursive walkers' stack.
+pub const MAX_NODE_DEPTH: usize = 200;
+
 /// Parses a whole input into its top-level s-expressions.
+///
+/// Nesting is bounded: an element may sit at most [`MAX_NODE_DEPTH`]
+/// lists deep, so a list opened at that depth is an error.
 pub fn parse_sexprs(input: &str) -> Result<Vec<Sexpr>, ParseError> {
     let mut p = Parser {
         chars: input.char_indices().collect(),
         pos: 0,
+        depth: 0,
     };
     let mut out = Vec::new();
     loop {
@@ -171,6 +182,8 @@ pub fn parse_sexprs(input: &str) -> Result<Vec<Sexpr>, ParseError> {
 struct Parser {
     chars: Vec<(usize, char)>,
     pos: usize,
+    /// Lists open around the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -228,7 +241,13 @@ impl Parser {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
             Some('(') => {
+                if self.depth == MAX_NODE_DEPTH {
+                    return Err(
+                        self.err(&format!("lists nest deeper than {MAX_NODE_DEPTH} levels"))
+                    );
+                }
                 self.bump();
+                self.depth += 1;
                 let mut items = Vec::new();
                 loop {
                     self.skip_ws();
@@ -236,6 +255,7 @@ impl Parser {
                         None => return Err(self.err("unterminated `(`")),
                         Some(')') => {
                             self.bump();
+                            self.depth -= 1;
                             return Ok(Sexpr {
                                 kind: SexprKind::List(items),
                                 span: Span::new(start, self.offset()),

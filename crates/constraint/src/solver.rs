@@ -32,15 +32,26 @@ pub enum RegionClass {
 }
 
 impl RegionClass {
+    /// The paper's one-letter tag: `"T"`, `"D"`, or `"P"`.
+    #[must_use]
+    pub fn tag(self) -> &'static str {
+        match self {
+            RegionClass::Text => "T",
+            RegionClass::Data => "D",
+            RegionClass::PolicyData => "P",
+        }
+    }
+
     /// Parses the paper's one-letter tag.
     #[must_use]
     pub fn from_tag(tag: &str) -> Option<RegionClass> {
-        match tag {
-            "T" => Some(RegionClass::Text),
-            "D" => Some(RegionClass::Data),
-            "P" => Some(RegionClass::PolicyData),
-            _ => None,
-        }
+        [
+            RegionClass::Text,
+            RegionClass::Data,
+            RegionClass::PolicyData,
+        ]
+        .into_iter()
+        .find(|c| c.tag() == tag)
     }
 
     /// The default placement window `[lo, hi)` for this class.

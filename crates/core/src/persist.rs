@@ -49,14 +49,14 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use omos_blueprint::{Blueprint, LinkPolicy, MNode, PolicyKind, SpecKind};
+use omos_blueprint::{Blueprint, LinkPolicy, MNode, PolicyKind, SpecKind, MAX_NODE_DEPTH};
 use omos_constraint::{
     Allocation, ConflictRecord, Placement, PlacementSolver, RegionClass, SolverState,
 };
 use omos_link::{decode_image, encode_image, LinkStats};
 use omos_obj::encode::container::{self, ContainerKind};
 use omos_obj::encode::{self, Format, Reader, Writer};
-use omos_obj::view::RenameTarget;
+use omos_obj::view::{RenameTarget, ViewKind};
 use omos_obj::{fnv1a, ContentHash, ObjError, ObjectFile};
 use omos_os::fs::FsError;
 use omos_os::{CostModel, ImageFrames, InMemFs, SimClock};
@@ -186,55 +186,20 @@ fn enc_node(w: &mut Writer, n: &MNode) {
             enc_node(w, a);
             enc_node(w, b);
         }
-        MNode::Rename {
-            pattern,
-            replacement,
-            target,
-            operand,
-        } => {
-            w.u8(3);
-            w.str(pattern);
-            w.str(replacement);
-            w.u8(match target {
-                RenameTarget::Defs => 0,
-                RenameTarget::Refs => 1,
-                RenameTarget::Both => 2,
-            });
-            enc_node(w, operand);
-        }
-        MNode::Hide { pattern, operand } => {
-            w.u8(4);
-            w.str(pattern);
-            enc_node(w, operand);
-        }
-        MNode::Show { pattern, operand } => {
-            w.u8(5);
-            w.str(pattern);
-            enc_node(w, operand);
-        }
-        MNode::Restrict { pattern, operand } => {
-            w.u8(6);
-            w.str(pattern);
-            enc_node(w, operand);
-        }
-        MNode::Project { pattern, operand } => {
-            w.u8(7);
-            w.str(pattern);
-            enc_node(w, operand);
-        }
-        MNode::CopyAs {
+        MNode::View {
+            kind,
             pattern,
             replacement,
             operand,
         } => {
-            w.u8(8);
+            w.u8(view_tag(*kind));
             w.str(pattern);
-            w.str(replacement);
-            enc_node(w, operand);
-        }
-        MNode::Freeze { pattern, operand } => {
-            w.u8(9);
-            w.str(pattern);
+            if kind.takes_replacement() {
+                w.str(replacement);
+            }
+            if let ViewKind::Rename(target) = kind {
+                w.u8(target.code());
+            }
             enc_node(w, operand);
         }
         MNode::Initializers(op) => {
@@ -275,29 +240,39 @@ fn class_code(c: RegionClass) -> u8 {
 }
 
 fn class_from_code(code: u8) -> ObjResult<RegionClass> {
-    match code {
-        0 => Ok(RegionClass::Text),
-        1 => Ok(RegionClass::Data),
-        2 => Ok(RegionClass::PolicyData),
-        other => Err(ObjError::Malformed(format!(
-            "blueprint: bad region class code {other}"
-        ))),
+    [
+        RegionClass::Text,
+        RegionClass::Data,
+        RegionClass::PolicyData,
+    ]
+    .into_iter()
+    .find(|&c| class_code(c) == code)
+    .ok_or_else(|| ObjError::Malformed(format!("blueprint: bad region class code {code}")))
+}
+
+/// Wire tags 3–9 of the view operators. A node is written as its tag,
+/// the pattern, the replacement when the operator takes one (tags 3 and
+/// 8), a rename's target code, then the operand.
+fn view_tag(kind: ViewKind) -> u8 {
+    match kind {
+        ViewKind::Rename(_) => 3,
+        ViewKind::Hide => 4,
+        ViewKind::Show => 5,
+        ViewKind::Restrict => 6,
+        ViewKind::Project => 7,
+        ViewKind::CopyAs => 8,
+        ViewKind::Freeze => 9,
     }
 }
 
-/// Recursion guard: a corrupt frame must not blow the stack before the
-/// structural checks reject it.
-const MAX_NODE_DEPTH: u32 = 200;
-
-fn dec_node(r: &mut Reader<'_>, depth: u32) -> ObjResult<MNode> {
+/// Decodes one m-graph node at `depth` below the root. The depth bound
+/// is the parser's ([`MAX_NODE_DEPTH`]): every blueprint the parser
+/// accepts decodes, and a corrupt frame cannot blow the stack before
+/// the structural checks reject it.
+fn dec_node(r: &mut Reader<'_>, depth: usize) -> ObjResult<MNode> {
     if depth > MAX_NODE_DEPTH {
         return Err(ObjError::Malformed("blueprint: m-graph too deep".into()));
     }
-    let unary = |r: &mut Reader<'_>| -> ObjResult<(String, Box<MNode>)> {
-        let pattern = r.str()?;
-        let operand = Box::new(dec_node(r, depth + 1)?);
-        Ok((pattern, operand))
-    };
     Ok(match r.u8()? {
         0 => MNode::Leaf(r.str()?),
         1 => {
@@ -313,56 +288,33 @@ fn dec_node(r: &mut Reader<'_>, depth: u32) -> ObjResult<MNode> {
             let b = Box::new(dec_node(r, depth + 1)?);
             MNode::Override(a, b)
         }
-        3 => {
+        tag @ 3..=9 => {
             let pattern = r.str()?;
-            let replacement = r.str()?;
-            let target = match r.u8()? {
-                0 => RenameTarget::Defs,
-                1 => RenameTarget::Refs,
-                2 => RenameTarget::Both,
-                other => {
-                    return Err(ObjError::Malformed(format!(
-                        "blueprint: bad rename target {other}"
-                    )))
-                }
+            let replacement = if matches!(tag, 3 | 8) {
+                r.str()?
+            } else {
+                String::new()
             };
-            let operand = Box::new(dec_node(r, depth + 1)?);
-            MNode::Rename {
+            let kind = match tag {
+                3 => {
+                    let code = r.u8()?;
+                    ViewKind::Rename(RenameTarget::from_code(code).ok_or_else(|| {
+                        ObjError::Malformed(format!("blueprint: bad rename target {code}"))
+                    })?)
+                }
+                4 => ViewKind::Hide,
+                5 => ViewKind::Show,
+                6 => ViewKind::Restrict,
+                7 => ViewKind::Project,
+                8 => ViewKind::CopyAs,
+                _ => ViewKind::Freeze,
+            };
+            MNode::View {
+                kind,
                 pattern,
                 replacement,
-                target,
-                operand,
+                operand: Box::new(dec_node(r, depth + 1)?),
             }
-        }
-        4 => {
-            let (pattern, operand) = unary(r)?;
-            MNode::Hide { pattern, operand }
-        }
-        5 => {
-            let (pattern, operand) = unary(r)?;
-            MNode::Show { pattern, operand }
-        }
-        6 => {
-            let (pattern, operand) = unary(r)?;
-            MNode::Restrict { pattern, operand }
-        }
-        7 => {
-            let (pattern, operand) = unary(r)?;
-            MNode::Project { pattern, operand }
-        }
-        8 => {
-            let pattern = r.str()?;
-            let replacement = r.str()?;
-            let operand = Box::new(dec_node(r, depth + 1)?);
-            MNode::CopyAs {
-                pattern,
-                replacement,
-                operand,
-            }
-        }
-        9 => {
-            let (pattern, operand) = unary(r)?;
-            MNode::Freeze { pattern, operand }
         }
         10 => MNode::Initializers(Box::new(dec_node(r, depth + 1)?)),
         11 => MNode::Source {
@@ -438,14 +390,10 @@ fn policy_kind_code(k: PolicyKind) -> u8 {
 }
 
 fn policy_kind_from_code(code: u8) -> ObjResult<PolicyKind> {
-    match code {
-        0 => Ok(PolicyKind::Deny),
-        1 => Ok(PolicyKind::Trampoline),
-        2 => Ok(PolicyKind::Audit),
-        other => Err(ObjError::Malformed(format!(
-            "blueprint: bad policy kind code {other}"
-        ))),
-    }
+    [PolicyKind::Deny, PolicyKind::Trampoline, PolicyKind::Audit]
+        .into_iter()
+        .find(|&k| policy_kind_code(k) == code)
+        .ok_or_else(|| ObjError::Malformed(format!("blueprint: bad policy kind code {code}")))
 }
 
 /// Decodes a sealed Blueprint frame. Any malformation is an error; the

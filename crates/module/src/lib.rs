@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use omos_obj::view::{RenameTarget, View, ViewOp};
+use omos_obj::view::{RenameTarget, View, ViewKind, ViewOp};
 use omos_obj::{
     ContentHash, ObjError, ObjectFile, Regex, Relocation, Result, Section, SectionKind, Symbol,
     SymbolBinding, SymbolDef,
@@ -118,84 +118,66 @@ impl Module {
         Ok(m.symbols.undefined().map(|s| s.name.clone()).collect())
     }
 
-    // --- View-producing operators (cheap). --------------------------------
+    // --- The view operators. ---------------------------------------------
+
+    /// Applies one view operator. Every kind but `freeze` derives a new
+    /// view (O(1) in section bytes); `freeze` materializes, one of the
+    /// two operators the paper says does not produce a view.
+    /// `replacement` is ignored unless [`ViewKind::takes_replacement`].
+    pub fn apply_view(&self, kind: ViewKind, pattern: &str, replacement: &str) -> Result<Module> {
+        let view = self.view.derive(ViewOp {
+            kind,
+            pattern: Regex::new(pattern)?,
+            replacement: replacement.to_string(),
+        });
+        Ok(match kind {
+            ViewKind::Freeze => Module::from_object(view.materialize()?),
+            _ => Module { view },
+        })
+    }
 
     /// `rename`: systematically changes names matching `pattern`,
     /// substituting the matched span with `replacement`. `target` selects
     /// references, definitions, or both — the paper: "Names may be
     /// references, definitions, or both."
     pub fn rename(&self, pattern: &str, replacement: &str, target: RenameTarget) -> Result<Module> {
-        Ok(Module {
-            view: self.view.derive(ViewOp::Rename {
-                pattern: Regex::new(pattern)?,
-                replacement: replacement.to_string(),
-                target,
-            }),
-        })
+        self.apply_view(ViewKind::Rename(target), pattern, replacement)
     }
 
     /// `hide`: removes matching definitions from the exported namespace,
     /// freezing internal references to them.
     pub fn hide(&self, pattern: &str) -> Result<Module> {
-        Ok(Module {
-            view: self.view.derive(ViewOp::Hide {
-                pattern: Regex::new(pattern)?,
-            }),
-        })
+        self.apply_view(ViewKind::Hide, pattern, "")
     }
 
     /// `show`: hides all definitions *except* those matching.
     pub fn show(&self, pattern: &str) -> Result<Module> {
-        Ok(Module {
-            view: self.view.derive(ViewOp::Show {
-                pattern: Regex::new(pattern)?,
-            }),
-        })
+        self.apply_view(ViewKind::Show, pattern, "")
     }
 
     /// `restrict`: virtualizes matching bindings — definitions are removed
     /// and existing bindings become unbound references.
     pub fn restrict(&self, pattern: &str) -> Result<Module> {
-        Ok(Module {
-            view: self.view.derive(ViewOp::Restrict {
-                pattern: Regex::new(pattern)?,
-            }),
-        })
+        self.apply_view(ViewKind::Restrict, pattern, "")
     }
 
     /// `project`: virtualizes all bindings *except* those matching.
     pub fn project(&self, pattern: &str) -> Result<Module> {
-        Ok(Module {
-            view: self.view.derive(ViewOp::Project {
-                pattern: Regex::new(pattern)?,
-            }),
-        })
+        self.apply_view(ViewKind::Project, pattern, "")
     }
 
     /// `copy-as`: duplicates matching definitions under new names derived
     /// by substituting the matched span with `replacement`.
     pub fn copy_as(&self, pattern: &str, replacement: &str) -> Result<Module> {
-        Ok(Module {
-            view: self.view.derive(ViewOp::CopyAs {
-                pattern: Regex::new(pattern)?,
-                replacement: replacement.to_string(),
-            }),
-        })
+        self.apply_view(ViewKind::CopyAs, pattern, replacement)
+    }
+
+    /// `freeze`: makes matching bindings permanent. Materializes.
+    pub fn freeze(&self, pattern: &str) -> Result<Module> {
+        self.apply_view(ViewKind::Freeze, pattern, "")
     }
 
     // --- Materializing operators. ------------------------------------------
-
-    /// `freeze`: makes matching bindings permanent. Materializes (one of
-    /// the two operators the paper says does not produce a view).
-    pub fn freeze(&self, pattern: &str) -> Result<Module> {
-        let obj = self
-            .view
-            .derive(ViewOp::Freeze {
-                pattern: Regex::new(pattern)?,
-            })
-            .materialize()?;
-        Ok(Module::from_object(obj))
-    }
 
     /// `merge`: binds definitions in one operand to references in the
     /// other. Duplicate definitions are an error.

@@ -31,87 +31,114 @@ pub enum RenameTarget {
     Both,
 }
 
-/// One namespace transformation in a view.
-#[derive(Debug, Clone)]
-pub enum ViewOp {
-    /// Systematically renames matching symbols, substituting the matched
-    /// span with `replacement`.
-    Rename {
-        /// Selects symbols to rename.
-        pattern: Regex,
-        /// Literal replacement for the matched span.
-        replacement: String,
-        /// Which roles to rename.
-        target: RenameTarget,
-    },
-    /// Removes matching definitions from the exported namespace, freezing
-    /// any internal references to them in the process.
-    Hide {
-        /// Selects definitions to hide.
-        pattern: Regex,
-    },
-    /// Hides all definitions *except* those matching.
-    Show {
-        /// Selects definitions to keep visible.
-        pattern: Regex,
-    },
-    /// Virtualizes matching bindings: definitions are removed and existing
-    /// bindings become unbound references.
-    Restrict {
-        /// Selects definitions to virtualize.
-        pattern: Regex,
-    },
-    /// Virtualizes all bindings *except* those matching.
-    Project {
-        /// Selects definitions to keep bound.
-        pattern: Regex,
-    },
-    /// Duplicates matching definitions under new names derived by
-    /// substituting the matched span with `replacement`.
-    CopyAs {
-        /// Selects definitions to copy.
-        pattern: Regex,
-        /// Literal replacement producing the new name.
-        replacement: String,
-    },
-    /// Makes matching bindings permanent; frozen symbols are immune to
-    /// later `rename`/`restrict`/`hide`.
-    Freeze {
-        /// Selects symbols to freeze.
-        pattern: Regex,
-    },
-}
-
-impl ViewOp {
-    fn hash_into(&self, h: ContentHash) -> ContentHash {
+impl RenameTarget {
+    /// The target's code in structural hashes and persisted frames.
+    #[must_use]
+    pub fn code(self) -> u8 {
         match self {
-            ViewOp::Rename {
-                pattern,
-                replacement,
-                target,
-            } => h
-                .with_str("rename")
-                .with_str(pattern.pattern())
-                .with_str(replacement)
-                .with_u64(match target {
-                    RenameTarget::Defs => 0,
-                    RenameTarget::Refs => 1,
-                    RenameTarget::Both => 2,
-                }),
-            ViewOp::Hide { pattern } => h.with_str("hide").with_str(pattern.pattern()),
-            ViewOp::Show { pattern } => h.with_str("show").with_str(pattern.pattern()),
-            ViewOp::Restrict { pattern } => h.with_str("restrict").with_str(pattern.pattern()),
-            ViewOp::Project { pattern } => h.with_str("project").with_str(pattern.pattern()),
-            ViewOp::CopyAs {
-                pattern,
-                replacement,
-            } => h
-                .with_str("copy-as")
-                .with_str(pattern.pattern())
-                .with_str(replacement),
-            ViewOp::Freeze { pattern } => h.with_str("freeze").with_str(pattern.pattern()),
+            RenameTarget::Defs => 0,
+            RenameTarget::Refs => 1,
+            RenameTarget::Both => 2,
         }
     }
+
+    /// The target a [`RenameTarget::code`] stands for.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<RenameTarget> {
+        [RenameTarget::Defs, RenameTarget::Refs, RenameTarget::Both]
+            .into_iter()
+            .find(|t| t.code() == code)
+    }
+}
+
+/// The symbol-selecting Jigsaw operators: the one table of operator
+/// names, arities and hash tags that the blueprint parser, the m-graph,
+/// the evaluator, the analyzer, persistence and `ofe` all read.
+///
+/// `merge`, `override` and `initializers` take no pattern and are not
+/// view operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViewKind {
+    /// Systematically renames matching symbols, substituting the matched
+    /// span with the replacement, in the given roles.
+    Rename(RenameTarget),
+    /// Removes matching definitions from the exported namespace,
+    /// freezing any internal references to them in the process.
+    Hide,
+    /// Hides all definitions *except* those matching.
+    Show,
+    /// Virtualizes matching bindings: definitions are removed and
+    /// existing bindings become unbound references.
+    Restrict,
+    /// Virtualizes all bindings *except* those matching.
+    Project,
+    /// Duplicates matching definitions under new names derived by
+    /// substituting the matched span with the replacement.
+    CopyAs,
+    /// Makes matching bindings permanent; frozen symbols are immune to
+    /// later `rename`/`restrict`/`hide`.
+    Freeze,
+}
+
+impl ViewKind {
+    /// The operator an operator name spells, in blueprints and on the
+    /// `ofe` command line.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<ViewKind> {
+        Some(match name {
+            "rename" => ViewKind::Rename(RenameTarget::Both),
+            "rename-refs" => ViewKind::Rename(RenameTarget::Refs),
+            "rename-defs" => ViewKind::Rename(RenameTarget::Defs),
+            "hide" => ViewKind::Hide,
+            "show" => ViewKind::Show,
+            "restrict" => ViewKind::Restrict,
+            "project" => ViewKind::Project,
+            "copy-as" | "copy_as" => ViewKind::CopyAs,
+            "freeze" => ViewKind::Freeze,
+            _ => return None,
+        })
+    }
+
+    /// Whether the operator takes a replacement string after its pattern.
+    #[must_use]
+    pub fn takes_replacement(self) -> bool {
+        matches!(self, ViewKind::Rename(_) | ViewKind::CopyAs)
+    }
+
+    /// Folds one application of this operator into a structural hash:
+    /// the m-graph's cache key and the view's content hash both use it.
+    /// `replacement` is hashed only when the operator takes one.
+    #[must_use]
+    pub fn hash_into(self, h: ContentHash, pattern: &str, replacement: &str) -> ContentHash {
+        let tag = match self {
+            ViewKind::Rename(_) => "rename",
+            ViewKind::Hide => "hide",
+            ViewKind::Show => "show",
+            ViewKind::Restrict => "restrict",
+            ViewKind::Project => "project",
+            ViewKind::CopyAs => "copy-as",
+            ViewKind::Freeze => "freeze",
+        };
+        let h = h.with_str(tag).with_str(pattern);
+        match self {
+            ViewKind::Rename(target) => h.with_str(replacement).with_u64(u64::from(target.code())),
+            ViewKind::CopyAs => h.with_str(replacement),
+            _ => h,
+        }
+    }
+}
+
+/// One namespace transformation in a view: an operator applied to the
+/// symbols its pattern selects.
+#[derive(Debug, Clone)]
+pub struct ViewOp {
+    /// The operator.
+    pub kind: ViewKind,
+    /// Selects the symbols the operator acts on.
+    pub pattern: Regex,
+    /// Literal replacement for the matched span; unused (and by
+    /// convention empty) unless [`ViewKind::takes_replacement`].
+    pub replacement: String,
 }
 
 /// A name configuration mapped onto a shared object file.
@@ -167,7 +194,7 @@ impl View {
     pub fn content_hash(&self) -> ContentHash {
         let mut h = self.base.content_hash().with_str("view");
         for op in &self.ops {
-            h = op.hash_into(h);
+            h = op.kind.hash_into(h, op.pattern.pattern(), &op.replacement);
         }
         h
     }
@@ -181,7 +208,7 @@ impl View {
         let mut obj = (*self.base).clone();
         let mut hidden_counter = 0usize;
         for op in &self.ops {
-            apply_op(&mut obj, op, &mut hidden_counter)?;
+            apply_view_op(&mut obj, op, &mut hidden_counter)?;
         }
         Ok(obj)
     }
@@ -202,7 +229,7 @@ impl View {
         skeleton.relocs = self.base.relocs.clone();
         let mut hidden_counter = 0usize;
         for op in &self.ops {
-            apply_op(&mut skeleton, op, &mut hidden_counter)?;
+            apply_view_op(&mut skeleton, op, &mut hidden_counter)?;
         }
         Ok(skeleton
             .symbols
@@ -236,37 +263,22 @@ pub fn materialize_count() -> u64 {
 /// operator semantics over a byte-free skeleton object instead of
 /// re-implementing (and drifting from) the rules in this module.
 pub fn apply_view_op(obj: &mut ObjectFile, op: &ViewOp, hidden_counter: &mut usize) -> Result<()> {
-    apply_op(obj, op, hidden_counter)
-}
-
-/// Applies one operation to a concrete object file.
-fn apply_op(obj: &mut ObjectFile, op: &ViewOp, hidden_counter: &mut usize) -> Result<()> {
-    match op {
-        ViewOp::Rename {
-            pattern,
-            replacement,
-            target,
-        } => rename(obj, pattern, replacement, *target),
-        ViewOp::Hide { pattern } => {
-            let names = matching_defs(obj, pattern, false);
+    let ViewOp {
+        kind,
+        pattern,
+        replacement,
+    } = op;
+    match *kind {
+        ViewKind::Rename(target) => rename(obj, pattern, replacement, target),
+        ViewKind::Hide | ViewKind::Show => {
+            let names = matching_defs(obj, pattern, *kind == ViewKind::Show);
             hide_names(obj, &names, hidden_counter)
         }
-        ViewOp::Show { pattern } => {
-            let names = matching_defs(obj, pattern, true);
-            hide_names(obj, &names, hidden_counter)
-        }
-        ViewOp::Restrict { pattern } => {
-            let names = matching_defs(obj, pattern, false);
+        ViewKind::Restrict | ViewKind::Project => {
+            let names = matching_defs(obj, pattern, *kind == ViewKind::Project);
             restrict_names(obj, &names)
         }
-        ViewOp::Project { pattern } => {
-            let names = matching_defs(obj, pattern, true);
-            restrict_names(obj, &names)
-        }
-        ViewOp::CopyAs {
-            pattern,
-            replacement,
-        } => {
+        ViewKind::CopyAs => {
             let copies: Vec<(String, String)> = obj
                 .symbols
                 .iter()
@@ -290,7 +302,7 @@ fn apply_op(obj: &mut ObjectFile, op: &ViewOp, hidden_counter: &mut usize) -> Re
             }
             Ok(())
         }
-        ViewOp::Freeze { pattern } => {
+        ViewKind::Freeze => {
             for s in obj.symbols.iter_mut() {
                 if pattern.is_match(&s.name) {
                     s.frozen = true;
@@ -447,8 +459,36 @@ mod tests {
         View::from_object(o)
     }
 
-    fn re(p: &str) -> Regex {
-        Regex::new(p).unwrap()
+    fn op(kind: ViewKind, pattern: &str, replacement: &str) -> ViewOp {
+        ViewOp {
+            kind,
+            pattern: Regex::new(pattern).unwrap(),
+            replacement: replacement.into(),
+        }
+    }
+
+    #[test]
+    fn kind_table_names_every_operator_spelling() {
+        use RenameTarget::{Both, Defs, Refs};
+        for (name, kind) in [
+            ("rename", ViewKind::Rename(Both)),
+            ("rename-refs", ViewKind::Rename(Refs)),
+            ("rename-defs", ViewKind::Rename(Defs)),
+            ("hide", ViewKind::Hide),
+            ("show", ViewKind::Show),
+            ("restrict", ViewKind::Restrict),
+            ("project", ViewKind::Project),
+            ("copy-as", ViewKind::CopyAs),
+            ("copy_as", ViewKind::CopyAs),
+            ("freeze", ViewKind::Freeze),
+        ] {
+            assert_eq!(ViewKind::from_name(name), Some(kind), "{name}");
+        }
+        assert_eq!(ViewKind::from_name("merge"), None);
+        for t in [Defs, Refs, Both] {
+            assert_eq!(RenameTarget::from_code(t.code()), Some(t));
+        }
+        assert_eq!(RenameTarget::from_code(3), None);
     }
 
     #[test]
@@ -461,9 +501,7 @@ mod tests {
     #[test]
     fn derive_is_cheap_and_does_not_mutate_parent() {
         let v = libc_like();
-        let v2 = v.derive(ViewOp::Hide {
-            pattern: re("^_malloc$"),
-        });
+        let v2 = v.derive(op(ViewKind::Hide, "^_malloc$", ""));
         assert_eq!(v.op_count(), 0);
         assert_eq!(v2.op_count(), 1);
         assert!(Arc::ptr_eq(v.base(), v2.base()));
@@ -472,11 +510,11 @@ mod tests {
     #[test]
     fn rename_both_rewrites_refs() {
         let v = libc_like().derive(
-            ViewOp::Rename {
-                pattern: re("^_malloc$"),
-                replacement: "_xmalloc".into(),
-                target: RenameTarget::Both,
-            }
+            op(
+                ViewKind::Rename(RenameTarget::Both),
+                "^_malloc$",
+                "_xmalloc",
+            )
             .clone(),
         );
         let m = v.materialize().unwrap();
@@ -488,11 +526,11 @@ mod tests {
 
     #[test]
     fn rename_defs_only_leaves_refs_unbound() {
-        let v = libc_like().derive(ViewOp::Rename {
-            pattern: re("^_malloc$"),
-            replacement: "_xmalloc".into(),
-            target: RenameTarget::Defs,
-        });
+        let v = libc_like().derive(op(
+            ViewKind::Rename(RenameTarget::Defs),
+            "^_malloc$",
+            "_xmalloc",
+        ));
         let m = v.materialize().unwrap();
         // The definition moved...
         assert!(m.symbols.get("_xmalloc").unwrap().def.is_definition());
@@ -503,11 +541,11 @@ mod tests {
 
     #[test]
     fn rename_refs_only_leaves_def() {
-        let v = libc_like().derive(ViewOp::Rename {
-            pattern: re("^_malloc$"),
-            replacement: "_ymalloc".into(),
-            target: RenameTarget::Refs,
-        });
+        let v = libc_like().derive(op(
+            ViewKind::Rename(RenameTarget::Refs),
+            "^_malloc$",
+            "_ymalloc",
+        ));
         let m = v.materialize().unwrap();
         // Reference renamed; `_ymalloc` is a new unbound reference...
         assert!(m.relocs.iter().any(|r| r.symbol == "_ymalloc"));
@@ -519,9 +557,7 @@ mod tests {
 
     #[test]
     fn hide_freezes_internal_refs() {
-        let v = libc_like().derive(ViewOp::Hide {
-            pattern: re("^_malloc$"),
-        });
+        let v = libc_like().derive(op(ViewKind::Hide, "^_malloc$", ""));
         let m = v.materialize().unwrap();
         // `_malloc` is gone from the exported namespace...
         assert!(m.symbols.get("_malloc").is_none());
@@ -536,18 +572,14 @@ mod tests {
 
     #[test]
     fn show_hides_complement() {
-        let v = libc_like().derive(ViewOp::Show {
-            pattern: re("^_free$"),
-        });
+        let v = libc_like().derive(op(ViewKind::Show, "^_free$", ""));
         let exported = v.exported_definitions().unwrap();
         assert_eq!(exported, vec!["_free".to_string()]);
     }
 
     #[test]
     fn restrict_virtualizes() {
-        let v = libc_like().derive(ViewOp::Restrict {
-            pattern: re("^_malloc$"),
-        });
+        let v = libc_like().derive(op(ViewKind::Restrict, "^_malloc$", ""));
         let m = v.materialize().unwrap();
         let s = m.symbols.get("_malloc").unwrap();
         assert!(!s.def.is_definition());
@@ -558,9 +590,7 @@ mod tests {
 
     #[test]
     fn project_keeps_only_named() {
-        let v = libc_like().derive(ViewOp::Project {
-            pattern: re("^_malloc$"),
-        });
+        let v = libc_like().derive(op(ViewKind::Project, "^_malloc$", ""));
         let m = v.materialize().unwrap();
         assert!(m.symbols.get("_malloc").unwrap().def.is_definition());
         assert!(!m.symbols.get("_free").unwrap().def.is_definition());
@@ -568,10 +598,7 @@ mod tests {
 
     #[test]
     fn copy_as_duplicates_definition() {
-        let v = libc_like().derive(ViewOp::CopyAs {
-            pattern: re("^_malloc$"),
-            replacement: "_REAL_malloc".into(),
-        });
+        let v = libc_like().derive(op(ViewKind::CopyAs, "^_malloc$", "_REAL_malloc"));
         let m = v.materialize().unwrap();
         let a = m.symbols.get("_malloc").unwrap();
         let b = m.symbols.get("_REAL_malloc").unwrap();
@@ -582,10 +609,7 @@ mod tests {
     fn copy_as_prefix_scheme() {
         // "By invoking copy-as on all definitions of a given set of symbols
         // using some well-known scheme (e.g., prepending a package name)".
-        let v = libc_like().derive(ViewOp::CopyAs {
-            pattern: re("^_"),
-            replacement: "_PKG_".into(),
-        });
+        let v = libc_like().derive(op(ViewKind::CopyAs, "^_", "_PKG_"));
         let exported = v.exported_definitions().unwrap();
         assert!(exported.contains(&"_PKG_malloc".to_string()));
         assert!(exported.contains(&"_PKG_free".to_string()));
@@ -595,17 +619,9 @@ mod tests {
     #[test]
     fn freeze_blocks_later_restrict_and_rename() {
         let v = libc_like()
-            .derive(ViewOp::Freeze {
-                pattern: re("^_malloc$"),
-            })
-            .derive(ViewOp::Restrict {
-                pattern: re("^_malloc$"),
-            })
-            .derive(ViewOp::Rename {
-                pattern: re("^_malloc$"),
-                replacement: "_zz".into(),
-                target: RenameTarget::Both,
-            });
+            .derive(op(ViewKind::Freeze, "^_malloc$", ""))
+            .derive(op(ViewKind::Restrict, "^_malloc$", ""))
+            .derive(op(ViewKind::Rename(RenameTarget::Both), "^_malloc$", "_zz"));
         let m = v.materialize().unwrap();
         let s = m.symbols.get("_malloc").unwrap();
         assert!(s.def.is_definition(), "frozen binding survived restrict");
@@ -617,13 +633,8 @@ mod tests {
         // The Figure 2 idiom, at the view level:
         //   copy_as ^_malloc$ _REAL_malloc, then restrict ^_malloc$.
         let v = libc_like()
-            .derive(ViewOp::CopyAs {
-                pattern: re("^_malloc$"),
-                replacement: "_REAL_malloc".into(),
-            })
-            .derive(ViewOp::Restrict {
-                pattern: re("^_malloc$"),
-            });
+            .derive(op(ViewKind::CopyAs, "^_malloc$", "_REAL_malloc"))
+            .derive(op(ViewKind::Restrict, "^_malloc$", ""));
         let m = v.materialize().unwrap();
         assert!(m.symbols.get("_REAL_malloc").unwrap().def.is_definition());
         assert!(!m.symbols.get("_malloc").unwrap().def.is_definition());
@@ -634,18 +645,12 @@ mod tests {
     #[test]
     fn content_hash_reflects_ops() {
         let v = libc_like();
-        let v2 = v.derive(ViewOp::Hide {
-            pattern: re("^_malloc$"),
-        });
-        let v3 = v.derive(ViewOp::Hide {
-            pattern: re("^_free$"),
-        });
+        let v2 = v.derive(op(ViewKind::Hide, "^_malloc$", ""));
+        let v3 = v.derive(op(ViewKind::Hide, "^_free$", ""));
         assert_ne!(v.content_hash(), v2.content_hash());
         assert_ne!(v2.content_hash(), v3.content_hash());
         // Same derivation ⇒ same hash (cache hit).
-        let v2b = v.derive(ViewOp::Hide {
-            pattern: re("^_malloc$"),
-        });
+        let v2b = v.derive(op(ViewKind::Hide, "^_malloc$", ""));
         assert_eq!(v2.content_hash(), v2b.content_hash());
     }
 
@@ -661,9 +666,7 @@ mod tests {
         ));
         o.define(Symbol::defined("_f", t, 0)).unwrap();
         o.define(Symbol::defined("_f$hidden0", t, 8)).unwrap(); // adversarial
-        let v = View::from_object(o).derive(ViewOp::Hide {
-            pattern: re("^_f$"),
-        });
+        let v = View::from_object(o).derive(op(ViewKind::Hide, "^_f$", ""));
         let m = v.materialize().unwrap();
         // Both survive under distinct names.
         assert_eq!(m.symbols.len(), 2);

@@ -19,7 +19,7 @@
 //! ofe rename RE REPL IN OUT        rename defs+refs (also: rename-refs,
 //!                                  rename-defs)
 //! ofe hide RE IN OUT               and: show, restrict, project, freeze
-//! ofe copy-as RE REPL IN OUT       duplicate definitions
+//! ofe copy-as RE REPL IN OUT       duplicate definitions (also: copy_as)
 //! ofe lint [--jobs N] [--format json|text] BLUEPRINT...
 //!                                  static analysis, no linking; operand
 //!                                  paths resolve as files relative to
@@ -77,7 +77,7 @@ use omos_blueprint::Blueprint;
 use omos_isa::{assemble, Inst, INST_BYTES};
 use omos_module::Module;
 use omos_obj::encode::{read_any, write, Format};
-use omos_obj::view::RenameTarget;
+use omos_obj::view::ViewKind;
 use omos_obj::{ObjectFile, SectionKind, SymbolBinding, SymbolDef};
 
 fn main() -> ExitCode {
@@ -153,6 +153,9 @@ pub fn run(args: &[String]) -> Result<String, CmdError> {
 /// Every command except `lint` (whose exit-code contract needs the
 /// richer [`CmdError`]).
 fn run_basic(cmd: &str, rest: &[String]) -> Result<String, String> {
+    if let Some(kind) = ViewKind::from_name(cmd) {
+        return view_cmd(cmd, kind, rest);
+    }
     match cmd {
         "info" => one_file(rest).map(|o| info(&o)),
         "nm" => one_file(rest).map(|o| nm(&o)),
@@ -194,47 +197,6 @@ fn run_basic(cmd: &str, rest: &[String]) -> Result<String, String> {
             };
             save(
                 &merged.materialize().map_err(|e| e.to_string())?,
-                output,
-                Format::Aout,
-            )?;
-            Ok(String::new())
-        }
-        "rename" | "rename-refs" | "rename-defs" | "copy-as" => {
-            if rest.len() != 4 {
-                return Err(format!("{cmd} PATTERN REPLACEMENT IN OUT"));
-            }
-            let (pattern, replacement, input, output) = (&rest[0], &rest[1], &rest[2], &rest[3]);
-            let m = Module::from_object(load(input)?);
-            let m = match cmd {
-                "copy-as" => m.copy_as(pattern, replacement),
-                "rename-refs" => m.rename(pattern, replacement, RenameTarget::Refs),
-                "rename-defs" => m.rename(pattern, replacement, RenameTarget::Defs),
-                _ => m.rename(pattern, replacement, RenameTarget::Both),
-            }
-            .map_err(|e| e.to_string())?;
-            save(
-                &m.materialize().map_err(|e| e.to_string())?,
-                output,
-                Format::Aout,
-            )?;
-            Ok(String::new())
-        }
-        "hide" | "show" | "restrict" | "project" | "freeze" => {
-            if rest.len() != 3 {
-                return Err(format!("{cmd} PATTERN IN OUT"));
-            }
-            let (pattern, input, output) = (&rest[0], &rest[1], &rest[2]);
-            let m = Module::from_object(load(input)?);
-            let m = match cmd {
-                "hide" => m.hide(pattern),
-                "show" => m.show(pattern),
-                "restrict" => m.restrict(pattern),
-                "project" => m.project(pattern),
-                _ => m.freeze(pattern),
-            }
-            .map_err(|e| e.to_string())?;
-            save(
-                &m.materialize().map_err(|e| e.to_string())?,
                 output,
                 Format::Aout,
             )?;
@@ -286,6 +248,31 @@ fn run_basic(cmd: &str, rest: &[String]) -> Result<String, String> {
         }
         _ => Err(USAGE.to_string()),
     }
+}
+
+/// The view operators: `ofe OP PATTERN [REPLACEMENT] IN OUT`.
+fn view_cmd(cmd: &str, kind: ViewKind, rest: &[String]) -> Result<String, String> {
+    let takes_replacement = kind.takes_replacement();
+    let arity = if takes_replacement { 4 } else { 3 };
+    if rest.len() != arity {
+        let shape = if takes_replacement {
+            "PATTERN REPLACEMENT IN OUT"
+        } else {
+            "PATTERN IN OUT"
+        };
+        return Err(format!("{cmd} {shape}"));
+    }
+    let replacement = if takes_replacement { &rest[1] } else { "" };
+    let (input, output) = (&rest[arity - 2], &rest[arity - 1]);
+    let m = Module::from_object(load(input)?)
+        .apply_view(kind, &rest[0], replacement)
+        .map_err(|e| e.to_string())?;
+    save(
+        &m.materialize().map_err(|e| e.to_string())?,
+        output,
+        Format::Aout,
+    )?;
+    Ok(String::new())
 }
 
 /// `ofe trace`: binds the blueprint's operand files into a fresh

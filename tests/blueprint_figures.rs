@@ -479,3 +479,99 @@ fn figure_blueprints_hash_stably() {
         assert_eq!(a, b);
     }
 }
+
+// --- Pinned operator bytes --------------------------------------------------
+//
+// One blueprint that spells every operator, every specialization, the
+// `constrain` sugar, `initializers`, `source`, default constraints and
+// all three policy kinds. Its structural hash, its persisted frame and
+// the content hash of a module after each view operator are pinned as
+// literals: they are cache keys, image keys and on-disk bytes, so a
+// refactor of the operator vocabulary must leave every one unmoved.
+
+const EVERY_OPERATOR: &str = r#"
+(constraint-list "T" 0x100000 "D" 0x40200000 "P" 0x50000000)
+(policy deny "^_exec")
+(policy trampoline "^_malloc$")
+(policy audit "^_free$")
+(merge
+  (rename "^_a$" "_b" /lib/a)
+  (rename-refs "^_c$" "_d" /lib/b)
+  (rename-defs "^_e$" "_f" /lib/c)
+  (hide "^_g$" /lib/d)
+  (show "^_h$" /lib/e)
+  (restrict "^_i$" /lib/f)
+  (project "^_j$" /lib/g)
+  (copy-as "^_k$" "_l" /lib/h)
+  (copy_as "^_m$" "_n" /lib/i)
+  (freeze "^_o$" /lib/j)
+  (initializers /lib/k)
+  (source "asm" ".text\n.global _p\n_p: ret\n")
+  (override /lib/l /lib/m)
+  (specialize "lib-static" /lib/n)
+  (specialize "lib-dynamic" /lib/o)
+  (specialize "lib-dynamic-impl" /lib/p)
+  (specialize "lib-constrained" (list "T" 0x1000000 "D" 0x2000000) /lib/q)
+  (constrain "P" 0x3000000 /lib/r))
+"#;
+
+#[test]
+fn operator_hashes_and_frame_bytes_are_pinned() {
+    use omos::core::persist::encode_blueprint;
+    use omos::module::Module;
+    use omos::obj::fnv1a;
+    use omos::obj::view::RenameTarget;
+
+    let bp = Blueprint::parse(EVERY_OPERATOR).unwrap();
+    assert_eq!(bp.hash().0, 0xf0fd_d913_e03a_af41, "Blueprint::hash");
+    assert_eq!(
+        fnv1a(&encode_blueprint(&bp)).0,
+        0xc64a_6289_b659_09e5,
+        "FNV of the Blueprint frame"
+    );
+
+    let base = Module::from_object(
+        assemble(
+            "lib.o",
+            ".text\n.global _malloc\n.global _free\n.extern _sbrk\n\
+             _malloc: call _sbrk\n ret\n_free: call _malloc\n ret\n",
+        )
+        .unwrap(),
+    );
+    let after = [
+        (
+            "rename",
+            base.rename("^_malloc$", "_xmalloc", RenameTarget::Both),
+        ),
+        (
+            "rename-refs",
+            base.rename("^_sbrk$", "_ysbrk", RenameTarget::Refs),
+        ),
+        (
+            "rename-defs",
+            base.rename("^_free$", "_zfree", RenameTarget::Defs),
+        ),
+        ("hide", base.hide("^_malloc$")),
+        ("show", base.show("^_free$")),
+        ("restrict", base.restrict("^_malloc$")),
+        ("project", base.project("^_free$")),
+        ("copy_as", base.copy_as("^_malloc$", "_REAL_malloc")),
+        ("freeze", base.freeze("^_free$")),
+    ];
+    let got: Vec<(&str, u64)> = after
+        .into_iter()
+        .map(|(op, m)| (op, m.unwrap().content_hash().0))
+        .collect();
+    let want: [(&str, u64); 9] = [
+        ("rename", 0xf972_1c91_7ae5_de97),
+        ("rename-refs", 0x6976_ea15_a10c_a59f),
+        ("rename-defs", 0xf37b_5343_1d01_4adf),
+        ("hide", 0xeac7_318e_bff7_535e),
+        ("show", 0x4839_088a_6c3f_2489),
+        ("restrict", 0x2f99_0f96_3303_cb4a),
+        ("project", 0x3e68_efec_e5ab_e0a6),
+        ("copy_as", 0xca3a_7024_1d83_97ab),
+        ("freeze", 0x3013_29db_39dc_7925),
+    ];
+    assert_eq!(got, want);
+}

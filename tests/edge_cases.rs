@@ -1,8 +1,9 @@
 //! Edge cases across layer boundaries: empty inputs, degenerate
 //! programs, deep blueprint nesting, and boundary addresses.
 
-use omos::blueprint::Blueprint;
-use omos::core::{run_under_omos, Omos};
+use omos::blueprint::{Blueprint, MAX_NODE_DEPTH};
+use omos::core::persist::{decode_blueprint, encode_blueprint};
+use omos::core::{run_under_omos, Omos, OmosError};
 use omos::isa::{assemble, StopReason};
 use omos::link::{link, LinkOptions};
 use omos::module::Module;
@@ -70,6 +71,113 @@ fn deeply_nested_blueprints_evaluate() {
     );
     let reply = s.instantiate_blueprint(&bp).unwrap();
     assert!(reply.program.image.entry.is_some());
+}
+
+/// `depth` nested `hide`s over one fragment: the leaf sits `depth`
+/// nodes below the root.
+fn hide_chain(depth: usize) -> String {
+    let mut src = "(hide \"^_nope$\" ".repeat(depth);
+    src.push_str("/obj/base.o");
+    src.push_str(&")".repeat(depth));
+    src
+}
+
+fn base_object() -> ObjectFile {
+    assemble("base.o", ".text\n.global _start\n_start: sys 0\n").unwrap()
+}
+
+#[test]
+fn blueprint_at_the_depth_limit_survives_checkpoint_and_restore() {
+    const DIR: &str = "/omos/ckpt";
+    let s = Omos::new(CostModel::hpux(), Transport::MachIpc);
+    s.namespace.bind_object("/obj/base.o", base_object());
+    s.namespace
+        .bind_blueprint("/bin/deep", &hide_chain(MAX_NODE_DEPTH))
+        .unwrap();
+    let before = s.instantiate("/bin/deep").unwrap();
+    let (mut fs, mut clock) = (InMemFs::new(), SimClock::new());
+    s.checkpoint(&mut fs, &mut clock, DIR).unwrap();
+
+    let (restored, report) = Omos::restore(
+        CostModel::hpux(),
+        Transport::MachIpc,
+        &mut fs,
+        &mut clock,
+        DIR,
+    );
+    assert_eq!(report.dropped, 0, "{:?}", report.drops);
+    let after = restored.instantiate("/bin/deep").unwrap();
+    assert_eq!(after.program.image, before.program.image);
+}
+
+#[test]
+fn blueprint_at_the_depth_limit_survives_journal_replay() {
+    const DIR: &str = "/omos/journal-only";
+    let s = Omos::new(CostModel::hpux(), Transport::MachIpc);
+    let (mut fs, mut clock) = (InMemFs::new(), SimClock::new());
+    s.bind_object_durable("/obj/base.o", base_object(), &mut fs, &mut clock, DIR)
+        .unwrap();
+    let bp = Blueprint::parse(&hide_chain(MAX_NODE_DEPTH)).unwrap();
+    s.bind_meta_durable("/bin/deep", bp.clone(), &mut fs, &mut clock, DIR)
+        .unwrap();
+
+    let (restored, report) = Omos::restore(
+        CostModel::hpux(),
+        Transport::MachIpc,
+        &mut fs,
+        &mut clock,
+        DIR,
+    );
+    assert_eq!(report.journal_records, 2);
+    assert_eq!(report.dropped, 0, "{:?}", report.drops);
+    match restored.namespace.lookup("/bin/deep") {
+        Some(omos::core::Entry::Meta(got)) => assert_eq!(got.hash(), bp.hash()),
+        other => panic!("/bin/deep lost on replay: {other:?}"),
+    }
+    assert!(restored.instantiate("/bin/deep").is_ok());
+}
+
+#[test]
+fn every_parsable_nesting_depth_round_trips_through_the_frame() {
+    assert!(Blueprint::parse(&hide_chain(MAX_NODE_DEPTH)).is_ok());
+    for depth in [
+        MAX_NODE_DEPTH - 1,
+        MAX_NODE_DEPTH,
+        MAX_NODE_DEPTH + 1,
+        MAX_NODE_DEPTH + 50,
+    ] {
+        if let Ok(bp) = Blueprint::parse(&hide_chain(depth)) {
+            let back = decode_blueprint(&encode_blueprint(&bp))
+                .unwrap_or_else(|e| panic!("depth {depth} parses but does not decode: {e}"));
+            assert_eq!(back.hash(), bp.hash());
+        }
+    }
+}
+
+#[test]
+fn blueprint_past_the_depth_limit_is_a_client_error() {
+    let s = Omos::new(CostModel::hpux(), Transport::MachIpc);
+    let err = s
+        .namespace
+        .bind_blueprint("/bin/deep", &hide_chain(MAX_NODE_DEPTH + 1))
+        .unwrap_err();
+    assert!(matches!(err, OmosError::Client(_)), "{err:?}");
+    assert!(s.namespace.lookup("/bin/deep").is_none());
+}
+
+#[test]
+fn very_deep_blueprint_is_rejected_without_exhausting_the_stack() {
+    let depth = 5_000;
+    let mut src = "(merge ".repeat(depth);
+    src.push_str("/a.o");
+    src.push_str(&")".repeat(depth));
+    let rejected = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || Blueprint::parse(&src).is_err())
+        .unwrap()
+        .join()
+        .unwrap();
+    assert!(rejected);
 }
 
 #[test]

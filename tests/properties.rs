@@ -2,9 +2,14 @@
 
 use proptest::prelude::*;
 
+use proptest::test_runner::TestRng;
+
+use omos::blueprint::Blueprint;
+use omos::core::persist::{decode_blueprint, encode_blueprint};
 use omos::link::{link, LinkOptions};
+use omos::obj::encode::container::{self, ContainerKind};
 use omos::obj::encode::{read, read_any, write, Format};
-use omos::obj::view::{RenameTarget, View, ViewOp};
+use omos::obj::view::{RenameTarget, View, ViewKind, ViewOp};
 use omos::obj::{fnv1a, ObjectFile, Regex, RelocKind, Relocation, Section, SectionKind, Symbol};
 
 // --- Strategies -----------------------------------------------------------------
@@ -105,6 +110,166 @@ proptest! {
     }
 }
 
+// --- Blueprint decoding ---------------------------------------------------------------
+
+/// The ten view-operator spellings.
+const VIEW_OPS: [&str; 10] = [
+    "rename",
+    "rename-refs",
+    "rename-defs",
+    "hide",
+    "show",
+    "restrict",
+    "project",
+    "copy-as",
+    "copy_as",
+    "freeze",
+];
+
+fn pick<'a>(rng: &mut TestRng, items: &[&'a str]) -> &'a str {
+    items[rng.below(items.len() as u64) as usize]
+}
+
+/// Blueprint text for a random m-graph at most `depth` operators deep,
+/// over every operator, specialization and the `constrain` sugar.
+fn mgraph_text(rng: &mut TestRng, depth: u32) -> String {
+    let leaf = format!("/lib/l{}", rng.below(4));
+    if depth == 0 {
+        return leaf;
+    }
+    let d = depth - 1;
+    match rng.below(9) {
+        0 => leaf,
+        1 => {
+            let n = 1 + rng.below(3);
+            let items: Vec<String> = (0..n).map(|_| mgraph_text(rng, d)).collect();
+            format!("(merge {})", items.join(" "))
+        }
+        2 => {
+            let (a, b) = (mgraph_text(rng, d), mgraph_text(rng, d));
+            format!("(override {a} {b})")
+        }
+        3 | 4 => {
+            let op = pick(rng, &VIEW_OPS);
+            let pattern = pick(rng, &["^_a$", "_b", "", "^_[a-m]"]);
+            let operand = mgraph_text(rng, d);
+            match ViewKind::from_name(op).expect("a view operator") {
+                k if k.takes_replacement() => format!("({op} \"{pattern}\" \"_r\" {operand})"),
+                _ => format!("({op} \"{pattern}\" {operand})"),
+            }
+        }
+        5 => format!("(initializers {})", mgraph_text(rng, d)),
+        6 => "(source \"asm\" \".text\\n_s: ret\\n\")".to_string(),
+        7 => {
+            let kind = pick(
+                rng,
+                &[
+                    "\"lib-static\"",
+                    "\"lib-dynamic\"",
+                    "\"lib-dynamic-impl\"",
+                    "\"lib-constrained\" (list \"T\" 0x1000000 \"P\" 0x3000000)",
+                ],
+            );
+            format!("(specialize {kind} {})", mgraph_text(rng, d))
+        }
+        _ => format!("(constrain \"D\" 0x2000000 {})", mgraph_text(rng, d)),
+    }
+}
+
+fn arb_blueprint_text() -> impl Strategy<Value = String> {
+    proptest::strategy::from_fn(|rng: &mut TestRng| {
+        let mut src = String::new();
+        for _ in 0..rng.below(3) {
+            src.push_str(pick(
+                rng,
+                &[
+                    "(constraint-list \"T\" 0x100000)\n",
+                    "(constraint-list \"D\" 0x40200000 \"P\" 0x50000000)\n",
+                ],
+            ));
+        }
+        for _ in 0..rng.below(3) {
+            let kind = pick(rng, &["deny", "trampoline", "audit"]);
+            let pattern = pick(rng, &["^_exec", "^_malloc$"]);
+            src.push_str(&format!("(policy {kind} \"{pattern}\")\n"));
+        }
+        src.push_str(&mgraph_text(rng, 5));
+        src
+    })
+}
+
+/// Text mixing blueprint tokens with stray syntax, so parses fail in
+/// every way the grammar allows.
+fn arb_blueprint_noise() -> impl Strategy<Value = String> {
+    const TOKENS: [&str; 24] = [
+        "(",
+        "(",
+        ")",
+        ")",
+        "\"",
+        " ",
+        "\n",
+        ";",
+        "\\",
+        "/a",
+        "0x",
+        "-7",
+        "merge",
+        "override",
+        "hide",
+        "rename",
+        "copy_as",
+        "specialize",
+        "\"lib-constrained\"",
+        "list",
+        "\"T\"",
+        "constraint-list",
+        "policy",
+        "é",
+    ];
+    proptest::strategy::from_fn(|rng: &mut TestRng| {
+        (0..rng.below(40))
+            .map(|_| pick(rng, &TOKENS))
+            .collect::<String>()
+    })
+}
+
+proptest! {
+    #[test]
+    fn blueprint_parse_never_panics(src in arb_blueprint_noise(), raw in "[ -~\n]{0,60}") {
+        let _ = Blueprint::parse(&src);
+        let _ = Blueprint::parse(&raw);
+    }
+
+    #[test]
+    fn blueprint_frame_round_trips(src in arb_blueprint_text()) {
+        let bp = Blueprint::parse(&src).expect("generated blueprints parse");
+        let back = decode_blueprint(&encode_blueprint(&bp)).expect("decodes");
+        prop_assert_eq!(&back.root, &bp.root);
+        prop_assert_eq!(&back.constraints, &bp.constraints);
+        prop_assert_eq!(back.policies, bp.canonical_policies());
+        prop_assert_eq!(back.hash(), bp.hash());
+    }
+
+    #[test]
+    fn resealed_blueprint_corruption_never_panics(
+        src in arb_blueprint_text(),
+        pos in any::<u16>(),
+        val in any::<u8>(),
+    ) {
+        // Re-sealing gives the flipped payload a valid checksum, so the
+        // node decoder itself sees the damage.
+        let frame = encode_blueprint(&Blueprint::parse(&src).expect("parses"));
+        let mut payload = container::open(ContainerKind::Blueprint, &frame)
+            .expect("opens")
+            .to_vec();
+        let p = usize::from(pos) % payload.len();
+        payload[p] ^= val | 1;
+        let _ = decode_blueprint(&container::seal(ContainerKind::Blueprint, &payload));
+        let _ = decode_blueprint(&container::seal(ContainerKind::Blueprint, &payload[..p]));
+    }
+}
+
 // --- View properties --------------------------------------------------------------
 
 proptest! {
@@ -112,14 +277,15 @@ proptest! {
     fn materialized_view_always_validates(obj in arb_object(), which in 0u8..6) {
         let v = View::from_object(obj);
         let pattern = Regex::new("^_[a-m]").expect("compiles");
-        let op = match which {
-            0 => ViewOp::Hide { pattern },
-            1 => ViewOp::Show { pattern },
-            2 => ViewOp::Restrict { pattern },
-            3 => ViewOp::Project { pattern },
-            4 => ViewOp::CopyAs { pattern, replacement: "_X".into() },
-            _ => ViewOp::Rename { pattern, replacement: "_Y".into(), target: RenameTarget::Both },
-        };
+        let (kind, replacement) = [
+            (ViewKind::Hide, ""),
+            (ViewKind::Show, ""),
+            (ViewKind::Restrict, ""),
+            (ViewKind::Project, ""),
+            (ViewKind::CopyAs, "_X"),
+            (ViewKind::Rename(RenameTarget::Both), "_Y"),
+        ][usize::from(which)];
+        let op = ViewOp { kind, pattern, replacement: replacement.into() };
         // Many-to-one copy-as/rename collisions are a legitimate, typed
         // operator error; anything that *does* materialize must be
         // structurally valid with no dangling relocations.
@@ -143,9 +309,13 @@ proptest! {
     fn view_hash_is_deterministic(obj in arb_object()) {
         let v1 = View::from_object(obj.clone());
         let v2 = View::from_object(obj);
-        let p = || Regex::new("^_").expect("compiles");
-        let a = v1.derive(ViewOp::Hide { pattern: p() });
-        let b = v2.derive(ViewOp::Hide { pattern: p() });
+        let hide = || ViewOp {
+            kind: ViewKind::Hide,
+            pattern: Regex::new("^_").expect("compiles"),
+            replacement: String::new(),
+        };
+        let a = v1.derive(hide());
+        let b = v2.derive(hide());
         prop_assert_eq!(a.content_hash(), b.content_hash());
         prop_assert_eq!(a.materialize().expect("ok").content_hash(),
                         b.materialize().expect("ok").content_hash());
@@ -154,7 +324,11 @@ proptest! {
     #[test]
     fn restrict_then_project_leaves_nothing_bound(obj in arb_object()) {
         let v = View::from_object(obj)
-            .derive(ViewOp::Restrict { pattern: Regex::new("").expect("compiles") });
+            .derive(ViewOp {
+                kind: ViewKind::Restrict,
+                pattern: Regex::new("").expect("compiles"),
+                replacement: String::new(),
+            });
         let m = v.materialize().expect("ok");
         use omos::obj::SymbolBinding;
         for s in m.symbols.iter() {
