@@ -29,7 +29,7 @@ use omos_constraint::RegionClass;
 use omos_link::make_policy_stubs;
 use omos_module::Module;
 use omos_obj::view::RenameTarget;
-use omos_obj::Regex;
+use omos_obj::{ObjectFile, Regex};
 
 use crate::{Diagnostic, Severity};
 
@@ -158,7 +158,8 @@ fn escape(name: &str) -> String {
 ///
 /// Policy-free blueprints return immediately with a default outcome and
 /// an untouched output: the reply bytes of every existing blueprint are
-/// unchanged by this layer's existence.
+/// unchanged by this layer's existence. After an error `out.module` is
+/// unspecified; callers abandon the build.
 pub fn apply_link_policies(
     bp: &Blueprint,
     out: &mut EvalOutput,
@@ -216,7 +217,9 @@ pub fn apply_link_policies(
 
     // The §6 interposition move: rename each definition aside, then
     // merge the generated stub object in under the original names.
-    let mut m = out.module.clone();
+    // The program module is the stub merge's accumulator: it is taken
+    // out of `out` (not shared) so the merge appends in place.
+    let mut m = std::mem::replace(&mut out.module, Module::from_object(ObjectFile::default()));
     for n in trampolines.iter().chain(audits.iter()) {
         m = m
             .rename(
@@ -228,7 +231,7 @@ pub fn apply_link_policies(
     }
     let stubs = make_policy_stubs(&trampolines, &audits, counter_base);
     out.module = m
-        .merge_with(&Module::from_object(stubs))
+        .merge_with(Module::from_object(stubs))
         .map_err(|e| PolicyError::Internal(format!("merge policy stubs: {e}")))?;
     Ok(PolicyOutcome {
         trampolines,

@@ -61,12 +61,23 @@ fn bench_views(c: &mut Criterion) {
 }
 
 fn bench_merge(c: &mut Criterion) {
-    let modules: Vec<Module> = sample_objects()
-        .into_iter()
-        .map(Module::from_object)
-        .collect();
+    let objects = sample_objects();
+    let modules: Vec<Module> = objects.iter().cloned().map(Module::from_object).collect();
     c.bench_function("module/merge_all_9", |b| {
         b.iter(|| Module::merge_all(black_box(&modules)).unwrap())
+    });
+    // Forty operands — the nine, repeated with their names prefixed
+    // apart — so the per-step cost, not the chain length, shows.
+    let many: Vec<Module> = (0..40)
+        .map(|i| {
+            let copy = Module::from_object(objects[i % objects.len()].clone())
+                .rename("^_", &format!("_c{i}_"), RenameTarget::Both)
+                .unwrap();
+            Module::from_object(copy.into_object().unwrap())
+        })
+        .collect();
+    c.bench_function("module/merge_all_40", |b| {
+        b.iter(|| Module::merge_all(black_box(&many)).unwrap())
     });
 }
 

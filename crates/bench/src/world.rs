@@ -126,7 +126,7 @@ impl Scenario {
                 .expect("codegen client merges")
                 .initializers()
                 .expect("initializers generate")
-                .materialize()
+                .into_object()
                 .expect("codegen client materializes");
             let cg_exe = build_dyn_executable(&[client], "codegen", &libs).expect("codegen links");
             for (name, exe) in [("ls", ls), ("ls-laF", laf), ("codegen", cg_exe)] {

@@ -30,9 +30,14 @@
 //!   [`EvalError::Worker`] without poisoning any shared state (caches
 //!   only ever receive completed, valid results).
 //!
-//! A unit's result is released once its last consumer has run, so a
-//! long merge chain holds one accumulator at a time; only the root's
-//! and the libraries' results survive to the output.
+//! A unit's result is released once its last consumer has run: the
+//! last reader takes the module itself, and the others a clone. Merge,
+//! override and single-operand units take their operands by value, so
+//! a merge chain's accumulator reaches each step as the only holder of
+//! its object and the step appends into it in place
+//! ([`Module::merge_with`]). A long chain holds one accumulator at a
+//! time and copies no accumulated bytes; only the root's and the
+//! libraries' results survive to the output.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,8 +63,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A single-operand operator applied to its operand's module.
-type UnaryFn = Box<dyn Fn(&Module) -> Result<Module, ObjError> + Send + Sync>;
+/// A single-operand operator applied to (and consuming) its operand's
+/// module.
+type UnaryFn = Box<dyn Fn(Module) -> Result<Module, ObjError> + Send + Sync>;
 
 /// One schedulable operation, lowered from an m-graph node. Operand
 /// indices refer to earlier units in the plan.
@@ -538,9 +544,9 @@ impl Exec<'_> {
         }
         Ok(match &self.units[u].op {
             Op::Ready(m) => m.clone(),
-            Op::MergeStep { a, b } => self.read(*a).merge_with(&self.read(*b))?,
-            Op::OverrideStep { a, b } => self.read(*a).override_with(&self.read(*b))?,
-            Op::Unary { apply, operand } => apply(&self.read(*operand))?,
+            Op::MergeStep { a, b } => self.read(*a).merge_with(self.read(*b))?,
+            Op::OverrideStep { a, b } => self.read(*a).override_with(self.read(*b))?,
+            Op::Unary { apply, operand } => apply(self.read(*operand))?,
             Op::Source { lang, code } => {
                 Module::from_object(compile_source(lang, code, "<source>")?)
             }

@@ -1090,7 +1090,7 @@ impl Omos {
                         },
                         deps: Arc::new(deps),
                         gen: g0,
-                        blueprint: bp,
+                        blueprint: Arc::new(bp),
                         manifest: Arc::new(row.manifest.clone()),
                     },
                 );

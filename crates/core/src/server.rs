@@ -35,6 +35,7 @@
 //! and flight-table locks are leaves; nothing calls back into the
 //! server while holding one.
 
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -195,7 +196,7 @@ pub(crate) struct ReplyEntry {
     pub(crate) gen: u64,
     /// The blueprint the reply answers — persisted so a restore can
     /// re-derive the resolution statically and verify it.
-    pub(crate) blueprint: Blueprint,
+    pub(crate) blueprint: Arc<Blueprint>,
     /// The sealed canonical resolution-manifest frame.
     pub(crate) manifest: Arc<Vec<u8>>,
 }
@@ -465,15 +466,17 @@ impl Omos {
     /// Lints the meta-object (or bare fragment) at `path` without
     /// instantiating anything.
     pub fn lint(&self, path: &str) -> Result<Vec<Diagnostic>, OmosError> {
-        Ok(self.lint_blueprint(&self.blueprint_at(path)?))
+        Ok(self.lint_blueprint(&*self.blueprint_at(path)?))
     }
 
     /// The blueprint bound at `path`: a meta-object's own, or a bare
     /// fragment wrapped as a leaf.
-    fn blueprint_at(&self, path: &str) -> Result<Blueprint, OmosError> {
+    fn blueprint_at(&self, path: &str) -> Result<Arc<Blueprint>, OmosError> {
         match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => Ok((*bp).clone()),
-            Some(Entry::Object(_)) => Ok(Blueprint::from_root(MNode::Leaf(path.to_string()))),
+            Some(Entry::Meta(bp)) => Ok(bp),
+            Some(Entry::Object(_)) => Ok(Arc::new(Blueprint::from_root(MNode::Leaf(
+                path.to_string(),
+            )))),
             None => Err(OmosError::NoSuchName(path.to_string())),
         }
     }
@@ -502,12 +505,16 @@ impl Omos {
     /// Instantiates an arbitrary blueprint (the paper's "execution of
     /// arbitrary blueprints" dynamic-loading interface).
     pub fn instantiate_blueprint(&self, bp: &Blueprint) -> Result<InstantiateReply, OmosError> {
-        self.request(bp, None)
+        self.request(&Arc::new(bp.clone()), None)
     }
 
     /// Serves one instantiation: reply cache, then single-flight (the
     /// leader builds, concurrent identical requests coalesce).
-    fn request(&self, bp: &Blueprint, root: Option<&str>) -> Result<InstantiateReply, OmosError> {
+    fn request(
+        &self,
+        bp: &Arc<Blueprint>,
+        root: Option<&str>,
+    ) -> Result<InstantiateReply, OmosError> {
         let guard = self.tracer.begin_request(SpanKind::Request);
         let req = guard.req();
         let key = bp.hash();
@@ -605,7 +612,7 @@ impl Omos {
     /// loses correctness — the full path is authoritative).
     fn rebuild_reply(
         &self,
-        bp: &Blueprint,
+        bp: &Arc<Blueprint>,
         root: Option<&str>,
         key: ContentHash,
         seed: Option<Arc<Vec<u8>>>,
@@ -725,7 +732,7 @@ impl Omos {
     /// back to the cold build.
     fn build_reply(
         &self,
-        bp: &Blueprint,
+        bp: &Arc<Blueprint>,
         root: Option<&str>,
         key: ContentHash,
         seed: Option<(&[u8], bool)>,
@@ -736,7 +743,7 @@ impl Omos {
         // Snapshot the generation *before* resolving anything: a bind
         // racing this build lands after the snapshot and invalidates
         // the entry on its next lookup.
-        let ctx = ReqCtx::new(self);
+        let ctx = ReqCtx::for_reply(self, bp);
         let lanes = before.as_ref().map_or_else(|| self.eval_jobs(), |_| 1);
         let base_ns = self.cost.server_cached_request_ns; // baseline handling
         self.tracer.advance(base_ns);
@@ -935,16 +942,21 @@ impl Omos {
         }
 
         // Link the pending libraries concurrently: workers claim items
-        // off a shared cursor and coalesce through the single-flight
-        // image cache. Worker threads carry no per-request trace state,
-        // so the work is metered onto the request timeline afterwards,
-        // as sibling lane spans.
+        // off a shared cursor. Worker threads carry no per-request trace
+        // state, so the work is metered onto the request timeline
+        // afterwards, as sibling lane spans. Images enter the
+        // budget-bound cache in *library order*, as at one lane: a
+        // finished link is parked, and whichever worker finds the next
+        // image in order ready commits it (and any ready after it)
+        // through the single-flight image cache. Evictions and spills
+        // then do not depend on which link finished first.
         let mut linked = Vec::with_capacity(pending.len());
         if !pending.is_empty() {
             let cursor = AtomicUsize::new(0);
-            type LinkResult = Result<(Arc<CachedImage>, u64), OmosError>;
-            let results: Mutex<Vec<(usize, LinkResult)>> =
-                Mutex::new(Vec::with_capacity(pending.len()));
+            let commits = Mutex::new(Commits {
+                parked: (0..pending.len()).map(|_| None).collect(),
+                done: Vec::with_capacity(pending.len()),
+            });
             std::thread::scope(|s| {
                 for _ in 0..lanes.min(pending.len()) {
                     s.spawn(|| loop {
@@ -952,17 +964,23 @@ impl Omos {
                         let Some((image_key, obj, opts)) = pending.get(at) else {
                             break;
                         };
-                        let r =
-                            self.link_image(*image_key, obj, opts, &self.counters.libraries_built);
-                        lock(&results).push((at, r));
+                        let r = self.build_image(*image_key, obj, opts);
+                        let mut guard = lock(&commits);
+                        let c = &mut *guard;
+                        c.parked[at] = Some(r);
+                        while let Some(r) = c.parked.get_mut(c.done.len()).and_then(Option::take) {
+                            let built = Cell::new(Some(r));
+                            let take = || built.take().expect("a flight runs its build once");
+                            let key = pending[c.done.len()].0;
+                            let img = self.cache_image(key, &self.counters.libraries_built, take);
+                            c.done.push(img);
+                        }
                     });
                 }
             });
-            let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-            // Surface the first error in *library order*, not
-            // completion order, so failures match the one-lane path.
-            results.sort_by_key(|(i, _)| *i);
-            for (_, r) in results {
+            let commits = commits.into_inner().unwrap_or_else(PoisonError::into_inner);
+            // The first error in *library order*, as at one lane.
+            for r in commits.done {
                 linked.push(r?);
             }
         }
@@ -1034,7 +1052,9 @@ impl Omos {
         opts.externs = externs.clone();
         if lanes == 1 {
             let built = &self.counters.libraries_built;
-            let (img, ns) = self.link_image(image_key, &obj, &opts, built)?;
+            let (img, ns) = self.cache_image(image_key, built, || {
+                self.build_image(image_key, &obj, &opts)
+            })?;
             return Ok((bases, Built::Image(img, ns)));
         }
         let exports = layout_resolved(std::slice::from_ref(&obj), &opts)?;
@@ -1067,42 +1087,57 @@ impl Omos {
         opts.text_base = bases.0;
         opts.data_base = bases.1;
         opts.externs = libs.externs.clone();
-        let (img, ns) = self.link_image(image_key, &obj, &opts, &self.counters.programs_built)?;
+        let built = &self.counters.programs_built;
+        let (img, ns) = self.cache_image(image_key, built, || {
+            self.build_image(image_key, &obj, &opts)
+        })?;
         Ok((img, bases, ns))
     }
 
-    /// Links one image and caches it under `image_key`, single-flight
-    /// per key: concurrent builds of the same image coalesce. Counts the
-    /// build in `built`. On a link worker thread the trace hooks are
-    /// no-ops; the executor meters the returned work instead.
-    fn link_image(
+    /// Links and frames one image, not yet cached, with its link work.
+    /// On a link worker thread the trace hooks are no-ops; the executor
+    /// meters the returned work instead.
+    fn build_image(
         &self,
         image_key: ContentHash,
         obj: &ObjectFile,
         opts: &LinkOptions,
+    ) -> Result<(CachedImage, u64), OmosError> {
+        let span = self.tracer.open(SpanKind::Link);
+        let linked = link(std::slice::from_ref(obj), opts);
+        let ns = linked
+            .as_ref()
+            .map_or(0, |l| link_work_ns(&l.stats, &self.cost));
+        self.tracer.close_leaf(span, Stage::Link, ns);
+        let linked = linked?;
+        let img = CachedImage {
+            key: image_key,
+            frames: self.framed(&linked.image),
+            image: linked.image,
+            link_stats: linked.stats,
+            rebuild_ns: ns,
+            epoch: 0,
+        };
+        Ok((img, ns))
+    }
+
+    /// Caches the image `build` produces under `image_key`, single-flight
+    /// per key: concurrent builds of the same image coalesce, and an
+    /// image already cached is returned at zero cost without building.
+    /// Counts a build in `built`.
+    fn cache_image(
+        &self,
+        image_key: ContentHash,
         built: &AtomicU64,
+        build: impl Fn() -> Result<(CachedImage, u64), OmosError>,
     ) -> Result<(Arc<CachedImage>, u64), OmosError> {
         let (result, _led) = self.image_flight.run(image_key, || {
             if let Some(img) = self.images.get(image_key) {
                 return Ok((img, 0));
             }
-            let span = self.tracer.open(SpanKind::Link);
-            let linked = link(std::slice::from_ref(obj), opts);
-            let ns = linked
-                .as_ref()
-                .map_or(0, |l| link_work_ns(&l.stats, &self.cost));
-            self.tracer.close_leaf(span, Stage::Link, ns);
-            let linked = linked?;
+            let (img, ns) = build()?;
             built.fetch_add(1, Ordering::Relaxed);
-            let img = self.images.insert(CachedImage {
-                key: image_key,
-                frames: self.framed(&linked.image),
-                image: linked.image,
-                link_stats: linked.stats,
-                rebuild_ns: ns,
-                epoch: 0,
-            });
-            Ok((img, ns))
+            Ok((self.images.insert(img), ns))
         });
         result
     }
@@ -1162,7 +1197,7 @@ impl Omos {
     /// [`Omos::explain_blueprint`] for the meta-object (or bare
     /// fragment) bound at `path`.
     pub fn explain(&self, path: &str) -> Result<ResolutionManifest, OmosError> {
-        self.explain_blueprint(&self.blueprint_at(path)?)
+        self.explain_blueprint(&*self.blueprint_at(path)?)
     }
 
     /// Caches a freshly built reply under its blueprint key. The
@@ -1176,7 +1211,7 @@ impl Omos {
         gen: u64,
         mut deps: BTreeSet<String>,
         root: Option<&str>,
-        bp: &Blueprint,
+        bp: &Arc<Blueprint>,
         manifest: &ResolutionManifest,
     ) {
         if let Some(p) = root {
@@ -1188,7 +1223,7 @@ impl Omos {
                 reply: reply.clone(),
                 gen,
                 deps: Arc::new(deps),
-                blueprint: bp.clone(),
+                blueprint: Arc::clone(bp),
                 manifest: Arc::new(manifest.encode()),
             },
         );
@@ -1317,6 +1352,9 @@ pub(crate) struct ReqCtx<'a> {
     server: &'a Omos,
     /// Namespace generation when the request started.
     gen: u64,
+    /// A key `cache_put` does not publish: a program's root, which the
+    /// reply cache already holds as its linked image.
+    unpublished: Option<ContentHash>,
 }
 
 impl<'a> ReqCtx<'a> {
@@ -1324,6 +1362,19 @@ impl<'a> ReqCtx<'a> {
         ReqCtx {
             server,
             gen: server.namespace.generation(),
+            unpublished: None,
+        }
+    }
+
+    /// The context of a reply build for `bp`. Its root module is not
+    /// published to the eval cache unless `bp` is library-class (has a
+    /// constraint-list): the reply cache keeps the program once, as its
+    /// reply, under dependencies that contain the root's. Sub-nodes,
+    /// meta-objects and libraries are published as usual.
+    fn for_reply(server: &'a Omos, bp: &Blueprint) -> ReqCtx<'a> {
+        ReqCtx {
+            unpublished: bp.constraints.is_empty().then(|| bp.root.hash()),
+            ..ReqCtx::new(server)
         }
     }
 }
@@ -1371,6 +1422,9 @@ impl EvalContext for ReqCtx<'_> {
     }
 
     fn cache_put(&self, key: ContentHash, module: &Module, deps: &Arc<BTreeSet<String>>) {
+        if self.unpublished == Some(key) {
+            return;
+        }
         self.server.eval_cache.insert(
             key,
             EvalEntry {
@@ -1414,6 +1468,14 @@ enum Built {
 /// A linked (or fetched) program: the image, its client bases, and the
 /// link work paid.
 type ProgramBuild = (Arc<CachedImage>, (u32, u32), u64);
+
+/// The concurrent link phase's in-order commit state: finished links
+/// parked by position, and the cached results committed so far (a
+/// prefix of the pending libraries, in order).
+struct Commits {
+    parked: Vec<Option<Result<(CachedImage, u64), OmosError>>>,
+    done: Vec<Result<(Arc<CachedImage>, u64), OmosError>>,
+}
 
 /// One executor slot, in resolution order.
 enum Slot {
@@ -1886,12 +1948,12 @@ impl Omos {
         pattern: &str,
     ) -> Result<(InstantiateReply, Vec<String>), OmosError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let mut bp = self.blueprint_at(path)?;
+        let mut bp = Blueprint::clone(&*self.blueprint_at(path)?);
         bp.policies.push(LinkPolicy {
             kind: PolicyKind::Audit,
             pattern: pattern.to_string(),
         });
-        let reply = self.request(&bp, Some(path))?;
+        let reply = self.request(&Arc::new(bp), Some(path))?;
         let names = audit_names(&reply.program.image);
         Ok((reply, names))
     }

@@ -389,11 +389,13 @@ pub fn link(objects: &[ObjectFile], opts: &LinkOptions) -> LinkResult<LinkOutput
                     name: &str,
                     kind: SectionKind,
                     vaddr: u64,
-                    bytes: Vec<u8>,
+                    mut bytes: Vec<u8>,
                     zero: u64| {
         if bytes.is_empty() && zero == 0 {
             return;
         }
+        // The image keeps its segments: drop the copy loop's growth slack.
+        bytes.shrink_to_fit();
         seg_index.insert(kind, image.segments.len());
         image.segments.push(Segment {
             name: name.into(),

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use omos_obj::view::{RenameTarget, View, ViewKind, ViewOp};
 use omos_obj::{
     ContentHash, ObjError, ObjectFile, Regex, Relocation, Result, Section, SectionKind, Symbol,
-    SymbolBinding, SymbolDef,
+    SymbolBinding, SymbolDef, SymbolTable,
 };
 
 mod initializers;
@@ -56,7 +56,7 @@ pub enum MergeMode {
 /// let traced = libc
 ///     .copy_as("^_malloc$", "_REAL_malloc")?
 ///     .restrict("^_malloc$")?
-///     .merge_with(&tracer)?
+///     .merge_with(tracer)?
 ///     .hide("^_REAL_malloc$")?;
 /// assert_eq!(traced.exports()?, vec!["_malloc".to_string()]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -105,6 +105,12 @@ impl Module {
     /// operations).
     pub fn materialize(&self) -> Result<ObjectFile> {
         self.view.materialize()
+    }
+
+    /// [`Module::materialize`], consuming the module: the object is taken
+    /// rather than copied when this module is its only holder.
+    pub fn into_object(self) -> Result<ObjectFile> {
+        self.view.into_object()
     }
 
     /// Names this module exports.
@@ -180,57 +186,96 @@ impl Module {
     // --- Materializing operators. ------------------------------------------
 
     /// `merge`: binds definitions in one operand to references in the
-    /// other. Duplicate definitions are an error.
-    pub fn merge_with(&self, other: &Module) -> Result<Module> {
+    /// other. Duplicate definitions are an error. Consumes `self` as the
+    /// accumulator `other` is appended into (see [`Module::into_object`]).
+    pub fn merge_with(self, other: Module) -> Result<Module> {
         combine(self, other, MergeMode::Strict)
     }
 
     /// `override`: merge resolving conflicts in favor of `other`.
-    pub fn override_with(&self, other: &Module) -> Result<Module> {
+    pub fn override_with(self, other: Module) -> Result<Module> {
         combine(self, other, MergeMode::Override)
     }
 
-    /// n-ary `merge` — folds [`Module::merge_with`] left to right.
+    /// n-ary `merge` — folds [`Module::merge_with`] left to right, one
+    /// owned accumulator appended into per step.
     pub fn merge_all(modules: &[Module]) -> Result<Module> {
-        let mut it = modules.iter();
-        let first = it
-            .next()
+        let (first, rest) = modules
+            .split_first()
             .ok_or_else(|| ObjError::Invalid("merge of zero modules".into()))?;
-        let mut acc = first.clone();
-        for m in it {
-            acc = acc.merge_with(m)?;
-        }
-        Ok(acc)
+        rest.iter()
+            .try_fold(first.clone(), |acc, m| acc.merge_with(m.clone()))
     }
 
     /// `initializers`: synthesizes a `__static_init` routine calling every
     /// static-initializer symbol (see [`generate_initializers`]) and merges
     /// it into this module.
-    pub fn initializers(&self) -> Result<Module> {
-        let obj = self.materialize()?;
+    pub fn initializers(self) -> Result<Module> {
+        let obj = self.into_object()?;
         let init = generate_initializers(&obj)?;
-        self.merge_with(&Module::from_object(init))
+        Module::from_object(obj).merge_with(Module::from_object(init))
     }
 }
 
-/// Combines two modules into one concrete object.
-fn combine(a: &Module, b: &Module, mode: MergeMode) -> Result<Module> {
-    let oa = a.materialize()?;
-    let ob = b.materialize()?;
-    let mut out = ObjectFile::new(&format!("{}+{}", oa.name, ob.name));
+/// Combines two modules into one concrete object: `a`'s object is the
+/// accumulator, renamed and appended into in place, so a step costs
+/// `b`'s size plus a pass over `a`'s symbols and relocations, never a
+/// copy of `a`'s section bytes.
+fn combine(a: Module, b: Module, mode: MergeMode) -> Result<Module> {
+    let mut acc = a.into_object()?;
+    let ob = b.into_object()?;
+    acc.name = format!("{}+{}", acc.name, ob.name);
 
+    // The accumulator's locals take the first fresh names, as if it were
+    // appended into an empty object.
     let mut uniq = 0usize;
-    append_object(&mut out, oa, MergeMode::Strict, &mut uniq)?;
-    append_object(&mut out, ob, mode, &mut uniq)?;
-    out.validate()?;
-    Ok(Module::from_object(out))
+    let fresh = fresh_locals(&acc.symbols, |_| false, &mut uniq);
+    rename_relocs(&mut acc.relocs, &acc.symbols, &fresh);
+    acc.symbols.rename_positions(fresh)?;
+    append_object(&mut acc, ob, mode, &mut uniq)?;
+    acc.validate()?;
+    Ok(Module::from_object(acc))
+}
+
+/// Fresh `$u{n}` names for `table`'s local symbols, by position, drawn
+/// in table order from the shared counter `uniq`: a candidate already
+/// in `table` or `taken` is skipped. Fresh names never collide with one
+/// another (each ends in a distinct counter value).
+fn fresh_locals(
+    table: &SymbolTable,
+    taken: impl Fn(&str) -> bool,
+    uniq: &mut usize,
+) -> Vec<Option<String>> {
+    table
+        .iter()
+        .map(|sym| {
+            (sym.binding == SymbolBinding::Local).then(|| loop {
+                let candidate = format!("{}$u{}", sym.name, *uniq);
+                *uniq += 1;
+                if table.get(&candidate).is_none() && !taken(&candidate) {
+                    break candidate;
+                }
+            })
+        })
+        .collect()
+}
+
+/// Points relocations against `table`'s renamed locals at their fresh
+/// names.
+fn rename_relocs(relocs: &mut [Relocation], table: &SymbolTable, fresh: &[Option<String>]) {
+    for r in relocs {
+        let renamed = table.position(&r.symbol).and_then(|i| fresh[i].as_ref());
+        if let Some(name) = renamed {
+            r.symbol.clone_from(name);
+        }
+    }
 }
 
 /// Appends `src`'s sections, symbols, and relocations into `dst`,
 /// uniquifying local symbols and remapping section indices.
 fn append_object(
     dst: &mut ObjectFile,
-    src: ObjectFile,
+    mut src: ObjectFile,
     mode: MergeMode,
     uniq: &mut usize,
 ) -> Result<()> {
@@ -238,27 +283,14 @@ fn append_object(
 
     // Uniquify local symbol names to keep per-object scoping after the
     // tables fuse. References inside `src` follow the rename.
-    let mut local_rename: Vec<(String, String)> = Vec::new();
-    for sym in src.symbols.iter() {
-        if sym.binding == SymbolBinding::Local {
-            let fresh = loop {
-                let candidate = format!("{}$u{}", sym.name, *uniq);
-                *uniq += 1;
-                if dst.symbols.get(&candidate).is_none() && src.symbols.get(&candidate).is_none() {
-                    break candidate;
-                }
-            };
-            local_rename.push((sym.name.clone(), fresh));
-        }
-    }
+    let fresh = fresh_locals(&src.symbols, |c| dst.symbols.get(c).is_some(), uniq);
+    rename_relocs(&mut src.relocs, &src.symbols, &fresh);
 
-    for sec in src.sections {
-        dst.add_section(Section { ..sec });
-    }
-    for sym in src.symbols.iter() {
+    dst.sections.append(&mut src.sections);
+    for (sym, fresh) in src.symbols.iter().zip(fresh) {
         let mut s = sym.clone();
-        if let Some((_, fresh)) = local_rename.iter().find(|(o, _)| o == &s.name) {
-            s.name = fresh.clone();
+        if let Some(name) = fresh {
+            s.name = name;
         }
         if let SymbolDef::Defined { section, offset } = s.def {
             s.def = SymbolDef::Defined {
@@ -288,17 +320,11 @@ fn append_object(
             }
         }
     }
-    for r in src.relocs {
-        let symbol = match local_rename.iter().find(|(o, _)| o == &r.symbol) {
-            Some((_, fresh)) => fresh.clone(),
-            None => r.symbol,
-        };
-        dst.relocs.push(Relocation {
+    dst.relocs
+        .extend(src.relocs.into_iter().map(|r| Relocation {
             section: r.section + base,
-            symbol,
             ..r
-        });
-    }
+        }));
     Ok(())
 }
 
@@ -354,7 +380,7 @@ _start:     call _malloc
 
     #[test]
     fn merge_binds_references() {
-        let merged = client().merge_with(&libc_like()).unwrap();
+        let merged = client().merge_with(libc_like()).unwrap();
         let obj = merged.materialize().unwrap();
         assert!(obj.symbols.get("_malloc").unwrap().def.is_definition());
         assert!(obj.symbols.get("_start").unwrap().def.is_definition());
@@ -365,7 +391,7 @@ _start:     call _malloc
     fn merge_rejects_duplicates() {
         let a = module(".text\n.global _f\n_f: ret\n");
         let b = module(".text\n.global _f\n_f: ret\n");
-        let err = a.merge_with(&b).unwrap_err();
+        let err = a.merge_with(b).unwrap_err();
         assert_eq!(err, ObjError::DuplicateSymbol("_f".into()));
     }
 
@@ -390,7 +416,7 @@ _start:     call _malloc
     fn override_prefers_second() {
         let base = module(".text\n.global _draw\n_draw: li r1, 1\n ret\n");
         let derived = module(".text\n.global _draw\n_draw: li r1, 2\n ret\n");
-        let m = base.override_with(&derived).unwrap();
+        let m = base.override_with(derived).unwrap();
         let obj = m.materialize().unwrap();
         let def = obj.symbols.get("_draw").unwrap();
         // The winning definition must live in the second operand's section
@@ -419,7 +445,7 @@ _side:      li r1, 3
             "#,
         );
         let derived = module(".text\n.global _side\n_side: li r1, 5\n ret\n");
-        let m = base.override_with(&derived).unwrap();
+        let m = base.override_with(derived).unwrap();
         // Link and run: should square the *derived* side.
         let obj = m.materialize().unwrap();
         let mut opts = omos_link::LinkOptions::program("t");
@@ -446,7 +472,7 @@ _side:      li r1, 3
     fn figure2_interposition_end_to_end() {
         // Figure 2: produce a libc where a tracing `_malloc` wraps the
         // original, with `_REAL_malloc` preserving access to it.
-        let base = client().merge_with(&libc_like()).unwrap();
+        let base = client().merge_with(libc_like()).unwrap();
         let prepared = base
             .copy_as("^_malloc$", "_REAL_malloc")
             .unwrap()
@@ -472,7 +498,7 @@ _malloc_count: .word 0
             "#,
         );
         let together = prepared
-            .merge_with(&test_malloc)
+            .merge_with(test_malloc)
             .unwrap()
             .hide("^_REAL_malloc$")
             .unwrap();
@@ -537,7 +563,7 @@ _entry:     call _undefined_routine
             .unwrap()
             .contains(&"_malloc".to_string()));
         let replacement = module(".text\n.global _malloc\n_malloc: li r1, 0x2000\n ret\n");
-        let rebound = lib.merge_with(&replacement).unwrap();
+        let rebound = lib.merge_with(replacement).unwrap();
         assert!(rebound.free_references().unwrap().is_empty());
     }
 
@@ -560,7 +586,7 @@ _entry:     call _undefined_routine
     fn locals_do_not_clash_across_merge() {
         let a = module(".text\n.global _fa\n_fa: li r2, _msg\n ret\n.rodata\n_msg: .ascii \"A\"\n");
         let b = module(".text\n.global _fb\n_fb: li r2, _msg\n ret\n.rodata\n_msg: .ascii \"B\"\n");
-        let m = a.merge_with(&b).unwrap();
+        let m = a.merge_with(b).unwrap();
         let obj = m.materialize().unwrap();
         obj.validate().unwrap();
         // Both local `_msg`s survive under distinct names, each reloc

@@ -21,7 +21,7 @@
 use crate::error::{ObjError, Result};
 use crate::hash::fnv1a;
 
-use super::wire::{Reader, Writer};
+use super::wire::Reader;
 
 /// Magic prefix of every container frame.
 pub const MAGIC: &[u8; 4] = b"OMCF";
@@ -89,14 +89,15 @@ impl ContainerKind {
 /// Wraps `payload` in a sealed frame: header, payload, checksum.
 #[must_use]
 pub fn seal(kind: ContainerKind, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bytes(MAGIC);
-    w.u16(VERSION);
-    w.u8(kind.tag());
-    w.u64(payload.len() as u64);
-    w.bytes(payload);
+    // Sized exactly: sealed frames are kept (reply manifests, spill
+    // files), so growth slack would be retained with them.
+    let mut body = Vec::with_capacity(MAGIC.len() + 2 + 1 + 8 + payload.len() + 8);
+    body.extend_from_slice(MAGIC);
+    body.extend_from_slice(&VERSION.to_le_bytes());
+    body.push(kind.tag());
+    body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    body.extend_from_slice(payload);
     // Checksum covers header + payload, i.e. everything so far.
-    let mut body = w.into_bytes();
     let sum = fnv1a(&body);
     body.extend_from_slice(&sum.0.to_le_bytes());
     body

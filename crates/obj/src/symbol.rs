@@ -302,6 +302,30 @@ impl SymbolTable {
         Ok(())
     }
 
+    /// Position of the entry named `name`, in insertion order.
+    #[must_use]
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
+    /// Renames entries in place, keeping their positions: entry `i`
+    /// takes `fresh[i]` when it is set.
+    ///
+    /// Returns an error, leaving the table partly renamed, if a new name
+    /// is already taken.
+    pub fn rename_positions(&mut self, fresh: Vec<Option<String>>) -> Result<()> {
+        for (i, to) in fresh.into_iter().enumerate() {
+            let Some(to) = to else { continue };
+            if self.by_name.contains_key(&to) {
+                return Err(ObjError::DuplicateSymbol(to));
+            }
+            self.by_name.remove(&self.symbols[i].name);
+            self.by_name.insert(to.clone(), i);
+            self.symbols[i].name = to;
+        }
+        Ok(())
+    }
+
     /// Names of all definitions (including commons and absolutes).
     pub fn definitions(&self) -> impl Iterator<Item = &Symbol> {
         self.symbols.iter().filter(|s| s.def.is_definition())

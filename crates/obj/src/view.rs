@@ -204,13 +204,15 @@ impl View {
     /// This is the expensive path that `merge` and `freeze` take; every
     /// other operator just derives a new view.
     pub fn materialize(&self) -> Result<ObjectFile> {
-        MATERIALIZE_COUNT.with(|c| c.set(c.get() + 1));
-        let mut obj = (*self.base).clone();
-        let mut hidden_counter = 0usize;
-        for op in &self.ops {
-            apply_view_op(&mut obj, op, &mut hidden_counter)?;
-        }
-        Ok(obj)
+        apply_ops(&self.ops, (*self.base).clone())
+    }
+
+    /// [`View::materialize`], consuming the view: when it is the base's
+    /// only holder the base is taken rather than copied, and the pending
+    /// transformations apply to it in place.
+    pub fn into_object(self) -> Result<ObjectFile> {
+        let obj = Arc::try_unwrap(self.base).unwrap_or_else(|shared| (*shared).clone());
+        apply_ops(&self.ops, obj)
     }
 
     /// Names this view exports as definitions, without materializing the
@@ -251,10 +253,21 @@ thread_local! {
     static MATERIALIZE_COUNT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The number of [`View::materialize`] calls made on this thread so far.
+/// The number of [`View::materialize`] (and [`View::into_object`]) calls
+/// made on this thread so far.
 #[must_use]
 pub fn materialize_count() -> u64 {
     MATERIALIZE_COUNT.with(Cell::get)
+}
+
+/// Applies a view's transformations, in order, to its base object.
+fn apply_ops(ops: &[ViewOp], mut obj: ObjectFile) -> Result<ObjectFile> {
+    MATERIALIZE_COUNT.with(|c| c.set(c.get() + 1));
+    let mut hidden_counter = 0usize;
+    for op in ops {
+        apply_view_op(&mut obj, op, &mut hidden_counter)?;
+    }
+    Ok(obj)
 }
 
 /// Applies one view operation to a concrete object file.

@@ -188,15 +188,12 @@ fn run_basic(cmd: &str, rest: &[String]) -> Result<String, String> {
             let merged = if cmd == "merge" {
                 Module::merge_all(&inputs).map_err(|e| e.to_string())?
             } else {
-                if inputs.len() != 2 {
-                    return Err("override takes exactly BASE and OVERLAY".into());
-                }
-                inputs[0]
-                    .override_with(&inputs[1])
-                    .map_err(|e| e.to_string())?
+                let [base, overlay] = <[Module; 2]>::try_from(inputs)
+                    .map_err(|_| "override takes exactly BASE and OVERLAY".to_string())?;
+                base.override_with(overlay).map_err(|e| e.to_string())?
             };
             save(
-                &merged.materialize().map_err(|e| e.to_string())?,
+                &merged.into_object().map_err(|e| e.to_string())?,
                 output,
                 Format::Aout,
             )?;
@@ -268,7 +265,7 @@ fn view_cmd(cmd: &str, kind: ViewKind, rest: &[String]) -> Result<String, String
         .apply_view(kind, &rest[0], replacement)
         .map_err(|e| e.to_string())?;
     save(
-        &m.materialize().map_err(|e| e.to_string())?,
+        &m.into_object().map_err(|e| e.to_string())?,
         output,
         Format::Aout,
     )?;

@@ -500,3 +500,61 @@ fn image_cache_keeps_budget_and_mappings_under_concurrency() {
     assert!(st.evictions > 0, "the budget actually bound");
     assert_eq!(st.hits, live_hits.load(Ordering::Relaxed));
 }
+
+/// Eval-cache probes `f` makes on `s`, as (hits, misses).
+fn eval_probes(s: &Omos, f: impl FnOnce()) -> (u64, u64) {
+    let before = s.trace_snapshot().counters;
+    f();
+    let after = s.trace_snapshot().counters;
+    (
+        after.eval_hits - before.eval_hits,
+        after.eval_misses - before.eval_misses,
+    )
+}
+
+#[test]
+fn a_program_root_is_cached_once_as_its_reply() {
+    let s = world(2);
+    let cold = s.instantiate("/bin/p0").unwrap();
+    assert!(!cold.cache_hit);
+    // The built program's root module was not published to the eval
+    // cache (the reply cache holds the program): re-deriving it misses
+    // the root once, and hits its client object and libc.
+    let (hits, misses) = eval_probes(&s, || {
+        s.explain("/bin/p0").unwrap();
+    });
+    assert_eq!((hits, misses), (2, 1), "explain after a cold build");
+
+    // A second program sharing libc still finds libc's module published,
+    // and is billed what it was when program roots were published too.
+    let mut second = None;
+    let (hits, misses) = eval_probes(&s, || second = Some(s.instantiate("/bin/p1").unwrap()));
+    assert_eq!(
+        (hits, misses),
+        (1, 2),
+        "libc hits; p1's root and object miss"
+    );
+    assert_eq!(second.unwrap().server_ns, 371_424);
+}
+
+#[test]
+fn a_library_class_blueprint_built_standalone_stays_published() {
+    let s = world(1);
+    // A program with a constraint-list of its own is library-class.
+    s.namespace
+        .bind_blueprint(
+            "/bin/placed",
+            "(constraint-list \"T\" 0x2000000 \"D\" 0x42000000)\n(merge /obj/p0.o /lib/libc)",
+        )
+        .unwrap();
+    let placed = s.instantiate("/bin/placed").unwrap();
+    assert!(!placed.cache_hit);
+    let (hits, misses) = eval_probes(&s, || {
+        s.explain("/bin/placed").unwrap();
+    });
+    assert_eq!(
+        (hits, misses),
+        (2, 0),
+        "the root and libc modules are cached"
+    );
+}

@@ -15,9 +15,9 @@ use omos::os::{CostModel, InMemFs, SimClock};
 fn empty_object_participates_in_merges() {
     let empty = Module::from_object(ObjectFile::new("empty.o"));
     let real = Module::from_object(assemble("r.o", ".text\n.global _f\n_f: ret\n").unwrap());
-    let merged = empty.merge_with(&real).unwrap();
+    let merged = empty.clone().merge_with(real.clone()).unwrap();
     assert_eq!(merged.exports().unwrap(), vec!["_f".to_string()]);
-    let other_way = real.merge_with(&empty).unwrap();
+    let other_way = real.merge_with(empty).unwrap();
     assert_eq!(other_way.exports().unwrap(), vec!["_f".to_string()]);
 }
 

@@ -6,7 +6,12 @@ use proptest::prelude::*;
 
 use omos::isa::assemble;
 use omos::module::Module;
-use omos::obj::view::RenameTarget;
+use omos::obj::view::{RenameTarget, ViewKind};
+use omos::obj::{
+    ObjError, ObjectFile, RelocKind, Relocation, Section, SectionKind, Symbol, SymbolBinding,
+    SymbolDef,
+};
+use proptest::test_runner::TestRng;
 
 /// A generated module: distinct exported functions, some calling a free
 /// reference.
@@ -37,8 +42,8 @@ proptest! {
     /// merge is commutative up to the exported interface.
     #[test]
     fn merge_commutes_on_exports(a in arb_module("a"), b in arb_module("b")) {
-        let ab = a.merge_with(&b).expect("disjoint");
-        let ba = b.merge_with(&a).expect("disjoint");
+        let ab = a.clone().merge_with(b.clone()).expect("disjoint");
+        let ba = b.merge_with(a).expect("disjoint");
         prop_assert_eq!(exports_sorted(&ab), exports_sorted(&ba));
     }
 
@@ -49,8 +54,8 @@ proptest! {
         b in arb_module("b"),
         c in arb_module("c"),
     ) {
-        let left = a.merge_with(&b).expect("ok").merge_with(&c).expect("ok");
-        let right = a.merge_with(&b.merge_with(&c).expect("ok")).expect("ok");
+        let left = a.clone().merge_with(b.clone()).expect("ok").merge_with(c.clone()).expect("ok");
+        let right = a.merge_with(b.merge_with(c).expect("ok")).expect("ok");
         prop_assert_eq!(exports_sorted(&left), exports_sorted(&right));
     }
 
@@ -90,7 +95,7 @@ proptest! {
             .rename("^_a", "_b", RenameTarget::Refs)
             .expect("ok"); // just to exercise the pipeline further
         let _ = rebound;
-        let remerged = restricted.merge_with(&m).expect("restricted defs are gone");
+        let remerged = restricted.merge_with(m.clone()).expect("restricted defs are gone");
         prop_assert_eq!(exports_sorted(&remerged), exports_sorted(&m));
     }
 
@@ -132,4 +137,344 @@ proptest! {
         };
         prop_assert!(exports_sorted(&attacked).contains(&"_a0".to_string()));
     }
+}
+
+// --- The in-place merge step against the copying one. ----------------------
+
+/// How one chain step combines.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    Merge,
+    Override,
+}
+
+/// A view operator left pending on a module: (kind, pattern, replacement).
+type PendingView = (ViewKind, String, String);
+
+/// One step of a merge chain: the operand, how it combines, and the view
+/// operators left pending on the accumulator and on the operand.
+#[derive(Debug, Clone)]
+struct Step {
+    operand: ObjectFile,
+    mode: Mode,
+    acc_view: Option<PendingView>,
+    operand_view: Option<PendingView>,
+}
+
+/// A generated chain: the first operand and the steps after it.
+#[derive(Debug, Clone)]
+struct Chain {
+    first: ObjectFile,
+    steps: Vec<Step>,
+}
+
+/// Locals every operand may define: shared plain names, and names that
+/// already carry inner-merge (`$u`) and `hide` (`$hidden`) suffixes.
+const LOCALS: [&str; 7] = [
+    "L0",
+    "_msg",
+    "_x",
+    "_x$u0",
+    "_x$u1",
+    "_msg$u2",
+    "_y$hidden0",
+];
+
+fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
+    from[rng.below(from.len() as u64) as usize]
+}
+
+/// One operand: a text and a data section, globals of its own, locals
+/// from [`LOCALS`], weak and common definitions of shared names,
+/// undefined references, relocations against all of them, and — when
+/// `duplicate` — a strong definition of `_dup`.
+fn gen_object(rng: &mut TestRng, i: usize, duplicate: bool) -> ObjectFile {
+    let mut o = ObjectFile::new(&format!("m{i}.o"));
+    let text_len = 8 * (2 + rng.below(6));
+    let bytes: Vec<u8> = (0..text_len).map(|b| (b as usize * 7 + i) as u8).collect();
+    let text = o.add_section(Section::with_bytes(".text", SectionKind::Text, bytes, 8));
+    let data = o.add_section(Section::with_bytes(
+        ".data",
+        SectionKind::Data,
+        vec![i as u8; 16],
+        8,
+    ));
+    let mut names: Vec<String> = Vec::new();
+    let define = |o: &mut ObjectFile, sym: Symbol, names: &mut Vec<String>| {
+        if o.symbols.get(&sym.name).is_none() {
+            names.push(sym.name.clone());
+            o.define(sym).expect("fresh name");
+        }
+    };
+    let at = |rng: &mut TestRng| 8 * rng.below(text_len / 8);
+    for g in 0..1 + rng.below(3) {
+        define(
+            &mut o,
+            Symbol::defined(&format!("_m{i}_g{g}"), text, at(rng)),
+            &mut names,
+        );
+    }
+    for _ in 0..rng.below(4) {
+        let name = pick(rng, &LOCALS);
+        let sym = Symbol::defined(name, [text, data][rng.below(2) as usize], 0).local();
+        define(&mut o, sym, &mut names);
+    }
+    for _ in 0..rng.below(3) {
+        let sym = match rng.below(3) {
+            0 => Symbol::defined(pick(rng, &["_w0", "_w1"]), text, at(rng)).weak(),
+            1 => Symbol::common(pick(rng, &["_c0", "_c1"]), 4 * (1 + rng.below(8))),
+            _ => Symbol::undefined(pick(rng, &["_ext", "_w0", "_c1", "_m0_g0", "_dup"])),
+        };
+        define(&mut o, sym, &mut names);
+    }
+    if duplicate {
+        define(&mut o, Symbol::defined("_dup", data, 8), &mut names);
+    }
+    for k in 0..rng.below(5) {
+        let target = names[rng.below(names.len() as u64) as usize].clone();
+        o.relocate(Relocation::new(
+            text,
+            8 * (k % (text_len / 8)),
+            RelocKind::Abs32,
+            &target,
+        ));
+    }
+    o.validate().expect("generated object is well formed");
+    o
+}
+
+fn gen_view(rng: &mut TestRng) -> Option<PendingView> {
+    let (kind, pattern, replacement) = match rng.below(6) {
+        0 => (ViewKind::Hide, "^_m[0-9]_g0$", ""),
+        1 => (ViewKind::Rename(RenameTarget::Both), "^_w", "_W"),
+        2 => (ViewKind::Restrict, "^_m1_g1$", ""),
+        3 => (ViewKind::CopyAs, "^_m[0-9]_g1$", "_copy"),
+        _ => return None,
+    };
+    Some((kind, pattern.to_string(), replacement.to_string()))
+}
+
+fn gen_chain(rng: &mut TestRng) -> Chain {
+    let len = 1 + rng.below(12) as usize;
+    // At most one pair of strong `_dup` definitions: the later one's step
+    // fails (or, under override, wins).
+    let dup = [
+        rng.below(len as u64) as usize,
+        rng.below(len as u64 + 4) as usize,
+    ];
+    let first = gen_object(rng, 0, dup.contains(&0));
+    let steps = (1..len)
+        .map(|i| Step {
+            operand: gen_object(rng, i, dup.contains(&i)),
+            mode: if rng.below(4) == 0 {
+                Mode::Override
+            } else {
+                Mode::Merge
+            },
+            acc_view: gen_view(rng),
+            operand_view: gen_view(rng),
+        })
+        .collect();
+    Chain { first, steps }
+}
+
+fn with_view(m: Module, view: &Option<PendingView>) -> Module {
+    match view {
+        Some((kind, pattern, replacement)) => m
+            .apply_view(*kind, pattern, replacement)
+            .expect("pattern compiles"),
+        None => m,
+    }
+}
+
+/// The copying merge step this crate used before steps appended in place,
+/// kept verbatim as the oracle: both operands are materialized and
+/// appended into a fresh object.
+fn copying_combine(a: &Module, b: &Module, mode: Mode) -> Result<Module, ObjError> {
+    let oa = a.materialize()?;
+    let ob = b.materialize()?;
+    let mut out = ObjectFile::new(&format!("{}+{}", oa.name, ob.name));
+    let mut uniq = 0usize;
+    copying_append(&mut out, oa, Mode::Merge, &mut uniq)?;
+    copying_append(&mut out, ob, mode, &mut uniq)?;
+    out.validate()?;
+    Ok(Module::from_object(out))
+}
+
+fn copying_append(
+    dst: &mut ObjectFile,
+    src: ObjectFile,
+    mode: Mode,
+    uniq: &mut usize,
+) -> Result<(), ObjError> {
+    let base = dst.sections.len();
+    let mut local_rename: Vec<(String, String)> = Vec::new();
+    for sym in src.symbols.iter() {
+        if sym.binding == SymbolBinding::Local {
+            let fresh = loop {
+                let candidate = format!("{}$u{}", sym.name, *uniq);
+                *uniq += 1;
+                if dst.symbols.get(&candidate).is_none() && src.symbols.get(&candidate).is_none() {
+                    break candidate;
+                }
+            };
+            local_rename.push((sym.name.clone(), fresh));
+        }
+    }
+    for sec in src.sections {
+        dst.add_section(Section { ..sec });
+    }
+    for sym in src.symbols.iter() {
+        let mut s = sym.clone();
+        if let Some((_, fresh)) = local_rename.iter().find(|(o, _)| o == &s.name) {
+            s.name = fresh.clone();
+        }
+        if let SymbolDef::Defined { section, offset } = s.def {
+            s.def = SymbolDef::Defined {
+                section: section + base,
+                offset,
+            };
+        }
+        match mode {
+            Mode::Merge => dst.symbols.insert(s)?,
+            Mode::Override => {
+                let conflict = matches!(
+                    (
+                        dst.symbols.get(&s.name).map(|e| e.def.is_definition()),
+                        s.def.is_definition()
+                    ),
+                    (Some(true), true)
+                );
+                if conflict {
+                    dst.symbols.insert_override(s);
+                } else {
+                    dst.symbols.insert(s)?;
+                }
+            }
+        }
+    }
+    for r in src.relocs {
+        let symbol = match local_rename.iter().find(|(o, _)| o == &r.symbol) {
+            Some((_, fresh)) => fresh.clone(),
+            None => r.symbol,
+        };
+        dst.relocs.push(Relocation {
+            section: r.section + base,
+            symbol,
+            ..r
+        });
+    }
+    Ok(())
+}
+
+/// Runs a chain through the copying oracle (every operand shared, as
+/// the oracle never owns one).
+fn run_copying(chain: &Chain) -> Result<Module, ObjError> {
+    let mut acc = Module::from_object(chain.first.clone());
+    for step in &chain.steps {
+        let acc_v = with_view(acc, &step.acc_view);
+        let b = with_view(
+            Module::from_object(step.operand.clone()),
+            &step.operand_view,
+        );
+        acc = copying_combine(&acc_v, &b, step.mode)?;
+    }
+    Ok(acc)
+}
+
+/// Runs a chain through the in-place merge: each step hands over the
+/// accumulator it owns (every operand is owned too; the first one is
+/// also held by `shared`, so the first step copies it).
+fn run_in_place(chain: &Chain, shared: &Module) -> Result<Module, ObjError> {
+    let mut acc = shared.clone();
+    for step in &chain.steps {
+        let acc_v = with_view(acc, &step.acc_view);
+        let b = with_view(
+            Module::from_object(step.operand.clone()),
+            &step.operand_view,
+        );
+        acc = match step.mode {
+            Mode::Merge => acc_v.merge_with(b)?,
+            Mode::Override => acc_v.override_with(b)?,
+        };
+    }
+    Ok(acc)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A merge step that appends into the accumulator it owns is the
+    /// copying step, byte for byte: same object (name, sections, symbol
+    /// order, relocations), same content hash, same error.
+    #[test]
+    fn in_place_merge_chain_matches_the_copying_fold(
+        chain in proptest::strategy::from_fn(gen_chain)
+    ) {
+        let shared = Module::from_object(chain.first.clone());
+        let want = run_copying(&chain);
+        let got = run_in_place(&chain, &shared);
+        match (want, got) {
+            (Ok(want), Ok(got)) => {
+                prop_assert_eq!(got.content_hash(), want.content_hash());
+                let (got, want) = (got.into_object().expect("ok"), want.materialize().expect("ok"));
+                prop_assert_eq!(got.content_hash(), want.content_hash());
+                prop_assert_eq!(got, want);
+            }
+            (want, got) => prop_assert_eq!(got.err(), want.err()),
+        }
+        // The shared first operand was copied, never consumed.
+        prop_assert_eq!(shared.materialize().expect("ok"), chain.first);
+    }
+
+    /// `merge_all` over owned steps equals the copying fold too.
+    #[test]
+    fn merge_all_matches_the_copying_fold(
+        chain in proptest::strategy::from_fn(gen_chain)
+    ) {
+        let mut modules = vec![Module::from_object(chain.first.clone())];
+        modules.extend(chain.steps.iter().map(|s| Module::from_object(s.operand.clone())));
+        let mut want = Ok(modules[0].clone());
+        for m in &modules[1..] {
+            want = want.and_then(|acc| copying_combine(&acc, m, Mode::Merge));
+        }
+        let got = Module::merge_all(&modules);
+        let object = |r: Result<Module, ObjError>| r.map(|m| m.into_object().expect("ok"));
+        prop_assert_eq!(object(got), object(want));
+    }
+}
+
+#[test]
+fn renamed_local_names_stay_unique_across_the_whole_chain() {
+    // Pins one case the generator reaches: a local already named like a
+    // later fresh name (`_x$u1`) must be skipped, not reused, when the
+    // accumulator's locals are renamed in place.
+    let mut a = ObjectFile::new("a.o");
+    let t = a.add_section(Section::with_bytes(
+        ".text",
+        SectionKind::Text,
+        vec![0; 16],
+        8,
+    ));
+    a.define(Symbol::defined("_x$u1", t, 0).local()).unwrap();
+    a.define(Symbol::defined("_x", t, 8).local()).unwrap();
+    a.relocate(Relocation::new(t, 0, RelocKind::Abs32, "_x"));
+    let b = a.clone();
+    let want = copying_combine(
+        &Module::from_object(a.clone()),
+        &Module::from_object(b.clone()),
+        Mode::Merge,
+    )
+    .unwrap()
+    .materialize()
+    .unwrap();
+    let got = Module::from_object(a)
+        .merge_with(Module::from_object(b))
+        .unwrap()
+        .into_object()
+        .unwrap();
+    assert_eq!(got, want);
+    // `a`'s `_x` skipped the taken `_x$u1`; `b`'s renamed after it.
+    let locals: Vec<&str> = got.symbols.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(locals, ["_x$u1$u0", "_x$u2", "_x$u1$u3", "_x$u4"]);
 }
