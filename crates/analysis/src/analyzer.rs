@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use omos_blueprint::{Blueprint, MNode, Span, SpecKind};
 use omos_constraint::RegionClass;
 use omos_link::make_partial_stubs;
-use omos_module::generate_initializers;
+use omos_module::{generate_initializers, rename_locals};
 use omos_obj::view::{apply_view_op, ViewKind, ViewOp};
 use omos_obj::{
     ObjError, ObjectFile, Regex, Relocation, Section, SectionKind, Symbol, SymbolBinding, SymbolDef,
@@ -27,23 +27,20 @@ pub fn analyze_blueprint(bp: &Blueprint, ctx: &mut dyn LintContext) -> Vec<Diagn
     analyze_blueprint_report(bp, ctx).diagnostics
 }
 
-/// What the symbolic walk learned beyond the findings: inputs the
-/// resolution-manifest derivation needs that only the analyzer can see
-/// without materializing anything.
+/// The findings plus the interpositions the symbolic walk predicts.
+/// The manifest takes its interpositions from the evaluation itself
+/// ([`crate::manifest::interpositions_of`]); this list is the
+/// independent prediction the oracle tests hold that record to.
 #[derive(Debug, Clone)]
 pub struct AnalysisReport {
     /// Every finding, sorted by source position.
     pub diagnostics: Vec<Diagnostic>,
     /// Symbols replaced by an `override` conflict, in occurrence order
-    /// (the manifest canonicalizes by sorting and deduplicating).
+    /// (sort and deduplicate to compare with a manifest).
     pub interpositions: Vec<String>,
-    /// Names of the shared libraries the graph references, in
-    /// resolution order.
-    pub libraries: Vec<String>,
 }
 
-/// [`analyze_blueprint`] plus the walk's side products (interposition
-/// chain, library list) for manifest derivation.
+/// [`analyze_blueprint`] plus the interpositions the walk predicts.
 pub fn analyze_blueprint_report(bp: &Blueprint, ctx: &mut dyn LintContext) -> AnalysisReport {
     let mut a = Analyzer {
         ctx,
@@ -67,7 +64,6 @@ pub fn analyze_blueprint_report(bp: &Blueprint, ctx: &mut dyn LintContext) -> An
     AnalysisReport {
         diagnostics: diags,
         interpositions: a.interpositions.into_iter().map(|(n, _)| n).collect(),
-        libraries: a.libs.into_iter().map(|l| l.name).collect(),
     }
 }
 
@@ -381,40 +377,33 @@ impl Analyzer<'_> {
     }
 
     /// Folds `src` into `dst` under merge (`override_conflicts: false`)
-    /// or override (`true`) rules, mirroring the module combiner: local
-    /// symbols are uniquified, sections are appended (keeping the
-    /// footprint right), symbol entries replay the insert upgrade rules.
+    /// or override (`true`) rules, mirroring the module combiner: the
+    /// locals of both operands are uniquified (the accumulator's first,
+    /// [`rename_locals`]), sections are appended (keeping the footprint
+    /// right), symbol entries replay the insert upgrade rules.
     fn fuse(
         &mut self,
         dst: &mut NodeState,
-        src: NodeState,
+        mut src: NodeState,
         override_conflicts: bool,
         span: Option<Span>,
     ) {
+        // Fresh names never collide with one another, and a candidate
+        // already in either table is skipped, so renaming cannot fail.
+        let _ = rename_locals(
+            &mut dst.obj,
+            |c| src.obj.symbols.get(c).is_some(),
+            &mut self.uniq,
+        );
+        let _ = rename_locals(
+            &mut src.obj,
+            |c| dst.obj.symbols.get(c).is_some(),
+            &mut self.uniq,
+        );
         let base = dst.obj.sections.len();
-        let mut local_rename: Vec<(String, String)> = Vec::new();
-        for sym in src.obj.symbols.iter() {
-            if sym.binding == SymbolBinding::Local {
-                let fresh = loop {
-                    let candidate = format!("{}$u{}", sym.name, self.uniq);
-                    self.uniq += 1;
-                    if dst.obj.symbols.get(&candidate).is_none()
-                        && src.obj.symbols.get(&candidate).is_none()
-                    {
-                        break candidate;
-                    }
-                };
-                local_rename.push((sym.name.clone(), fresh));
-            }
-        }
-        for sec in &src.obj.sections {
-            dst.obj.sections.push(sec.clone());
-        }
+        dst.obj.sections.append(&mut src.obj.sections);
         for sym in src.obj.symbols.iter() {
             let mut s = sym.clone();
-            if let Some((_, fresh)) = local_rename.iter().find(|(o, _)| o == &s.name) {
-                s.name = fresh.clone();
-            }
             if let SymbolDef::Defined { section, offset } = s.def {
                 s.def = SymbolDef::Defined {
                     section: section + base,
@@ -443,17 +432,12 @@ impl Analyzer<'_> {
                 dst.obj.symbols.insert_override(s);
             }
         }
-        for r in &src.obj.relocs {
-            let symbol = match local_rename.iter().find(|(o, _)| o == &r.symbol) {
-                Some((_, fresh)) => fresh.clone(),
-                None => r.symbol.clone(),
-            };
-            dst.obj.relocs.push(Relocation {
+        dst.obj
+            .relocs
+            .extend(src.obj.relocs.into_iter().map(|r| Relocation {
                 section: r.section + base,
-                symbol,
-                ..*r
-            });
-        }
+                ..r
+            }));
         dst.poisoned |= src.poisoned;
     }
 
@@ -614,7 +598,7 @@ impl Analyzer<'_> {
 
         // OM006 — an override replaced a definition nobody references:
         // the interposition cannot be observed. (The list itself is kept:
-        // it is the manifest's interposition chain.)
+        // it is the report's interposition prediction.)
         let candidates = self.interpositions.clone();
         for (name, span) in candidates {
             let referenced = root.obj.relocs.iter().any(|r| r.symbol == name);
@@ -873,7 +857,7 @@ fn round_page(v: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze_blueprint;
+    use crate::{analyze_blueprint, analyze_blueprint_report};
     use omos_isa::assemble;
     use omos_obj::view::materialize_count;
     use std::collections::HashMap;
@@ -1127,6 +1111,35 @@ mod tests {
         );
         let diags = lint(&mut ctx, "(initializers /obj/init.o)");
         assert!(diags.is_empty(), "unexpected: {diags:?}");
+    }
+
+    /// `/o/loc` keeps a local `helper`; `/o/glob` defines `helper`
+    /// globally. The module combiner renames the first operand's locals
+    /// before each step, so the two never meet.
+    fn local_vs_global_world() -> TestCtx {
+        let mut ctx = TestCtx::default();
+        ctx.add_asm(
+            "/o/loc",
+            ".text\n.global _x\nhelper: ret\n_x: call helper\n ret\n",
+        );
+        ctx.add_asm("/o/glob", ".text\n.global helper\nhelper: ret\n");
+        ctx
+    }
+
+    #[test]
+    fn accumulator_local_does_not_clash_with_a_later_global() {
+        let mut ctx = local_vs_global_world();
+        let diags = lint(&mut ctx, "(merge /o/loc /o/glob)");
+        assert!(diags.is_empty(), "no OM003 for a local: {diags:?}");
+    }
+
+    #[test]
+    fn accumulator_local_is_not_an_interposition() {
+        let mut ctx = local_vs_global_world();
+        let bp = Blueprint::parse("(override /o/loc /o/glob)").expect("parses");
+        let report = analyze_blueprint_report(&bp, &mut ctx);
+        assert!(report.interpositions.is_empty(), "{report:?}");
+        assert!(report.diagnostics.is_empty(), "{report:?}");
     }
 
     #[test]

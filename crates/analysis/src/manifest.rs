@@ -39,7 +39,6 @@ use omos_obj::encode::container::{self, ContainerKind};
 use omos_obj::encode::{Reader, Writer};
 use omos_obj::{fnv1a, ContentHash, ObjError, ObjectFile, SectionKind};
 
-use crate::analyzer::analyze_blueprint_report;
 use crate::{Diagnostic, LintContext, Severity};
 
 /// Default client text base when no `constraint-list` pins it (programs
@@ -567,7 +566,8 @@ pub fn program_image_key(
 /// evaluates the m-graph (view algebra, no linking), replays placement
 /// on a private copy of `solver`, and plans every export address with
 /// the linker's layout pass. The real link is never executed and no
-/// image bytes are produced.
+/// image bytes are produced. The interpositions are the ones the
+/// evaluation recorded ([`interpositions_of`]).
 ///
 /// `solver` is the exported state of the authoritative placement
 /// solver: replaying placement against a copy returns exactly the
@@ -577,12 +577,11 @@ pub fn program_image_key(
 pub fn derive_manifest(
     bp: &Blueprint,
     eval_ctx: &dyn EvalContext,
-    lint_ctx: &mut dyn LintContext,
     solver: &SolverState,
 ) -> Result<ResolutionManifest, String> {
     let mut out = eval_blueprint(bp, eval_ctx).map_err(|e| format!("eval failed: {e}"))?;
     crate::policy::apply_link_policies(bp, &mut out).map_err(|e| format!("{e}"))?;
-    derive_manifest_from_eval(bp, &out, lint_ctx, solver)
+    manifest_of_eval(bp, &out, solver)
 }
 
 /// [`derive_manifest`] for a caller that already evaluated the
@@ -591,10 +590,39 @@ pub fn derive_manifest(
 /// evaluate once, transform once, and feed the same output to both the
 /// manifest derivation and the link/relink executor, so the two can
 /// never see different modules.
+///
+/// `_lint_ctx` is unused: the interpositions come from `out` itself,
+/// so no analyzer runs. The parameter stays so that existing callers
+/// (the host-clock benchmark among them) build unchanged.
 pub fn derive_manifest_from_eval(
     bp: &Blueprint,
     out: &EvalOutput,
-    lint_ctx: &mut dyn LintContext,
+    _lint_ctx: &mut dyn LintContext,
+    solver: &SolverState,
+) -> Result<ResolutionManifest, String> {
+    manifest_of_eval(bp, out, solver)
+}
+
+/// The interposed symbols of an evaluation: the records its client
+/// module and every library module carry
+/// ([`omos_module::Module::interpositions`]), merged, sorted and
+/// deduplicated. They come from the same evaluation that produced the
+/// modules, so they describe the same namespace generation.
+#[must_use]
+pub fn interpositions_of(out: &EvalOutput) -> Vec<String> {
+    let mut names: Vec<String> = std::iter::once(&out.module)
+        .chain(out.libraries.iter().map(|l| &l.module))
+        .flat_map(|m| m.interpositions().iter().cloned())
+        .collect();
+    names.sort();
+    names.dedup();
+    names
+}
+
+/// The body of [`derive_manifest_from_eval`].
+fn manifest_of_eval(
+    bp: &Blueprint,
+    out: &EvalOutput,
     solver: &SolverState,
 ) -> Result<ResolutionManifest, String> {
     let mut sv = PlacementSolver::import_state(solver);
@@ -655,24 +683,30 @@ pub fn derive_manifest_from_eval(
         image_key,
     };
     Ok(assemble_manifest(
-        bp, libraries, &exports, program, &prog_syms, lint_ctx,
+        bp,
+        interpositions_of(out),
+        libraries,
+        &exports,
+        program,
+        &prog_syms,
     ))
 }
 
 /// Assembles the canonical manifest from a resolution's parts: the
-/// library rows with each library's exports, in resolution order, and
-/// the program row with the program's own definitions. Library exports
+/// evaluation's interpositions ([`interpositions_of`]), the library
+/// rows with each library's exports, in resolution order, and the
+/// program row with the program's own definitions. Library exports
 /// bind first definition wins; the program's definitions override any
 /// of them (its internal resolution beats any extern). Shared by the
 /// static derivation and the server's manifest of what a build actually
 /// produced, so the two canonicalize identically.
 pub fn assemble_manifest<'a>(
     bp: &Blueprint,
+    interpositions: Vec<String>,
     libraries: Vec<LibraryResolution>,
     exports: impl IntoIterator<Item = &'a HashMap<String, u32>>,
     program: ProgramResolution,
     program_exports: &HashMap<String, u32>,
-    lint_ctx: &mut dyn LintContext,
 ) -> ResolutionManifest {
     let mut map: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
     for (lib, symbols) in libraries.iter().zip(exports) {
@@ -691,9 +725,6 @@ pub fn assemble_manifest<'a>(
             addr,
         })
         .collect();
-    let mut interpositions = analyze_blueprint_report(bp, lint_ctx).interpositions;
-    interpositions.sort();
-    interpositions.dedup();
     ResolutionManifest {
         root: bp.hash(),
         libraries,

@@ -96,7 +96,10 @@ pub enum ResolvedNode {
 
 /// A cached evaluation result: the module plus the namespace paths its
 /// derivation resolved. The evaluator folds the dependency record into
-/// the enclosing scope on a hit so invalidation stays precise.
+/// the enclosing scope on a hit so invalidation stays precise. The
+/// module keeps its interposition record
+/// ([`Module::interpositions`]), so a hit reports the same overrides as
+/// the evaluation that filled the entry.
 #[derive(Debug, Clone)]
 pub struct CachedEval {
     /// The memoized module.
@@ -160,7 +163,9 @@ pub struct LibraryUse {
 #[derive(Debug)]
 pub struct EvalOutput {
     /// The client module: every inline-merged fragment (including
-    /// generated dynamic stubs).
+    /// generated dynamic stubs). It and each library module carry the
+    /// override conflicts their evaluation resolved
+    /// ([`Module::interpositions`]).
     pub module: Module,
     /// Self-contained shared libraries referenced, to be placed and bound
     /// by the server.

@@ -93,7 +93,8 @@ enum Op {
         code: String,
     },
     /// Register the operand as a `lib-dynamic` implementation and
-    /// generate its partial-image stubs.
+    /// generate its partial-image stubs (which inherit the operand's
+    /// interposition record).
     DynStubs {
         operand: usize,
     },
@@ -556,7 +557,10 @@ impl Exec<'_> {
                 let lib_id = self.ctx.register_dynamic_impl(key, &impl_module)?;
                 let mut exports = impl_module.exports()?;
                 exports.sort();
+                // The stubs stand in for the implementation, so they
+                // carry its interposition record.
                 Module::from_object(make_partial_stubs(lib_id, &exports))
+                    .with_interpositions(impl_module.interpositions())
             }
         })
     }

@@ -41,8 +41,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use omos_analysis::manifest::{
-    assemble_manifest, client_bases, derive_manifest, derive_manifest_from_eval, library_image_key,
-    library_placement, program_image_key, LibraryResolution, ProgramResolution, ResolutionManifest,
+    assemble_manifest, client_bases, derive_manifest, derive_manifest_from_eval, interpositions_of,
+    library_image_key, library_placement, program_image_key, LibraryResolution, ProgramResolution,
+    ResolutionManifest,
 };
 use omos_analysis::relink::{plan_relink, LibAction};
 use omos_analysis::{
@@ -786,7 +787,7 @@ impl Omos {
             self.tracer.advance(patch_ns);
         }
 
-        let manifest = self.manifest_from_actuals(bp, &out.libraries, &libs, &program, client);
+        let manifest = self.manifest_from_actuals(bp, &out, &libs, &program, client);
         if derived.as_ref().is_some_and(|(d, _)| *d != manifest) {
             return Err(OmosError::Client(
                 "relinked resolution diverged from its derivation".to_string(),
@@ -1144,19 +1145,21 @@ impl Omos {
 
     /// Builds the resolution manifest from what the build *actually*
     /// produced: placed bases from the solver, export addresses from
-    /// the bound images, image keys from the cache entries. The
-    /// statically derived manifest ([`derive_manifest`]) must agree
+    /// the bound images, image keys from the cache entries, and the
+    /// interpositions `out`'s modules recorded as they were evaluated.
+    /// The statically derived manifest ([`derive_manifest`]) must agree
     /// byte-for-byte — the differential tests compare the two with
     /// [`divergence`](omos_analysis::manifest::divergence).
     fn manifest_from_actuals(
         &self,
         bp: &Blueprint,
-        uses: &[LibraryUse],
+        out: &EvalOutput,
         libs: &Libraries,
         program: &CachedImage,
         (text_base, data_base): (u32, u32),
     ) -> ResolutionManifest {
-        let rows = uses
+        let rows = out
+            .libraries
             .iter()
             .zip(&libs.images)
             .zip(&libs.bases)
@@ -1170,6 +1173,7 @@ impl Omos {
             .collect();
         assemble_manifest(
             bp,
+            interpositions_of(out),
             rows,
             libs.images.iter().map(|img| &img.image.symbols),
             ProgramResolution {
@@ -1178,7 +1182,6 @@ impl Omos {
                 image_key: program.key,
             },
             &program.image.symbols,
-            &mut NamespaceLint(&self.namespace),
         )
     }
 
@@ -1190,8 +1193,7 @@ impl Omos {
     pub fn explain_blueprint(&self, bp: &Blueprint) -> Result<ResolutionManifest, OmosError> {
         let ctx = ReqCtx::new(self);
         let state = self.solver().export_state();
-        let mut lint = NamespaceLint(&self.namespace);
-        derive_manifest(bp, &ctx, &mut lint, &state).map_err(OmosError::Client)
+        derive_manifest(bp, &ctx, &state).map_err(OmosError::Client)
     }
 
     /// [`Omos::explain_blueprint`] for the meta-object (or bare
@@ -1324,9 +1326,10 @@ impl Omos {
 }
 
 /// [`LintContext`] over the server namespace: read-only resolution, a
-/// missing name is a finding rather than an abort. `pub(crate)` so the
-/// persistence layer can re-derive manifests at restore time.
-pub(crate) struct NamespaceLint<'a>(pub(crate) &'a Namespace);
+/// missing name is a finding rather than an abort. Public so a caller
+/// can run the analyzer against a live namespace, as the oracle tests
+/// do.
+pub struct NamespaceLint<'a>(pub &'a Namespace);
 
 impl LintContext for NamespaceLint<'_> {
     fn resolve(&mut self, path: &str) -> LintResolved {

@@ -36,6 +36,11 @@ pub enum MergeMode {
 
 /// A module: a self-referential naming scope over executable fragments.
 ///
+/// Beside its view, a module carries the names its derivation
+/// interposed: every def-def conflict an `override` resolved, recorded
+/// when [`Module::override_with`] makes the decision and carried forward
+/// by every operator (see [`Module::interpositions`]).
+///
 /// # Examples
 ///
 /// The Figure 2 interposition idiom — stash the original definition,
@@ -64,29 +69,30 @@ pub enum MergeMode {
 #[derive(Debug, Clone)]
 pub struct Module {
     view: View,
+    /// Symbols an `override` conflict replaced, sorted and deduplicated.
+    interposed: Vec<String>,
 }
 
 impl Module {
     /// Wraps an object file.
     #[must_use]
     pub fn from_object(obj: ObjectFile) -> Module {
-        Module {
-            view: View::from_object(obj),
-        }
+        Module::from_view(View::from_object(obj))
     }
 
     /// Wraps a shared object file.
     #[must_use]
     pub fn from_arc(obj: Arc<ObjectFile>) -> Module {
-        Module {
-            view: View::of(obj),
-        }
+        Module::from_view(View::of(obj))
     }
 
     /// Wraps an existing view.
     #[must_use]
     pub fn from_view(view: View) -> Module {
-        Module { view }
+        Module {
+            view,
+            interposed: Vec::new(),
+        }
     }
 
     /// The underlying view.
@@ -95,10 +101,32 @@ impl Module {
         &self.view
     }
 
-    /// Deterministic identity for caching.
+    /// Deterministic identity for caching. Covers the view only: the
+    /// interposition record is provenance, not content, so it moves no
+    /// cache or image key.
     #[must_use]
     pub fn content_hash(&self) -> ContentHash {
         self.view.content_hash()
+    }
+
+    /// The symbols an `override` replaced anywhere in this module's
+    /// derivation, sorted and deduplicated. A name stays recorded after
+    /// later operators rename or hide it: the record says which
+    /// conflicts were resolved, not what is visible now.
+    #[must_use]
+    pub fn interpositions(&self) -> &[String] {
+        &self.interposed
+    }
+
+    /// This module with `names` added to its interposition record — for
+    /// a module generated from another (such as `lib-dynamic` stubs)
+    /// that stands in for it.
+    #[must_use]
+    pub fn with_interpositions(mut self, names: &[String]) -> Module {
+        self.interposed.extend_from_slice(names);
+        self.interposed.sort();
+        self.interposed.dedup();
+        self
     }
 
     /// Materializes into a concrete object file (applies all pending view
@@ -136,9 +164,13 @@ impl Module {
             pattern: Regex::new(pattern)?,
             replacement: replacement.to_string(),
         });
-        Ok(match kind {
-            ViewKind::Freeze => Module::from_object(view.materialize()?),
-            _ => Module { view },
+        let view = match kind {
+            ViewKind::Freeze => View::from_object(view.materialize()?),
+            _ => view,
+        };
+        Ok(Module {
+            view,
+            interposed: self.interposed.clone(),
         })
     }
 
@@ -211,30 +243,56 @@ impl Module {
     /// static-initializer symbol (see [`generate_initializers`]) and merges
     /// it into this module.
     pub fn initializers(self) -> Result<Module> {
-        let obj = self.into_object()?;
+        let obj = self.view.into_object()?;
         let init = generate_initializers(&obj)?;
-        Module::from_object(obj).merge_with(Module::from_object(init))
+        let acc = Module {
+            view: View::from_object(obj),
+            interposed: self.interposed,
+        };
+        acc.merge_with(Module::from_object(init))
     }
 }
 
 /// Combines two modules into one concrete object: `a`'s object is the
 /// accumulator, renamed and appended into in place, so a step costs
 /// `b`'s size plus a pass over `a`'s symbols and relocations, never a
-/// copy of `a`'s section bytes.
+/// copy of `a`'s section bytes. The result's interposition record is
+/// both operands' records plus the conflicts this step overrides.
 fn combine(a: Module, b: Module, mode: MergeMode) -> Result<Module> {
-    let mut acc = a.into_object()?;
-    let ob = b.into_object()?;
+    let mut interposed = a.interposed;
+    interposed.extend(b.interposed);
+    let mut acc = a.view.into_object()?;
+    let ob = b.view.into_object()?;
     acc.name = format!("{}+{}", acc.name, ob.name);
 
     // The accumulator's locals take the first fresh names, as if it were
     // appended into an empty object.
     let mut uniq = 0usize;
-    let fresh = fresh_locals(&acc.symbols, |_| false, &mut uniq);
-    rename_relocs(&mut acc.relocs, &acc.symbols, &fresh);
-    acc.symbols.rename_positions(fresh)?;
-    append_object(&mut acc, ob, mode, &mut uniq)?;
+    rename_locals(&mut acc, |_| false, &mut uniq)?;
+    append_object(&mut acc, ob, mode, &mut uniq, &mut interposed)?;
     acc.validate()?;
-    Ok(Module::from_object(acc))
+    interposed.sort();
+    interposed.dedup();
+    Ok(Module {
+        view: View::from_object(acc),
+        interposed,
+    })
+}
+
+/// Gives each of `obj`'s local symbols a fresh `$u{n}` name, drawn in
+/// table order from the shared counter `uniq` (a candidate already in
+/// `obj` or for which `taken` holds is skipped), and points its
+/// relocations at the new names. The module combiner renames the
+/// accumulator's locals this way before each step, and the static
+/// analyzer replays it to keep the same scoping.
+pub fn rename_locals(
+    obj: &mut ObjectFile,
+    taken: impl Fn(&str) -> bool,
+    uniq: &mut usize,
+) -> Result<()> {
+    let fresh = fresh_locals(&obj.symbols, taken, uniq);
+    rename_relocs(&mut obj.relocs, &obj.symbols, &fresh);
+    obj.symbols.rename_positions(fresh)
 }
 
 /// Fresh `$u{n}` names for `table`'s local symbols, by position, drawn
@@ -272,12 +330,15 @@ fn rename_relocs(relocs: &mut [Relocation], table: &SymbolTable, fresh: &[Option
 }
 
 /// Appends `src`'s sections, symbols, and relocations into `dst`,
-/// uniquifying local symbols and remapping section indices.
+/// uniquifying local symbols and remapping section indices. Under
+/// [`MergeMode::Override`] each def-def conflict's name is pushed onto
+/// `interposed`.
 fn append_object(
     dst: &mut ObjectFile,
     mut src: ObjectFile,
     mode: MergeMode,
     uniq: &mut usize,
+    interposed: &mut Vec<String>,
 ) -> Result<()> {
     let base = dst.sections.len();
 
@@ -313,6 +374,7 @@ fn append_object(
                     (Some(true), true)
                 );
                 if conflict {
+                    interposed.push(s.name.clone());
                     dst.symbols.insert_override(s);
                 } else {
                     dst.symbols.insert(s)?;

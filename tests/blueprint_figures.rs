@@ -2,9 +2,11 @@
 //! to the expected graphs, evaluate, and the resulting programs behave
 //! as the paper describes.
 
+use omos::analysis::analyze_blueprint_report;
 use omos::blueprint::{Blueprint, MNode};
 use omos::constraint::RegionClass;
-use omos::core::{run_under_omos, Omos};
+use omos::core::server::NamespaceLint;
+use omos::core::{run_under_omos, Entry, Omos};
 use omos::isa::{assemble, StopReason};
 use omos::os::ipc::Transport;
 use omos::os::{CostModel, InMemFs, SimClock};
@@ -466,6 +468,46 @@ fn figure_manifests_match_golden_snapshots() {
         let reply = server.instantiate(path).unwrap();
         assert_eq!(m.hash(), reply.manifest, "{path}");
         golden_check(name, &m.render());
+    }
+}
+
+/// Figure 2 with `override` in place of restrict-and-merge: the
+/// interposition is then a conflict the evaluator records.
+const FIGURE_2_OVERRIDE: &str = r#"
+(hide "_REAL_malloc"
+  (override
+    (copy_as "^_malloc$" "_REAL_malloc" (merge /bin/ls.o /lib/libc.o))
+    /lib/test_malloc.o))
+"#;
+
+#[test]
+fn figure_interpositions_match_the_analyzer() {
+    // The manifest's interpositions are the overrides the evaluation
+    // recorded; the analyzer's prediction must agree, cold and again
+    // from the warm eval cache.
+    let traced = figure2_world();
+    traced
+        .namespace
+        .bind_blueprint("/bin/ls-override", FIGURE_2_OVERRIDE)
+        .unwrap();
+    for (server, path, want) in [
+        (figure1_world(), "/bin/use", &[][..]),
+        (figure2_world(), "/bin/ls-traced", &[]),
+        (traced, "/bin/ls-override", &["_malloc"]),
+        (figure3_world(), "/bin/fixed", &[]),
+    ] {
+        let Some(Entry::Meta(bp)) = server.namespace.lookup(path) else {
+            panic!("{path} is bound to a blueprint");
+        };
+        let mut predicted =
+            analyze_blueprint_report(&bp, &mut NamespaceLint(&server.namespace)).interpositions;
+        predicted.sort();
+        predicted.dedup();
+        assert_eq!(predicted, want, "analyzer on {path}");
+        for pass in ["cold", "warm"] {
+            let m = server.explain(path).unwrap();
+            assert_eq!(m.interpositions, want, "{pass} derivation of {path}");
+        }
     }
 }
 

@@ -102,6 +102,44 @@ fn program_spanning_two_libraries_runs_under_both_exec_paths() {
 }
 
 #[test]
+fn preflight_accepts_a_local_named_like_a_later_global() {
+    // The first operand's `helper` is local; the second defines a global
+    // `helper`. Merge keeps them apart, so the pre-flight analysis must
+    // not report a duplicate definition.
+    let s = Omos::new(CostModel::hpux(), Transport::SysVMsg);
+    s.namespace.bind_object(
+        "/o/loc",
+        assemble(
+            "loc.o",
+            ".text\n.global _start\nhelper: li r1, 3\n ret\n_start: call helper\n sys 0\n",
+        )
+        .unwrap(),
+    );
+    s.namespace.bind_object(
+        "/o/glob",
+        assemble("glob.o", ".text\n.global helper\nhelper: li r1, 9\n ret\n").unwrap(),
+    );
+    s.namespace
+        .bind_blueprint("/bin/p", "(merge /o/loc /o/glob)")
+        .unwrap();
+    s.set_preflight(true);
+    let cost = CostModel::hpux();
+    let mut clock = SimClock::new();
+    let out = run_under_omos(
+        &s,
+        "/bin/p",
+        false,
+        &mut clock,
+        &cost,
+        &mut InMemFs::new(),
+        100_000,
+    )
+    .unwrap();
+    // The call reaches the local `helper`, not the global one.
+    assert_eq!(out.stop, StopReason::Exited(3));
+}
+
+#[test]
 fn libraries_land_at_their_constrained_addresses() {
     let s = world();
     let reply = s.instantiate("/bin/app").unwrap();

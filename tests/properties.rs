@@ -4,13 +4,19 @@ use proptest::prelude::*;
 
 use proptest::test_runner::TestRng;
 
-use omos::blueprint::Blueprint;
+use omos::analysis::manifest::{
+    Binding, LibraryResolution, ProgramResolution, ResolutionManifest, CLIENT_DATA_BASE,
+    CLIENT_TEXT_BASE, PROGRAM_PROVIDER,
+};
+use omos::blueprint::{Blueprint, LinkPolicy, PolicyKind};
 use omos::core::persist::{decode_blueprint, encode_blueprint};
 use omos::link::{link, LinkOptions};
 use omos::obj::encode::container::{self, ContainerKind};
 use omos::obj::encode::{read, read_any, write, Format};
 use omos::obj::view::{RenameTarget, View, ViewKind, ViewOp};
-use omos::obj::{fnv1a, ObjectFile, Regex, RelocKind, Relocation, Section, SectionKind, Symbol};
+use omos::obj::{
+    fnv1a, ContentHash, ObjectFile, Regex, RelocKind, Relocation, Section, SectionKind, Symbol,
+};
 
 // --- Strategies -----------------------------------------------------------------
 
@@ -267,6 +273,127 @@ proptest! {
         payload[p] ^= val | 1;
         let _ = decode_blueprint(&container::seal(ContainerKind::Blueprint, &payload));
         let _ = decode_blueprint(&container::seal(ContainerKind::Blueprint, &payload[..p]));
+    }
+}
+
+// --- Resolution-manifest decoding ----------------------------------------------------
+
+prop_compose! {
+    /// A manifest with every section populated: libraries, bindings,
+    /// interpositions and (sometimes) policies.
+    fn arb_manifest()(
+        root in any::<u64>(),
+        libs in proptest::collection::vec((arb_symbol_name(), any::<u64>(), any::<u32>()), 0..4),
+        bindings in proptest::collection::vec((arb_symbol_name(), any::<u32>()), 0..6),
+        interpositions in proptest::collection::btree_set(arb_symbol_name(), 0..5),
+        policies in proptest::collection::vec((0u8..3, arb_symbol_name()), 0..3),
+    ) -> ResolutionManifest {
+        ResolutionManifest {
+            root: ContentHash(root),
+            libraries: libs
+                .into_iter()
+                .map(|(name, key, base)| LibraryResolution {
+                    name,
+                    key: ContentHash(key),
+                    text_base: base,
+                    data_base: base ^ 0x4000_0000,
+                    image_key: ContentHash(key.rotate_left(7)),
+                })
+                .collect(),
+            program: ProgramResolution {
+                text_base: CLIENT_TEXT_BASE,
+                data_base: CLIENT_DATA_BASE,
+                image_key: ContentHash(root ^ 1),
+            },
+            bindings: bindings
+                .into_iter()
+                .map(|(symbol, addr)| Binding {
+                    symbol,
+                    provider: PROGRAM_PROVIDER.to_string(),
+                    addr,
+                })
+                .collect(),
+            interpositions: interpositions.into_iter().collect(),
+            policies: policies
+                .into_iter()
+                .map(|(k, pattern)| LinkPolicy {
+                    kind: [PolicyKind::Deny, PolicyKind::Trampoline, PolicyKind::Audit]
+                        [usize::from(k)],
+                    pattern,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Offset of the interposition count in `m`'s payload: everything
+/// before it is the manifest with no interpositions and no policies,
+/// minus that empty count.
+fn interposition_block_at(m: &ResolutionManifest) -> usize {
+    let head = ResolutionManifest {
+        interpositions: Vec::new(),
+        policies: Vec::new(),
+        ..m.clone()
+    };
+    container::open(ContainerKind::Resolution, &head.encode())
+        .expect("opens")
+        .len()
+        - 4
+}
+
+proptest! {
+    #[test]
+    fn manifest_round_trips(m in arb_manifest()) {
+        let back = ResolutionManifest::decode(&m.encode()).expect("decodes");
+        prop_assert_eq!(back.hash(), m.hash());
+        prop_assert_eq!(back, m);
+    }
+
+    #[test]
+    fn manifest_decode_never_panics_on_arbitrary_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..160),
+    ) {
+        // Raw bytes fail the frame check; sealed ones reach the payload
+        // decoder itself.
+        let _ = ResolutionManifest::decode(&raw);
+        let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &raw));
+    }
+
+    #[test]
+    fn resealed_manifest_corruption_never_panics(
+        m in arb_manifest(),
+        pos in any::<u16>(),
+        val in any::<u8>(),
+    ) {
+        let mut payload = container::open(ContainerKind::Resolution, &m.encode())
+            .expect("opens")
+            .to_vec();
+        let p = usize::from(pos) % payload.len();
+        payload[p] ^= val | 1;
+        let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &payload));
+        let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &payload[..p]));
+    }
+
+    #[test]
+    fn corrupt_interposition_block_never_panics(
+        m in arb_manifest(),
+        count in any::<u32>(),
+        pos in any::<u16>(),
+        val in any::<u8>(),
+    ) {
+        // Aim at the interposition block: a wild count, then a flipped
+        // byte anywhere from the count to the end of the payload.
+        let at = interposition_block_at(&m);
+        let mut payload = container::open(ContainerKind::Resolution, &m.encode())
+            .expect("opens")
+            .to_vec();
+        let mut wild = payload.clone();
+        wild[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &wild));
+        let p = at + usize::from(pos) % (payload.len() - at);
+        payload[p] ^= val | 1;
+        let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &payload));
+        let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &payload[..p]));
     }
 }
 
