@@ -1,164 +1,7 @@
-//! Ablations over the design choices DESIGN.md calls out:
-//!
-//! 1. **IPC transport** (§8.1: Mach IPC vs SysV messages vs Sun RPC) —
-//!    the HP-UX `ls` ratio is sensitive to the transport because the
-//!    round trip is OMOS's main per-invocation cost on tiny programs;
-//! 2. **Caching off vs on** — the cold (first-ever) instantiation pays
-//!    evaluation + linking; warm invocations ride the reply cache;
-//! 3. **Synchronous writes** (§2.1's NFS remark) — static-linking a
-//!    multi-megabyte binary under synchronous writes;
-//! 4. **Constraint conflicts** (§3.5/§4.1) — the common case generates
-//!    one library version; conflicting preferences force alternates and
-//!    land in the conflict log;
-//! 5. **DeltaBlue vs first-fit** (§10) — incremental re-layout of a
-//!    library chain.
-
-use omos_bench::{Scenario, WorkloadSizes};
-use omos_constraint::deltablue::ChainLayout;
-use omos_constraint::{PlacementRequest, PlacementSolver, RegionClass, SegmentRequest};
-use omos_os::ipc::Transport;
-use omos_os::{CostModel, InMemFs, SimClock};
+//! Ablations over the design choices DESIGN.md calls out: IPC transport,
+//! caching, synchronous writes, constraint conflicts and DeltaBlue vs
+//! first-fit (see `omos_bench::report::ablate`).
 
 fn main() {
-    transport_sweep();
-    cold_vs_warm();
-    sync_write_cost();
-    constraint_conflicts();
-    deltablue_vs_first_fit();
-}
-
-fn transport_sweep() {
-    println!("1. Transport ablation (HP-UX ls, warm, bootstrap exec):");
-    println!("{:<12} {:>14} {:>8}", "transport", "omos elapsed", "ratio");
-    let sizes = WorkloadSizes::default();
-    for t in Transport::ALL {
-        let mut s = Scenario::build(sizes, CostModel::hpux(), t);
-        s.warm_up().expect("schemes agree");
-        let m = s.measure("ls").expect("measures");
-        println!(
-            "{:<12} {:>12.2}ms {:>8.2}",
-            t.name(),
-            m.bootstrap.elapsed_ns as f64 / 1e6,
-            m.bootstrap_ratio()
-        );
-    }
-    println!();
-}
-
-fn cold_vs_warm() {
-    println!("2. Cache ablation (HP-UX codegen, bootstrap exec):");
-    let sizes = WorkloadSizes {
-        codegen_iters: 5,
-        ..WorkloadSizes::default()
-    };
-    let mut s = Scenario::build(sizes, CostModel::hpux(), Transport::SysVMsg);
-    let (cold, _) = s.run_omos("codegen", false).expect("cold run");
-    let (warm, _) = s.run_omos("codegen", false).expect("warm run");
-    println!(
-        "  cold (first instantiation): {:>9.2}ms elapsed",
-        cold.elapsed_ns as f64 / 1e6
-    );
-    println!(
-        "  warm (reply cache hit):     {:>9.2}ms elapsed  ({:.1}x faster)",
-        warm.elapsed_ns as f64 / 1e6,
-        cold.elapsed_ns as f64 / warm.elapsed_ns as f64
-    );
-    let st = s.server.stats();
-    println!(
-        "  server: {} requests, {} reply-cache hits, {} libraries built, {} programs built\n",
-        st.requests, st.reply_cache_hits, st.libraries_built, st.programs_built
-    );
-}
-
-fn sync_write_cost() {
-    println!("3. Synchronous-write ablation (static linking I/O, §2.1):");
-    let cost = {
-        let mut c = CostModel::hpux();
-        c.sync_write_mult = 3;
-        c
-    };
-    let binary = vec![0u8; 3 * 1024 * 1024];
-    for (label, sync) in [("local (async)", false), ("NFS-style (sync)", true)] {
-        let mut fs = InMemFs::new();
-        fs.sync_writes = sync;
-        let mut clock = SimClock::new();
-        fs.write("/bin/huge", &binary, &mut clock, &cost)
-            .expect("write succeeds");
-        println!(
-            "  {:<18} 3 MB binary write: {:>8.1}ms elapsed",
-            label,
-            clock.elapsed_ns as f64 / 1e6
-        );
-    }
-    println!("  (the paper: \"at least a factor of three worse\" on NFS)\n");
-}
-
-fn constraint_conflicts() {
-    println!("4. Constraint-conflict ablation (§3.5/§4.1):");
-    let mut solver = PlacementSolver::new();
-    let seg = |pref| SegmentRequest {
-        class: RegionClass::Text,
-        size: 0x20000,
-        align: 4096,
-        preferred: Some(pref),
-    };
-    // Common case: fifty programs, three libraries, no conflicts.
-    for _ in 0..50 {
-        for (name, pref) in [
-            ("libc", 0x0100_0000u64),
-            ("libm", 0x0140_0000),
-            ("libX", 0x0180_0000),
-        ] {
-            solver
-                .place(
-                    &PlacementRequest {
-                        name: name.into(),
-                        key: 1,
-                        segments: vec![seg(pref)],
-                    },
-                    &[],
-                )
-                .expect("places");
-        }
-    }
-    println!(
-        "  common case: 150 requests -> {} libc versions, {} conflicts",
-        solver.version_count("libc", 1),
-        solver.conflicts().len()
-    );
-    // Conflict case: a rebuilt libc (new content) wants the same address.
-    solver
-        .place(
-            &PlacementRequest {
-                name: "libc".into(),
-                key: 2,
-                segments: vec![seg(0x0100_0000)],
-            },
-            &[],
-        )
-        .expect("places elsewhere");
-    println!(
-        "  after rebuilding libc: {} + {} versions, {} conflicts logged (occupant: {:?})\n",
-        solver.version_count("libc", 1),
-        solver.version_count("libc", 2),
-        solver.conflicts().len(),
-        solver
-            .conflicts()
-            .last()
-            .and_then(|c| c.occupant.as_deref())
-    );
-}
-
-fn deltablue_vs_first_fit() {
-    println!("5. DeltaBlue chain layout vs first-fit re-placement (§10):");
-    let sizes: Vec<i64> = (0..64).map(|i| 0x1000 * (i % 8 + 1)).collect();
-    let mut chain = ChainLayout::new(0x0100_0000, &sizes, 0x1000).expect("chain solves");
-    let before = chain.bases();
-    chain.move_origin(0x0200_0000);
-    let after = chain.bases();
-    let moved = after.iter().zip(&before).filter(|(a, b)| a != b).count();
-    println!("  DeltaBlue: moving the chain origin re-placed {moved}/64 libraries in one plan");
-    println!("  first-fit: the same move releases and re-places all 64 (64 solver calls),");
-    println!("  but DeltaBlue cannot express overlap avoidance against foreign bookings —");
-    println!("  which is why the production path uses the priority solver (§4.4 of DESIGN.md).");
+    print!("{}", omos_bench::report::ablate());
 }

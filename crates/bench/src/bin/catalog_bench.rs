@@ -4,10 +4,10 @@
 //! s ∈ {0.8, 1.1}: an unbounded reference replay sizes the byte
 //! budgets, then generation-order, cost-aware, and cost-aware+tiered
 //! caches replay the *same seeded Zipfian request stream* at 1/8, 1/4,
-//! and 1/2 of the reference footprint. Writes `BENCH_CATALOG.json`
-//! (or the path given as the first argument) and fails if cost-aware
-//! tiered caching does not beat generation-order eviction at every
-//! budget.
+//! and 1/2 of the reference footprint. Prints the report and writes it
+//! to `BENCH_CATALOG.json` (or the path given as the first argument);
+//! fails if cost-aware tiered caching does not beat generation-order
+//! eviction at every budget.
 //!
 //! `--smoke [GOLDEN]` runs the CI gate instead: the 1k catalog at
 //! s = 1.1, rendered as integer counters only, byte-compared against
@@ -77,78 +77,18 @@ fn assert_tiered_wins(results: &[omos_bench::catalog::CatalogResult]) {
     }
 }
 
-fn print_summary(results: &[omos_bench::catalog::CatalogResult]) {
-    for r in results {
-        eprintln!(
-            "catalog: {} programs / {} libraries, {} requests, reference {} bytes",
-            r.spec.programs, r.spec.libraries, r.requests, r.reference_bytes
-        );
-        eprintln!(
-            "  {:>5} {:>18} {:>6} {:>9} {:>9} {:>9} {:>9} {:>10} {:>9} {:>8}",
-            "s",
-            "plan",
-            "frac",
-            "probes",
-            "t1 hits",
-            "faults",
-            "relinks",
-            "avoidance",
-            "recover",
-            "rec spd"
-        );
-        for c in &r.curves {
-            for p in &c.points {
-                let d = &p.result;
-                eprintln!(
-                    "  {:>5.2} {:>18} {:>6.3} {:>9} {:>9} {:>9} {:>9} {:>10.4} {:>9} {:>7.2}x",
-                    c.s,
-                    p.plan,
-                    p.budget_frac,
-                    d.probes,
-                    d.tier1_hits,
-                    d.fault_ins,
-                    d.relinks,
-                    d.avoidance(),
-                    d.recoveries,
-                    d.recovery_full_ns as f64 / d.recovery_incremental_ns.max(1) as f64,
-                );
-            }
-        }
-    }
-}
-
 fn run_smoke(golden_path: &str) {
     let result = run_catalog(CatalogSpec::small(), &[1.1], &drive_cfg(2_500));
     assert_tiered_wins(std::slice::from_ref(&result));
-    print_summary(std::slice::from_ref(&result));
     let got = to_smoke_json(&result);
-    if std::env::var("OMOS_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        if let Err(e) = std::fs::write(golden_path, &got) {
-            eprintln!("catalog_bench: cannot write {golden_path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("updated {golden_path}");
-        return;
-    }
-    let want = match std::fs::read_to_string(golden_path) {
-        Ok(w) => w,
+    eprint!("{got}");
+    match omos_bench::report::check_smoke_golden(golden_path, &got) {
+        Ok(line) => eprintln!("{line}"),
         Err(e) => {
-            eprintln!(
-                "catalog_bench: cannot read golden {golden_path}: {e}\n\
-                 run with OMOS_UPDATE_GOLDEN=1 to create it"
-            );
+            eprintln!("catalog_bench: {e}");
             std::process::exit(1);
         }
-    };
-    if got != want {
-        eprintln!(
-            "catalog_bench: smoke curve diverged from {golden_path}\n\
-             --- golden ---\n{want}\n--- current ---\n{got}\n\
-             If the change is intentional, regenerate with OMOS_UPDATE_GOLDEN=1."
-        );
-        std::process::exit(1);
     }
-    eprintln!("smoke curve matches {golden_path}");
 }
 
 fn main() {
@@ -170,8 +110,8 @@ fn main() {
         run_catalog(CatalogSpec::large(), &SKEWS, &drive_cfg(8_000)),
     ];
     assert_tiered_wins(&results);
-    print_summary(&results);
     let json = to_json(&results);
+    eprint!("{json}");
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("catalog_bench: cannot write {out_path}: {e}");
         std::process::exit(1);

@@ -1,8 +1,9 @@
 //! `mcbench` — the multi-client throughput benchmark.
 //!
 //! Sweeps 1/2/4/8 client threads against one shared OMOS server, cold
-//! and warm, and writes `BENCH_CONCURRENCY.json` (or the path given as
-//! the first argument). See `omos_bench::mcbench` for methodology.
+//! and warm, prints the report and writes it to `BENCH_CONCURRENCY.json`
+//! (or the path given as the first argument); `ofe stats` renders its
+//! per-stage latency table. See `omos_bench::mcbench` for methodology.
 
 use omos_bench::mcbench::{run_multiclient, to_json};
 use omos_bench::workload::WorkloadSizes;
@@ -21,99 +22,8 @@ fn main() {
         25,
         true,
     );
-    eprintln!(
-        "{:>6} {:>5} {:>9} {:>14} {:>14}  builds (replies/programs/libs)",
-        "phase", "thr", "requests", "makespan_ms", "req/s"
-    );
-    for (phase, p) in result
-        .cold
-        .iter()
-        .map(|p| ("cold", p))
-        .chain(result.warm.iter().map(|p| ("warm", p)))
-    {
-        eprintln!(
-            "{:>6} {:>5} {:>9} {:>14.3} {:>14.0}  {}/{}/{}",
-            phase,
-            p.threads,
-            p.requests,
-            p.makespan_ns as f64 / 1e6,
-            p.throughput_rps,
-            p.stats.replies_built,
-            p.stats.programs_built,
-            p.stats.libraries_built,
-        );
-    }
-    if let Some(s) = result.warm_scaling(1, 4) {
-        eprintln!("warm scaling 1 -> 4 threads: {s:.2}x");
-    }
-    if let Some(cl) = &result.cold_link {
-        eprintln!(
-            "cold-link latency ({}): {} ns sequential -> {} ns at {} jobs \
-             ({:.2}x critical path, bill {} ns either way)",
-            cl.program,
-            cl.sequential.latency_ns,
-            cl.parallel.latency_ns,
-            cl.parallel.jobs,
-            cl.sim_speedup(),
-            cl.parallel.server_ns,
-        );
-    }
-    if let Some(wr) = &result.warm_restart {
-        eprintln!(
-            "warm restart ({}): first request {} ns restored vs {} ns cold \
-             ({:.2}x; checkpoint {} bytes, restore {} images, {} dropped)",
-            wr.program,
-            wr.restored_first_ns,
-            wr.cold_first_ns,
-            wr.speedup(),
-            wr.checkpoint_bytes,
-            wr.restored_images,
-            wr.restore_dropped,
-        );
-    }
-    if let Some(p) = &result.pipelined {
-        eprintln!(
-            "transports ({} threads, window {}): mach {:.0} rps -> pipelined {:.0} rps \
-             ({:.2}x), shm-ring {:.0} rps ({:.2}x); replies bit-identical: {}",
-            p.threads,
-            p.window,
-            p.baseline.throughput_rps,
-            p.pipelined.throughput_rps,
-            p.speedup(),
-            p.shm_ring.throughput_rps,
-            p.shm_speedup(),
-            p.replies_bit_identical(),
-        );
-    }
-    if let Some(po) = &result.policy {
-        for ph in &po.phases {
-            eprintln!(
-                "policy {:>10} ({}, {} routines): {} ns ({:+} ns vs off; {} trampolines, {} audits)",
-                ph.policy,
-                po.program,
-                po.routines,
-                ph.server_ns,
-                po.overhead_ns(ph.policy).unwrap_or(0),
-                ph.trampolines,
-                ph.audits,
-            );
-        }
-    }
-    eprintln!(
-        "{:>10} {:>9} {:>12} {:>12} {:>12}",
-        "stage", "count", "p50_ns", "p95_ns", "p99_ns"
-    );
-    for h in result.stages.iter().filter(|h| h.count > 0) {
-        eprintln!(
-            "{:>10} {:>9} {:>12} {:>12} {:>12}",
-            h.stage.name(),
-            h.count,
-            h.percentile(0.50),
-            h.percentile(0.95),
-            h.percentile(0.99),
-        );
-    }
     let json = to_json(&result);
+    eprint!("{json}");
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("mcbench: cannot write {out_path}: {e}");
         std::process::exit(1);

@@ -1,76 +1,6 @@
-//! Regenerates the memory-use comparison (\[11\], cited in §2.1 and §4.1):
-//! dispatch tables vs library-code savings for a small program (`ls`)
-//! and library (`libc`), across concurrency levels, under three schemes.
-
-use omos_bench::memshare::{measure_native, measure_omos, measure_static};
-use omos_bench::workload::WorkloadSizes;
+//! Regenerates the memory-use comparison (\[11\], cited in §2.1 and §4.1)
+//! (see `omos_bench::report::memuse`).
 
 fn main() {
-    let sizes = WorkloadSizes::default();
-    println!("Memory use: `ls` under three library schemes (pages are 4 KB)");
-    println!("(reproducing the [11] dispatch-table-vs-savings comparison)\n");
-    println!(
-        "{:<10} {:>5} {:>12} {:>12} {:>10} {:>14}",
-        "scheme", "procs", "mapped KB", "resident KB", "saved KB", "dispatch B/proc"
-    );
-    let mut native_rows = Vec::new();
-    let mut static_rows = Vec::new();
-    for n in [1usize, 2, 4, 8, 16] {
-        let st = measure_static(n, &sizes).expect("static runs");
-        let na = measure_native(n, &sizes).expect("native runs");
-        let om = measure_omos(n, &sizes).expect("omos runs");
-        for (name, m) in [("static", &st), ("native", &na), ("omos", &om)] {
-            println!(
-                "{:<10} {:>5} {:>12} {:>12} {:>10} {:>14}",
-                name,
-                m.processes,
-                m.mapped_kb,
-                m.resident_kb,
-                m.saved_kb(),
-                m.dispatch_bytes
-            );
-        }
-        println!();
-        native_rows.push(na);
-        static_rows.push(st);
-    }
-
-    // The [11] claim, quantified: at low concurrency the native scheme's
-    // overhead (dispatch tables + whole-library residency) exceeds what
-    // sharing saves relative to selective static linking.
-    println!("[11] claim check (native vs static):");
-    for (na, st) in native_rows.iter().zip(&static_rows) {
-        let overhead = na.resident_kb as i64 - st.resident_kb as i64;
-        println!(
-            "  {:>2} procs: native spends {:+} KB vs static ({} B/proc of that is dispatch tables)",
-            na.processes, overhead, na.dispatch_bytes
-        );
-    }
-    println!(
-        "\nFor small concurrency the dynamic scheme *costs* memory — exactly the\n\
-         [11] observation; the crossover appears as concurrency grows."
-    );
-
-    // Mixed-program population: where shared libraries pay off (two
-    // different static binaries duplicate their libc subsets).
-    use omos_bench::memshare::{measure_omos_mixed, measure_static_mixed};
-    println!("\nMixed population: N x ls + N x `ls -laF`:");
-    println!(
-        "{:<10} {:>7} {:>12} {:>12} {:>10}",
-        "scheme", "procs", "mapped KB", "resident KB", "saved KB"
-    );
-    for n in [1usize, 4, 16] {
-        let st = measure_static_mixed(n, &sizes).expect("static mixed runs");
-        let om = measure_omos_mixed(n, &sizes).expect("omos mixed runs");
-        for (name, m) in [("static", &st), ("omos", &om)] {
-            println!(
-                "{:<10} {:>7} {:>12} {:>12} {:>10}",
-                name,
-                m.processes,
-                m.mapped_kb,
-                m.resident_kb,
-                m.saved_kb()
-            );
-        }
-    }
+    print!("{}", omos_bench::report::memuse());
 }

@@ -5,9 +5,10 @@
 //! through the warm server's diff-driven incremental relink and once as
 //! a cold full relink of the identical state, proves the two replies
 //! bit-identical (program image, library images and keys, manifest
-//! hash), and records both simulated costs. Writes `BENCH_RELINK.json`
-//! (or the path given as the first argument) and fails unless the
-//! 1-of-12 point is at least 5x faster incrementally.
+//! hash), and records both simulated costs. Prints the report and
+//! writes it to `BENCH_RELINK.json` (or the path given as the first
+//! argument); fails unless the 1-of-12 point is at least 5x faster
+//! incrementally.
 //!
 //! `--smoke [GOLDEN]` runs the CI gate instead: the same sweep rendered
 //! as integer counters only, byte-compared against the committed golden
@@ -15,81 +16,20 @@
 //! `OMOS_UPDATE_GOLDEN=1` to regenerate the golden file after an
 //! intentional change.
 
-use omos_bench::relink::{run_relink_bench, to_json, to_smoke_json, RelinkResult, LIBRARIES};
-
-/// The acceptance gate the report file is required to demonstrate: a
-/// 1-of-12-library change rebuilds at least this much faster through
-/// the incremental path, and cost grows monotonically with diff size.
-fn assert_gate(r: &RelinkResult) {
-    assert_eq!(r.points.len(), LIBRARIES);
-    let p1 = &r.points[0];
-    assert!(
-        p1.speedup() >= 5.0,
-        "1-of-12 rebind speedup {:.2} < 5x (incr {} vs full {})",
-        p1.speedup(),
-        p1.incremental_ns,
-        p1.full_ns
-    );
-    for w in r.points.windows(2) {
-        assert!(
-            w[0].incremental_ns < w[1].incremental_ns,
-            "incremental cost must grow with diff size"
-        );
-    }
-}
-
-fn print_summary(r: &RelinkResult) {
-    eprintln!("relink: {LIBRARIES}-library program, k rebound libraries per point");
-    eprintln!(
-        "  {:>3} {:>12} {:>12} {:>8} {:>7} {:>8} {:>12}",
-        "k", "incr ns", "full ns", "speedup", "reused", "relinked", "avoided ns"
-    );
-    for p in &r.points {
-        eprintln!(
-            "  {:>3} {:>12} {:>12} {:>7.2}x {:>7} {:>8} {:>12}",
-            p.changed,
-            p.incremental_ns,
-            p.full_ns,
-            p.speedup(),
-            p.reused,
-            p.relinked,
-            p.avoided_ns,
-        );
-    }
-}
+use omos_bench::relink::{assert_gate, run_relink_bench, to_json, to_smoke_json};
 
 fn run_smoke(golden_path: &str) {
     let r = run_relink_bench();
     assert_gate(&r);
-    print_summary(&r);
     let got = to_smoke_json(&r);
-    if std::env::var("OMOS_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        if let Err(e) = std::fs::write(golden_path, &got) {
-            eprintln!("relink_bench: cannot write {golden_path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("updated {golden_path}");
-        return;
-    }
-    let want = match std::fs::read_to_string(golden_path) {
-        Ok(w) => w,
+    eprint!("{got}");
+    match omos_bench::report::check_smoke_golden(golden_path, &got) {
+        Ok(line) => eprintln!("{line}"),
         Err(e) => {
-            eprintln!(
-                "relink_bench: cannot read golden {golden_path}: {e}\n\
-                 run with OMOS_UPDATE_GOLDEN=1 to create it"
-            );
+            eprintln!("relink_bench: {e}");
             std::process::exit(1);
         }
-    };
-    if got != want {
-        eprintln!(
-            "relink_bench: smoke curve diverged from {golden_path}\n\
-             --- golden ---\n{want}\n--- current ---\n{got}\n\
-             If the change is intentional, regenerate with OMOS_UPDATE_GOLDEN=1."
-        );
-        std::process::exit(1);
     }
-    eprintln!("smoke curve matches {golden_path}");
 }
 
 fn main() {
@@ -108,8 +48,9 @@ fn main() {
         .unwrap_or_else(|| "BENCH_RELINK.json".to_string());
     let r = run_relink_bench();
     assert_gate(&r);
-    print_summary(&r);
-    if let Err(e) = std::fs::write(&out_path, to_json(&r)) {
+    let json = to_json(&r);
+    eprint!("{json}");
+    if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("relink_bench: cannot write {out_path}: {e}");
         std::process::exit(1);
     }

@@ -1,34 +1,7 @@
 //! Regenerates the §4.1 reordering experiment: monitored procedure
-//! reordering should yield a speedup "in excess of 10%" (\[14\]).
-
-use omos_bench::{run_reorder_experiment, ReorderConfig};
+//! reordering should yield a speedup "in excess of 10%" (\[14\])
+//! (see `omos_bench::report::reorder`).
 
 fn main() {
-    let cfg = ReorderConfig::default();
-    println!("Procedure-reordering experiment (\"locality of reference\", §4.1 / [14])");
-    println!(
-        "library: {} routines x 256B, hot set: every {}th routine, {} loops\n",
-        cfg.n_fns, cfg.hot_stride, cfg.loops
-    );
-    let r = run_reorder_experiment(&cfg).expect("experiment runs");
-    println!(
-        "{:<22} {:>10} {:>12} {:>12} {:>12}",
-        "layout", "elapsed", "i$ misses", "page faults", "peak pages"
-    );
-    for (label, run) in [("source order", &r.before), ("monitored order", &r.after)] {
-        println!(
-            "{:<22} {:>9.2}ms {:>12} {:>12} {:>12}",
-            label,
-            run.times.elapsed_ns as f64 / 1e6,
-            run.locality.cache_misses,
-            run.locality.page_faults,
-            run.locality.peak_resident,
-        );
-    }
-    println!("\nmonitoring events collected: {}", r.events);
-    println!("derived order head: {:?}", r.derived_head);
-    println!(
-        "speedup: {:.1}%  (paper: \"average speedups in excess of 10%\")",
-        r.speedup() * 100.0
-    );
+    print!("{}", omos_bench::report::reorder());
 }

@@ -1,77 +1,10 @@
 //! Regenerates the paper's Table 1: "Constraint-based Shared Library
-//! Performance, Times in Seconds".
-//!
-//! Four blocks: HP-UX `ls` ×1000, HP-UX `ls -laF` ×1000, HP-UX `codegen`
-//! ×1000, and Mach 3.0/OSF/1 `ls` ×300 (native vs OMOS bootstrap vs OMOS
-//! integrated). Runs are warm (the paper repeated each run at least
-//! three times); a single deterministic simulated invocation is measured
-//! and scaled by the iteration count — the simulated clock is exact, so
-//! scaling loses nothing.
+//! Performance, Times in Seconds" (see `omos_bench::report::table1`).
 //!
 //! Pass `--summary` to also print the abstract's aggregate claim
 //! ("average speedup of 20% (range 0 – 56%)").
 
-use omos_bench::report::Block;
-use omos_bench::{Scenario, WorkloadSizes};
-use omos_os::ipc::Transport;
-use omos_os::CostModel;
-
 fn main() {
     let summary = std::env::args().any(|a| a == "--summary");
-    let sizes = WorkloadSizes::default();
-    let mut speedups: Vec<(String, f64)> = Vec::new();
-
-    println!("Table 1: Constraint-based Shared Library Performance Times in Seconds");
-    println!("(reproduction; simulated clock, warm caches)\n");
-
-    // --- HP-UX blocks. ------------------------------------------------------
-    let mut hp = Scenario::build(sizes, CostModel::hpux(), Transport::SysVMsg);
-    hp.warm_up().expect("all schemes agree on output");
-    for (prog, label, iters) in [
-        ("ls", "ls", 1000u64),
-        ("ls-laF", "ls -laF", 1000),
-        ("codegen", "codegen", 1000),
-    ] {
-        let t = hp.measure(prog).expect("measurement succeeds");
-        let mut b = Block::new("HP-UX", label, iters);
-        b.push("HP-UX Shared Lib", t.native.scaled(iters));
-        b.push("OMOS bootstrap exec", t.bootstrap.scaled(iters));
-        println!("{}", b.render());
-        speedups.push((
-            format!("HP-UX {label} (bootstrap)"),
-            1.0 - t.bootstrap_ratio(),
-        ));
-    }
-
-    // --- OSF/1 block. ---------------------------------------------------------
-    let mut osf = Scenario::build(sizes, CostModel::osf1(), Transport::MachIpc);
-    osf.warm_up().expect("all schemes agree on output");
-    let t = osf.measure("ls").expect("measurement succeeds");
-    let iters = 300u64;
-    let mut b = Block::new("Mach 3.0 with OSF/1 Server", "ls", iters);
-    b.push("OSF/1 Shared Lib", t.native.scaled(iters));
-    b.push("OMOS bootstrap exec", t.bootstrap.scaled(iters));
-    b.push("OMOS integrated exec", t.integrated.scaled(iters));
-    println!("{}", b.render());
-    speedups.push(("OSF/1 ls (bootstrap)".into(), 1.0 - t.bootstrap_ratio()));
-    speedups.push(("OSF/1 ls (integrated)".into(), 1.0 - t.integrated_ratio()));
-
-    if summary {
-        println!("Summary (abstract claim: average speedup 20%, range 0 - 56%)");
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for (name, s) in &speedups {
-            println!("  {name:<32} speedup {:5.1}%", s * 100.0);
-            lo = lo.min(*s);
-            hi = hi.max(*s);
-            sum += s;
-        }
-        println!(
-            "  average {:.1}%  range {:.0}% - {:.0}%",
-            sum / speedups.len() as f64 * 100.0,
-            lo * 100.0,
-            hi * 100.0
-        );
-    }
+    print!("{}", omos_bench::report::table1(summary));
 }

@@ -35,6 +35,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use omos_core::json::Json;
 use omos_core::{EvictionPolicy, ImageCache, Omos, SpillTier};
 use omos_obj::{ObjectFile, Section, SectionKind, Symbol};
 use omos_os::ipc::Transport;
@@ -581,133 +582,102 @@ pub fn run_catalog(spec: CatalogSpec, skews: &[f64], cfg: &DriveCfg) -> CatalogR
     }
 }
 
-/// Renders a sweep as JSON (hand-emitted; no serde in the workspace).
-/// Every value is either an integer counter or a fixed-precision
-/// fraction of integers, so the document is deterministic per seed.
-#[must_use]
-pub fn to_json(results: &[CatalogResult]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"catalog-zipf\",");
-    let _ = writeln!(out, "  \"metric\": \"relink_avoidance\",");
-    let _ = writeln!(out, "  \"catalogs\": [");
-    for (ci, r) in results.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"programs\": {},", r.spec.programs);
-        let _ = writeln!(out, "      \"libraries\": {},", r.spec.libraries);
-        let _ = writeln!(out, "      \"seed\": {},", r.spec.seed);
-        let _ = writeln!(out, "      \"requests\": {},", r.requests);
-        let _ = writeln!(out, "      \"pool_bytes\": {},", r.pool_bytes);
-        let _ = writeln!(out, "      \"reference_bytes\": {},", r.reference_bytes);
-        let _ = writeln!(out, "      \"curves\": [");
-        for (si, c) in r.curves.iter().enumerate() {
-            let _ = writeln!(out, "        {{");
-            let _ = writeln!(out, "          \"s\": {:.2},", c.s);
-            let _ = writeln!(out, "          \"points\": [");
-            for (pi, p) in c.points.iter().enumerate() {
-                let d = &p.result;
-                let budget = if p.budget == u64::MAX {
-                    "null".to_string()
-                } else {
-                    p.budget.to_string()
-                };
-                let _ = write!(
-                    out,
-                    concat!(
-                        "            {{\"plan\": \"{}\", \"budget_bytes\": {}, ",
-                        "\"budget_frac\": {:.3}, \"probes\": {}, \"tier1_hits\": {}, ",
-                        "\"fault_ins\": {}, \"relinks\": {}, \"spills\": {}, ",
-                        "\"verify_drops\": {}, \"evictions\": {}, \"reply_hits\": {}, ",
-                        "\"rebinds\": {}, \"distinct_programs\": {}, \"server_ns\": {}, ",
-                        "\"recoveries\": {}, \"recovery_incremental_ns\": {}, ",
-                        "\"recovery_full_ns\": {}, \"avoidance\": {:.4}}}"
-                    ),
-                    p.plan,
-                    budget,
-                    p.budget_frac,
-                    d.probes,
-                    d.tier1_hits,
-                    d.fault_ins,
-                    d.relinks,
-                    d.spills,
-                    d.verify_drops,
-                    d.evictions,
-                    d.reply_hits,
-                    d.rebinds,
-                    d.distinct_programs,
-                    d.server_ns,
-                    d.recoveries,
-                    d.recovery_incremental_ns,
-                    d.recovery_full_ns,
-                    d.avoidance(),
-                );
-                let _ = writeln!(out, "{}", if pi + 1 < c.points.len() { "," } else { "" });
-            }
-            let _ = writeln!(out, "          ]");
-            let _ = write!(out, "        }}");
-            let _ = writeln!(out, "{}", if si + 1 < r.curves.len() { "," } else { "" });
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = write!(out, "    }}");
-        let _ = writeln!(out, "{}", if ci + 1 < results.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+/// A replay's counters as report members, in report order.
+fn counters(d: &DriveResult) -> [(&'static str, Json); 14] {
+    [
+        ("probes", d.probes.into()),
+        ("tier1_hits", d.tier1_hits.into()),
+        ("fault_ins", d.fault_ins.into()),
+        ("relinks", d.relinks.into()),
+        ("spills", d.spills.into()),
+        ("verify_drops", d.verify_drops.into()),
+        ("evictions", d.evictions.into()),
+        ("reply_hits", d.reply_hits.into()),
+        ("rebinds", d.rebinds.into()),
+        ("distinct_programs", d.distinct_programs.into()),
+        ("server_ns", d.server_ns.into()),
+        ("recoveries", d.recoveries.into()),
+        ("recovery_incremental_ns", d.recovery_incremental_ns.into()),
+        ("recovery_full_ns", d.recovery_full_ns.into()),
+    ]
 }
 
-/// The smoke view of one sweep: integer counters only, keyed by
-/// `(s, plan, budget_frac)` — the byte-compared golden document. Float
-/// *derived* values (avoidance) are excluded so the gate compares
-/// nothing but deterministic integer counts.
+/// Renders a sweep as JSON. Every value is either an integer counter
+/// or a fixed-precision fraction of integers, so the document is
+/// deterministic per seed.
+#[must_use]
+pub fn to_json(results: &[CatalogResult]) -> String {
+    let point = |p: &CurvePoint| {
+        let mut members = vec![
+            ("plan", p.plan.into()),
+            (
+                "budget_bytes",
+                (p.budget != u64::MAX).then_some(p.budget).into(),
+            ),
+            ("budget_frac", Json::fixed(p.budget_frac, 3)),
+        ];
+        members.extend(counters(&p.result));
+        members.push(("avoidance", Json::fixed(p.result.avoidance(), 4)));
+        Json::obj(members)
+    };
+    let curve = |c: &Curve| {
+        let points = c.points.iter().map(point).collect();
+        Json::obj([("s", Json::fixed(c.s, 2)), ("points", Json::Arr(points))])
+    };
+    let catalog = |r: &CatalogResult| {
+        Json::obj([
+            ("programs", r.spec.programs.into()),
+            ("libraries", r.spec.libraries.into()),
+            ("seed", r.spec.seed.into()),
+            ("requests", r.requests.into()),
+            ("pool_bytes", r.pool_bytes.into()),
+            ("reference_bytes", r.reference_bytes.into()),
+            ("curves", Json::Arr(r.curves.iter().map(curve).collect())),
+        ])
+    };
+    Json::obj([
+        ("bench", "catalog-zipf".into()),
+        ("metric", "relink_avoidance".into()),
+        ("catalogs", Json::Arr(results.iter().map(catalog).collect())),
+    ])
+    .render()
+}
+
+/// The smoke view of one sweep, the byte-compared golden document:
+/// points keyed by `(s, plan, budget_frac)` as strings, with the cache
+/// and recovery counters only. The derived avoidance fraction is left
+/// out, so the gate compares nothing but deterministic integer counts.
 #[must_use]
 pub fn to_smoke_json(r: &CatalogResult) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"catalog-smoke\",");
-    let _ = writeln!(out, "  \"programs\": {},", r.spec.programs);
-    let _ = writeln!(out, "  \"libraries\": {},", r.spec.libraries);
-    let _ = writeln!(out, "  \"seed\": {},", r.spec.seed);
-    let _ = writeln!(out, "  \"requests\": {},", r.requests);
-    let _ = writeln!(out, "  \"reference_bytes\": {},", r.reference_bytes);
-    let _ = writeln!(out, "  \"points\": [");
-    let total: usize = r.curves.iter().map(|c| c.points.len()).sum();
-    let mut emitted = 0usize;
-    for c in &r.curves {
-        for p in &c.points {
-            let d = &p.result;
-            emitted += 1;
-            let _ = write!(
-                out,
-                concat!(
-                    "    {{\"s\": \"{:.2}\", \"plan\": \"{}\", \"budget_frac\": \"{:.3}\", ",
-                    "\"probes\": {}, \"tier1_hits\": {}, \"fault_ins\": {}, ",
-                    "\"relinks\": {}, \"spills\": {}, \"verify_drops\": {}, ",
-                    "\"server_ns\": {}, \"recoveries\": {}, ",
-                    "\"recovery_incremental_ns\": {}, \"recovery_full_ns\": {}}}"
-                ),
-                c.s,
-                p.plan,
-                p.budget_frac,
-                d.probes,
-                d.tier1_hits,
-                d.fault_ins,
-                d.relinks,
-                d.spills,
-                d.verify_drops,
-                d.server_ns,
-                d.recoveries,
-                d.recovery_incremental_ns,
-                d.recovery_full_ns,
-            );
-            let _ = writeln!(out, "{}", if emitted < total { "," } else { "" });
-        }
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    const OMIT: [&str; 4] = ["evictions", "reply_hits", "rebinds", "distinct_programs"];
+    let point = |c: &Curve, p: &CurvePoint| {
+        let mut members = vec![
+            ("s", format!("{:.2}", c.s).into()),
+            ("plan", p.plan.into()),
+            ("budget_frac", format!("{:.3}", p.budget_frac).into()),
+        ];
+        members.extend(
+            counters(&p.result)
+                .into_iter()
+                .filter(|(k, _)| !OMIT.contains(k)),
+        );
+        Json::obj(members)
+    };
+    let points = r
+        .curves
+        .iter()
+        .flat_map(|c| c.points.iter().map(move |p| point(c, p)))
+        .collect();
+    Json::obj([
+        ("bench", "catalog-smoke".into()),
+        ("programs", r.spec.programs.into()),
+        ("libraries", r.spec.libraries.into()),
+        ("seed", r.spec.seed.into()),
+        ("requests", r.requests.into()),
+        ("reference_bytes", r.reference_bytes.into()),
+        ("points", Json::Arr(points)),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -839,14 +809,28 @@ mod tests {
     }
 
     #[test]
-    fn smoke_json_is_balanced_and_integer_only() {
+    fn json_round_trips_every_point() {
         let r = run_catalog(tiny_spec(), &[1.1], &tiny_cfg());
-        let j = to_smoke_json(&r);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"plan\": \"cost-aware+tiered\""));
-        assert!(!j.contains("avoidance"), "no derived floats in the gate");
-        let full = to_json(&[r]);
-        assert_eq!(full.matches('{').count(), full.matches('}').count());
-        assert!(full.contains("\"avoidance\""));
+        let points = &r.curves[0].points;
+        let arr = |v: Option<&Json>| v.and_then(Json::as_arr).expect("an array").to_vec();
+        let smoke = omos_core::json::parse(&to_smoke_json(&r)).expect("valid JSON");
+        let smoke_rows = arr(smoke.get("points"));
+        let full = omos_core::json::parse(&to_json(std::slice::from_ref(&r))).expect("valid JSON");
+        let catalog = &arr(full.get("catalogs"))[0];
+        let full_rows = arr(arr(catalog.get("curves"))[0].get("points"));
+        assert_eq!(smoke_rows.len(), points.len());
+        assert_eq!(full_rows.len(), points.len());
+        assert_eq!(full_rows[0].get("budget_bytes"), Some(&Json::Null));
+        for ((smoke, full), p) in smoke_rows.iter().zip(&full_rows).zip(points) {
+            assert_eq!(smoke.get("s"), Some(&"1.10".into()));
+            assert_eq!(smoke.get("plan"), Some(&p.plan.into()));
+            assert_eq!(smoke.get("relinks"), Some(&p.result.relinks.into()));
+            assert!(smoke.get("avoidance").is_none(), "no derived floats");
+            assert_eq!(full.get("probes"), Some(&p.result.probes.into()));
+            assert_eq!(
+                full.get("avoidance"),
+                Some(&Json::fixed(p.result.avoidance(), 4))
+            );
+        }
     }
 }

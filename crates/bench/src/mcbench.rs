@@ -22,6 +22,7 @@
 
 use std::sync::Barrier;
 
+use omos_core::json::Json;
 use omos_core::trace::{HistSnapshot, Stage};
 use omos_core::{Omos, ServerStats};
 use omos_os::ipc::{charge_roundtrip, ClientSession, IpcStats, Transport, DEFAULT_WINDOW};
@@ -801,209 +802,162 @@ pub fn run_multiclient(
     }
 }
 
-fn phase_json(out: &mut String, phase: &str, p: &PhaseResult) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        concat!(
-            "    {{\"phase\": \"{}\", \"threads\": {}, \"requests\": {}, ",
-            "\"makespan_ns\": {}, \"throughput_rps\": {:.1}, \"wall_ms\": {:.3}, ",
-            "\"replies_built\": {}, \"reply_cache_hits\": {}, \"coalesced\": {}, ",
-            "\"programs_built\": {}, \"libraries_built\": {}, ",
-            "\"ipc_messages\": {}, \"ipc_bytes\": {}}}"
-        ),
-        phase,
-        p.threads,
-        p.requests,
-        p.makespan_ns,
-        p.throughput_rps,
-        p.wall_ms,
-        p.stats.replies_built,
-        p.stats.reply_cache_hits,
-        p.stats.coalesced,
-        p.stats.programs_built,
-        p.stats.libraries_built,
-        p.ipc.messages,
-        p.ipc.bytes,
-    );
+fn phase_json(phase: &str, p: &PhaseResult) -> Json {
+    Json::obj([
+        ("phase", phase.into()),
+        ("threads", p.threads.into()),
+        ("requests", p.requests.into()),
+        ("makespan_ns", p.makespan_ns.into()),
+        ("throughput_rps", Json::fixed(p.throughput_rps, 1)),
+        ("wall_ms", Json::fixed(p.wall_ms, 3)),
+        ("replies_built", p.stats.replies_built.into()),
+        ("reply_cache_hits", p.stats.reply_cache_hits.into()),
+        ("coalesced", p.stats.coalesced.into()),
+        ("programs_built", p.stats.programs_built.into()),
+        ("libraries_built", p.stats.libraries_built.into()),
+        ("ipc_messages", p.ipc.messages.into()),
+        ("ipc_bytes", p.ipc.bytes.into()),
+    ])
 }
 
-/// Renders the sweep as a JSON document (no serde in the workspace; the
-/// schema is flat enough to emit by hand).
+fn trace_json(stages: &[HistSnapshot], counters: &[(&'static str, u64)]) -> Json {
+    let stage = |h: &HistSnapshot| {
+        Json::obj([
+            ("stage", h.stage.name().into()),
+            ("count", h.count.into()),
+            ("p50_ns", h.percentile(0.50).into()),
+            ("p95_ns", h.percentile(0.95).into()),
+            ("p99_ns", h.percentile(0.99).into()),
+            ("mean_ns", (h.sum_ns / h.count).into()),
+        ])
+    };
+    let stages = stages.iter().filter(|h| h.count > 0).map(stage).collect();
+    let counters = counters.iter().map(|&(name, v)| (name, v.into()));
+    Json::obj([
+        ("stages", Json::Arr(stages)),
+        ("counters", Json::obj(counters)),
+    ])
+}
+
+fn cold_link_json(cl: &ColdLinkLatency) -> Json {
+    let run = |r: &ColdLinkRun| {
+        Json::obj([
+            ("eval_jobs", r.jobs.into()),
+            ("server_ns", r.server_ns.into()),
+            ("latency_ns", r.latency_ns.into()),
+            ("wall_ms", Json::fixed(r.wall_ms, 3)),
+        ])
+    };
+    Json::obj([
+        ("program", cl.program.into()),
+        ("sequential", run(&cl.sequential)),
+        ("parallel", run(&cl.parallel)),
+        ("sim_speedup", Json::fixed(cl.sim_speedup(), 2)),
+        ("wall_speedup", Json::fixed(cl.wall_speedup(), 2)),
+    ])
+}
+
+fn warm_restart_json(wr: &WarmRestart) -> Json {
+    Json::obj([
+        ("program", wr.program.into()),
+        ("cold_first_ns", wr.cold_first_ns.into()),
+        ("restored_first_ns", wr.restored_first_ns.into()),
+        ("checkpoint_bytes", wr.checkpoint_bytes.into()),
+        ("checkpoint_ns", wr.checkpoint_ns.into()),
+        ("restore_ns", wr.restore_ns.into()),
+        ("restored_images", wr.restored_images.into()),
+        ("restore_dropped", wr.restore_dropped.into()),
+        ("speedup", Json::fixed(wr.speedup(), 2)),
+    ])
+}
+
+fn pipelined_json(p: &PipelinedResult) -> Json {
+    let transport = |t: &TransportPhase| {
+        Json::obj([
+            ("transport", t.transport.name().into()),
+            ("requests", t.requests.into()),
+            ("makespan_ns", t.makespan_ns.into()),
+            ("throughput_rps", Json::fixed(t.throughput_rps, 1)),
+            ("ipc_messages", t.ipc.messages.into()),
+            ("ipc_bytes", t.ipc.bytes.into()),
+            ("batches", t.ipc.batches.into()),
+            ("mappings", t.ipc.mappings.into()),
+            ("reply_digest", t.reply_digest.as_str().into()),
+        ])
+    };
+    Json::obj([
+        ("threads", p.threads.into()),
+        ("window", p.window.into()),
+        ("requests_per_thread", p.requests_per_thread.into()),
+        ("baseline", transport(&p.baseline)),
+        ("pipelined", transport(&p.pipelined)),
+        ("shm_ring", transport(&p.shm_ring)),
+        ("speedup_vs_mach", Json::fixed(p.speedup(), 2)),
+        ("shm_speedup_vs_mach", Json::fixed(p.shm_speedup(), 2)),
+        ("replies_bit_identical", p.replies_bit_identical().into()),
+    ])
+}
+
+fn policy_json(po: &PolicyOverhead) -> Json {
+    let phase = |ph: &PolicyPhase| {
+        Json::obj([
+            ("policy", ph.policy.into()),
+            ("server_ns", ph.server_ns.into()),
+            ("overhead_ns", po.overhead_ns(ph.policy).unwrap_or(0).into()),
+            ("trampolines", ph.trampolines.into()),
+            ("audits", ph.audits.into()),
+            ("manifest", ph.manifest.as_str().into()),
+        ])
+    };
+    Json::obj([
+        ("program", po.program.into()),
+        ("routines", po.routines.into()),
+        ("phases", Json::Arr(po.phases.iter().map(phase).collect())),
+    ])
+}
+
+/// Renders the sweep as a JSON document (`BENCH_CONCURRENCY.json`);
+/// sections the sweep skipped are left out.
 #[must_use]
 pub fn to_json(r: &McResult) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"multiclient-throughput\",");
-    let _ = writeln!(
-        out,
-        "  \"programs\": [{}],",
-        PROGRAMS
-            .iter()
-            .map(|p| format!("\"{p}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(out, "  \"requests_per_thread\": {},", r.requests_per_thread);
-    let _ = writeln!(out, "  \"phases\": [");
-    let total = r.cold.len() + r.warm.len();
-    for (i, (phase, p)) in r
+    let phases = r
         .cold
         .iter()
-        .map(|p| ("cold", p))
-        .chain(r.warm.iter().map(|p| ("warm", p)))
-        .enumerate()
-    {
-        phase_json(&mut out, phase, p);
-        let _ = writeln!(out, "{}", if i + 1 < total { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
+        .map(|p| phase_json("cold", p))
+        .chain(r.warm.iter().map(|p| phase_json("warm", p)))
+        .collect();
+    let programs = PROGRAMS.iter().map(|&p| p.into()).collect();
+    let mut doc = vec![
+        ("bench", "multiclient-throughput".into()),
+        ("programs", Json::Arr(programs)),
+        ("requests_per_thread", r.requests_per_thread.into()),
+        ("phases", Json::Arr(phases)),
+    ];
     if !r.stages.is_empty() {
-        let _ = writeln!(out, "  \"trace\": {{");
-        let _ = writeln!(out, "    \"stages\": [");
-        let with_samples: Vec<_> = r.stages.iter().filter(|h| h.count > 0).collect();
-        for (i, h) in with_samples.iter().enumerate() {
-            let _ = write!(
-                out,
-                concat!(
-                    "      {{\"stage\": \"{}\", \"count\": {}, \"p50_ns\": {}, ",
-                    "\"p95_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}}}"
-                ),
-                h.stage.name(),
-                h.count,
-                h.percentile(0.50),
-                h.percentile(0.95),
-                h.percentile(0.99),
-                h.sum_ns / h.count,
-            );
-            let _ = writeln!(out, "{}", if i + 1 < with_samples.len() { "," } else { "" });
-        }
-        let _ = writeln!(out, "    ],");
-        let _ = writeln!(out, "    \"counters\": {{");
-        for (i, (name, v)) in r.counters.iter().enumerate() {
-            let comma = if i + 1 < r.counters.len() { "," } else { "" };
-            let _ = writeln!(out, "      \"{name}\": {v}{comma}");
-        }
-        let _ = writeln!(out, "    }}");
-        let _ = writeln!(out, "  }},");
+        doc.push(("trace", trace_json(&r.stages, &r.counters)));
     }
     if let Some(cl) = &r.cold_link {
-        let _ = writeln!(out, "  \"cold_link_latency\": {{");
-        let _ = writeln!(out, "    \"program\": \"{}\",", cl.program);
-        for (name, run, comma) in [
-            ("sequential", &cl.sequential, ","),
-            ("parallel", &cl.parallel, ","),
-        ] {
-            let _ = writeln!(
-                out,
-                concat!(
-                    "    \"{}\": {{\"eval_jobs\": {}, \"server_ns\": {}, ",
-                    "\"latency_ns\": {}, \"wall_ms\": {:.3}}}{}"
-                ),
-                name, run.jobs, run.server_ns, run.latency_ns, run.wall_ms, comma,
-            );
-        }
-        let _ = writeln!(out, "    \"sim_speedup\": {:.2},", cl.sim_speedup());
-        let _ = writeln!(out, "    \"wall_speedup\": {:.2}", cl.wall_speedup());
-        let _ = writeln!(out, "  }},");
+        doc.push(("cold_link_latency", cold_link_json(cl)));
     }
     if let Some(wr) = &r.warm_restart {
-        let _ = writeln!(out, "  \"warm_restart\": {{");
-        let _ = writeln!(out, "    \"program\": \"{}\",", wr.program);
-        let _ = writeln!(out, "    \"cold_first_ns\": {},", wr.cold_first_ns);
-        let _ = writeln!(out, "    \"restored_first_ns\": {},", wr.restored_first_ns);
-        let _ = writeln!(out, "    \"checkpoint_bytes\": {},", wr.checkpoint_bytes);
-        let _ = writeln!(out, "    \"checkpoint_ns\": {},", wr.checkpoint_ns);
-        let _ = writeln!(out, "    \"restore_ns\": {},", wr.restore_ns);
-        let _ = writeln!(out, "    \"restored_images\": {},", wr.restored_images);
-        let _ = writeln!(out, "    \"restore_dropped\": {},", wr.restore_dropped);
-        let _ = writeln!(out, "    \"speedup\": {:.2}", wr.speedup());
-        let _ = writeln!(out, "  }},");
+        doc.push(("warm_restart", warm_restart_json(wr)));
     }
     if let Some(p) = &r.pipelined {
-        let _ = writeln!(out, "  \"pipelined\": {{");
-        let _ = writeln!(out, "    \"threads\": {},", p.threads);
-        let _ = writeln!(out, "    \"window\": {},", p.window);
-        let _ = writeln!(
-            out,
-            "    \"requests_per_thread\": {},",
-            p.requests_per_thread
-        );
-        for (name, t) in [
-            ("baseline", &p.baseline),
-            ("pipelined", &p.pipelined),
-            ("shm_ring", &p.shm_ring),
-        ] {
-            let _ = writeln!(
-                out,
-                concat!(
-                    "    \"{}\": {{\"transport\": \"{}\", \"requests\": {}, ",
-                    "\"makespan_ns\": {}, \"throughput_rps\": {:.1}, ",
-                    "\"ipc_messages\": {}, \"ipc_bytes\": {}, \"batches\": {}, ",
-                    "\"mappings\": {}, \"reply_digest\": \"{}\"}},"
-                ),
-                name,
-                t.transport.name(),
-                t.requests,
-                t.makespan_ns,
-                t.throughput_rps,
-                t.ipc.messages,
-                t.ipc.bytes,
-                t.ipc.batches,
-                t.ipc.mappings,
-                t.reply_digest,
-            );
-        }
-        let _ = writeln!(out, "    \"speedup_vs_mach\": {:.2},", p.speedup());
-        let _ = writeln!(out, "    \"shm_speedup_vs_mach\": {:.2},", p.shm_speedup());
-        let _ = writeln!(
-            out,
-            "    \"replies_bit_identical\": {}",
-            p.replies_bit_identical()
-        );
-        let _ = writeln!(out, "  }},");
+        doc.push(("pipelined", pipelined_json(p)));
     }
     if let Some(po) = &r.policy {
-        let _ = writeln!(out, "  \"policy_overhead\": {{");
-        let _ = writeln!(out, "    \"program\": \"{}\",", po.program);
-        let _ = writeln!(out, "    \"routines\": {},", po.routines);
-        let _ = writeln!(out, "    \"phases\": [");
-        for (i, ph) in po.phases.iter().enumerate() {
-            let _ = write!(
-                out,
-                concat!(
-                    "      {{\"policy\": \"{}\", \"server_ns\": {}, ",
-                    "\"overhead_ns\": {}, \"trampolines\": {}, \"audits\": {}, ",
-                    "\"manifest\": \"{}\"}}"
-                ),
-                ph.policy,
-                ph.server_ns,
-                po.overhead_ns(ph.policy).unwrap_or(0),
-                ph.trampolines,
-                ph.audits,
-                ph.manifest,
-            );
-            let _ = writeln!(out, "{}", if i + 1 < po.phases.len() { "," } else { "" });
-        }
-        let _ = writeln!(out, "    ]");
-        let _ = writeln!(out, "  }},");
+        doc.push(("policy_overhead", policy_json(po)));
     }
     if !r.manifests.is_empty() {
-        let _ = writeln!(out, "  \"manifests\": {{");
-        for (i, (program, digest)) in r.manifests.iter().enumerate() {
-            let comma = if i + 1 < r.manifests.len() { "," } else { "" };
-            let _ = writeln!(out, "    \"{program}\": \"{digest}\"{comma}");
-        }
-        let _ = writeln!(out, "  }},");
+        let manifests = r
+            .manifests
+            .iter()
+            .map(|(p, d)| (p.as_str(), d.as_str().into()));
+        doc.push(("manifests", Json::obj(manifests)));
     }
-    let _ = writeln!(
-        out,
-        "  \"warm_scaling_1_to_4\": {:.2}",
-        r.warm_scaling(1, 4).unwrap_or(0.0)
-    );
-    let _ = writeln!(out, "}}");
-    out
+    let scaling = r.warm_scaling(1, 4).unwrap_or(0.0);
+    doc.push(("warm_scaling_1_to_4", Json::fixed(scaling, 2)));
+    Json::obj(doc).render()
 }
 
 #[cfg(test)]
@@ -1149,7 +1103,7 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
+    fn json_round_trips_every_section() {
         let r = run_multiclient(
             &WorkloadSizes::small(),
             CostModel::hpux(),
@@ -1158,15 +1112,28 @@ mod tests {
             3,
             true,
         );
-        let j = to_json(&r);
-        assert!(j.contains("\"bench\": \"multiclient-throughput\""));
-        assert!(j.contains("\"phase\": \"cold\""));
-        assert!(j.contains("\"phase\": \"warm\""));
-        assert!(j.contains("\"warm_restart\""));
-        assert!(j.contains("\"manifests\""));
-        assert!(j.contains("\"policy_overhead\""));
+        let doc = omos_core::json::parse(&to_json(&r)).expect("valid JSON");
+        let at = |path: &[&str]| path.iter().try_fold(&doc, |v, k| v.get(k));
+        assert_eq!(at(&["bench"]), Some(&"multiclient-throughput".into()));
+        let phases = at(&["phases"]).and_then(Json::as_arr).expect("phases");
+        let names: Vec<_> = phases.iter().map(|p| p.get("phase")).collect();
+        assert_eq!(names, [Some(&"cold".into()), Some(&"warm".into())]);
+        let requests = r
+            .counters
+            .iter()
+            .find(|c| c.0 == "requests")
+            .map(|c| c.1.into());
+        assert_eq!(at(&["trace", "counters", "requests"]), requests.as_ref());
+        let restored = r.warm_restart.map(|w| w.restored_images.into());
+        assert_eq!(at(&["warm_restart", "restored_images"]), restored.as_ref());
+        let policies = at(&["policy_overhead", "phases"]).and_then(Json::as_arr);
+        assert_eq!(policies.map(<[Json]>::len), Some(4));
         assert_eq!(r.manifests.len(), PROGRAMS.len());
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        for (program, digest) in &r.manifests {
+            assert_eq!(at(&["manifests", program]), Some(&digest.as_str().into()));
+        }
+        let identical = at(&["pipelined", "replies_bit_identical"]);
+        assert_eq!(identical, Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! provides program linking and loading facilities as a special case of
 //! generic object instantiation."
 //!
+//! * [`json`] — the workspace's one JSON reader and writer: every
+//!   report and export renders through [`json::Json::render`];
 //! * [`namespace`] — the "hierarchical namespace, whose names represent
 //!   meta-objects, executable code fragments, or directories";
 //! * [`cache`] — the multi-level cache: OMOS "treats executable images as
@@ -30,6 +32,7 @@
 pub mod cache;
 pub mod client;
 pub mod error;
+pub mod json;
 pub mod monitor;
 pub mod namespace;
 pub mod persist;

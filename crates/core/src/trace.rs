@@ -34,6 +34,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::json::Json;
 use crate::sync::lock;
 
 /// Spans the ring buffer retains; older records are overwritten.
@@ -1338,78 +1339,38 @@ pub fn render_tree(spans: &[SpanRecord]) -> String {
     out
 }
 
-/// Renders counters and per-stage percentiles as a table (the body of
-/// `ofe stats`).
-#[must_use]
-pub fn render_stats(snap: &TraceSnapshot) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "stage", "count", "p50", "p95", "p99", "mean"
-    );
-    for h in &snap.stages {
-        if h.count == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8} {:>12} {:>12} {:>12} {:>12}",
-            h.stage.name(),
-            h.count,
-            fmt_ns(h.percentile(0.50)),
-            fmt_ns(h.percentile(0.95)),
-            fmt_ns(h.percentile(0.99)),
-            fmt_ns(h.sum_ns / h.count),
-        );
-    }
-    let _ = writeln!(out);
-    for (name, v) in snap.counters.entries() {
-        if v > 0 {
-            let _ = writeln!(out, "{name:<24} {v}");
-        }
-    }
-    out
-}
-
 /// Exports spans in Chrome trace format (the JSON Array-of-events
 /// flavor wrapped in `traceEvents`); open in `about://tracing` or
 /// Perfetto. Timestamps are microseconds on each request's own track
 /// (`tid` = request id).
 #[must_use]
 pub fn chrome_json(spans: &[SpanRecord]) -> String {
-    let mut out = String::from("{\"traceEvents\": [\n");
-    let mut first = true;
-    for s in spans {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let ts = s.start_ns as f64 / 1e3;
+    let us = |ns: u64| Json::fixed(ns as f64 / 1e3, 3);
+    let event = |s: &SpanRecord| {
+        let mut event = vec![("name", chrome_name(s).into()), ("cat", "omos".into())];
+        let mut args = vec![("seq", s.seq.into())];
         if s.kind.is_instant() {
-            let _ = write!(
-                out,
-                "  {{\"name\": \"{}\", \"cat\": \"omos\", \"ph\": \"i\", \"s\": \"t\", \
-                 \"ts\": {ts:.3}, \"pid\": 1, \"tid\": {}, \"args\": {{\"seq\": {}}}}}",
-                chrome_name(s),
-                s.req,
-                s.seq
-            );
+            event.extend([
+                ("ph", "i".into()),
+                ("s", "t".into()),
+                ("ts", us(s.start_ns)),
+            ]);
         } else {
-            let _ = write!(
-                out,
-                "  {{\"name\": \"{}\", \"cat\": \"omos\", \"ph\": \"X\", \"ts\": {ts:.3}, \
-                 \"dur\": {:.3}, \"pid\": 1, \"tid\": {}, \"args\": {{\"seq\": {}, \"worker\": {}}}}}",
-                chrome_name(s),
-                s.dur_ns as f64 / 1e3,
-                s.req,
-                s.seq,
-                s.worker
-            );
+            event.extend([
+                ("ph", "X".into()),
+                ("ts", us(s.start_ns)),
+                ("dur", us(s.dur_ns)),
+            ]);
+            args.push(("worker", u64::from(s.worker).into()));
         }
-    }
-    out.push_str("\n]}\n");
-    out
+        event.extend([
+            ("pid", 1u64.into()),
+            ("tid", s.req.into()),
+            ("args", Json::obj(args)),
+        ]);
+        Json::obj(event)
+    };
+    Json::obj([("traceEvents", Json::Arr(spans.iter().map(event).collect()))]).render()
 }
 
 fn chrome_name(s: &SpanRecord) -> String {
@@ -1420,223 +1381,6 @@ fn chrome_name(s: &SpanRecord) -> String {
         SpanKind::Evict(cache, reason) => format!("evict:{}:{}", cache.name(), reason.name()),
         SpanKind::Flight(role) => format!("flight:{}", role.name()),
         kind => kind.label().to_string(),
-    }
-}
-
-// --- Minimal JSON parser ------------------------------------------------------
-
-/// A small JSON reader: enough to validate trace exports and let
-/// `ofe stats` read `BENCH_CONCURRENCY.json` without serde.
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any number (as f64).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object (insertion-ordered).
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// Member lookup on objects.
-        #[must_use]
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The value as a number, if it is one.
-        #[must_use]
-        pub fn as_num(&self) -> Option<f64> {
-            match self {
-                Json::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The value as a string, if it is one.
-        #[must_use]
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The value as an array, if it is one.
-        #[must_use]
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses a complete JSON document.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes: Vec<char> = text.chars().collect();
-        let mut p = Parser { c: bytes, i: 0 };
-        p.ws();
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.c.len() {
-            return Err(format!("trailing data at char {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser {
-        c: Vec<char>,
-        i: usize,
-    }
-
-    impl Parser {
-        fn ws(&mut self) {
-            while self.c.get(self.i).is_some_and(|c| c.is_ascii_whitespace()) {
-                self.i += 1;
-            }
-        }
-
-        fn eat(&mut self, lit: &str) -> Result<(), String> {
-            for ch in lit.chars() {
-                if self.c.get(self.i) != Some(&ch) {
-                    return Err(format!("expected `{lit}` at char {}", self.i));
-                }
-                self.i += 1;
-            }
-            Ok(())
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.c.get(self.i) {
-                None => Err("unexpected end of input".into()),
-                Some('n') => self.eat("null").map(|()| Json::Null),
-                Some('t') => self.eat("true").map(|()| Json::Bool(true)),
-                Some('f') => self.eat("false").map(|()| Json::Bool(false)),
-                Some('"') => self.string().map(Json::Str),
-                Some('[') => self.array(),
-                Some('{') => self.object(),
-                Some(_) => self.number(),
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat("\"")?;
-            let mut out = String::new();
-            loop {
-                match self.c.get(self.i) {
-                    None => return Err("unterminated string".into()),
-                    Some('"') => {
-                        self.i += 1;
-                        return Ok(out);
-                    }
-                    Some('\\') => {
-                        self.i += 1;
-                        match self.c.get(self.i) {
-                            Some('n') => out.push('\n'),
-                            Some('t') => out.push('\t'),
-                            Some('r') => out.push('\r'),
-                            Some('u') => {
-                                let hex: String = self
-                                    .c
-                                    .get(self.i + 1..self.i + 5)
-                                    .unwrap_or(&[])
-                                    .iter()
-                                    .collect();
-                                let code = u32::from_str_radix(&hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                self.i += 4;
-                            }
-                            Some(&c) => out.push(c),
-                            None => return Err("dangling escape".into()),
-                        }
-                        self.i += 1;
-                    }
-                    Some(&c) => {
-                        out.push(c);
-                        self.i += 1;
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.i;
-            while self
-                .c
-                .get(self.i)
-                .is_some_and(|&c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-            {
-                self.i += 1;
-            }
-            let s: String = self.c[start..self.i].iter().collect();
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number `{s}` at char {start}"))
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.eat("[")?;
-            let mut items = Vec::new();
-            self.ws();
-            if self.c.get(self.i) == Some(&']') {
-                self.i += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                self.ws();
-                items.push(self.value()?);
-                self.ws();
-                match self.c.get(self.i) {
-                    Some(',') => self.i += 1,
-                    Some(']') => {
-                        self.i += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at char {}", self.i)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.eat("{")?;
-            let mut members = Vec::new();
-            self.ws();
-            if self.c.get(self.i) == Some(&'}') {
-                self.i += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                self.ws();
-                let key = self.string()?;
-                self.ws();
-                self.eat(":")?;
-                self.ws();
-                let val = self.value()?;
-                members.push((key, val));
-                self.ws();
-                match self.c.get(self.i) {
-                    Some(',') => self.i += 1,
-                    Some('}') => {
-                        self.i += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at char {}", self.i)),
-                }
-            }
-        }
     }
 }
 
@@ -1759,19 +1503,24 @@ mod tests {
         t.close_leaf(e, Stage::Eval, 42_000);
         drop(g);
         t.client_span(req, Stage::Ipc, 7_000);
-        let snap = t.snapshot();
-        let j = chrome_json(&snap.spans);
-        let parsed = json::parse(&j).expect("chrome export parses");
-        let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
+        let j = chrome_json(&t.snapshot().spans);
+        let parsed = crate::json::parse(&j).expect("chrome export parses");
+        let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert_eq!(events.len(), 4);
-        assert!(events.iter().any(|e| {
-            e.get("ph").and_then(Json::as_str) == Some("X")
-                && e.get("name").and_then(Json::as_str) == Some("eval")
-        }));
-        use json::Json;
-        assert!(events
-            .iter()
-            .any(|e| e.get("name").and_then(Json::as_str) == Some("probe:reply:miss")));
+        let named = |name: &str| events.iter().find(|e| e.get("name") == Some(&name.into()));
+        let eval = named("eval").expect("an eval event");
+        assert_eq!(eval.get("ph"), Some(&"X".into()));
+        assert_eq!(eval.get("dur"), Some(&Json::fixed(42.0, 3)));
+        assert_eq!(eval.get("tid"), Some(&req.into()));
+        assert_eq!(
+            eval.get("args").and_then(|a| a.get("worker")),
+            Some(&0u64.into())
+        );
+        let probe = named("probe:reply:miss").expect("a probe instant");
+        assert_eq!(probe.get("ph"), Some(&"i".into()));
+        assert_eq!(probe.get("s"), Some(&"t".into()));
+        assert!(probe.get("dur").is_none());
+        assert!(probe.get("args").and_then(|a| a.get("seq")).is_some());
     }
 
     #[test]
@@ -1806,18 +1555,5 @@ mod tests {
         assert_eq!(c.flight_entries, c.flight_leaders + c.flight_coalesced);
         assert_eq!(c.image_evict_budget, 3);
         assert_eq!(c.evict_invalidated, 1);
-    }
-
-    #[test]
-    fn json_parser_handles_the_shapes_we_emit() {
-        use json::{parse, Json};
-        let v = parse(r#"{"a": [1, 2.5, -3e2], "b": "x\ny", "c": true, "d": null}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("c"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Json::Null));
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{} trailing").is_err());
     }
 }

@@ -74,6 +74,7 @@ use std::sync::Arc;
 
 use omos_analysis::{analyze_blueprint, Diagnostic, LintContext, LintResolved};
 use omos_blueprint::Blueprint;
+use omos_core::json::Json;
 use omos_isa::{assemble, Inst, INST_BYTES};
 use omos_module::Module;
 use omos_obj::encode::{read_any, write, Format};
@@ -575,7 +576,7 @@ fn import_tree(
 /// `ofe stats`: reads an mcbench report and renders the per-stage
 /// latency percentiles and trace counters it embeds.
 fn stats_report(file: &str) -> Result<String, String> {
-    use omos_core::trace::json::{self, Json};
+    use omos_core::json;
 
     let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("{file}: {e}"))?;
@@ -718,16 +719,13 @@ fn lint_cmd(rest: &[String]) -> Result<String, CmdError> {
         ));
     }
     let mut report = String::new();
+    let mut json_findings = Vec::new();
     let mut findings = 0usize;
-    if json {
-        report.push('[');
-    }
     for (file, result) in files.iter().zip(lint_files(files, jobs)) {
         let (src, diags) = result.map_err(oper)?;
         for d in &diags {
             if json {
-                report.push_str(if findings == 0 { "\n" } else { ",\n" });
-                report.push_str(&json_finding(file, &src, d));
+                json_findings.push(json_finding(file, &src, d));
             } else {
                 report.push_str(&text_finding(file, &src, d));
             }
@@ -735,7 +733,7 @@ fn lint_cmd(rest: &[String]) -> Result<String, CmdError> {
         }
     }
     if json {
-        report.push_str(if findings == 0 { "]\n" } else { "\n]\n" });
+        report = Json::Arr(json_findings).render();
     } else if findings > 0 {
         let _ = writeln!(
             report,
@@ -813,40 +811,18 @@ fn text_finding(file: &str, src: &str, d: &Diagnostic) -> String {
 
 /// One finding as a JSON object (`line`/`col` only when the span is
 /// known).
-fn json_finding(file: &str, src: &str, d: &Diagnostic) -> String {
-    let mut s = String::from("  {");
-    let _ = write!(s, "\"file\": \"{}\"", json_escape(file));
+fn json_finding(file: &str, src: &str, d: &Diagnostic) -> Json {
+    let mut members = vec![("file", Json::from(file))];
     if let Some(span) = d.span {
         let (line, col) = span.line_col(src);
-        let _ = write!(s, ", \"line\": {line}, \"col\": {col}");
+        members.extend([("line", line.into()), ("col", col.into())]);
     }
-    let _ = write!(
-        s,
-        ", \"severity\": \"{}\", \"code\": \"{}\", \"message\": \"{}\"}}",
-        d.severity,
-        d.code,
-        json_escape(&d.message)
-    );
-    s
-}
-
-/// Minimal JSON string escaping: quotes, backslashes, control bytes.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    members.extend([
+        ("severity", d.severity.to_string().into()),
+        ("code", d.code.into()),
+        ("message", d.message.as_str().into()),
+    ]);
+    Json::obj(members)
 }
 
 /// Splits leading `--jobs N` / `--format json|text` flags off the lint
@@ -1396,7 +1372,7 @@ _msg:       .asciz "hello-world"
 
     #[test]
     fn lint_json_emits_a_parseable_findings_array() {
-        use omos_core::trace::json::{self, Json};
+        use omos_core::json;
 
         let caller = tmp("jcaller.o");
         let obj = assemble(

@@ -9,6 +9,7 @@ use omos::analysis::manifest::{
     CLIENT_TEXT_BASE, PROGRAM_PROVIDER,
 };
 use omos::blueprint::{Blueprint, LinkPolicy, PolicyKind};
+use omos::core::json::{self, Json};
 use omos::core::persist::{decode_blueprint, encode_blueprint};
 use omos::link::{link, LinkOptions};
 use omos::obj::encode::container::{self, ContainerKind};
@@ -394,6 +395,76 @@ proptest! {
         payload[p] ^= val | 1;
         let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &payload));
         let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &payload[..p]));
+    }
+}
+
+// --- JSON reader and writer -------------------------------------------------------
+
+/// Text mixing JSON tokens and broken escapes, one case in eight behind
+/// 100,000 open containers: far deeper than the reader's nesting bound,
+/// deep enough to overflow an unbounded recursive reader.
+fn arb_json_noise() -> impl Strategy<Value = String> {
+    const TOKENS: [&str; 24] = [
+        "[", "]", "{", "}", ":", ",", " ", "\"", "\"k\"", "\\", "\\u", "\\ud83d", "\\ude00", "d8",
+        "0", "-", "1.5", "e+", "01", "true", "nul", "é", "\u{1}", "\n",
+    ];
+    proptest::strategy::from_fn(|rng: &mut TestRng| {
+        let deep = match rng.below(8) {
+            0 => pick(rng, &["[", "{\"a\":"]).repeat(100_000),
+            _ => String::new(),
+        };
+        let tail: String = (0..rng.below(40)).map(|_| pick(rng, &TOKENS)).collect();
+        deep + &tail
+    })
+}
+
+/// A string drawing on every character class the writer must escape.
+fn json_string(rng: &mut TestRng) -> String {
+    const CHARS: [char; 16] = [
+        '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', 'é',
+        '\u{2028}', '😀', 'a', ' ',
+    ];
+    (0..rng.below(8))
+        .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
+        .collect()
+}
+
+/// A JSON value at most `depth` containers deep.
+fn json_value(rng: &mut TestRng, depth: u32) -> Json {
+    let scalars = 6;
+    let arms = if depth == 0 { scalars } else { scalars + 2 };
+    match rng.below(arms) {
+        0 => Json::Null,
+        1 => Json::from(rng.below(2) == 1),
+        2 => Json::from(rng.next_u64()),
+        3 => Json::from(rng.next_u64() as i64),
+        4 => Json::fixed(rng.next_u64() as i64 as f64 / 1e6, rng.below(6) as usize),
+        5 => Json::from(json_string(rng)),
+        6 => Json::Arr(
+            (0..rng.below(4))
+                .map(|_| json_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.below(4))
+                .map(|_| (json_string(rng), json_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #[test]
+    fn json_parse_never_panics(noise in arb_json_noise(), raw in "[ -~\n]{0,60}") {
+        let _ = json::parse(&noise);
+        let _ = json::parse(&raw);
+    }
+
+    #[test]
+    fn json_render_round_trips(
+        v in proptest::strategy::from_fn(|rng: &mut TestRng| json_value(rng, 4)),
+    ) {
+        prop_assert_eq!(json::parse(&v.render()), Ok(v));
     }
 }
 
