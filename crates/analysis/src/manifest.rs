@@ -30,13 +30,13 @@
 use std::collections::{BTreeMap, HashMap};
 
 use omos_blueprint::eval::LibraryUse;
-use omos_blueprint::{eval_blueprint, Blueprint, EvalContext, EvalOutput, LinkPolicy, PolicyKind};
+use omos_blueprint::{eval_blueprint, Blueprint, EvalContext, EvalOutput, LinkPolicy};
 use omos_constraint::{
     PlacementRequest, PlacementSolver, RegionClass, SegmentRequest, SolverState,
 };
 use omos_link::{layout_symbols, LinkOptions};
 use omos_obj::encode::container::{self, ContainerKind};
-use omos_obj::encode::{Reader, Writer};
+use omos_obj::encode::{from_bytes, to_bytes};
 use omos_obj::{fnv1a, ContentHash, ObjError, ObjectFile, SectionKind};
 
 use crate::{Diagnostic, LintContext, Severity};
@@ -122,114 +122,26 @@ pub struct ResolutionManifest {
     pub policies: Vec<LinkPolicy>,
 }
 
-impl ResolutionManifest {
-    fn payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.root.0);
-        w.u32(self.libraries.len() as u32);
-        for l in &self.libraries {
-            w.str(&l.name);
-            w.u64(l.key.0);
-            w.u32(l.text_base);
-            w.u32(l.data_base);
-            w.u64(l.image_key.0);
-        }
-        w.u32(self.program.text_base);
-        w.u32(self.program.data_base);
-        w.u64(self.program.image_key.0);
-        w.u32(self.bindings.len() as u32);
-        for b in &self.bindings {
-            w.str(&b.symbol);
-            w.str(&b.provider);
-            w.u32(b.addr);
-        }
-        w.u32(self.interpositions.len() as u32);
-        for i in &self.interpositions {
-            w.str(i);
-        }
-        // Trailing optional section, written only when policies exist:
-        // policy-free manifests keep their historical byte encoding (and
-        // hash), and pre-policy frames decode unchanged.
-        if !self.policies.is_empty() {
-            w.u32(self.policies.len() as u32);
-            for p in &self.policies {
-                w.str(p.kind.tag());
-                w.str(&p.pattern);
-            }
-        }
-        w.into_bytes()
-    }
+// Policies are written only when present: policy-free manifests keep
+// their historical bytes (and hash), and pre-policy frames decode.
+omos_obj::wire_record! { ResolutionManifest {
+    root, libraries, program, bindings, interpositions, policies as Trailing
+} }
+omos_obj::wire_record! { LibraryResolution { name, key, text_base, data_base, image_key } }
+omos_obj::wire_record! { ProgramResolution { text_base, data_base, image_key } }
+omos_obj::wire_record! { Binding { symbol, provider, addr } }
 
+impl ResolutionManifest {
     /// Serializes into a sealed [`ContainerKind::Resolution`] frame.
     /// Canonical: equal manifests encode byte-identically.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        container::seal(ContainerKind::Resolution, &self.payload())
+        container::seal(ContainerKind::Resolution, &to_bytes(self))
     }
 
     /// Decodes a sealed frame back into a manifest.
     pub fn decode(bytes: &[u8]) -> Result<ResolutionManifest, ObjError> {
-        let payload = container::open(ContainerKind::Resolution, bytes)?;
-        let mut r = Reader::new(payload);
-        let root = ContentHash(r.u64()?);
-        let nlibs = r.u32()?;
-        let mut libraries = Vec::new();
-        for _ in 0..nlibs {
-            libraries.push(LibraryResolution {
-                name: r.str()?,
-                key: ContentHash(r.u64()?),
-                text_base: r.u32()?,
-                data_base: r.u32()?,
-                image_key: ContentHash(r.u64()?),
-            });
-        }
-        let program = ProgramResolution {
-            text_base: r.u32()?,
-            data_base: r.u32()?,
-            image_key: ContentHash(r.u64()?),
-        };
-        let nbind = r.u32()?;
-        let mut bindings = Vec::new();
-        for _ in 0..nbind {
-            bindings.push(Binding {
-                symbol: r.str()?,
-                provider: r.str()?,
-                addr: r.u32()?,
-            });
-        }
-        let ninter = r.u32()?;
-        let mut interpositions = Vec::new();
-        for _ in 0..ninter {
-            interpositions.push(r.str()?);
-        }
-        let mut policies = Vec::new();
-        if r.remaining() > 0 {
-            let n = r.u32()?;
-            for _ in 0..n {
-                let tag = r.str()?;
-                let kind = PolicyKind::from_tag(&tag).ok_or_else(|| {
-                    ObjError::Malformed(format!("resolution: bad policy kind `{tag}`"))
-                })?;
-                policies.push(LinkPolicy {
-                    kind,
-                    pattern: r.str()?,
-                });
-            }
-        }
-        if r.remaining() != 0 {
-            return Err(ObjError::Malformed(format!(
-                "resolution: {} trailing payload bytes",
-                r.remaining()
-            )));
-        }
-        Ok(ResolutionManifest {
-            root,
-            libraries,
-            program,
-            bindings,
-            interpositions,
-            policies,
-        })
+        from_bytes(container::open(ContainerKind::Resolution, bytes)?)
     }
 
     /// Content hash of the canonical payload. Two requests resolved the
@@ -237,7 +149,7 @@ impl ResolutionManifest {
     /// count.
     #[must_use]
     pub fn hash(&self) -> ContentHash {
-        fnv1a(&self.payload())
+        fnv1a(&to_bytes(self))
     }
 
     /// Human-readable rendering (for `ofe explain`).
@@ -738,6 +650,7 @@ pub fn assemble_manifest<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omos_blueprint::PolicyKind;
 
     fn sample() -> ResolutionManifest {
         ResolutionManifest {

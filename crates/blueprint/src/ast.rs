@@ -4,8 +4,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use omos_constraint::RegionClass;
+use omos_obj::encode::{Reader, Wire, Writer};
 use omos_obj::view::ViewKind;
-use omos_obj::{ContentHash, Regex};
+use omos_obj::{ContentHash, ObjError, Regex};
 
 use crate::sexpr::{parse_sexprs, Sexpr, Span};
 
@@ -492,6 +493,22 @@ pub struct LinkPolicy {
     /// Symbol selector (same regex dialect as the module operations).
     pub pattern: String,
 }
+
+/// A policy kind's wire form in resolution frames: its blueprint-syntax
+/// tag. (Blueprint frames predate it and store a one-byte code.)
+impl Wire for PolicyKind {
+    fn put(&self, w: &mut Writer) {
+        w.str(self.tag());
+    }
+
+    fn get(r: &mut Reader<'_>) -> omos_obj::Result<Self> {
+        let tag = r.str()?;
+        PolicyKind::from_tag(&tag)
+            .ok_or_else(|| ObjError::Malformed(format!("bad policy kind `{tag}`")))
+    }
+}
+
+omos_obj::wire_record! { LinkPolicy { kind, pattern } }
 
 /// A parsed blueprint: optional default constraints plus the root m-graph.
 ///

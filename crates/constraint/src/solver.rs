@@ -4,6 +4,9 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
 
+use omos_obj::encode::{Reader, Wire, Writer};
+use omos_obj::ObjError;
+
 /// Priority levels of §3.5, strongest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
@@ -42,16 +45,17 @@ impl RegionClass {
         }
     }
 
+    /// Every class, in wire-code order.
+    const ALL: [RegionClass; 3] = [
+        RegionClass::Text,
+        RegionClass::Data,
+        RegionClass::PolicyData,
+    ];
+
     /// Parses the paper's one-letter tag.
     #[must_use]
     pub fn from_tag(tag: &str) -> Option<RegionClass> {
-        [
-            RegionClass::Text,
-            RegionClass::Data,
-            RegionClass::PolicyData,
-        ]
-        .into_iter()
-        .find(|c| c.tag() == tag)
+        RegionClass::ALL.into_iter().find(|c| c.tag() == tag)
     }
 
     /// The default placement window `[lo, hi)` for this class.
@@ -173,6 +177,28 @@ pub struct SolverState {
     /// Conflict log, in record order.
     pub conflicts: Vec<ConflictRecord>,
 }
+
+/// A class's wire form: one byte, its index in [`RegionClass::ALL`]
+/// (the declaration order).
+impl Wire for RegionClass {
+    fn put(&self, w: &mut Writer) {
+        w.u8(*self as u8);
+    }
+
+    fn get(r: &mut Reader<'_>) -> omos_obj::Result<Self> {
+        let code = r.u8()?;
+        RegionClass::ALL
+            .get(usize::from(code))
+            .copied()
+            .ok_or_else(|| ObjError::Malformed(format!("bad region class code {code}")))
+    }
+}
+
+// The checkpoint layout of the solver state.
+omos_obj::wire_record! { Allocation { base, size } }
+omos_obj::wire_record! { Placement { allocations, reused, version } }
+omos_obj::wire_record! { ConflictRecord { name, preferred, occupant } }
+omos_obj::wire_record! { SolverState { booked, known, conflicts } }
 
 /// The solver: tracks live allocations, remembers placements per
 /// `(name, key)`, and logs conflicts.

@@ -92,26 +92,25 @@ impl Namespace {
         g
     }
 
-    /// Binds an object fragment at `path` (replacing any existing entry).
-    pub fn bind_object(&self, path: &str, obj: ObjectFile) {
+    /// Binds `entry` at `path` (replacing any existing entry).
+    pub(crate) fn bind_entry(&self, path: &str, entry: Entry) {
         let p = normalize(path);
         let mut t = self
             .tables
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        t.entries.insert(p.clone(), Entry::Object(Arc::new(obj)));
+        t.entries.insert(p.clone(), entry);
         self.touch(&mut t, p);
+    }
+
+    /// Binds an object fragment at `path` (replacing any existing entry).
+    pub fn bind_object(&self, path: &str, obj: ObjectFile) {
+        self.bind_entry(path, Entry::Object(Arc::new(obj)));
     }
 
     /// Binds a meta-object at `path`.
     pub fn bind_meta(&self, path: &str, bp: Blueprint) {
-        let p = normalize(path);
-        let mut t = self
-            .tables
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        t.entries.insert(p.clone(), Entry::Meta(Arc::new(bp)));
-        self.touch(&mut t, p);
+        self.bind_entry(path, Entry::Meta(Arc::new(bp)));
     }
 
     /// Parses and binds blueprint text at `path`.

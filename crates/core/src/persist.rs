@@ -46,16 +46,16 @@
 //!   rebuilt, so a journal record that rebinds one of their dependency
 //!   paths lazily invalidates exactly those rows on first probe.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use omos_blueprint::{Blueprint, LinkPolicy, MNode, PolicyKind, SpecKind, MAX_NODE_DEPTH};
-use omos_constraint::{
-    Allocation, ConflictRecord, Placement, PlacementSolver, RegionClass, SolverState,
-};
-use omos_link::{decode_image, encode_image, LinkStats};
+use omos_constraint::{PlacementSolver, SolverState};
+use omos_link::{decode_image, encode_image, LinkStats, LinkedImage};
 use omos_obj::encode::container::{self, ContainerKind};
-use omos_obj::encode::{self, Format, Reader, Writer};
+use omos_obj::encode::{self, Format, Reader, Trailing, Wire, Writer};
 use omos_obj::view::{RenameTarget, ViewKind};
 use omos_obj::{fnv1a, ContentHash, ObjError, ObjectFile};
 use omos_os::fs::FsError;
@@ -219,35 +219,12 @@ fn enc_node(w: &mut Writer, n: &MNode) {
                 SpecKind::DynamicImpl => w.u8(2),
                 SpecKind::Constrained(cs) => {
                     w.u8(3);
-                    w.u32(cs.len() as u32);
-                    for (c, a) in cs {
-                        w.u8(class_code(*c));
-                        w.u64(*a);
-                    }
+                    cs.put(w);
                 }
             }
             enc_node(w, operand);
         }
     }
-}
-
-fn class_code(c: RegionClass) -> u8 {
-    match c {
-        RegionClass::Text => 0,
-        RegionClass::Data => 1,
-        RegionClass::PolicyData => 2,
-    }
-}
-
-fn class_from_code(code: u8) -> ObjResult<RegionClass> {
-    [
-        RegionClass::Text,
-        RegionClass::Data,
-        RegionClass::PolicyData,
-    ]
-    .into_iter()
-    .find(|&c| class_code(c) == code)
-    .ok_or_else(|| ObjError::Malformed(format!("blueprint: bad region class code {code}")))
 }
 
 /// Wire tags 3–9 of the view operators. A node is written as its tag,
@@ -326,15 +303,7 @@ fn dec_node(r: &mut Reader<'_>, depth: usize) -> ObjResult<MNode> {
                 0 => SpecKind::Static,
                 1 => SpecKind::Dynamic,
                 2 => SpecKind::DynamicImpl,
-                3 => {
-                    let n = r.u32()?;
-                    let mut cs = Vec::new();
-                    for _ in 0..n {
-                        let c = class_from_code(r.u8()?)?;
-                        cs.push((c, r.u64()?));
-                    }
-                    SpecKind::Constrained(cs)
-                }
+                3 => SpecKind::Constrained(Wire::get(r)?),
                 other => {
                     return Err(ObjError::Malformed(format!(
                         "blueprint: bad specialize kind {other}"
@@ -361,39 +330,19 @@ fn dec_node(r: &mut Reader<'_>, depth: usize) -> ObjResult<MNode> {
 #[must_use]
 pub fn encode_blueprint(bp: &Blueprint) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(bp.constraints.len() as u32);
-    for (c, a) in &bp.constraints {
-        w.u8(class_code(*c));
-        w.u64(*a);
-    }
+    bp.constraints.put(&mut w);
     enc_node(&mut w, &bp.root);
-    // Policies ride as a trailing optional section, written only when
-    // present: policy-free blueprints encode byte-identically to every
-    // frame ever written, and pre-policy frames decode unchanged.
-    let policies = bp.canonical_policies();
-    if !policies.is_empty() {
-        w.u32(policies.len() as u32);
-        for p in &policies {
-            w.u8(policy_kind_code(p.kind));
-            w.str(&p.pattern);
-        }
-    }
-    container::seal(ContainerKind::Blueprint, &w.into_bytes())
-}
-
-fn policy_kind_code(k: PolicyKind) -> u8 {
-    match k {
-        PolicyKind::Deny => 0,
-        PolicyKind::Trampoline => 1,
-        PolicyKind::Audit => 2,
-    }
-}
-
-fn policy_kind_from_code(code: u8) -> ObjResult<PolicyKind> {
-    [PolicyKind::Deny, PolicyKind::Trampoline, PolicyKind::Audit]
+    // Policies ride as a trailing section, each a kind code (the kind's
+    // declaration index) and its pattern: policy-free blueprints encode
+    // byte-identically to every frame ever written, and pre-policy frames
+    // decode unchanged.
+    let policies: Vec<(u8, String)> = bp
+        .canonical_policies()
         .into_iter()
-        .find(|&k| policy_kind_code(k) == code)
-        .ok_or_else(|| ObjError::Malformed(format!("blueprint: bad policy kind code {code}")))
+        .map(|p| (p.kind as u8, p.pattern))
+        .collect();
+    Trailing::put(&policies, &mut w);
+    container::seal(ContainerKind::Blueprint, &w.into_bytes())
 }
 
 /// Decodes a sealed Blueprint frame. Any malformation is an error; the
@@ -401,53 +350,49 @@ fn policy_kind_from_code(code: u8) -> ObjResult<PolicyKind> {
 pub fn decode_blueprint(bytes: &[u8]) -> ObjResult<Blueprint> {
     let payload = container::open(ContainerKind::Blueprint, bytes)?;
     let mut r = Reader::new(payload);
-    let n = r.u32()?;
-    let mut constraints = Vec::new();
-    for _ in 0..n {
-        let c = class_from_code(r.u8()?)?;
-        constraints.push((c, r.u64()?));
-    }
+    let constraints = Wire::get(&mut r)?;
     let root = dec_node(&mut r, 0)?;
-    let mut policies = Vec::new();
-    if r.remaining() > 0 {
-        let n = r.u32()?;
-        for _ in 0..n {
-            let kind = policy_kind_from_code(r.u8()?)?;
-            policies.push(LinkPolicy {
-                kind,
-                pattern: r.str()?,
-            });
-        }
-    }
-    if r.remaining() != 0 {
-        return Err(ObjError::Malformed(format!(
-            "blueprint: {} trailing payload bytes",
-            r.remaining()
-        )));
-    }
+    let policies = Trailing::get::<Vec<(u8, String)>>(&mut r)?
+        .into_iter()
+        .map(|(code, pattern)| {
+            let kinds = [PolicyKind::Deny, PolicyKind::Trampoline, PolicyKind::Audit];
+            let kind = kinds.get(usize::from(code)).copied().ok_or_else(|| {
+                ObjError::Malformed(format!("blueprint: bad policy kind code {code}"))
+            })?;
+            Ok(LinkPolicy { kind, pattern })
+        })
+        .collect::<ObjResult<_>>()?;
+    r.finish()?;
     let mut bp = Blueprint::from_root(root);
     bp.constraints = constraints;
     bp.policies = policies;
     Ok(bp)
 }
 
+/// Journal ops. A bind's op is also its entry's kind code.
+const OP_BIND_OBJECT: u8 = 0;
+const OP_BIND_META: u8 = 1;
+const OP_UNBIND: u8 = 2;
+
+/// A namespace entry as persisted: its kind code and its sealed Object
+/// or Blueprint frame.
 fn encode_entry(entry: &Entry) -> (u8, Vec<u8>) {
     match entry {
         Entry::Object(obj) => (
-            0,
+            OP_BIND_OBJECT,
             container::seal(ContainerKind::Object, &encode::write(Format::Aout, obj)),
         ),
-        Entry::Meta(bp) => (1, encode_blueprint(bp)),
+        Entry::Meta(bp) => (OP_BIND_META, encode_blueprint(bp)),
     }
 }
 
 fn decode_entry(kind: u8, bytes: &[u8]) -> ObjResult<Entry> {
     match kind {
-        0 => {
+        OP_BIND_OBJECT => {
             let payload = container::open(ContainerKind::Object, bytes)?;
             Ok(Entry::Object(Arc::new(encode::read_any(payload)?)))
         }
-        1 => Ok(Entry::Meta(Arc::new(decode_blueprint(bytes)?))),
+        OP_BIND_META => Ok(Entry::Meta(Arc::new(decode_blueprint(bytes)?))),
         other => Err(ObjError::Malformed(format!(
             "manifest: bad namespace entry kind {other}"
         ))),
@@ -497,225 +442,9 @@ struct Manifest {
     replies: Vec<ReplyRow>,
 }
 
-fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(m.seq);
-    w.str(&m.transport);
-    w.u32(m.ns.len() as u32);
-    for (path, kind, frame) in &m.ns {
-        w.str(path);
-        w.u8(*kind);
-        w.u32(frame.len() as u32);
-        w.bytes(frame);
-    }
-    w.u32(m.images.len() as u32);
-    for row in &m.images {
-        w.u64(row.key.0);
-        w.u64(row.file_hash);
-        w.u64(row.content_hash.0);
-        for v in [
-            row.stats.objects,
-            row.stats.symbols_resolved,
-            row.stats.relocs_applied,
-            row.stats.bytes_copied,
-            row.stats.externs_bound,
-            row.stats.left_unresolved,
-        ] {
-            w.u64(v);
-        }
-    }
-    w.u32(m.solver.booked.len() as u32);
-    for (name, alloc) in &m.solver.booked {
-        w.str(name);
-        w.u64(alloc.base);
-        w.u64(alloc.size);
-    }
-    w.u32(m.solver.known.len() as u32);
-    for (name, key, versions) in &m.solver.known {
-        w.str(name);
-        w.u64(*key);
-        w.u32(versions.len() as u32);
-        for p in versions {
-            w.u32(p.allocations.len() as u32);
-            for a in &p.allocations {
-                w.u64(a.base);
-                w.u64(a.size);
-            }
-            w.u8(u8::from(p.reused));
-            w.u32(p.version);
-        }
-    }
-    w.u32(m.solver.conflicts.len() as u32);
-    for c in &m.solver.conflicts {
-        w.str(&c.name);
-        match c.preferred {
-            Some(p) => {
-                w.u8(1);
-                w.u64(p);
-            }
-            None => w.u8(0),
-        }
-        match &c.occupant {
-            Some(o) => {
-                w.u8(1);
-                w.str(o);
-            }
-            None => w.u8(0),
-        }
-    }
-    w.u32(m.replies.len() as u32);
-    for row in &m.replies {
-        w.u64(row.key.0);
-        w.u64(row.program.0);
-        w.u32(row.libraries.len() as u32);
-        for l in &row.libraries {
-            w.u64(l.0);
-        }
-        w.u32(row.deps.len() as u32);
-        for d in &row.deps {
-            w.str(d);
-        }
-        w.u32(row.blueprint.len() as u32);
-        w.bytes(&row.blueprint);
-        w.u32(row.manifest.len() as u32);
-        w.bytes(&row.manifest);
-    }
-    container::seal(ContainerKind::Manifest, &w.into_bytes())
-}
-
-fn decode_manifest(bytes: &[u8]) -> ObjResult<Manifest> {
-    let payload = container::open(ContainerKind::Manifest, bytes)?;
-    let mut r = Reader::new(payload);
-    let seq = r.u64()?;
-    let transport = r.str()?;
-    let n = r.u32()?;
-    let mut ns = Vec::new();
-    for _ in 0..n {
-        let path = r.str()?;
-        let kind = r.u8()?;
-        let len = r.u32()? as usize;
-        let frame = r.bytes(len)?.to_vec();
-        ns.push((path, kind, frame));
-    }
-    let n = r.u32()?;
-    let mut images = Vec::new();
-    for _ in 0..n {
-        let key = ContentHash(r.u64()?);
-        let file_hash = r.u64()?;
-        let content_hash = ContentHash(r.u64()?);
-        let stats = LinkStats {
-            objects: r.u64()?,
-            symbols_resolved: r.u64()?,
-            relocs_applied: r.u64()?,
-            bytes_copied: r.u64()?,
-            externs_bound: r.u64()?,
-            left_unresolved: r.u64()?,
-        };
-        images.push(ImageRow {
-            key,
-            file_hash,
-            content_hash,
-            stats,
-        });
-    }
-    let n = r.u32()?;
-    let mut booked = Vec::new();
-    for _ in 0..n {
-        let name = r.str()?;
-        let base = r.u64()?;
-        let size = r.u64()?;
-        booked.push((name, Allocation { base, size }));
-    }
-    let n = r.u32()?;
-    let mut known = Vec::new();
-    for _ in 0..n {
-        let name = r.str()?;
-        let key = r.u64()?;
-        let nv = r.u32()?;
-        let mut versions = Vec::new();
-        for _ in 0..nv {
-            let na = r.u32()?;
-            let mut allocations = Vec::new();
-            for _ in 0..na {
-                let base = r.u64()?;
-                let size = r.u64()?;
-                allocations.push(Allocation { base, size });
-            }
-            let reused = r.u8()? != 0;
-            let version = r.u32()?;
-            versions.push(Placement {
-                allocations,
-                reused,
-                version,
-            });
-        }
-        known.push((name, key, versions));
-    }
-    let n = r.u32()?;
-    let mut conflicts = Vec::new();
-    for _ in 0..n {
-        let name = r.str()?;
-        let preferred = match r.u8()? {
-            0 => None,
-            _ => Some(r.u64()?),
-        };
-        let occupant = match r.u8()? {
-            0 => None,
-            _ => Some(r.str()?),
-        };
-        conflicts.push(ConflictRecord {
-            name,
-            preferred,
-            occupant,
-        });
-    }
-    let n = r.u32()?;
-    let mut replies = Vec::new();
-    for _ in 0..n {
-        let key = ContentHash(r.u64()?);
-        let program = ContentHash(r.u64()?);
-        let nl = r.u32()?;
-        let mut libraries = Vec::new();
-        for _ in 0..nl {
-            libraries.push(ContentHash(r.u64()?));
-        }
-        let nd = r.u32()?;
-        let mut deps = Vec::new();
-        for _ in 0..nd {
-            deps.push(r.str()?);
-        }
-        let len = r.u32()? as usize;
-        let blueprint = r.bytes(len)?.to_vec();
-        let len = r.u32()? as usize;
-        let manifest = r.bytes(len)?.to_vec();
-        replies.push(ReplyRow {
-            key,
-            program,
-            libraries,
-            deps,
-            blueprint,
-            manifest,
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(ObjError::Malformed(format!(
-            "manifest: {} trailing payload bytes",
-            r.remaining()
-        )));
-    }
-    Ok(Manifest {
-        seq,
-        transport,
-        ns,
-        images,
-        solver: SolverState {
-            booked,
-            known,
-            conflicts,
-        },
-        replies,
-    })
-}
+omos_obj::wire_record! { Manifest { seq, transport, ns, images, solver, replies } }
+omos_obj::wire_record! { ImageRow { key, file_hash, content_hash, stats } }
+omos_obj::wire_record! { ReplyRow { key, program, libraries, deps, blueprint, manifest } }
 
 /// Reads and decodes one manifest slot; `None` for missing/corrupt.
 fn read_slot(
@@ -726,7 +455,8 @@ fn read_slot(
     slot: usize,
 ) -> Option<Manifest> {
     let bytes = read_all(fs, clock, cost, &slot_path(dir, slot)).ok()?;
-    decode_manifest(&bytes).ok()
+    let payload = container::open(ContainerKind::Manifest, &bytes).ok()?;
+    encode::from_bytes(payload).ok()
 }
 
 /// The valid manifest with the highest sequence number, and its slot.
@@ -767,46 +497,61 @@ pub fn stored_manifests(
 
 // --- Journal -----------------------------------------------------------------
 
-const OP_BIND_OBJECT: u8 = 0;
-const OP_BIND_META: u8 = 1;
-const OP_UNBIND: u8 = 2;
-
-fn journal_record(op: u8, path: &str, payload: Option<&[u8]>) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(op);
-    w.str(path);
-    if let Some(p) = payload {
-        w.u32(p.len() as u32);
-        w.bytes(p);
-    }
-    container::seal(ContainerKind::JournalRecord, &w.into_bytes())
+/// One binding-journal record. A bind carries its entry's sealed frame
+/// (the op doubles as the entry kind); an unbind carries none (empty).
+#[derive(Debug)]
+struct JournalRecord {
+    op: u8,
+    path: String,
+    frame: Vec<u8>,
 }
 
-fn apply_journal_record(server: &Omos, payload: &[u8]) -> ObjResult<()> {
-    let mut r = Reader::new(payload);
-    let op = r.u8()?;
-    let path = r.str()?;
-    match op {
-        OP_UNBIND => {
-            server.namespace.unbind(&path);
+omos_obj::wire_record! { JournalRecord { op, path, frame as Trailing } }
+
+fn apply_journal_record(server: &Omos, record: JournalRecord) -> ObjResult<()> {
+    match (record.op, record.frame.is_empty()) {
+        (OP_UNBIND, true) => {
+            server.namespace.unbind(&record.path);
         }
-        OP_BIND_OBJECT | OP_BIND_META => {
-            let len = r.u32()? as usize;
-            let frame = r.bytes(len)?;
-            match decode_entry(op, frame)? {
-                Entry::Object(obj) => server.namespace.bind_object(&path, (*obj).clone()),
-                Entry::Meta(bp) => server.namespace.bind_meta(&path, (*bp).clone()),
-            }
+        (op @ (OP_BIND_OBJECT | OP_BIND_META), false) => {
+            let entry = decode_entry(op, &record.frame)?;
+            server.namespace.bind_entry(&record.path, entry);
         }
-        other => return Err(ObjError::Malformed(format!("journal: bad op {other}"))),
-    }
-    if r.remaining() != 0 {
-        return Err(ObjError::Malformed(format!(
-            "journal: {} trailing record bytes",
-            r.remaining()
-        )));
+        (op, _) => return Err(ObjError::Malformed(format!("journal: bad op {op}"))),
     }
     Ok(())
+}
+
+/// The check a sealed image file failed, in [`open_image`]'s order: the
+/// read, the file hash, the decode, the content hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ImageCheck {
+    Read,
+    Checksum,
+    Decode,
+    Content,
+}
+
+/// Opens one sealed image file and verifies it against the facts
+/// recorded when it was written: the file hash, then the decode, then the
+/// content hash. Restore and the spill tier's fault-in both come here.
+pub(crate) fn open_image(
+    fs: &mut InMemFs,
+    clock: &mut SimClock,
+    cost: &CostModel,
+    path: &str,
+    file_hash: u64,
+    content_hash: ContentHash,
+) -> Result<LinkedImage, ImageCheck> {
+    let bytes = read_all(fs, clock, cost, path).map_err(|_| ImageCheck::Read)?;
+    if fnv1a(&bytes).0 != file_hash {
+        return Err(ImageCheck::Checksum);
+    }
+    let image = decode_image(&bytes).map_err(|_| ImageCheck::Decode)?;
+    if image.content_hash() != content_hash {
+        return Err(ImageCheck::Content);
+    }
+    Ok(image)
 }
 
 impl Omos {
@@ -921,7 +666,7 @@ impl Omos {
             solver: self.solver().export_state(),
             replies: reply_rows,
         };
-        let sealed = encode_manifest(&manifest);
+        let sealed = container::seal(ContainerKind::Manifest, &encode::to_bytes(&manifest));
         for slot in [first_slot, 1 - first_slot] {
             let path = slot_path(dir, slot);
             fs.unlink(&path, clock, &cost); // write appends; start clean
@@ -962,16 +707,12 @@ impl Omos {
             // Namespace bindings, embedded in the manifest; each frame
             // still carries (and is checked against) its own checksum.
             for (path, kind, frame) in &manifest.ns {
-                match decode_entry(*kind, frame).ok() {
-                    Some(Entry::Object(obj)) => {
-                        server.namespace.bind_object(path, (*obj).clone());
+                match decode_entry(*kind, frame) {
+                    Ok(entry) => {
+                        server.namespace.bind_entry(path, entry);
                         report.ns_entries += 1;
                     }
-                    Some(Entry::Meta(bp)) => {
-                        server.namespace.bind_meta(path, (*bp).clone());
-                        report.ns_entries += 1;
-                    }
-                    None => report.drops.ns_decode += 1,
+                    Err(_) => report.drops.ns_decode += 1,
                 }
             }
 
@@ -984,22 +725,20 @@ impl Omos {
             // failure modes on the disk.
             let mut by_key: HashMap<ContentHash, Arc<CachedImage>> = HashMap::new();
             for row in &manifest.images {
-                let Ok(bytes) = read_all(fs, clock, &cost, &img_path(dir, row.key)) else {
-                    report.drops.image_read += 1;
-                    continue;
-                };
-                if fnv1a(&bytes).0 != row.file_hash {
-                    report.drops.image_checksum += 1;
-                    continue;
-                }
-                let Ok(image) = decode_image(&bytes) else {
-                    report.drops.image_decode += 1;
-                    continue;
-                };
-                if image.content_hash() != row.content_hash {
-                    report.drops.image_content += 1;
-                    continue;
-                }
+                let path = img_path(dir, row.key);
+                let image =
+                    match open_image(fs, clock, &cost, &path, row.file_hash, row.content_hash) {
+                        Ok(image) => image,
+                        Err(check) => {
+                            *match check {
+                                ImageCheck::Read => &mut report.drops.image_read,
+                                ImageCheck::Checksum => &mut report.drops.image_checksum,
+                                ImageCheck::Decode => &mut report.drops.image_decode,
+                                ImageCheck::Content => &mut report.drops.image_content,
+                            } += 1;
+                            continue;
+                        }
+                    };
                 let frames = ImageFrames::from_image(&image);
                 // A restored image is as expensive to lose as a fresh
                 // link of the same stats: re-derive its rebuild cost so
@@ -1144,7 +883,7 @@ impl Omos {
                 continue;
             }
             last = Some(payload);
-            match apply_journal_record(server, payload) {
+            match encode::from_bytes(payload).and_then(|rec| apply_journal_record(server, rec)) {
                 Ok(()) => report.journal_records += 1,
                 Err(_) => report.drops.journal_apply += 1,
             }
@@ -1163,9 +902,7 @@ impl Omos {
         clock: &mut SimClock,
         dir: &str,
     ) -> Result<(), FsError> {
-        let sealed = container::seal(ContainerKind::Object, &encode::write(Format::Aout, &obj));
-        self.journal_append(OP_BIND_OBJECT, path, Some(&sealed), fs, clock, dir)?;
-        self.namespace.bind_object(path, obj);
+        self.journal_then_apply(path, Some(Entry::Object(Arc::new(obj))), fs, clock, dir)?;
         Ok(())
     }
 
@@ -1178,9 +915,7 @@ impl Omos {
         clock: &mut SimClock,
         dir: &str,
     ) -> Result<(), FsError> {
-        let sealed = encode_blueprint(&bp);
-        self.journal_append(OP_BIND_META, path, Some(&sealed), fs, clock, dir)?;
-        self.namespace.bind_meta(path, bp);
+        self.journal_then_apply(path, Some(Entry::Meta(Arc::new(bp))), fs, clock, dir)?;
         Ok(())
     }
 
@@ -1192,36 +927,52 @@ impl Omos {
         clock: &mut SimClock,
         dir: &str,
     ) -> Result<bool, FsError> {
-        self.journal_append(OP_UNBIND, path, None, fs, clock, dir)?;
-        Ok(self.namespace.unbind(path))
+        self.journal_then_apply(path, None, fs, clock, dir)
     }
 
-    fn journal_append(
+    /// Appends the journal record that binds `entry` at `path` (unbinds
+    /// it, for `None`), then applies it to the namespace. Returns
+    /// whether the namespace changed.
+    fn journal_then_apply(
         &self,
-        op: u8,
         path: &str,
-        payload: Option<&[u8]>,
+        entry: Option<Entry>,
         fs: &mut InMemFs,
         clock: &mut SimClock,
         dir: &str,
-    ) -> Result<(), FsError> {
+    ) -> Result<bool, FsError> {
+        let (op, frame) = entry.as_ref().map_or((OP_UNBIND, Vec::new()), encode_entry);
         // Each record is appended twice in one synchronous write: a
         // torn append leaves zero or one complete copy (failed bind,
         // or an at-least-once replay of an idempotent bind), and a
         // later single-byte corruption can kill at most one copy.
-        let record = journal_record(op, path, payload);
+        let record = JournalRecord {
+            op,
+            path: path.to_string(),
+            frame,
+        };
+        let record = container::seal(ContainerKind::JournalRecord, &encode::to_bytes(&record));
         let mut doubled = record.clone();
         doubled.extend_from_slice(&record);
         let was_sync = fs.sync_writes;
         fs.sync_writes = true;
         let r = fs.write(&journal_path(dir), &doubled, clock, self.cost());
         fs.sync_writes = was_sync;
-        r
+        r?;
+        Ok(match entry {
+            Some(entry) => {
+                self.namespace.bind_entry(path, entry);
+                true
+            }
+            None => self.namespace.unbind(path),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
     use omos_isa::assemble;
     use omos_os::ipc::Transport;
@@ -1547,12 +1298,13 @@ mod tests {
         for slot in [0, 1] {
             let path = slot_path("/omos", slot);
             let bytes = fs.peek(&path).unwrap().to_vec();
-            let mut m = decode_manifest(&bytes).unwrap();
+            let payload = container::open(ContainerKind::Manifest, &bytes).unwrap();
+            let mut m: Manifest = encode::from_bytes(payload).unwrap();
             let row = &mut m.replies[0];
             let mut stored = ResolutionManifest::decode(&row.manifest).unwrap();
             stored.program.text_base ^= 0x1000;
             row.manifest = stored.encode();
-            let sealed = encode_manifest(&m);
+            let sealed = container::seal(ContainerKind::Manifest, &encode::to_bytes(&m));
             fs.unlink(&path, &mut clock, &cost);
             fs.write(&path, &sealed, &mut clock, &cost).unwrap();
         }

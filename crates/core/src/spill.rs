@@ -23,11 +23,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
-use omos_link::{decode_image, encode_image, LinkStats, LinkedImage};
+use omos_link::{encode_image, LinkStats, LinkedImage};
 use omos_obj::{fnv1a, ContentHash};
 use omos_os::{CostModel, InMemFs, SimClock};
 
-use crate::persist::{img_path, read_all, write_fresh};
+use crate::persist::{img_path, open_image, write_fresh};
 use crate::sync::lock;
 
 /// Index row for one spilled image — the same facts a checkpoint
@@ -186,8 +186,8 @@ impl SpillTier {
         }
     }
 
-    /// Fetches and verifies `key`: file hash, frame checksum (decode),
-    /// content hash — the restore-time chain. A verification failure
+    /// Fetches and verifies `key` through [`open_image`], the chain
+    /// restore runs: file hash, decode, content hash. A verification failure
     /// removes the entry and returns `None` (the caller relinks); a
     /// clean read consumes the row (tier 1 re-owns the image and will
     /// re-spill on its next eviction).
@@ -197,17 +197,20 @@ impl SpillTier {
         let inner = &mut *inner;
         let row = *inner.index.get(&key)?;
         let path = img_path(SPILL_DIR, key);
-        let verified = read_all(&mut inner.fs, &mut inner.clock, &self.cost, &path)
-            .ok()
-            .filter(|bytes| fnv1a(bytes).0 == row.file_hash)
-            .and_then(|bytes| decode_image(&bytes).ok())
-            .filter(|image| image.content_hash() == row.content_hash);
+        let verified = open_image(
+            &mut inner.fs,
+            &mut inner.clock,
+            &self.cost,
+            &path,
+            row.file_hash,
+            row.content_hash,
+        );
         inner.index.remove(&key);
         inner.order.retain(|k| *k != key);
         inner.bytes = inner.bytes.saturating_sub(row.sealed_len);
         inner.fs.unlink(&path, &mut inner.clock, &self.cost);
         match verified {
-            Some(image) => {
+            Ok(image) => {
                 self.fault_ins.fetch_add(1, Relaxed);
                 Some(FaultedImage {
                     image,
@@ -215,7 +218,7 @@ impl SpillTier {
                     rebuild_ns: row.rebuild_ns,
                 })
             }
-            None => {
+            Err(_) => {
                 self.verify_drops.fetch_add(1, Relaxed);
                 None
             }

@@ -41,4 +41,4 @@ pub use stubs::{
     FunctionHashTable, StubSite, AUDIT_STUB_INSTS, AUDIT_STUB_TEXT_BYTES, STUB_INSTS,
     STUB_TEXT_BYTES, TRAMPOLINE_INSTS,
 };
-pub use wire::{decode_image, encode_image, read_symbol_table, write_symbol_table};
+pub use wire::{decode_image, encode_image};

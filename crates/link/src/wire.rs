@@ -4,194 +4,37 @@
 //! server can serve them without relinking (the paper banks on "disk
 //! space for caching multiple versions of large libraries"). An image
 //! travels inside a versioned, checksummed container frame
-//! ([`omos_obj::encode::container`]); this module serializes the image
-//! body itself with the shared little-endian wire primitives.
+//! ([`omos_obj::encode::container`]); the records below declare the
+//! image body's layout once, for both directions.
 //!
 //! The encoding is canonical: symbols are written in sorted order, so
 //! `encode` is a pure function of the image's content and two images
 //! that compare equal encode identically.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use omos_obj::encode::container::{self, ContainerKind};
-use omos_obj::encode::{Reader, Writer};
-use omos_obj::SectionKind;
+use omos_obj::encode::{from_bytes, to_bytes};
 
-use crate::error::{LinkError, LinkResult};
+use crate::error::LinkResult;
 use crate::image::{LinkedImage, Segment};
+use crate::linker::LinkStats;
 
-/// Writes a symbol table (name → address) canonically: count, then
-/// entries in sorted name order. Shared between the image encoding and
-/// the resolution-manifest codec so "equal tables encode identically"
-/// holds everywhere by construction.
-pub fn write_symbol_table(w: &mut Writer, symbols: &std::collections::HashMap<String, u32>) {
-    let mut syms: Vec<(&String, &u32)> = symbols.iter().collect();
-    syms.sort();
-    w.u32(syms.len() as u32);
-    for (name, addr) in syms {
-        w.str(name);
-        w.u32(*addr);
-    }
-}
-
-/// Reads a symbol table written by [`write_symbol_table`].
-pub fn read_symbol_table(
-    r: &mut Reader<'_>,
-) -> omos_obj::Result<std::collections::HashMap<String, u32>> {
-    let nsyms = r.u32()?;
-    let mut symbols = std::collections::HashMap::new();
-    for _ in 0..nsyms {
-        let name = r.str()?;
-        let addr = r.u32()?;
-        symbols.insert(name, addr);
-    }
-    Ok(symbols)
-}
+omos_obj::wire_record! { LinkedImage { name, segments, symbols, entry } }
+omos_obj::wire_record! { Segment { name, kind, vaddr, zero, bytes } }
+omos_obj::wire_record! { LinkStats {
+    objects, symbols_resolved, relocs_applied, bytes_copied, externs_bound, left_unresolved
+} }
 
 /// Serializes an image into a sealed container frame.
 #[must_use]
 pub fn encode_image(img: &LinkedImage) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.str(&img.name);
-    w.u32(img.segments.len() as u32);
-    for s in &img.segments {
-        w.str(&s.name);
-        w.u8(s.kind.code());
-        w.u32(s.vaddr);
-        w.u64(s.zero);
-        w.u32(s.bytes.len() as u32);
-        w.bytes(&s.bytes);
-    }
-    write_symbol_table(&mut w, &img.symbols);
-    match img.entry {
-        Some(e) => {
-            w.u8(1);
-            w.u32(e);
-        }
-        None => w.u8(0),
-    }
-    container::seal(ContainerKind::Image, &w.into_bytes())
+    container::seal(ContainerKind::Image, &to_bytes(img))
 }
 
 /// Decodes a sealed container frame back into an image. Any
 /// malformation — torn frame, flipped bit, version skew, trailing
 /// garbage — is an error; the caller treats it as a cache miss.
 pub fn decode_image(bytes: &[u8]) -> LinkResult<LinkedImage> {
-    let payload = container::open(ContainerKind::Image, bytes)?;
-    let mut r = Reader::new(payload);
-    let name = r.str()?;
-    let nsegs = r.u32()?;
-    let mut segments = Vec::new();
-    for _ in 0..nsegs {
-        let name = r.str()?;
-        let code = r.u8()?;
-        let kind = SectionKind::from_code(code).ok_or_else(|| {
-            LinkError::Obj(omos_obj::ObjError::Malformed(format!(
-                "image: bad section kind code {code}"
-            )))
-        })?;
-        let vaddr = r.u32()?;
-        let zero = r.u64()?;
-        let len = r.u32()? as usize;
-        let bytes = r.bytes(len)?.to_vec();
-        segments.push(Segment {
-            name,
-            kind,
-            vaddr,
-            bytes,
-            zero,
-        });
-    }
-    let symbols = read_symbol_table(&mut r)?;
-    let entry = match r.u8()? {
-        0 => None,
-        1 => Some(r.u32()?),
-        other => {
-            return Err(LinkError::Obj(omos_obj::ObjError::Malformed(format!(
-                "image: bad entry tag {other}"
-            ))))
-        }
-    };
-    if r.remaining() != 0 {
-        return Err(LinkError::Obj(omos_obj::ObjError::Malformed(format!(
-            "image: {} trailing payload bytes",
-            r.remaining()
-        ))));
-    }
-    Ok(LinkedImage {
-        name,
-        segments,
-        symbols,
-        entry,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> LinkedImage {
-        let mut img = LinkedImage {
-            name: "libm.so".into(),
-            ..Default::default()
-        };
-        img.segments.push(Segment {
-            name: ".text".into(),
-            kind: SectionKind::Text,
-            vaddr: 0x1000,
-            bytes: (0..64u8).collect(),
-            zero: 0,
-        });
-        img.segments.push(Segment {
-            name: ".bss".into(),
-            kind: SectionKind::Bss,
-            vaddr: 0x2000,
-            bytes: vec![],
-            zero: 512,
-        });
-        img.symbols.insert("_sin".into(), 0x1000);
-        img.symbols.insert("_cos".into(), 0x1020);
-        img.entry = Some(0x1000);
-        img
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        for img in [sample(), LinkedImage::default()] {
-            let bytes = encode_image(&img);
-            let back = decode_image(&bytes).unwrap();
-            assert_eq!(back, img);
-            assert_eq!(back.content_hash(), img.content_hash());
-        }
-    }
-
-    #[test]
-    fn encoding_is_canonical() {
-        // Same content ⇒ same bytes, regardless of symbol insertion
-        // order (HashMap iteration order must not leak in).
-        let a = sample();
-        let mut b = sample();
-        b.symbols.clear();
-        b.symbols.insert("_cos".into(), 0x1020);
-        b.symbols.insert("_sin".into(), 0x1000);
-        assert_eq!(encode_image(&a), encode_image(&b));
-    }
-
-    #[test]
-    fn no_entry_roundtrips() {
-        let mut img = sample();
-        img.entry = None;
-        assert_eq!(decode_image(&encode_image(&img)).unwrap().entry, None);
-    }
-
-    #[test]
-    fn corruption_and_truncation_rejected() {
-        let bytes = encode_image(&sample());
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(decode_image(&bad).is_err(), "bit flip at byte {i}");
-        }
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_image(&bytes[..cut]).is_err(), "truncated at {cut}");
-        }
-    }
+    Ok(from_bytes(container::open(ContainerKind::Image, bytes)?)?)
 }

@@ -18,6 +18,8 @@
 //! sequence of them (the binding journal does); [`scan_frames`] walks
 //! such a sequence and stops cleanly at a torn tail.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::{ObjError, Result};
 use crate::hash::fnv1a;
 
@@ -192,6 +194,8 @@ pub fn scan_frames(bytes: &[u8]) -> (Vec<(ContainerKind, &[u8])>, bool) {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
 
     #[test]

@@ -19,7 +19,7 @@ pub mod som;
 mod wire;
 
 pub use container::ContainerKind;
-pub use wire::{Reader, Writer};
+pub use wire::{from_bytes, to_bytes, Reader, Trailing, Wire, Writer};
 
 use crate::error::{ObjError, Result};
 use crate::object::ObjectFile;

@@ -1,6 +1,23 @@
-//! Little-endian wire primitives shared by the encoding backends.
+//! Little-endian wire primitives and the record codec shared by every
+//! persisted format.
+//!
+//! [`Wire`] gives a type one wire form, and
+//! [`wire_record!`](crate::wire_record) declares a record's fields in
+//! on-disk order once, implementing both its encoder and its decoder.
+//! Integers are little-endian; `bool` and the `Option` tag are one byte,
+//! 0 or 1; `String` and `Vec` carry a `u32` count, and a `Vec<u8>` moves
+//! as one slice copy; a `HashMap` is written in key order, so equal maps
+//! encode identically. A bad tag, a short read or a byte left over after
+//! a record is an [`ObjError::Malformed`], never a panic.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use std::collections::HashMap;
+use std::hash::Hash;
 
 use crate::error::{ObjError, Result};
+use crate::hash::ContentHash;
+use crate::section::SectionKind;
 
 /// Append-only little-endian byte writer.
 #[derive(Debug, Default)]
@@ -19,18 +36,6 @@ impl Writer {
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Writes a single byte.
@@ -97,49 +102,46 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
+        let Some(s) = self.buf.get(self.pos..).and_then(|rest| rest.get(..n)) else {
             return Err(ObjError::Malformed(format!(
                 "truncated: wanted {n} bytes at offset {}, have {}",
                 self.pos,
                 self.remaining()
             )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        };
         self.pos += n;
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| ObjError::Malformed(format!("short read of {N} bytes")))
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        self.array().map(u8::from_le_bytes)
     }
 
     /// Reads a 16-bit little-endian value.
     pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("len checked"),
-        ))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a 32-bit little-endian value.
     pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("len checked"),
-        ))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a 64-bit little-endian value.
     pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("len checked"),
-        ))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a 64-bit little-endian signed value.
     pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("len checked"),
-        ))
+        self.array().map(i64::from_le_bytes)
     }
 
     /// Reads exactly `n` raw bytes.
@@ -150,66 +152,288 @@ impl<'a> Reader<'a> {
     /// Reads a `u32`-length-prefixed string.
     pub fn str(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
-        // Guard against absurd lengths in corrupt images before allocating.
-        if n > self.remaining() {
-            return Err(ObjError::Malformed(format!(
-                "truncated string: claims {n} bytes, {} remain",
-                self.remaining()
-            )));
-        }
+        // `take` checks the length before anything is allocated.
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| ObjError::Malformed("string is not UTF-8".into()))
     }
+
+    /// Ends a record: every byte must have been read.
+    pub fn finish(&self) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(ObjError::Malformed(format!("{n} trailing payload bytes"))),
+        }
+    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// A type with one wire form: `put` writes it, `get` reads it back.
+pub trait Wire: Sized {
+    /// Writes the value.
+    fn put(&self, w: &mut Writer);
 
-    #[test]
-    fn roundtrip_scalars() {
-        let mut w = Writer::new();
-        w.u8(0xab);
-        w.u16(0x1234);
-        w.u32(0xdead_beef);
-        w.u64(0x0123_4567_89ab_cdef);
-        w.i64(-42);
-        w.str("hello");
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 0xab);
-        assert_eq!(r.u16().unwrap(), 0x1234);
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.u64().unwrap(), 0x0123_4567_89ab_cdef);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.str().unwrap(), "hello");
-        assert_eq!(r.remaining(), 0);
+    /// Reads a value, or a typed error on malformed input.
+    fn get(r: &mut Reader<'_>) -> Result<Self>;
+
+    /// Writes a run of values (a `Vec`'s elements). `u8` overrides it
+    /// with one slice copy.
+    fn put_run(items: &[Self], w: &mut Writer) {
+        for item in items {
+            item.put(w);
+        }
     }
 
-    #[test]
-    fn truncated_reads_error() {
-        let mut r = Reader::new(&[1, 2]);
-        assert!(r.u32().is_err());
-        // Failed read must not consume.
-        assert_eq!(r.remaining(), 2);
-        assert_eq!(r.u16().unwrap(), 0x0201);
+    /// Reads a run of `n` values. Never preallocates from `n`, which may
+    /// be a corrupt count.
+    fn get_run(n: usize, r: &mut Reader<'_>) -> Result<Vec<Self>> {
+        let mut items = Vec::new();
+        for _ in 0..n {
+            items.push(Self::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A trailing optional section, named in a record as `field as
+/// Trailing`: written only when it differs from the default (is
+/// non-empty), read only when bytes remain. Records that never carry it
+/// keep the bytes they had before the section existed.
+#[derive(Debug)]
+pub struct Trailing;
+
+impl Trailing {
+    /// Writes `v` unless it is the default.
+    pub fn put<T: Wire + Default + PartialEq>(v: &T, w: &mut Writer) {
+        if *v != T::default() {
+            v.put(w);
+        }
     }
 
-    #[test]
-    fn bogus_string_length_rejected_without_alloc() {
-        let mut w = Writer::new();
-        w.u32(u32::MAX);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(r.str().is_err());
+    /// Reads a `T`, or the default when the record has ended.
+    pub fn get<T: Wire + Default>(r: &mut Reader<'_>) -> Result<T> {
+        if r.remaining() == 0 {
+            Ok(T::default())
+        } else {
+            T::get(r)
+        }
+    }
+}
+
+/// The bytes of `v`'s wire form.
+#[must_use]
+pub fn to_bytes<T: Wire>(v: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    v.put(&mut w);
+    w.into_bytes()
+}
+
+/// Reads one `T` that must fill `bytes` exactly.
+pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T> {
+    let mut r = Reader::new(bytes);
+    let v = T::get(&mut r)?;
+    r.finish()?;
+    Ok(v)
+}
+
+/// Declares a record's wire layout: its fields in on-disk order, each in
+/// its type's [`Wire`] form, or in [`Trailing`]'s when written `field as
+/// Trailing`. The one declaration implements both directions.
+///
+/// ```
+/// use omos_obj::encode::{from_bytes, to_bytes};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Row { name: String, addr: u32, note: Vec<u8> }
+/// omos_obj::wire_record! { Row { addr, name, note as Trailing } }
+///
+/// let row = Row { name: "_sin".into(), addr: 0x1000, note: vec![] };
+/// assert_eq!(to_bytes(&row), [0, 0x10, 0, 0, 4, 0, 0, 0, b'_', b's', b'i', b'n']);
+/// assert_eq!(from_bytes::<Row>(&to_bytes(&row)).unwrap(), row);
+/// ```
+#[macro_export]
+macro_rules! wire_record {
+    (@put $w:ident, $v:expr) => {
+        $crate::encode::Wire::put($v, $w)
+    };
+    (@put $w:ident, $v:expr, $codec:ident) => {
+        $crate::encode::$codec::put($v, $w)
+    };
+    (@get $r:ident) => {
+        $crate::encode::Wire::get($r)?
+    };
+    (@get $r:ident, $codec:ident) => {
+        $crate::encode::$codec::get($r)?
+    };
+    ($ty:ident { $($field:ident $(as $codec:ident)?),* $(,)? }) => {
+        impl $crate::encode::Wire for $ty {
+            fn put(&self, w: &mut $crate::encode::Writer) {
+                $($crate::wire_record!(@put w, &self.$field $(, $codec)?);)*
+            }
+
+            fn get(r: &mut $crate::encode::Reader<'_>) -> $crate::Result<Self> {
+                // Struct-literal fields evaluate in the order written,
+                // which is the declared wire order.
+                Ok(Self {
+                    $($field: $crate::wire_record!(@get r $(, $codec)?),)*
+                })
+            }
+        }
+    };
+}
+
+macro_rules! scalars {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut Writer) {
+                w.bytes(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                r.array().map(<$t>::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+scalars!(u32, u64);
+
+impl Wire for u8 {
+    fn put(&self, w: &mut Writer) {
+        w.u8(*self);
     }
 
-    #[test]
-    fn non_utf8_string_rejected() {
-        let mut w = Writer::new();
-        w.u32(2);
-        w.bytes(&[0xff, 0xfe]);
-        let bytes = w.into_bytes();
-        assert!(Reader::new(&bytes).str().is_err());
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        r.u8()
     }
+
+    fn put_run(items: &[u8], w: &mut Writer) {
+        w.bytes(items);
+    }
+
+    fn get_run(n: usize, r: &mut Reader<'_>) -> Result<Vec<u8>> {
+        r.bytes(n).map(<[u8]>::to_vec)
+    }
+}
+
+/// Reads a 0/1 tag byte; anything else is malformed.
+fn tag(r: &mut Reader<'_>, what: &str) -> Result<bool> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(ObjError::Malformed(format!("bad {what} tag {other}"))),
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.u8(u8::from(*self));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        tag(r, "bool")
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.str(self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        r.str()
+    }
+}
+
+impl Wire for ContentHash {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.0);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        r.u64().map(ContentHash)
+    }
+}
+
+impl Wire for SectionKind {
+    fn put(&self, w: &mut Writer) {
+        w.u8(self.code());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let code = r.u8()?;
+        SectionKind::from_code(code)
+            .ok_or_else(|| ObjError::Malformed(format!("bad section kind code {code}")))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.len() as u32);
+        T::put_run(self, w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.u32()? as usize;
+        T::get_run(n, r)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Some(v) => {
+                w.u8(1);
+                v.put(w);
+            }
+            None => w.u8(0),
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        if tag(r, "option")? {
+            T::get(r).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl<K: Wire + Ord + Hash, V: Wire> Wire for HashMap<K, V> {
+    fn put(&self, w: &mut Writer) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        w.u32(entries.len() as u32);
+        for (k, v) in entries {
+            k.put(w);
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.u32()?;
+        let mut map = HashMap::new();
+        for _ in 0..n {
+            let k = K::get(r)?;
+            map.insert(k, V::get(r)?);
+        }
+        Ok(map)
+    }
+}
+
+macro_rules! tuples {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, w: &mut Writer) {
+                $(self.$i.put(w);)+
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                Ok(($(<$t>::get(r)?,)+))
+            }
+        }
+    )*};
+}
+
+tuples! {
+    (A 0, B 1)
+    (A 0, B 1, C 2)
 }

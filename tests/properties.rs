@@ -4,20 +4,30 @@ use proptest::prelude::*;
 
 use proptest::test_runner::TestRng;
 
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
 use omos::analysis::manifest::{
     Binding, LibraryResolution, ProgramResolution, ResolutionManifest, CLIENT_DATA_BASE,
     CLIENT_TEXT_BASE, PROGRAM_PROVIDER,
 };
 use omos::blueprint::{Blueprint, LinkPolicy, PolicyKind};
+use omos::constraint::{Allocation, ConflictRecord, Placement, SolverState};
 use omos::core::json::{self, Json};
-use omos::core::persist::{decode_blueprint, encode_blueprint};
-use omos::link::{link, LinkOptions};
+use omos::core::persist::{decode_blueprint, encode_blueprint, RestoreReport};
+use omos::core::Omos;
+use omos::isa::assemble;
+use omos::link::{decode_image, encode_image, link, LinkOptions, LinkStats, LinkedImage, Segment};
 use omos::obj::encode::container::{self, ContainerKind};
-use omos::obj::encode::{read, read_any, write, Format};
+use omos::obj::encode::{
+    from_bytes, read, read_any, to_bytes, write, Format, Reader, Trailing, Wire, Writer,
+};
 use omos::obj::view::{RenameTarget, View, ViewKind, ViewOp};
 use omos::obj::{
     fnv1a, ContentHash, ObjectFile, Regex, RelocKind, Relocation, Section, SectionKind, Symbol,
 };
+use omos::os::ipc::Transport;
+use omos::os::{CostModel, InMemFs, SimClock};
 
 // --- Strategies -----------------------------------------------------------------
 
@@ -395,6 +405,540 @@ proptest! {
         payload[p] ^= val | 1;
         let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &payload));
         let _ = ResolutionManifest::decode(&container::seal(ContainerKind::Resolution, &payload[..p]));
+    }
+}
+
+// --- Persisted records: the wire codec, images and checkpoint restore --------------
+//
+// Every record the server persists is declared once with `wire_record!`.
+// These properties hold each decoder to round trips, and feed it
+// arbitrary bytes and resealed damage (flipped bytes, wild counts, cut
+// payloads): the result is a typed error or a counted restore drop, never
+// a panic.
+
+proptest! {
+    #[test]
+    fn persist_wire_scalars_round_trip(
+        a in any::<u8>(),
+        b in any::<u16>(),
+        c in any::<u32>(),
+        d in any::<u64>(),
+        e in any::<i64>(),
+        s in "[a-z_ ]{0,12}",
+    ) {
+        let mut w = Writer::new();
+        w.u8(a);
+        w.u16(b);
+        w.u32(c);
+        w.u64(d);
+        w.i64(e);
+        w.str(&s);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(r.u8().expect("u8"), a);
+        prop_assert_eq!(r.u16().expect("u16"), b);
+        prop_assert_eq!(r.u32().expect("u32"), c);
+        prop_assert_eq!(r.u64().expect("u64"), d);
+        prop_assert_eq!(r.i64().expect("i64"), e);
+        prop_assert_eq!(r.str().expect("str"), s);
+        prop_assert!(r.finish().is_ok());
+    }
+
+    #[test]
+    fn persist_wire_short_reads_error_and_consume_nothing(
+        raw in proptest::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let mut r = Reader::new(&raw);
+        prop_assert!(r.u64().is_err());
+        prop_assert_eq!(r.remaining(), raw.len());
+    }
+
+    #[test]
+    fn persist_wire_byte_runs_and_maps_are_canonical(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        names in proptest::collection::btree_set(arb_symbol_name(), 0..6),
+    ) {
+        // A byte vector is its count, then the bytes as they are.
+        let enc = to_bytes(&bytes);
+        prop_assert_eq!(&enc[..4], &(bytes.len() as u32).to_le_bytes()[..]);
+        prop_assert_eq!(&enc[4..], &bytes[..]);
+        prop_assert_eq!(from_bytes::<Vec<u8>>(&enc).expect("decodes"), bytes);
+        // Two maps with the same entries encode identically, whatever
+        // order each one iterates in.
+        let a: HashMap<String, u32> = names.iter().cloned().zip(0..).collect();
+        let b: HashMap<String, u32> = names.iter().rev().cloned().zip((0..names.len() as u32).rev()).collect();
+        prop_assert_eq!(to_bytes(&a), to_bytes(&b));
+        prop_assert_eq!(from_bytes::<HashMap<String, u32>>(&to_bytes(&a)).expect("decodes"), a);
+    }
+}
+
+#[test]
+fn persist_wire_tags_lengths_and_trailing_bytes_are_checked() {
+    assert_eq!(from_bytes::<bool>(&[1]).ok(), Some(true));
+    assert!(from_bytes::<bool>(&[2]).is_err());
+    assert_eq!(from_bytes::<Option<u8>>(&[1, 9]).ok(), Some(Some(9)));
+    assert!(from_bytes::<Option<u8>>(&[2, 9]).is_err());
+    // A count or length beyond the buffer fails before anything is
+    // allocated for it.
+    let wild = [0xff, 0xff, 0xff, 0xff, b'x'];
+    assert!(from_bytes::<String>(&wild).is_err());
+    assert!(from_bytes::<Vec<u8>>(&wild).is_err());
+    assert!(from_bytes::<Vec<(u64, String)>>(&wild).is_err());
+    assert!(
+        from_bytes::<String>(&[2, 0, 0, 0, 0xff, 0xfe]).is_err(),
+        "not UTF-8"
+    );
+    assert!(from_bytes::<u8>(&[1, 2]).is_err(), "a trailing byte");
+}
+
+/// One way to damage a payload before it is resealed: flip a byte,
+/// overwrite four bytes with a wild count, or cut the payload short.
+#[derive(Debug, Clone, Copy)]
+struct Damage {
+    how: u8,
+    pos: u16,
+    val: u32,
+}
+
+impl Damage {
+    fn apply(self, payload: &[u8]) -> Vec<u8> {
+        let mut out = payload.to_vec();
+        if out.is_empty() {
+            return out;
+        }
+        let p = usize::from(self.pos) % out.len();
+        match self.how % 3 {
+            0 => out[p] ^= (self.val as u8) | 1,
+            1 => {
+                let end = (p + 4).min(out.len());
+                out[p..end].copy_from_slice(&self.val.to_le_bytes()[..end - p]);
+            }
+            _ => out.truncate(p),
+        }
+        out
+    }
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    (any::<u8>(), any::<u16>(), any::<u32>()).prop_map(|(how, pos, val)| Damage { how, pos, val })
+}
+
+prop_compose! {
+    /// An image with up to four segments of every kind, a symbol table,
+    /// and an entry point or none.
+    fn arb_image()(
+        name in "[a-z]{1,8}",
+        segments in proptest::collection::vec(
+            (0u8..4, any::<u32>(), 0u64..4096, proptest::collection::vec(any::<u8>(), 0..48)),
+            0..4,
+        ),
+        symbols in proptest::collection::vec((arb_symbol_name(), any::<u32>()), 0..6),
+        entry in any::<u32>(),
+        has_entry in any::<bool>(),
+    ) -> LinkedImage {
+        LinkedImage {
+            name,
+            segments: segments
+                .into_iter()
+                .map(|(code, vaddr, zero, bytes)| Segment {
+                    name: format!(".s{code}"),
+                    kind: SectionKind::from_code(code).expect("codes 0-3 are kinds"),
+                    vaddr,
+                    bytes,
+                    zero,
+                })
+                .collect(),
+            symbols: symbols.into_iter().collect(),
+            entry: has_entry.then_some(entry),
+        }
+    }
+}
+
+prop_compose! {
+    /// Solver state with bookings, known versions and both kinds of
+    /// conflict record.
+    fn arb_solver_state()(
+        booked in proptest::collection::vec((arb_symbol_name(), any::<u64>(), any::<u64>()), 0..4),
+        known in proptest::collection::vec(
+            (
+                arb_symbol_name(),
+                any::<u64>(),
+                proptest::collection::vec((any::<u64>(), any::<bool>(), any::<u32>()), 0..3),
+            ),
+            0..3,
+        ),
+        conflicts in proptest::collection::vec((arb_symbol_name(), any::<u64>(), any::<u8>()), 0..3),
+    ) -> SolverState {
+        let alloc = |base: u64| Allocation { base, size: base.rotate_left(9) };
+        SolverState {
+            booked: booked.into_iter().map(|(n, b, _)| (n, alloc(b))).collect(),
+            known: known
+                .into_iter()
+                .map(|(n, key, versions)| {
+                    let versions = versions
+                        .into_iter()
+                        .map(|(base, reused, version)| Placement {
+                            allocations: vec![alloc(base), alloc(!base)],
+                            reused,
+                            version,
+                        })
+                        .collect();
+                    (n, key, versions)
+                })
+                .collect(),
+            conflicts: conflicts
+                .into_iter()
+                .map(|(name, p, which)| ConflictRecord {
+                    occupant: (which & 1 == 1).then(|| format!("{name}_occupant")),
+                    preferred: (which & 2 == 2).then_some(p),
+                    name,
+                })
+                .collect(),
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn persist_image_round_trips(img in arb_image()) {
+        let frame = encode_image(&img);
+        let back = decode_image(&frame).expect("decodes");
+        prop_assert_eq!(back.content_hash(), img.content_hash());
+        prop_assert_eq!(encode_image(&back), frame);
+        prop_assert_eq!(back, img);
+    }
+
+    #[test]
+    fn persist_image_decode_never_panics_on_arbitrary_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..160),
+    ) {
+        let _ = decode_image(&raw);
+        let _ = decode_image(&container::seal(ContainerKind::Image, &raw));
+    }
+
+    #[test]
+    fn persist_resealed_image_damage_never_panics(img in arb_image(), damage in arb_damage()) {
+        let frame = encode_image(&img);
+        let payload = container::open(ContainerKind::Image, &frame).expect("opens");
+        let _ = decode_image(&container::seal(ContainerKind::Image, &damage.apply(payload)));
+    }
+
+    #[test]
+    fn persist_solver_state_and_link_stats_round_trip(
+        state in arb_solver_state(),
+        n in proptest::collection::vec(any::<u64>(), 6),
+    ) {
+        prop_assert_eq!(from_bytes::<SolverState>(&to_bytes(&state)).expect("decodes"), state);
+        let stats = LinkStats {
+            objects: n[0],
+            symbols_resolved: n[1],
+            relocs_applied: n[2],
+            bytes_copied: n[3],
+            externs_bound: n[4],
+            left_unresolved: n[5],
+        };
+        prop_assert_eq!(from_bytes::<LinkStats>(&to_bytes(&stats)).expect("decodes"), stats);
+    }
+}
+
+#[test]
+fn persist_image_frame_damage_is_rejected() {
+    let mut symbols = HashMap::new();
+    symbols.insert("_sin".to_string(), 0x1000);
+    symbols.insert("_cos".to_string(), 0x1020);
+    let img = LinkedImage {
+        name: "libm.so".into(),
+        segments: vec![
+            Segment {
+                name: ".text".into(),
+                kind: SectionKind::Text,
+                vaddr: 0x1000,
+                bytes: (0..64u8).collect(),
+                zero: 0,
+            },
+            Segment {
+                name: ".bss".into(),
+                kind: SectionKind::Bss,
+                vaddr: 0x2000,
+                bytes: vec![],
+                zero: 512,
+            },
+        ],
+        symbols,
+        entry: Some(0x1000),
+    };
+    let frame = encode_image(&img);
+    assert_eq!(decode_image(&frame).expect("decodes"), img);
+    for i in 0..frame.len() {
+        let mut bad = frame.clone();
+        bad[i] ^= 0x40;
+        assert!(decode_image(&bad).is_err(), "bit flip at byte {i}");
+    }
+    for cut in [0, 1, frame.len() / 2, frame.len() - 1] {
+        assert!(decode_image(&frame[..cut]).is_err(), "truncated at {cut}");
+    }
+}
+
+const CKPT: &str = "/ckpt";
+const SLOT_A: &str = "/ckpt/manifest.a";
+const SLOT_B: &str = "/ckpt/manifest.b";
+const JOURNAL: &str = "/ckpt/journal";
+
+/// The checkpoint manifest's layout, spelled with the codec's public
+/// pieces. Tuples concatenate their fields, so nested pairs read the
+/// same bytes as the server's records.
+type NsRow = (String, u8, Vec<u8>);
+type ImageRow = ((ContentHash, u64), (ContentHash, LinkStats));
+type ReplyRow = (
+    (ContentHash, ContentHash, Vec<ContentHash>),
+    (Vec<String>, Vec<u8>, Vec<u8>),
+);
+type ManifestMirror = (
+    (u64, String, Vec<NsRow>),
+    (Vec<ImageRow>, SolverState, Vec<ReplyRow>),
+);
+
+/// Every file of a checkpoint to damage: a program with an audit policy
+/// over a constrained library, a second library whose text preference
+/// collides with the first (a logged conflict), and a journal bind and
+/// unbind written after the checkpoint.
+fn checkpoint_files() -> &'static [(String, Vec<u8>)] {
+    static FILES: OnceLock<Vec<(String, Vec<u8>)>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let s = Omos::new(CostModel::hpux(), Transport::SysVMsg);
+        for (path, src) in [
+            (
+                "/obj/hello.o",
+                ".text\n.global _start\n_start: call _puts\n sys 0\n",
+            ),
+            (
+                "/libc/stdio.o",
+                ".text\n.global _puts\n_puts: li r1, 7\n ret\n",
+            ),
+            (
+                "/obj/math.o",
+                ".text\n.global _start\n_start: call _sin\n sys 0\n",
+            ),
+            ("/libm/sin.o", ".text\n.global _sin\n_sin: li r1, 2\n ret\n"),
+        ] {
+            s.namespace
+                .bind_object(path, assemble(path, src).expect("assembles"));
+        }
+        for (path, src) in [
+            (
+                "/lib/libc",
+                "(constraint-list \"T\" 0x1000000 \"D\" 0x41000000)\n(merge /libc/stdio.o)",
+            ),
+            (
+                "/lib/libm",
+                "(constraint-list \"T\" 0x1000000 \"D\" 0x42000000)\n(merge /libm/sin.o)",
+            ),
+            (
+                "/bin/hello",
+                "(policy audit \"^_puts$\")\n(merge /obj/hello.o /lib/libc)",
+            ),
+            ("/bin/math", "(merge /obj/math.o /lib/libm)"),
+        ] {
+            s.namespace.bind_blueprint(path, src).expect("parses");
+        }
+        for path in ["/bin/hello", "/bin/math"] {
+            s.instantiate(path).expect("instantiates");
+        }
+        let (mut fs, mut clock, cost) = (InMemFs::new(), SimClock::new(), CostModel::hpux());
+        s.checkpoint(&mut fs, &mut clock, CKPT)
+            .expect("checkpoints");
+        let late = assemble("late.o", ".text\nnop\n").expect("assembles");
+        s.bind_object_durable("/obj/late.o", late, &mut fs, &mut clock, CKPT)
+            .expect("binds");
+        s.unbind_durable("/obj/late.o", &mut fs, &mut clock, CKPT)
+            .expect("unbinds");
+        let mut files = Vec::new();
+        for dir in [CKPT.to_string(), format!("{CKPT}/img")] {
+            for (name, stat) in fs.list_dir(&dir, &mut clock, &cost).expect("lists") {
+                if stat.mode == 0 {
+                    let path = format!("{dir}/{name}");
+                    let bytes = fs.peek(&path).expect("reads").to_vec();
+                    files.push((path, bytes));
+                }
+            }
+        }
+        files
+    })
+}
+
+fn checkpoint_file(path: &str) -> &'static [u8] {
+    let (_, bytes) = checkpoint_files()
+        .iter()
+        .find(|(p, _)| p == path)
+        .expect("the checkpoint wrote it");
+    bytes
+}
+
+fn manifest_payload() -> Vec<u8> {
+    container::open(ContainerKind::Manifest, checkpoint_file(SLOT_A))
+        .expect("opens")
+        .to_vec()
+}
+
+fn manifest_mirror() -> ManifestMirror {
+    from_bytes(&manifest_payload()).expect("the mirror reads the manifest")
+}
+
+/// Both manifest slots, sealed around `payload`.
+fn both_slots(payload: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    let sealed = container::seal(ContainerKind::Manifest, payload);
+    vec![(SLOT_A, sealed.clone()), (SLOT_B, sealed)]
+}
+
+/// Restores from the checkpoint with the files in `replace` swapped in.
+fn restore_with(replace: &[(&str, Vec<u8>)]) -> RestoreReport {
+    let mut fs = InMemFs::new();
+    for (path, bytes) in checkpoint_files() {
+        let bytes = replace
+            .iter()
+            .find(|(p, _)| p == path)
+            .map_or(bytes, |(_, b)| b);
+        fs.put(path, bytes.clone());
+    }
+    let (_, report) = Omos::restore(
+        CostModel::hpux(),
+        Transport::SysVMsg,
+        &mut fs,
+        &mut SimClock::new(),
+        CKPT,
+    );
+    assert_eq!(report.dropped as u64, report.drops.total());
+    report
+}
+
+#[test]
+fn persist_checkpoint_files_match_their_declared_layouts() {
+    let payload = manifest_payload();
+    let m = manifest_mirror();
+    assert_eq!(to_bytes(&m), payload);
+    let ((_, _, ns), (images, solver, replies)) = &m;
+    assert!(!ns.is_empty() && !images.is_empty());
+    assert_eq!(replies.len(), 2);
+    assert!(solver.conflicts.iter().any(|c| c.preferred.is_some()));
+    let (frames, damaged) = container::scan_frames(checkpoint_file(JOURNAL));
+    assert!(!damaged);
+    assert_eq!(frames.len(), 4, "a bind and an unbind, each written twice");
+    for (kind, payload) in frames {
+        assert_eq!(kind, ContainerKind::JournalRecord);
+        let mut r = Reader::new(payload);
+        let op = u8::get(&mut r).expect("op");
+        let path = String::get(&mut r).expect("path");
+        let frame: Vec<u8> = Trailing::get(&mut r).expect("frame");
+        r.finish().expect("nothing trails");
+        assert_eq!(path, "/obj/late.o");
+        assert_eq!(frame.is_empty(), op == 2, "only an unbind carries no frame");
+    }
+    let clean = restore_with(&[]);
+    assert!(!clean.cold);
+    assert_eq!(
+        (clean.replies, clean.dropped, clean.journal_records),
+        (2, 0, 2)
+    );
+}
+
+#[test]
+fn persist_option_tag_two_is_malformed_and_the_twin_slot_restores() {
+    let payload = manifest_payload();
+    let m = manifest_mirror();
+    let conflict =
+        m.1 .1
+            .conflicts
+            .iter()
+            .find(|c| c.preferred.is_some())
+            .expect("a conflict");
+    let record = to_bytes(conflict);
+    let at = payload
+        .windows(record.len())
+        .position(|w| w == record)
+        .expect("the conflict's bytes");
+    let mut bad = payload.clone();
+    // The tag of `preferred`, after the name's length and bytes.
+    bad[at + 4 + conflict.name.len()] = 2;
+    let sealed = container::seal(ContainerKind::Manifest, &bad);
+    let one = restore_with(&[(SLOT_A, sealed)]);
+    assert!(!one.cold, "the twin slot restores");
+    assert_eq!(one.replies, 2);
+    let both = restore_with(&both_slots(&bad));
+    assert!(both.cold, "tag 2 is malformed, not `Some`");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn persist_restore_survives_arbitrary_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        restore_with(&[(SLOT_A, raw.clone()), (SLOT_B, raw.clone())]);
+        restore_with(&both_slots(&raw));
+        let journal = restore_with(&[(JOURNAL, raw)]);
+        prop_assert!(!journal.cold);
+    }
+
+    #[test]
+    fn persist_restore_survives_resealed_manifest_damage(damage in arb_damage()) {
+        restore_with(&both_slots(&damage.apply(&manifest_payload())));
+    }
+
+    #[test]
+    fn persist_restore_drops_a_damaged_namespace_frame(
+        which in any::<u16>(),
+        kind in any::<u8>(),
+        damage in arb_damage(),
+    ) {
+        let mut m = manifest_mirror();
+        let ns = &mut m.0 .2;
+        let i = usize::from(which) % ns.len();
+        let (_, entry_kind, frame) = &mut ns[i];
+        let inner = if *entry_kind == 0 { ContainerKind::Object } else { ContainerKind::Blueprint };
+        let payload = container::open(inner, frame).expect("opens").to_vec();
+        *frame = container::seal(inner, &damage.apply(&payload));
+        if kind.is_multiple_of(4) {
+            *entry_kind = kind;
+        }
+        let r = restore_with(&both_slots(&to_bytes(&m)));
+        prop_assert!(!r.cold, "a damaged binding is dropped, not the manifest");
+        prop_assert!(r.drops.ns_decode <= 1);
+    }
+
+    #[test]
+    fn persist_restore_drops_a_damaged_reply_row(which in any::<u16>(), damage in arb_damage()) {
+        let mut m = manifest_mirror();
+        let replies = &mut m.1 .2;
+        let rows = replies.len();
+        let (_, (_, blueprint, manifest)) = &mut replies[usize::from(which) % rows];
+        let (frame, kind) = if which & 1 == 0 {
+            (blueprint, ContainerKind::Blueprint)
+        } else {
+            (manifest, ContainerKind::Resolution)
+        };
+        let payload = container::open(kind, frame).expect("opens").to_vec();
+        *frame = container::seal(kind, &damage.apply(&payload));
+        let r = restore_with(&both_slots(&to_bytes(&m)));
+        prop_assert!(!r.cold);
+        prop_assert_eq!(r.replies + r.drops.reply_manifest as usize, rows);
+    }
+
+    #[test]
+    fn persist_restore_survives_journal_damage(which in any::<u8>(), damage in arb_damage()) {
+        let (frames, _) = container::scan_frames(checkpoint_file(JOURNAL));
+        let i = usize::from(which) % frames.len();
+        let journal: Vec<u8> = frames
+            .iter()
+            .enumerate()
+            .flat_map(|(j, (kind, payload))| {
+                let payload = if j == i { damage.apply(payload) } else { payload.to_vec() };
+                container::seal(*kind, &payload)
+            })
+            .collect();
+        let r = restore_with(&[(JOURNAL, journal)]);
+        prop_assert!(!r.cold);
+        prop_assert!(r.journal_records + r.drops.journal_apply as usize <= frames.len());
     }
 }
 
