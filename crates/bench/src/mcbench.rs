@@ -65,8 +65,8 @@ pub struct McResult {
     pub stages: Vec<HistSnapshot>,
     /// Trace counter totals folded across every server in the sweep.
     pub counters: Vec<(&'static str, u64)>,
-    /// Intra-request parallel linking: cold-link latency, sequential vs
-    /// parallel (`None` when the sweep skipped it).
+    /// Cold-link latency on simulated lanes, one lane vs several
+    /// (`None` when the sweep skipped it).
     pub cold_link: Option<ColdLinkLatency>,
     /// Durability: restored-server first-request latency against a cold
     /// relink (`None` when the sweep skipped it).
@@ -156,14 +156,12 @@ pub struct ColdLinkRun {
     pub server_ns: u64,
     /// Simulated request latency (critical path of the schedule).
     pub latency_ns: u64,
-    /// Host wall-clock, for reference only.
-    pub wall_ms: f64,
 }
 
 /// Cold-link latency of one fan-out program, sequential (`jobs` = 1)
-/// against a parallel schedule. The *simulated* speedup is the
-/// deterministic, asserted number; wall speedup is reported for
-/// reference (meaningless on a loaded or single-CPU host).
+/// against a parallel schedule on simulated lanes. Both run the same
+/// work on one host thread, so only the *simulated* speedup is
+/// reported: it is deterministic and asserted.
 #[derive(Debug, Clone, Copy)]
 pub struct ColdLinkLatency {
     /// Scenario program instantiated (a wide library fan-out).
@@ -179,12 +177,6 @@ impl ColdLinkLatency {
     #[must_use]
     pub fn sim_speedup(&self) -> f64 {
         self.sequential.latency_ns as f64 / self.parallel.latency_ns.max(1) as f64
-    }
-
-    /// Host wall-clock speedup, for reference only.
-    #[must_use]
-    pub fn wall_speedup(&self) -> f64 {
-        self.sequential.wall_ms / self.parallel.wall_ms.max(1e-9)
     }
 }
 
@@ -247,7 +239,6 @@ pub fn run_cold_link(
     let run = |jobs: usize| {
         let server = fanout_server(COLD_LINK_LIBS, cost, transport);
         server.set_eval_jobs(jobs);
-        let wall = std::time::Instant::now();
         let r = server
             .instantiate("/bin/fanout")
             .expect("fanout instantiates");
@@ -255,7 +246,6 @@ pub fn run_cold_link(
             jobs,
             server_ns: r.server_ns,
             latency_ns: r.latency_ns,
-            wall_ms: wall.elapsed().as_secs_f64() * 1e3,
         }
     };
     ColdLinkLatency {
@@ -845,7 +835,6 @@ fn cold_link_json(cl: &ColdLinkLatency) -> Json {
             ("eval_jobs", r.jobs.into()),
             ("server_ns", r.server_ns.into()),
             ("latency_ns", r.latency_ns.into()),
-            ("wall_ms", Json::fixed(r.wall_ms, 3)),
         ])
     };
     Json::obj([
@@ -853,7 +842,6 @@ fn cold_link_json(cl: &ColdLinkLatency) -> Json {
         ("sequential", run(&cl.sequential)),
         ("parallel", run(&cl.parallel)),
         ("sim_speedup", Json::fixed(cl.sim_speedup(), 2)),
-        ("wall_speedup", Json::fixed(cl.wall_speedup(), 2)),
     ])
 }
 
@@ -1043,7 +1031,7 @@ mod tests {
 
     #[test]
     fn manifests_are_identical_across_eval_jobs_settings() {
-        // Same request history, sequential vs parallel evaluation: the
+        // Same request history, one simulated lane vs eight: the
         // canonical manifests must be byte-identical — this is the
         // in-process face of the CI determinism gate.
         let run = |jobs: usize| {

@@ -46,8 +46,8 @@ pub enum EvalError {
     /// An operation appeared somewhere it cannot (e.g. constrained
     /// library under `hide`).
     Misplaced(String),
-    /// A work unit panicked while executing, on whichever lane ran it;
-    /// the evaluation aborts cleanly.
+    /// A work unit panicked while executing; the evaluation aborts
+    /// cleanly.
     Worker(String),
 }
 
@@ -111,11 +111,10 @@ pub struct CachedEval {
 /// Server services the evaluator needs.
 ///
 /// Every method takes `&self`: the server's caches are internally
-/// synchronized (sharded locks, atomics), and above one lane the
-/// executor publishes results from worker threads sharing one context. The
-/// `Sync` supertrait makes `&dyn EvalContext` shareable across a
-/// scoped worker pool.
-pub trait EvalContext: Sync {
+/// synchronized (sharded locks, atomics) because concurrent requests
+/// share them, and one evaluation calls the context only from the
+/// thread that runs it.
+pub trait EvalContext {
     /// Resolves a namespace path.
     fn resolve(&self, path: &str) -> Result<ResolvedNode, EvalError>;
 
@@ -180,10 +179,9 @@ pub struct EvalOutput {
 }
 
 /// Evaluates a blueprint to a client module plus its library uses: the
-/// planned evaluation of [`plan`](crate::plan) at one lane, on the
-/// calling thread.
+/// planned evaluation of [`plan`](crate::plan), without its unit DAG.
 pub fn eval_blueprint(bp: &Blueprint, ctx: &dyn EvalContext) -> Result<EvalOutput, EvalError> {
-    crate::plan::eval_blueprint_parallel(bp, ctx, 1).map(|p| p.output)
+    crate::plan::eval_blueprint_with_units(bp, ctx).map(|p| p.output)
 }
 
 /// Formats the full blueprint path chain of a detected cycle: every
@@ -249,7 +247,7 @@ pub(crate) mod tests {
 
     /// A test context: a flat namespace of objects and metas plus a real
     /// cache. Mutable state sits behind locks so the context serves the
-    /// `&self` trait (and the parallel executor's worker threads).
+    /// `&self` trait.
     #[derive(Default)]
     pub(crate) struct TestCtx {
         pub(crate) objects: HashMap<String, Arc<omos_obj::ObjectFile>>,

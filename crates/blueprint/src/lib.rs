@@ -17,8 +17,8 @@
 //!   [`eval::eval_blueprint`], producing a link-ready
 //!   [`omos_module::Module`];
 //! * [`plan`] — the evaluation itself: a planning pass lowers the
-//!   m-graph into a DAG of work units, and a work-stealing execution
-//!   pass runs them on one or more lanes with the same result at each.
+//!   m-graph into a DAG of work units, and an execution pass runs them
+//!   in ordinal order on the calling thread.
 
 pub mod ast;
 pub mod eval;
@@ -33,6 +33,6 @@ pub use eval::{
     eval_blueprint, CachedEval, EvalContext, EvalError, EvalOutput, EvalStats, LibraryUse,
     ResolvedNode,
 };
-pub use plan::{eval_blueprint_parallel, ParallelOutput, UnitReport};
+pub use plan::{eval_blueprint_with_units, EvalWithUnits, UnitReport};
 pub use sexpr::{parse_sexprs, Sexpr, SexprKind, Span, MAX_NODE_DEPTH};
 pub use source::{compile_source, SourceError};

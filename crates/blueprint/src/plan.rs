@@ -6,27 +6,23 @@
 //! cycles — and lowers it into a DAG of *work units* (leaf modules,
 //! merge/override steps, single-operand operator applications,
 //! `source` compiles, dynamic-stub generation), each keyed by the node
-//! content hash it will publish. The *execution* pass runs ready units
-//! on `jobs` workers with per-worker deques and work stealing. Worker 0
-//! is the calling thread, so one lane — what
-//! [`eval_blueprint`](crate::eval_blueprint) runs — starts no thread.
+//! content hash it will publish. The *execution* pass runs the units on
+//! the calling thread in ordinal order. The server lays the same DAG
+//! out on simulated lanes ([`UnitReport`]); no lane is a host thread.
 //!
-//! # Determinism
-//!
-//! The result depends on the plan only, never on the schedule, so it is
-//! byte-identical at every lane count:
+//! # Order
 //!
 //! * merge/override operand order is frozen at plan time — a merge of n
 //!   operands is a *chain* of binary steps (merge is not associative:
 //!   combined object names and local-symbol uniquification depend on
-//!   operand order), so only sibling subtrees run concurrently;
+//!   operand order);
 //! * units are numbered in depth-first completion order, so a unit's
-//!   dependencies always have smaller ordinals, and on failure the
-//!   error with the smallest ordinal — the first one the depth-first
-//!   walk meets — is reported;
-//! * `lib-dynamic` registrations are chained in discovery (DFS) order
-//!   so library ids do not depend on the lane count;
-//! * a worker panic is caught per-unit and surfaces as
+//!   operands always have smaller ordinals and are ready when it runs,
+//!   and the first failure is the one with the smallest ordinal — the
+//!   first one the depth-first walk meets;
+//! * `lib-dynamic` registrations therefore happen in discovery (DFS)
+//!   order, so library ids follow the blueprint;
+//! * a unit that panics is caught and surfaces as
 //!   [`EvalError::Worker`] without poisoning any shared state (caches
 //!   only ever receive completed, valid results).
 //!
@@ -39,11 +35,11 @@
 //! time and copies no accumulated bytes; only the root's and the
 //! libraries' results survive to the output.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::Arc;
 
 use omos_constraint::RegionClass;
 use omos_link::make_partial_stubs;
@@ -57,15 +53,9 @@ use crate::eval::{
 };
 use crate::source::compile_source;
 
-/// Poison-tolerant lock: a worker panic is already surfaced as
-/// [`EvalError::Worker`]; the data under these locks stays valid.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// A single-operand operator applied to (and consuming) its operand's
 /// module.
-type UnaryFn = Box<dyn Fn(Module) -> Result<Module, ObjError> + Send + Sync>;
+type UnaryFn = Box<dyn Fn(Module) -> Result<Module, ObjError>>;
 
 /// One schedulable operation, lowered from an m-graph node. Operand
 /// indices refer to earlier units in the plan.
@@ -113,31 +103,12 @@ impl Op {
     }
 }
 
-/// Splits a single-operand operator — a view operator or
-/// `initializers` — into its operand and the function it applies to the
-/// operand's module.
-fn unary(n: &MNode) -> Option<(&MNode, UnaryFn)> {
-    match n {
-        MNode::View {
-            kind,
-            pattern,
-            replacement,
-            operand,
-        } => {
-            let (kind, p, r) = (*kind, pattern.clone(), replacement.clone());
-            Some((operand, Box::new(move |m| m.apply_view(kind, &p, &r))))
-        }
-        MNode::Initializers(operand) => Some((operand, Box::new(Module::initializers))),
-        _ => None,
-    }
-}
-
 /// A planned work unit.
 struct Unit {
     op: Op,
-    /// Distinct unit ordinals this one waits for (always smaller than
+    /// Distinct unit ordinals this one depends on (always smaller than
     /// its own): its operands, plus the previous dynamic-stub unit for
-    /// a `DynStubs` op.
+    /// a `DynStubs` op. The server's lane schedule honours them.
     deps: Vec<usize>,
     /// Cache keys (plus their dependency records) this unit's result is
     /// published under when it completes.
@@ -146,7 +117,7 @@ struct Unit {
 
 /// What one work unit looked like, for scheduling and tracing above
 /// the blueprint layer (the server prices merges/compiles with its
-/// cost model and lays siblings out on simulated worker lanes).
+/// cost model and lays siblings out on simulated lanes).
 #[derive(Debug, Clone)]
 pub struct UnitReport {
     /// Ordinals of the units this one consumed.
@@ -157,10 +128,10 @@ pub struct UnitReport {
     pub source_compiles: u64,
 }
 
-/// The result of a planned evaluation: the [`EvalOutput`] plus the
-/// executed work-unit DAG.
+/// An evaluation's output together with the work-unit DAG that
+/// produced it.
 #[derive(Debug)]
-pub struct ParallelOutput {
+pub struct EvalWithUnits {
     /// Module, libraries, constraints, stats and deps — what
     /// [`eval_blueprint`](crate::eval_blueprint) returns.
     pub output: EvalOutput,
@@ -177,11 +148,11 @@ struct Planner<'a> {
     ctx: &'a dyn EvalContext,
     stats: EvalStats,
     visiting: Vec<String>,
-    /// Dependency scopes mirroring the recursion: `scopes[0]` is the
-    /// whole evaluation's record; a deeper entry collects the paths one
-    /// cache-missing subtree resolves, becoming that subtree's cache
-    /// entry record when it completes (and folding into its parent).
-    scopes: Vec<BTreeSet<String>>,
+    /// The dependency scope being collected: the whole evaluation's
+    /// record at the top level; inside a cache-missing subtree, the
+    /// paths that subtree resolves, which become its cache entry record
+    /// when it completes (and fold into the enclosing scope).
+    scope: BTreeSet<String>,
     /// Keys already planned this request, with their unit and
     /// dependency record: a second visit is the in-request analogue of
     /// a cache hit.
@@ -200,7 +171,7 @@ impl<'a> Planner<'a> {
             ctx,
             stats: EvalStats::default(),
             visiting: Vec::new(),
-            scopes: vec![BTreeSet::new()],
+            scope: BTreeSet::new(),
             planned: HashMap::new(),
             units: Vec::new(),
             libraries: Vec::new(),
@@ -209,16 +180,12 @@ impl<'a> Planner<'a> {
     }
 
     fn record(&mut self, path: &str) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(path.to_string());
+        self.scope.insert(path.to_string());
     }
 
     fn fold_deps(&mut self, deps: &BTreeSet<String>) {
-        let top = self.scopes.last_mut().expect("scope stack never empty");
         for d in deps {
-            top.insert(d.clone());
+            self.scope.insert(d.clone());
         }
     }
 
@@ -259,9 +226,10 @@ impl<'a> Planner<'a> {
             self.plan_collect_library_uses(n)?;
             return Ok(unit);
         }
-        self.scopes.push(BTreeSet::new());
-        let unit = self.plan_node_uncached(n)?;
-        let deps = Arc::new(self.scopes.pop().expect("scope pushed above"));
+        let outer = std::mem::take(&mut self.scope);
+        let unit = self.plan_node_uncached(n);
+        let deps = Arc::new(std::mem::replace(&mut self.scope, outer));
+        let unit = unit?;
         self.units[unit].puts.push((key, Arc::clone(&deps)));
         self.fold_deps(&deps);
         self.planned.insert(key, (unit, deps));
@@ -325,12 +293,27 @@ impl<'a> Planner<'a> {
                     Ok(u)
                 }
             },
-            _ => {
-                let (operand, apply) = unary(n).expect("every other operator takes one operand");
-                let u = self.plan_node(operand)?;
-                Ok(self.push_unit(Op::Unary { apply, operand: u }, vec![u]))
+            MNode::View {
+                kind,
+                pattern,
+                replacement,
+                operand,
+            } => {
+                let (kind, p, r) = (*kind, pattern.clone(), replacement.clone());
+                self.plan_unary(operand, Box::new(move |m| m.apply_view(kind, &p, &r)))
+            }
+            MNode::Initializers(operand) => {
+                self.plan_unary(operand, Box::new(Module::initializers))
             }
         }
+    }
+
+    /// Plans a single-operand operator — a view operator or
+    /// `initializers` — as its operand plus the function it applies to
+    /// the operand's module.
+    fn plan_unary(&mut self, operand: &MNode, apply: UnaryFn) -> Result<usize, EvalError> {
+        let u = self.plan_node(operand)?;
+        Ok(self.push_unit(Op::Unary { apply, operand: u }, vec![u]))
     }
 
     fn plan_leaf(&mut self, path: &str) -> Result<usize, EvalError> {
@@ -407,163 +390,52 @@ struct Slot {
     reads: usize,
 }
 
-impl Slot {
-    /// Hands the module to one reader: moved out to the last one,
-    /// cloned for the others.
-    fn read(&mut self) -> Option<Module> {
-        self.reads -= 1;
-        if self.reads == 0 {
-            self.module.take()
-        } else {
-            self.module.clone()
-        }
-    }
+/// Hands unit `u`'s module to one reader: moved out to the last one,
+/// cloned for the others. Ordinal order runs every operand before its
+/// readers, so an empty slot is a planner bug, reported as an error.
+fn read(slots: &mut [Slot], u: usize) -> Result<Module, EvalError> {
+    let slot = &mut slots[u];
+    slot.reads = slot.reads.saturating_sub(1);
+    let module = if slot.reads == 0 {
+        slot.module.take()
+    } else {
+        slot.module.clone()
+    };
+    module.ok_or_else(|| EvalError::Worker(format!("unit {u} read before it produced a module")))
 }
 
-/// Shared state of one execution: result slots, dependency counters,
-/// per-worker deques, and the first (smallest-ordinal) error.
-struct Exec<'a> {
-    units: &'a [Unit],
-    ctx: &'a dyn EvalContext,
-    slots: Vec<Mutex<Slot>>,
-    pending: Vec<AtomicUsize>,
-    dependents: Vec<Vec<usize>>,
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    remaining: AtomicUsize,
-    /// Smallest-ordinal failure so far. Units with larger ordinals are
-    /// discarded unexecuted once set (their dependents transitively
-    /// follow, since dependents always have larger ordinals).
-    error: Mutex<Option<(usize, EvalError)>>,
-    gate: Mutex<()>,
-    cv: Condvar,
-    /// Injected-failure hook: the unit ordinal that must panic.
-    fail_unit: Option<usize>,
-    fail_armed: AtomicBool,
-}
-
-impl Exec<'_> {
-    /// Runs worker 0 on the calling thread and spawns the rest.
-    fn run_workers(&self) {
-        std::thread::scope(|s| {
-            for w in 1..self.queues.len() {
-                s.spawn(move || self.worker(w));
-            }
-            self.worker(0);
-        });
-    }
-
-    fn worker(&self, me: usize) {
-        loop {
-            if self.remaining.load(Ordering::Acquire) == 0 {
-                self.cv.notify_all();
-                return;
-            }
-            if let Some(u) = self.pop(me) {
-                self.run_unit(u, me);
-                continue;
-            }
-            // Nothing runnable: park until a completion publishes new
-            // ready units (timeout bounds any lost-wakeup window).
-            let g = lock(&self.gate);
-            if self.remaining.load(Ordering::Acquire) == 0 {
-                self.cv.notify_all();
-                return;
-            }
-            let _ = self.cv.wait_timeout(g, Duration::from_millis(1));
-        }
-    }
-
-    /// LIFO from our own deque (locality), FIFO-steal from the others.
-    fn pop(&self, me: usize) -> Option<usize> {
-        if let Some(u) = lock(&self.queues[me]).pop_back() {
-            return Some(u);
-        }
-        let n = self.queues.len();
-        for d in 1..n {
-            if let Some(u) = lock(&self.queues[(me + d) % n]).pop_front() {
-                return Some(u);
-            }
-        }
-        None
-    }
-
-    fn run_unit(&self, u: usize, me: usize) {
-        let discard = {
-            let err = lock(&self.error);
-            matches!(&*err, Some((o, _)) if u > *o)
-        };
-        if !discard {
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.compute(u)));
-            match outcome {
-                Ok(Ok(m)) => {
-                    for (key, deps) in &self.units[u].puts {
-                        self.ctx.cache_put(*key, &m, deps);
-                    }
-                    let mut slot = lock(&self.slots[u]);
-                    if slot.reads > 0 {
-                        slot.module = Some(m);
-                    }
-                }
-                Ok(Err(e)) => self.set_error(u, e),
-                Err(panic) => self.set_error(u, EvalError::Worker(panic_message(&*panic))),
-            }
-        }
-        // Completed or discarded either way: release dependents (they
-        // discard themselves if the error precedes them) and wake
-        // anyone parked.
-        for &d in &self.dependents[u] {
-            if self.pending[d].fetch_sub(1, Ordering::AcqRel) == 1 {
-                lock(&self.queues[me]).push_back(d);
-            }
-        }
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
-        // A lone worker never parks, so there is no one to wake.
-        if self.queues.len() > 1 {
-            drop(lock(&self.gate));
-            self.cv.notify_all();
-        }
-    }
-
-    fn set_error(&self, u: usize, e: EvalError) {
-        let mut err = lock(&self.error);
-        match &*err {
-            Some((o, _)) if *o <= u => {}
-            _ => *err = Some((u, e)),
-        }
-    }
-
-    /// Reads a completed dependency's module (see [`Slot::read`]).
-    fn read(&self, u: usize) -> Module {
-        lock(&self.slots[u])
-            .read()
-            .expect("dependency unit completed")
-    }
-
-    fn compute(&self, u: usize) -> Result<Module, EvalError> {
-        if self.fail_unit == Some(u) && self.fail_armed.swap(false, Ordering::AcqRel) {
+/// Runs one unit, reading its operands out of `slots`; `inject_panic`
+/// is the [`testhooks`] failure.
+fn compute(
+    unit: &Unit,
+    slots: &mut [Slot],
+    ctx: &dyn EvalContext,
+    inject_panic: bool,
+) -> Result<Module, EvalError> {
+    if inject_panic {
+        #[allow(clippy::panic)] // the test hook's whole purpose
+        {
             panic!("injected work-unit panic");
         }
-        Ok(match &self.units[u].op {
-            Op::Ready(m) => m.clone(),
-            Op::MergeStep { a, b } => self.read(*a).merge_with(self.read(*b))?,
-            Op::OverrideStep { a, b } => self.read(*a).override_with(self.read(*b))?,
-            Op::Unary { apply, operand } => apply(self.read(*operand))?,
-            Op::Source { lang, code } => {
-                Module::from_object(compile_source(lang, code, "<source>")?)
-            }
-            Op::DynStubs { operand } => {
-                let impl_module = self.read(*operand);
-                let key = impl_module.content_hash().with_str("dynamic-impl");
-                let lib_id = self.ctx.register_dynamic_impl(key, &impl_module)?;
-                let mut exports = impl_module.exports()?;
-                exports.sort();
-                // The stubs stand in for the implementation, so they
-                // carry its interposition record.
-                Module::from_object(make_partial_stubs(lib_id, &exports))
-                    .with_interpositions(impl_module.interpositions())
-            }
-        })
     }
+    Ok(match &unit.op {
+        Op::Ready(m) => m.clone(),
+        Op::MergeStep { a, b } => read(slots, *a)?.merge_with(read(slots, *b)?)?,
+        Op::OverrideStep { a, b } => read(slots, *a)?.override_with(read(slots, *b)?)?,
+        Op::Unary { apply, operand } => apply(read(slots, *operand)?)?,
+        Op::Source { lang, code } => Module::from_object(compile_source(lang, code, "<source>")?),
+        Op::DynStubs { operand } => {
+            let impl_module = read(slots, *operand)?;
+            let key = impl_module.content_hash().with_str("dynamic-impl");
+            let lib_id = ctx.register_dynamic_impl(key, &impl_module)?;
+            let mut exports = impl_module.exports()?;
+            exports.sort();
+            // The stubs stand in for the implementation, so they
+            // carry its interposition record.
+            Module::from_object(make_partial_stubs(lib_id, &exports))
+                .with_interpositions(impl_module.interpositions())
+        }
+    })
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -572,85 +444,50 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     } else if let Some(s) = panic.downcast_ref::<String>() {
         s.clone()
     } else {
-        "worker panicked".to_string()
+        "work unit panicked".to_string()
     }
 }
 
-/// Executes a plan on `workers` lanes. Every other unit's result is
-/// released after its last consumer runs; the returned slots hold the
-/// modules of the `keep` units (one read reserved per entry), or the
-/// smallest-ordinal error.
+/// Executes a plan in ordinal order, publishing each result under its
+/// cache keys, and stops at the first failure. Every other unit's
+/// result is released after its last consumer runs; the returned slots
+/// hold the modules of the `keep` units (one read reserved per entry).
 fn execute(
     units: &[Unit],
     keep: &[usize],
     ctx: &dyn EvalContext,
-    workers: usize,
     fail_unit: Option<usize>,
 ) -> Result<Vec<Slot>, EvalError> {
-    let n = units.len();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut pending: Vec<AtomicUsize> = Vec::with_capacity(n);
-    let mut slots: Vec<Slot> = (0..n).map(|_| Slot::default()).collect();
-    for (i, u) in units.iter().enumerate() {
-        for &d in &u.deps {
-            dependents[d].push(i);
+    let mut slots: Vec<Slot> = units.iter().map(|_| Slot::default()).collect();
+    for d in units
+        .iter()
+        .flat_map(|u| u.op.operands())
+        .chain(keep.iter().copied())
+    {
+        slots[d].reads += 1;
+    }
+    for (u, unit) in units.iter().enumerate() {
+        let run = || compute(unit, &mut slots, ctx, fail_unit == Some(u));
+        let module = catch_unwind(AssertUnwindSafe(run))
+            .unwrap_or_else(|panic| Err(EvalError::Worker(panic_message(&*panic))))?;
+        for (key, deps) in &unit.puts {
+            ctx.cache_put(*key, &module, deps);
         }
-        pending.push(AtomicUsize::new(u.deps.len()));
-        for d in u.op.operands() {
-            slots[d].reads += 1;
+        if slots[u].reads > 0 {
+            slots[u].module = Some(module);
         }
     }
-    for &k in keep {
-        slots[k].reads += 1;
-    }
-    let workers = workers.clamp(1, n.max(1));
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    // Seed initially-ready units round-robin, highest ordinal first, so
-    // each worker's LIFO pop takes its seeds in ordinal order (at one
-    // lane the whole plan then runs in depth-first completion order).
-    let ready: Vec<usize> = (0..n)
-        .filter(|&i| pending[i].load(Ordering::Relaxed) == 0)
-        .collect();
-    for (seed, &i) in ready.iter().rev().enumerate() {
-        lock(&queues[seed % workers]).push_back(i);
-    }
-    let exec = Exec {
-        units,
-        ctx,
-        slots: slots.into_iter().map(Mutex::new).collect(),
-        pending,
-        dependents,
-        queues,
-        remaining: AtomicUsize::new(n),
-        error: Mutex::new(None),
-        gate: Mutex::new(()),
-        cv: Condvar::new(),
-        fail_unit,
-        fail_armed: AtomicBool::new(fail_unit.is_some()),
-    };
-    exec.run_workers();
-    if let Some((_, e)) = lock(&exec.error).take() {
-        return Err(e);
-    }
-    Ok(exec
-        .slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect())
+    Ok(slots)
 }
 
-/// Evaluates a blueprint by planning a work-unit DAG and executing it
-/// on `jobs` lanes (the calling thread plus `jobs - 1` scoped threads).
-/// The output — module bytes, library list, constraints, statistics,
-/// and dependency record — is the same at every `jobs`; only wall-clock
-/// differs. The unit DAG is reported alongside for the caller's
-/// schedule.
-pub fn eval_blueprint_parallel(
+/// Evaluates a blueprint by planning a work-unit DAG and running it in
+/// ordinal order on the calling thread. Returns the output — module
+/// bytes, library list, constraints, statistics and dependency record —
+/// with the unit DAG, which the caller lays out on its simulated lanes.
+pub fn eval_blueprint_with_units(
     bp: &Blueprint,
     ctx: &dyn EvalContext,
-    jobs: usize,
-) -> Result<ParallelOutput, EvalError> {
+) -> Result<EvalWithUnits, EvalError> {
     let mut planner = Planner::new(ctx);
     let plan = planner.plan_node(&bp.root);
     let fail_unit = testhooks::take_if(bp.root.hash()).then_some(planner.units.len() / 2);
@@ -666,28 +503,20 @@ pub fn eval_blueprint_parallel(
     // position. If one of those units fails, that failure comes first
     // and must be the one reported.
     let mut slots =
-        execute(&planner.units, &keep, ctx, jobs, fail_unit).map_err(|e| locate_error(e, bp))?;
+        execute(&planner.units, &keep, ctx, fail_unit).map_err(|e| locate_error(e, bp))?;
     let root_unit = plan.map_err(|e| locate_error(e, bp))?;
-    let mut take = |u: usize| slots[u].read().expect("kept unit completed");
 
-    let libraries = planner
-        .libraries
-        .into_iter()
-        .map(|(name, unit, constraints)| {
-            let module = take(unit);
-            LibraryUse {
-                name,
-                key: module.content_hash(),
-                module,
-                constraints,
-            }
-        })
-        .collect();
-    let module = take(root_unit);
-    let mut deps = BTreeSet::new();
-    for s in planner.scopes {
-        deps.extend(s);
+    let mut libraries = Vec::with_capacity(planner.libraries.len());
+    for (name, unit, constraints) in planner.libraries {
+        let module = read(&mut slots, unit)?;
+        libraries.push(LibraryUse {
+            name,
+            key: module.content_hash(),
+            module,
+            constraints,
+        });
     }
+    let module = read(&mut slots, root_unit)?;
     let units = planner
         .units
         .into_iter()
@@ -700,13 +529,13 @@ pub fn eval_blueprint_parallel(
             deps: u.deps,
         })
         .collect();
-    Ok(ParallelOutput {
+    Ok(EvalWithUnits {
         output: EvalOutput {
             module,
             libraries,
             constraints: bp.constraints.clone(),
             stats: planner.stats,
-            deps,
+            deps: planner.scope,
         },
         units,
     })
@@ -741,32 +570,13 @@ pub mod testhooks {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
     use crate::eval::tests::{ls_world, TestCtx};
 
-    /// Evaluates `src` at jobs ∈ {2, 8} and at one lane, each on a fresh
-    /// context, asserts the wider runs match the one-lane run, and
-    /// returns the one-lane output for the caller's fixed expectations.
-    fn eval_at_every_width(src: &str, build: impl Fn() -> TestCtx) -> EvalOutput {
-        let bp = Blueprint::parse(src).unwrap();
-        let one = eval_blueprint_parallel(&bp, &build(), 1).unwrap().output;
-        for jobs in [2, 8] {
-            let wide = eval_blueprint_parallel(&bp, &build(), jobs).unwrap().output;
-            assert_eq!(
-                one.module.content_hash(),
-                wide.module.content_hash(),
-                "module bytes at jobs={jobs}"
-            );
-            assert_eq!(one.stats, wide.stats, "stats at jobs={jobs}");
-            assert_eq!(one.deps, wide.deps, "deps at jobs={jobs}");
-            let libs = |o: &EvalOutput| {
-                let uses = o.libraries.iter();
-                uses.map(|l| (l.name.clone(), l.key, l.constraints.clone()))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(libs(&one), libs(&wide), "libraries at jobs={jobs}");
-        }
-        one
+    fn eval(src: &str, ctx: &TestCtx) -> Result<EvalWithUnits, EvalError> {
+        eval_blueprint_with_units(&Blueprint::parse(src).unwrap(), ctx)
     }
 
     fn paths(ps: &[&str]) -> BTreeSet<String> {
@@ -774,11 +584,13 @@ mod tests {
     }
 
     #[test]
-    fn every_width_agrees_on_merges_and_views() {
-        let out = eval_at_every_width(
+    fn merges_and_views() {
+        let out = eval(
             r#"(hide "^_puts$" (merge /obj/ls.o /libc/stdio.o))"#,
-            ls_world,
-        );
+            &ls_world(),
+        )
+        .unwrap()
+        .output;
         let want = EvalStats {
             nodes: 4,
             cache_hits: 0,
@@ -793,18 +605,18 @@ mod tests {
     }
 
     #[test]
-    fn every_width_agrees_with_libraries_and_source() {
-        let out = eval_at_every_width(
-            r#"(merge (source "c" "int undef_var = 0;\n") /obj/ls.o /lib/libc)"#,
-            || {
-                let mut ctx = ls_world();
-                ctx.add_meta(
-                    "/lib/libc",
-                    "(constraint-list \"T\" 0x1000000)\n(merge /libc/stdio.o)",
-                );
-                ctx
-            },
+    fn libraries_and_source() {
+        let mut ctx = ls_world();
+        ctx.add_meta(
+            "/lib/libc",
+            "(constraint-list \"T\" 0x1000000)\n(merge /libc/stdio.o)",
         );
+        let out = eval(
+            r#"(merge (source "c" "int undef_var = 0;\n") /obj/ls.o /lib/libc)"#,
+            &ctx,
+        )
+        .unwrap()
+        .output;
         let want = EvalStats {
             nodes: 5,
             cache_hits: 0,
@@ -830,88 +642,70 @@ mod tests {
     }
 
     #[test]
-    fn every_width_reports_the_depth_first_error() {
-        // /nope fails at plan time; every width reports it, located in
-        // the source, ahead of /alsono.
-        let bp = Blueprint::parse("(merge /obj/ls.o /nope /alsono)").unwrap();
-        for jobs in [1, 2, 8] {
-            let err = eval_blueprint_parallel(&bp, &ls_world(), jobs).unwrap_err();
-            assert_eq!(
-                err,
-                EvalError::Resolve("/nope (at bytes 17..22)".into()),
-                "jobs={jobs}"
-            );
-        }
+    fn reports_the_depth_first_error() {
+        // /nope fails at plan time; it is reported, located in the
+        // source, ahead of /alsono.
+        let err = eval("(merge /obj/ls.o /nope /alsono)", &ls_world()).unwrap_err();
+        assert_eq!(err, EvalError::Resolve("/nope (at bytes 17..22)".into()));
     }
 
     #[test]
-    fn every_width_detects_meta_cycles_with_full_chain() {
+    fn detects_meta_cycles_with_full_chain() {
         let mut ctx = TestCtx::default();
         ctx.add_meta("/meta/a", "(merge /meta/b /meta/b)");
         ctx.add_meta("/meta/b", "(merge /meta/a /meta/a)");
-        let bp = Blueprint::parse("(merge /meta/a /meta/a)").unwrap();
-        for jobs in [1, 2, 8] {
-            let err = eval_blueprint_parallel(&bp, &ctx, jobs).unwrap_err();
-            assert_eq!(
-                err,
-                EvalError::Cycle("/meta/a -> /meta/b -> /meta/a (at bytes 7..14)".into()),
-                "jobs={jobs}"
-            );
-        }
+        let err = eval("(merge /meta/a /meta/a)", &ctx).unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::Cycle("/meta/a -> /meta/b -> /meta/a (at bytes 7..14)".into())
+        );
     }
 
     #[test]
-    fn injected_panic_surfaces_as_worker_error_at_every_width() {
+    fn injected_panic_surfaces_as_worker_error() {
         let bp = Blueprint::parse("(merge /obj/ls.o /libc/stdio.o)").unwrap();
-        let want = eval_blueprint_parallel(&bp, &ls_world(), 1).unwrap();
-        for jobs in [1, 2, 8] {
-            let ctx = ls_world();
-            testhooks::arm_panic(bp.root.hash());
-            let err = eval_blueprint_parallel(&bp, &ctx, jobs).unwrap_err();
-            assert!(
-                matches!(&err, EvalError::Worker(m) if m.contains("injected")),
-                "jobs={jobs}: got {err:?}"
-            );
-            // The hook is one-shot: the next evaluation succeeds, and the
-            // cache was never poisoned by the aborted run.
-            let out = eval_blueprint_parallel(&bp, &ctx, jobs).unwrap();
-            assert_eq!(
-                out.output.module.content_hash(),
-                want.output.module.content_hash(),
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                out.output.module.exports().unwrap(),
-                vec!["_start".to_string(), "_puts".to_string()]
-            );
-        }
+        let want = eval_blueprint_with_units(&bp, &ls_world()).unwrap();
+        let ctx = ls_world();
+        testhooks::arm_panic(bp.root.hash());
+        let err = eval_blueprint_with_units(&bp, &ctx).unwrap_err();
+        assert!(
+            matches!(&err, EvalError::Worker(m) if m.contains("injected")),
+            "got {err:?}"
+        );
+        // The hook is one-shot: the next evaluation succeeds, and the
+        // cache was never poisoned by the aborted run.
+        let out = eval_blueprint_with_units(&bp, &ctx).unwrap();
+        assert_eq!(
+            out.output.module.content_hash(),
+            want.output.module.content_hash()
+        );
+        assert_eq!(
+            out.output.module.exports().unwrap(),
+            vec!["_start".to_string(), "_puts".to_string()]
+        );
     }
 
     #[test]
-    fn dynamic_registration_follows_discovery_order_at_every_width() {
+    fn dynamic_registration_follows_discovery_order() {
+        let mut ctx = ls_world();
+        ctx.add_asm("/obj/extra.o", ".text\n.global _extra\n_extra: ret\n");
         let src = r#"(merge /obj/ls.o
             (specialize "lib-dynamic" /libc/stdio.o)
             (specialize "lib-dynamic" /obj/extra.o))"#;
-        let bp = Blueprint::parse(src).unwrap();
-        for jobs in [1, 2, 8] {
-            let mut ctx = ls_world();
-            ctx.add_asm("/obj/extra.o", ".text\n.global _extra\n_extra: ret\n");
-            eval_blueprint_parallel(&bp, &ctx, jobs).unwrap();
-            // Library ids are registration indices: stdio's
-            // implementation gets id 0, /obj/extra.o id 1.
-            let exports: Vec<Vec<String>> = ctx
-                .dynamic
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(_, m)| m.exports().unwrap())
-                .collect();
-            assert_eq!(
-                exports,
-                vec![vec!["_puts".to_string()], vec!["_extra".to_string()]],
-                "jobs={jobs}"
-            );
-        }
+        eval(src, &ctx).unwrap();
+        // Library ids are registration indices: stdio's implementation
+        // gets id 0, /obj/extra.o id 1.
+        let exports: Vec<Vec<String>> = ctx
+            .dynamic
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(_, m)| m.exports().unwrap())
+            .collect();
+        assert_eq!(
+            exports,
+            vec![vec!["_puts".to_string()], vec!["_extra".to_string()]]
+        );
     }
 
     #[test]
@@ -933,16 +727,14 @@ mod tests {
         let mut planner = Planner::new(&ctx);
         let root = planner.plan_node(&bp.root).unwrap();
         let lib = planner.libraries[0].1;
-        for jobs in [1, 2, 8] {
-            let slots = execute(&planner.units, &[lib, root], &ctx, jobs, None).unwrap();
-            let held: Vec<usize> = (0..slots.len())
-                .filter(|&u| slots[u].module.is_some())
-                .collect();
-            // Six leaves (stdio.o's is the library's unit) and a chain
-            // of four merge steps: five leaves and three intermediate
-            // accumulators were released.
-            assert_eq!(slots.len(), 10, "jobs={jobs}");
-            assert_eq!(held, vec![lib, root], "jobs={jobs}");
-        }
+        let slots = execute(&planner.units, &[lib, root], &ctx, None).unwrap();
+        let held: Vec<usize> = (0..slots.len())
+            .filter(|&u| slots[u].module.is_some())
+            .collect();
+        // Six leaves (stdio.o's is the library's unit) and a chain of
+        // four merge steps: five leaves and three intermediate
+        // accumulators were released.
+        assert_eq!(slots.len(), 10);
+        assert_eq!(held, vec![lib, root]);
     }
 }

@@ -35,7 +35,8 @@
 //! and flight-table locks are leaves; nothing calls back into the
 //! server while holding one.
 
-use std::cell::Cell;
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -52,13 +53,11 @@ use omos_analysis::{
 };
 use omos_blueprint::eval::LibraryUse;
 use omos_blueprint::{
-    eval_blueprint_parallel, Blueprint, CachedEval, EvalContext, EvalError, EvalOutput, EvalStats,
-    LinkPolicy, MNode, PolicyKind, ResolvedNode,
+    eval_blueprint_with_units, Blueprint, CachedEval, EvalContext, EvalError, EvalOutput,
+    EvalStats, LinkPolicy, MNode, PolicyKind, ResolvedNode,
 };
 use omos_constraint::PlacementSolver;
-use omos_link::{
-    layout_resolved, link, scan_audit_stubs, FunctionHashTable, LinkOptions, LinkStats, LinkedImage,
-};
+use omos_link::{link, scan_audit_stubs, FunctionHashTable, LinkOptions, LinkStats, LinkedImage};
 use omos_module::Module;
 use omos_obj::{ContentHash, ObjectFile, SectionKind};
 use omos_os::ipc::{ImageDescriptor, ReplyShape, Transport};
@@ -131,9 +130,9 @@ pub struct InstantiateReply {
     /// Server CPU consumed by this request — the total *work*, billed
     /// to the client and identical at every `eval_jobs` setting.
     pub server_ns: u64,
-    /// Simulated wall-clock latency of this request: with parallel
-    /// evaluation enabled, the critical path of the work-unit/link
-    /// schedule rather than the work sum. Equals `server_ns` when
+    /// Simulated wall-clock latency of this request: above one
+    /// simulated lane, the critical path of the work-unit/link schedule
+    /// rather than the work sum. Equals `server_ns` when
     /// `eval_jobs` is 1 (and on cache hits).
     pub latency_ns: u64,
     /// True if the reply came from cache or from another request's
@@ -358,19 +357,21 @@ impl Omos {
         }
     }
 
-    /// Sets the intra-request parallelism: every build plans the m-graph
-    /// into a work-unit DAG, and a cold build executes it (plus the
-    /// independent library links) on `jobs` lanes. At 1 (the default,
-    /// or the `OMOS_EVAL_JOBS` environment variable at construction)
-    /// the units run on the requesting thread and each library is
-    /// placed and then linked in turn. Results are byte-identical at
+    /// Sets the number of simulated lanes a cold build is scheduled on.
+    /// Every build plans the m-graph into a work-unit DAG and runs it,
+    /// then places and links each library in turn, all on the
+    /// requesting thread; `jobs` only shapes the simulated schedule.
+    /// At 1 (the default, or the `OMOS_EVAL_JOBS` environment variable
+    /// at construction) the work runs back to back on the timeline.
+    /// Above 1 the units and the library links are list-scheduled onto
+    /// `jobs` lanes. Images, bills and manifests are byte-identical at
     /// every width; only [`InstantiateReply::latency_ns`] and the span
     /// timeline change.
     pub fn set_eval_jobs(&self, jobs: usize) {
         self.eval_jobs.store(jobs.max(1), Ordering::Relaxed);
     }
 
-    /// Current intra-request parallelism (see [`Omos::set_eval_jobs`]).
+    /// Current number of simulated lanes (see [`Omos::set_eval_jobs`]).
     #[must_use]
     pub fn eval_jobs(&self) -> usize {
         self.eval_jobs.load(Ordering::Relaxed)
@@ -669,11 +670,12 @@ impl Omos {
         result
     }
 
-    /// The eval step: the m-graph is planned into a work-unit DAG and
-    /// executed on `lanes` workers. Returns the output, the billed work
-    /// (identical at every lane count), and the critical path the Eval
-    /// span covers: planning plus the units' list-scheduled makespan,
-    /// which at one lane is the billed work itself.
+    /// The eval step: the m-graph is planned into a work-unit DAG, run
+    /// in order, and its units laid out on `lanes` simulated lanes.
+    /// Returns the output, the billed work (identical at every lane
+    /// count), and the critical path the Eval span covers: planning plus
+    /// the units' list-scheduled makespan, which at one lane is the
+    /// billed work itself.
     fn eval(
         &self,
         bp: &Blueprint,
@@ -681,11 +683,11 @@ impl Omos {
         lanes: usize,
     ) -> Result<(EvalOutput, u64, u64), OmosError> {
         let span = self.tracer.open(SpanKind::Eval);
-        let par = eval_blueprint_parallel(bp, ctx, lanes);
-        let (work_ns, path_ns) = match &par {
+        let evaluated = eval_blueprint_with_units(bp, ctx);
+        let (work_ns, path_ns) = match &evaluated {
             Ok(p) => {
-                // Planning is serial; the unit makespan is what the pool
-                // needs.
+                // Planning is serial; the unit makespan is what the lanes
+                // need.
                 let plan_ns = p.output.stats.nodes * self.cost.lookup_ns;
                 // Units cost their simulated work (merge steps and
                 // source compiles); pure view shuffles are free.
@@ -717,7 +719,7 @@ impl Omos {
             Err(_) => (0, 0),
         };
         self.tracer.close_leaf(span, Stage::Eval, path_ns);
-        Ok((par?.output, work_ns, path_ns))
+        Ok((evaluated?.output, work_ns, path_ns))
     }
 
     /// The one link pipeline: eval, policies, the library executor, the
@@ -853,17 +855,15 @@ impl Omos {
     /// The library executor: runs one row per library in `libs`, in
     /// resolution order, folding each library's exports into `externs`
     /// left to right ("all definitions of variables must be made in the
-    /// library furthest downstream").
+    /// library furthest downstream"). Each library is placed and then
+    /// linked in turn, so a library that cannot link stops the pass
+    /// before the next is placed.
     ///
-    /// At one lane each library is placed and then linked in turn.
-    /// Above one, placement and the fold stay serial (cheap and
-    /// order-sensitive), exports come from layout ([`layout_resolved`]),
-    /// and the links run concurrently afterwards. Layout also makes the
-    /// link's undefined-reference check, so a library that cannot link
-    /// stops the pass before the next is placed, and the libraries
-    /// before it are linked before its error surfaces: every lane count
-    /// leaves the same bookings and images. The billed work is the same
-    /// at every lane count; only the critical path shrinks.
+    /// At one lane a library's placement and link nest under one
+    /// library-build span. Above one, each link runs off the request
+    /// timeline and the links are then laid out on the simulated lanes
+    /// by [`schedule`]. The billed work is the same at every lane count;
+    /// only the critical path shrinks.
     fn link_libraries(
         &self,
         libs: &[LibraryUse],
@@ -871,11 +871,11 @@ impl Omos {
         lanes: usize,
         mut externs: HashMap<String, u32>,
     ) -> Result<Libraries, OmosError> {
-        let mut slots = Vec::with_capacity(libs.len());
+        let mut images = Vec::with_capacity(libs.len());
         let mut bases = Vec::with_capacity(libs.len());
-        let mut pending: Vec<(ContentHash, ObjectFile, LinkOptions)> = Vec::new();
+        // Link work done off the timeline, for the lane schedule.
+        let mut lane_ns = Vec::new();
         let (mut inline_ns, mut reused, mut avoided_ns) = (0, 0, 0);
-        let mut failed = None;
         for (lib, row) in libs.iter().zip(rows) {
             if let Row::Reuse {
                 bases: at,
@@ -900,118 +900,39 @@ impl Omos {
                     // is deterministic).
                     avoided_ns += img.rebuild_ns;
                     reused += 1;
-                    slots.push(Slot::Ready(img));
+                    images.push(img);
                     bases.push(at);
                     continue;
                 }
             }
-            // At one lane a library's placement and link nest under one
-            // library-build span; above one, its link lands later as a
-            // lane span.
             let span = (lanes == 1).then(|| self.tracer.open(SpanKind::LibraryBuild));
             let step = self.place_library(lib, &externs, lanes);
             if let Some(span) = span {
                 self.tracer.close(span);
             }
-            match step {
-                Ok((at, Built::Image(img, ns))) => {
-                    fold_exports(&mut externs, &img.image.symbols);
-                    inline_ns += ns;
-                    slots.push(Slot::Ready(img));
-                    bases.push(at);
-                }
-                Ok((at, Built::Pending(link, exports))) => {
-                    fold_exports(&mut externs, &exports);
-                    bases.push(at);
-                    // A duplicate image key within this request links
-                    // once; later occurrences share the first's result
-                    // at zero cost.
-                    let i = pending
-                        .iter()
-                        .position(|p| p.0 == link.0)
-                        .unwrap_or_else(|| {
-                            pending.push(*link);
-                            pending.len() - 1
-                        });
-                    slots.push(Slot::Pending(i));
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
+            let (at, img, ns) = step?;
+            fold_exports(&mut externs, &img.image.symbols);
+            if lanes == 1 {
+                inline_ns += ns;
+            } else {
+                lane_ns.push(ns);
             }
+            images.push(img);
+            bases.push(at);
         }
-
-        // Link the pending libraries concurrently: workers claim items
-        // off a shared cursor. Worker threads carry no per-request trace
-        // state, so the work is metered onto the request timeline
-        // afterwards, as sibling lane spans. Images enter the
-        // budget-bound cache in *library order*, as at one lane: a
-        // finished link is parked, and whichever worker finds the next
-        // image in order ready commits it (and any ready after it)
-        // through the single-flight image cache. Evictions and spills
-        // then do not depend on which link finished first.
-        let mut linked = Vec::with_capacity(pending.len());
-        if !pending.is_empty() {
-            let cursor = AtomicUsize::new(0);
-            let commits = Mutex::new(Commits {
-                parked: (0..pending.len()).map(|_| None).collect(),
-                done: Vec::with_capacity(pending.len()),
-            });
-            std::thread::scope(|s| {
-                for _ in 0..lanes.min(pending.len()) {
-                    s.spawn(|| loop {
-                        let at = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((image_key, obj, opts)) = pending.get(at) else {
-                            break;
-                        };
-                        let r = self.build_image(*image_key, obj, opts);
-                        let mut guard = lock(&commits);
-                        let c = &mut *guard;
-                        c.parked[at] = Some(r);
-                        while let Some(r) = c.parked.get_mut(c.done.len()).and_then(Option::take) {
-                            let built = Cell::new(Some(r));
-                            let take = || built.take().expect("a flight runs its build once");
-                            let key = pending[c.done.len()].0;
-                            let img = self.cache_image(key, &self.counters.libraries_built, take);
-                            c.done.push(img);
-                        }
-                    });
-                }
-            });
-            let commits = commits.into_inner().unwrap_or_else(PoisonError::into_inner);
-            // The first error in *library order*, as at one lane.
-            for r in commits.done {
-                linked.push(r?);
-            }
-        }
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        let durs: Vec<u64> = linked.iter().map(|(_, ns)| *ns).collect();
-        let (lane_slots, makespan) = schedule(durs.iter().map(|&d| (d, &[][..])), lanes);
-        for (&(start, lane), &ns) in lane_slots.iter().zip(&durs) {
+        let (lane_slots, makespan) = schedule(lane_ns.iter().map(|&d| (d, &[][..])), lanes);
+        for (&(start, lane), &ns) in lane_slots.iter().zip(&lane_ns) {
             if ns > 0 {
                 self.tracer.span_at(SpanKind::Link, start, ns, lane);
                 self.tracer.note(Stage::Link, ns);
             }
         }
         self.tracer.advance(makespan);
-        // Linked images flow to the reply directly — never re-probe the
-        // cache here, which under a tight byte budget may have evicted
-        // the image already.
-        let images = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Ready(img) => img,
-                Slot::Pending(at) => Arc::clone(&linked[at].0),
-            })
-            .collect();
         Ok(Libraries {
             images,
             bases,
             externs,
-            work_ns: inline_ns + durs.iter().sum::<u64>(),
+            work_ns: inline_ns + lane_ns.iter().sum::<u64>(),
             path_ns: inline_ns + makespan,
             reused,
             avoided_ns,
@@ -1021,14 +942,16 @@ impl Omos {
     /// Places one library with the constraint solver and computes its
     /// bound-image key against `externs` — the only place either
     /// happens — then gets its image: from the cache, else linked on
-    /// the spot at one lane, else left for the concurrent link phase
-    /// with the exports its layout plans.
+    /// the spot. Above one lane the link runs with the request's trace
+    /// context set aside ([`Tracer::detached`]); the executor lays it
+    /// out on a lane afterwards. Returns the bases, the image and the
+    /// link work paid.
     fn place_library(
         &self,
         lib: &LibraryUse,
         externs: &HashMap<String, u32>,
         lanes: usize,
-    ) -> Result<((u32, u32), Built), OmosError> {
+    ) -> Result<PlacedLibrary, OmosError> {
         let obj = lib.module.materialize().map_err(OmosError::Obj)?;
         // Placement is get-or-reuse per (name, key): concurrent callers
         // for the same library receive the same bases. The span's cost
@@ -1047,22 +970,21 @@ impl Omos {
         );
         let image_key = library_image_key(lib.key, bases, externs);
         if let Some(img) = self.images.get(image_key) {
-            return Ok((bases, Built::Image(img, 0)));
+            return Ok((bases, img, 0));
         }
         let mut opts = LinkOptions::library(&lib.name, bases.0, bases.1);
         opts.externs = externs.clone();
-        if lanes == 1 {
-            let built = &self.counters.libraries_built;
-            let (img, ns) = self.cache_image(image_key, built, || {
+        let link = || {
+            self.cache_image(image_key, &self.counters.libraries_built, || {
                 self.build_image(image_key, &obj, &opts)
-            })?;
-            return Ok((bases, Built::Image(img, ns)));
-        }
-        let exports = layout_resolved(std::slice::from_ref(&obj), &opts)?;
-        Ok((
-            bases,
-            Built::Pending(Box::new((image_key, obj, opts)), exports),
-        ))
+            })
+        };
+        let (img, ns) = if lanes == 1 {
+            link()?
+        } else {
+            self.tracer.detached(link)?
+        };
+        Ok((bases, img, ns))
     }
 
     /// Links the client program against the libraries, or fetches it by
@@ -1096,8 +1018,9 @@ impl Omos {
     }
 
     /// Links and frames one image, not yet cached, with its link work.
-    /// On a link worker thread the trace hooks are no-ops; the executor
-    /// meters the returned work instead.
+    /// Run detached from the request timeline (above one lane), its
+    /// trace hooks record no span; the executor meters the returned
+    /// work instead.
     fn build_image(
         &self,
         image_key: ContentHash,
@@ -1286,30 +1209,34 @@ impl Omos {
         };
         let mut slot = lock(&lib.built);
         let mut server_ns = 0;
-        if slot.is_none() {
-            let lib_use = LibraryUse {
-                name: format!("<dynamic:{lib_id}>"),
-                key: lib.key,
-                module: lib.module.clone(),
-                constraints: Vec::new(),
-            };
-            let libs = std::slice::from_ref(&lib_use);
-            let mut built = self.link_libraries(libs, &[Row::Link], 1, HashMap::new())?;
-            server_ns = built.work_ns;
-            let instance = built.images.remove(0);
-            let entries: Vec<(String, u32)> = instance
-                .image
-                .symbols
-                .iter()
-                .map(|(s, a)| (s.clone(), *a))
-                .collect();
-            *slot = Some(BuiltDyn {
-                htab: FunctionHashTable::build(&entries),
-                instance,
-            });
-            self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
-        }
-        let b = slot.as_ref().expect("built above");
+        let b = match &mut *slot {
+            Some(b) => b,
+            empty => {
+                let lib_use = LibraryUse {
+                    name: format!("<dynamic:{lib_id}>"),
+                    key: lib.key,
+                    module: lib.module.clone(),
+                    constraints: Vec::new(),
+                };
+                let libs = std::slice::from_ref(&lib_use);
+                let built = self.link_libraries(libs, &[Row::Link], 1, HashMap::new())?;
+                let instance = built.images.into_iter().next().ok_or_else(|| {
+                    OmosError::Client(format!("dynamic lib {lib_id} linked no image"))
+                })?;
+                server_ns = built.work_ns;
+                let entries: Vec<(String, u32)> = instance
+                    .image
+                    .symbols
+                    .iter()
+                    .map(|(s, a)| (s.clone(), *a))
+                    .collect();
+                self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
+                empty.insert(BuiltDyn {
+                    htab: FunctionHashTable::build(&entries),
+                    instance,
+                })
+            }
+        };
         let (target, probes) = b
             .htab
             .lookup(name)
@@ -1346,11 +1273,10 @@ impl LintContext for NamespaceLint<'_> {
 /// cache.
 ///
 /// Dependency *recording* lives in the evaluator itself — it owns the
-/// subtree scope stack and hands `cache_put` each cached subtree's
-/// precise record (a subtree shared by two programs does not drag one
-/// program's private dependencies into the other's reply). That keeps
-/// this context `&self`-safe, so the parallel executor's worker
-/// threads can share one instance without locking.
+/// subtree scopes and hands `cache_put` each cached subtree's precise
+/// record (a subtree shared by two programs does not drag one program's
+/// private dependencies into the other's reply). That keeps this
+/// context a plain `&self` view of the server's shared caches.
 pub(crate) struct ReqCtx<'a> {
     server: &'a Omos,
     /// Namespace generation when the request started.
@@ -1456,36 +1382,13 @@ enum Row {
     },
 }
 
-/// How a placed library gets its image.
-enum Built {
-    /// In hand (cached, or linked on the spot), with the link work paid.
-    Image(Arc<CachedImage>, u64),
-    /// Left for the concurrent link phase: the image key, the object
-    /// and its bound options, and the exports its layout plans.
-    Pending(
-        Box<(ContentHash, ObjectFile, LinkOptions)>,
-        HashMap<String, u32>,
-    ),
-}
-
 /// A linked (or fetched) program: the image, its client bases, and the
 /// link work paid.
 type ProgramBuild = (Arc<CachedImage>, (u32, u32), u64);
 
-/// The concurrent link phase's in-order commit state: finished links
-/// parked by position, and the cached results committed so far (a
-/// prefix of the pending libraries, in order).
-struct Commits {
-    parked: Vec<Option<Result<(CachedImage, u64), OmosError>>>,
-    done: Vec<Result<(Arc<CachedImage>, u64), OmosError>>,
-}
-
-/// One executor slot, in resolution order.
-enum Slot {
-    Ready(Arc<CachedImage>),
-    /// Index into the executor's pending links.
-    Pending(usize),
-}
+/// A placed library: its (text, data) bases, its image, and the link
+/// work paid.
+type PlacedLibrary = ((u32, u32), Arc<CachedImage>, u64);
 
 /// What the library executor assembled, in resolution order.
 struct Libraries {
@@ -1551,6 +1454,8 @@ fn eval_work_ns(s: &EvalStats, cost: &CostModel) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::panic)]
+
     use super::*;
     use omos_isa::assemble;
 
@@ -1640,7 +1545,7 @@ mod tests {
     #[test]
     fn tiny_image_budget_with_parallel_link_is_not_a_panic() {
         // Regression: with an image budget too small to keep anything
-        // resident, the parallel link path used to re-probe the cache
+        // resident, the link path above one lane used to re-probe the cache
         // for an image it had just inserted (and the cache had already
         // evicted) and panicked on the missing entry. Linked images
         // must flow to the reply directly, not via a cache round-trip.

@@ -236,7 +236,7 @@ pub enum SpanKind {
     Ipc,
     /// A `dyn_lookup` request.
     DynLookup,
-    /// One work unit of a parallel evaluation (runs on a worker lane).
+    /// One work unit of an evaluation, laid out on a simulated lane.
     EvalUnit,
     /// A diff-driven incremental relink of the dirtied subgraph.
     RelinkPartial,
@@ -755,6 +755,18 @@ impl Drop for ReqGuard<'_> {
     }
 }
 
+/// Puts a request context set aside by [`Tracer::detached`] back on
+/// this thread when dropped, so a panic inside the detached closure
+/// cannot leave the request without its timeline.
+struct Reattach(Vec<ReqState>);
+
+impl Drop for Reattach {
+    fn drop(&mut self) {
+        let stack = std::mem::take(&mut self.0);
+        ACTIVE.with(|a| *a.borrow_mut() = stack);
+    }
+}
+
 // --- The tracer -----------------------------------------------------------------
 
 /// The tracing and metrics hub one server owns.
@@ -934,12 +946,12 @@ impl Tracer {
         }
     }
 
-    /// Records a span at `cursor + start_offset_ns` on worker lane
+    /// Records a span at `cursor + start_offset_ns` on simulated lane
     /// `worker` *without* moving the cursor or touching any histogram.
-    /// Parallel evaluation lays its concurrently-executed units out
+    /// The lane schedule lays evaluation units and library links out
     /// this way: the cursor advances once by the schedule's makespan
-    /// (critical-path billing), while each unit's span shows where on
-    /// which lane it ran.
+    /// (critical-path billing), while each span shows where on which
+    /// lane the work is scheduled.
     pub fn span_at(&self, kind: SpanKind, start_offset_ns: u64, dur_ns: u64, worker: u16) {
         if !self.enabled() {
             return;
@@ -958,10 +970,21 @@ impl Tracer {
         }
     }
 
+    /// Runs `f` with this thread's request context set aside. Counters
+    /// (cache probes, evictions, tier-2 traffic) still count, but no
+    /// span lands on the timeline, no span close feeds a histogram, and
+    /// the request cursor does not move. Work on a simulated lane runs
+    /// this way; the caller lays it out afterwards with
+    /// [`Tracer::span_at`] and [`Tracer::note`]. The context is restored
+    /// when `f` returns or panics.
+    pub fn detached<T>(&self, f: impl FnOnce() -> T) -> T {
+        let _reattach = Reattach(ACTIVE.with(|a| std::mem::take(&mut *a.borrow_mut())));
+        f()
+    }
+
     /// Records `ns` into `stage`'s histogram without a span or cursor
-    /// movement. The parallel path uses this to keep per-stage
-    /// histograms identical to sequential execution while the timeline
-    /// shows overlapped spans.
+    /// movement. The lane schedule uses this to feed a stage's histogram
+    /// the durations it lays out as overlapped spans.
     pub fn note(&self, stage: Stage, ns: u64) {
         if self.enabled() {
             self.hist(stage).record(ns);
@@ -1538,6 +1561,46 @@ mod tests {
         assert!(lines[0].starts_with("request ("));
         assert!(lines[1].starts_with("  library-build"));
         assert!(lines[2].starts_with("    placement"));
+    }
+
+    #[test]
+    fn detached_work_counts_but_leaves_the_timeline_alone() {
+        let t = Tracer::new();
+        let g = t.begin_request(SpanKind::Request);
+        let req = g.req();
+        t.advance(1_000);
+        let answer = t.detached(|| {
+            t.probe(CacheKind::Image, ProbeOutcome::Miss);
+            t.evict(CacheKind::Image, EvictReason::Budget, 2);
+            let link = t.open(SpanKind::Link);
+            t.close_leaf(link, Stage::Link, 5_000);
+            t.advance(7_000);
+            42
+        });
+        assert_eq!(answer, 42);
+        // A panic inside the scope restores the context as well.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.detached(|| {
+                t.advance(9_000);
+                panic!("lane work failed")
+            })
+        }));
+        assert!(panicked.is_err());
+        // Restored: spans land again, at the cursor the scopes left alone.
+        let eval = t.open(SpanKind::Eval);
+        t.close_leaf(eval, Stage::Eval, 10);
+        drop(g);
+
+        let snap = t.snapshot();
+        let kinds: Vec<SpanKind> = snap.request_spans(req).iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, vec![SpanKind::Eval, SpanKind::Request]);
+        let spans = snap.request_spans(req);
+        assert_eq!((spans[0].start_ns, spans[0].depth), (1_000, 1));
+        assert_eq!(spans[1].dur_ns, 1_010);
+        assert_eq!(snap.counters.image_misses, 1);
+        assert_eq!(snap.counters.image_evict_budget, 2);
+        assert_eq!(snap.stage(Stage::Link).count, 0);
+        assert_eq!(snap.counters.spans_recorded, 2);
     }
 
     #[test]

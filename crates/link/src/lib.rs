@@ -32,8 +32,8 @@ pub use dynamic::{build_dyn_executable, build_dyn_library, DynExecutable, DynLib
 pub use error::{LinkError, LinkResult};
 pub use image::{LinkedImage, Segment};
 pub use linker::{
-    layout_resolved, layout_symbols, link, link_program, resolve_only, undefined_after,
-    LinkOptions, LinkOutput, LinkStats, UnresolvedRef,
+    layout_symbols, link, link_program, resolve_only, undefined_after, LinkOptions, LinkOutput,
+    LinkStats, UnresolvedRef,
 };
 
 pub use stubs::{

@@ -270,46 +270,6 @@ pub fn layout_symbols(
     Ok(compute_layout(objects, opts)?.addr_of)
 }
 
-/// [`layout_symbols`] plus the undefined-reference check [`link`]
-/// makes: a relocation target that resolves neither object-locally, nor
-/// among the link's globals, nor through `opts.externs` fails with the
-/// same [`LinkError::Undefined`] the link would return. The parallel
-/// instantiation path uses it to bind downstream libraries' externs
-/// before this library's link has run, and to stop at a library that
-/// cannot link before the next one is placed.
-pub fn layout_resolved(
-    objects: &[ObjectFile],
-    opts: &LinkOptions,
-) -> LinkResult<HashMap<String, u32>> {
-    let addr_of = compute_layout(objects, opts)?.addr_of;
-    if opts.allow_undefined {
-        return Ok(addr_of);
-    }
-    let local = |obj: &ObjectFile, name: &str| {
-        obj.symbols.get(name).is_some_and(|s| {
-            s.binding == SymbolBinding::Local
-                && matches!(
-                    s.def,
-                    SymbolDef::Defined { .. } | SymbolDef::Absolute { .. }
-                )
-        })
-    };
-    let mut missing: Vec<String> = objects
-        .iter()
-        .flat_map(|obj| obj.relocs.iter().map(move |r| (obj, r.symbol.as_str())))
-        .filter(|&(obj, sym)| {
-            !local(obj, sym) && !addr_of.contains_key(sym) && !opts.externs.contains_key(sym)
-        })
-        .map(|(_, sym)| sym.to_string())
-        .collect();
-    if missing.is_empty() {
-        return Ok(addr_of);
-    }
-    missing.sort();
-    missing.dedup();
-    Err(LinkError::Undefined(missing))
-}
-
 /// Links `objects` into a single image.
 ///
 /// The classic pipeline: per-object local-symbol scoping, global symbol

@@ -43,9 +43,10 @@
 //!                                  instantiate the blueprint on an
 //!                                  in-process server and print the
 //!                                  request's span tree; --eval-jobs N
-//!                                  evaluates and links on N workers
-//!                                  (parallel units show as sibling
-//!                                  spans tagged [w<lane>]); --chrome
+//!                                  schedules evaluation and links on N
+//!                                  simulated lanes (overlapping units
+//!                                  show as sibling spans tagged
+//!                                  [w<lane>]); --chrome
 //!                                  also writes a Chrome-trace export
 //! ofe stats [FILE]                 per-stage latency percentiles and
 //!                                  trace counters from an mcbench

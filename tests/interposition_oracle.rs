@@ -25,7 +25,7 @@ use proptest::test_runner::TestRng;
 use omos::analysis::manifest::interpositions_of;
 use omos::analysis::{analyze_blueprint_report, LintContext, LintResolved};
 use omos::blueprint::eval::{CachedEval, EvalContext, ResolvedNode};
-use omos::blueprint::{eval_blueprint, eval_blueprint_parallel, Blueprint, EvalError};
+use omos::blueprint::{eval_blueprint, Blueprint, EvalError};
 use omos::core::server::NamespaceLint;
 use omos::core::{Entry, Omos};
 use omos::isa::assemble;
@@ -242,7 +242,7 @@ fn arb_case() -> impl Strategy<Value = (Blueprint, Vec<String>)> {
 
 /// Checks one blueprint against the oracle: cold, again from the warm
 /// cache, and in a second world where every other subtree was cached
-/// first and the full graph runs on two lanes. Returns the evaluated
+/// first. Returns the evaluated
 /// record, or `None` when the blueprint does not evaluate.
 fn check_case(bp: &Blueprint, subtrees: &[String]) -> Result<Option<Vec<String>>, TestCaseError> {
     let w = world();
@@ -260,9 +260,7 @@ fn check_case(bp: &Blueprint, subtrees: &[String]) -> Result<Option<Vec<String>>
         let sub = Blueprint::parse(text).expect("subtree parses");
         let _ = eval_blueprint(&sub, &mixed);
     }
-    let out = eval_blueprint_parallel(bp, &mixed, 2)
-        .expect("evaluates with cached subtrees")
-        .output;
+    let out = eval_blueprint(bp, &mixed).expect("evaluates with cached subtrees");
     prop_assert_eq!(&interpositions_of(&out), &want, "partly cached evaluation");
     Ok(Some(want))
 }

@@ -1,6 +1,6 @@
-//! Parallel ≡ sequential oracle: intra-request parallel evaluation and
-//! concurrent library linking must be *invisible* to the client except
-//! in `latency_ns` and the span timeline.
+//! Parallel ≡ sequential oracle: laying a request's evaluation units
+//! and library links out on simulated lanes must be *invisible* to the
+//! client except in `latency_ns` and the span timeline.
 //!
 //! Over randomized blueprints, a cold build at `eval_jobs` ∈ {2, 8}
 //! must match the sequential build (`eval_jobs` = 1) exactly: the same

@@ -222,8 +222,8 @@ fn policy_free_replies_do_not_change_when_policies_are_in_play() {
 
 /// Determinism sweep over all three shipped policies: image bytes and
 /// manifest hashes are identical on every transport and at both
-/// `eval_jobs` settings (the parallel link path applies policies at the
-/// same point as the sequential one).
+/// `eval_jobs` settings (policies apply at the same point at every lane
+/// count).
 #[test]
 fn policied_replies_are_identical_across_transports_and_jobs() {
     for path in ["/bin/noop", "/bin/tramp", "/bin/audit"] {
