@@ -4,11 +4,13 @@
 //! decision an instantiation commits to — which library provides each
 //! symbol, where every segment lands, which interpositions are in
 //! effect, and the content keys of the images that would be produced —
-//! derived **without executing a link**: [`derive_manifest`] evaluates
-//! the m-graph (view algebra only), replays placement on an imported
-//! copy of the solver state, and plans export addresses with the
-//! linker's own layout pass ([`omos_link::layout_symbols`]). No image
-//! is linked and no relocation is applied.
+//! derived **without executing a link**: the m-graph is evaluated
+//! ([`eval_with_policies`], view algebra only), placement is replayed on
+//! a solver ([`place_libraries`]; the server places on its live one,
+//! inside a trial that rolls back), and export addresses are planned
+//! with the linker's own layout pass ([`manifest_of_placed`], via
+//! [`omos_link::layout_symbols`]). No image is linked and no relocation
+//! is applied.
 //!
 //! The server builds the same manifest from the artifacts it actually
 //! produced; [`divergence`] compares the two and reports any
@@ -474,34 +476,32 @@ pub fn program_image_key(
         .with_u64(u64::from(data_base))
 }
 
-/// Derives the resolution manifest for `bp` by symbolic traversal:
-/// evaluates the m-graph (view algebra, no linking), replays placement
-/// on a private copy of `solver`, and plans every export address with
-/// the linker's layout pass. The real link is never executed and no
-/// image bytes are produced. The interpositions are the ones the
-/// evaluation recorded ([`interpositions_of`]).
-///
-/// `solver` is the exported state of the authoritative placement
-/// solver: replaying placement against a copy returns exactly the
-/// addresses the server would hand out (known libraries reuse their
-/// recorded ranges; unknown ones get the same deterministic first-fit
-/// the server's next cold build would commit).
-pub fn derive_manifest(
+/// Evaluates `bp` (view algebra, no linking) and applies its link
+/// policies ([`crate::policy::apply_link_policies`]): the output a
+/// derivation of a bare blueprint starts from.
+pub fn eval_with_policies(
     bp: &Blueprint,
     eval_ctx: &dyn EvalContext,
-    solver: &SolverState,
-) -> Result<ResolutionManifest, String> {
+) -> Result<EvalOutput, String> {
     let mut out = eval_blueprint(bp, eval_ctx).map_err(|e| format!("eval failed: {e}"))?;
     crate::policy::apply_link_policies(bp, &mut out).map_err(|e| format!("{e}"))?;
-    manifest_of_eval(bp, &out, solver)
+    Ok(out)
 }
 
-/// [`derive_manifest`] for a caller that already evaluated the
-/// blueprint **and applied its link policies**
-/// ([`crate::policy::apply_link_policies`]) — the server's paths
-/// evaluate once, transform once, and feed the same output to both the
-/// manifest derivation and the link/relink executor, so the two can
-/// never see different modules.
+/// Derives the resolution manifest for an evaluated blueprint whose
+/// link policies are applied ([`eval_with_policies`]): replays
+/// placement on a solver rebuilt from `solver`, and plans every export
+/// address with the linker's layout pass. The real link is never
+/// executed and no image bytes are produced. The interpositions are
+/// the ones the evaluation recorded ([`interpositions_of`]).
+///
+/// `solver` is the exported state of the authoritative placement
+/// solver: replaying placement against it returns exactly the
+/// addresses the server would hand out (known libraries reuse their
+/// recorded ranges; unknown ones get the same deterministic first-fit
+/// the server's next cold build would commit). A caller that holds the
+/// live solver derives on it directly instead, placing inside a
+/// [`PlacementSolver::trial`] ([`place_libraries`]).
 ///
 /// `_lint_ctx` is unused: the interpositions come from `out` itself,
 /// so no analyzer runs. The parameter stays so that existing callers
@@ -512,7 +512,10 @@ pub fn derive_manifest_from_eval(
     _lint_ctx: &mut dyn LintContext,
     solver: &SolverState,
 ) -> Result<ResolutionManifest, String> {
-    manifest_of_eval(bp, out, solver)
+    let mut solver = PlacementSolver::import_state(solver);
+    let objects = materialize_libraries(out)?;
+    let bases = place_libraries(out, &objects, &mut solver)?;
+    manifest_of_placed(bp, out, &objects, &bases)
 }
 
 /// The interposed symbols of an evaluation: the records its client
@@ -531,32 +534,62 @@ pub fn interpositions_of(out: &EvalOutput) -> Vec<String> {
     names
 }
 
-/// The body of [`derive_manifest_from_eval`].
-fn manifest_of_eval(
+/// Materializes every library of `out`, in resolution order: the
+/// objects [`place_libraries`] sizes and [`manifest_of_placed`] lays
+/// out.
+pub fn materialize_libraries(out: &EvalOutput) -> Result<Vec<ObjectFile>, String> {
+    out.libraries
+        .iter()
+        .map(|lib| {
+            lib.module
+                .materialize()
+                .map_err(|e| format!("materialize `{}` failed: {e}", lib.name))
+        })
+        .collect()
+}
+
+/// Places every library of `out` (materialized as `objects`) on
+/// `solver`, in resolution order, and returns each one's
+/// `(text_base, data_base)`. The placements are booked on `solver`, as
+/// a cold build would book them, so a caller deriving on the live solver
+/// runs this inside a [`PlacementSolver::trial`].
+pub fn place_libraries(
+    out: &EvalOutput,
+    objects: &[ObjectFile],
+    solver: &mut PlacementSolver,
+) -> Result<Vec<(u32, u32)>, String> {
+    out.libraries
+        .iter()
+        .zip(objects)
+        .map(|(lib, obj)| {
+            let placement = solver
+                .place(&library_placement(lib, obj), &[])
+                .map_err(|e| format!("placement of `{}` failed: {e}", lib.name))?;
+            let text_base = placement.allocations[0].base as u32;
+            let data_base = placement.allocations[1].base as u32;
+            Ok((text_base, data_base))
+        })
+        .collect()
+}
+
+/// Finishes a derivation from placed libraries (`objects` at `bases`,
+/// one each, in resolution order): plans every export address with the
+/// linker's layout pass and assembles the manifest. Needs no solver.
+pub fn manifest_of_placed(
     bp: &Blueprint,
     out: &EvalOutput,
-    solver: &SolverState,
+    objects: &[ObjectFile],
+    bases: &[(u32, u32)],
 ) -> Result<ResolutionManifest, String> {
-    let mut sv = PlacementSolver::import_state(solver);
-
     let mut externs: HashMap<String, u32> = HashMap::new();
     let mut libraries = Vec::with_capacity(out.libraries.len());
     let mut exports = Vec::with_capacity(out.libraries.len());
-    for lib in &out.libraries {
-        let obj = lib
-            .module
-            .materialize()
-            .map_err(|e| format!("materialize `{}` failed: {e}", lib.name))?;
-        let placement = sv
-            .place(&library_placement(lib, &obj), &[])
-            .map_err(|e| format!("placement of `{}` failed: {e}", lib.name))?;
-        let text_base = placement.allocations[0].base as u32;
-        let data_base = placement.allocations[1].base as u32;
+    for ((lib, obj), &(text_base, data_base)) in out.libraries.iter().zip(objects).zip(bases) {
         let image_key = library_image_key(lib.key, (text_base, data_base), &externs);
         // Exports depend on layout alone (externs only affect
         // relocation), so the options carry no extern environment.
         let opts = LinkOptions::library(&lib.name, text_base, data_base);
-        let symbols = layout_symbols(std::slice::from_ref(&obj), &opts)
+        let symbols = layout_symbols(std::slice::from_ref(obj), &opts)
             .map_err(|e| format!("layout of `{}` failed: {e}", lib.name))?;
         // Left-to-right, first-definition-wins extern fold ("all
         // definitions of variables must be made in the library furthest

@@ -152,9 +152,10 @@ fn escape(name: &str) -> String {
 ///
 /// This is the **only** policy-application point: the server calls it on
 /// the eval output it is about to link (sequential, parallel, and
-/// incremental-relink paths alike), and [`crate::manifest::derive_manifest`]
-/// calls it on its own eval before deriving — so the executed link and
-/// the static derivation always see the same transformed module.
+/// incremental-relink paths alike), and
+/// [`crate::manifest::eval_with_policies`] calls it on the eval a bare
+/// blueprint's derivation starts from — so the executed link and the
+/// static derivation always see the same transformed module.
 ///
 /// Policy-free blueprints return immediately with a default outcome and
 /// an untouched output: the reply bytes of every existing blueprint are

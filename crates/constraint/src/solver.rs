@@ -1,5 +1,7 @@
 //! The prioritized address-space placement solver.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
@@ -163,6 +165,19 @@ struct Booked {
     alloc: Allocation,
 }
 
+/// One reversible solver mutation, logged while a [`PlacementSolver::trial`]
+/// runs. Reverting the log newest first restores the exact prior state.
+#[derive(Debug)]
+enum Undo {
+    /// A booking was inserted at `base`, replacing `prior` (if any).
+    Booked { base: u64, prior: Option<Booked> },
+    /// A booking was removed.
+    Released(Booked),
+    /// A new version was pushed for `key`; `fresh` if that created the
+    /// entry.
+    Version { key: (String, u64), fresh: bool },
+}
+
 /// A flat, deterministic snapshot of a solver's state, for
 /// checkpointing. Produced by [`PlacementSolver::export_state`] and
 /// consumed by [`PlacementSolver::import_state`]; entries are sorted so
@@ -233,6 +248,44 @@ pub struct PlacementSolver {
     known: HashMap<(String, u64), Vec<Placement>>,
     /// Conflict log.
     conflicts: Vec<ConflictRecord>,
+    /// The undo log of the innermost running [`PlacementSolver::trial`];
+    /// `None` outside a trial.
+    undo: Option<Vec<Undo>>,
+}
+
+/// A running trial: reverts the solver when dropped, so the rollback also
+/// happens if the trial's body unwinds.
+struct Trial<'a> {
+    solver: &'a mut PlacementSolver,
+    outer: Option<Vec<Undo>>,
+    conflicts: usize,
+}
+
+impl Drop for Trial<'_> {
+    fn drop(&mut self) {
+        let log = std::mem::replace(&mut self.solver.undo, self.outer.take());
+        for u in log.into_iter().flatten().rev() {
+            match u {
+                Undo::Booked { base, prior } => {
+                    match prior {
+                        Some(b) => self.solver.booked.insert(base, b),
+                        None => self.solver.booked.remove(&base),
+                    };
+                }
+                Undo::Released(b) => {
+                    self.solver.booked.insert(b.alloc.base, b);
+                }
+                Undo::Version { key, fresh } => {
+                    if fresh {
+                        self.solver.known.remove(&key);
+                    } else if let Some(vs) = self.solver.known.get_mut(&key) {
+                        vs.pop();
+                    }
+                }
+            }
+        }
+        self.solver.conflicts.truncate(self.conflicts);
+    }
 }
 
 impl PlacementSolver {
@@ -251,6 +304,57 @@ impl PlacementSolver {
     #[must_use]
     pub fn conflicts(&self) -> &[ConflictRecord] {
         &self.conflicts
+    }
+
+    /// Runs `f` against this solver, then restores the exact prior
+    /// state: every booking inserted or removed and every version
+    /// created inside `f` is undone, and the conflict log is cut back to
+    /// its length at entry. `f` sees the live solver, so its placements
+    /// are the ones the same calls would commit, with no copy of the
+    /// state made. Trials nest, and the rollback also runs if `f`
+    /// unwinds.
+    pub fn trial<R>(&mut self, f: impl FnOnce(&mut PlacementSolver) -> R) -> R {
+        let outer = self.undo.replace(Vec::new());
+        let conflicts = self.conflicts.len();
+        let t = Trial {
+            solver: self,
+            outer,
+            conflicts,
+        };
+        f(&mut *t.solver)
+    }
+
+    /// Books `alloc` for `name`, logging the change inside a trial.
+    fn book(&mut self, name: &str, alloc: Allocation) {
+        let prior = self.booked.insert(
+            alloc.base,
+            Booked {
+                name: name.to_string(),
+                alloc,
+            },
+        );
+        if let Some(log) = &mut self.undo {
+            log.push(Undo::Booked {
+                base: alloc.base,
+                prior,
+            });
+        }
+    }
+
+    /// Drops every booking for which `gone` holds, logging each inside a
+    /// trial.
+    fn unbook(&mut self, gone: impl Fn(&Booked) -> bool) {
+        let bases: Vec<u64> = self
+            .booked
+            .iter()
+            .filter(|(_, b)| gone(b))
+            .map(|(&base, _)| base)
+            .collect();
+        for base in bases {
+            if let (Some(b), Some(log)) = (self.booked.remove(&base), &mut self.undo) {
+                log.push(Undo::Released(b));
+            }
+        }
     }
 
     /// Places (or reuses a placement for) `req`.
@@ -291,25 +395,15 @@ impl PlacementSolver {
         let key = (req.name.clone(), req.key);
         let mut takeover_done = false;
         loop {
+            let mut hit = None;
             if let Some(versions) = self.known.get(&key) {
                 for p in versions {
                     if avoid.contains(&p.version) {
                         continue;
                     }
                     if self.ranges_available(&req.name, &p.allocations) {
-                        let mut reused = p.clone();
-                        reused.reused = true;
-                        // (Re)book in case the ranges were released.
-                        for a in &reused.allocations {
-                            self.booked.insert(
-                                a.base,
-                                Booked {
-                                    name: req.name.clone(),
-                                    alloc: *a,
-                                },
-                            );
-                        }
-                        return Ok(reused);
+                        hit = Some(p.clone());
+                        break;
                     }
                     // Reuse blocked by a foreign occupant: log it. Own
                     // stale bookings are handled by the takeover below.
@@ -326,6 +420,14 @@ impl PlacementSolver {
                         });
                     }
                 }
+            }
+            if let Some(mut reused) = hit {
+                reused.reused = true;
+                // (Re)book in case the ranges were released.
+                for a in &reused.allocations {
+                    self.book(&req.name, *a);
+                }
+                return Ok(reused);
             }
             if takeover_done {
                 break;
@@ -358,8 +460,7 @@ impl PlacementSolver {
                         .collect()
                 })
                 .unwrap_or_default();
-            self.booked
-                .retain(|_, b| b.name != req.name || live.contains(&b.alloc));
+            self.unbook(|b| b.name == req.name && !live.contains(&b.alloc));
             takeover_done = true;
         }
 
@@ -394,13 +495,7 @@ impl PlacementSolver {
         }
 
         for a in &allocations {
-            self.booked.insert(
-                a.base,
-                Booked {
-                    name: req.name.clone(),
-                    alloc: *a,
-                },
-            );
+            self.book(&req.name, *a);
         }
         let version = self.known.get(&key).map_or(0, |v| v.len() as u32);
         let placement = Placement {
@@ -408,6 +503,12 @@ impl PlacementSolver {
             reused: false,
             version,
         };
+        if let Some(log) = &mut self.undo {
+            log.push(Undo::Version {
+                key: key.clone(),
+                fresh: !self.known.contains_key(&key),
+            });
+        }
         self.known.entry(key).or_default().push(placement.clone());
         Ok(placement)
     }
@@ -415,7 +516,7 @@ impl PlacementSolver {
     /// Releases all live allocations owned by `name` (the object's ranges
     /// stay in the reuse table and will be preferred next time).
     pub fn release(&mut self, name: &str) {
-        self.booked.retain(|_, b| b.name != name);
+        self.unbook(|b| b.name == name);
     }
 
     /// Replays a *retained* placement: a manifest recorded `(name, key)`
@@ -440,13 +541,7 @@ impl PlacementSolver {
             return None;
         }
         for a in &p.allocations {
-            self.booked.insert(
-                a.base,
-                Booked {
-                    name: name.to_string(),
-                    alloc: *a,
-                },
-            );
+            self.book(name, *a);
         }
         let mut reused = p;
         reused.reused = true;
@@ -575,6 +670,7 @@ fn align_up(v: u64, a: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::panic)]
     use super::*;
 
     fn seg(class: RegionClass, size: u64, preferred: Option<u64>) -> SegmentRequest {
@@ -951,6 +1047,43 @@ mod tests {
         let b = restored.place(&r1, &[]).unwrap();
         assert_eq!(a, b);
         assert!(b.reused);
+    }
+
+    #[test]
+    fn trials_nest_and_roll_back_on_unwind() {
+        let mut s = PlacementSolver::new();
+        let r = |name: &str, key| {
+            req(
+                name,
+                key,
+                vec![seg(RegionClass::Text, 0x4000, Some(0x0100_0000))],
+            )
+        };
+        s.place(&r("libc", 1), &[]).unwrap();
+        let before = s.export_state();
+        let (inner, outer) = s.trial(|s| {
+            // Rebind: libc takes its own range over.
+            let outer = s.place(&r("libc", 2), &[]).unwrap();
+            let inner = s.trial(|s| s.place(&r("libm", 3), &[]).unwrap());
+            // The inner trial's booking is gone again: libm re-places
+            // identically, logging the same conflict.
+            assert_eq!(s.place(&r("libm", 3), &[]).unwrap(), inner);
+            (inner, outer)
+        });
+        assert_eq!(outer.allocations[0].base, 0x0100_0000);
+        assert_ne!(inner.allocations[0].base, 0x0100_0000);
+        assert_eq!(s.export_state(), before);
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.trial(|s| {
+                s.release("libc");
+                s.place(&r("libm", 3), &[]).unwrap();
+                panic!("trial body unwinds");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(s.export_state(), before);
+        assert!(s.place(&r("libc", 1), &[]).unwrap().reused);
     }
 
     #[test]

@@ -592,7 +592,7 @@ mod tests {
                 name: ".text".into(),
                 kind: SectionKind::Text,
                 vaddr: 0x1000,
-                bytes: vec![0; bytes],
+                bytes: vec![0; bytes].into(),
                 zero: 0,
             }],
             symbols: HashMap::new(),

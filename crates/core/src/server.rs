@@ -42,9 +42,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use omos_analysis::manifest::{
-    assemble_manifest, client_bases, derive_manifest, derive_manifest_from_eval, interpositions_of,
-    library_image_key, library_placement, program_image_key, LibraryResolution, ProgramResolution,
-    ResolutionManifest,
+    assemble_manifest, client_bases, eval_with_policies, interpositions_of, library_image_key,
+    library_placement, manifest_of_placed, materialize_libraries, place_libraries,
+    program_image_key, LibraryResolution, ProgramResolution, ResolutionManifest,
 };
 use omos_analysis::relink::{plan_relink, LibAction};
 use omos_analysis::{
@@ -817,23 +817,19 @@ impl Omos {
         Ok(reply)
     }
 
-    /// Derives the resolution `out` links to, by a placement replay on a
-    /// copy of the solver state with no link run, and plans the relink
-    /// against `before`. Returns the derived manifest, one row per
-    /// library (`Reuse` where the resolution row is unchanged: its image
-    /// key covers content, placement and externs, so the cached image is
-    /// valid as is), and how many bindings the reply patch rewrites.
+    /// Derives the resolution `out` links to ([`Omos::derive`]) and
+    /// plans the relink against `before`. Returns the derived manifest,
+    /// one row per library (`Reuse` where the resolution row is
+    /// unchanged: its image key covers content, placement and externs,
+    /// so the cached image is valid as is), and how many bindings the
+    /// reply patch rewrites.
     fn plan_rows(
         &self,
         bp: &Blueprint,
         out: &EvalOutput,
         before: &ResolutionManifest,
     ) -> Result<(ResolutionManifest, Vec<Row>, usize), OmosError> {
-        let derived = {
-            let state = self.solver().export_state();
-            let mut lint = NamespaceLint(&self.namespace);
-            derive_manifest_from_eval(bp, out, &mut lint, &state).map_err(OmosError::Client)?
-        };
+        let derived = self.derive(bp, out)?;
         // The derivation walks `out.libraries` in order, one row each,
         // so its rows line up with the executor's libraries.
         let plan = plan_relink(before, &derived);
@@ -850,6 +846,19 @@ impl Omos {
             })
             .collect();
         Ok((derived, rows, plan.diff.changed_symbols().len()))
+    }
+
+    /// Derives the resolution `out` (evaluated, policies applied) links
+    /// to, with no link run. Every library is placed on the live solver
+    /// inside one [`PlacementSolver::trial`], which rolls back before
+    /// the lock is released; the layout pass then runs unlocked.
+    fn derive(&self, bp: &Blueprint, out: &EvalOutput) -> Result<ResolutionManifest, OmosError> {
+        let objects = materialize_libraries(out).map_err(OmosError::Client)?;
+        let bases = self
+            .solver()
+            .trial(|solver| place_libraries(out, &objects, solver))
+            .map_err(OmosError::Client)?;
+        manifest_of_placed(bp, out, &objects, &bases).map_err(OmosError::Client)
     }
 
     /// The library executor: runs one row per library in `libs`, in
@@ -1070,7 +1079,7 @@ impl Omos {
     /// produced: placed bases from the solver, export addresses from
     /// the bound images, image keys from the cache entries, and the
     /// interpositions `out`'s modules recorded as they were evaluated.
-    /// The statically derived manifest ([`derive_manifest`]) must agree
+    /// The statically derived manifest ([`Omos::derive`]) must agree
     /// byte-for-byte — the differential tests compare the two with
     /// [`divergence`](omos_analysis::manifest::divergence).
     fn manifest_from_actuals(
@@ -1110,13 +1119,13 @@ impl Omos {
 
     /// The canonical resolution manifest for an arbitrary blueprint,
     /// derived statically — the m-graph is evaluated (view algebra
-    /// only), placement is replayed against a copy of the solver state,
-    /// and export addresses come from the linker's layout pass. No link
-    /// is executed and no image bytes are produced.
+    /// only), placement is replayed on the live solver inside a trial
+    /// that leaves it unchanged, and export addresses come from the
+    /// linker's layout pass. No link is executed and no image bytes are
+    /// produced.
     pub fn explain_blueprint(&self, bp: &Blueprint) -> Result<ResolutionManifest, OmosError> {
-        let ctx = ReqCtx::new(self);
-        let state = self.solver().export_state();
-        derive_manifest(bp, &ctx, &state).map_err(OmosError::Client)
+        let out = eval_with_policies(bp, &ReqCtx::new(self)).map_err(OmosError::Client)?;
+        self.derive(bp, &out)
     }
 
     /// [`Omos::explain_blueprint`] for the meta-object (or bare

@@ -1,6 +1,7 @@
 //! Linked, mappable images.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use omos_obj::hash::{ContentHash, Fnv64};
 use omos_obj::SectionKind;
@@ -14,8 +15,9 @@ pub struct Segment {
     pub kind: SectionKind,
     /// Virtual base address.
     pub vaddr: u32,
-    /// Initialized contents.
-    pub bytes: Vec<u8>,
+    /// Initialized contents: fixed once the link has relocated them, and
+    /// shared with every page frame cut from this segment.
+    pub bytes: Arc<[u8]>,
     /// Additional zero-fill after `bytes` (BSS).
     pub zero: u64,
 }
@@ -138,7 +140,7 @@ mod tests {
             name: ".t".into(),
             kind: SectionKind::Text,
             vaddr,
-            bytes: vec![0; len],
+            bytes: vec![0; len].into(),
             zero,
         }
     }

@@ -1,6 +1,7 @@
 //! Static linking: layout, symbol resolution, relocation application.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use omos_obj::{ObjectFile, RelocKind, SectionKind, SymbolBinding, SymbolDef, SymbolTable};
 
@@ -349,19 +350,17 @@ pub fn link(objects: &[ObjectFile], opts: &LinkOptions) -> LinkResult<LinkOutput
                     name: &str,
                     kind: SectionKind,
                     vaddr: u64,
-                    mut bytes: Vec<u8>,
+                    bytes: Vec<u8>,
                     zero: u64| {
         if bytes.is_empty() && zero == 0 {
             return;
         }
-        // The image keeps its segments: drop the copy loop's growth slack.
-        bytes.shrink_to_fit();
         seg_index.insert(kind, image.segments.len());
         image.segments.push(Segment {
             name: name.into(),
             kind,
             vaddr: vaddr as u32,
-            bytes,
+            bytes: bytes.into(),
             zero,
         });
     };
@@ -454,8 +453,11 @@ pub fn link(objects: &[ObjectFile], opts: &LinkOptions) -> LinkResult<LinkOutput
                 }
                 RelocKind::Pcrel32 => i64::from(s) + r.addend - (site_addr as i64 + 4),
             };
+            // The segment's buffer is still this link's alone.
             let seg = &mut image.segments[seg_idx];
-            if !omos_obj::reloc::apply_patch(&mut seg.bytes, seg_off, r.kind, value) {
+            let patched = Arc::get_mut(&mut seg.bytes)
+                .is_some_and(|b| omos_obj::reloc::apply_patch(b, seg_off, r.kind, value));
+            if !patched {
                 return Err(LinkError::Reloc(format!(
                     "site {:#x} for `{}` outside segment",
                     site_addr, r.symbol

@@ -5,15 +5,17 @@
 //! [`wire_record!`](crate::wire_record) declares a record's fields in
 //! on-disk order once, implementing both its encoder and its decoder.
 //! Integers are little-endian; `bool` and the `Option` tag are one byte,
-//! 0 or 1; `String` and `Vec` carry a `u32` count, and a `Vec<u8>` moves
-//! as one slice copy; a `HashMap` is written in key order, so equal maps
-//! encode identically. A bad tag, a short read or a byte left over after
+//! 0 or 1; `String` and `Vec` carry a `u32` count, and a `Vec<u8>` (or a
+//! shared `Arc<[u8]>`, which encodes identically) moves as one slice
+//! copy; a `HashMap` is written in key order, so equal maps encode
+//! identically. A bad tag, a short read or a byte left over after
 //! a record is an [`ObjError::Malformed`], never a panic.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use crate::error::{ObjError, Result};
 use crate::hash::ContentHash;
@@ -374,6 +376,19 @@ impl<T: Wire> Wire for Vec<T> {
     fn get(r: &mut Reader<'_>) -> Result<Self> {
         let n = r.u32()? as usize;
         T::get_run(n, r)
+    }
+}
+
+/// A shared byte buffer: the same wire form as a `Vec<u8>`.
+impl Wire for Arc<[u8]> {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.len() as u32);
+        w.bytes(self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.u32()? as usize;
+        r.bytes(n).map(Arc::from)
     }
 }
 

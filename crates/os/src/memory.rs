@@ -4,11 +4,15 @@
 //! between every client, data pages copy-on-write. [`ImageFrames`] turns a
 //! linked image into page frames once (the server's cache of "mappable
 //! segments"); [`AddressSpace::map`] installs those frames into a task.
-//! [`MemoryAccounting`] then measures exactly how much physical memory a
-//! population of processes uses — the measurement behind the paper's
-//! dispatch-table-vs-savings discussion (\[11\]).
+//! A shared frame is a window onto the image's own segment bytes, so a
+//! cached image holds its bytes once; only a copy-on-write fault makes a
+//! full private page. [`MemoryAccounting`] then measures exactly how much
+//! physical memory a population of processes uses — the measurement
+//! behind the paper's dispatch-table-vs-savings discussion (\[11\]).
 
-use std::collections::HashMap;
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use omos_isa::{Memory, VmFault};
@@ -17,15 +21,59 @@ use omos_link::LinkedImage;
 /// Page size in bytes (HP730: 4 KB).
 pub const PAGE_SIZE: u32 = 4096;
 
-/// One physical page frame.
+/// The contents of one whole page.
+type PageBytes = [u8; PAGE_SIZE as usize];
+
+/// One shared physical page frame: a window onto an image's initialized
+/// bytes. The window covers the start of the page; every byte past it
+/// (a segment's partial tail, BSS) reads as zero.
 #[derive(Debug)]
-pub struct Frame(pub [u8; PAGE_SIZE as usize]);
+pub struct Frame {
+    bytes: Arc<[u8]>,
+    start: usize,
+    len: usize,
+}
 
 impl Frame {
-    /// An all-zero frame.
+    /// An all-zero frame (an empty window).
     #[must_use]
     pub fn zeroed() -> Frame {
-        Frame([0; PAGE_SIZE as usize])
+        Frame {
+            bytes: Arc::from([]),
+            start: 0,
+            len: 0,
+        }
+    }
+
+    /// The frame whose page begins with `bytes[start..start + len]`.
+    /// The window is clamped to `bytes` and to one page.
+    fn window(bytes: Arc<[u8]>, start: usize, len: usize) -> Frame {
+        let start = start.min(bytes.len());
+        let len = len.min(bytes.len() - start).min(PAGE_SIZE as usize);
+        Frame { bytes, start, len }
+    }
+
+    /// The initialized bytes at the start of the page; the rest of the
+    /// page is zero.
+    #[must_use]
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes[self.start..self.start + self.len]
+    }
+
+    /// Copies the page bytes at `off..off + buf.len()` into `buf`, zeros
+    /// past the window.
+    fn read(&self, off: usize, buf: &mut [u8]) {
+        let have = self.bytes().get(off..).unwrap_or_default();
+        let n = have.len().min(buf.len());
+        buf[..n].copy_from_slice(&have[..n]);
+        buf[n..].fill(0);
+    }
+
+    /// A full private copy of the page.
+    fn to_page(&self) -> Box<PageBytes> {
+        let mut page = Box::new([0; PAGE_SIZE as usize]);
+        page[..self.len].copy_from_slice(self.bytes());
+        page
     }
 }
 
@@ -34,8 +82,8 @@ enum Page {
     /// Shared with other address spaces (or with the image cache);
     /// writes trigger copy-on-write when `writable`.
     Shared(Arc<Frame>),
-    /// Private to this address space.
-    Private(Box<Frame>),
+    /// Private to this address space: always a full page.
+    Private(Box<PageBytes>),
 }
 
 #[derive(Debug)]
@@ -150,7 +198,7 @@ impl AddressSpace {
             self.pages.insert(
                 first + i,
                 PageEntry {
-                    page: Page::Private(Box::new(Frame::zeroed())),
+                    page: Page::Private(Box::new([0; PAGE_SIZE as usize])),
                     writable: true,
                 },
             );
@@ -186,36 +234,37 @@ impl AddressSpace {
     /// copy-on-write: patching a shared page privatizes it (the sharing
     /// loss that motivates PIC).
     pub fn force_write(&mut self, addr: u32, buf: &[u8]) -> Result<(), VmFault> {
+        self.store(addr, buf, false)
+    }
+
+    /// Stores `buf` at `addr`, page by page. The first store to a shared
+    /// page privatizes it (copy-on-write). With `protect`, a read-only
+    /// page faults instead.
+    fn store(&mut self, addr: u32, buf: &[u8], protect: bool) -> Result<(), VmFault> {
         let mut done = 0usize;
         while done < buf.len() {
             let a = addr + done as u32;
             let pno = a / PAGE_SIZE;
             let off = (a % PAGE_SIZE) as usize;
-            let entry = self.pages.get_mut(&pno).ok_or(VmFault::MemFault {
+            let fault = VmFault::MemFault {
                 addr: a,
                 write: true,
-            })?;
+            };
+            let entry = self.pages.get_mut(&pno).ok_or(fault.clone())?;
+            if protect && !entry.writable {
+                return Err(fault);
+            }
             if let Page::Shared(f) = &entry.page {
-                entry.page = Page::Private(Box::new(Frame(f.0)));
+                entry.page = Page::Private(f.to_page());
                 self.cow_faults += 1;
             }
-            let dst = match &mut entry.page {
-                Page::Private(f) => &mut f.0,
-                Page::Shared(_) => unreachable!("privatized above"),
-            };
             let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
-            dst[off..off + n].copy_from_slice(&buf[done..done + n]);
+            if let Page::Private(dst) = &mut entry.page {
+                dst[off..off + n].copy_from_slice(&buf[done..done + n]);
+            }
             done += n;
         }
         Ok(())
-    }
-
-    fn page_for_read(&mut self, addr: u32) -> Result<(&PageEntry, usize), VmFault> {
-        let pno = addr / PAGE_SIZE;
-        match self.pages.get(&pno) {
-            Some(e) => Ok((e, (addr % PAGE_SIZE) as usize)),
-            None => Err(VmFault::MemFault { addr, write: false }),
-        }
     }
 }
 
@@ -224,49 +273,24 @@ impl Memory for AddressSpace {
         let mut done = 0usize;
         while done < buf.len() {
             let a = addr + done as u32;
-            let (entry, off) = self.page_for_read(a)?;
+            let off = (a % PAGE_SIZE) as usize;
+            let entry = self.pages.get(&(a / PAGE_SIZE)).ok_or(VmFault::MemFault {
+                addr: a,
+                write: false,
+            })?;
             let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
-            let src = match &entry.page {
-                Page::Shared(f) => &f.0,
-                Page::Private(f) => &f.0,
-            };
-            buf[done..done + n].copy_from_slice(&src[off..off + n]);
+            let dst = &mut buf[done..done + n];
+            match &entry.page {
+                Page::Shared(f) => f.read(off, dst),
+                Page::Private(p) => dst.copy_from_slice(&p[off..off + n]),
+            }
             done += n;
         }
         Ok(())
     }
 
     fn write(&mut self, addr: u32, buf: &[u8]) -> Result<(), VmFault> {
-        let mut done = 0usize;
-        while done < buf.len() {
-            let a = addr + done as u32;
-            let pno = a / PAGE_SIZE;
-            let off = (a % PAGE_SIZE) as usize;
-            let entry = self.pages.get_mut(&pno).ok_or(VmFault::MemFault {
-                addr: a,
-                write: true,
-            })?;
-            if !entry.writable {
-                return Err(VmFault::MemFault {
-                    addr: a,
-                    write: true,
-                });
-            }
-            // Copy-on-write: first store to a shared page privatizes it.
-            if let Page::Shared(f) = &entry.page {
-                let copy = Box::new(Frame(f.0));
-                entry.page = Page::Private(copy);
-                self.cow_faults += 1;
-            }
-            let dst = match &mut entry.page {
-                Page::Private(f) => &mut f.0,
-                Page::Shared(_) => unreachable!("privatized above"),
-            };
-            let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
-            dst[off..off + n].copy_from_slice(&buf[done..done + n]);
-            done += n;
-        }
-        Ok(())
+        self.store(addr, buf, true)
     }
 }
 
@@ -275,7 +299,8 @@ impl Memory for AddressSpace {
 pub struct FrameSegment {
     /// Page-aligned base address.
     pub vaddr: u32,
-    /// The frames (whole pages; partial tails are zero padded).
+    /// The frames, one per page (windows onto the image's bytes; a
+    /// partial tail reads as zero).
     pub frames: Vec<Arc<Frame>>,
     /// Mapped writable (data/BSS) or read-only (text/rodata).
     pub writable: bool,
@@ -300,38 +325,72 @@ pub struct ImageFrames {
     pub entry: Option<u32>,
 }
 
+/// One segment's initialized bytes on one page: `len` bytes of `bytes`
+/// from `src`, landing at page offset `at`.
+struct Part<'a> {
+    bytes: &'a Arc<[u8]>,
+    src: usize,
+    at: usize,
+    len: usize,
+}
+
+/// What one page of an image is built from.
+#[derive(Default)]
+struct PageBuild<'a> {
+    parts: Vec<Part<'a>>,
+    writable: bool,
+}
+
+impl PageBuild<'_> {
+    /// The page's frame. Bytes from one segment that start the page are a
+    /// window onto that segment's buffer; a page whose bytes start past
+    /// its first byte, or that two segments share, gets its own buffer
+    /// holding just those bytes.
+    fn frame(&self) -> Frame {
+        match &self.parts[..] {
+            [] => Frame::zeroed(),
+            [p] if p.at == 0 => Frame::window(Arc::clone(p.bytes), p.src, p.len),
+            parts => {
+                let end = parts.iter().map(|p| p.at + p.len).max().unwrap_or(0);
+                let mut own = vec![0; end];
+                for p in parts {
+                    own[p.at..p.at + p.len].copy_from_slice(&p.bytes[p.src..p.src + p.len]);
+                }
+                Frame::window(own.into(), 0, end)
+            }
+        }
+    }
+}
+
 impl ImageFrames {
     /// Frames an image. Segments that share a page (e.g. BSS starting on
     /// the data segment's last page) are merged; a page is writable if
-    /// any contributor is.
+    /// any contributor is. Frames point into the image's segment buffers,
+    /// so the bytes are not copied.
     #[must_use]
     pub fn from_image(img: &LinkedImage) -> ImageFrames {
-        // Gather per-page byte content and attributes.
-        #[derive(Default)]
-        struct Build {
-            bytes: Option<Box<Frame>>,
-            writable: bool,
-        }
-        let mut pages: HashMap<u32, Build> = HashMap::new();
+        let page = u64::from(PAGE_SIZE);
+        let mut pages: BTreeMap<u32, PageBuild<'_>> = BTreeMap::new();
         for seg in &img.segments {
             let writable = !seg.kind.is_shareable();
             let total = seg.size();
             let mut covered = 0u64;
             while covered < total {
-                let a = seg.vaddr as u64 + covered;
-                let pno = (a / u64::from(PAGE_SIZE)) as u32;
-                let off = (a % u64::from(PAGE_SIZE)) as usize;
-                let n = ((u64::from(PAGE_SIZE) - off as u64).min(total - covered)) as usize;
-                let b = pages.entry(pno).or_default();
+                let a = u64::from(seg.vaddr) + covered;
+                let at = (a % page) as usize;
+                let n = (page - at as u64).min(total - covered) as usize;
+                let b = pages.entry((a / page) as u32).or_default();
                 b.writable |= writable;
-                // Copy initialized bytes (the zero tail is already zero).
-                let src_off = covered as usize;
-                if src_off < seg.bytes.len() {
-                    let have = (seg.bytes.len() - src_off).min(n);
-                    let frame = b.bytes.get_or_insert_with(|| Box::new(Frame::zeroed()));
-                    frame.0[off..off + have].copy_from_slice(&seg.bytes[src_off..src_off + have]);
-                } else {
-                    b.bytes.get_or_insert_with(|| Box::new(Frame::zeroed()));
+                // Initialized bytes only: the zero tail needs no part.
+                let src = covered as usize;
+                let len = seg.bytes.len().saturating_sub(src).min(n);
+                if len > 0 {
+                    b.parts.push(Part {
+                        bytes: &seg.bytes,
+                        src,
+                        at,
+                        len,
+                    });
                 }
                 covered += n as u64;
             }
@@ -340,13 +399,11 @@ impl ImageFrames {
         // (rather than plumbing policy metadata through every caller)
         // recovers which addresses the image will increment; pages not
         // covered by any segment become per-process private zero runs.
-        let mut counter_pages: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        for site in omos_link::scan_audit_stubs(img) {
-            let pno = site.counter_addr / PAGE_SIZE;
-            if !pages.contains_key(&pno) {
-                counter_pages.insert(pno);
-            }
-        }
+        let counter_pages: BTreeSet<u32> = omos_link::scan_audit_stubs(img)
+            .iter()
+            .map(|site| site.counter_addr / PAGE_SIZE)
+            .filter(|pno| !pages.contains_key(pno))
+            .collect();
         let mut private_zero: Vec<(u32, u32)> = Vec::new();
         for pno in counter_pages {
             match private_zero.last_mut() {
@@ -357,26 +414,22 @@ impl ImageFrames {
 
         // Shareability: a page is shareable iff it is not writable.
         // Build contiguous runs with uniform attributes.
-        let mut pnos: Vec<u32> = pages.keys().copied().collect();
-        pnos.sort_unstable();
         let mut segments: Vec<FrameSegment> = Vec::new();
-        for pno in pnos {
-            let b = pages.remove(&pno).expect("key from the map");
-            let frame = Arc::new(*b.bytes.unwrap_or_else(|| Box::new(Frame::zeroed())));
-            let writable = b.writable;
-            let extend = segments.last().is_some_and(|s| {
-                s.writable == writable && s.vaddr / PAGE_SIZE + s.frames.len() as u32 == pno
-            });
-            if extend {
-                let last = segments.last_mut().expect("just checked");
-                last.frames.push(frame);
-            } else {
-                segments.push(FrameSegment {
+        for (pno, b) in &pages {
+            let frame = Arc::new(b.frame());
+            match segments.last_mut() {
+                Some(s)
+                    if s.writable == b.writable
+                        && s.vaddr / PAGE_SIZE + s.frames.len() as u32 == *pno =>
+                {
+                    s.frames.push(frame);
+                }
+                _ => segments.push(FrameSegment {
                     vaddr: pno * PAGE_SIZE,
                     frames: vec![frame],
-                    writable,
-                    shareable: !writable,
-                });
+                    writable: b.writable,
+                    shareable: !b.writable,
+                }),
             }
         }
         ImageFrames {
@@ -454,6 +507,7 @@ impl MemoryAccounting {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
     use super::*;
     use omos_link::Segment;
     use omos_obj::SectionKind;
@@ -472,20 +526,89 @@ mod tests {
             name: kind.default_name().into(),
             kind,
             vaddr,
-            bytes,
+            bytes: bytes.into(),
             zero,
         }
     }
 
     #[test]
-    fn framing_pads_partial_pages() {
+    fn framing_windows_the_segment_bytes() {
         let img = image(vec![seg(SectionKind::Text, 0x1000, vec![0xaa; 100], 0)]);
         let f = ImageFrames::from_image(&img);
         assert_eq!(f.total_pages(), 1);
-        assert_eq!(f.segments[0].frames[0].0[0], 0xaa);
-        assert_eq!(f.segments[0].frames[0].0[100], 0);
+        let frame = &f.segments[0].frames[0];
+        // The frame holds the 100 initialized bytes, not a padded page,
+        // and they are the segment's own buffer.
+        assert_eq!(frame.bytes(), &[0xaa; 100][..]);
+        assert_eq!(frame.bytes().as_ptr(), img.segments[0].bytes.as_ptr());
         assert!(!f.segments[0].writable);
         assert_eq!(f.shareable_pages(), 1);
+    }
+
+    #[test]
+    fn reads_past_the_window_are_zero() {
+        let img = image(vec![seg(SectionKind::Text, 0x1000, vec![0xaa; 100], 0)]);
+        let frames = ImageFrames::from_image(&img);
+        let mut a = AddressSpace::new();
+        a.map(&frames).unwrap();
+        // Straddling the window's end, then wholly past it.
+        let mut buf = [0xffu8; 8];
+        a.read(0x1000 + 96, &mut buf).unwrap();
+        assert_eq!(buf, [0xaa, 0xaa, 0xaa, 0xaa, 0, 0, 0, 0]);
+        let mut tail = [0xffu8; 16];
+        a.read(0x1000 + PAGE_SIZE - 16, &mut tail).unwrap();
+        assert_eq!(tail, [0; 16]);
+    }
+
+    #[test]
+    fn cow_write_privatizes_a_full_page_and_leaves_the_image_intact() {
+        let img = image(vec![seg(SectionKind::Data, 0x4000_0000, vec![2; 100], 0)]);
+        let frames = ImageFrames::from_image(&img);
+        let shared = Arc::clone(&frames.segments[0].frames[0]);
+        let mut a = AddressSpace::new();
+        a.map(&frames).unwrap();
+        // A store past the window still lands in a whole private page.
+        a.write(0x4000_0000 + PAGE_SIZE - 4, &[9, 9, 9, 9]).unwrap();
+        assert_eq!(a.cow_faults, 1);
+        let mut page = vec![0u8; PAGE_SIZE as usize];
+        a.read(0x4000_0000, &mut page).unwrap();
+        assert_eq!(&page[..100], &[2; 100][..]);
+        assert!(page[100..PAGE_SIZE as usize - 4].iter().all(|&b| b == 0));
+        assert_eq!(&page[PAGE_SIZE as usize - 4..], &[9; 4][..]);
+        let mut pages = 0;
+        a.visit_pages(|_, frame| {
+            pages += 1;
+            assert!(frame.is_none(), "the written page is private");
+        });
+        assert_eq!(pages, 1);
+        // The shared frame and the image's bytes are untouched.
+        assert_eq!(shared.bytes(), &[2; 100][..]);
+        assert_eq!(&img.segments[0].bytes[..], &[2; 100][..]);
+        let mut b = AddressSpace::new();
+        b.map(&frames).unwrap();
+        let mut word = [0u8; 4];
+        b.read(0x4000_0000 + PAGE_SIZE - 4, &mut word).unwrap();
+        assert_eq!(word, [0; 4]);
+    }
+
+    #[test]
+    fn a_page_two_segments_share_gets_its_own_buffer() {
+        // Text ends mid-page and rodata starts right after it.
+        let img = image(vec![
+            seg(SectionKind::Text, 0x1000, vec![1; 5000], 0),
+            seg(SectionKind::RoData, 0x1000 + 5000, vec![3; 16], 0),
+        ]);
+        let f = ImageFrames::from_image(&img);
+        assert_eq!(f.total_pages(), 2);
+        let frames = &f.segments[0].frames;
+        assert_eq!(frames[0].bytes().as_ptr(), img.segments[0].bytes.as_ptr());
+        let shared = &frames[1];
+        let inside = |seg: &Segment| seg.bytes.as_ptr_range().contains(&shared.bytes().as_ptr());
+        assert!(!inside(&img.segments[0]) && !inside(&img.segments[1]));
+        let cut = 5000 - PAGE_SIZE as usize;
+        assert_eq!(shared.bytes().len(), cut + 16);
+        assert!(shared.bytes()[..cut].iter().all(|&b| b == 1));
+        assert!(shared.bytes()[cut..].iter().all(|&b| b == 3));
     }
 
     #[test]

@@ -300,7 +300,7 @@ fn concurrent_clear_and_insert_keep_byte_counter_consistent() {
                 name: ".text".into(),
                 kind: omos::obj::SectionKind::Text,
                 vaddr: 0x1000,
-                bytes: vec![key as u8; IMG_BYTES],
+                bytes: vec![key as u8; IMG_BYTES].into(),
                 zero: 0,
             }],
             symbols: Default::default(),
@@ -437,7 +437,7 @@ fn image_cache_keeps_budget_and_mappings_under_concurrency() {
                 name: ".text".into(),
                 kind: omos::obj::SectionKind::Text,
                 vaddr: 0x1000,
-                bytes: vec![key as u8; IMG_BYTES],
+                bytes: vec![key as u8; IMG_BYTES].into(),
                 zero: 0,
             }],
             symbols: Default::default(),

@@ -165,7 +165,7 @@ fn image_cache_eviction_under_disk_pressure() {
                 name: ".text".into(),
                 kind: omos::obj::SectionKind::Text,
                 vaddr: 0x1000,
-                bytes: vec![key as u8; size],
+                bytes: vec![key as u8; size].into(),
                 zero: 0,
             }],
             symbols: Default::default(),

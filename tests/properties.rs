@@ -544,7 +544,7 @@ prop_compose! {
                     name: format!(".s{code}"),
                     kind: SectionKind::from_code(code).expect("codes 0-3 are kinds"),
                     vaddr,
-                    bytes,
+                    bytes: bytes.into(),
                     zero,
                 })
                 .collect(),
@@ -599,6 +599,14 @@ prop_compose! {
 }
 
 proptest! {
+    /// A segment's shared byte buffer keeps the `Vec<u8>` wire form, so
+    /// spilled and checkpointed images encode as they always did.
+    #[test]
+    fn persist_shared_bytes_encode_like_a_vec(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let shared: std::sync::Arc<[u8]> = bytes.clone().into();
+        prop_assert_eq!(to_bytes(&shared), to_bytes(&bytes));
+    }
+
     #[test]
     fn persist_image_round_trips(img in arb_image()) {
         let frame = encode_image(&img);
@@ -660,7 +668,7 @@ fn persist_image_frame_damage_is_rejected() {
                 name: ".bss".into(),
                 kind: SectionKind::Bss,
                 vaddr: 0x2000,
-                bytes: vec![],
+                bytes: vec![].into(),
                 zero: 512,
             },
         ],

@@ -425,7 +425,7 @@ proptest! {
                 name: ".text".into(),
                 kind: omos::obj::SectionKind::Text,
                 vaddr: 0x1000,
-                bytes,
+                bytes: bytes.into(),
                 zero,
             }],
             symbols: std::collections::HashMap::new(),
@@ -449,7 +449,7 @@ proptest! {
                 name: ".text".into(),
                 kind: omos::obj::SectionKind::Text,
                 vaddr: 0x2000,
-                bytes: vec![0xEE; 8],
+                bytes: vec![0xEE; 8].into(),
                 zero: 0,
             }],
             symbols: std::collections::HashMap::new(),
