@@ -151,8 +151,7 @@ fn escape(name: &str) -> String {
 /// Applies `bp`'s link policies to an evaluated output, in place.
 ///
 /// This is the **only** policy-application point: the server calls it on
-/// the eval output it is about to link (sequential, parallel, and
-/// incremental-relink paths alike), and
+/// the eval output it is about to link (at every lane count), and
 /// [`crate::manifest::eval_with_policies`] calls it on the eval a bare
 /// blueprint's derivation starts from — so the executed link and the
 /// static derivation always see the same transformed module.

@@ -1,9 +1,8 @@
 //! Diff-driven relink planning.
 //!
 //! A rebind dirties a known set of symbols and placements — the
-//! manifest diff computes it — but the server's rebuild path has
-//! historically relinked the whole program anyway. [`plan_relink`]
-//! turns an old→new manifest pair into an executable [`RelinkPlan`]:
+//! manifest diff computes it. [`plan_relink`] turns an old→new manifest
+//! pair into a [`RelinkPlan`] that explains what a rebuild will redo:
 //! per library, either **reuse** (the new manifest commits to exactly
 //! the resolution the old one recorded, so the cached image — content
 //! key, placement, and extern environment all unchanged — is byte-valid
@@ -12,11 +11,11 @@
 //! which includes any upstream library change (library image keys fold
 //! into the program key).
 //!
-//! The plan is *advisory on the reuse side and binding on the relink
-//! side*: an executor may always demote a `Reuse` to a relink (e.g. the
-//! cached image was evicted from both tiers), because relinking a clean
-//! library reproduces the identical image by construction. It must
-//! never promote a `Relink` to a reuse.
+//! The plan is an offline tool (`ofe relink`): the server does not
+//! execute it. Its rebuild is the ordinary build, which finds a reused
+//! library's image in the image cache under the same key, and links it
+//! afresh if the image was evicted from both tiers — relinking a clean
+//! library reproduces the identical image by construction.
 
 use crate::manifest::{diff, ManifestDiff, ResolutionManifest};
 
@@ -24,8 +23,7 @@ use crate::manifest::{diff, ManifestDiff, ResolutionManifest};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LibAction {
     /// The library's entire resolution (content key, placement, image
-    /// key) is unchanged: reuse the cached image, replay the retained
-    /// placement, run no linker.
+    /// key) is unchanged: the cached image is valid, no linker runs.
     Reuse,
     /// Something about the resolution moved: place and link afresh.
     Relink,
@@ -114,7 +112,7 @@ impl RelinkPlan {
     }
 }
 
-/// Plans the incremental relink that carries `before`'s artifacts to
+/// Plans the relink that carries `before`'s artifacts to
 /// `after`'s resolution. A library reuses if and only if an *identical*
 /// [`crate::manifest::LibraryResolution`] row (same name, content key,
 /// placement, and image key) exists in `before` — the image key covers

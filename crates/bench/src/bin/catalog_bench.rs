@@ -36,8 +36,8 @@ fn drive_cfg(requests: usize) -> DriveCfg {
 /// Every budgeted curve point must show cost-aware+tiered beating
 /// generation-order at the same budget — the acceptance gate the
 /// report file is required to demonstrate. Every point must also show
-/// rebind recovery costing no more incrementally than the cold full
-/// relinks it replaced would have billed.
+/// rebind recovery on the warm server costing no more than the cold
+/// full relinks it replaced would have billed.
 fn assert_tiered_wins(results: &[omos_bench::catalog::CatalogResult]) {
     for r in results {
         for c in &r.curves {

@@ -1,14 +1,14 @@
-//! `relink_bench` — incremental relink cost scaling with diff size.
+//! `relink_bench` — stale-rebuild cost scaling with diff size.
 //!
 //! Full mode sweeps a 12-library program over k = 1..12 rebound
-//! libraries: each point rebuilds the rebind-invalidated reply once
-//! through the warm server's diff-driven incremental relink and once as
-//! a cold full relink of the identical state, proves the two replies
-//! bit-identical (program image, library images and keys, manifest
-//! hash), and records both simulated costs. Prints the report and
-//! writes it to `BENCH_RELINK.json` (or the path given as the first
-//! argument); fails unless the 1-of-12 point is at least 5x faster
-//! incrementally.
+//! libraries: each point rebuilds the rebind-invalidated reply once on
+//! the warm server (whose image cache still holds the 12−k unchanged
+//! libraries) and once as a cold full relink of the identical state,
+//! proves the two replies bit-identical (program image, library images
+//! and keys, manifest hash), and records both simulated costs. Prints
+//! the report and writes it to `BENCH_RELINK.json` (or the path given
+//! as the first argument); fails unless the 1-of-12 point is at least
+//! 5x faster on the warm server.
 //!
 //! `--smoke [GOLDEN]` runs the CI gate instead: the same sweep rendered
 //! as integer counters only, byte-compared against the committed golden

@@ -394,12 +394,12 @@ pub struct DriveResult {
     /// Requests that rebuilt a rebind-invalidated reply (a stale reply
     /// was dropped on probe during the request).
     pub recoveries: u64,
-    /// Billed cost of those recoveries as actually served (the
-    /// incremental relink path when it engaged).
+    /// Billed cost of those recoveries as actually served, on a server
+    /// whose caches still held the unchanged images.
     pub recovery_incremental_ns: u64,
     /// What the same recoveries would have billed as cold full relinks:
-    /// the served cost plus the link work the incremental path's image
-    /// reuses provably avoided.
+    /// the served cost plus the link work the image-cache hits provably
+    /// avoided.
     pub recovery_full_ns: u64,
 }
 
@@ -450,9 +450,9 @@ pub fn drive(server: &Omos, catalog: &Catalog, cfg: &DriveCfg) -> DriveResult {
         }
         // A stale-reply drop during the request marks a rebind
         // recovery: the reply existed before churn invalidated it.
-        // `relink_avoided_ns` records exactly the link work the
-        // incremental path's image reuses skipped, so adding it back
-        // reproduces what a cold full relink of the same state bills.
+        // `relink_avoided_ns` records exactly the link work the build's
+        // image-cache hits skipped, so adding it back reproduces what a
+        // cold full relink of the same state bills.
         if t1.reply_stale > t0.reply_stale {
             r.recoveries += 1;
             r.recovery_incremental_ns += reply.server_ns;
@@ -788,8 +788,8 @@ mod tests {
             r.recovery_full_ns
         );
         // Idempotent rebinds leave every image key unchanged, so the
-        // incremental path reuses the whole subgraph: the avoided link
-        // work is real and the two costs must actually separate.
+        // rebuild takes the whole subgraph from the image cache: the
+        // avoided link work is real and the two costs must separate.
         assert!(
             r.recovery_incremental_ns < r.recovery_full_ns,
             "identical-bytes churn must avoid link work incrementally"

@@ -519,35 +519,6 @@ impl PlacementSolver {
         self.unbook(|b| b.name == name);
     }
 
-    /// Replays a *retained* placement: a manifest recorded `(name, key)`
-    /// at exactly `bases` (one per segment, in segment order), and the
-    /// incremental relinker wants those ranges re-booked without
-    /// solving. Succeeds only when a known version matches `bases` and
-    /// its ranges are free or already self-owned — anything else returns
-    /// `None` and the caller demotes the library to a fresh solve.
-    /// Never allocates new ranges and never creates a new version, so a
-    /// successful replay is state-equivalent to the `place()` reuse hit
-    /// that originally produced the placement.
-    pub fn replay_retained(&mut self, name: &str, key: u64, bases: &[u64]) -> Option<Placement> {
-        let versions = self.known.get(&(name.to_string(), key))?;
-        let p = versions
-            .iter()
-            .find(|p| {
-                p.allocations.len() == bases.len()
-                    && p.allocations.iter().zip(bases).all(|(a, b)| a.base == *b)
-            })?
-            .clone();
-        if !self.ranges_available(name, &p.allocations) {
-            return None;
-        }
-        for a in &p.allocations {
-            self.book(name, *a);
-        }
-        let mut reused = p;
-        reused.reused = true;
-        Some(reused)
-    }
-
     /// Exports the complete solver state for checkpointing.
     #[must_use]
     pub fn export_state(&self) -> SolverState {
@@ -722,47 +693,6 @@ mod tests {
         assert!(p2.reused, "same content must reuse the placement");
         assert_eq!(p1.allocations, p2.allocations);
         assert_eq!(p2.version, 0);
-    }
-
-    #[test]
-    fn replay_retained_rebooks_the_recorded_version_only() {
-        let mut s = PlacementSolver::new();
-        let r = req(
-            "libc",
-            1,
-            vec![
-                seg(RegionClass::Text, 0x4000, Some(0x0100_0000)),
-                seg(RegionClass::Data, 0x2000, Some(0x4100_0000)),
-            ],
-        );
-        let p = s.place(&r, &[]).unwrap();
-        let bases: Vec<u64> = p.allocations.iter().map(|a| a.base).collect();
-        s.release("libc");
-        // Replay from a manifest row: re-books without solving.
-        let replayed = s.replay_retained("libc", 1, &bases).unwrap();
-        assert!(replayed.reused);
-        assert_eq!(replayed.allocations, p.allocations);
-        // Replaying an already-booked placement is a no-op success.
-        assert!(s.replay_retained("libc", 1, &bases).is_some());
-        // Unknown key, wrong bases, or an occupied range all refuse.
-        assert!(s.replay_retained("libc", 2, &bases).is_none());
-        assert!(s
-            .replay_retained("libc", 1, &[0x0900_0000, bases[1]])
-            .is_none());
-        s.release("libc");
-        s.place(
-            &req(
-                "other",
-                9,
-                vec![seg(RegionClass::Text, 0x4000, Some(0x0100_0000))],
-            ),
-            &[],
-        )
-        .unwrap();
-        assert!(
-            s.replay_retained("libc", 1, &bases).is_none(),
-            "foreign occupant must block the replay"
-        );
     }
 
     #[test]

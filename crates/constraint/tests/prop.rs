@@ -44,10 +44,6 @@ enum Op {
     Place(PlacementRequest, Vec<u32>),
     /// `release(name)`.
     Release(String),
-    /// `replay_retained` of the `n`th successful placement so far
-    /// (modulo their count), or of bases nothing recorded when there is
-    /// none.
-    Replay(usize),
     /// A rebind of `name` to a new key whose data segment cannot fit:
     /// the takeover releases the name's bookings and the weak text
     /// preference may log a conflict before `NoSpace` fails the call.
@@ -70,7 +66,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_place(),
         arb_place(),
         arb_name().prop_map(Op::Release),
-        any::<usize>().prop_map(Op::Replay),
         (arb_name(), 100u64..104).prop_map(|(n, k)| Op::NoSpace(n, k)),
     ]
 }
@@ -80,31 +75,18 @@ fn arb_op() -> impl Strategy<Value = Op> {
 enum Outcome {
     Placed(Result<Placement, PlaceError>),
     Released,
-    Replayed(Option<Placement>),
 }
 
 /// Runs `ops` on `solver`, returning every call's result.
 fn run(solver: &mut PlacementSolver, ops: &[Op]) -> Vec<Outcome> {
-    let mut placed: Vec<(String, u64, Vec<u64>)> = Vec::new();
     let mut out = Vec::new();
     for op in ops {
         out.push(match op {
-            Op::Place(req, avoid) => {
-                let r = solver.place(req, avoid);
-                if let Ok(p) = &r {
-                    let bases = p.allocations.iter().map(|a| a.base).collect();
-                    placed.push((req.name.clone(), req.key, bases));
-                }
-                Outcome::Placed(r)
-            }
+            Op::Place(req, avoid) => Outcome::Placed(solver.place(req, avoid)),
             Op::Release(name) => {
                 solver.release(name);
                 Outcome::Released
             }
-            Op::Replay(n) => Outcome::Replayed(match placed.get(n % placed.len().max(1)) {
-                Some((name, key, bases)) => solver.replay_retained(name, *key, bases),
-                None => solver.replay_retained("libA", 0, &[0x0010_0000]),
-            }),
             Op::NoSpace(name, key) => {
                 let (lo, hi) = RegionClass::Data.default_window();
                 let req = PlacementRequest {
@@ -133,9 +115,10 @@ fn run(solver: &mut PlacementSolver, ops: &[Op]) -> Vec<Outcome> {
 }
 
 /// Operations that make a trial exercise every kind of undo entry: a
-/// rebind taking over its name's range, an avoided version, a retained
-/// replay, a weak preference blocked by another name (a logged
-/// conflict), and a `NoSpace` failure with the trial still going on.
+/// rebind taking over its name's range, an avoided version, a rebind
+/// back to earlier content re-booking its known placement, a weak
+/// preference blocked by another name (a logged conflict), and a
+/// `NoSpace` failure with the trial still going on.
 fn covering_ops() -> Vec<Op> {
     let text = |name: &str, key: u64| PlacementRequest {
         name: name.to_string(),
@@ -151,7 +134,7 @@ fn covering_ops() -> Vec<Op> {
         Op::Place(text("libA", 200), vec![]),
         Op::Place(text("libA", 201), vec![]),
         Op::Place(text("libA", 201), vec![0]),
-        Op::Replay(0),
+        Op::Place(text("libA", 200), vec![]),
         Op::Place(text("libB", 202), vec![]),
         Op::NoSpace("libA".to_string(), 203),
     ]

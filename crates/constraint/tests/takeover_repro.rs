@@ -14,7 +14,7 @@ fn req(name: &str, key: u64, pref: u64) -> PlacementRequest {
 }
 
 #[test]
-fn replayed_old_key_booking_yields_to_later_takeover() {
+fn rebooked_old_key_booking_yields_to_later_takeover() {
     let mut s = PlacementSolver::new();
     // key=1 at R1, then rebind to key=2 at R2 (takeover drops R1).
     let p1 = s.place(&req("libc", 1, 0x0100_0000), &[]).unwrap();
@@ -22,16 +22,20 @@ fn replayed_old_key_booking_yields_to_later_takeover() {
     let p2 = s.place(&req("libc", 2, 0x0200_0000), &[]).unwrap();
     assert_eq!(p2.allocations[0].base, 0x0200_0000);
     assert!(!s.allocations().any(|(_, a)| a.base == 0x0100_0000));
-    // The relink engine replays the retained key=1 row: R1 is booked
-    // again, but it is a booking of the *old* content.
-    assert!(s.replay_retained("libc", 1, &[0x0100_0000]).is_some());
+    // A rebind back to key=1 reuses its known placement: R1 is booked
+    // again (a reuse hit, so no takeover releases R2), but it is a
+    // booking of the *old* content.
+    let again = s.place(&req("libc", 1, 0x0100_0000), &[]).unwrap();
+    assert!(again.reused);
+    assert_eq!(again.allocations, p1.allocations);
+    assert!(s.allocations().any(|(_, a)| a.base == 0x0200_0000));
     // A later same-name takeover (rebind to key=3) must still treat the
-    // replayed old-key booking as stale and release it — only bookings
+    // rebooked old-key booking as stale and release it — only bookings
     // in the *requesting* content's version set are protected.
     let p3 = s.place(&req("libc", 3, 0x0100_0000), &[]).unwrap();
     assert_eq!(
         p3.allocations[0].base, 0x0100_0000,
-        "takeover must reclaim the replayed old-key range"
+        "takeover must reclaim the rebooked old-key range"
     );
     assert!(
         !s.allocations().any(|(_, a)| a.base == 0x0200_0000),
@@ -49,9 +53,9 @@ fn takeover_releases_live_same_content_booking() {
     // Rebind to key=2, preferring R2: takeover releases R1, books R2.
     let p2 = s.place(&req("libc", 2, 0x0200_0000), &[]).unwrap();
     assert_eq!(p2.allocations[0].base, 0x0200_0000);
-    // Relink engine replays the retained key=1 placement: books R1.
+    // A rebind back to key=1 reuses its known placement: books R1.
     // Now bookings: R1 (key1 content) and R2 (key2 content), same name.
-    assert!(s.replay_retained("libc", 1, &[0x0100_0000]).is_some());
+    assert!(s.place(&req("libc", 1, 0x0100_0000), &[]).unwrap().reused);
     // Place key=2 avoiding its live version v0: the stale key=1 booking
     // triggers takeover, and release() drops the LIVE key=2 booking at
     // R2 too, even though the invariant says same-content bookings

@@ -338,8 +338,7 @@ impl Parser<'_> {
                 Some(b) => out.push(b),
             }
         }
-        // Raw bytes were copied between ASCII delimiters of valid UTF-8.
-        Ok(String::from_utf8(out).expect("a string of valid UTF-8"))
+        String::from_utf8(out).map_err(|_| self.err("invalid UTF-8 in string"))
     }
 
     /// The character a `\u` escape names, `\u` already consumed; a

@@ -29,6 +29,11 @@
 //!   span trees in a bounded ring, latency histograms, cache/flight
 //!   counter families.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod cache;
 pub mod client;
 pub mod error;

@@ -46,8 +46,6 @@
 //!   rebuilt, so a journal record that rebinds one of their dependency
 //!   paths lazily invalidates exactly those rows on first probe.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -776,16 +774,10 @@ impl Omos {
                     .iter()
                     .map(|k| by_key.get(k).map(Arc::clone))
                     .collect();
+                // A dropped row rebuilds on demand through the one build
+                // path, where the images that did survive are cache hits.
                 let (Some(program), Some(libraries)) = (program, libraries) else {
                     report.drops.reply_image += 1;
-                    // The row's images are gone but its resolution
-                    // record may still decode: keep the manifest as a
-                    // relink seed so the on-demand rebuild goes through
-                    // the incremental engine (clean libraries reuse
-                    // whatever images *did* survive) instead of cold.
-                    if ResolutionManifest::decode(&row.manifest).is_ok() {
-                        server.seed_relink(row.key, Arc::new(row.manifest.clone()));
-                    }
                     continue;
                 };
                 // Verify the stored resolution against a fresh static
@@ -804,14 +796,6 @@ impl Omos {
                 });
                 let Some((bp, stored)) = verified else {
                     report.drops.reply_manifest += 1;
-                    // The stored resolution no longer reproduces, but
-                    // it is still a faithful record of the *old* link —
-                    // exactly what the incremental relinker diffs
-                    // against. Seed it; the relink derives the new
-                    // resolution fresh and verifies every reuse.
-                    if ResolutionManifest::decode(&row.manifest).is_ok() {
-                        server.seed_relink(row.key, Arc::new(row.manifest.clone()));
-                    }
                     continue;
                 };
                 let deps: BTreeSet<String> = row.deps.iter().cloned().collect();
@@ -971,8 +955,6 @@ impl Omos {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
     use omos_isa::assemble;
     use omos_os::ipc::Transport;

@@ -35,8 +35,6 @@
 //! and flight-table locks are leaves; nothing calls back into the
 //! server while holding one.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -46,7 +44,6 @@ use omos_analysis::manifest::{
     library_placement, manifest_of_placed, materialize_libraries, place_libraries,
     program_image_key, LibraryResolution, ProgramResolution, ResolutionManifest,
 };
-use omos_analysis::relink::{plan_relink, LibAction};
 use omos_analysis::{
     analyze_blueprint, apply_link_policies, Diagnostic, LintContext, LintResolved, PolicyError,
     Severity,
@@ -187,7 +184,7 @@ struct EvalEntry {
 }
 
 /// A cached full reply plus its dependency record. `pub(crate)` so the
-/// persistence layer can write reply rows into a checkpoint and seed
+/// persistence layer can write reply rows into a checkpoint and install
 /// them back on restore.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplyEntry {
@@ -199,19 +196,6 @@ pub(crate) struct ReplyEntry {
     pub(crate) blueprint: Arc<Blueprint>,
     /// The sealed canonical resolution-manifest frame.
     pub(crate) manifest: Arc<Vec<u8>>,
-}
-
-/// Outcome of a validated reply-cache probe. A stale entry is dropped
-/// from the cache but its sealed resolution manifest survives as the
-/// seed the incremental relinker diffs against.
-enum ReplyProbe {
-    /// Entry present and valid (revalidated, billed as a cache hit).
-    Hit(InstantiateReply),
-    /// Entry existed but a dependency was touched: dropped, manifest
-    /// kept as the relink seed.
-    Stale(Arc<Vec<u8>>),
-    /// No entry.
-    Miss,
 }
 
 /// One registered `lib-dynamic` implementation. The build slot doubles
@@ -295,15 +279,6 @@ pub struct Omos {
     dynamic_keys: Mutex<HashMap<ContentHash, u32>>,
     preflight: AtomicBool,
     eval_jobs: AtomicUsize,
-    /// Diff-driven incremental relinking of stale replies (on by
-    /// default; the relink oracle compares against the full path by
-    /// turning it off).
-    incremental: AtomicBool,
-    /// Relink seeds: old resolution manifests captured for reply keys
-    /// whose cached entry was dropped (checkpoint-restore rows that
-    /// failed image verification). The next request for the key relinks
-    /// incrementally from the seed instead of rebuilding cold.
-    relink_seeds: Mutex<HashMap<ContentHash, Arc<Vec<u8>>>>,
     tracer: Arc<Tracer>,
 }
 
@@ -344,8 +319,6 @@ impl Omos {
             dynamic: RwLock::new(Vec::new()),
             dynamic_keys: Mutex::new(HashMap::new()),
             preflight: AtomicBool::new(false),
-            incremental: AtomicBool::new(true),
-            relink_seeds: Mutex::new(HashMap::new()),
             eval_jobs: AtomicUsize::new(
                 std::env::var("OMOS_EVAL_JOBS")
                     .ok()
@@ -375,38 +348,6 @@ impl Omos {
     #[must_use]
     pub fn eval_jobs(&self) -> usize {
         self.eval_jobs.load(Ordering::Relaxed)
-    }
-
-    /// Enables (or disables) diff-driven incremental relinking of stale
-    /// replies. On (the default), a rebind-invalidated reply is rebuilt
-    /// by relinking only the dirtied subgraph — clean library images
-    /// are reused by content key and retained placements are replayed
-    /// into the solver. Off, every stale reply pays the historical full
-    /// rebuild. Replies are byte-identical either way (the relink
-    /// oracle pins this); only the billed work changes.
-    pub fn set_incremental_relink(&self, enabled: bool) {
-        self.incremental.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether incremental relinking is enabled.
-    #[must_use]
-    pub fn incremental_relink(&self) -> bool {
-        self.incremental.load(Ordering::Relaxed)
-    }
-
-    /// Records a relink seed: the old resolution manifest for a reply
-    /// key whose cached entry could not be revived (a restore dropped
-    /// it). The next request for `key` relinks incrementally from the
-    /// seed instead of rebuilding cold.
-    pub(crate) fn seed_relink(&self, key: ContentHash, manifest: Arc<Vec<u8>>) {
-        lock(&self.relink_seeds).insert(key, manifest);
-    }
-
-    /// Number of pending relink seeds (restore rows awaiting their
-    /// relink-on-demand).
-    #[must_use]
-    pub fn relink_seed_count(&self) -> usize {
-        lock(&self.relink_seeds).len()
     }
 
     /// The server's tracer: clients (and benchmarks) record their IPC
@@ -511,7 +452,10 @@ impl Omos {
     }
 
     /// Serves one instantiation: reply cache, then single-flight (the
-    /// leader builds, concurrent identical requests coalesce).
+    /// leader builds, concurrent identical requests coalesce). A stale
+    /// reply is a miss like any other: its rebuild is the cold build,
+    /// on a server whose caches still hold everything the rebind left
+    /// untouched.
     fn request(
         &self,
         bp: &Arc<Blueprint>,
@@ -520,32 +464,18 @@ impl Omos {
         let guard = self.tracer.begin_request(SpanKind::Request);
         let req = guard.req();
         let key = bp.hash();
-        // The probe keeps a stale entry's manifest as a relink seed: the
-        // old resolution is exactly the "before" side of the manifest
-        // diff the incremental relinker plans from. A plain miss may
-        // still find a seed captured at restore time (relink-on-demand
-        // for dropped checkpoint rows).
-        let (outer_seed, seeded) = match self.probe_reply(key) {
-            ReplyProbe::Hit(mut hit) => {
-                hit.req = req;
-                return Ok(hit);
-            }
-            ReplyProbe::Stale(seed) => (Some(seed), false),
-            ReplyProbe::Miss => {
-                let seed = lock(&self.relink_seeds).remove(&key);
-                let seeded = seed.is_some();
-                (seed, seeded)
-            }
-        };
+        if let Some(mut hit) = self.probe_reply(key) {
+            hit.req = req;
+            return Ok(hit);
+        }
         // Double-check inside the flight: a leader elected just after a
         // previous flight completed finds the fresh entry instead of
         // rebuilding.
         let (result, led) = self.reply_flight.run(key, || {
             self.tracer.flight(FlightRole::Leader, 0);
             match self.probe_reply(key) {
-                ReplyProbe::Hit(hit) => Ok(hit),
-                ReplyProbe::Stale(seed) => self.rebuild_reply(bp, root, key, Some(seed), false),
-                ReplyProbe::Miss => self.rebuild_reply(bp, root, key, outer_seed.clone(), seeded),
+                Some(hit) => Ok(hit),
+                None => self.build_reply(bp, root, key),
             }
         });
         if led {
@@ -574,15 +504,11 @@ impl Omos {
 
     /// Validated reply-cache probe: entries whose dependency paths were
     /// touched after their derivation generation are dropped (lazy,
-    /// key-selective invalidation) — but their sealed resolution
-    /// manifest is kept as the relink seed.
-    fn probe_reply(&self, key: ContentHash) -> ReplyProbe {
-        let entry = match self.reply_cache.get(&key) {
-            Some(e) => e,
-            None => {
-                self.tracer.probe(CacheKind::Reply, ProbeOutcome::Miss);
-                return ReplyProbe::Miss;
-            }
+    /// key-selective invalidation) and answer as a miss.
+    fn probe_reply(&self, key: ContentHash) -> Option<InstantiateReply> {
+        let Some(entry) = self.reply_cache.get(&key) else {
+            self.tracer.probe(CacheKind::Reply, ProbeOutcome::Miss);
+            return None;
         };
         if self
             .namespace
@@ -592,7 +518,7 @@ impl Omos {
             self.tracer.probe(CacheKind::Reply, ProbeOutcome::Stale);
             self.tracer
                 .evict(CacheKind::Reply, EvictReason::Invalidated, 1);
-            return ReplyProbe::Stale(Arc::clone(&entry.manifest));
+            return None;
         }
         self.tracer.probe(CacheKind::Reply, ProbeOutcome::Hit);
         self.counters
@@ -605,41 +531,7 @@ impl Omos {
         reply.server_ns = server_ns;
         reply.latency_ns = server_ns;
         reply.cache_hit = true;
-        ReplyProbe::Hit(reply)
-    }
-
-    /// Leader rebuild of a cache-missing reply: tries the incremental
-    /// relink engine when an old manifest seed is available, falling
-    /// back to the full build on any anomaly (a failed fallback never
-    /// loses correctness — the full path is authoritative).
-    fn rebuild_reply(
-        &self,
-        bp: &Arc<Blueprint>,
-        root: Option<&str>,
-        key: ContentHash,
-        seed: Option<Arc<Vec<u8>>>,
-        seeded: bool,
-    ) -> Result<InstantiateReply, OmosError> {
-        self.counters.replies_built.fetch_add(1, Ordering::Relaxed);
-        if self.preflight.load(Ordering::Relaxed) {
-            let errors: Vec<Diagnostic> = self
-                .lint_blueprint(bp)
-                .into_iter()
-                .filter(|d| d.severity == Severity::Error)
-                .collect();
-            if !errors.is_empty() {
-                return Err(OmosError::Preflight(errors));
-            }
-        }
-        if self.incremental_relink() {
-            if let Some(seed) = seed {
-                if let Ok(reply) = self.build_reply(bp, root, key, Some((&seed, seeded))) {
-                    return Ok(reply);
-                }
-                self.tracer.relink_fallback();
-            }
-        }
-        self.build_reply(bp, root, key, None)
+        Some(reply)
     }
 
     /// Applies the blueprint's link policies to a fresh evaluation:
@@ -722,32 +614,36 @@ impl Omos {
         Ok((evaluated?.output, work_ns, path_ns))
     }
 
-    /// The one link pipeline: eval, policies, the library executor, the
-    /// program link, the manifest, and the cached reply.
-    ///
-    /// A cold build (`seed` is `None`) runs on `eval_jobs` lanes and
-    /// links every library. A stale or seeded reply (the old manifest,
-    /// and whether a restore seeded it) runs on one lane: the new
-    /// resolution is derived without linking, and libraries whose
-    /// resolution row is unchanged reuse their cached images. The
-    /// manifest of what was actually assembled must then equal the
-    /// derived one; any mismatch is an error, on which the caller falls
-    /// back to the cold build.
+    /// The one link pipeline, run by the leader of a cache-missing reply:
+    /// pre-flight (if enabled), eval, policies, the library executor,
+    /// the program link, the manifest, and the cached reply. Every reply
+    /// is built here, on `eval_jobs` lanes, whether it was never built,
+    /// a rebind made it stale, or a restore dropped it. A rebuild reuses
+    /// what the rebind left untouched through the ordinary caches: the
+    /// solver returns the known placement of an unchanged library, and
+    /// the image cache then holds its image under the same key.
     fn build_reply(
         &self,
         bp: &Arc<Blueprint>,
         root: Option<&str>,
         key: ContentHash,
-        seed: Option<(&[u8], bool)>,
     ) -> Result<InstantiateReply, OmosError> {
-        let before = seed
-            .map(|(bytes, _)| ResolutionManifest::decode(bytes))
-            .transpose()?;
+        self.counters.replies_built.fetch_add(1, Ordering::Relaxed);
+        if self.preflight.load(Ordering::Relaxed) {
+            let errors: Vec<Diagnostic> = self
+                .lint_blueprint(bp)
+                .into_iter()
+                .filter(|d| d.severity == Severity::Error)
+                .collect();
+            if !errors.is_empty() {
+                return Err(OmosError::Preflight(errors));
+            }
+        }
         // Snapshot the generation *before* resolving anything: a bind
         // racing this build lands after the snapshot and invalidates
         // the entry on its next lookup.
         let ctx = ReqCtx::for_reply(self, bp);
-        let lanes = before.as_ref().map_or_else(|| self.eval_jobs(), |_| 1);
+        let lanes = self.eval_jobs();
         let base_ns = self.cost.server_cached_request_ns; // baseline handling
         self.tracer.advance(base_ns);
         let (mut out, eval_ns, eval_path_ns) = self.eval(bp, &ctx, lanes)?;
@@ -755,48 +651,16 @@ impl Omos {
         // module), so it lands on the critical path as well.
         let policy_ns = self.apply_policies(bp, &mut out)?;
 
-        let (rows, derived) = match &before {
-            Some(before) => {
-                let (derived, rows, changed) = self.plan_rows(bp, &out, before)?;
-                (rows, Some((derived, changed)))
-            }
-            None => (vec![Row::Link; out.libraries.len()], None),
-        };
-        let span = derived
-            .as_ref()
-            .map(|_| self.tracer.open(SpanKind::RelinkPartial));
-        let built = self
-            .link_libraries(&out.libraries, &rows, lanes, HashMap::new())
-            .and_then(|libs| {
-                let program = self.link_program(&out, key, &libs)?;
-                Ok((libs, program))
-            });
-        if let Some(span) = span {
-            let relink_ns = built.as_ref().map_or(0, |(l, p)| l.work_ns + p.2);
-            self.tracer.note(Stage::RelinkPartial, relink_ns);
-            self.tracer.close(span);
-        }
-        let (libs, (program, client, prog_ns)) = built?;
-        let mut server_ns = base_ns + eval_ns + policy_ns + libs.work_ns + prog_ns;
-        let mut latency_ns = base_ns + eval_path_ns + policy_ns + libs.path_ns + prog_ns;
-        if let Some((_, changed)) = &derived {
-            // Patching the cached reply's bindings for the dirtied
-            // symbols is real (cheap) work: one relocation-sized write
-            // per changed binding.
-            let patch_ns = *changed as u64 * self.cost.reloc_ns;
-            server_ns += patch_ns;
-            latency_ns += patch_ns;
-            self.tracer.advance(patch_ns);
-        }
+        let libs = self.link_libraries(&out.libraries, lanes, HashMap::new())?;
+        let (program, client, prog_ns) = self.link_program(&out, key, &libs)?;
+        let server_ns = base_ns + eval_ns + policy_ns + libs.work_ns + prog_ns;
+        let latency_ns = base_ns + eval_path_ns + policy_ns + libs.path_ns + prog_ns;
 
         let manifest = self.manifest_from_actuals(bp, &out, &libs, &program, client);
-        if derived.as_ref().is_some_and(|(d, _)| *d != manifest) {
-            return Err(OmosError::Client(
-                "relinked resolution diverged from its derivation".to_string(),
-            ));
-        }
         self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
         let avoided_ns = libs.avoided_ns + if prog_ns == 0 { program.rebuild_ns } else { 0 };
+        let linked = libs.images.len() as u64 - libs.reused;
+        self.tracer.reuse(libs.reused, linked, avoided_ns);
         let reply = InstantiateReply {
             program,
             libraries: libs.images,
@@ -806,46 +670,8 @@ impl Omos {
             req: 0, // attributed by `request`
             manifest: manifest.hash(),
         };
-        // A relink lands as an in-place overwrite of the reply-cache
-        // slot (same key) rather than an evict-then-miss cycle.
         self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, &manifest);
-        if let Some((_, seeded)) = seed {
-            let relinked = rows.len() as u64 - libs.reused;
-            self.tracer
-                .relink(libs.reused, relinked, !seeded, seeded, avoided_ns);
-        }
         Ok(reply)
-    }
-
-    /// Derives the resolution `out` links to ([`Omos::derive`]) and
-    /// plans the relink against `before`. Returns the derived manifest,
-    /// one row per library (`Reuse` where the resolution row is
-    /// unchanged: its image key covers content, placement and externs,
-    /// so the cached image is valid as is), and how many bindings the
-    /// reply patch rewrites.
-    fn plan_rows(
-        &self,
-        bp: &Blueprint,
-        out: &EvalOutput,
-        before: &ResolutionManifest,
-    ) -> Result<(ResolutionManifest, Vec<Row>, usize), OmosError> {
-        let derived = self.derive(bp, out)?;
-        // The derivation walks `out.libraries` in order, one row each,
-        // so its rows line up with the executor's libraries.
-        let plan = plan_relink(before, &derived);
-        let rows = plan
-            .libraries
-            .iter()
-            .zip(&derived.libraries)
-            .map(|(row, lib)| match row.action {
-                LibAction::Reuse => Row::Reuse {
-                    bases: (lib.text_base, lib.data_base),
-                    image_key: lib.image_key,
-                },
-                LibAction::Relink => Row::Link,
-            })
-            .collect();
-        Ok((derived, rows, plan.diff.changed_symbols().len()))
     }
 
     /// Derives the resolution `out` (evaluated, policies applied) links
@@ -861,12 +687,12 @@ impl Omos {
         manifest_of_placed(bp, out, &objects, &bases).map_err(OmosError::Client)
     }
 
-    /// The library executor: runs one row per library in `libs`, in
-    /// resolution order, folding each library's exports into `externs`
-    /// left to right ("all definitions of variables must be made in the
-    /// library furthest downstream"). Each library is placed and then
-    /// linked in turn, so a library that cannot link stops the pass
-    /// before the next is placed.
+    /// The library executor: runs over `libs` in resolution order,
+    /// folding each library's exports into `externs` left to right ("all
+    /// definitions of variables must be made in the library furthest
+    /// downstream"). Each library is placed and then linked in turn, so
+    /// a library that cannot link stops the pass before the next is
+    /// placed.
     ///
     /// At one lane a library's placement and link nest under one
     /// library-build span. Above one, each link runs off the request
@@ -876,7 +702,6 @@ impl Omos {
     fn link_libraries(
         &self,
         libs: &[LibraryUse],
-        rows: &[Row],
         lanes: usize,
         mut externs: HashMap<String, u32>,
     ) -> Result<Libraries, OmosError> {
@@ -885,35 +710,7 @@ impl Omos {
         // Link work done off the timeline, for the lane schedule.
         let mut lane_ns = Vec::new();
         let (mut inline_ns, mut reused, mut avoided_ns) = (0, 0, 0);
-        for (lib, row) in libs.iter().zip(rows) {
-            if let Row::Reuse {
-                bases: at,
-                image_key,
-            } = *row
-            {
-                // Replay the retained placement (re-booking the
-                // manifest's exact ranges; no solving), then fetch the
-                // cached image by content key. If either fails the row
-                // relinks, which reproduces the identical image.
-                let retained = [u64::from(at.0), u64::from(at.1)];
-                let reuse = self
-                    .solver()
-                    .replay_retained(&lib.name, lib.key.0, &retained)
-                    .and_then(|_| self.images.get(image_key));
-                if let Some(img) = reuse {
-                    let span = self.tracer.open(SpanKind::Reuse);
-                    self.tracer.close_leaf(span, Stage::Reuse, 0);
-                    fold_exports(&mut externs, &img.image.symbols);
-                    // The link work this reuse skipped; a cold full
-                    // relink would re-pay exactly this (the simulation
-                    // is deterministic).
-                    avoided_ns += img.rebuild_ns;
-                    reused += 1;
-                    images.push(img);
-                    bases.push(at);
-                    continue;
-                }
-            }
+        for lib in libs {
             let span = (lanes == 1).then(|| self.tracer.open(SpanKind::LibraryBuild));
             let step = self.place_library(lib, &externs, lanes);
             if let Some(span) = span {
@@ -921,7 +718,13 @@ impl Omos {
             }
             let (at, img, ns) = step?;
             fold_exports(&mut externs, &img.image.symbols);
-            if lanes == 1 {
+            if ns == 0 {
+                // Served by the image cache: the link work a cold server
+                // would pay for this image (the simulation is
+                // deterministic, so it is the recorded cost).
+                reused += 1;
+                avoided_ns += img.rebuild_ns;
+            } else if lanes == 1 {
                 inline_ns += ns;
             } else {
                 lane_ns.push(ns);
@@ -1228,7 +1031,7 @@ impl Omos {
                     constraints: Vec::new(),
                 };
                 let libs = std::slice::from_ref(&lib_use);
-                let built = self.link_libraries(libs, &[Row::Link], 1, HashMap::new())?;
+                let built = self.link_libraries(libs, 1, HashMap::new())?;
                 let instance = built.images.into_iter().next().ok_or_else(|| {
                     OmosError::Client(format!("dynamic lib {lib_id} linked no image"))
                 })?;
@@ -1378,19 +1181,6 @@ impl EvalContext for ReqCtx<'_> {
     }
 }
 
-/// One library row of a link plan.
-#[derive(Debug, Clone, Copy)]
-enum Row {
-    /// Place, then link (or fetch the image by key).
-    Link,
-    /// Replay the retained placement at `bases` and reuse the cached
-    /// image at `image_key`; demoted to `Link` if either is gone.
-    Reuse {
-        bases: (u32, u32),
-        image_key: ContentHash,
-    },
-}
-
 /// A linked (or fetched) program: the image, its client bases, and the
 /// link work paid.
 type ProgramBuild = (Arc<CachedImage>, (u32, u32), u64);
@@ -1410,7 +1200,7 @@ struct Libraries {
     work_ns: u64,
     /// Critical path of that work on the executor's lanes.
     path_ns: u64,
-    /// Rows served by reuse, and the link work they skipped.
+    /// Libraries the image cache served, and the link work they skipped.
     reused: u64,
     avoided_ns: u64,
 }
@@ -1463,8 +1253,6 @@ fn eval_work_ns(s: &EvalStats, cost: &CostModel) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::panic)]
-
     use super::*;
     use omos_isa::assemble;
 
@@ -1777,8 +1565,7 @@ impl Omos {
             module: out.module,
             constraints: out.constraints,
         });
-        let rows = vec![Row::Link; libs.len()];
-        let built = self.link_libraries(&libs, &rows, 1, client_exports.clone())?;
+        let built = self.link_libraries(&libs, 1, client_exports.clone())?;
         let server_ns = base_ns + eval_ns + built.work_ns;
         let img = &built.images[libs.len() - 1];
 

@@ -61,11 +61,12 @@ pub enum Stage {
     Map,
     /// Client↔server IPC round trip.
     Ipc,
-    /// A diff-driven incremental relink (the dirtied-subgraph rebuild,
-    /// eval excluded).
+    /// Retired: stale replies rebuild through the one build path, so
+    /// nothing records this stage; its histogram stays empty. Kept so
+    /// external report code that lists every stage still compiles.
     RelinkPartial,
-    /// Reuse of a retained artifact (cached image + replayed placement)
-    /// during an incremental relink.
+    /// Retired like [`Stage::RelinkPartial`]: an image-cache hit during
+    /// a build is counted in `relink_reused_images`, not timed here.
     Reuse,
     /// Link-policy application (deny screening + stub interposition).
     Policy,
@@ -238,11 +239,6 @@ pub enum SpanKind {
     DynLookup,
     /// One work unit of an evaluation, laid out on a simulated lane.
     EvalUnit,
-    /// A diff-driven incremental relink of the dirtied subgraph.
-    RelinkPartial,
-    /// One retained library reused (cached image + replayed placement)
-    /// during an incremental relink.
-    Reuse,
     /// Link-policy application (deny screening + stub interposition).
     Policy,
     /// A cache probe (instant).
@@ -268,8 +264,6 @@ impl SpanKind {
             SpanKind::Ipc => "ipc",
             SpanKind::DynLookup => "dyn-lookup",
             SpanKind::EvalUnit => "eval-unit",
-            SpanKind::RelinkPartial => "relink-partial",
-            SpanKind::Reuse => "reuse",
             SpanKind::Policy => "policy",
             SpanKind::CacheProbe(..) => "cache-probe",
             SpanKind::Evict(..) => "evict",
@@ -571,30 +565,21 @@ counter_family! {
     restore_drop_reply_manifest,
     /// Restores that found no usable manifest and started cold.
     restore_cold,
-    /// Stale-reply rebuilds served by the incremental relink engine
-    /// (subset of `replies_built`; the rest went through the full path).
-    relink_partials,
-    /// Library images reused as-is during incremental relinks (cached
-    /// image by content key + replayed retained placement; no linker).
+    /// Library images reply builds took from the image cache (same
+    /// placement, same externs, so the same image key) instead of
+    /// linking.
     relink_reused_images,
-    /// Libraries actually relinked during incremental relinks (the
-    /// dirtied subgraph plus any reuse demoted by a cache miss).
+    /// Libraries reply builds linked (the image cache did not hold
+    /// them).
     relink_relinked_libraries,
-    /// Incremental relink attempts abandoned to the full rebuild path
-    /// (plan/derivation anomaly or a final verification mismatch).
+    /// Always 0: there is one build path, so no build falls back to
+    /// another. Kept until the host benchmark stops reading it.
     relink_fallbacks,
-    /// Cached replies patched in place by an incremental relink instead
-    /// of being evicted wholesale.
-    relink_patched_replies,
-    /// Requests answered via a relink seed captured from a dropped
-    /// restore row (relink-on-demand after a checkpoint restore).
-    relink_seeded_restores,
-    /// Simulated ns of link work *avoided* by incremental relinks: the
-    /// recorded rebuild cost of every image reused as-is. Adding this
-    /// to a relinked reply's `server_ns` reproduces exactly what a cold
-    /// full relink of the same state would bill (the simulation is
-    /// deterministic), so `recovery + avoided` is the honest
-    /// full-relink comparison figure.
+    /// Simulated ns of link work reply builds *avoided*: the recorded
+    /// rebuild cost of every library and program image the image cache
+    /// served. Adding this to a reply's `server_ns` reproduces exactly
+    /// what a cold server would bill for the same state (the simulation
+    /// is deterministic).
     relink_avoided_ns,
     /// Running processes live-patched after a rebind (quiesce, swap
     /// dirtied indirect-table entries, resume).
@@ -1128,33 +1113,22 @@ impl Tracer {
         }
     }
 
-    /// Records the outcome of one incremental relink: how many library
-    /// images were reused as-is, how many relinked, and whether the
-    /// reply-cache entry was patched in place.
-    pub fn relink(&self, reused: u64, relinked: u64, patched: bool, seeded: bool, avoided_ns: u64) {
+    /// Records what one reply build took from the image cache: library
+    /// images reused, libraries linked, and the link work the reused
+    /// images (program included) avoided.
+    pub fn reuse(&self, reused: u64, linked: u64, avoided_ns: u64) {
         if !self.enabled() {
             return;
         }
-        self.c.relink_partials.fetch_add(1, Ordering::Relaxed);
         self.c
             .relink_reused_images
             .fetch_add(reused, Ordering::Relaxed);
         self.c
+            .relink_relinked_libraries
+            .fetch_add(linked, Ordering::Relaxed);
+        self.c
             .relink_avoided_ns
             .fetch_add(avoided_ns, Ordering::Relaxed);
-        self.c
-            .relink_relinked_libraries
-            .fetch_add(relinked, Ordering::Relaxed);
-        if patched {
-            self.c
-                .relink_patched_replies
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if seeded {
-            self.c
-                .relink_seeded_restores
-                .fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Records the outcome of one link-policy application: stubs
@@ -1169,14 +1143,6 @@ impl Tracer {
         self.c.policy_audits.fetch_add(audits, Ordering::Relaxed);
         if denied {
             self.c.policy_denials.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records an incremental relink attempt that fell back to the full
-    /// rebuild path.
-    pub fn relink_fallback(&self) {
-        if self.enabled() {
-            self.c.relink_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -957,9 +957,9 @@ fn explain_cmd(file: &str, second: Option<&String>) -> Result<String, String> {
 }
 
 /// `ofe relink BEFORE AFTER [--explain]`: derives both blueprints'
-/// manifests statically, plans the incremental relink the server would
-/// perform on a rebind from BEFORE to AFTER, and prints which library
-/// images would be reused by content key versus relinked. `--explain`
+/// manifests statically, plans the relink a rebind from BEFORE to AFTER
+/// calls for, and prints which library images a warm server's rebuild
+/// finds in its image cache by key versus links. `--explain`
 /// appends the underlying manifest diff (the dirty-symbol evidence).
 fn relink_cmd(before: &str, after: &str, explain: bool) -> Result<String, String> {
     use omos_analysis::manifest::diff;

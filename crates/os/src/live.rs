@@ -1,7 +1,7 @@
 //! Live update of a running partial-image process.
 //!
-//! When a library is rebound under a running program, the incremental
-//! relinker produces a new reply whose program frame bakes the *new*
+//! When a library is rebound under a running program, the server's
+//! rebuild produces a new reply whose program frame bakes the *new*
 //! dynamic library ids into its stubs. A process already executing the
 //! *old* program text cannot see those: its stub text and its
 //! indirect-branch-table slots still point at the retired library. This
@@ -52,7 +52,7 @@ pub struct LiveUpdateReport {
 }
 
 /// Patches a quiesced process from `old_image` (the program text it is
-/// executing) to `new_image` (the incrementally relinked program), using
+/// executing) to `new_image` (the program rebuilt after the rebind), using
 /// `binder` to resolve already-bound slots against the new libraries.
 ///
 /// Returns an error only on address-space faults (a stub or slot address

@@ -1,14 +1,16 @@
-//! The incremental-relink oracle.
+//! The stale-rebuild oracle.
 //!
-//! Diff-driven relinking is allowed to change exactly one thing: how
-//! much the server *works* to rebuild a rebind-invalidated reply. For
-//! any history of instantiations interleaved with rebinds, the
-//! incremental engine must produce byte-identical program and library
+//! A rebind-invalidated reply is rebuilt by the one build path, on a
+//! server whose caches still hold whatever the rebind left untouched.
+//! For any history of instantiations interleaved with rebinds, every
+//! stale rebuild must commit to exactly the resolution a static
+//! derivation ([`Omos::explain`]) predicts just before it, and the
+//! whole history must produce byte-identical program and library
 //! images, identical canonical resolution manifests, and identical
-//! program behavior to the historical full-rebuild path — across all
-//! five transports and both evaluation-parallelism settings. A live
-//! update of a running partial-image process must leave it answering
-//! exactly like a process cold-built from the post-rebind reply.
+//! program behavior across all five transports and both
+//! evaluation-parallelism settings. A live update of a running
+//! partial-image process must leave it answering exactly like a process
+//! cold-built from the post-rebind reply.
 //!
 //! Two satellites are pinned here as well: the minimality contract
 //! (a rebind invalidates exactly the replies whose manifest diff is
@@ -22,7 +24,7 @@ use proptest::prelude::*;
 
 use omos::analysis::manifest::diff;
 use omos::core::spill::SpillTier;
-use omos::core::trace::Stage;
+use omos::core::trace::{Stage, TraceCounters};
 use omos::core::{live_update, run_under_omos, ImageCache, Omos, OmosBinder};
 use omos::isa::{assemble, StopReason, Vm};
 use omos::link::encode_image;
@@ -110,7 +112,7 @@ fn populate(s: &Omos) {
 
 /// Rebinds library `i` to content version `v` (idempotent when the
 /// version is unchanged — the reply caches still invalidate on the
-/// touched path, which is exactly the full-reuse relink case).
+/// touched path, and the rebuild takes every image from the cache).
 fn rebind_lib(s: &Omos, i: usize, v: u32) {
     s.namespace.bind_object(
         &format!("/obj/lib{i}.o"),
@@ -139,8 +141,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Everything the server said during one history, billing excluded:
-/// what the oracle requires to be identical across transports, jobs,
-/// and the incremental/full rebuild paths.
+/// what the oracle requires to be identical across transports and jobs.
 #[derive(Debug, PartialEq, Eq)]
 struct ServerSide {
     /// Per-instantiate: program index, manifest hash, and the
@@ -151,16 +152,12 @@ struct ServerSide {
 }
 
 /// Replays `history` on a fresh world and reports the server-visible
-/// bytes plus the relink counters the incremental legs assert over.
-fn replay(
-    transport: Transport,
-    jobs: usize,
-    incremental: bool,
-    history: &[Op],
-) -> (ServerSide, u64, u64) {
+/// bytes plus the trace counters at the end. Every instantiation that
+/// rebuilds a stale reply must commit to the manifest `explain` derived
+/// for the path just before it.
+fn replay(transport: Transport, jobs: usize, history: &[Op]) -> (ServerSide, TraceCounters) {
     let server = Omos::new(CostModel::hpux(), transport);
     server.set_eval_jobs(jobs);
-    server.set_incremental_relink(incremental);
     populate(&server);
     let cost = CostModel::hpux();
     let mut clock = SimClock::new();
@@ -172,9 +169,17 @@ fn replay(
     for op in history {
         match *op {
             Op::Instantiate(i) => {
-                let reply = server
-                    .instantiate(&format!("/bin/{}", PROGRAMS[i].0))
-                    .expect("programs instantiate");
+                let path = format!("/bin/{}", PROGRAMS[i].0);
+                let derived = server.explain(&path).expect("programs derive");
+                let stale0 = server.tracer().counters().reply_stale;
+                let reply = server.instantiate(&path).expect("programs instantiate");
+                if server.tracer().counters().reply_stale > stale0 {
+                    assert_eq!(
+                        reply.manifest,
+                        derived.hash(),
+                        "{path}: the stale rebuild diverged from its derivation"
+                    );
+                }
                 let mut bytes = encode_image(&reply.program.image);
                 for lib in &reply.libraries {
                     bytes.extend_from_slice(&encode_image(&lib.image));
@@ -191,53 +196,40 @@ fn replay(
             }
         }
     }
-    let c = server.trace_snapshot().counters;
-    (side, c.relink_partials, c.relink_fallbacks)
+    (side, server.tracer().counters())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The oracle: for arbitrary histories with interleaved rebinds,
-    /// the incremental relink engine produces byte-identical images,
-    /// manifests, and program behavior to the historical full-rebuild
-    /// path, across all five transports and jobs ∈ {1, 8} — and it
-    /// never abandons a relink on these clean worlds.
+    /// every stale rebuild matches its derivation, and the history
+    /// produces byte-identical images, manifests, and program behavior
+    /// across all five transports and jobs ∈ {1, 8}.
     #[test]
-    fn incremental_equals_cold_on_every_transport_and_jobs(
+    fn stale_rebuilds_match_the_reference_on_every_transport_and_jobs(
         history in proptest::collection::vec(op_strategy(), 1..14),
     ) {
-        // Reference: the historical full path, sequential, mach-ipc.
-        let (want, _, _) = replay(Transport::MachIpc, 1, false, &history);
+        // Reference: sequential, mach-ipc.
+        let (want, _) = replay(Transport::MachIpc, 1, &history);
         for transport in Transport::ALL {
             for jobs in [1usize, 8] {
-                let (full, _, _) = replay(transport, jobs, false, &history);
+                let (got, _) = replay(transport, jobs, &history);
                 prop_assert_eq!(
-                    &full, &want,
-                    "full path diverged on {} jobs={}", transport.name(), jobs
-                );
-                let (incr, _, fallbacks) = replay(transport, jobs, true, &history);
-                prop_assert_eq!(
-                    &incr, &want,
-                    "incremental relink changed server-visible bytes on {} jobs={}",
-                    transport.name(), jobs
-                );
-                prop_assert_eq!(
-                    fallbacks, 0,
-                    "incremental relink abandoned a plan on {} jobs={}",
-                    transport.name(), jobs
+                    &got, &want,
+                    "server-visible bytes diverged on {} jobs={}", transport.name(), jobs
                 );
             }
         }
     }
 }
 
-/// The oracle above would pass vacuously if rebind-invalidated rebuilds
-/// never took the incremental path: a fixed rebind-heavy history must
-/// relink incrementally, with zero fallbacks, and still match the full
-/// path byte for byte.
+/// The oracle above would pass vacuously if its histories never rebuilt
+/// a stale reply: a fixed rebind-heavy history must rebuild three, each
+/// matching its derivation, with the libraries the rebinds left clean
+/// taken from the image cache.
 #[test]
-fn rebind_heavy_history_actually_relinks_incrementally() {
+fn rebind_heavy_history_rebuilds_stale_replies_from_the_caches() {
     let history = vec![
         Op::Instantiate(2),
         Op::Instantiate(1),
@@ -250,14 +242,22 @@ fn rebind_heavy_history_actually_relinks_incrementally() {
         Op::Instantiate(0),
         Op::Instantiate(3),
     ];
-    let (want, relinks, _) = replay(Transport::SysVMsg, 1, false, &history);
-    assert_eq!(relinks, 0, "the full path never relinks incrementally");
-    let (got, relinks, fallbacks) = replay(Transport::SysVMsg, 1, true, &history);
+    let (want, _) = replay(Transport::MachIpc, 1, &history);
+    let (got, c) = replay(Transport::SysVMsg, 1, &history);
     assert_eq!(got, want);
     // Three rebuilds were rebind-invalidated (the cold first builds and
-    // first-touch misses are not relinks): each takes the incremental path.
-    assert_eq!(relinks, 3);
-    assert_eq!(fallbacks, 0);
+    // first-touch misses are not stale).
+    assert_eq!(c.reply_stale, 3);
+    // A library image is keyed by content, placement and the externs
+    // folded in from the libraries before it. The stale rebuilds reuse
+    // l0 in c's first rebuild (l1 changed) and link the other seven
+    // rows; the cold builds link c (3), b (2) and d (1), and a's first
+    // build reuses the l0 v1 image c's second rebuild linked.
+    assert_eq!(
+        (c.relink_reused_images, c.relink_relinked_libraries),
+        (2, 13),
+        "library images taken from the image cache vs linked"
+    );
 }
 
 /// The takeover/held-version oracle: a client process runs (and keeps
@@ -266,11 +266,10 @@ fn rebind_heavy_history_actually_relinks_incrementally() {
 /// holds is exactly the placement a careless takeover would release
 /// (same name, content no longer current); the fixed solver keeps it
 /// booked, so the reuse lands back on the original ranges, every run
-/// observes the version live at its instant, and the incremental
-/// engine matches the cold path byte for byte on all five transports
-/// and both jobs settings.
+/// observes the version live at its instant, and every transport and
+/// jobs setting answers byte for byte like the reference.
 #[test]
-fn rebind_while_client_holds_avoided_version_incremental_equals_cold() {
+fn rebind_while_client_holds_avoided_version_matches_on_every_transport_and_jobs() {
     let history = vec![
         Op::Instantiate(0),
         Op::Run, // binds lib0 v0 into a live client
@@ -282,7 +281,7 @@ fn rebind_while_client_holds_avoided_version_incremental_equals_cold() {
         Op::Instantiate(2),
         Op::Run, // observes v0 again — its ranges were never unmapped
     ];
-    let (want, _, _) = replay(Transport::MachIpc, 1, false, &history);
+    let (want, _) = replay(Transport::MachIpc, 1, &history);
     // The runs pin liveness: _f0 returns 10 + version.
     assert_eq!(
         want.runs,
@@ -294,24 +293,11 @@ fn rebind_while_client_holds_avoided_version_incremental_equals_cold() {
     );
     for transport in Transport::ALL {
         for jobs in [1usize, 8] {
-            let (full, _, _) = replay(transport, jobs, false, &history);
+            let (got, _) = replay(transport, jobs, &history);
             assert_eq!(
-                full,
+                got,
                 want,
-                "full path diverged on {} jobs={jobs}",
-                transport.name()
-            );
-            let (incr, _, fallbacks) = replay(transport, jobs, true, &history);
-            assert_eq!(
-                incr,
-                want,
-                "incremental relink changed server-visible bytes on {} jobs={jobs}",
-                transport.name()
-            );
-            assert_eq!(
-                fallbacks,
-                0,
-                "incremental relink abandoned a plan on {} jobs={jobs}",
+                "server-visible bytes diverged on {} jobs={jobs}",
                 transport.name()
             );
         }
@@ -387,7 +373,7 @@ fn live_updated_process_answers_like_a_cold_relinked_one() {
     let first = run_process(&mut proc, &mut clock, &cost, &mut fs, &mut binder, 100_000);
     assert_eq!(first.stop, StopReason::Exited(10));
 
-    // Rebind lib0 and derive the post-rebind reply (incremental path).
+    // Rebind lib0 and build the post-rebind reply.
     rebind_lib(&server, 0, 2);
     let new_reply = server.instantiate("/bin/dyn").unwrap();
     assert_ne!(old_reply.manifest, new_reply.manifest);
@@ -476,10 +462,13 @@ fn rebind_invalidates_exactly_the_manifest_predicted_set() {
         predicted_dirty,
         "exactly the predicted entries were invalidated — no more, no less"
     );
+    // Each dirty program's rebuild took the libraries the rebind left
+    // clean from the image cache: b = [l1, l2] relinks both (l2's
+    // externs include l1's moved _g1), c = [l0, l1, l2] reuses l0.
     assert_eq!(
-        snap1.relink_partials - snap0.relink_partials,
-        predicted_dirty,
-        "every invalidated reply rebuilt through the incremental engine"
+        snap1.relink_reused_images - snap0.relink_reused_images,
+        1,
+        "the clean library image came from the image cache"
     );
 }
 
@@ -487,7 +476,8 @@ fn rebind_invalidates_exactly_the_manifest_predicted_set() {
 /// subgraph clean (an idempotent rebind touches the dependency path but
 /// changes no content), the rebuild reuses every image — spilled ones
 /// fault back in through manifest verification — and the linker never
-/// runs. Counter-pinned: zero link-stage samples, zero fallbacks.
+/// runs. Counter-pinned: one stale rebuild, every library image reused,
+/// zero link-stage samples.
 #[test]
 fn clean_subgraph_faults_in_spilled_images_without_relinking() {
     let spill = Arc::new(SpillTier::new(u64::MAX, CostModel::hpux()));
@@ -520,14 +510,15 @@ fn clean_subgraph_faults_in_spilled_images_without_relinking() {
 
     assert!(!rebuilt.cache_hit, "the rebind invalidated the reply");
     assert_eq!(rebuilt.manifest, first.manifest, "identical resolution");
+    let (c0, c1) = (&snap0.counters, &snap1.counters);
+    assert_eq!(c1.reply_stale - c0.reply_stale, 1, "a stale rebuild");
     assert_eq!(
-        snap1.counters.relink_partials - snap0.counters.relink_partials,
-        1,
-        "the rebuild went through the incremental engine"
-    );
-    assert_eq!(
-        snap1.counters.relink_fallbacks,
-        snap0.counters.relink_fallbacks
+        (
+            c1.relink_reused_images - c0.relink_reused_images,
+            c1.relink_relinked_libraries - c0.relink_relinked_libraries,
+        ),
+        (3, 0),
+        "every library image came from the cache"
     );
     assert_eq!(
         link_count(&snap1) - link_count(&snap0),
