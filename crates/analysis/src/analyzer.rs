@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use omos_blueprint::{Blueprint, MNode, Span, SpecKind};
 use omos_constraint::RegionClass;
 use omos_link::make_partial_stubs;
-use omos_module::{generate_initializers, rename_locals};
+use omos_module::{generate_initializers, qualify_locals, rename_locals};
 use omos_obj::view::{apply_view_op, ViewKind, ViewOp};
 use omos_obj::{
     ObjError, ObjectFile, Regex, Relocation, Section, SectionKind, Symbol, SymbolBinding, SymbolDef,
@@ -54,7 +54,6 @@ pub fn analyze_blueprint_report(bp: &Blueprint, ctx: &mut dyn LintContext) -> An
         meta_span: None,
         meta_depth: 0,
         hidden: 0,
-        uniq: 0,
     };
     let mut path = Vec::new();
     let root = a.node(&bp.root, &mut path);
@@ -75,13 +74,21 @@ struct NodeState {
     /// True when an unresolved path or cycle degraded this subtree —
     /// downstream detectors that would cascade are suppressed.
     poisoned: bool,
+    /// The local-qualification counter a merge or override left, as on
+    /// the evaluator's `Module`; every other node drops it.
+    chain: Option<usize>,
 }
 
 impl NodeState {
     fn empty(poisoned: bool) -> NodeState {
+        NodeState::of(ObjectFile::new("<missing>"), poisoned)
+    }
+
+    fn of(obj: ObjectFile, poisoned: bool) -> NodeState {
         NodeState {
-            obj: ObjectFile::new("<missing>"),
+            obj,
             poisoned,
+            chain: None,
         }
     }
 }
@@ -117,7 +124,6 @@ struct Analyzer<'a> {
     meta_span: Option<Span>,
     meta_depth: usize,
     hidden: usize,
-    uniq: usize,
 }
 
 impl Analyzer<'_> {
@@ -171,10 +177,7 @@ impl Analyzer<'_> {
                     self.leaf_sites.push((p.clone(), span));
                 }
                 match self.ctx.resolve(p) {
-                    LintResolved::Object(o) => NodeState {
-                        obj: skeleton(&o),
-                        poisoned: false,
-                    },
+                    LintResolved::Object(o) => NodeState::of(skeleton(&o), false),
                     LintResolved::Meta(bp2) => self.meta(p, &bp2, span),
                     LintResolved::Missing => {
                         self.emit(
@@ -217,10 +220,7 @@ impl Analyzer<'_> {
             }
             MNode::Source { lang, code } => {
                 match omos_blueprint::compile_source(lang, code, "<source>") {
-                    Ok(obj) => NodeState {
-                        obj: skeleton(&obj),
-                        poisoned: false,
-                    },
+                    Ok(obj) => NodeState::of(skeleton(&obj), false),
                     Err(e) => {
                         self.emit(
                             Severity::Error,
@@ -244,10 +244,7 @@ impl Analyzer<'_> {
                         // stubs that define exactly its exports.
                         let mut exports = exported(&st.obj);
                         exports.sort();
-                        NodeState {
-                            obj: skeleton(&make_partial_stubs(0, &exports)),
-                            poisoned: st.poisoned,
-                        }
+                        NodeState::of(skeleton(&make_partial_stubs(0, &exports)), st.poisoned)
                     }
                 }
             }
@@ -377,10 +374,11 @@ impl Analyzer<'_> {
     }
 
     /// Folds `src` into `dst` under merge (`override_conflicts: false`)
-    /// or override (`true`) rules, mirroring the module combiner: the
-    /// locals of both operands are uniquified (the accumulator's first,
-    /// [`rename_locals`]), sections are appended (keeping the footprint
-    /// right), symbol entries replay the insert upgrade rules.
+    /// or override (`true`) rules, mirroring the module combiner: locals
+    /// are qualified by the combiner's own rule ([`qualify_locals`],
+    /// continuing the counter `dst` carries), sections are appended
+    /// (keeping the footprint right), symbol entries replay the insert
+    /// upgrade rules.
     fn fuse(
         &mut self,
         dst: &mut NodeState,
@@ -388,18 +386,12 @@ impl Analyzer<'_> {
         override_conflicts: bool,
         span: Option<Span>,
     ) {
-        // Fresh names never collide with one another, and a candidate
-        // already in either table is skipped, so renaming cannot fail.
-        let _ = rename_locals(
-            &mut dst.obj,
-            |c| src.obj.symbols.get(c).is_some(),
-            &mut self.uniq,
-        );
-        let _ = rename_locals(
-            &mut src.obj,
-            |c| dst.obj.symbols.get(c).is_some(),
-            &mut self.uniq,
-        );
+        // Fresh names never collide with one another or with a name in
+        // either table, so qualifying cannot fail.
+        let (fresh, next) =
+            qualify_locals(&mut dst.obj, dst.chain, &src.obj.symbols).unwrap_or_default();
+        let _ = rename_locals(&mut src.obj, fresh);
+        dst.chain = Some(next);
         let base = dst.obj.sections.len();
         dst.obj.sections.append(&mut src.obj.sections);
         for sym in src.obj.symbols.iter() {
@@ -525,6 +517,7 @@ impl Analyzer<'_> {
     }
 
     fn apply(&mut self, mut st: NodeState, op: ViewOp, span: Option<Span>) -> NodeState {
+        st.chain = None;
         if let Err(e) = apply_view_op(&mut st.obj, &op, &mut self.hidden) {
             match e {
                 ObjError::DuplicateSymbol(name) => self.emit(
@@ -547,14 +540,13 @@ impl Analyzer<'_> {
     /// `initializers`: runs the real generator over the skeleton (it only
     /// reads the symbol table and emits a handful of instructions) and
     /// fuses the result, so `__static_init` collisions surface here too.
+    /// Like the evaluator's, the fuse starts no chain and continues none.
     fn initializers(&mut self, mut st: NodeState, span: Option<Span>) -> NodeState {
+        st.chain = None;
         match generate_initializers(&st.obj) {
             Ok(init) => {
-                let init_state = NodeState {
-                    obj: skeleton(&init),
-                    poisoned: false,
-                };
-                self.fuse(&mut st, init_state, false, span);
+                self.fuse(&mut st, NodeState::of(skeleton(&init), false), false, span);
+                st.chain = None;
                 st
             }
             Err(e) => {
@@ -858,9 +850,11 @@ fn round_page(v: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::{analyze_blueprint, analyze_blueprint_report};
+    use omos_blueprint::eval::{CachedEval, EvalError, ResolvedNode};
     use omos_isa::assemble;
     use omos_obj::view::materialize_count;
-    use std::collections::HashMap;
+    use omos_obj::ContentHash;
+    use std::collections::{BTreeSet, HashMap};
     use std::sync::Arc;
 
     /// A flat namespace of objects and meta-objects.
@@ -1114,8 +1108,9 @@ mod tests {
     }
 
     /// `/o/loc` keeps a local `helper`; `/o/glob` defines `helper`
-    /// globally. The module combiner renames the first operand's locals
-    /// before each step, so the two never meet.
+    /// globally, and `/o/glob-u0` and `/o/glob-u0u0` define globals
+    /// spelled like the qualified local. The module combiner qualifies
+    /// the local apart from every one of them, so they never meet.
     fn local_vs_global_world() -> TestCtx {
         let mut ctx = TestCtx::default();
         ctx.add_asm(
@@ -1123,7 +1118,58 @@ mod tests {
             ".text\n.global _x\nhelper: ret\n_x: call helper\n ret\n",
         );
         ctx.add_asm("/o/glob", ".text\n.global helper\nhelper: ret\n");
+        ctx.add_asm("/o/mid", ".text\n.global _mid\n_mid: ret\n");
+        for (path, name) in [
+            ("/o/glob-u0", "helper$u0"),
+            ("/o/glob-u0u0", "helper$u0$u0"),
+        ] {
+            ctx.add_asm(path, &format!(".text\n.global {name}\n{name}: ret\n"));
+        }
         ctx
+    }
+
+    /// Evaluation over the same objects (no cache, no libraries).
+    impl omos_blueprint::EvalContext for TestCtx {
+        fn resolve(&self, path: &str) -> Result<ResolvedNode, EvalError> {
+            let o = self.objects.get(path);
+            o.map(|o| ResolvedNode::Object(Arc::clone(o)))
+                .ok_or_else(|| EvalError::Resolve(path.to_string()))
+        }
+
+        fn cache_get(&self, _key: ContentHash) -> Option<CachedEval> {
+            None
+        }
+
+        fn cache_put(&self, _: ContentHash, _: &omos_module::Module, _: &Arc<BTreeSet<String>>) {}
+
+        fn register_dynamic_impl(
+            &self,
+            _key: ContentHash,
+            _module: &omos_module::Module,
+        ) -> Result<u32, EvalError> {
+            Ok(0)
+        }
+    }
+
+    #[test]
+    fn local_qualified_past_a_global_of_its_fresh_name_lints_and_evaluates() {
+        for src in [
+            "(merge /o/loc /o/glob-u0)",
+            "(override /o/loc /o/glob-u0)",
+            "(merge /o/loc /o/mid /o/glob-u0)",
+            "(merge /o/loc /o/mid /o/glob-u0u0)",
+        ] {
+            let mut ctx = local_vs_global_world();
+            let diags = lint(&mut ctx, src);
+            assert!(diags.is_empty(), "{src}: {diags:?}");
+            let bp = Blueprint::parse(src).expect("parses");
+            let out = omos_blueprint::eval_blueprint(&bp, &ctx);
+            assert!(
+                out.is_ok(),
+                "{src}: lint is clean, so eval succeeds: {:?}",
+                out.err()
+            );
+        }
     }
 
     #[test]

@@ -47,6 +47,11 @@
 //! real link artifacts — the analyzer/linker contract the differential
 //! tests enforce.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::fmt;
 use std::sync::Arc;
 

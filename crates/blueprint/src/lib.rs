@@ -20,6 +20,11 @@
 //!   m-graph into a DAG of work units, and an execution pass runs them
 //!   in ordinal order on the calling thread.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod ast;
 pub mod eval;
 pub mod plan;

@@ -35,8 +35,6 @@
 //! time and copies no accumulated bytes; only the root's and the
 //! libraries' results survive to the output.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

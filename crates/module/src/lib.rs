@@ -13,6 +13,12 @@
 //! merge and freeze) results in the production of a new view of the
 //! operand."
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use omos_obj::view::{RenameTarget, View, ViewKind, ViewOp};
@@ -39,7 +45,11 @@ pub enum MergeMode {
 /// Beside its view, a module carries the names its derivation
 /// interposed: every def-def conflict an `override` resolved, recorded
 /// when [`Module::override_with`] makes the decision and carried forward
-/// by every operator (see [`Module::interpositions`]).
+/// by every operator (see [`Module::interpositions`]). A merge or
+/// override step's result also carries the counter its chain's local
+/// qualification reached (see [`qualify_locals`]), by value, so the
+/// next step continues it whether the result was just computed or came
+/// out of a cache; every other operator drops it.
 ///
 /// # Examples
 ///
@@ -70,7 +80,14 @@ pub enum MergeMode {
 pub struct Module {
     view: View,
     /// Symbols an `override` conflict replaced, sorted and deduplicated.
-    interposed: Vec<String>,
+    /// Boxed rather than a `Vec`, and the counter below a `u32`, because
+    /// the eval cache holds a module per m-graph node: this struct's size
+    /// shows in a server's peak memory.
+    interposed: Box<[String]>,
+    /// Set only on a merge or override step's result, whose object is
+    /// known valid: the fresh-local counter the next step continues
+    /// (unset past `u32::MAX`, when the next step qualifies afresh).
+    chain: Option<u32>,
 }
 
 impl Module {
@@ -91,7 +108,8 @@ impl Module {
     pub fn from_view(view: View) -> Module {
         Module {
             view,
-            interposed: Vec::new(),
+            interposed: Box::default(),
+            chain: None,
         }
     }
 
@@ -123,9 +141,11 @@ impl Module {
     /// that stands in for it.
     #[must_use]
     pub fn with_interpositions(mut self, names: &[String]) -> Module {
-        self.interposed.extend_from_slice(names);
-        self.interposed.sort();
-        self.interposed.dedup();
+        let mut all = std::mem::take(&mut self.interposed).into_vec();
+        all.extend_from_slice(names);
+        all.sort();
+        all.dedup();
+        self.interposed = all.into_boxed_slice();
         self
     }
 
@@ -171,6 +191,7 @@ impl Module {
         Ok(Module {
             view,
             interposed: self.interposed.clone(),
+            chain: None,
         })
     }
 
@@ -241,73 +262,149 @@ impl Module {
 
     /// `initializers`: synthesizes a `__static_init` routine calling every
     /// static-initializer symbol (see [`generate_initializers`]) and merges
-    /// it into this module.
+    /// it into this module. Not a merge operator: the merge it runs
+    /// qualifies this module's locals afresh, and its result carries no
+    /// chain counter.
     pub fn initializers(self) -> Result<Module> {
         let obj = self.view.into_object()?;
         let init = generate_initializers(&obj)?;
         let acc = Module {
             view: View::from_object(obj),
             interposed: self.interposed,
+            chain: None,
         };
-        acc.merge_with(Module::from_object(init))
+        let merged = acc.merge_with(Module::from_object(init))?;
+        Ok(Module {
+            chain: None,
+            ..merged
+        })
     }
 }
 
-/// Combines two modules into one concrete object: `a`'s object is the
-/// accumulator, renamed and appended into in place, so a step costs
-/// `b`'s size plus a pass over `a`'s symbols and relocations, never a
-/// copy of `a`'s section bytes. The result's interposition record is
-/// both operands' records plus the conflicts this step overrides.
+/// Combines two modules into one concrete object, at the cost of `b`
+/// alone when `a` came out of an earlier step: `a`'s object is the
+/// accumulator, appended into in place (no accumulated bytes are
+/// copied); `b` is appended from a borrow of its shared object when it
+/// has no pending view operations. Neither `a`'s symbols nor its
+/// relocations are walked, except where [`qualify_locals`] has to
+/// qualify them (the first step of a chain, or a rare name clash), and
+/// only `b` is validated unless `a` is not yet known valid. The
+/// result's interposition record is both operands' records plus the
+/// conflicts this step overrides.
 fn combine(a: Module, b: Module, mode: MergeMode) -> Result<Module> {
-    let mut interposed = a.interposed;
-    interposed.extend(b.interposed);
+    let mut interposed = a.interposed.into_vec();
+    let recorded = interposed.len();
+    interposed.extend(b.interposed.into_vec());
     let mut acc = a.view.into_object()?;
-    let ob = b.view.into_object()?;
-    acc.name = format!("{}+{}", acc.name, ob.name);
-
-    // The accumulator's locals take the first fresh names, as if it were
-    // appended into an empty object.
-    let mut uniq = 0usize;
-    rename_locals(&mut acc, |_| false, &mut uniq)?;
-    append_object(&mut acc, ob, mode, &mut uniq, &mut interposed)?;
-    acc.validate()?;
-    interposed.sort();
-    interposed.dedup();
+    let ob = if b.view.op_count() == 0 {
+        Cow::Borrowed(&**b.view.base())
+    } else {
+        Cow::Owned(b.view.into_object()?)
+    };
+    // A step's result is known valid; a part that is not valid makes
+    // the whole object be checked below, for the first error it meets.
+    let parts_valid = (a.chain.is_some() || acc.validate().is_ok())
+        && (b.chain.is_some() || ob.validate().is_ok());
+    acc.name.push('+');
+    acc.name.push_str(&ob.name);
+    let carried = a.chain.map(|n| n as usize);
+    let (fresh, next) = qualify_locals(&mut acc, carried, &ob.symbols)?;
+    append_object(&mut acc, ob, &fresh, mode, &mut interposed)?;
+    if !parts_valid {
+        acc.validate()?;
+    }
+    if interposed.len() > recorded {
+        interposed.sort();
+        interposed.dedup();
+    }
     Ok(Module {
         view: View::from_object(acc),
-        interposed,
+        interposed: interposed.into_boxed_slice(),
+        chain: u32::try_from(next).ok(),
     })
 }
 
-/// Gives each of `obj`'s local symbols a fresh `$u{n}` name, drawn in
-/// table order from the shared counter `uniq` (a candidate already in
-/// `obj` or for which `taken` holds is skipped), and points its
-/// relocations at the new names. The module combiner renames the
-/// accumulator's locals this way before each step, and the static
-/// analyzer replays it to keep the same scoping.
-pub fn rename_locals(
-    obj: &mut ObjectFile,
-    taken: impl Fn(&str) -> bool,
-    uniq: &mut usize,
-) -> Result<()> {
-    let fresh = fresh_locals(&obj.symbols, taken, uniq);
-    rename_relocs(&mut obj.relocs, &obj.symbols, &fresh);
+/// Qualifies the local symbols of one merge step — the one scoping rule
+/// the module combiner and the static analyzer share. A local gets its
+/// one `$u{n}` suffix when it enters a chain, drawn from the chain's
+/// counter in table order:
+///
+/// * `carried` is the counter an earlier step left on `acc` (see
+///   [`Module`]); without one, every local of `acc` is qualified first,
+///   counting from 0, as if `acc` entered a new chain;
+/// * with one, `acc`'s locals keep their names, unless `incoming` binds
+///   one of them as a non-local name: only those move (the rare path
+///   that walks `acc`'s relocations);
+/// * a fresh name for `acc` skips every name in `acc` and every
+///   non-local name in `incoming`; a fresh name for `incoming` skips
+///   every name in either table.
+///
+/// Renames `acc` in place and returns `incoming`'s fresh names, by table
+/// position, with the counter the result carries.
+pub fn qualify_locals(
+    acc: &mut ObjectFile,
+    carried: Option<usize>,
+    incoming: &SymbolTable,
+) -> Result<(Vec<Option<String>>, usize)> {
+    let mut uniq = carried.unwrap_or(0);
+    let binds = |name: &str| {
+        incoming
+            .get(name)
+            .is_some_and(|s| s.binding != SymbolBinding::Local)
+    };
+    let clash = carried.is_some()
+        && incoming.iter().any(|s| {
+            s.binding != SymbolBinding::Local
+                && acc
+                    .symbols
+                    .get(&s.name)
+                    .is_some_and(|e| e.binding == SymbolBinding::Local)
+        });
+    if carried.is_none() || clash {
+        let moves = |s: &Symbol| carried.is_none() || binds(&s.name);
+        let renamed = fresh_locals(&acc.symbols, moves, binds, &mut uniq);
+        rename_locals(acc, renamed)?;
+    }
+    let fresh = fresh_locals(
+        incoming,
+        |_| true,
+        |c| acc.symbols.get(c).is_some(),
+        &mut uniq,
+    );
+    Ok((fresh, uniq))
+}
+
+/// Renames `obj`'s symbols by table position — entry `i` takes
+/// `fresh[i]` when it is set — and points its relocations at the new
+/// names. [`qualify_locals`] renames an accumulator this way, and the
+/// static analyzer applies an incoming operand's fresh names with it.
+pub fn rename_locals(obj: &mut ObjectFile, fresh: Vec<Option<String>>) -> Result<()> {
+    if fresh.iter().all(Option::is_none) {
+        return Ok(());
+    }
+    for r in &mut obj.relocs {
+        if let Some(name) = qualified(&obj.symbols, &fresh, &r.symbol) {
+            r.symbol.clone_from(name);
+        }
+    }
     obj.symbols.rename_positions(fresh)
 }
 
-/// Fresh `$u{n}` names for `table`'s local symbols, by position, drawn
-/// in table order from the shared counter `uniq`: a candidate already
-/// in `table` or `taken` is skipped. Fresh names never collide with one
-/// another (each ends in a distinct counter value).
+/// Fresh `$u{n}` names for the local symbols of `table` that `moves`
+/// selects, by position, drawn in table order from the shared counter
+/// `uniq`: a candidate already in `table` or `taken` is skipped. Fresh
+/// names never collide with one another (each ends in a distinct
+/// counter value).
 fn fresh_locals(
     table: &SymbolTable,
+    moves: impl Fn(&Symbol) -> bool,
     taken: impl Fn(&str) -> bool,
     uniq: &mut usize,
 ) -> Vec<Option<String>> {
     table
         .iter()
         .map(|sym| {
-            (sym.binding == SymbolBinding::Local).then(|| loop {
+            (sym.binding == SymbolBinding::Local && moves(sym)).then(|| loop {
                 let candidate = format!("{}$u{}", sym.name, *uniq);
                 *uniq += 1;
                 if table.get(&candidate).is_none() && !taken(&candidate) {
@@ -318,40 +415,32 @@ fn fresh_locals(
         .collect()
 }
 
-/// Points relocations against `table`'s renamed locals at their fresh
-/// names.
-fn rename_relocs(relocs: &mut [Relocation], table: &SymbolTable, fresh: &[Option<String>]) {
-    for r in relocs {
-        let renamed = table.position(&r.symbol).and_then(|i| fresh[i].as_ref());
-        if let Some(name) = renamed {
-            r.symbol.clone_from(name);
-        }
-    }
+/// The fresh name `fresh` gives `table`'s entry `name`, if any.
+fn qualified<'a>(
+    table: &SymbolTable,
+    fresh: &'a [Option<String>],
+    name: &str,
+) -> Option<&'a String> {
+    table.position(name).and_then(|i| fresh[i].as_ref())
 }
 
 /// Appends `src`'s sections, symbols, and relocations into `dst`,
-/// uniquifying local symbols and remapping section indices. Under
-/// [`MergeMode::Override`] each def-def conflict's name is pushed onto
-/// `interposed`.
+/// giving `src`'s entries their `fresh` names (by table position) and
+/// remapping section indices. Sections are moved when `src` is owned
+/// and copied when it is borrowed. Under [`MergeMode::Override`] each
+/// def-def conflict's name is pushed onto `interposed`.
 fn append_object(
     dst: &mut ObjectFile,
-    mut src: ObjectFile,
+    src: Cow<'_, ObjectFile>,
+    fresh: &[Option<String>],
     mode: MergeMode,
-    uniq: &mut usize,
     interposed: &mut Vec<String>,
 ) -> Result<()> {
     let base = dst.sections.len();
-
-    // Uniquify local symbol names to keep per-object scoping after the
-    // tables fuse. References inside `src` follow the rename.
-    let fresh = fresh_locals(&src.symbols, |c| dst.symbols.get(c).is_some(), uniq);
-    rename_relocs(&mut src.relocs, &src.symbols, &fresh);
-
-    dst.sections.append(&mut src.sections);
     for (sym, fresh) in src.symbols.iter().zip(fresh) {
         let mut s = sym.clone();
         if let Some(name) = fresh {
-            s.name = name;
+            s.name.clone_from(name);
         }
         if let SymbolDef::Defined { section, offset } = s.def {
             s.def = SymbolDef::Defined {
@@ -382,11 +471,23 @@ fn append_object(
             }
         }
     }
-    dst.relocs
-        .extend(src.relocs.into_iter().map(|r| Relocation {
+    let qualifies = fresh.iter().any(Option::is_some);
+    dst.relocs.extend(src.relocs.iter().map(|r| {
+        let target = if qualifies {
+            qualified(&src.symbols, fresh, &r.symbol)
+        } else {
+            None
+        };
+        Relocation {
             section: r.section + base,
-            ..r
-        }));
+            symbol: target.unwrap_or(&r.symbol).clone(),
+            ..*r
+        }
+    }));
+    match src {
+        Cow::Owned(o) => dst.sections.extend(o.sections),
+        Cow::Borrowed(o) => dst.sections.extend_from_slice(&o.sections),
+    }
     Ok(())
 }
 
@@ -661,6 +762,62 @@ _entry:     call _undefined_routine
         assert_eq!(locals.len(), 2);
         let targets: Vec<&String> = obj.relocs.iter().map(|r| &r.symbol).collect();
         assert_ne!(targets[0], targets[1]);
+    }
+
+    /// `a` keeps a local `helper` that its `_fa` calls; the result is
+    /// merged with operands defining `globals`, and `helper`'s reference
+    /// must still reach `a`'s local while every global keeps its name.
+    fn merge_local_past_globals(globals: &[&str], mode: MergeMode) -> ObjectFile {
+        let a = module(".text\n.global _fa\nhelper: ret\n_fa: call helper\n ret\n");
+        let mut acc = a;
+        for (i, g) in globals.iter().enumerate() {
+            let b = module(&format!(
+                ".text\n.global _f{i}, {g}\n_f{i}: ret\n{g}: ret\n"
+            ));
+            acc = combine(acc, b, mode).unwrap();
+        }
+        let obj = acc.into_object().unwrap();
+        obj.validate().unwrap();
+        for g in globals {
+            let sym = obj.symbols.get(g).unwrap();
+            assert_eq!(sym.binding, SymbolBinding::Global, "{g} keeps its name");
+        }
+        let call = &obj.relocs[0];
+        let target = obj.symbols.get(&call.symbol).unwrap();
+        assert_eq!(target.binding, SymbolBinding::Local, "{}", call.symbol);
+        assert_eq!(
+            target.def,
+            SymbolDef::Defined {
+                section: 0,
+                offset: 0
+            }
+        );
+        obj
+    }
+
+    #[test]
+    fn accumulator_local_dodges_the_next_operands_global() {
+        let obj = merge_local_past_globals(&["helper$u0"], MergeMode::Strict);
+        assert_eq!(obj.relocs[0].symbol, "helper$u1");
+        let overridden = merge_local_past_globals(&["helper$u0"], MergeMode::Override);
+        assert_eq!(overridden.relocs[0].symbol, "helper$u1");
+    }
+
+    #[test]
+    fn override_of_a_global_named_like_a_local_records_no_interposition() {
+        let a = module(".text\n.global _fa\nhelper: ret\n_fa: call helper\n ret\n");
+        let b = module(".text\n.global helper$u0\nhelper$u0: ret\n");
+        assert!(a.override_with(b).unwrap().interpositions().is_empty());
+    }
+
+    #[test]
+    fn chained_local_dodges_a_later_operands_global() {
+        // The spelling an accumulated local had under per-step renaming.
+        merge_local_past_globals(&["_mid", "helper$u0$u0"], MergeMode::Strict);
+        // The local's own qualified name, taken by a later global: the
+        // local moves, the global keeps its name.
+        let obj = merge_local_past_globals(&["_mid", "helper$u0"], MergeMode::Strict);
+        assert_eq!(obj.relocs[0].symbol, "helper$u0$u1");
     }
 
     #[test]
