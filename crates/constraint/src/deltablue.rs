@@ -349,17 +349,13 @@ impl Planner {
     fn recalculate(&mut self, c: ConId) {
         let strength = self.cons[c.0].strength;
         let out = self.cons[c.0].output();
-        match self.cons[c.0].kind {
-            Kind::Stay(_) => {
+        // Only a binary (scale) constraint has an input.
+        match self.cons[c.0].input() {
+            None => {
                 self.vars[out.0].walk = strength;
-                self.vars[out.0].stay = true;
+                self.vars[out.0].stay = matches!(self.cons[c.0].kind, Kind::Stay(_));
             }
-            Kind::Edit(_) => {
-                self.vars[out.0].walk = strength;
-                self.vars[out.0].stay = false;
-            }
-            Kind::Scale { .. } => {
-                let input = self.cons[c.0].input().expect("binary has input");
+            Some(input) => {
                 self.vars[out.0].walk = strength.weakest_of(self.vars[input.0].walk);
                 self.vars[out.0].stay = self.vars[input.0].stay;
                 if self.vars[out.0].stay {

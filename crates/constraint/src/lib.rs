@@ -15,6 +15,11 @@
 //!   future work (§10), implemented in full and wired into an alternative
 //!   chain-layout strategy for the ablation benchmarks.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod deltablue;
 pub mod solver;
 

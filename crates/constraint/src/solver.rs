@@ -1,7 +1,5 @@
 //! The prioritized address-space placement solver.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;

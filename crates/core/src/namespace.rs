@@ -14,12 +14,13 @@
 //! so many server threads can resolve concurrently while binds
 //! serialize briefly on the write lock.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use omos_blueprint::Blueprint;
-use omos_obj::ObjectFile;
+use omos_obj::{ContentHash, ObjectFile};
 
 use crate::error::OmosError;
 
@@ -32,11 +33,20 @@ pub enum Entry {
     Meta(Arc<Blueprint>),
 }
 
+/// One binding: the entry and, for a meta-object, its blueprint key.
+/// The key is hashed once, at bind, so a request for the path never
+/// re-hashes the m-graph.
+#[derive(Debug)]
+struct Binding {
+    entry: Entry,
+    key: Option<ContentHash>,
+}
+
 /// Entries plus the per-path touch epochs, guarded together so a bind
 /// updates both atomically with respect to readers.
 #[derive(Debug, Default)]
 struct Tables {
-    entries: BTreeMap<String, Entry>,
+    entries: BTreeMap<String, Binding>,
     /// Generation at which each path was last bound or unbound. Paths
     /// never touched are absent (epoch 0, before any snapshot).
     touched: BTreeMap<String, u64>,
@@ -52,7 +62,15 @@ pub struct Namespace {
     generation: AtomicU64,
 }
 
-pub(crate) fn normalize(path: &str) -> String {
+/// The normal form of `path`: one leading `/`, no empty components, no
+/// trailing `/`. A path already in normal form (every path the server
+/// itself records) is borrowed, not copied.
+pub(crate) fn normalize(path: &str) -> Cow<'_, str> {
+    let normal =
+        path == "/" || (path.starts_with('/') && !path.ends_with('/') && !path.contains("//"));
+    if normal {
+        return Cow::Borrowed(path);
+    }
     let mut out = String::from("/");
     for comp in path.split('/').filter(|c| !c.is_empty()) {
         if !out.ends_with('/') {
@@ -60,7 +78,7 @@ pub(crate) fn normalize(path: &str) -> String {
         }
         out.push_str(comp);
     }
-    out
+    Cow::Owned(out)
 }
 
 impl Namespace {
@@ -85,9 +103,9 @@ impl Namespace {
 
     /// Records a mutation of `path` under the write lock and returns the
     /// new generation.
-    fn touch(&self, tables: &mut Tables, path: String) -> u64 {
+    fn touch(&self, tables: &mut Tables, path: Cow<'_, str>) -> u64 {
         let g = self.generation.load(Ordering::Relaxed) + 1;
-        tables.touched.insert(path, g);
+        tables.touched.insert(path.into_owned(), g);
         self.generation.store(g, Ordering::Release);
         g
     }
@@ -95,11 +113,15 @@ impl Namespace {
     /// Binds `entry` at `path` (replacing any existing entry).
     pub(crate) fn bind_entry(&self, path: &str, entry: Entry) {
         let p = normalize(path);
+        let key = match &entry {
+            Entry::Meta(bp) => Some(bp.hash()),
+            Entry::Object(_) => None,
+        };
         let mut t = self
             .tables
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        t.entries.insert(p.clone(), entry);
+        t.entries.insert(p.to_string(), Binding { entry, key });
         self.touch(&mut t, p);
     }
 
@@ -128,7 +150,7 @@ impl Namespace {
             .tables
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let removed = t.entries.remove(&p).is_some();
+        let removed = t.entries.remove(&*p).is_some();
         if removed {
             self.touch(&mut t, p);
         }
@@ -138,7 +160,19 @@ impl Namespace {
     /// Looks a path up.
     #[must_use]
     pub fn lookup(&self, path: &str) -> Option<Entry> {
-        self.read().entries.get(&normalize(path)).cloned()
+        self.lookup_keyed(path).map(|(entry, _)| entry)
+    }
+
+    /// Looks a path up with its blueprint key: a meta-object's key was
+    /// hashed when it was bound (and equals its blueprint's `hash()`);
+    /// an object has none. Both come from one read of the table, so the
+    /// key always belongs to the entry beside it.
+    #[must_use]
+    pub fn lookup_keyed(&self, path: &str) -> Option<(Entry, Option<ContentHash>)> {
+        self.read()
+            .entries
+            .get(&*normalize(path))
+            .map(|b| (b.entry.clone(), b.key))
     }
 
     /// True if `path` was bound or unbound after generation `gen`.
@@ -146,7 +180,7 @@ impl Namespace {
     pub fn touched_since(&self, path: &str, gen: u64) -> bool {
         self.read()
             .touched
-            .get(&normalize(path))
+            .get(&*normalize(path))
             .is_some_and(|&g| g > gen)
     }
 
@@ -161,7 +195,7 @@ impl Namespace {
         let t = self.read();
         paths
             .into_iter()
-            .any(|p| t.touched.get(&normalize(p)).is_some_and(|&g| g > gen))
+            .any(|p| t.touched.get(&*normalize(p)).is_some_and(|&g| g > gen))
     }
 
     /// Lists the immediate children of a directory path, with a marker
@@ -176,7 +210,7 @@ impl Namespace {
         };
         let t = self.read();
         let mut out: Vec<(String, &'static str)> = Vec::new();
-        for (k, v) in t.entries.range(prefix.clone()..) {
+        for (k, b) in t.entries.range(prefix.clone()..) {
             if !k.starts_with(&prefix) {
                 break;
             }
@@ -192,7 +226,7 @@ impl Namespace {
                     }
                 }
                 None => {
-                    let kind = match v {
+                    let kind = match b.entry {
                         Entry::Object(_) => "obj",
                         Entry::Meta(_) => "meta",
                     };
@@ -212,7 +246,7 @@ impl Namespace {
         self.read()
             .entries
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, b)| (k.clone(), b.entry.clone()))
             .collect()
     }
 
@@ -314,5 +348,48 @@ mod tests {
         let ns = Namespace::new();
         ns.bind_object("lib//x.o", assemble("x", ".text\nnop\n").unwrap());
         assert!(ns.lookup("/lib/x.o").is_some());
+    }
+
+    #[test]
+    fn normal_paths_are_borrowed() {
+        for p in ["/", "/a", "/lib/x.o", "/a/b/c"] {
+            assert!(matches!(normalize(p), Cow::Borrowed(q) if q == p), "{p}");
+        }
+        for (p, want) in [
+            ("", "/"),
+            ("//", "/"),
+            ("a", "/a"),
+            ("/a/", "/a"),
+            ("//a//b", "/a/b"),
+            ("lib/x.o/", "/lib/x.o"),
+        ] {
+            assert!(
+                matches!(normalize(p), Cow::Owned(ref q) if q == want),
+                "{p}"
+            );
+        }
+    }
+
+    #[test]
+    fn meta_bindings_carry_their_blueprint_key() {
+        let ns = Namespace::new();
+        ns.bind_object("/obj/a.o", assemble("a", ".text\nnop\n").unwrap());
+        ns.bind_blueprint("/bin/a", "(merge /obj/a.o)").unwrap();
+        let Some((Entry::Meta(bp), Some(key))) = ns.lookup_keyed("bin//a") else {
+            panic!("a keyed meta-object");
+        };
+        assert_eq!(key, bp.hash());
+        assert!(matches!(
+            ns.lookup_keyed("/obj/a.o"),
+            Some((Entry::Object(_), None))
+        ));
+        // A rebind re-keys the path.
+        ns.bind_blueprint("/bin/a", "(hide \"_x\" (merge /obj/a.o))")
+            .unwrap();
+        let Some((Entry::Meta(bp2), Some(key2))) = ns.lookup_keyed("/bin/a") else {
+            panic!("a keyed meta-object");
+        };
+        assert_eq!(key2, bp2.hash());
+        assert_ne!(key2, key);
     }
 }

@@ -47,6 +47,7 @@
 //!   paths lazily invalidates exactly those rows on first probe.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use omos_blueprint::{Blueprint, LinkPolicy, MNode, PolicyKind, SpecKind, MAX_NODE_DEPTH};
@@ -801,7 +802,7 @@ impl Omos {
                 let deps: BTreeSet<String> = row.deps.iter().cloned().collect();
                 server.reply_cache.insert(
                     row.key,
-                    ReplyEntry {
+                    Arc::new(ReplyEntry {
                         reply: InstantiateReply {
                             program,
                             libraries,
@@ -813,9 +814,10 @@ impl Omos {
                         },
                         deps: Arc::new(deps),
                         gen: g0,
+                        validated: AtomicU64::new(g0),
                         blueprint: Arc::new(bp),
                         manifest: Arc::new(row.manifest.clone()),
-                    },
+                    }),
                 );
                 report.replies += 1;
                 report.manifest_verified += 1;

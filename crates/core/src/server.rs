@@ -185,12 +185,18 @@ struct EvalEntry {
 
 /// A cached full reply plus its dependency record. `pub(crate)` so the
 /// persistence layer can write reply rows into a checkpoint and install
-/// them back on restore.
-#[derive(Debug, Clone)]
+/// them back on restore. The cache holds each entry behind one `Arc`,
+/// so a probe copies a pointer and then the reply, nothing else.
+#[derive(Debug)]
 pub(crate) struct ReplyEntry {
     pub(crate) reply: InstantiateReply,
     pub(crate) deps: Arc<BTreeSet<String>>,
     pub(crate) gen: u64,
+    /// The namespace generation at which `deps` were last found
+    /// untouched since `gen` (it starts at `gen`). A probe that reads
+    /// this same generation skips the dependency walk: no bind has
+    /// finished since the last walk passed.
+    pub(crate) validated: AtomicU64,
     /// The blueprint the reply answers — persisted so a restore can
     /// re-derive the resolution statically and verify it.
     pub(crate) blueprint: Arc<Blueprint>,
@@ -272,8 +278,10 @@ pub struct Omos {
     solver: Mutex<PlacementSolver>,
     counters: Counters,
     eval_cache: Sharded<ContentHash, EvalEntry>,
-    pub(crate) reply_cache: Sharded<ContentHash, ReplyEntry>,
-    reply_flight: SingleFlight<ContentHash, Result<InstantiateReply, OmosError>>,
+    pub(crate) reply_cache: Sharded<ContentHash, Arc<ReplyEntry>>,
+    /// Reply builds in flight, by blueprint key; each result carries the
+    /// namespace generation its leader started at.
+    reply_flight: SingleFlight<ContentHash, (Result<InstantiateReply, OmosError>, u64)>,
     image_flight: SingleFlight<ContentHash, Result<(Arc<CachedImage>, u64), OmosError>>,
     dynamic: RwLock<Vec<Arc<DynamicLib>>>,
     dynamic_keys: Mutex<HashMap<ContentHash, u32>>,
@@ -409,17 +417,22 @@ impl Omos {
     /// Lints the meta-object (or bare fragment) at `path` without
     /// instantiating anything.
     pub fn lint(&self, path: &str) -> Result<Vec<Diagnostic>, OmosError> {
-        Ok(self.lint_blueprint(&*self.blueprint_at(path)?))
+        Ok(self.lint_blueprint(&self.blueprint_at(path)?.0))
     }
 
-    /// The blueprint bound at `path`: a meta-object's own, or a bare
-    /// fragment wrapped as a leaf.
-    fn blueprint_at(&self, path: &str) -> Result<Arc<Blueprint>, OmosError> {
-        match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => Ok(bp),
-            Some(Entry::Object(_)) => Ok(Arc::new(Blueprint::from_root(MNode::Leaf(
-                path.to_string(),
-            )))),
+    /// The blueprint bound at `path` and its key: a meta-object's own
+    /// (keyed when it was bound), or a bare fragment wrapped as a leaf.
+    fn blueprint_at(&self, path: &str) -> Result<(Arc<Blueprint>, ContentHash), OmosError> {
+        match self.namespace.lookup_keyed(path) {
+            Some((Entry::Meta(bp), key)) => {
+                let key = key.unwrap_or_else(|| bp.hash());
+                Ok((bp, key))
+            }
+            Some((Entry::Object(_), _)) => {
+                let bp = Blueprint::from_root(MNode::Leaf(path.to_string()));
+                let key = bp.hash();
+                Ok((Arc::new(bp), key))
+            }
             None => Err(OmosError::NoSuchName(path.to_string())),
         }
     }
@@ -441,84 +454,106 @@ impl Omos {
     /// Instantiates the meta-object (or bare fragment) at `path`.
     pub fn instantiate(&self, path: &str) -> Result<InstantiateReply, OmosError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let bp = self.blueprint_at(path)?;
-        self.request(&bp, Some(path))
+        let (bp, key) = self.blueprint_at(path)?;
+        self.request(&bp, key, Some(path))
     }
 
     /// Instantiates an arbitrary blueprint (the paper's "execution of
     /// arbitrary blueprints" dynamic-loading interface).
     pub fn instantiate_blueprint(&self, bp: &Blueprint) -> Result<InstantiateReply, OmosError> {
-        self.request(&Arc::new(bp.clone()), None)
+        self.request(&Arc::new(bp.clone()), bp.hash(), None)
     }
 
     /// Serves one instantiation: reply cache, then single-flight (the
     /// leader builds, concurrent identical requests coalesce). A stale
     /// reply is a miss like any other: its rebuild is the cold build,
     /// on a server whose caches still hold everything the rebind left
-    /// untouched.
+    /// untouched. `key` is `bp`'s hash.
+    ///
+    /// A request answers from the namespace as of its start, or later:
+    /// a follower takes the leader's result only if the leader started
+    /// at the follower's generation or after. Otherwise a bind may have
+    /// finished in between, so it probes again (the leader's fresh entry
+    /// revalidates against its own dependencies) and at worst leads a
+    /// build of its own.
     fn request(
         &self,
         bp: &Arc<Blueprint>,
+        key: ContentHash,
         root: Option<&str>,
     ) -> Result<InstantiateReply, OmosError> {
         let guard = self.tracer.begin_request(SpanKind::Request);
         let req = guard.req();
-        let key = bp.hash();
-        if let Some(mut hit) = self.probe_reply(key) {
-            hit.req = req;
-            return Ok(hit);
-        }
-        // Double-check inside the flight: a leader elected just after a
-        // previous flight completed finds the fresh entry instead of
-        // rebuilding.
-        let (result, led) = self.reply_flight.run(key, || {
-            self.tracer.flight(FlightRole::Leader, 0);
-            match self.probe_reply(key) {
-                Some(hit) => Ok(hit),
-                None => self.build_reply(bp, root, key),
+        let gen = self.namespace.generation();
+        loop {
+            if let Some(mut hit) = self.probe_reply(key, gen) {
+                hit.req = req;
+                return Ok(hit);
             }
-        });
-        if led {
-            return result.map(|mut reply| {
-                reply.req = req;
-                reply
+            // Double-check inside the flight: a leader elected just after
+            // a previous flight completed finds the fresh entry instead
+            // of rebuilding.
+            let ((result, leader_gen), led) = self.reply_flight.run(key, || {
+                self.tracer.flight(FlightRole::Leader, 0);
+                let result = match self.probe_reply(key, gen) {
+                    Some(hit) => Ok(hit),
+                    None => self.build_reply(bp, root, key),
+                };
+                (result, gen)
             });
-        }
-        self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-        match result {
-            Ok(mut reply) => {
-                // Followers share the leader's frames without doing link
-                // work of their own — from their side it is a cache hit,
-                // and their timeline is the wait for the leader's build.
-                self.tracer.flight(FlightRole::Coalesced, reply.server_ns);
-                reply.cache_hit = true;
-                reply.req = req;
-                Ok(reply)
+            if led {
+                return result.map(|mut reply| {
+                    reply.req = req;
+                    reply
+                });
             }
-            Err(e) => {
-                self.tracer.flight(FlightRole::Coalesced, 0);
-                Err(e)
+            if leader_gen < gen {
+                continue;
             }
+            self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            return match result {
+                Ok(mut reply) => {
+                    // Followers share the leader's frames without doing
+                    // link work of their own — from their side it is a
+                    // cache hit, and their timeline is the wait for the
+                    // leader's build.
+                    self.tracer.flight(FlightRole::Coalesced, reply.server_ns);
+                    reply.cache_hit = true;
+                    reply.req = req;
+                    Ok(reply)
+                }
+                Err(e) => {
+                    self.tracer.flight(FlightRole::Coalesced, 0);
+                    Err(e)
+                }
+            };
         }
     }
 
     /// Validated reply-cache probe: entries whose dependency paths were
     /// touched after their derivation generation are dropped (lazy,
-    /// key-selective invalidation) and answer as a miss.
-    fn probe_reply(&self, key: ContentHash) -> Option<InstantiateReply> {
+    /// key-selective invalidation) and answer as a miss. The walk over
+    /// the dependencies runs only when a bind finished since the entry
+    /// was last validated. `now` is the namespace generation, read
+    /// before the probe: a walk that passes records it, and a bind that
+    /// finishes during the walk must not be covered by the record.
+    fn probe_reply(&self, key: ContentHash, now: u64) -> Option<InstantiateReply> {
         let Some(entry) = self.reply_cache.get(&key) else {
             self.tracer.probe(CacheKind::Reply, ProbeOutcome::Miss);
             return None;
         };
-        if self
-            .namespace
-            .any_touched_since(entry.deps.iter(), entry.gen)
-        {
-            self.reply_cache.remove(&key);
-            self.tracer.probe(CacheKind::Reply, ProbeOutcome::Stale);
-            self.tracer
-                .evict(CacheKind::Reply, EvictReason::Invalidated, 1);
-            return None;
+        if entry.validated.load(Ordering::Acquire) != now {
+            if self
+                .namespace
+                .any_touched_since(entry.deps.iter(), entry.gen)
+            {
+                self.drop_stale_reply(key, &entry);
+                self.tracer.probe(CacheKind::Reply, ProbeOutcome::Stale);
+                self.tracer
+                    .evict(CacheKind::Reply, EvictReason::Invalidated, 1);
+                return None;
+            }
+            entry.validated.fetch_max(now, Ordering::AcqRel);
         }
         self.tracer.probe(CacheKind::Reply, ProbeOutcome::Hit);
         self.counters
@@ -532,6 +567,24 @@ impl Omos {
         reply.latency_ns = server_ns;
         reply.cache_hit = true;
         Some(reply)
+    }
+
+    /// Drops the eval entry a probe judged stale, unless a concurrent
+    /// build has already replaced it. Entries carry no identity of their
+    /// own, so the judged one is recognised by its dependency record and
+    /// derivation generation; an entry that matches both is exactly as
+    /// stale.
+    fn drop_stale_eval(&self, key: ContentHash, judged: &EvalEntry) {
+        self.eval_cache.remove_if(&key, |stored| {
+            stored.gen == judged.gen && Arc::ptr_eq(&stored.deps, &judged.deps)
+        });
+    }
+
+    /// Drops the reply entry a probe judged stale, unless a concurrent
+    /// build has already replaced it with a fresh one.
+    fn drop_stale_reply(&self, key: ContentHash, judged: &Arc<ReplyEntry>) {
+        self.reply_cache
+            .remove_if(&key, |stored| Arc::ptr_eq(stored, judged));
     }
 
     /// Applies the blueprint's link policies to a fresh evaluation:
@@ -934,7 +987,7 @@ impl Omos {
     /// [`Omos::explain_blueprint`] for the meta-object (or bare
     /// fragment) bound at `path`.
     pub fn explain(&self, path: &str) -> Result<ResolutionManifest, OmosError> {
-        self.explain_blueprint(&*self.blueprint_at(path)?)
+        self.explain_blueprint(&self.blueprint_at(path)?.0)
     }
 
     /// Caches a freshly built reply under its blueprint key. The
@@ -956,13 +1009,14 @@ impl Omos {
         }
         self.reply_cache.insert(
             key,
-            ReplyEntry {
+            Arc::new(ReplyEntry {
                 reply: reply.clone(),
                 gen,
+                validated: AtomicU64::new(gen),
                 deps: Arc::new(deps),
                 blueprint: Arc::clone(bp),
                 manifest: Arc::new(manifest.encode()),
-            },
+            }),
         );
     }
 
@@ -1143,8 +1197,8 @@ impl EvalContext for ReqCtx<'_> {
                     deps: entry.deps,
                 })
             }
-            Some(_) => {
-                self.server.eval_cache.remove(&key);
+            Some(judged) => {
+                self.server.drop_stale_eval(key, &judged);
                 self.server
                     .tracer
                     .probe(CacheKind::Eval, ProbeOutcome::Stale);
@@ -1301,6 +1355,77 @@ mod tests {
         assert_eq!(reply.libraries[0].image.find("_puts"), Some(0x0100_0000));
         assert_eq!(s.stats().libraries_built, 1);
         assert_eq!(s.stats().programs_built, 1);
+    }
+
+    #[test]
+    fn a_late_stale_drop_keeps_the_reply_a_rebuild_inserted() {
+        let s = server();
+        s.instantiate("/bin/hello").unwrap();
+        let (_, key) = s.blueprint_at("/bin/hello").unwrap();
+        let judged = s.reply_cache.get(&key).unwrap();
+        // A rebind makes the entry stale, and a concurrent request
+        // rebuilds it before the probe that judged the old entry drops it.
+        let Some(Entry::Object(obj)) = s.namespace.lookup("/libc/stdio.o") else {
+            panic!("an object");
+        };
+        s.namespace.bind_object("/libc/stdio.o", (*obj).clone());
+        assert!(!s.instantiate("/bin/hello").unwrap().cache_hit);
+        let built = s.stats().replies_built;
+        s.drop_stale_reply(key, &judged);
+        assert!(s.instantiate("/bin/hello").unwrap().cache_hit);
+        assert_eq!(s.stats().replies_built, built, "no second rebuild");
+    }
+
+    #[test]
+    fn a_late_stale_drop_keeps_the_eval_entry_a_rebuild_inserted() {
+        let s = server();
+        s.instantiate("/bin/hello").unwrap();
+        let (key, judged) = s
+            .eval_cache
+            .entries()
+            .into_iter()
+            .find(|(_, e)| e.deps.contains("/libc/stdio.o"))
+            .expect("the library's module is cached");
+        let Some(Entry::Object(obj)) = s.namespace.lookup("/libc/stdio.o") else {
+            panic!("an object");
+        };
+        s.namespace.bind_object("/libc/stdio.o", (*obj).clone());
+        assert!(!s.instantiate("/bin/hello").unwrap().cache_hit);
+        let fresh = s.eval_cache.get(&key).expect("rebuilt and cached again");
+        assert!(fresh.gen > judged.gen);
+        s.drop_stale_eval(key, &judged);
+        let kept = s.eval_cache.get(&key).expect("the fresh entry survives");
+        assert!(Arc::ptr_eq(&kept.deps, &fresh.deps));
+        s.drop_stale_eval(key, &fresh);
+        assert!(s.eval_cache.get(&key).is_none(), "the judged entry goes");
+    }
+
+    #[test]
+    fn hits_revalidate_only_after_a_bind() {
+        let s = server();
+        s.instantiate("/bin/hello").unwrap();
+        let (_, key) = s.blueprint_at("/bin/hello").unwrap();
+        let entry = s.reply_cache.get(&key).unwrap();
+        let g0 = s.namespace.generation();
+        assert_eq!(entry.validated.load(Ordering::Relaxed), g0);
+        assert!(s.instantiate("/bin/hello").unwrap().cache_hit);
+        // An unrelated bind moves the generation: the next hit walks the
+        // dependencies once and records the generation it read.
+        s.namespace
+            .bind_blueprint("/bin/other", "(merge /obj/hello.o)")
+            .unwrap();
+        let g1 = s.namespace.generation();
+        assert!(g1 > g0);
+        assert!(s.instantiate("/bin/hello").unwrap().cache_hit);
+        assert_eq!(entry.validated.load(Ordering::Relaxed), g1);
+        // A dependency's rebind still invalidates.
+        s.namespace
+            .bind_blueprint(
+                "/lib/libc",
+                "(constraint-list \"T\" 0x1000000 \"D\" 0x41000000)\n(merge /libc/stdio.o)",
+            )
+            .unwrap();
+        assert!(!s.instantiate("/bin/hello").unwrap().cache_hit);
     }
 
     #[test]
@@ -1652,12 +1777,13 @@ impl Omos {
         pattern: &str,
     ) -> Result<(InstantiateReply, Vec<String>), OmosError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let mut bp = Blueprint::clone(&*self.blueprint_at(path)?);
+        let mut bp = Blueprint::clone(&self.blueprint_at(path)?.0);
         bp.policies.push(LinkPolicy {
             kind: PolicyKind::Audit,
             pattern: pattern.to_string(),
         });
-        let reply = self.request(&Arc::new(bp), Some(path))?;
+        let key = bp.hash();
+        let reply = self.request(&Arc::new(bp), key, Some(path))?;
         let names = audit_names(&reply.program.image);
         Ok((reply, names))
     }

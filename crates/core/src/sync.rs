@@ -77,6 +77,24 @@ impl<K: Hash + Eq, V: Clone> Sharded<K, V> {
             .remove(key);
     }
 
+    /// Removes the entry under `key` only if `pred` holds for the value
+    /// stored there now, judged under the shard's write lock. A caller
+    /// that judged a cloned value (say, found it stale) passes a
+    /// predicate that recognises that value, so a fresh value another
+    /// thread inserted in between survives. Returns true if it removed
+    /// something.
+    pub fn remove_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> bool {
+        let mut shard = self
+            .shard(key)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let hit = shard.get(key).is_some_and(pred);
+        if hit {
+            shard.remove(key);
+        }
+        hit
+    }
+
     /// Total entries across all shards — a *consistent* point-in-time
     /// count. All shard read-locks are acquired in index order and held
     /// together while summing, so a concurrent insert+remove pair can
@@ -262,6 +280,21 @@ mod tests {
         m.remove(&1);
         assert!(m.get(&1).is_none());
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn remove_if_keeps_a_value_that_replaced_the_judged_one() {
+        let m: Sharded<u64, Arc<u64>> = Sharded::new(4);
+        m.insert(1, Arc::new(10));
+        let judged = m.get(&1).unwrap();
+        // Another thread replaces the value after it was judged.
+        m.insert(1, Arc::new(10));
+        assert!(!m.remove_if(&1, |v| Arc::ptr_eq(v, &judged)));
+        assert!(m.get(&1).is_some(), "the fresh value survives");
+        let fresh = m.get(&1).unwrap();
+        assert!(m.remove_if(&1, |v| Arc::ptr_eq(v, &fresh)));
+        assert!(m.get(&1).is_none());
+        assert!(!m.remove_if(&1, |_| true), "nothing left to remove");
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! per-library placement/link/framing, the program link, cache probes
 //! with their outcome, single-flight leadership vs. coalescing — plus
 //! client-side IPC and mapping spans recorded against the same request
-//! id. Spans land in a fixed-size ring buffer (bounded memory, oldest
-//! records overwritten; the hot path allocates nothing beyond the span
-//! record itself) and are aggregated into per-stage latency histograms
-//! and counter families snapshotted by [`Tracer::snapshot`] /
-//! `Omos::trace_snapshot`.
+//! id. Spans land in a bounded ring (oldest records overwritten) and are
+//! aggregated into per-stage latency histograms and counter families
+//! snapshotted by [`Tracer::snapshot`] / `Omos::trace_snapshot`.
+//!
+//! Recording is cheap enough to leave on: each thread records into its
+//! own shard of the tracer (counters, histograms, a ring segment and a
+//! block of request ids), so a hook does no shared read-modify-write
+//! and takes no lock. A snapshot sums the shards' counters and
+//! histograms and merges their segments.
 //!
 //! Timestamps live in the *simulation* domain: each request owns a
 //! cursor of SimClock-style nanoseconds that leaf spans advance, so a
@@ -31,8 +35,8 @@
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::Json;
 use crate::sync::lock;
@@ -286,8 +290,9 @@ impl SpanKind {
 pub struct SpanRecord {
     /// Request id the span belongs to (0 = outside any request).
     pub req: u64,
-    /// Global record sequence number (monotone; ring eviction drops the
-    /// lowest ones first).
+    /// The record's rank in recording order across all threads, from 1
+    /// (assigned by the snapshot; ring eviction drops the lowest ones
+    /// first).
     pub seq: u64,
     /// What happened.
     pub kind: SpanKind,
@@ -302,59 +307,207 @@ pub struct SpanRecord {
     pub worker: u16,
 }
 
-// --- Ring buffer -----------------------------------------------------------------
+// --- Span kinds as ring words ---------------------------------------------------
 
-/// Fixed-capacity span store: the record's (pre-claimed) sequence
-/// number doubles as the slot claim, and each slot is an independent
-/// mutex so concurrent writers never contend on one lock. Memory is
-/// bounded at construction; overwrite is oldest-first.
-#[derive(Debug)]
-struct Ring {
-    slots: Box<[Mutex<Option<SpanRecord>>]>,
+const CACHES: [CacheKind; 3] = [CacheKind::Reply, CacheKind::Eval, CacheKind::Image];
+const OUTCOMES: [ProbeOutcome; 3] = [ProbeOutcome::Hit, ProbeOutcome::Miss, ProbeOutcome::Stale];
+const REASONS: [EvictReason; 4] = [
+    EvictReason::Budget,
+    EvictReason::Replace,
+    EvictReason::Clear,
+    EvictReason::Invalidated,
+];
+const ROLES: [FlightRole; 2] = [FlightRole::Leader, FlightRole::Coalesced];
+/// The kinds without a payload, in code order.
+const PLAIN: [SpanKind; 11] = [
+    SpanKind::Request,
+    SpanKind::Eval,
+    SpanKind::LibraryBuild,
+    SpanKind::Link,
+    SpanKind::Placement,
+    SpanKind::Frame,
+    SpanKind::Map,
+    SpanKind::Ipc,
+    SpanKind::DynLookup,
+    SpanKind::EvalUnit,
+    SpanKind::Policy,
+];
+/// First code of each payload-carrying kind.
+const PROBE_CODES: u64 = 11;
+const EVICT_CODES: u64 = PROBE_CODES + 9;
+const FLIGHT_CODES: u64 = EVICT_CODES + 12;
+
+fn position<T: PartialEq>(all: &[T], x: &T) -> u64 {
+    all.iter().position(|y| y == x).unwrap_or(0) as u64
 }
 
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        Ring {
-            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
+impl SpanKind {
+    /// The kind as a small integer, so a span record fits in atomic
+    /// words ([`SpanKind::from_code`] inverts it).
+    fn code(self) -> u64 {
+        match self {
+            SpanKind::CacheProbe(c, o) => {
+                PROBE_CODES + 3 * position(&CACHES, &c) + position(&OUTCOMES, &o)
+            }
+            SpanKind::Evict(c, r) => {
+                EVICT_CODES + 4 * position(&CACHES, &c) + position(&REASONS, &r)
+            }
+            SpanKind::Flight(r) => FLIGHT_CODES + position(&ROLES, &r),
+            SpanKind::Request => 0,
+            SpanKind::Eval => 1,
+            SpanKind::LibraryBuild => 2,
+            SpanKind::Link => 3,
+            SpanKind::Placement => 4,
+            SpanKind::Frame => 5,
+            SpanKind::Map => 6,
+            SpanKind::Ipc => 7,
+            SpanKind::DynLookup => 8,
+            SpanKind::EvalUnit => 9,
+            SpanKind::Policy => 10,
         }
     }
 
-    /// `r.seq` must already be claimed (seqs start at 1).
-    fn push(&self, r: SpanRecord) {
-        let i = (r.seq as usize - 1) % self.slots.len();
-        *lock(&self.slots[i]) = Some(r);
+    fn from_code(code: u64) -> SpanKind {
+        let at = |all_len: usize, i: u64| (i as usize).min(all_len - 1);
+        if code < PROBE_CODES {
+            PLAIN[at(PLAIN.len(), code)]
+        } else if code < EVICT_CODES {
+            let i = code - PROBE_CODES;
+            SpanKind::CacheProbe(CACHES[at(3, i / 3)], OUTCOMES[at(3, i % 3)])
+        } else if code < FLIGHT_CODES {
+            let i = code - EVICT_CODES;
+            SpanKind::Evict(CACHES[at(3, i / 4)], REASONS[at(4, i % 4)])
+        } else {
+            SpanKind::Flight(ROLES[at(2, code - FLIGHT_CODES)])
+        }
+    }
+}
+
+// --- Per-thread ring segments ----------------------------------------------------
+
+/// Span slots a segment allocates at a time, on first use: a thread
+/// that records few spans holds little memory.
+const CHUNK: usize = 256;
+
+/// Words per span slot (see [`Shard::push_span`]).
+const WORDS: usize = 4;
+
+/// One span record packed into atomic words, so a snapshot can read a
+/// slot while its owner writes the next one.
+#[derive(Debug, Default)]
+struct Slot([AtomicU64; WORDS]);
+
+/// One thread's span ring. Only the owning thread writes; a snapshot
+/// reads it without a lock, seqlock-style: `begun` says how far writes
+/// have started, `written` how far they have finished, and a record
+/// whose slot a write started on during the read is left out. The slot
+/// count is `capacity` rounded up to a power of two, so a record finds
+/// its slot with a mask.
+#[derive(Debug)]
+struct Segment {
+    chunks: Box<[OnceLock<Box<[Slot]>>]>,
+    slots: usize,
+    begun: AtomicU64,
+    written: AtomicU64,
+}
+
+impl Segment {
+    fn new(capacity: usize) -> Segment {
+        let slots = capacity.max(1).next_power_of_two();
+        Segment {
+            chunks: (0..slots.div_ceil(CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
+            slots,
+            begun: AtomicU64::new(0),
+            written: AtomicU64::new(0),
+        }
     }
 
-    fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> = self.slots.iter().filter_map(|s| *lock(s)).collect();
-        out.sort_by_key(|r| r.seq);
-        out
+    /// Record `i`'s slot, allocating its chunk on first use.
+    fn slot(&self, i: u64) -> &Slot {
+        let at = i as usize & (self.slots - 1);
+        let chunk = self.chunks[at / CHUNK].get_or_init(|| {
+            (0..CHUNK.min(self.slots))
+                .map(|_| Slot::default())
+                .collect()
+        });
+        &chunk[at % CHUNK]
+    }
+
+    /// Record `i`'s slot if its chunk exists.
+    fn get(&self, i: u64) -> Option<&Slot> {
+        let at = i as usize & (self.slots - 1);
+        Some(&self.chunks[at / CHUNK].get()?[at % CHUNK])
+    }
+
+    /// Appends one record (owning thread only), overwriting the oldest
+    /// once the segment is full.
+    fn push(&self, words: [u64; WORDS]) {
+        let i = self.written.load(Ordering::Relaxed);
+        self.begun.store(i + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        for (cell, w) in self.slot(i).0.iter().zip(words) {
+            cell.store(w, Ordering::Relaxed);
+        }
+        self.written.store(i + 1, Ordering::Release);
+    }
+
+    /// How many records the segment has ever taken, and the retained
+    /// ones with their per-segment index.
+    fn read(&self) -> (u64, Vec<(u64, [u64; WORDS])>) {
+        let end = self.written.load(Ordering::Acquire);
+        let mut out: Vec<(u64, [u64; WORDS])> = (end.saturating_sub(self.slots as u64)..end)
+            .filter_map(|i| {
+                let slot = self.get(i)?;
+                Some((
+                    i,
+                    std::array::from_fn(|w| slot.0[w].load(Ordering::Relaxed)),
+                ))
+            })
+            .collect();
+        fence(Ordering::Acquire);
+        // A write that began during the read may have torn the oldest
+        // records read; drop every slot it could have reached.
+        let lo = self
+            .begun
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.slots as u64);
+        out.retain(|&(i, _)| i >= lo);
+        (end, out)
     }
 }
 
 // --- Histograms -----------------------------------------------------------------
 
+/// Adds `n` to a cell that only its owning thread writes: a load and a
+/// store, never a read-modify-write. Readers sum the cells of every
+/// thread.
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
 #[derive(Debug)]
 struct Hist {
-    buckets: Vec<AtomicU64>,
+    buckets: [AtomicU64; HIST_BUCKETS],
     sum_ns: AtomicU64,
 }
 
-impl Hist {
-    fn new() -> Hist {
+impl Default for Hist {
+    fn default() -> Hist {
         Hist {
-            buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_ns: AtomicU64::new(0),
         }
     }
+}
 
-    /// Two relaxed RMWs on the hot path; the sample count is derived
-    /// from the bucket totals at snapshot time instead of a third.
+impl Hist {
+    /// The sample count is derived from the bucket totals at snapshot
+    /// time instead of kept in a third cell.
     fn record(&self, ns: u64) {
-        let b = bucket_of(ns);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        bump(&self.buckets[bucket_of(ns)], 1);
+        bump(&self.sum_ns, ns);
     }
 }
 
@@ -443,8 +596,9 @@ macro_rules! counter_family {
         pub struct TraceCounters { $($(#[$doc])* pub $name: u64,)+ }
 
         impl CounterCells {
-            fn snapshot(&self) -> TraceCounters {
-                TraceCounters { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            /// Adds this thread's cells into `total`.
+            fn add_to(&self, total: &mut TraceCounters) {
+                $(total.$name += self.$name.load(Ordering::Relaxed);)+
             }
         }
 
@@ -683,12 +837,6 @@ struct ReqState {
     depth: u16,
 }
 
-thread_local! {
-    /// Stack of active requests on this thread (nested requests — e.g.
-    /// `query_symbols` instantiating internally — push and pop).
-    static ACTIVE: RefCell<Vec<ReqState>> = const { RefCell::new(Vec::new()) };
-}
-
 /// An open interval span; closed by [`Tracer::close`] or
 /// [`Tracer::close_leaf`]. Dropping one without closing loses the
 /// record but cannot corrupt the tracer.
@@ -724,19 +872,24 @@ impl Drop for ReqGuard<'_> {
         if !self.active {
             return;
         }
-        let state = ACTIVE.with(|a| a.borrow_mut().pop());
-        if let Some(state) = state {
-            self.tracer.push_record(SpanRecord {
+        let tracer = self.tracer;
+        with_local(|Local { active, shards }| {
+            let Some(state) = active.pop() else {
+                return;
+            };
+            let root = SpanRecord {
                 req: self.req,
-                seq: 0, // assigned by push_record
+                seq: 0, // assigned by the snapshot
                 kind: self.kind,
                 depth: 0,
                 start_ns: 0,
                 dur_ns: state.cursor_ns,
                 worker: 0,
-            });
-            self.tracer.hist(Stage::Request).record(state.cursor_ns);
-        }
+            };
+            let shard = shard_of(shards, tracer);
+            shard.hist(Stage::Request).record(state.cursor_ns);
+            shard.push_span(&root);
+        });
     }
 }
 
@@ -748,21 +901,131 @@ struct Reattach(Vec<ReqState>);
 impl Drop for Reattach {
     fn drop(&mut self) {
         let stack = std::mem::take(&mut self.0);
-        ACTIVE.with(|a| *a.borrow_mut() = stack);
+        with_local(|local| local.active = stack);
     }
 }
+
+// --- Per-thread shards ------------------------------------------------------------
+
+/// Request ids a shard takes from its tracer at a time.
+const REQ_BLOCK: u64 = 64;
+
+/// Everything one thread records into one tracer: counters, histograms,
+/// spans, and a block of request ids. Only that thread writes it, so no
+/// record path does a shared read-modify-write or takes a lock; the
+/// tracer sums and merges the shards when it is read.
+#[derive(Debug)]
+struct Shard {
+    c: CounterCells,
+    hists: [Hist; Stage::ALL.len()],
+    ring: Segment,
+    /// The next request id to hand out and the end of this shard's
+    /// block.
+    next_req: AtomicU64,
+    req_end: AtomicU64,
+    /// Set when the owning thread exits; a thread that first records
+    /// into the tracer after that takes the shard over.
+    retired: AtomicBool,
+}
+
+impl Shard {
+    fn new(capacity: usize) -> Shard {
+        Shard {
+            c: CounterCells::default(),
+            hists: std::array::from_fn(|_| Hist::default()),
+            ring: Segment::new(capacity),
+            next_req: AtomicU64::new(0),
+            req_end: AtomicU64::new(0),
+            retired: AtomicBool::new(false),
+        }
+    }
+
+    fn hist(&self, stage: Stage) -> &Hist {
+        &self.hists[stage.index()]
+    }
+
+    /// Appends `r` to the ring.
+    fn push_span(&self, r: &SpanRecord) {
+        self.ring.push([
+            r.req,
+            r.start_ns,
+            r.dur_ns,
+            r.kind.code() | u64::from(r.depth) << 16 | u64::from(r.worker) << 32,
+        ]);
+    }
+
+    /// A fresh request id, taking a new block from `ids` when this
+    /// shard's block is used up.
+    fn request_id(&self, ids: &AtomicU64) -> u64 {
+        let mut id = self.next_req.load(Ordering::Relaxed);
+        if id == self.req_end.load(Ordering::Relaxed) {
+            id = ids.fetch_add(REQ_BLOCK, Ordering::Relaxed);
+            self.req_end.store(id + REQ_BLOCK, Ordering::Relaxed);
+        }
+        self.next_req.store(id + 1, Ordering::Relaxed);
+        id
+    }
+}
+
+/// What a thread keeps for the tracers it records into.
+struct Local {
+    /// Stack of active requests on this thread (nested requests — e.g.
+    /// `query_symbols` instantiating internally — push and pop).
+    active: Vec<ReqState>,
+    /// This thread's shards, keyed by tracer id. Exiting the thread
+    /// retires them for reuse.
+    shards: Vec<(u64, Arc<Shard>)>,
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        for (_, shard) in &self.shards {
+            shard.retired.store(true, Ordering::Release);
+        }
+    }
+}
+
+thread_local! {
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local {
+            active: Vec::new(),
+            shards: Vec::new(),
+        })
+    };
+}
+
+/// Runs `f` on this thread's [`Local`]; `None` only while the thread is
+/// being torn down.
+fn with_local<T>(f: impl FnOnce(&mut Local) -> T) -> Option<T> {
+    LOCAL.try_with(|l| f(&mut l.borrow_mut())).ok()
+}
+
+/// This thread's shard of `tracer`, claimed on the thread's first
+/// record into it.
+fn shard_of<'a>(shards: &'a mut Vec<(u64, Arc<Shard>)>, tracer: &Tracer) -> &'a Shard {
+    if let Some(i) = shards.iter().position(|(id, _)| *id == tracer.id) {
+        return &shards[i].1;
+    }
+    // Shards of tracers that are gone are held only here.
+    shards.retain(|(_, shard)| Arc::strong_count(shard) > 1);
+    shards.push((tracer.id, tracer.claim_shard()));
+    &shards[shards.len() - 1].1
+}
+
+/// Tracer ids, so a thread can tell its shards apart.
+static NEXT_TRACER: AtomicU64 = AtomicU64::new(1);
 
 // --- The tracer -----------------------------------------------------------------
 
 /// The tracing and metrics hub one server owns.
 #[derive(Debug)]
 pub struct Tracer {
+    id: u64,
     enabled: AtomicBool,
+    capacity: usize,
+    /// Request ids not yet handed to a shard.
     next_req: AtomicU64,
-    seq: AtomicU64,
-    ring: Ring,
-    hists: Vec<Hist>,
-    c: CounterCells,
+    shards: Mutex<Vec<Arc<Shard>>>,
 }
 
 impl Default for Tracer {
@@ -778,16 +1041,16 @@ impl Tracer {
         Tracer::with_capacity(RING_CAPACITY)
     }
 
-    /// A tracer with an explicit ring capacity.
+    /// A tracer with an explicit ring capacity: the most spans a
+    /// snapshot returns, the newest first to stay.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Tracer {
         Tracer {
+            id: NEXT_TRACER.fetch_add(1, Ordering::Relaxed),
             enabled: AtomicBool::new(true),
+            capacity: capacity.max(1),
             next_req: AtomicU64::new(1),
-            seq: AtomicU64::new(1),
-            ring: Ring::new(capacity),
-            hists: (0..Stage::ALL.len()).map(|_| Hist::new()).collect(),
-            c: CounterCells::default(),
+            shards: Mutex::new(Vec::new()),
         }
     }
 
@@ -803,46 +1066,87 @@ impl Tracer {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    fn hist(&self, stage: Stage) -> &Hist {
-        &self.hists[stage.index()]
+    /// Runs `f` on this thread's shard.
+    fn with_shard<T>(&self, f: impl FnOnce(&Shard) -> T) -> Option<T> {
+        with_local(|local| f(shard_of(&mut local.shards, self)))
     }
 
-    /// Hot path: the `spans_recorded` counter is derived from `seq` at
-    /// snapshot time rather than bumped per record.
-    fn push_record(&self, mut r: SpanRecord) {
-        r.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(r);
+    /// A shard for a thread recording here for the first time: one whose
+    /// thread exited, or a new one.
+    fn claim_shard(&self) -> Arc<Shard> {
+        let retired = lock(&self.shards)
+            .iter()
+            .find(|s| {
+                s.retired
+                    .compare_exchange(true, false, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            })
+            .cloned();
+        retired.unwrap_or_else(|| {
+            // Built outside the lock: threads that start together only
+            // queue for the push.
+            let shard = Arc::new(Shard::new(self.capacity));
+            lock(&self.shards).push(Arc::clone(&shard));
+            shard
+        })
+    }
+
+    /// Applies `f` to the innermost active request (if any) and records
+    /// the span it returns, and a histogram sample, on this thread's
+    /// shard: one thread-local access for the whole hook.
+    fn record(
+        &self,
+        sample: Option<(Stage, u64)>,
+        f: impl FnOnce(Option<&mut ReqState>) -> Option<SpanRecord>,
+    ) {
+        with_local(|Local { active, shards }| {
+            let span = f(active.last_mut());
+            let shard = shard_of(shards, self);
+            if let Some((stage, ns)) = sample {
+                shard.hist(stage).record(ns);
+            }
+            if let Some(r) = span {
+                shard.push_span(&r);
+            }
+        });
     }
 
     fn with_state<T>(&self, f: impl FnOnce(&mut ReqState) -> T) -> Option<T> {
-        ACTIVE.with(|a| a.borrow_mut().last_mut().map(f))
+        with_local(|local| local.active.last_mut().map(f)).flatten()
     }
 
     /// Opens the root span of a traced request. `dyn_lookup` passes
     /// `SpanKind::DynLookup`; instantiation paths pass
     /// `SpanKind::Request`.
     pub fn begin_request(&self, kind: SpanKind) -> ReqGuard<'_> {
-        if !self.enabled() {
+        let req = if self.enabled() {
+            with_local(|Local { active, shards }| {
+                let shard = shard_of(shards, self);
+                let cell = if kind == SpanKind::DynLookup {
+                    &shard.c.dyn_lookups
+                } else {
+                    &shard.c.requests
+                };
+                bump(cell, 1);
+                let req = shard.request_id(&self.next_req);
+                active.push(ReqState {
+                    req,
+                    cursor_ns: 0,
+                    depth: 1,
+                });
+                req
+            })
+        } else {
+            None
+        };
+        let Some(req) = req else {
             return ReqGuard {
                 tracer: self,
                 req: 0,
                 kind,
                 active: false,
             };
-        }
-        // `requests` is derived from `next_req - dyn_lookups` at
-        // snapshot time; only the rarer dyn-lookup path pays a counter.
-        if kind == SpanKind::DynLookup {
-            self.c.dyn_lookups.fetch_add(1, Ordering::Relaxed);
-        }
-        let req = self.next_req.fetch_add(1, Ordering::Relaxed);
-        ACTIVE.with(|a| {
-            a.borrow_mut().push(ReqState {
-                req,
-                cursor_ns: 0,
-                depth: 1,
-            });
-        });
+        };
         ReqGuard {
             tracer: self,
             req,
@@ -884,20 +1188,20 @@ impl Tracer {
         if span.req == 0 {
             return;
         }
-        let end = self
-            .with_state(|s| {
+        self.record(None, |state| {
+            let end = state.map_or(span.start_ns, |s| {
                 s.depth = s.depth.saturating_sub(1);
                 s.cursor_ns
+            });
+            Some(SpanRecord {
+                req: span.req,
+                seq: 0,
+                kind: span.kind,
+                depth: span.depth,
+                start_ns: span.start_ns,
+                dur_ns: end.saturating_sub(span.start_ns),
+                worker: 0,
             })
-            .unwrap_or(span.start_ns);
-        self.push_record(SpanRecord {
-            req: span.req,
-            seq: 0,
-            kind: span.kind,
-            depth: span.depth,
-            start_ns: span.start_ns,
-            dur_ns: end.saturating_sub(span.start_ns),
-            worker: 0,
         });
     }
 
@@ -907,19 +1211,20 @@ impl Tracer {
         if span.req == 0 {
             return;
         }
-        self.with_state(|s| {
-            s.cursor_ns += ns;
-            s.depth = s.depth.saturating_sub(1);
-        });
-        self.hist(stage).record(ns);
-        self.push_record(SpanRecord {
-            req: span.req,
-            seq: 0,
-            kind: span.kind,
-            depth: span.depth,
-            start_ns: span.start_ns,
-            dur_ns: ns,
-            worker: 0,
+        self.record(Some((stage, ns)), |state| {
+            if let Some(s) = state {
+                s.cursor_ns += ns;
+                s.depth = s.depth.saturating_sub(1);
+            }
+            Some(SpanRecord {
+                req: span.req,
+                seq: 0,
+                kind: span.kind,
+                depth: span.depth,
+                start_ns: span.start_ns,
+                dur_ns: ns,
+                worker: 0,
+            })
         });
     }
 
@@ -941,18 +1246,17 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        let at = self.with_state(|s| (s.req, s.cursor_ns, s.depth));
-        if let Some((req, cursor, depth)) = at {
-            self.push_record(SpanRecord {
-                req,
+        self.record(None, |state| {
+            state.map(|s| SpanRecord {
+                req: s.req,
                 seq: 0,
                 kind,
-                depth,
-                start_ns: cursor + start_offset_ns,
+                depth: s.depth,
+                start_ns: s.cursor_ns + start_offset_ns,
                 dur_ns,
                 worker,
-            });
-        }
+            })
+        });
     }
 
     /// Runs `f` with this thread's request context set aside. Counters
@@ -963,7 +1267,8 @@ impl Tracer {
     /// [`Tracer::span_at`] and [`Tracer::note`]. The context is restored
     /// when `f` returns or panics.
     pub fn detached<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _reattach = Reattach(ACTIVE.with(|a| std::mem::take(&mut *a.borrow_mut())));
+        let _reattach =
+            Reattach(with_local(|local| std::mem::take(&mut local.active)).unwrap_or_default());
         f()
     }
 
@@ -972,24 +1277,23 @@ impl Tracer {
     /// the durations it lays out as overlapped spans.
     pub fn note(&self, stage: Stage, ns: u64) {
         if self.enabled() {
-            self.hist(stage).record(ns);
+            self.record(Some((stage, ns)), |_| None);
         }
     }
 
     /// Records an instant event at the current cursor.
     fn instant(&self, kind: SpanKind) {
-        let at = self.with_state(|s| (s.req, s.cursor_ns, s.depth));
-        if let Some((req, cursor, depth)) = at {
-            self.push_record(SpanRecord {
-                req,
+        self.record(None, |state| {
+            state.map(|s| SpanRecord {
+                req: s.req,
                 seq: 0,
                 kind,
-                depth,
-                start_ns: cursor,
+                depth: s.depth,
+                start_ns: s.cursor_ns,
                 dur_ns: 0,
                 worker: 0,
-            });
-        }
+            })
+        });
     }
 
     /// Records a cache probe. Hits are counter-only — they are the
@@ -1003,35 +1307,27 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        let (h, m, st) = match cache {
-            CacheKind::Reply => (
-                &self.c.reply_hits,
-                &self.c.reply_misses,
-                Some(&self.c.reply_stale),
-            ),
-            CacheKind::Eval => (
-                &self.c.eval_hits,
-                &self.c.eval_misses,
-                Some(&self.c.eval_stale),
-            ),
-            CacheKind::Image => (&self.c.image_hits, &self.c.image_misses, None),
-        };
-        match outcome {
-            ProbeOutcome::Hit => {
-                h.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            ProbeOutcome::Miss => {
-                m.fetch_add(1, Ordering::Relaxed);
-            }
-            ProbeOutcome::Stale => {
-                m.fetch_add(1, Ordering::Relaxed);
-                if let Some(st) = st {
-                    st.fetch_add(1, Ordering::Relaxed);
+        self.with_shard(|shard| {
+            let c = &shard.c;
+            let (h, m, st) = match cache {
+                CacheKind::Reply => (&c.reply_hits, &c.reply_misses, Some(&c.reply_stale)),
+                CacheKind::Eval => (&c.eval_hits, &c.eval_misses, Some(&c.eval_stale)),
+                CacheKind::Image => (&c.image_hits, &c.image_misses, None),
+            };
+            match outcome {
+                ProbeOutcome::Hit => bump(h, 1),
+                ProbeOutcome::Miss => bump(m, 1),
+                ProbeOutcome::Stale => {
+                    bump(m, 1);
+                    if let Some(st) = st {
+                        bump(st, 1);
+                    }
                 }
             }
+        });
+        if outcome != ProbeOutcome::Hit {
+            self.instant(SpanKind::CacheProbe(cache, outcome));
         }
-        self.instant(SpanKind::CacheProbe(cache, outcome));
     }
 
     /// Records `n` evictions with their reason.
@@ -1039,13 +1335,16 @@ impl Tracer {
         if !self.enabled() || n == 0 {
             return;
         }
-        let cell = match (cache, reason) {
-            (CacheKind::Image, EvictReason::Budget) => &self.c.image_evict_budget,
-            (CacheKind::Image, EvictReason::Replace) => &self.c.image_evict_replace,
-            (CacheKind::Image, EvictReason::Clear) => &self.c.image_evict_clear,
-            _ => &self.c.evict_invalidated,
-        };
-        cell.fetch_add(n, Ordering::Relaxed);
+        self.with_shard(|shard| {
+            let c = &shard.c;
+            let cell = match (cache, reason) {
+                (CacheKind::Image, EvictReason::Budget) => &c.image_evict_budget,
+                (CacheKind::Image, EvictReason::Replace) => &c.image_evict_replace,
+                (CacheKind::Image, EvictReason::Clear) => &c.image_evict_clear,
+                _ => &c.evict_invalidated,
+            };
+            bump(cell, n);
+        });
         self.instant(SpanKind::Evict(cache, reason));
     }
 
@@ -1056,13 +1355,11 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.c.tier2_spills.fetch_add(spills, Ordering::Relaxed);
-        self.c
-            .tier2_fault_ins
-            .fetch_add(fault_ins, Ordering::Relaxed);
-        self.c
-            .tier2_verify_drops
-            .fetch_add(verify_drops, Ordering::Relaxed);
+        self.with_shard(|shard| {
+            bump(&shard.c.tier2_spills, spills);
+            bump(&shard.c.tier2_fault_ins, fault_ins);
+            bump(&shard.c.tier2_verify_drops, verify_drops);
+        });
     }
 
     /// Records the outcome of a checkpoint restore: how many namespace
@@ -1084,33 +1381,30 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.c.restore_ns_entries.fetch_add(ns, Ordering::Relaxed);
-        self.c.restore_images.fetch_add(images, Ordering::Relaxed);
-        self.c.restore_replies.fetch_add(replies, Ordering::Relaxed);
-        self.c.restore_journal.fetch_add(journal, Ordering::Relaxed);
-        self.c
-            .restore_manifest_verified
-            .fetch_add(verified, Ordering::Relaxed);
-        self.c
-            .restore_dropped
-            .fetch_add(drops.total(), Ordering::Relaxed);
-        for (cell, n) in [
-            (&self.c.restore_drop_ns_decode, drops.ns_decode),
-            (&self.c.restore_drop_image_read, drops.image_read),
-            (&self.c.restore_drop_image_checksum, drops.image_checksum),
-            (&self.c.restore_drop_image_decode, drops.image_decode),
-            (&self.c.restore_drop_image_content, drops.image_content),
-            (&self.c.restore_drop_journal_torn, drops.journal_torn),
-            (&self.c.restore_drop_journal_kind, drops.journal_kind),
-            (&self.c.restore_drop_journal_apply, drops.journal_apply),
-            (&self.c.restore_drop_reply_image, drops.reply_image),
-            (&self.c.restore_drop_reply_manifest, drops.reply_manifest),
-        ] {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
-        if cold {
-            self.c.restore_cold.fetch_add(1, Ordering::Relaxed);
-        }
+        self.with_shard(|shard| {
+            let c = &shard.c;
+            for (cell, n) in [
+                (&c.restore_ns_entries, ns),
+                (&c.restore_images, images),
+                (&c.restore_replies, replies),
+                (&c.restore_journal, journal),
+                (&c.restore_manifest_verified, verified),
+                (&c.restore_dropped, drops.total()),
+                (&c.restore_drop_ns_decode, drops.ns_decode),
+                (&c.restore_drop_image_read, drops.image_read),
+                (&c.restore_drop_image_checksum, drops.image_checksum),
+                (&c.restore_drop_image_decode, drops.image_decode),
+                (&c.restore_drop_image_content, drops.image_content),
+                (&c.restore_drop_journal_torn, drops.journal_torn),
+                (&c.restore_drop_journal_kind, drops.journal_kind),
+                (&c.restore_drop_journal_apply, drops.journal_apply),
+                (&c.restore_drop_reply_image, drops.reply_image),
+                (&c.restore_drop_reply_manifest, drops.reply_manifest),
+                (&c.restore_cold, u64::from(cold)),
+            ] {
+                bump(cell, n);
+            }
+        });
     }
 
     /// Records what one reply build took from the image cache: library
@@ -1120,15 +1414,11 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.c
-            .relink_reused_images
-            .fetch_add(reused, Ordering::Relaxed);
-        self.c
-            .relink_relinked_libraries
-            .fetch_add(linked, Ordering::Relaxed);
-        self.c
-            .relink_avoided_ns
-            .fetch_add(avoided_ns, Ordering::Relaxed);
+        self.with_shard(|shard| {
+            bump(&shard.c.relink_reused_images, reused);
+            bump(&shard.c.relink_relinked_libraries, linked);
+            bump(&shard.c.relink_avoided_ns, avoided_ns);
+        });
     }
 
     /// Records the outcome of one link-policy application: stubs
@@ -1137,13 +1427,11 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.c
-            .policy_trampolines
-            .fetch_add(trampolines, Ordering::Relaxed);
-        self.c.policy_audits.fetch_add(audits, Ordering::Relaxed);
-        if denied {
-            self.c.policy_denials.fetch_add(1, Ordering::Relaxed);
-        }
+        self.with_shard(|shard| {
+            bump(&shard.c.policy_trampolines, trampolines);
+            bump(&shard.c.policy_audits, audits);
+            bump(&shard.c.policy_denials, u64::from(denied));
+        });
     }
 
     /// Records one live process update and the slots it swapped.
@@ -1151,10 +1439,10 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.c.live_updates.fetch_add(1, Ordering::Relaxed);
-        self.c
-            .live_slots_swapped
-            .fetch_add(slots_swapped, Ordering::Relaxed);
+        self.with_shard(|shard| {
+            bump(&shard.c.live_updates, 1);
+            bump(&shard.c.live_slots_swapped, slots_swapped);
+        });
     }
 
     /// Records this request's single-flight disposition. Followers pass
@@ -1164,11 +1452,16 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.c.flight_entries.fetch_add(1, Ordering::Relaxed);
-        match role {
-            FlightRole::Leader => self.c.flight_leaders.fetch_add(1, Ordering::Relaxed),
-            FlightRole::Coalesced => self.c.flight_coalesced.fetch_add(1, Ordering::Relaxed),
-        };
+        self.with_shard(|shard| {
+            bump(&shard.c.flight_entries, 1);
+            bump(
+                match role {
+                    FlightRole::Leader => &shard.c.flight_leaders,
+                    FlightRole::Coalesced => &shard.c.flight_coalesced,
+                },
+                1,
+            );
+        });
         self.instant(SpanKind::Flight(role));
         if waited_ns > 0 {
             self.with_state(|s| s.cursor_ns += waited_ns);
@@ -1182,15 +1475,11 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        if stage == Stage::Ipc {
-            self.c.ipc_roundtrips.fetch_add(1, Ordering::Relaxed);
-        }
-        self.hist(stage).record(ns);
         let kind = match stage {
             Stage::Map => SpanKind::Map,
             _ => SpanKind::Ipc,
         };
-        self.push_record(SpanRecord {
+        let span = SpanRecord {
             req,
             seq: 0,
             kind,
@@ -1198,6 +1487,13 @@ impl Tracer {
             start_ns: 0,
             dur_ns: ns,
             worker: 0,
+        };
+        self.with_shard(|shard| {
+            if stage == Stage::Ipc {
+                bump(&shard.c.ipc_roundtrips, 1);
+            }
+            shard.hist(stage).record(ns);
+            shard.push_span(&span);
         });
     }
 
@@ -1210,62 +1506,94 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.c
-            .ipc_batches
-            .fetch_add(stats.batches, Ordering::Relaxed);
-        self.c
-            .ipc_batched_requests
-            .fetch_add(stats.batched_requests, Ordering::Relaxed);
-        self.c
-            .shm_mappings
-            .fetch_add(stats.mappings, Ordering::Relaxed);
-        self.c
-            .shm_backpressure_spins
-            .fetch_add(stats.backpressure_spins, Ordering::Relaxed);
+        self.with_shard(|shard| {
+            bump(&shard.c.ipc_batches, stats.batches);
+            bump(&shard.c.ipc_batched_requests, stats.batched_requests);
+            bump(&shard.c.shm_mappings, stats.mappings);
+            bump(&shard.c.shm_backpressure_spins, stats.backpressure_spins);
+        });
     }
 
-    /// A consistent-enough snapshot of everything the tracer holds.
-    /// Counters that are pure functions of other cells (`requests`,
-    /// `spans_recorded`, histogram sample counts) are reconstructed
-    /// here so the record paths stay lean.
+    /// The shards recorded so far (a copy of the list, so readers never
+    /// hold the lock while they sum).
+    fn shards(&self) -> Vec<Arc<Shard>> {
+        lock(&self.shards).clone()
+    }
+
+    /// Every shard's counters summed, with the counters that are pure
+    /// functions of others (`*_probes`, `spans_recorded`) filled in.
+    fn sum_counters(shards: &[Arc<Shard>]) -> TraceCounters {
+        let mut c = TraceCounters::default();
+        for shard in shards {
+            shard.c.add_to(&mut c);
+            c.spans_recorded += shard.ring.written.load(Ordering::Relaxed);
+        }
+        c.reply_probes = c.reply_hits + c.reply_misses;
+        c.eval_probes = c.eval_hits + c.eval_misses;
+        c.image_probes = c.image_hits + c.image_misses;
+        c
+    }
+
+    /// A consistent-enough snapshot of everything the tracer holds: the
+    /// threads' counters and histograms summed, and their span segments
+    /// merged by request id (ids grow with time, and each thread's ids
+    /// grow), then by thread, then in recording order; the newest
+    /// `capacity` are kept. Exact once the recording threads are quiet.
+    /// A span's `seq` is its rank in that order over every span ever
+    /// recorded, so the oldest one kept is
+    /// `spans_recorded - spans.len() + 1`.
     #[must_use]
     pub fn snapshot(&self) -> TraceSnapshot {
-        let mut counters = self.c.snapshot();
-        counters.spans_recorded = self.seq.load(Ordering::Relaxed) - 1;
-        counters.requests =
-            (self.next_req.load(Ordering::Relaxed) - 1).saturating_sub(counters.dyn_lookups);
-        counters.reply_probes = counters.reply_hits + counters.reply_misses;
-        counters.eval_probes = counters.eval_hits + counters.eval_misses;
-        counters.image_probes = counters.image_hits + counters.image_misses;
+        let shards = self.shards();
+        let mut stages: Vec<HistSnapshot> =
+            Stage::ALL.iter().map(|&s| HistSnapshot::empty(s)).collect();
+        let mut merged: Vec<(u64, usize, u64, [u64; WORDS])> = Vec::new();
+        let mut recorded = 0;
+        for (n, shard) in shards.iter().enumerate() {
+            for (h, out) in shard.hists.iter().zip(&mut stages) {
+                for (b, cell) in out.buckets.iter_mut().zip(&h.buckets) {
+                    *b += cell.load(Ordering::Relaxed);
+                }
+                out.sum_ns += h.sum_ns.load(Ordering::Relaxed);
+            }
+            let (end, words) = shard.ring.read();
+            recorded += end;
+            merged.extend(words.into_iter().map(|(i, w)| (w[0], n, i, w)));
+        }
+        for h in &mut stages {
+            h.count = h.buckets.iter().sum();
+        }
+        merged.sort_unstable_by_key(|&(req, n, i, _)| (req, n, i));
+        let kept = &merged[merged.len().saturating_sub(self.capacity)..];
+        let first_seq = recorded - kept.len() as u64 + 1;
+        let spans = kept
+            .iter()
+            .zip(first_seq..)
+            .map(|(&(_, _, _, w), seq)| SpanRecord {
+                req: w[0],
+                seq,
+                kind: SpanKind::from_code(w[3] & 0xffff),
+                depth: (w[3] >> 16) as u16,
+                start_ns: w[1],
+                dur_ns: w[2],
+                worker: (w[3] >> 32) as u16,
+            })
+            .collect();
+        let mut counters = Tracer::sum_counters(&shards);
+        counters.spans_recorded = recorded;
         TraceSnapshot {
             counters,
-            stages: Stage::ALL
-                .iter()
-                .map(|&stage| {
-                    let h = self.hist(stage);
-                    let buckets: Vec<u64> = h
-                        .buckets
-                        .iter()
-                        .map(|b| b.load(Ordering::Relaxed))
-                        .collect();
-                    HistSnapshot {
-                        stage,
-                        count: buckets.iter().sum(),
-                        sum_ns: h.sum_ns.load(Ordering::Relaxed),
-                        buckets,
-                    }
-                })
-                .collect(),
-            spans: self.ring.snapshot(),
-            ring_capacity: self.ring.slots.len(),
+            stages,
+            spans,
+            ring_capacity: self.capacity,
         }
     }
 
-    /// Counters only — no histogram or span-ring copies. Cheap enough
-    /// to sample around every request in a benchmark drive loop.
+    /// Counters only — no histogram or span copies. Cheap enough to
+    /// sample around every request in a benchmark drive loop.
     #[must_use]
     pub fn counters(&self) -> TraceCounters {
-        self.c.snapshot()
+        Tracer::sum_counters(&self.shards())
     }
 }
 
@@ -1567,6 +1895,98 @@ mod tests {
         assert_eq!(snap.counters.image_evict_budget, 2);
         assert_eq!(snap.stage(Stage::Link).count, 0);
         assert_eq!(snap.counters.spans_recorded, 2);
+    }
+
+    #[test]
+    fn span_kinds_round_trip_through_their_codes() {
+        let mut kinds: Vec<SpanKind> = PLAIN.to_vec();
+        for c in CACHES {
+            kinds.extend(OUTCOMES.map(|o| SpanKind::CacheProbe(c, o)));
+        }
+        for c in CACHES {
+            kinds.extend(REASONS.map(|r| SpanKind::Evict(c, r)));
+        }
+        kinds.extend(ROLES.map(SpanKind::Flight));
+        for (i, k) in kinds.iter().enumerate() {
+            assert_eq!(k.code(), i as u64, "{k:?}");
+            assert_eq!(SpanKind::from_code(k.code()), *k);
+        }
+    }
+
+    #[test]
+    fn threads_record_into_their_own_shards_and_snapshots_sum_them() {
+        const THREADS: usize = 4;
+        const PER_THREAD: u64 = 300;
+        let t = Tracer::with_capacity(8192);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for i in 0..PER_THREAD {
+                        let g = t.begin_request(SpanKind::Request);
+                        t.probe(CacheKind::Reply, ProbeOutcome::Hit);
+                        t.advance(i);
+                        let req = g.req();
+                        drop(g);
+                        t.client_span(req, Stage::Ipc, 10);
+                    }
+                });
+            }
+        });
+        let snap = t.snapshot();
+        let n = THREADS as u64 * PER_THREAD;
+        assert_eq!(snap.counters.requests, n);
+        assert_eq!(snap.counters.reply_hits, n);
+        assert_eq!(snap.counters.ipc_roundtrips, n);
+        assert_eq!(snap.stage(Stage::Request).count, n);
+        assert_eq!(
+            snap.stage(Stage::Request).sum_ns,
+            THREADS as u64 * (0..PER_THREAD).sum::<u64>()
+        );
+        assert_eq!(snap.counters, t.counters());
+        // Every span is kept, with distinct ranks 1..=n, and each
+        // request's root comes before its client span.
+        assert_eq!(snap.counters.spans_recorded, 2 * n);
+        let seqs: Vec<u64> = snap.spans.iter().map(|s| s.seq).collect();
+        assert_eq!(seqs, (1..=2 * n).collect::<Vec<_>>());
+        let reqs: std::collections::BTreeSet<u64> = snap.spans.iter().map(|s| s.req).collect();
+        assert_eq!(reqs.len() as u64, n, "request ids are unique");
+        for req in reqs {
+            let kinds: Vec<SpanKind> = snap.request_spans(req).iter().map(|s| s.kind).collect();
+            assert_eq!(kinds, vec![SpanKind::Request, SpanKind::Ipc]);
+        }
+    }
+
+    #[test]
+    fn a_new_thread_takes_over_an_exited_threads_shard() {
+        let t = Arc::new(Tracer::new());
+        for round in 1..=5u64 {
+            let t2 = Arc::clone(&t);
+            // `join` returns once the thread has exited, its thread-locals
+            // (and so its shard's claim) released.
+            std::thread::spawn(move || t2.probe(CacheKind::Eval, ProbeOutcome::Hit))
+                .join()
+                .unwrap();
+            assert_eq!(t.counters().eval_hits, round);
+        }
+        assert_eq!(
+            t.shards().len(),
+            1,
+            "threads that come and go share one shard"
+        );
+    }
+
+    #[test]
+    fn a_dropped_tracers_shard_leaves_the_thread() {
+        let held = || with_local(|l| l.shards.len()).unwrap_or(0);
+        let before = held();
+        for _ in 0..10 {
+            let t = Tracer::new();
+            t.probe(CacheKind::Eval, ProbeOutcome::Miss);
+        }
+        assert!(
+            held() <= before + 1,
+            "at most the last tracer's shard lingers"
+        );
     }
 
     #[test]

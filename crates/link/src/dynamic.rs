@@ -131,10 +131,13 @@ fn is_call_site(obj: &ObjectFile, r: &Relocation) -> bool {
         return false;
     }
     let inst_off = (r.offset - 4) as usize;
-    let Some(raw) = sec.bytes.get(inst_off..inst_off + 8) else {
+    let Some(raw) = sec
+        .bytes
+        .get(inst_off..inst_off + 8)
+        .and_then(|b| <[u8; 8]>::try_from(b).ok())
+    else {
         return false;
     };
-    let raw: [u8; 8] = raw.try_into().expect("len checked");
     matches!(
         Inst::decode(&raw).map(|i| i.op),
         Some(Opcode::Call) | Some(Opcode::Jmp)

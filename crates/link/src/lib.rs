@@ -21,6 +21,11 @@
 //! All functions return work statistics ([`LinkStats`]) so the simulated
 //! OS can convert linking work into simulated time.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod dynamic;
 pub mod error;
 pub mod image;

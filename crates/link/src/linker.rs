@@ -175,8 +175,9 @@ fn compute_layout(objects: &[ObjectFile], opts: &LinkOptions) -> LinkResult<Layo
             // the strong/weak/common rules; afterwards, if this symbol's
             // def "won" (table now holds an identical def), record its home.
             globals.insert(sym.clone())?;
-            if let SymbolDef::Defined { section, offset } = sym.def {
-                let winner = globals.get(&sym.name).expect("just inserted");
+            if let (SymbolDef::Defined { section, offset }, Some(winner)) =
+                (sym.def, globals.get(&sym.name))
+            {
                 if winner.def == sym.def && winner.binding == sym.binding {
                     global_homes.insert(sym.name.clone(), (i, section, offset));
                 }

@@ -11,8 +11,6 @@
 //! `encode` is a pure function of the image's content and two images
 //! that compare equal encode identically.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use omos_obj::encode::container::{self, ContainerKind};
 use omos_obj::encode::{from_bytes, to_bytes};
 

@@ -18,8 +18,6 @@
 //! sequence of them (the binding journal does); [`scan_frames`] walks
 //! such a sequence and stops cleanly at a torn tail.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use crate::error::{ObjError, Result};
 use crate::hash::fnv1a;
 

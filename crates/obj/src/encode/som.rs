@@ -89,7 +89,7 @@ impl Backend for SomBackend {
         let mut obj = ObjectFile::new("");
         let mut saw_end = false;
         while r.remaining() > 0 {
-            let tag: [u8; 4] = r.bytes(4)?.try_into().expect("len checked");
+            let tag: [u8; 4] = r.array()?;
             let len = r.u32()? as usize;
             let payload = r.bytes(len)?;
             let mut p = Reader::new(payload);

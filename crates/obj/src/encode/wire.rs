@@ -11,8 +11,6 @@
 //! identically. A bad tag, a short read or a byte left over after
 //! a record is an [`ObjError::Malformed`], never a panic.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -115,7 +113,8 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+    /// Reads `N` raw bytes.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
         self.take(N)?
             .try_into()
             .map_err(|_| ObjError::Malformed(format!("short read of {N} bytes")))

@@ -18,6 +18,11 @@
 //! Nothing in this crate knows about the U32 instruction set or the simulated
 //! operating system; it is pure data structures and serialization.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod encode;
 pub mod error;
 pub mod hash;

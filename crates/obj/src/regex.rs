@@ -252,11 +252,7 @@ impl Parser<'_> {
             }
             items.push(self.repeat()?);
         }
-        Ok(match items.len() {
-            0 => Ast::Empty,
-            1 => items.pop().expect("len checked"),
-            _ => Ast::Concat(items),
-        })
+        Ok(concat(items))
     }
 
     fn repeat(&mut self) -> Result<Ast> {
@@ -446,9 +442,13 @@ fn expand_counted(atom: &Ast, min: u32, max: Option<u32>) -> Ast {
             }
         }
     }
+    concat(items)
+}
+
+/// The sequence of `items`: nothing, the one item, or their concatenation.
+fn concat(mut items: Vec<Ast>) -> Ast {
     match items.len() {
-        0 => Ast::Empty,
-        1 => items.pop().expect("len checked"),
+        0 | 1 => items.pop().unwrap_or(Ast::Empty),
         _ => Ast::Concat(items),
     }
 }

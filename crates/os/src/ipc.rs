@@ -652,6 +652,7 @@ impl ClientSession {
             // The synchronous reader retires as it goes, so the bounded
             // publish cannot report RingFull here; chunking keeps that
             // true even for replies wider than the whole ring.
+            #[allow(clippy::expect_used)] // invariant: the chunk fits the free slots
             self.ring
                 .try_publish(now.len(), clock, cost, &mut self.stats)
                 .expect("chunked publish fits the ring");

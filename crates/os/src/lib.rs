@@ -24,6 +24,11 @@
 //!   mapping, eager relocation, and lazy PLT binding, re-done every
 //!   invocation the way HP-UX/SunOS-style schemes do.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod clock;
 pub mod cost;
 pub mod exec;

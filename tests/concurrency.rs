@@ -558,3 +558,90 @@ fn a_library_class_blueprint_built_standalone_stays_published() {
         "the root and libc modules are cached"
     );
 }
+
+/// The version a reply's library was built from: its `_verN` symbol.
+fn library_version(reply: &omos::core::InstantiateReply) -> u64 {
+    reply.libraries[0]
+        .image
+        .symbols
+        .keys()
+        .find_map(|name| name.strip_prefix("_ver")?.parse().ok())
+        .expect("the library exports its version")
+}
+
+/// Binds `/libc/stdio.o` at `version` (a `_verN` symbol beside `_puts`).
+fn bind_stdio(s: &Omos, version: u64) {
+    s.namespace.bind_object(
+        "/libc/stdio.o",
+        assemble(
+            "stdio.o",
+            &format!(
+                ".text\n.global _puts\n.global _ver{version}\n_puts: li r1, 7\n ret\n_ver{version}: ret\n"
+            ),
+        )
+        .unwrap(),
+    );
+}
+
+#[test]
+fn a_request_after_a_rebind_never_sees_the_old_reply() {
+    const READERS: usize = 7;
+    const REBINDS: u64 = 40;
+    let s = world(2);
+    bind_stdio(&s, 0);
+    // Rebinds of a path no program depends on move the generation, so
+    // hits keep revalidating while the library changes under them.
+    let noise = assemble("noise.o", ".text\n_n: ret\n").unwrap();
+    // The last library version whose rebind has returned.
+    let published = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let barrier = Barrier::new(READERS + 1);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            barrier.wait();
+            for v in 1..=REBINDS {
+                bind_stdio(&s, v);
+                published.store(v, Ordering::Release);
+                s.namespace.bind_object("/obj/noise.o", noise.clone());
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Release);
+        });
+        for t in 0..READERS {
+            let (s, published, done, barrier) = (&s, &published, &done, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                let path = format!("/bin/p{}", t % 2);
+                while !done.load(Ordering::Acquire) {
+                    let seen = published.load(Ordering::Acquire);
+                    let reply = s.instantiate(&path).unwrap();
+                    let got = library_version(&reply);
+                    assert!(
+                        got >= seen,
+                        "{path} started after version {seen} was bound, got version {got}"
+                    );
+                }
+            });
+        }
+    });
+    // Quiet again: every program answers from the last version, and a
+    // rebind of an unrelated path leaves the next probe of each a hit.
+    for p in ["/bin/p0", "/bin/p1"] {
+        assert_eq!(library_version(&s.instantiate(p).unwrap()), REBINDS);
+    }
+    s.namespace.bind_object("/obj/noise.o", noise);
+    let hits = s.stats().reply_cache_hits;
+    let barrier = Barrier::new(8);
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let (s, barrier) = (&s, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                let reply = s.instantiate(&format!("/bin/p{}", t % 2)).unwrap();
+                assert!(reply.cache_hit);
+                assert_eq!(library_version(&reply), REBINDS);
+            });
+        }
+    });
+    assert_eq!(s.stats().reply_cache_hits, hits + 8);
+}

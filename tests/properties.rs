@@ -15,7 +15,7 @@ use omos::blueprint::{Blueprint, LinkPolicy, PolicyKind};
 use omos::constraint::{Allocation, ConflictRecord, Placement, SolverState};
 use omos::core::json::{self, Json};
 use omos::core::persist::{decode_blueprint, encode_blueprint, RestoreReport};
-use omos::core::Omos;
+use omos::core::{Entry, Omos};
 use omos::isa::assemble;
 use omos::link::{decode_image, encode_image, link, LinkOptions, LinkStats, LinkedImage, Segment};
 use omos::obj::encode::container::{self, ContainerKind};
@@ -1154,5 +1154,91 @@ proptest! {
         let re = Regex::new(&format!("^{prefix}")).expect("compiles");
         let input = format!("{prefix}{rest}");
         prop_assert_eq!(re.replace(&input, "X"), format!("X{rest}"));
+    }
+}
+
+// --- Memoized blueprint keys ------------------------------------------------------
+
+/// Paths a key-memo history binds; one is spelled un-normalized.
+const MEMO_PATHS: [&str; 3] = ["/bin/a", "lib//b/", "/bin/c"];
+
+/// One durable namespace step in a key-memo history.
+#[derive(Debug, Clone)]
+enum NsOp {
+    BindMeta(usize, String),
+    BindObject(usize),
+    Unbind(usize),
+    Checkpoint,
+    Restore,
+}
+
+fn arb_ns_ops() -> impl Strategy<Value = Vec<NsOp>> {
+    proptest::strategy::from_fn(|rng: &mut TestRng| {
+        (0..1 + rng.below(12))
+            .map(|_| {
+                let p = rng.below(MEMO_PATHS.len() as u64) as usize;
+                match rng.below(8) {
+                    0..=2 => NsOp::BindMeta(p, mgraph_text(rng, 3)),
+                    3 => NsOp::BindObject(p),
+                    4 => NsOp::Unbind(p),
+                    5 | 6 => NsOp::Checkpoint,
+                    _ => NsOp::Restore,
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The key a meta-object is bound with always equals its
+    /// blueprint's hash, through binds, rebinds, unbinds, checkpoints,
+    /// and restores (which replay the journal written since the last
+    /// checkpoint); objects carry no key.
+    #[test]
+    fn memoized_blueprint_keys_match_their_blueprints(ops in arb_ns_ops()) {
+        const DIR: &str = "/omos";
+        let (mut fs, mut clock) = (InMemFs::new(), SimClock::new());
+        let mut s = Omos::new(CostModel::hpux(), Transport::SysVMsg);
+        // What each path should hold: a meta-object (true) or an object.
+        let mut model: HashMap<usize, bool> = HashMap::new();
+        for op in ops {
+            match op {
+                NsOp::BindMeta(p, src) => {
+                    model.insert(p, true);
+                    let bp = Blueprint::parse(&src).expect("generated blueprints parse");
+                    s.bind_meta_durable(MEMO_PATHS[p], bp, &mut fs, &mut clock, DIR)
+                        .expect("journal write");
+                }
+                NsOp::BindObject(p) => {
+                    model.insert(p, false);
+                    let obj = assemble("o.o", ".text\n_o: ret\n").expect("assembles");
+                    s.bind_object_durable(MEMO_PATHS[p], obj, &mut fs, &mut clock, DIR)
+                        .expect("journal write");
+                }
+                NsOp::Unbind(p) => {
+                    model.remove(&p);
+                    s.unbind_durable(MEMO_PATHS[p], &mut fs, &mut clock, DIR)
+                        .expect("journal write");
+                }
+                NsOp::Checkpoint => {
+                    s.checkpoint(&mut fs, &mut clock, DIR).expect("checkpoint");
+                }
+                NsOp::Restore => {
+                    s = Omos::restore(CostModel::hpux(), Transport::SysVMsg, &mut fs, &mut clock, DIR).0;
+                }
+            }
+            for (p, path) in MEMO_PATHS.iter().enumerate() {
+                let found = s.namespace.lookup_keyed(path);
+                match &found {
+                    Some((Entry::Meta(bp), key)) => prop_assert_eq!(*key, Some(bp.hash())),
+                    Some((Entry::Object(_), key)) => prop_assert_eq!(*key, None),
+                    None => {}
+                }
+                let kind = found.map(|(e, _)| matches!(e, Entry::Meta(_)));
+                prop_assert_eq!(kind, model.get(&p).copied());
+            }
+        }
     }
 }
