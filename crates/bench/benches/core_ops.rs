@@ -162,12 +162,27 @@ fn bench_deltablue(c: &mut Criterion) {
 
 fn bench_server(c: &mut Criterion) {
     use omos_os::ipc::Transport;
-    use omos_os::CostModel;
+    use omos_os::{CostModel, Process, SimClock};
     let sizes = WorkloadSizes::small();
     let mut scenario = omos_bench::Scenario::build(sizes, CostModel::hpux(), Transport::SysVMsg);
     scenario.warm_up().unwrap();
     c.bench_function("server/warm_instantiate_ls", |b| {
         b.iter(|| scenario.server.instantiate(black_box("/bin/ls")).unwrap())
+    });
+    // A warm exec's mapping layer alone: spawn, map every image of the
+    // cached codegen reply, and drop the process.
+    let codegen = scenario.server.instantiate("/bin/codegen").unwrap();
+    c.bench_function("os/exec_map_codegen", |b| {
+        b.iter(|| {
+            let mut clock = SimClock::new();
+            let mut proc =
+                Process::spawn(&codegen.program.frames, &mut clock, &scenario.cost).unwrap();
+            for lib in &codegen.libraries {
+                proc.map_more(&lib.frames, &mut clock, &scenario.cost)
+                    .unwrap();
+            }
+            drop(black_box(proc));
+        })
     });
     let mut g = c.benchmark_group("endtoend");
     g.sample_size(20);

@@ -837,6 +837,11 @@ struct ReqState {
     depth: u16,
 }
 
+/// The requests active on one thread: the innermost inline, and the
+/// ones it hides spilled to the heap (nested requests, e.g.
+/// `query_symbols` instantiating internally, are rare).
+type Active = (Option<ReqState>, Vec<ReqState>);
+
 /// An open interval span; closed by [`Tracer::close`] or
 /// [`Tracer::close_leaf`]. Dropping one without closing loses the
 /// record but cannot corrupt the tracer.
@@ -874,7 +879,8 @@ impl Drop for ReqGuard<'_> {
         }
         let tracer = self.tracer;
         with_local(|Local { active, shards }| {
-            let Some(state) = active.pop() else {
+            let (top, outer) = active;
+            let Some(state) = std::mem::replace(top, outer.pop()) else {
                 return;
             };
             let root = SpanRecord {
@@ -896,7 +902,7 @@ impl Drop for ReqGuard<'_> {
 /// Puts a request context set aside by [`Tracer::detached`] back on
 /// this thread when dropped, so a panic inside the detached closure
 /// cannot leave the request without its timeline.
-struct Reattach(Vec<ReqState>);
+struct Reattach(Active);
 
 impl Drop for Reattach {
     fn drop(&mut self) {
@@ -969,9 +975,8 @@ impl Shard {
 
 /// What a thread keeps for the tracers it records into.
 struct Local {
-    /// Stack of active requests on this thread (nested requests — e.g.
-    /// `query_symbols` instantiating internally — push and pop).
-    active: Vec<ReqState>,
+    /// The requests active on this thread.
+    active: Active,
     /// This thread's shards, keyed by tracer id. Exiting the thread
     /// retires them for reuse.
     shards: Vec<(u64, Arc<Shard>)>,
@@ -988,7 +993,7 @@ impl Drop for Local {
 thread_local! {
     static LOCAL: RefCell<Local> = const {
         RefCell::new(Local {
-            active: Vec::new(),
+            active: (None, Vec::new()),
             shards: Vec::new(),
         })
     };
@@ -1100,7 +1105,7 @@ impl Tracer {
         f: impl FnOnce(Option<&mut ReqState>) -> Option<SpanRecord>,
     ) {
         with_local(|Local { active, shards }| {
-            let span = f(active.last_mut());
+            let span = f(active.0.as_mut());
             let shard = shard_of(shards, self);
             if let Some((stage, ns)) = sample {
                 shard.hist(stage).record(ns);
@@ -1112,7 +1117,7 @@ impl Tracer {
     }
 
     fn with_state<T>(&self, f: impl FnOnce(&mut ReqState) -> T) -> Option<T> {
-        with_local(|local| local.active.last_mut().map(f)).flatten()
+        with_local(|local| local.active.0.as_mut().map(f)).flatten()
     }
 
     /// Opens the root span of a traced request. `dyn_lookup` passes
@@ -1129,11 +1134,12 @@ impl Tracer {
                 };
                 bump(cell, 1);
                 let req = shard.request_id(&self.next_req);
-                active.push(ReqState {
+                let (top, outer) = active;
+                outer.extend(top.replace(ReqState {
                     req,
                     cursor_ns: 0,
                     depth: 1,
-                });
+                }));
                 req
             })
         } else {

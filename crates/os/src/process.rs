@@ -94,7 +94,7 @@ pub const HEAP_BASE: u32 = 0xc000_0000;
 /// A simulated process: address space + VM state + heap break.
 #[derive(Debug)]
 pub struct Process {
-    /// The page table.
+    /// The address space.
     pub space: AddressSpace,
     /// CPU state.
     pub vm: Vm,

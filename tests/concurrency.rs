@@ -13,17 +13,21 @@
 //!   on the touched paths;
 //! * the image cache keeps its byte budget and never invalidates a
 //!   client's mapping under concurrent insert/hit interleavings.
+//! * a warm exec maps the reply's own frames with one reference per
+//!   segment, and gives every reference back when the process drops.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
+use omos::bench::{Scenario, WorkloadSizes, PROGRAMS};
 use omos::core::cache::{CachedImage, ImageCache};
 use omos::core::Omos;
 use omos::isa::assemble;
 use omos::link::LinkStats;
 use omos::obj::ContentHash;
 use omos::os::ipc::Transport;
-use omos::os::{CostModel, ImageFrames};
+use omos::os::{CostModel, ImageFrames, Process, SimClock, PAGE_SIZE};
 
 /// A server with `n` programs that all share one library. The IPC
 /// transport comes from `OMOS_TRANSPORT` (default SysV messages) so CI
@@ -644,4 +648,87 @@ fn a_request_after_a_rebind_never_sees_the_old_reply() {
         }
     });
     assert_eq!(s.stats().reply_cache_hits, hits + 8);
+}
+
+/// Reference counts of every segment's frame list in `reply`, program
+/// first.
+fn frame_list_counts(reply: &omos::core::InstantiateReply) -> Vec<usize> {
+    std::iter::once(&reply.program)
+        .chain(&reply.libraries)
+        .flat_map(|img| img.frames.segments.iter())
+        .map(|seg| Arc::strong_count(&seg.frames))
+        .collect()
+}
+
+/// Maps `reply` into a fresh process and checks that every page of
+/// every segment is the reply's own frame.
+fn map_reply(reply: &omos::core::InstantiateReply, cost: &CostModel) -> Process {
+    let mut clock = SimClock::new();
+    let mut proc = Process::spawn(&reply.program.frames, &mut clock, cost).unwrap();
+    for lib in &reply.libraries {
+        proc.map_more(&lib.frames, &mut clock, cost).unwrap();
+    }
+    let mut mapped = HashMap::new();
+    proc.space.visit_pages(|pno, frame| {
+        mapped.insert(pno, frame);
+    });
+    for img in std::iter::once(&reply.program).chain(&reply.libraries) {
+        for seg in &img.frames.segments {
+            for (i, frame) in seg.frames.iter().enumerate() {
+                let pno = seg.vaddr / PAGE_SIZE + i as u32;
+                assert_eq!(mapped[&pno], Some(Arc::as_ptr(frame)), "page {pno:#x}");
+            }
+        }
+    }
+    proc
+}
+
+#[test]
+fn concurrent_warm_execs_take_one_reference_per_segment_and_return_it() {
+    const THREADS: usize = 8;
+    const EXECS: usize = 100;
+    let mut scenario = Scenario::build(
+        WorkloadSizes::small(),
+        CostModel::hpux(),
+        Transport::from_env(Transport::SysVMsg),
+    );
+    scenario.warm_up().unwrap();
+    let (server, cost) = (&scenario.server, scenario.cost);
+    let paths: Vec<String> = PROGRAMS.iter().map(|p| format!("/bin/{p}")).collect();
+    // Held throughout, so the counts below move only with processes.
+    let held: Vec<_> = paths
+        .iter()
+        .map(|p| server.instantiate(p).unwrap())
+        .collect();
+    let before: Vec<Vec<usize>> = held.iter().map(frame_list_counts).collect();
+    for (reply, counts) in held.iter().zip(&before) {
+        let proc = map_reply(reply, &cost);
+        let one_more: Vec<usize> = counts.iter().map(|c| c + 1).collect();
+        assert_eq!(frame_list_counts(reply), one_more);
+        drop(proc);
+    }
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (paths, held, barrier) = (&paths, &held, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                let mut live = Vec::new();
+                for n in 0..EXECS {
+                    let i = (t + n) % paths.len();
+                    let reply = server.instantiate(&paths[i]).unwrap();
+                    assert!(reply.cache_hit);
+                    assert!(Arc::ptr_eq(&reply.program, &held[i].program));
+                    live.push(map_reply(&reply, &cost));
+                    // Keep a few processes alive at once, dropping the
+                    // oldest, so drops overlap other threads' maps.
+                    if live.len() > 3 {
+                        live.remove(0);
+                    }
+                }
+            });
+        }
+    });
+    let after: Vec<Vec<usize>> = held.iter().map(frame_list_counts).collect();
+    assert_eq!(after, before, "every process's references were returned");
 }
