@@ -13,6 +13,11 @@
 //! overheads: drift shared by both halves of a pair cancels, and no
 //! single disturbed pair moves the median.
 //!
+//! "Tracing off" still counts: the tracer's counters are the server's
+//! one ledger and count in both modes, so their per-request cost sits
+//! in the untraced baseline. The guarded overhead is what tracing adds
+//! on top: spans, histogram samples and request ids.
+//!
 //! The same property is guarded for the simulated lanes: a sweep with
 //! `OMOS_EVAL_JOBS=8` must produce the same cold and warm sim makespans
 //! as `OMOS_EVAL_JOBS=1` (the lane schedule may only move `latency_ns`,

@@ -718,9 +718,9 @@ pub fn run_pipelined(
 
 /// Runs the full sweep. Each thread count gets a *fresh* server for its
 /// cold phase; the warm phase reuses that same (now fully cached)
-/// server. With `tracing` off every trace hook degenerates to one
-/// relaxed atomic load (this is what the overhead guard compares
-/// against); the simulated numbers are identical either way.
+/// server. With `tracing` off no hook records a span or a histogram
+/// sample, and only the counters count (this is what the overhead guard
+/// compares against); the simulated numbers are identical either way.
 #[must_use]
 pub fn run_multiclient(
     sizes: &WorkloadSizes,

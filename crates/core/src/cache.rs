@@ -30,8 +30,10 @@
 //!
 //! The cache is internally synchronized and sharded by key so many
 //! server threads can hit it concurrently: each shard has its own lock
-//! and recency state; the byte total and the hit/miss counters are
-//! atomics. Eviction only ever drops the cache's *reference* — images
+//! and recency state; the byte total is an atomic. Hits, misses,
+//! insertions and evictions are counted by the cache's tracer (the
+//! server's, once attached), on the recording thread's own shard.
+//! Eviction only ever drops the cache's *reference* — images
 //! are held as `Arc<CachedImage>`, so a client that still maps an
 //! evicted image keeps its frames alive until it unmaps.
 
@@ -90,7 +92,8 @@ pub enum EvictionPolicy {
     CostAware,
 }
 
-/// Hit/miss counters (a snapshot; see [`ImageCache::stats`]).
+/// Hit/miss counters: a view of the cache's tracer counters (see
+/// [`ImageCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found an entry.
@@ -245,11 +248,7 @@ pub struct ImageCache {
     /// Monotone instance counter for [`CachedImage::epoch`].
     epochs: AtomicU64,
     spill: Option<Arc<SpillTier>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    tracer: Option<Arc<Tracer>>,
+    tracer: Arc<Tracer>,
 }
 
 /// Default shard count: enough that eight clients rarely collide, small
@@ -285,19 +284,17 @@ impl ImageCache {
             policy,
             epochs: AtomicU64::new(0),
             spill: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            tracer: None,
+            tracer: Arc::new(Tracer::new()),
         }
     }
 
-    /// Attaches a tracer: probes, evictions (with their reason), and
-    /// tier-2 traffic are reported to it.
+    /// From here on counts into `tracer` instead of the cache's own:
+    /// probes, insertions and evictions (with their reason). A server
+    /// passes its tracer, so the cache's counts join the server's
+    /// ledger.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> ImageCache {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
         self
     }
 
@@ -322,24 +319,22 @@ impl ImageCache {
         self.policy
     }
 
-    fn trace(&self) -> Option<&Tracer> {
-        self.tracer.as_deref()
-    }
-
     fn shard_index(&self, key: ContentHash) -> usize {
         // ContentHash is already a mixed 64-bit digest; the low bits
         // pick the shard.
         (key.0 as usize) % self.shards.len()
     }
 
-    /// A consistent snapshot of the counters.
+    /// The counters, read from the cache's tracer (exact once the
+    /// recording threads are quiet).
     #[must_use]
     pub fn stats(&self) -> CacheStats {
+        let c = self.tracer.counters();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: c.image_hits,
+            misses: c.image_misses,
+            insertions: c.image_insertions,
+            evictions: c.image_evict_budget,
         }
     }
 
@@ -389,33 +384,18 @@ impl ImageCache {
     pub fn get(&self, key: ContentHash) -> Option<Arc<CachedImage>> {
         let hit = {
             let mut shard = lock(&self.shards[self.shard_index(key)]);
-            match shard.map.get(&key) {
-                Some(img) => {
-                    let img = Arc::clone(img);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    shard.touch(key, self.policy);
-                    Some(img)
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
+            let hit = shard.map.get(&key).map(Arc::clone);
+            if hit.is_some() {
+                shard.touch(key, self.policy);
             }
+            hit
         };
-        if let Some(t) = self.trace() {
-            t.probe(
-                CacheKind::Image,
-                if hit.is_some() {
-                    ProbeOutcome::Hit
-                } else {
-                    ProbeOutcome::Miss
-                },
-            );
-        }
-        if hit.is_some() {
-            return hit;
-        }
-        self.fault_in(key)
+        let outcome = match hit {
+            Some(_) => ProbeOutcome::Hit,
+            None => ProbeOutcome::Miss,
+        };
+        self.tracer.probe(CacheKind::Image, outcome);
+        hit.or_else(|| self.fault_in(key))
     }
 
     /// Tier-2 fault-in: read, verify (file hash, frame checksum,
@@ -425,18 +405,7 @@ impl ImageCache {
     /// which is what keeps replies byte-identical to a never-evicted
     /// run.
     fn fault_in(&self, key: ContentHash) -> Option<Arc<CachedImage>> {
-        let spill = self.spill.as_ref()?;
-        let before = spill.stats();
-        let faulted = spill.fetch(key);
-        if let Some(t) = self.trace() {
-            let after = spill.stats();
-            t.tier2(
-                0,
-                after.fault_ins - before.fault_ins,
-                after.verify_drops - before.verify_drops,
-            );
-        }
-        let faulted = faulted?;
+        let faulted = self.spill.as_ref()?.fetch(key)?;
         let frames = ImageFrames::from_image(&faulted.image);
         Some(self.install(
             CachedImage {
@@ -490,14 +459,14 @@ impl ImageCache {
             replaced
         };
         if !from_fault {
-            self.insertions.fetch_add(1, Ordering::Relaxed);
+            self.tracer.image_inserted();
         }
-        if let Some(t) = self.trace() {
-            if replaced.is_some() {
-                t.evict(CacheKind::Image, EvictReason::Replace, 1);
-            }
-        }
-        self.enforce_budget(key);
+        let replaced = u64::from(replaced.is_some());
+        self.tracer
+            .evict(CacheKind::Image, EvictReason::Replace, replaced);
+        let evicted = self.enforce_budget(key);
+        self.tracer
+            .evict(CacheKind::Image, EvictReason::Budget, evicted);
         arc
     }
 
@@ -505,8 +474,8 @@ impl ImageCache {
     /// shards round-robin from the protected key's shard. Stops early
     /// if nothing but `protect` remains evictable. With a spill tier
     /// attached, every budget victim is sealed into the tier (outside
-    /// the shard locks).
-    fn enforce_budget(&self, protect: ContentHash) {
+    /// the shard locks). Returns how many entries it evicted.
+    fn enforce_budget(&self, protect: ContentHash) -> u64 {
         let n = self.shards.len();
         let start = self.shard_index(protect);
         let mut dropped = 0u64;
@@ -522,7 +491,6 @@ impl ImageCache {
                 if let Some(victim) = shard.victim(protect, self.policy) {
                     if let Some(old) = shard.evict(victim) {
                         self.bytes.fetch_sub(old.size_bytes(), Ordering::Relaxed);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
                         dropped += 1;
                         evicted = true;
                         if self.spill.is_some() {
@@ -539,13 +507,8 @@ impl ImageCache {
             for old in &spilled {
                 spill.store(old.key, &old.image, old.link_stats, old.rebuild_ns);
             }
-            if let Some(t) = self.trace() {
-                t.tier2(spilled.len() as u64, 0, 0);
-            }
         }
-        if let Some(t) = self.trace() {
-            t.evict(CacheKind::Image, EvictReason::Budget, dropped);
-        }
+        dropped
     }
 
     /// Drops everything — both tiers. The byte counter is decremented
@@ -569,9 +532,8 @@ impl ImageCache {
         if let Some(spill) = &self.spill {
             spill.clear();
         }
-        if let Some(t) = self.trace() {
-            t.evict(CacheKind::Image, EvictReason::Clear, dropped);
-        }
+        self.tracer
+            .evict(CacheKind::Image, EvictReason::Clear, dropped);
     }
 }
 

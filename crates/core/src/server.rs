@@ -21,7 +21,8 @@
 //!
 //! * the namespace, eval cache, reply cache, and image cache are
 //!   internally synchronized (sharded locks, atomics);
-//! * counters are atomics, snapshotted by [`Omos::stats`];
+//! * counters live in the tracer's per-thread shards (one ledger, on
+//!   whether or not tracing is), summed by [`Omos::stats`];
 //! * concurrent cold-starts of the same blueprint coalesce through a
 //!   per-key single-flight table — one leader evaluates and links, the
 //!   rest block and share the leader's reply (and its frames);
@@ -79,12 +80,13 @@ pub const CLIENT_DATA_BASE: u32 = omos_analysis::manifest::CLIENT_DATA_BASE;
 /// Shards for the eval and reply caches.
 const CACHE_SHARDS: usize = 8;
 
-/// Server-side counters (a snapshot; see [`Omos::stats`]).
+/// Server-side counters: a view of the tracer's counters (see
+/// [`Omos::stats`]).
 ///
-/// For a workload of well-formed `instantiate` calls, the counters
-/// satisfy `requests == reply_cache_hits + coalesced + replies_built`:
-/// every request is either answered from the reply cache, coalesced
-/// onto another thread's in-flight build, or built by a leader.
+/// `requests == reply_cache_hits + coalesced + replies_built` by
+/// construction: every request is either answered from the reply
+/// cache, coalesced onto another thread's in-flight build, or built by
+/// a leader (a `dynamic_load` is a build it leads).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Instantiation requests served.
@@ -94,7 +96,8 @@ pub struct ServerStats {
     /// Requests that coalesced onto a concurrent identical request
     /// (single-flight followers).
     pub coalesced: u64,
-    /// Reply builds led (cache-missing evaluations started).
+    /// Builds led: cache-missing reply builds started, and
+    /// `dynamic_load` calls.
     pub replies_built: u64,
     /// Library images built (should stay near the number of distinct
     /// libraries in "the common case").
@@ -103,17 +106,6 @@ pub struct ServerStats {
     pub programs_built: u64,
     /// Total server CPU spent, ns.
     pub cpu_ns: u64,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    requests: AtomicU64,
-    reply_cache_hits: AtomicU64,
-    coalesced: AtomicU64,
-    replies_built: AtomicU64,
-    libraries_built: AtomicU64,
-    programs_built: AtomicU64,
-    cpu_ns: AtomicU64,
 }
 
 /// What the server hands back for an instantiation request: everything
@@ -276,7 +268,6 @@ pub struct Omos {
     pub transport: Transport,
     cost: CostModel,
     solver: Mutex<PlacementSolver>,
-    counters: Counters,
     eval_cache: Sharded<ContentHash, EvalEntry>,
     pub(crate) reply_cache: Sharded<ContentHash, Arc<ReplyEntry>>,
     /// Reply builds in flight, by blueprint key; each result carries the
@@ -319,7 +310,6 @@ impl Omos {
             transport,
             cost,
             solver: Mutex::new(PlacementSolver::new()),
-            counters: Counters::default(),
             eval_cache: Sharded::new(CACHE_SHARDS),
             reply_cache: Sharded::new(CACHE_SHARDS),
             reply_flight: SingleFlight::new(),
@@ -366,8 +356,9 @@ impl Omos {
         &self.tracer
     }
 
-    /// Turns tracing on or off (on by default). Off, every trace hook
-    /// is an early-return on one relaxed atomic load.
+    /// Turns tracing on or off (on by default). Off, no request records
+    /// spans or histogram samples or gets a request id; the counters
+    /// behind [`Omos::stats`] and the trace snapshot count either way.
     pub fn set_tracing(&self, on: bool) {
         self.tracer.set_enabled(on);
     }
@@ -379,17 +370,19 @@ impl Omos {
         self.tracer.snapshot()
     }
 
-    /// A consistent-enough snapshot of the server counters.
+    /// The server counters, read from the tracer (exact once the
+    /// recording threads are quiet).
     #[must_use]
     pub fn stats(&self) -> ServerStats {
+        let c = self.tracer.counters();
         ServerStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            reply_cache_hits: self.counters.reply_cache_hits.load(Ordering::Relaxed),
-            coalesced: self.counters.coalesced.load(Ordering::Relaxed),
-            replies_built: self.counters.replies_built.load(Ordering::Relaxed),
-            libraries_built: self.counters.libraries_built.load(Ordering::Relaxed),
-            programs_built: self.counters.programs_built.load(Ordering::Relaxed),
-            cpu_ns: self.counters.cpu_ns.load(Ordering::Relaxed),
+            requests: c.requests,
+            reply_cache_hits: c.reply_hits,
+            coalesced: c.flight_coalesced,
+            replies_built: c.replies_built,
+            libraries_built: c.libraries_built,
+            programs_built: c.programs_built,
+            cpu_ns: c.cpu_ns,
         }
     }
 
@@ -453,7 +446,6 @@ impl Omos {
 
     /// Instantiates the meta-object (or bare fragment) at `path`.
     pub fn instantiate(&self, path: &str) -> Result<InstantiateReply, OmosError> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let (bp, key) = self.blueprint_at(path)?;
         self.request(&bp, key, Some(path))
     }
@@ -510,7 +502,6 @@ impl Omos {
             if leader_gen < gen {
                 continue;
             }
-            self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
             return match result {
                 Ok(mut reply) => {
                     // Followers share the leader's frames without doing
@@ -555,13 +546,8 @@ impl Omos {
             }
             entry.validated.fetch_max(now, Ordering::AcqRel);
         }
-        self.tracer.probe(CacheKind::Reply, ProbeOutcome::Hit);
-        self.counters
-            .reply_cache_hits
-            .fetch_add(1, Ordering::Relaxed);
         let server_ns = self.cost.server_cached_request_ns;
-        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
-        self.tracer.advance(server_ns);
+        self.tracer.reply_hit(server_ns);
         let mut reply = entry.reply.clone();
         reply.server_ns = server_ns;
         reply.latency_ns = server_ns;
@@ -681,7 +667,10 @@ impl Omos {
         root: Option<&str>,
         key: ContentHash,
     ) -> Result<InstantiateReply, OmosError> {
-        self.counters.replies_built.fetch_add(1, Ordering::Relaxed);
+        // Baseline handling opens the timeline of every build led, a
+        // pre-flight rejection included.
+        let base_ns = self.cost.server_cached_request_ns;
+        self.tracer.begin_build(base_ns);
         if self.preflight.load(Ordering::Relaxed) {
             let errors: Vec<Diagnostic> = self
                 .lint_blueprint(bp)
@@ -697,8 +686,6 @@ impl Omos {
         // the entry on its next lookup.
         let ctx = ReqCtx::for_reply(self, bp);
         let lanes = self.eval_jobs();
-        let base_ns = self.cost.server_cached_request_ns; // baseline handling
-        self.tracer.advance(base_ns);
         let (mut out, eval_ns, eval_path_ns) = self.eval(bp, &ctx, lanes)?;
         // Policy application is serial (it rewrites the single program
         // module), so it lands on the critical path as well.
@@ -710,10 +697,10 @@ impl Omos {
         let latency_ns = base_ns + eval_path_ns + policy_ns + libs.path_ns + prog_ns;
 
         let manifest = self.manifest_from_actuals(bp, &out, &libs, &program, client);
-        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
         let avoided_ns = libs.avoided_ns + if prog_ns == 0 { program.rebuild_ns } else { 0 };
         let linked = libs.images.len() as u64 - libs.reused;
-        self.tracer.reuse(libs.reused, linked, avoided_ns);
+        self.tracer
+            .built(server_ns, libs.reused, linked, avoided_ns);
         let reply = InstantiateReply {
             program,
             libraries: libs.images,
@@ -839,11 +826,7 @@ impl Omos {
         }
         let mut opts = LinkOptions::library(&lib.name, bases.0, bases.1);
         opts.externs = externs.clone();
-        let link = || {
-            self.cache_image(image_key, &self.counters.libraries_built, || {
-                self.build_image(image_key, &obj, &opts)
-            })
-        };
+        let link = || self.cache_image(image_key, || self.build_image(image_key, &obj, &opts));
         let (img, ns) = if lanes == 1 {
             link()?
         } else {
@@ -875,17 +858,14 @@ impl Omos {
         opts.text_base = bases.0;
         opts.data_base = bases.1;
         opts.externs = libs.externs.clone();
-        let built = &self.counters.programs_built;
-        let (img, ns) = self.cache_image(image_key, built, || {
-            self.build_image(image_key, &obj, &opts)
-        })?;
+        let (img, ns) = self.cache_image(image_key, || self.build_image(image_key, &obj, &opts))?;
         Ok((img, bases, ns))
     }
 
-    /// Links and frames one image, not yet cached, with its link work.
-    /// Run detached from the request timeline (above one lane), its
-    /// trace hooks record no span; the executor meters the returned
-    /// work instead.
+    /// Links and frames one image, not yet cached, with its link work,
+    /// and counts it as a library or program build. Run detached from
+    /// the request timeline (above one lane), its trace hooks record no
+    /// span; the executor meters the returned work instead.
     fn build_image(
         &self,
         image_key: ContentHash,
@@ -899,6 +879,7 @@ impl Omos {
             .map_or(0, |l| link_work_ns(&l.stats, &self.cost));
         self.tracer.close_leaf(span, Stage::Link, ns);
         let linked = linked?;
+        self.tracer.image_built(opts.entry.is_none());
         let img = CachedImage {
             key: image_key,
             frames: self.framed(&linked.image),
@@ -913,11 +894,9 @@ impl Omos {
     /// Caches the image `build` produces under `image_key`, single-flight
     /// per key: concurrent builds of the same image coalesce, and an
     /// image already cached is returned at zero cost without building.
-    /// Counts a build in `built`.
     fn cache_image(
         &self,
         image_key: ContentHash,
-        built: &AtomicU64,
         build: impl Fn() -> Result<(CachedImage, u64), OmosError>,
     ) -> Result<(Arc<CachedImage>, u64), OmosError> {
         let (result, _led) = self.image_flight.run(image_key, || {
@@ -925,7 +904,6 @@ impl Omos {
                 return Ok((img, 0));
             }
             let (img, ns) = build()?;
-            built.fetch_add(1, Ordering::Relaxed);
             Ok((self.images.insert(img), ns))
         });
         result
@@ -1096,7 +1074,7 @@ impl Omos {
                     .iter()
                     .map(|(s, a)| (s.clone(), *a))
                     .collect();
-                self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
+                self.tracer.built(server_ns, 0, 0, 0);
                 empty.insert(BuiltDyn {
                     htab: FunctionHashTable::build(&entries),
                     instance,
@@ -1673,11 +1651,10 @@ impl Omos {
         wanted: &[&str],
         client_exports: &HashMap<String, u32>,
     ) -> Result<DynamicLoadReply, OmosError> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let _guard = self.tracer.begin_request(SpanKind::Request);
         let ctx = ReqCtx::new(self);
         let base_ns = self.cost.server_cached_request_ns;
-        self.tracer.advance(base_ns);
+        self.tracer.begin_build(base_ns);
         let (out, eval_ns, _) = self.eval(bp, &ctx, 1)?;
 
         // Resolve any referenced self-contained libraries first, then
@@ -1702,7 +1679,7 @@ impl Omos {
                 .ok_or_else(|| OmosError::Client(format!("`{name}` not defined by the class")))?;
             values.insert((*name).to_string(), addr);
         }
-        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
+        self.tracer.built(server_ns, 0, 0, 0);
         Ok(DynamicLoadReply {
             frames: img.frames.clone(),
             values,
@@ -1776,7 +1753,6 @@ impl Omos {
         path: &str,
         pattern: &str,
     ) -> Result<(InstantiateReply, Vec<String>), OmosError> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let mut bp = Blueprint::clone(&self.blueprint_at(path)?.0);
         bp.policies.push(LinkPolicy {
             kind: PolicyKind::Audit,

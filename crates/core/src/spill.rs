@@ -55,9 +55,11 @@ struct SpillInner {
     /// Spill order, oldest first (tier-2 budget eviction order).
     order: VecDeque<ContentHash>,
     bytes: u64,
+    /// Counters, kept under the lock that `store`/`fetch` hold anyway.
+    stats: SpillStats,
 }
 
-/// Counters for the spill tier (snapshot; see [`SpillTier::stats`]).
+/// Counters for the spill tier (a snapshot; see [`SpillTier::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Evicted images written to the tier.
@@ -92,10 +94,6 @@ pub struct SpillTier {
     budget: u64,
     cost: CostModel,
     inner: Mutex<SpillInner>,
-    spills: std::sync::atomic::AtomicU64,
-    fault_ins: std::sync::atomic::AtomicU64,
-    verify_drops: std::sync::atomic::AtomicU64,
-    tier_evictions: std::sync::atomic::AtomicU64,
 }
 
 const SPILL_DIR: &str = "/spill";
@@ -114,26 +112,20 @@ impl SpillTier {
                 index: HashMap::new(),
                 order: VecDeque::new(),
                 bytes: 0,
+                stats: SpillStats::default(),
             }),
-            spills: std::sync::atomic::AtomicU64::new(0),
-            fault_ins: std::sync::atomic::AtomicU64::new(0),
-            verify_drops: std::sync::atomic::AtomicU64::new(0),
-            tier_evictions: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
-    /// A consistent snapshot of the tier's counters.
+    /// A consistent snapshot of the tier's counters: one read under the
+    /// tier's lock.
     #[must_use]
     pub fn stats(&self) -> SpillStats {
-        use std::sync::atomic::Ordering::Relaxed;
         let inner = lock(&self.inner);
         SpillStats {
-            spills: self.spills.load(Relaxed),
-            fault_ins: self.fault_ins.load(Relaxed),
-            verify_drops: self.verify_drops.load(Relaxed),
-            tier_evictions: self.tier_evictions.load(Relaxed),
             resident: inner.index.len() as u64,
             resident_bytes: inner.bytes,
+            ..inner.stats
         }
     }
 
@@ -147,7 +139,6 @@ impl SpillTier {
         stats: LinkStats,
         rebuild_ns: u64,
     ) {
-        use std::sync::atomic::Ordering::Relaxed;
         let sealed = encode_image(image);
         let file_hash = fnv1a(&sealed).0;
         let mut inner = lock(&self.inner);
@@ -172,7 +163,7 @@ impl SpillTier {
         );
         inner.bytes += sealed.len() as u64;
         inner.order.push_back(key);
-        self.spills.fetch_add(1, Relaxed);
+        inner.stats.spills += 1;
         while inner.bytes > self.budget {
             let Some(victim) = inner.order.pop_front() else {
                 break;
@@ -182,7 +173,7 @@ impl SpillTier {
             }
             let vp = img_path(SPILL_DIR, victim);
             inner.fs.unlink(&vp, &mut inner.clock, &self.cost);
-            self.tier_evictions.fetch_add(1, Relaxed);
+            inner.stats.tier_evictions += 1;
         }
     }
 
@@ -192,7 +183,6 @@ impl SpillTier {
     /// clean read consumes the row (tier 1 re-owns the image and will
     /// re-spill on its next eviction).
     pub(crate) fn fetch(&self, key: ContentHash) -> Option<FaultedImage> {
-        use std::sync::atomic::Ordering::Relaxed;
         let mut inner = lock(&self.inner);
         let inner = &mut *inner;
         let row = *inner.index.get(&key)?;
@@ -211,7 +201,7 @@ impl SpillTier {
         inner.fs.unlink(&path, &mut inner.clock, &self.cost);
         match verified {
             Ok(image) => {
-                self.fault_ins.fetch_add(1, Relaxed);
+                inner.stats.fault_ins += 1;
                 Some(FaultedImage {
                     image,
                     stats: row.stats,
@@ -219,7 +209,7 @@ impl SpillTier {
                 })
             }
             Err(_) => {
-                self.verify_drops.fetch_add(1, Relaxed);
+                inner.stats.verify_drops += 1;
                 None
             }
         }

@@ -15,6 +15,10 @@
 //! and takes no lock. A snapshot sums the shards' counters and
 //! histograms and merges their segments.
 //!
+//! The counters are the server's one ledger: they count whether or not
+//! tracing is on, and `ServerStats` and `CacheStats` are views of them.
+//! [`Tracer::set_enabled`] gates only spans, histograms and request ids.
+//!
 //! Timestamps live in the *simulation* domain: each request owns a
 //! cursor of SimClock-style nanoseconds that leaf spans advance, so a
 //! request's span tree is a deterministic timeline of where its time
@@ -613,10 +617,22 @@ macro_rules! counter_family {
 }
 
 counter_family! {
-    /// Traced instantiation requests started.
+    /// Instantiation requests served, derived at snapshot time as
+    /// `reply_hits + flight_coalesced + replies_built`: every request is
+    /// answered from the reply cache, coalesced onto another's build,
+    /// or builds.
     requests,
-    /// Traced `dyn_lookup` requests started.
+    /// `dyn_lookup` requests started.
     dyn_lookups,
+    /// Builds led: cache-missing reply builds started, and
+    /// `dynamic_load` calls.
+    replies_built,
+    /// Library images linked.
+    libraries_built,
+    /// Program images linked.
+    programs_built,
+    /// Server CPU billed to clients, simulated ns.
+    cpu_ns,
     /// Reply-cache probes.
     reply_probes,
     /// Reply-cache hits.
@@ -637,22 +653,16 @@ counter_family! {
     image_probes,
     /// Image-cache hits.
     image_hits,
-    /// Image-cache misses.
+    /// Image-cache misses (tier 1; a tier-2 fault-in may answer them).
     image_misses,
+    /// Images inserted into the image cache (fault-ins excluded).
+    image_insertions,
     /// Image-cache evictions forced by the byte budget.
     image_evict_budget,
     /// Image-cache entries replaced under the same key.
     image_evict_replace,
     /// Image-cache entries dropped by `clear()`.
     image_evict_clear,
-    /// Budget-evicted images sealed into the tier-2 spill store.
-    tier2_spills,
-    /// Image-cache misses answered by a verified tier-2 fault-in
-    /// (subset of `image_misses`; no relink ran).
-    tier2_fault_ins,
-    /// Tier-2 fault-in attempts dropped by verification (file hash,
-    /// frame checksum, or content hash mismatch); the image relinks.
-    tier2_verify_drops,
     /// Reply/eval entries dropped because a dependency was touched.
     evict_invalidated,
     /// Requests that entered the reply single-flight.
@@ -1020,6 +1030,19 @@ fn shard_of<'a>(shards: &'a mut Vec<(u64, Arc<Shard>)>, tracer: &Tracer) -> &'a 
 /// Tracer ids, so a thread can tell its shards apart.
 static NEXT_TRACER: AtomicU64 = AtomicU64::new(1);
 
+/// An instant `kind` at `s`'s cursor.
+fn instant(kind: SpanKind, s: &ReqState) -> SpanRecord {
+    SpanRecord {
+        req: s.req,
+        seq: 0,
+        kind,
+        depth: s.depth,
+        start_ns: s.cursor_ns,
+        dur_ns: 0,
+        worker: 0,
+    }
+}
+
 // --- The tracer -----------------------------------------------------------------
 
 /// The tracing and metrics hub one server owns.
@@ -1059,8 +1082,9 @@ impl Tracer {
         }
     }
 
-    /// Turns recording on or off. Off, every hook is a cheap
-    /// early-return: no counters, no histograms, no ring writes.
+    /// Turns recording on or off. Off, no hook records a span or a
+    /// histogram sample or hands out a request id; counters still
+    /// count, exactly as they do when on.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -1096,17 +1120,18 @@ impl Tracer {
         })
     }
 
-    /// Applies `f` to the innermost active request (if any) and records
-    /// the span it returns, and a histogram sample, on this thread's
-    /// shard: one thread-local access for the whole hook.
+    /// Applies `f` to this thread's counter cells and the innermost
+    /// active request (if any), and records the spans it returns, and a
+    /// histogram sample, on this thread's shard: one thread-local access
+    /// for the whole hook.
     fn record(
         &self,
         sample: Option<(Stage, u64)>,
-        f: impl FnOnce(Option<&mut ReqState>) -> Option<SpanRecord>,
+        f: impl FnOnce(&CounterCells, Option<&mut ReqState>) -> Option<SpanRecord>,
     ) {
         with_local(|Local { active, shards }| {
-            let span = f(active.0.as_mut());
             let shard = shard_of(shards, self);
+            let span = f(&shard.c, active.0.as_mut());
             if let Some((stage, ns)) = sample {
                 shard.hist(stage).record(ns);
             }
@@ -1116,48 +1141,50 @@ impl Tracer {
         });
     }
 
+    /// [`Tracer::record`] for a hook that counts whether or not tracing
+    /// is on: `f` sees the active request only while it is.
+    fn count(&self, f: impl FnOnce(&CounterCells, Option<&mut ReqState>) -> Option<SpanRecord>) {
+        let traced = self.enabled();
+        self.record(None, |c, state| f(c, state.filter(|_| traced)));
+    }
+
     fn with_state<T>(&self, f: impl FnOnce(&mut ReqState) -> T) -> Option<T> {
         with_local(|local| local.active.0.as_mut().map(f)).flatten()
     }
 
     /// Opens the root span of a traced request. `dyn_lookup` passes
-    /// `SpanKind::DynLookup`; instantiation paths pass
-    /// `SpanKind::Request`.
+    /// `SpanKind::DynLookup` (and is counted here); instantiation paths
+    /// pass `SpanKind::Request` (counted by how they end, see
+    /// [`TraceCounters::requests`]).
     pub fn begin_request(&self, kind: SpanKind) -> ReqGuard<'_> {
-        let req = if self.enabled() {
+        let lookup = kind == SpanKind::DynLookup;
+        let traced = self.enabled();
+        let req = if traced || lookup {
             with_local(|Local { active, shards }| {
                 let shard = shard_of(shards, self);
-                let cell = if kind == SpanKind::DynLookup {
-                    &shard.c.dyn_lookups
-                } else {
-                    &shard.c.requests
-                };
-                bump(cell, 1);
-                let req = shard.request_id(&self.next_req);
-                let (top, outer) = active;
-                outer.extend(top.replace(ReqState {
-                    req,
-                    cursor_ns: 0,
-                    depth: 1,
-                }));
-                req
+                if lookup {
+                    bump(&shard.c.dyn_lookups, 1);
+                }
+                traced.then(|| {
+                    let req = shard.request_id(&self.next_req);
+                    let (top, outer) = active;
+                    outer.extend(top.replace(ReqState {
+                        req,
+                        cursor_ns: 0,
+                        depth: 1,
+                    }));
+                    req
+                })
             })
+            .flatten()
         } else {
             None
         };
-        let Some(req) = req else {
-            return ReqGuard {
-                tracer: self,
-                req: 0,
-                kind,
-                active: false,
-            };
-        };
         ReqGuard {
             tracer: self,
-            req,
+            req: req.unwrap_or(0),
             kind,
-            active: true,
+            active: req.is_some(),
         }
     }
 
@@ -1194,7 +1221,7 @@ impl Tracer {
         if span.req == 0 {
             return;
         }
-        self.record(None, |state| {
+        self.record(None, |_, state| {
             let end = state.map_or(span.start_ns, |s| {
                 s.depth = s.depth.saturating_sub(1);
                 s.cursor_ns
@@ -1217,7 +1244,7 @@ impl Tracer {
         if span.req == 0 {
             return;
         }
-        self.record(Some((stage, ns)), |state| {
+        self.record(Some((stage, ns)), |_, state| {
             if let Some(s) = state {
                 s.cursor_ns += ns;
                 s.depth = s.depth.saturating_sub(1);
@@ -1252,7 +1279,7 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.record(None, |state| {
+        self.record(None, |_, state| {
             state.map(|s| SpanRecord {
                 req: s.req,
                 seq: 0,
@@ -1266,7 +1293,7 @@ impl Tracer {
     }
 
     /// Runs `f` with this thread's request context set aside. Counters
-    /// (cache probes, evictions, tier-2 traffic) still count, but no
+    /// (cache probes, evictions, builds) still count, but no
     /// span lands on the timeline, no span close feeds a histogram, and
     /// the request cursor does not move. Work on a simulated lane runs
     /// this way; the caller lays it out afterwards with
@@ -1283,23 +1310,8 @@ impl Tracer {
     /// the durations it lays out as overlapped spans.
     pub fn note(&self, stage: Stage, ns: u64) {
         if self.enabled() {
-            self.record(Some((stage, ns)), |_| None);
+            self.record(Some((stage, ns)), |_, _| None);
         }
-    }
-
-    /// Records an instant event at the current cursor.
-    fn instant(&self, kind: SpanKind) {
-        self.record(None, |state| {
-            state.map(|s| SpanRecord {
-                req: s.req,
-                seq: 0,
-                kind,
-                depth: s.depth,
-                start_ns: s.cursor_ns,
-                dur_ns: 0,
-                worker: 0,
-            })
-        });
     }
 
     /// Records a cache probe. Hits are counter-only — they are the
@@ -1310,11 +1322,7 @@ impl Tracer {
     /// The per-cache `probes` counter is derived as `hits + misses` at
     /// snapshot time.
     pub fn probe(&self, cache: CacheKind, outcome: ProbeOutcome) {
-        if !self.enabled() {
-            return;
-        }
-        self.with_shard(|shard| {
-            let c = &shard.c;
+        self.count(|c, state| {
             let (h, m, st) = match cache {
                 CacheKind::Reply => (&c.reply_hits, &c.reply_misses, Some(&c.reply_stale)),
                 CacheKind::Eval => (&c.eval_hits, &c.eval_misses, Some(&c.eval_stale)),
@@ -1330,19 +1338,33 @@ impl Tracer {
                     }
                 }
             }
+            let mark = SpanKind::CacheProbe(cache, outcome);
+            state
+                .filter(|_| outcome != ProbeOutcome::Hit)
+                .map(|s| instant(mark, s))
         });
-        if outcome != ProbeOutcome::Hit {
-            self.instant(SpanKind::CacheProbe(cache, outcome));
-        }
+    }
+
+    /// Records a reply-cache hit, the steady-state request, as one hook:
+    /// the hit, the `server_ns` it bills, and the request cursor's
+    /// advance by as much.
+    pub fn reply_hit(&self, server_ns: u64) {
+        self.count(|c, state| {
+            bump(&c.reply_hits, 1);
+            bump(&c.cpu_ns, server_ns);
+            if let Some(s) = state {
+                s.cursor_ns += server_ns;
+            }
+            None
+        });
     }
 
     /// Records `n` evictions with their reason.
     pub fn evict(&self, cache: CacheKind, reason: EvictReason, n: u64) {
-        if !self.enabled() || n == 0 {
+        if n == 0 {
             return;
         }
-        self.with_shard(|shard| {
-            let c = &shard.c;
+        self.count(|c, state| {
             let cell = match (cache, reason) {
                 (CacheKind::Image, EvictReason::Budget) => &c.image_evict_budget,
                 (CacheKind::Image, EvictReason::Replace) => &c.image_evict_replace,
@@ -1350,21 +1372,34 @@ impl Tracer {
                 _ => &c.evict_invalidated,
             };
             bump(cell, n);
+            state.map(|s| instant(SpanKind::Evict(cache, reason), s))
         });
-        self.instant(SpanKind::Evict(cache, reason));
     }
 
-    /// Records tier-2 spill traffic: images sealed into the spill
-    /// store, misses answered by verified fault-in, and fault-in
-    /// attempts dropped by verification.
-    pub fn tier2(&self, spills: u64, fault_ins: u64, verify_drops: u64) {
-        if !self.enabled() {
-            return;
-        }
+    /// Records one image inserted by a build (a tier-2 fault-in is not
+    /// an insertion).
+    pub fn image_inserted(&self) {
+        self.with_shard(|shard| bump(&shard.c.image_insertions, 1));
+    }
+
+    /// Records the start of a build this request leads (a reply build
+    /// or a `dynamic_load`), and advances the request cursor by its
+    /// baseline handling `base_ns`.
+    pub fn begin_build(&self, base_ns: u64) {
+        self.count(|c, state| {
+            bump(&c.replies_built, 1);
+            if let Some(s) = state {
+                s.cursor_ns += base_ns;
+            }
+            None
+        });
+    }
+
+    /// Records one linked image, a library or a program.
+    pub fn image_built(&self, library: bool) {
         self.with_shard(|shard| {
-            bump(&shard.c.tier2_spills, spills);
-            bump(&shard.c.tier2_fault_ins, fault_ins);
-            bump(&shard.c.tier2_verify_drops, verify_drops);
+            bump(&shard.c.libraries_built, u64::from(library));
+            bump(&shard.c.programs_built, u64::from(!library));
         });
     }
 
@@ -1384,9 +1419,6 @@ impl Tracer {
         drops: &RestoreDrops,
         cold: bool,
     ) {
-        if !self.enabled() {
-            return;
-        }
         self.with_shard(|shard| {
             let c = &shard.c;
             for (cell, n) in [
@@ -1413,14 +1445,14 @@ impl Tracer {
         });
     }
 
-    /// Records what one reply build took from the image cache: library
-    /// images reused, libraries linked, and the link work the reused
-    /// images (program included) avoided.
-    pub fn reuse(&self, reused: u64, linked: u64, avoided_ns: u64) {
-        if !self.enabled() {
-            return;
-        }
+    /// Records a finished build: the server CPU it billed to the
+    /// client, and what a reply build took from the image cache —
+    /// library images reused, libraries linked, and the link work the
+    /// reused images (program included) avoided (zero for the builds a
+    /// `dyn_lookup` or `dynamic_load` runs).
+    pub fn built(&self, cpu_ns: u64, reused: u64, linked: u64, avoided_ns: u64) {
         self.with_shard(|shard| {
+            bump(&shard.c.cpu_ns, cpu_ns);
             bump(&shard.c.relink_reused_images, reused);
             bump(&shard.c.relink_relinked_libraries, linked);
             bump(&shard.c.relink_avoided_ns, avoided_ns);
@@ -1430,9 +1462,6 @@ impl Tracer {
     /// Records the outcome of one link-policy application: stubs
     /// inserted (by kind) or a deny rejection.
     pub fn policy(&self, trampolines: u64, audits: u64, denied: bool) {
-        if !self.enabled() {
-            return;
-        }
         self.with_shard(|shard| {
             bump(&shard.c.policy_trampolines, trampolines);
             bump(&shard.c.policy_audits, audits);
@@ -1442,9 +1471,6 @@ impl Tracer {
 
     /// Records one live process update and the slots it swapped.
     pub fn live_update(&self, slots_swapped: u64) {
-        if !self.enabled() {
-            return;
-        }
         self.with_shard(|shard| {
             bump(&shard.c.live_updates, 1);
             bump(&shard.c.live_slots_swapped, slots_swapped);
@@ -1455,32 +1481,28 @@ impl Tracer {
     /// the nanoseconds they waited for the leader (advances the cursor
     /// so the request span covers the wait).
     pub fn flight(&self, role: FlightRole, waited_ns: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.with_shard(|shard| {
-            bump(&shard.c.flight_entries, 1);
+        self.count(|c, state| {
+            bump(&c.flight_entries, 1);
             bump(
                 match role {
-                    FlightRole::Leader => &shard.c.flight_leaders,
-                    FlightRole::Coalesced => &shard.c.flight_coalesced,
+                    FlightRole::Leader => &c.flight_leaders,
+                    FlightRole::Coalesced => &c.flight_coalesced,
                 },
                 1,
             );
+            state.map(|s| {
+                let mark = instant(SpanKind::Flight(role), s);
+                s.cursor_ns += waited_ns;
+                mark
+            })
         });
-        self.instant(SpanKind::Flight(role));
-        if waited_ns > 0 {
-            self.with_state(|s| s.cursor_ns += waited_ns);
-        }
     }
 
     /// Records a client-side span (IPC round trip or mapping) against a
     /// finished request by id. These are roots of their own (depth 0):
     /// the client timeline is not nested inside the server's.
     pub fn client_span(&self, req: u64, stage: Stage, ns: u64) {
-        if !self.enabled() {
-            return;
-        }
+        let traced = self.enabled();
         let kind = match stage {
             Stage::Map => SpanKind::Map,
             _ => SpanKind::Ipc,
@@ -1494,12 +1516,11 @@ impl Tracer {
             dur_ns: ns,
             worker: 0,
         };
-        self.with_shard(|shard| {
+        self.record(traced.then_some((stage, ns)), |c, _| {
             if stage == Stage::Ipc {
-                bump(&shard.c.ipc_roundtrips, 1);
+                bump(&c.ipc_roundtrips, 1);
             }
-            shard.hist(stage).record(ns);
-            shard.push_span(&span);
+            traced.then_some(span)
         });
     }
 
@@ -1509,9 +1530,6 @@ impl Tracer {
     /// side, so pass the increment, not the running total, when folding
     /// repeatedly.
     pub fn client_ipc(&self, stats: &omos_os::ipc::IpcStats) {
-        if !self.enabled() {
-            return;
-        }
         self.with_shard(|shard| {
             bump(&shard.c.ipc_batches, stats.batches);
             bump(&shard.c.ipc_batched_requests, stats.batched_requests);
@@ -1527,13 +1545,15 @@ impl Tracer {
     }
 
     /// Every shard's counters summed, with the counters that are pure
-    /// functions of others (`*_probes`, `spans_recorded`) filled in.
+    /// functions of others (`requests`, `*_probes`, `spans_recorded`)
+    /// filled in.
     fn sum_counters(shards: &[Arc<Shard>]) -> TraceCounters {
         let mut c = TraceCounters::default();
         for shard in shards {
             shard.c.add_to(&mut c);
             c.spans_recorded += shard.ring.written.load(Ordering::Relaxed);
         }
+        c.requests = c.reply_hits + c.flight_coalesced + c.replies_built;
         c.reply_probes = c.reply_hits + c.reply_misses;
         c.eval_probes = c.eval_hits + c.eval_misses;
         c.image_probes = c.image_hits + c.image_misses;
@@ -1752,19 +1772,62 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::new();
-        t.set_enabled(false);
-        let g = t.begin_request(SpanKind::Request);
-        assert_eq!(g.req(), 0);
-        t.probe(CacheKind::Image, ProbeOutcome::Hit);
-        let s = t.open(SpanKind::Eval);
-        t.close_leaf(s, Stage::Eval, 500);
-        drop(g);
-        let snap = t.snapshot();
-        assert!(snap.spans.is_empty());
-        assert_eq!(snap.counters, TraceCounters::default());
-        assert_eq!(snap.stage(Stage::Eval).count, 0);
+    fn disabled_tracer_records_no_spans_but_counts_like_an_enabled_one() {
+        // Every counting hook, inside a request and out.
+        let run = |t: &Tracer| {
+            let g = t.begin_request(SpanKind::Request);
+            let req = g.req();
+            t.probe(CacheKind::Reply, ProbeOutcome::Miss);
+            t.flight(FlightRole::Leader, 0);
+            t.begin_build(100);
+            let s = t.open(SpanKind::Eval);
+            t.close_leaf(s, Stage::Eval, 500);
+            t.probe(CacheKind::Image, ProbeOutcome::Stale);
+            t.image_built(true);
+            t.image_inserted();
+            t.evict(CacheKind::Image, EvictReason::Replace, 1);
+            t.evict(CacheKind::Image, EvictReason::Budget, 2);
+            t.evict(CacheKind::Eval, EvictReason::Invalidated, 1);
+            t.built(600, 1, 2, 3);
+            t.policy(1, 2, false);
+            drop(g);
+            t.client_span(req, Stage::Ipc, 10);
+            let g = t.begin_request(SpanKind::Request);
+            t.reply_hit(50);
+            drop(g);
+            let g = t.begin_request(SpanKind::Request);
+            t.probe(CacheKind::Reply, ProbeOutcome::Miss);
+            t.flight(FlightRole::Coalesced, 7);
+            drop(g);
+            drop(t.begin_request(SpanKind::DynLookup));
+            t.live_update(4);
+            t.restore(1, 2, 3, 4, 5, &RestoreDrops::default(), false);
+            t.client_ipc(&omos_os::ipc::IpcStats::default());
+            req
+        };
+        let on = Tracer::new();
+        assert!(run(&on) > 0);
+        let off = Tracer::new();
+        off.set_enabled(false);
+        assert_eq!(run(&off), 0, "no request ids");
+        let snap = off.snapshot();
+        assert!(snap.spans.is_empty(), "no spans");
+        assert!(
+            snap.stages.iter().all(|h| h.count == 0),
+            "no histogram samples"
+        );
+        let counted = on.counters();
+        assert!(counted.spans_recorded > 0);
+        assert_eq!(
+            snap.counters,
+            TraceCounters {
+                spans_recorded: 0,
+                ..counted
+            },
+            "every counter but the span count, as an enabled tracer counts"
+        );
+        // One build, one hit, one follower; and the lookup.
+        assert_eq!((counted.requests, counted.dyn_lookups), (3, 1));
     }
 
     #[test]

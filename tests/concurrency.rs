@@ -22,6 +22,7 @@ use std::sync::{Arc, Barrier};
 
 use omos::bench::{Scenario, WorkloadSizes, PROGRAMS};
 use omos::core::cache::{CachedImage, ImageCache};
+use omos::core::spill::SpillTier;
 use omos::core::Omos;
 use omos::isa::assemble;
 use omos::link::LinkStats;
@@ -297,28 +298,7 @@ fn concurrent_clear_and_insert_keep_byte_counter_consistent() {
     // reading beyond it means the counter wrapped below zero.
     const WRAP: u64 = 1 << 63;
 
-    let mk = |key: u64| {
-        let image = omos::link::LinkedImage {
-            name: format!("img{key}"),
-            segments: vec![omos::link::Segment {
-                name: ".text".into(),
-                kind: omos::obj::SectionKind::Text,
-                vaddr: 0x1000,
-                bytes: vec![key as u8; IMG_BYTES].into(),
-                zero: 0,
-            }],
-            symbols: Default::default(),
-            entry: None,
-        };
-        CachedImage {
-            key: ContentHash(key),
-            frames: ImageFrames::from_image(&image),
-            image,
-            link_stats: LinkStats::default(),
-            rebuild_ns: 0,
-            epoch: 0,
-        }
-    };
+    let mk = |key: u64| image(key, IMG_BYTES);
 
     let cache = ImageCache::with_shards(u64::MAX, 4);
     let wrapped = AtomicBool::new(false);
@@ -427,6 +407,30 @@ fn injected_worker_panic_aborts_cleanly_and_server_recovers() {
     }
 }
 
+/// A one-segment image of `bytes` bytes under `key`.
+fn image(key: u64, bytes: usize) -> CachedImage {
+    let image = omos::link::LinkedImage {
+        name: format!("img{key}"),
+        segments: vec![omos::link::Segment {
+            name: ".text".into(),
+            kind: omos::obj::SectionKind::Text,
+            vaddr: 0x1000,
+            bytes: vec![key as u8; bytes].into(),
+            zero: 0,
+        }],
+        symbols: Default::default(),
+        entry: None,
+    };
+    CachedImage {
+        key: ContentHash(key),
+        frames: ImageFrames::from_image(&image),
+        image,
+        link_stats: LinkStats::default(),
+        rebuild_ns: 0,
+        epoch: 0,
+    }
+}
+
 #[test]
 fn image_cache_keeps_budget_and_mappings_under_concurrency() {
     const THREADS: u64 = 8;
@@ -434,28 +438,7 @@ fn image_cache_keeps_budget_and_mappings_under_concurrency() {
     const IMG_BYTES: usize = 100;
     const BUDGET: u64 = 1_000;
 
-    let mk = |key: u64| {
-        let image = omos::link::LinkedImage {
-            name: format!("img{key}"),
-            segments: vec![omos::link::Segment {
-                name: ".text".into(),
-                kind: omos::obj::SectionKind::Text,
-                vaddr: 0x1000,
-                bytes: vec![key as u8; IMG_BYTES].into(),
-                zero: 0,
-            }],
-            symbols: Default::default(),
-            entry: None,
-        };
-        CachedImage {
-            key: ContentHash(key),
-            frames: ImageFrames::from_image(&image),
-            image,
-            link_stats: LinkStats::default(),
-            rebuild_ns: 0,
-            epoch: 0,
-        }
-    };
+    let mk = |key: u64| image(key, IMG_BYTES);
 
     let cache = ImageCache::with_shards(BUDGET, 4);
     let barrier = Barrier::new(THREADS as usize);
@@ -503,6 +486,78 @@ fn image_cache_keeps_budget_and_mappings_under_concurrency() {
     assert_eq!(cache.bytes(), cache.len() as u64 * IMG_BYTES as u64);
     assert!(st.evictions > 0, "the budget actually bound");
     assert_eq!(st.hits, live_hits.load(Ordering::Relaxed));
+}
+
+#[test]
+fn concurrent_fault_ins_are_counted_once_in_every_ledger() {
+    const KEYS: u64 = 48;
+    const GETS: u64 = 400;
+    const IMG_BYTES: usize = 100;
+    for tracing in [true, false] {
+        let spill = Arc::new(SpillTier::new(u64::MAX, CostModel::hpux()));
+        // Tier 1 holds four images: most gets miss and fault in.
+        let cache = ImageCache::with_shards(4 * IMG_BYTES as u64, 2).with_spill(Arc::clone(&spill));
+        let s = Omos::with_image_cache(CostModel::hpux(), Transport::SysVMsg, cache);
+        s.set_tracing(tracing);
+        let last_insert = (0..KEYS)
+            .map(|k| s.images.insert(image(k, IMG_BYTES)).epoch)
+            .max()
+            .unwrap();
+        let (cache0, spill0) = (s.images.stats(), spill.stats());
+        assert!(spill0.spills >= KEYS - 4);
+
+        // Both threads walk the same keys, so they race to fault in the
+        // same spilled images.
+        let barrier = Barrier::new(2);
+        let seen: Vec<(Vec<u64>, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (s, barrier) = (&s, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let (mut epochs, mut misses) = (Vec::new(), 0);
+                        for i in 0..GETS {
+                            match s.images.get(ContentHash((i * 7 + t) % KEYS)) {
+                                Some(img) => epochs.push(img.epoch),
+                                None => misses += 1,
+                            }
+                        }
+                        (epochs, misses)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let answered: u64 = seen.iter().map(|(e, _)| e.len() as u64).sum();
+        let unanswered: u64 = seen.iter().map(|(_, m)| m).sum();
+        // A fault-in installs a fresh epoch and answers its own get with
+        // it, so the fresh epochs seen are the fault-ins that happened.
+        let faulted = seen
+            .iter()
+            .flat_map(|(e, _)| e.iter().filter(|&&e| e > last_insert))
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64;
+
+        let (cache1, spill1) = (s.images.stats(), spill.stats());
+        let (hits, misses) = (cache1.hits - cache0.hits, cache1.misses - cache0.misses);
+        let fault_ins = spill1.fault_ins - spill0.fault_ins;
+        assert!(fault_ins > 0, "tracing {tracing}: the run faulted in");
+        assert_eq!(fault_ins, faulted, "tracing {tracing}: {spill1:?}");
+        assert_eq!(hits + misses, 2 * GETS, "tracing {tracing}: {cache1:?}");
+        assert_eq!(answered, hits + fault_ins, "tracing {tracing}");
+        assert_eq!(unanswered + fault_ins, misses, "tracing {tracing}");
+        assert_eq!(
+            spill1.spills,
+            spill1.resident + spill1.fault_ins + spill1.verify_drops + spill1.tier_evictions,
+            "tracing {tracing}: every spill is resident or accounted for: {spill1:?}"
+        );
+        let c = s.trace_snapshot().counters;
+        assert_eq!(
+            (c.image_hits, c.image_misses),
+            (cache1.hits, cache1.misses),
+            "tracing {tracing}: one ledger"
+        );
+    }
 }
 
 /// Eval-cache probes `f` makes on `s`, as (hits, misses).

@@ -15,6 +15,13 @@ use omos::os::process::{run_process, NoBinder, Process};
 use omos::os::{CostModel, InMemFs, SimClock};
 
 fn server_with_host() -> (Omos, omos::core::InstantiateReply) {
+    let s = host_server();
+    let reply = s.instantiate("/bin/host").unwrap();
+    (s, reply)
+}
+
+/// A server with the host program bound (not yet instantiated).
+fn host_server() -> Omos {
     let s = Omos::new(CostModel::hpux(), Transport::MachIpc);
     // The host program: jumps through a function pointer cell that the
     // test patches after dynamically loading the class.
@@ -47,8 +54,7 @@ _hook:      .word 0
     s.namespace
         .bind_blueprint("/bin/host", "(merge /obj/host.o)")
         .unwrap();
-    let reply = s.instantiate("/bin/host").unwrap();
-    (s, reply)
+    s
 }
 
 #[test]
@@ -152,4 +158,55 @@ fn query_symbols_and_size_serve_portions_of_interest() {
         s.query_size("/nope"),
         Err(OmosError::NoSuchName(_))
     ));
+}
+
+#[test]
+fn every_entry_point_counts_its_requests_once_on_one_ledger() {
+    for tracing in [true, false] {
+        let s = host_server();
+        s.set_tracing(tracing);
+        s.namespace.bind_object(
+            "/obj/svc.o",
+            assemble("svc.o", ".text\n.global _svc\n_svc: li r1, 3\n ret\n").unwrap(),
+        );
+        s.namespace.bind_object(
+            "/obj/user.o",
+            assemble(
+                "user.o",
+                ".text\n.global _start\n_start: call _svc\n sys 0\n",
+            )
+            .unwrap(),
+        );
+        let dynamic =
+            Blueprint::parse(r#"(merge /obj/user.o (specialize "lib-dynamic" /obj/svc.o))"#)
+                .unwrap();
+        let class = Blueprint::parse(r#"(source "asm" ".text\n.global _m\n_m: ret\n")"#).unwrap();
+
+        // Calls that start a request: five. A missing name fails before
+        // one starts, and a `dyn_lookup` is counted on its own.
+        let host = s.instantiate("/bin/host").unwrap();
+        assert!(matches!(
+            s.instantiate("/bin/nope"),
+            Err(OmosError::NoSuchName(_))
+        ));
+        s.instantiate_blueprint(&dynamic).unwrap();
+        assert!(s.instantiate_blueprint(&dynamic).unwrap().cache_hit);
+        s.instantiate_monitored("/bin/host", "^_host_service$")
+            .unwrap();
+        s.dynamic_load(&class, &["_m"], &host.program.image.symbols)
+            .unwrap();
+        s.dyn_lookup(0, "_svc").unwrap();
+
+        let st = s.stats();
+        let c = s.trace_snapshot().counters;
+        assert_eq!(st.requests, 5, "tracing {tracing}: {st:?}");
+        assert_eq!(
+            st.requests,
+            st.reply_cache_hits + st.coalesced + st.replies_built,
+            "tracing {tracing}: {st:?}"
+        );
+        assert_eq!(c.requests, st.requests, "tracing {tracing}");
+        assert_eq!(c.dyn_lookups, 1, "tracing {tracing}");
+        assert_eq!(st.reply_cache_hits, 1, "tracing {tracing}");
+    }
 }
