@@ -24,7 +24,8 @@
 //!   in the persist layer's content-addressed format, faulted back in
 //!   through the restore verification chain instead of a relink;
 //! * [`sync`] — the concurrency primitives behind the `&self` request
-//!   paths: sharded maps and per-key single-flight coalescing;
+//!   paths: the dependency-checked caches and per-key single-flight
+//!   coalescing;
 //! * [`trace`] — request-level structured tracing and metrics: per-stage
 //!   span trees in a bounded ring, latency histograms, cache/flight
 //!   counter families.
@@ -56,5 +57,5 @@ pub use namespace::{Entry, Namespace};
 pub use persist::{stored_manifests, CheckpointReport, RestoreReport};
 pub use server::{DynamicLoadReply, InstantiateReply, Omos, ServerStats};
 pub use spill::{SpillStats, SpillTier};
-pub use sync::{Sharded, SingleFlight};
+pub use sync::SingleFlight;
 pub use trace::{RestoreDrops, TraceSnapshot, Tracer};

@@ -175,15 +175,6 @@ impl Namespace {
             .map(|b| (b.entry.clone(), b.key))
     }
 
-    /// True if `path` was bound or unbound after generation `gen`.
-    #[must_use]
-    pub fn touched_since(&self, path: &str, gen: u64) -> bool {
-        self.read()
-            .touched
-            .get(&*normalize(path))
-            .is_some_and(|&g| g > gen)
-    }
-
     /// True if *any* of `paths` was bound or unbound after generation
     /// `gen` — the cache-validity query (one lock acquisition for the
     /// whole dependency set).
@@ -292,22 +283,27 @@ mod tests {
         assert!(ns.generation() > g1);
     }
 
+    /// `any_touched_since` over one path.
+    fn touched(ns: &Namespace, path: &str, gen: u64) -> bool {
+        ns.any_touched_since(&[path.to_string()], gen)
+    }
+
     #[test]
     fn touch_epochs_are_per_path() {
         let ns = Namespace::new();
         ns.bind_object("/a", assemble("a", ".text\nnop\n").unwrap());
         let snap = ns.generation();
-        assert!(!ns.touched_since("/a", snap));
+        assert!(!touched(&ns, "/a", snap));
         ns.bind_object("/b", assemble("b", ".text\nnop\n").unwrap());
-        assert!(!ns.touched_since("/a", snap), "binding /b leaves /a alone");
-        assert!(ns.touched_since("/b", snap));
+        assert!(!touched(&ns, "/a", snap), "binding /b leaves /a alone");
+        assert!(touched(&ns, "/b", snap));
         let deps = vec!["/a".to_string(), "/b".to_string()];
         assert!(ns.any_touched_since(&deps, snap));
         assert!(!ns.any_touched_since(&deps[..1], snap));
         // Unbinding touches too (a dependent derivation is now stale).
         let snap2 = ns.generation();
         ns.unbind("/a");
-        assert!(ns.touched_since("/a", snap2));
+        assert!(touched(&ns, "/a", snap2));
     }
 
     #[test]
@@ -315,8 +311,8 @@ mod tests {
         let ns = Namespace::new();
         let snap = ns.generation();
         ns.bind_object("/lib//x.o", assemble("x", ".text\nnop\n").unwrap());
-        assert!(ns.touched_since("/lib/x.o", snap));
-        assert!(ns.touched_since("lib/x.o", snap));
+        assert!(touched(&ns, "/lib/x.o", snap));
+        assert!(touched(&ns, "lib/x.o", snap));
     }
 
     #[test]

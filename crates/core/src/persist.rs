@@ -41,13 +41,13 @@
 //!   lose at most a bind that was never acknowledged. Replay tolerates
 //!   a torn tail and resynchronizes past damaged records
 //!   ([`omos_obj::encode::container::scan_frames`]).
-//! * **Replies restore at the pre-replay generation.** Restored reply
-//!   rows are installed at the generation the manifest's bindings
-//!   rebuilt, so a journal record that rebinds one of their dependency
-//!   paths lazily invalidates exactly those rows on first probe.
+//! * **Replies restore at the post-replay generation.** Each reply row
+//!   is re-derived against the namespace after journal replay and
+//!   installed at that generation only if the derivation matches, so a
+//!   journal record that changed one of its dependencies drops the row
+//!   at restore, and a re-bind of identical bytes keeps it valid.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::AtomicU64;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use omos_blueprint::{Blueprint, LinkPolicy, MNode, PolicyKind, SpecKind, MAX_NODE_DEPTH};
@@ -595,17 +595,12 @@ impl Omos {
         }
         report.ns_entries = ns_rows.len();
 
-        // 2. Valid reply rows (stale ones are dropped here exactly as a
-        //    probe would drop them).
+        // 2. Valid reply rows (stale ones are left out, as a probe would
+        //    leave them, but stay for the next probe to drop and count).
         let mut reply_rows: Vec<ReplyRow> = Vec::new();
         let mut referenced: HashMap<ContentHash, Arc<CachedImage>> = HashMap::new();
-        for (key, entry) in self.reply_cache.entries() {
-            if self
-                .namespace
-                .any_touched_since(entry.deps.iter(), entry.gen)
-            {
-                continue;
-            }
+        for (key, cached) in self.reply_cache.valid_entries(&self.namespace) {
+            let entry = &cached.value;
             referenced
                 .entry(entry.reply.program.key)
                 .or_insert_with(|| Arc::clone(&entry.reply.program));
@@ -616,7 +611,7 @@ impl Omos {
                 key,
                 program: entry.reply.program.key,
                 libraries: entry.reply.libraries.iter().map(|l| l.key).collect(),
-                deps: entry.deps.iter().cloned().collect(),
+                deps: cached.deps.iter().cloned().collect(),
                 blueprint: encode_blueprint(&entry.blueprint),
                 manifest: entry.manifest.as_ref().clone(),
             });
@@ -799,26 +794,23 @@ impl Omos {
                     report.drops.reply_manifest += 1;
                     continue;
                 };
-                let deps: BTreeSet<String> = row.deps.iter().cloned().collect();
-                server.reply_cache.insert(
-                    row.key,
-                    Arc::new(ReplyEntry {
-                        reply: InstantiateReply {
-                            program,
-                            libraries,
-                            server_ns: 0,
-                            latency_ns: 0,
-                            cache_hit: true,
-                            req: 0,
-                            manifest: stored.hash(),
-                        },
-                        deps: Arc::new(deps),
-                        gen: g0,
-                        validated: AtomicU64::new(g0),
-                        blueprint: Arc::new(bp),
-                        manifest: Arc::new(row.manifest.clone()),
-                    }),
-                );
+                let entry = ReplyEntry {
+                    reply: InstantiateReply {
+                        program,
+                        libraries,
+                        server_ns: 0,
+                        latency_ns: 0,
+                        cache_hit: true,
+                        req: 0,
+                        manifest: stored.hash(),
+                    },
+                    blueprint: Arc::new(bp),
+                    manifest: Arc::new(row.manifest.clone()),
+                };
+                let deps = row.deps.iter().cloned().collect();
+                server
+                    .reply_cache
+                    .insert(row.key, entry, Arc::new(deps), g0);
                 report.replies += 1;
                 report.manifest_verified += 1;
             }

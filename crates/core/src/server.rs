@@ -26,10 +26,12 @@
 //! * concurrent cold-starts of the same blueprint coalesce through a
 //!   per-key single-flight table — one leader evaluates and links, the
 //!   rest block and share the leader's reply (and its frames);
-//! * invalidation is epoch/key-selective: cache entries remember which
-//!   namespace paths they depended on and the generation they were
-//!   derived at, so a bind only invalidates derivations that actually
-//!   depended on the touched path.
+//! * invalidation is epoch/key-selective: the eval and reply caches are
+//!   one `sync::DepCache` type, whose entries remember which namespace
+//!   paths they depended on and the generation they were derived at, so
+//!   a bind only invalidates derivations that actually depended on the
+//!   touched path; the cache judges and drops stale entries, and the
+//!   server reports each probe with one tracer hook.
 //!
 //! Lock order (coarse to fine): dynamic-lib build slot → placement
 //! solver → image-flight → image-cache shard. Namespace, sharded cache,
@@ -37,7 +39,7 @@
 //! server while holding one.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use omos_analysis::manifest::{
@@ -64,10 +66,8 @@ use omos_os::{CostModel, ImageFrames};
 use crate::cache::{CachedImage, ImageCache};
 use crate::error::OmosError;
 use crate::namespace::{Entry, Namespace};
-use crate::sync::{lock, Sharded, SingleFlight};
-use crate::trace::{
-    CacheKind, EvictReason, FlightRole, ProbeOutcome, SpanKind, Stage, TraceSnapshot, Tracer,
-};
+use crate::sync::{lock, DepCache, SingleFlight};
+use crate::trace::{CacheKind, FlightRole, ProbeOutcome, SpanKind, Stage, TraceSnapshot, Tracer};
 
 /// Default client text base (programs overlap freely across tasks; only
 /// libraries need globally consistent placement). The value lives in
@@ -166,29 +166,12 @@ impl InstantiateReply {
     }
 }
 
-/// A cached evaluated module plus the namespace paths it was derived
-/// from and the generation it was derived at.
-#[derive(Debug, Clone)]
-struct EvalEntry {
-    module: Module,
-    deps: Arc<BTreeSet<String>>,
-    gen: u64,
-}
-
-/// A cached full reply plus its dependency record. `pub(crate)` so the
-/// persistence layer can write reply rows into a checkpoint and install
-/// them back on restore. The cache holds each entry behind one `Arc`,
-/// so a probe copies a pointer and then the reply, nothing else.
+/// A cached full reply. `pub(crate)` so the persistence layer can write
+/// reply rows into a checkpoint and install them back on restore; the
+/// reply cache keeps its dependency record beside it.
 #[derive(Debug)]
 pub(crate) struct ReplyEntry {
     pub(crate) reply: InstantiateReply,
-    pub(crate) deps: Arc<BTreeSet<String>>,
-    pub(crate) gen: u64,
-    /// The namespace generation at which `deps` were last found
-    /// untouched since `gen` (it starts at `gen`). A probe that reads
-    /// this same generation skips the dependency walk: no bind has
-    /// finished since the last walk passed.
-    pub(crate) validated: AtomicU64,
     /// The blueprint the reply answers — persisted so a restore can
     /// re-derive the resolution statically and verify it.
     pub(crate) blueprint: Arc<Blueprint>,
@@ -268,8 +251,8 @@ pub struct Omos {
     pub transport: Transport,
     cost: CostModel,
     solver: Mutex<PlacementSolver>,
-    eval_cache: Sharded<ContentHash, EvalEntry>,
-    pub(crate) reply_cache: Sharded<ContentHash, Arc<ReplyEntry>>,
+    eval_cache: DepCache<Module>,
+    pub(crate) reply_cache: DepCache<ReplyEntry>,
     /// Reply builds in flight, by blueprint key; each result carries the
     /// namespace generation its leader started at.
     reply_flight: SingleFlight<ContentHash, (Result<InstantiateReply, OmosError>, u64)>,
@@ -310,8 +293,8 @@ impl Omos {
             transport,
             cost,
             solver: Mutex::new(PlacementSolver::new()),
-            eval_cache: Sharded::new(CACHE_SHARDS),
-            reply_cache: Sharded::new(CACHE_SHARDS),
+            eval_cache: DepCache::new(CACHE_SHARDS),
+            reply_cache: DepCache::new(CACHE_SHARDS),
             reply_flight: SingleFlight::new(),
             image_flight: SingleFlight::new(),
             dynamic: RwLock::new(Vec::new()),
@@ -521,56 +504,25 @@ impl Omos {
         }
     }
 
-    /// Validated reply-cache probe: entries whose dependency paths were
-    /// touched after their derivation generation are dropped (lazy,
-    /// key-selective invalidation) and answer as a miss. The walk over
-    /// the dependencies runs only when a bind finished since the entry
-    /// was last validated. `now` is the namespace generation, read
-    /// before the probe: a walk that passes records it, and a bind that
-    /// finishes during the walk must not be covered by the record.
+    /// Validated reply-cache probe: an entry whose dependency paths were
+    /// touched after its derivation generation is dropped (lazy,
+    /// key-selective invalidation) and answers as a miss. `now` is the
+    /// namespace generation, read before the probe.
     fn probe_reply(&self, key: ContentHash, now: u64) -> Option<InstantiateReply> {
-        let Some(entry) = self.reply_cache.get(&key) else {
-            self.tracer.probe(CacheKind::Reply, ProbeOutcome::Miss);
-            return None;
-        };
-        if entry.validated.load(Ordering::Acquire) != now {
-            if self
-                .namespace
-                .any_touched_since(entry.deps.iter(), entry.gen)
-            {
-                self.drop_stale_reply(key, &entry);
-                self.tracer.probe(CacheKind::Reply, ProbeOutcome::Stale);
-                self.tracer
-                    .evict(CacheKind::Reply, EvictReason::Invalidated, 1);
+        let entry = match self.reply_cache.probe(key, &self.namespace, now) {
+            Ok(entry) => entry,
+            Err(outcome) => {
+                self.tracer.probe(CacheKind::Reply, outcome);
                 return None;
             }
-            entry.validated.fetch_max(now, Ordering::AcqRel);
-        }
+        };
         let server_ns = self.cost.server_cached_request_ns;
         self.tracer.reply_hit(server_ns);
-        let mut reply = entry.reply.clone();
+        let mut reply = entry.value.reply.clone();
         reply.server_ns = server_ns;
         reply.latency_ns = server_ns;
         reply.cache_hit = true;
         Some(reply)
-    }
-
-    /// Drops the eval entry a probe judged stale, unless a concurrent
-    /// build has already replaced it. Entries carry no identity of their
-    /// own, so the judged one is recognised by its dependency record and
-    /// derivation generation; an entry that matches both is exactly as
-    /// stale.
-    fn drop_stale_eval(&self, key: ContentHash, judged: &EvalEntry) {
-        self.eval_cache.remove_if(&key, |stored| {
-            stored.gen == judged.gen && Arc::ptr_eq(&stored.deps, &judged.deps)
-        });
-    }
-
-    /// Drops the reply entry a probe judged stale, unless a concurrent
-    /// build has already replaced it with a fresh one.
-    fn drop_stale_reply(&self, key: ContentHash, judged: &Arc<ReplyEntry>) {
-        self.reply_cache
-            .remove_if(&key, |stored| Arc::ptr_eq(stored, judged));
     }
 
     /// Applies the blueprint's link policies to a fresh evaluation:
@@ -985,17 +937,12 @@ impl Omos {
         if let Some(p) = root {
             deps.insert(p.to_string());
         }
-        self.reply_cache.insert(
-            key,
-            Arc::new(ReplyEntry {
-                reply: reply.clone(),
-                gen,
-                validated: AtomicU64::new(gen),
-                deps: Arc::new(deps),
-                blueprint: Arc::clone(bp),
-                manifest: Arc::new(manifest.encode()),
-            }),
-        );
+        let entry = ReplyEntry {
+            reply: reply.clone(),
+            blueprint: Arc::clone(bp),
+            manifest: Arc::new(manifest.encode()),
+        };
+        self.reply_cache.insert(key, entry, Arc::new(deps), gen);
     }
 
     /// Frames an image, recording a metered (but unbilled) Frame span:
@@ -1162,50 +1109,25 @@ impl EvalContext for ReqCtx<'_> {
     }
 
     fn cache_get(&self, key: ContentHash) -> Option<CachedEval> {
-        match self.server.eval_cache.get(&key) {
-            Some(entry)
-                if !self
-                    .server
-                    .namespace
-                    .any_touched_since(entry.deps.iter(), entry.gen) =>
-            {
-                self.server.tracer.probe(CacheKind::Eval, ProbeOutcome::Hit);
-                Some(CachedEval {
-                    module: entry.module,
-                    deps: entry.deps,
-                })
-            }
-            Some(judged) => {
-                self.server.drop_stale_eval(key, &judged);
-                self.server
-                    .tracer
-                    .probe(CacheKind::Eval, ProbeOutcome::Stale);
-                self.server
-                    .tracer
-                    .evict(CacheKind::Eval, EvictReason::Invalidated, 1);
-                None
-            }
-            None => {
-                self.server
-                    .tracer
-                    .probe(CacheKind::Eval, ProbeOutcome::Miss);
-                None
-            }
-        }
+        let s = self.server;
+        let found = s.eval_cache.probe(key, &s.namespace, self.gen);
+        s.tracer.probe(
+            CacheKind::Eval,
+            found.as_ref().err().copied().unwrap_or(ProbeOutcome::Hit),
+        );
+        found.ok().map(|entry| CachedEval {
+            module: entry.value.clone(),
+            deps: Arc::clone(&entry.deps),
+        })
     }
 
     fn cache_put(&self, key: ContentHash, module: &Module, deps: &Arc<BTreeSet<String>>) {
         if self.unpublished == Some(key) {
             return;
         }
-        self.server.eval_cache.insert(
-            key,
-            EvalEntry {
-                module: module.clone(),
-                deps: Arc::clone(deps),
-                gen: self.gen,
-            },
-        );
+        self.server
+            .eval_cache
+            .insert(key, module.clone(), Arc::clone(deps), self.gen);
     }
 
     fn register_dynamic_impl(&self, key: ContentHash, module: &Module) -> Result<u32, EvalError> {
@@ -1336,66 +1258,42 @@ mod tests {
     }
 
     #[test]
-    fn a_late_stale_drop_keeps_the_reply_a_rebuild_inserted() {
-        let s = server();
-        s.instantiate("/bin/hello").unwrap();
-        let (_, key) = s.blueprint_at("/bin/hello").unwrap();
-        let judged = s.reply_cache.get(&key).unwrap();
-        // A rebind makes the entry stale, and a concurrent request
-        // rebuilds it before the probe that judged the old entry drops it.
-        let Some(Entry::Object(obj)) = s.namespace.lookup("/libc/stdio.o") else {
-            panic!("an object");
-        };
-        s.namespace.bind_object("/libc/stdio.o", (*obj).clone());
-        assert!(!s.instantiate("/bin/hello").unwrap().cache_hit);
-        let built = s.stats().replies_built;
-        s.drop_stale_reply(key, &judged);
-        assert!(s.instantiate("/bin/hello").unwrap().cache_hit);
-        assert_eq!(s.stats().replies_built, built, "no second rebuild");
-    }
-
-    #[test]
-    fn a_late_stale_drop_keeps_the_eval_entry_a_rebuild_inserted() {
-        let s = server();
-        s.instantiate("/bin/hello").unwrap();
-        let (key, judged) = s
-            .eval_cache
-            .entries()
-            .into_iter()
-            .find(|(_, e)| e.deps.contains("/libc/stdio.o"))
-            .expect("the library's module is cached");
-        let Some(Entry::Object(obj)) = s.namespace.lookup("/libc/stdio.o") else {
-            panic!("an object");
-        };
-        s.namespace.bind_object("/libc/stdio.o", (*obj).clone());
-        assert!(!s.instantiate("/bin/hello").unwrap().cache_hit);
-        let fresh = s.eval_cache.get(&key).expect("rebuilt and cached again");
-        assert!(fresh.gen > judged.gen);
-        s.drop_stale_eval(key, &judged);
-        let kept = s.eval_cache.get(&key).expect("the fresh entry survives");
-        assert!(Arc::ptr_eq(&kept.deps, &fresh.deps));
-        s.drop_stale_eval(key, &fresh);
-        assert!(s.eval_cache.get(&key).is_none(), "the judged entry goes");
-    }
-
-    #[test]
     fn hits_revalidate_only_after_a_bind() {
         let s = server();
         s.instantiate("/bin/hello").unwrap();
         let (_, key) = s.blueprint_at("/bin/hello").unwrap();
-        let entry = s.reply_cache.get(&key).unwrap();
         let g0 = s.namespace.generation();
-        assert_eq!(entry.validated.load(Ordering::Relaxed), g0);
+        let (_, reply) = s
+            .reply_cache
+            .valid_entries(&s.namespace)
+            .into_iter()
+            .find(|(k, _)| *k == key)
+            .unwrap();
+        let (_, obj) = s
+            .eval_cache
+            .valid_entries(&s.namespace)
+            .into_iter()
+            .find(|(_, e)| e.deps.contains("/obj/hello.o"))
+            .expect("the program's object is cached");
+        assert_eq!((reply.validated(), obj.validated()), (g0, g0));
         assert!(s.instantiate("/bin/hello").unwrap().cache_hit);
         // An unrelated bind moves the generation: the next hit walks the
         // dependencies once and records the generation it read.
         s.namespace
-            .bind_blueprint("/bin/other", "(merge /obj/hello.o)")
+            .bind_blueprint("/bin/other", "(merge /lib/libc /obj/hello.o)")
             .unwrap();
         let g1 = s.namespace.generation();
         assert!(g1 > g0);
         assert!(s.instantiate("/bin/hello").unwrap().cache_hit);
-        assert_eq!(entry.validated.load(Ordering::Relaxed), g1);
+        assert_eq!(reply.validated(), g1);
+        // A build of another program that links the same object hits its
+        // eval entry the same way.
+        let eval_hits = s.trace_snapshot().counters.eval_hits;
+        assert!(!s.instantiate("/bin/other").unwrap().cache_hit);
+        assert_eq!(obj.validated(), g1);
+        let c = s.trace_snapshot().counters;
+        assert!(c.eval_hits > eval_hits);
+        assert_eq!((c.eval_stale, c.reply_stale), (0, 0));
         // A dependency's rebind still invalidates.
         s.namespace
             .bind_blueprint(

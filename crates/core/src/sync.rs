@@ -2,10 +2,12 @@
 //!
 //! Two pieces:
 //!
-//! * [`Sharded`] — a hash map split over N independently locked shards,
-//!   so requests touching different keys never contend. The server's
-//!   eval and reply caches shard by [`ContentHash`](omos_obj::ContentHash)
-//!   (the key's low bits pick the shard).
+//! * `DepCache` — the server's eval and reply caches: a map from
+//!   [`ContentHash`] to derived values, split over N independently
+//!   locked shards so requests touching different keys never contend.
+//!   Each entry carries the namespace paths its derivation read and the
+//!   generation it started at, and the cache alone decides whether an
+//!   entry is still valid and who may drop it.
 //! * [`SingleFlight`] — per-key request coalescing: when N threads miss
 //!   the cache on the same key at once, exactly one (the *leader*) runs
 //!   the computation; the rest block on a condvar and share the leader's
@@ -13,13 +15,20 @@
 //!   cost one eval+link instead of N.
 //!
 //! Lock discipline: shard locks and flight locks are leaves — no code
-//! here calls back into the server while holding one, and the leader's
+//! here calls back into the server while holding one (a probe walks the
+//! namespace after releasing its shard lock), and the leader's
 //! computation runs *outside* every lock in this module.
 
 use std::collections::hash_map::Entry as MapEntry;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, Hash, RandomState};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+
+use omos_obj::ContentHash;
+
+use crate::namespace::Namespace;
+use crate::trace::ProbeOutcome;
 
 /// Locks a mutex, tolerating poison: the protected data is a cache and
 /// stays structurally valid even if a panicking thread abandoned it.
@@ -27,18 +36,56 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A concurrent hash map sharded over independently locked segments.
+/// One cached derivation: the value, the namespace paths it was derived
+/// from, and the generation its derivation started at.
 #[derive(Debug)]
-pub struct Sharded<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
+pub(crate) struct Derived<V> {
+    pub(crate) value: V,
+    pub(crate) deps: Arc<BTreeSet<String>>,
+    gen: u64,
+    /// The namespace generation at which `deps` were last found
+    /// untouched since `gen` (it starts at `gen`).
+    validated: AtomicU64,
+}
+
+impl<V> Derived<V> {
+    /// The validity rule. `now` is a namespace generation the caller
+    /// read before asking. If the memo holds `now`, no bind has finished
+    /// since the last walk passed, so the walk is skipped. A walk that
+    /// passes records `now`: a bind that finishes during the walk is
+    /// never covered by the record.
+    fn valid(&self, ns: &Namespace, now: u64) -> bool {
+        if self.validated.load(Ordering::Acquire) == now {
+            return true;
+        }
+        if ns.any_touched_since(self.deps.iter(), self.gen) {
+            return false;
+        }
+        self.validated.fetch_max(now, Ordering::AcqRel);
+        true
+    }
+
+    #[cfg(test)]
+    pub(crate) fn validated(&self) -> u64 {
+        self.validated.load(Ordering::Relaxed)
+    }
+}
+
+type Shard<V> = RwLock<HashMap<ContentHash, Arc<Derived<V>>>>;
+
+/// A dependency-checked cache sharded over independently locked
+/// segments. Each entry sits behind one `Arc`, so a probe copies a
+/// pointer under the shard lock and nothing else.
+#[derive(Debug)]
+pub(crate) struct DepCache<V> {
+    shards: Vec<Shard<V>>,
     hasher: RandomState,
 }
 
-impl<K: Hash + Eq, V: Clone> Sharded<K, V> {
-    /// A map with `shards` segments (rounded up to at least 1).
-    #[must_use]
-    pub fn new(shards: usize) -> Sharded<K, V> {
-        Sharded {
+impl<V> DepCache<V> {
+    /// A cache with `shards` segments (rounded up to at least 1).
+    pub(crate) fn new(shards: usize) -> DepCache<V> {
+        DepCache {
             shards: (0..shards.max(1))
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
@@ -46,96 +93,84 @@ impl<K: Hash + Eq, V: Clone> Sharded<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
+    fn shard(&self, key: ContentHash) -> &Shard<V> {
         let h = self.hasher.hash_one(key) as usize;
         &self.shards[h % self.shards.len()]
     }
 
-    /// Clones the value under `key`, if present.
-    #[must_use]
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.shard(key)
+    /// Looks `key` up and judges the entry against `ns` as of `now`, a
+    /// generation read before the probe. A stale entry is dropped and
+    /// answers `Err(Stale)`; no entry answers `Err(Miss)`.
+    pub(crate) fn probe(
+        &self,
+        key: ContentHash,
+        ns: &Namespace,
+        now: u64,
+    ) -> Result<Arc<Derived<V>>, ProbeOutcome> {
+        let entry = self
+            .shard(key)
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
+            .get(&key)
             .cloned()
+            .ok_or(ProbeOutcome::Miss)?;
+        if entry.valid(ns, now) {
+            return Ok(entry);
+        }
+        self.drop_judged(key, &entry);
+        Err(ProbeOutcome::Stale)
     }
 
-    /// Inserts, replacing any existing value.
-    pub fn insert(&self, key: K, value: V) {
-        self.shard(&key)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, value);
-    }
-
-    /// Removes the entry under `key`.
-    pub fn remove(&self, key: &K) {
-        self.shard(key)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(key);
-    }
-
-    /// Removes the entry under `key` only if `pred` holds for the value
-    /// stored there now, judged under the shard's write lock. A caller
-    /// that judged a cloned value (say, found it stale) passes a
-    /// predicate that recognises that value, so a fresh value another
-    /// thread inserted in between survives. Returns true if it removed
-    /// something.
-    pub fn remove_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> bool {
+    /// Drops the entry under `key` only if it is still `judged`, checked
+    /// under the shard's write lock: a fresh entry a concurrent rebuild
+    /// inserted after the judgement survives.
+    fn drop_judged(&self, key: ContentHash, judged: &Arc<Derived<V>>) {
         let mut shard = self
             .shard(key)
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let hit = shard.get(key).is_some_and(pred);
-        if hit {
-            shard.remove(key);
+        if shard.get(&key).is_some_and(|e| Arc::ptr_eq(e, judged)) {
+            shard.remove(&key);
         }
-        hit
     }
 
-    /// Total entries across all shards — a *consistent* point-in-time
-    /// count. All shard read-locks are acquired in index order and held
-    /// together while summing, so a concurrent insert+remove pair can
-    /// never be half-counted (summing shard-by-shard returns torn
-    /// counts, which made `Omos::stats()` gauges disagree with each
-    /// other). Writers take exactly one shard lock, so taking the reads
-    /// in index order cannot deadlock against them.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        guards.iter().map(|g| g.len()).sum()
+    /// Caches `value`, derived from `deps` by a derivation that started
+    /// at generation `gen`, replacing any entry under `key`.
+    pub(crate) fn insert(&self, key: ContentHash, value: V, deps: Arc<BTreeSet<String>>, gen: u64) {
+        let entry = Arc::new(Derived {
+            value,
+            deps,
+            gen,
+            validated: AtomicU64::new(gen),
+        });
+        self.shard(key)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, entry);
     }
 
-    /// True if no shard holds anything (consistent, like
-    /// [`Sharded::len`]).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clones every entry out — a consistent point-in-time snapshot
-    /// (all shard read-locks held together, like [`Sharded::len`]).
-    /// Used by the checkpoint writer, which must not see a half-updated
-    /// cache.
-    #[must_use]
-    pub fn entries(&self) -> Vec<(K, V)>
-    where
-        K: Clone,
-    {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        guards
-            .iter()
-            .flat_map(|g| g.iter().map(|(k, v)| (k.clone(), v.clone())))
+    /// The valid entries, from one consistent point-in-time snapshot:
+    /// every shard read-lock is held together while the entries are
+    /// copied out, so the checkpoint writer never sees a half-updated
+    /// cache. Writers take one shard lock each, so taking the reads in
+    /// index order cannot deadlock against them. Stale entries are left
+    /// out but not dropped, and nothing is counted.
+    pub(crate) fn valid_entries(&self, ns: &Namespace) -> Vec<(ContentHash, Arc<Derived<V>>)> {
+        let now = ns.generation();
+        let snapshot: Vec<_> = {
+            let guards: Vec<_> = self
+                .shards
+                .iter()
+                .map(|s| s.read().unwrap_or_else(PoisonError::into_inner))
+                .collect();
+            guards
+                .iter()
+                .flat_map(|g| g.iter().map(|(k, e)| (*k, Arc::clone(e))))
+                .collect()
+        };
+        snapshot
+            .into_iter()
+            .filter(|(_, e)| e.valid(ns, now))
             .collect()
     }
 }
@@ -270,31 +305,60 @@ mod tests {
     use std::sync::Barrier;
 
     #[test]
-    fn sharded_basic_ops() {
-        let m: Sharded<u64, String> = Sharded::new(4);
-        assert!(m.is_empty());
-        m.insert(1, "a".into());
-        m.insert(2, "b".into());
-        assert_eq!(m.get(&1).as_deref(), Some("a"));
-        assert_eq!(m.len(), 2);
-        m.remove(&1);
-        assert!(m.get(&1).is_none());
-        assert_eq!(m.len(), 1);
+    fn a_late_stale_drop_keeps_the_entry_a_rebuild_inserted() {
+        let ns = Namespace::new();
+        let obj = || omos_isa::assemble("a", ".text\nnop\n").unwrap();
+        ns.bind_object("/a", obj());
+        let deps = Arc::new(BTreeSet::from(["/a".to_string()]));
+        let c: DepCache<u64> = DepCache::new(4);
+        let key = ContentHash(1);
+        c.insert(key, 10, Arc::clone(&deps), ns.generation());
+        let judged = c.probe(key, &ns, ns.generation()).unwrap();
+        // A rebind makes the entry stale, and a concurrent rebuild
+        // replaces it before the probe that judged it drops it.
+        ns.bind_object("/a", obj());
+        let g1 = ns.generation();
+        assert!(!judged.valid(&ns, g1));
+        c.insert(key, 11, Arc::clone(&deps), g1);
+        c.drop_judged(key, &judged);
+        let fresh = c.probe(key, &ns, g1).expect("the fresh entry survives");
+        assert_eq!(fresh.value, 11);
+        c.drop_judged(key, &fresh);
+        assert_eq!(c.probe(key, &ns, g1).err(), Some(ProbeOutcome::Miss));
+        // A probe that judges an entry stale drops it itself.
+        c.insert(key, 12, deps, g1 - 1);
+        assert_eq!(c.probe(key, &ns, g1).err(), Some(ProbeOutcome::Stale));
+        assert_eq!(c.probe(key, &ns, g1).err(), Some(ProbeOutcome::Miss));
     }
 
     #[test]
-    fn remove_if_keeps_a_value_that_replaced_the_judged_one() {
-        let m: Sharded<u64, Arc<u64>> = Sharded::new(4);
-        m.insert(1, Arc::new(10));
-        let judged = m.get(&1).unwrap();
-        // Another thread replaces the value after it was judged.
-        m.insert(1, Arc::new(10));
-        assert!(!m.remove_if(&1, |v| Arc::ptr_eq(v, &judged)));
-        assert!(m.get(&1).is_some(), "the fresh value survives");
-        let fresh = m.get(&1).unwrap();
-        assert!(m.remove_if(&1, |v| Arc::ptr_eq(v, &fresh)));
-        assert!(m.get(&1).is_none());
-        assert!(!m.remove_if(&1, |_| true), "nothing left to remove");
+    fn the_snapshot_leaves_stale_entries_out_but_in_place() {
+        let ns = Namespace::new();
+        let obj = || omos_isa::assemble("a", ".text\nnop\n").unwrap();
+        ns.bind_object("/a", obj());
+        let g0 = ns.generation();
+        let c: DepCache<u64> = DepCache::new(4);
+        c.insert(
+            ContentHash(1),
+            1,
+            Arc::new(BTreeSet::from(["/a".to_string()])),
+            g0,
+        );
+        c.insert(
+            ContentHash(2),
+            2,
+            Arc::new(BTreeSet::from(["/b".to_string()])),
+            g0,
+        );
+        ns.bind_object("/a", obj());
+        let valid: Vec<u64> = c.valid_entries(&ns).iter().map(|(_, e)| e.value).collect();
+        assert_eq!(valid, [2]);
+        let now = ns.generation();
+        assert_eq!(
+            c.probe(ContentHash(1), &ns, now).err(),
+            Some(ProbeOutcome::Stale),
+            "the snapshot dropped nothing"
+        );
     }
 
     #[test]

@@ -152,8 +152,8 @@ impl CacheKind {
 }
 
 /// Probe outcomes. `Stale` is a miss whose entry existed but failed
-/// dependency revalidation (and was dropped); it counts toward both
-/// `misses` and `stale`.
+/// dependency revalidation (and was dropped); it counts toward
+/// `misses`, `stale` and `evict_invalidated`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeOutcome {
     /// Entry present and valid.
@@ -1316,32 +1316,42 @@ impl Tracer {
 
     /// Records a cache probe. Hits are counter-only — they are the
     /// steady-state fast path, and a hit marker adds nothing a root
-    /// span with a cached duration doesn't already say. Misses and
-    /// stale drops additionally put an instant on the timeline, so the
-    /// interesting (cold/invalidated) trees show *why* work happened.
-    /// The per-cache `probes` counter is derived as `hits + misses` at
+    /// span with a cached duration doesn't already say. Misses put an
+    /// instant on the timeline, so the interesting (cold/invalidated)
+    /// trees show *why* work happened. A stale probe is also the drop of
+    /// the entry it judged: it counts the eviction too and puts a second
+    /// instant, `Evict(cache, Invalidated)`, at the same cursor. The
+    /// per-cache `probes` counter is derived as `hits + misses` at
     /// snapshot time.
     pub fn probe(&self, cache: CacheKind, outcome: ProbeOutcome) {
-        self.count(|c, state| {
+        let traced = self.enabled();
+        with_local(|Local { active, shards }| {
+            let shard = shard_of(shards, self);
+            let c = &shard.c;
             let (h, m, st) = match cache {
                 CacheKind::Reply => (&c.reply_hits, &c.reply_misses, Some(&c.reply_stale)),
                 CacheKind::Eval => (&c.eval_hits, &c.eval_misses, Some(&c.eval_stale)),
                 CacheKind::Image => (&c.image_hits, &c.image_misses, None),
             };
-            match outcome {
-                ProbeOutcome::Hit => bump(h, 1),
-                ProbeOutcome::Miss => bump(m, 1),
-                ProbeOutcome::Stale => {
-                    bump(m, 1);
-                    if let Some(st) = st {
-                        bump(st, 1);
-                    }
+            if outcome == ProbeOutcome::Hit {
+                bump(h, 1);
+                return;
+            }
+            bump(m, 1);
+            let stale = outcome == ProbeOutcome::Stale;
+            if stale {
+                if let Some(st) = st {
+                    bump(st, 1);
+                }
+                bump(&c.evict_invalidated, 1);
+            }
+            if let Some(s) = active.0.as_ref().filter(|_| traced) {
+                shard.push_span(&instant(SpanKind::CacheProbe(cache, outcome), s));
+                if stale {
+                    let drop = SpanKind::Evict(cache, EvictReason::Invalidated);
+                    shard.push_span(&instant(drop, s));
                 }
             }
-            let mark = SpanKind::CacheProbe(cache, outcome);
-            state
-                .filter(|_| outcome != ProbeOutcome::Hit)
-                .map(|s| instant(mark, s))
         });
     }
 
@@ -1359,17 +1369,19 @@ impl Tracer {
         });
     }
 
-    /// Records `n` evictions with their reason.
+    /// Records `n` evictions with their reason. Only the image cache
+    /// evicts on its own; a reply or eval entry is dropped by the probe
+    /// that found it stale, and [`Tracer::probe`] records that.
     pub fn evict(&self, cache: CacheKind, reason: EvictReason, n: u64) {
         if n == 0 {
             return;
         }
         self.count(|c, state| {
-            let cell = match (cache, reason) {
-                (CacheKind::Image, EvictReason::Budget) => &c.image_evict_budget,
-                (CacheKind::Image, EvictReason::Replace) => &c.image_evict_replace,
-                (CacheKind::Image, EvictReason::Clear) => &c.image_evict_clear,
-                _ => &c.evict_invalidated,
+            let cell = match reason {
+                EvictReason::Budget => &c.image_evict_budget,
+                EvictReason::Replace => &c.image_evict_replace,
+                EvictReason::Clear => &c.image_evict_clear,
+                EvictReason::Invalidated => &c.evict_invalidated,
             };
             bump(cell, n);
             state.map(|s| instant(SpanKind::Evict(cache, reason), s))
@@ -1787,7 +1799,7 @@ mod tests {
             t.image_inserted();
             t.evict(CacheKind::Image, EvictReason::Replace, 1);
             t.evict(CacheKind::Image, EvictReason::Budget, 2);
-            t.evict(CacheKind::Eval, EvictReason::Invalidated, 1);
+            t.probe(CacheKind::Eval, ProbeOutcome::Stale);
             t.built(600, 1, 2, 3);
             t.policy(1, 2, false);
             drop(g);
@@ -2062,16 +2074,26 @@ mod tests {
     fn flight_and_eviction_counters() {
         let t = Tracer::new();
         let g = t.begin_request(SpanKind::Request);
+        let req = g.req();
         t.flight(FlightRole::Leader, 0);
         t.evict(CacheKind::Image, EvictReason::Budget, 3);
-        t.evict(CacheKind::Reply, EvictReason::Invalidated, 1);
+        t.probe(CacheKind::Reply, ProbeOutcome::Stale);
         drop(g);
         let g2 = t.begin_request(SpanKind::Request);
         t.flight(FlightRole::Coalesced, 5_000);
         drop(g2);
-        let c = t.snapshot().counters;
+        let snap = t.snapshot();
+        let c = snap.counters;
         assert_eq!(c.flight_entries, c.flight_leaders + c.flight_coalesced);
         assert_eq!(c.image_evict_budget, 3);
+        assert_eq!((c.reply_misses, c.reply_stale), (1, 1));
         assert_eq!(c.evict_invalidated, 1);
+        // A stale probe marks the probe, then the drop, at one cursor.
+        let spans = snap.request_spans(req);
+        let at = |kind| spans.iter().position(|s| s.kind == kind).unwrap();
+        let probe = at(SpanKind::CacheProbe(CacheKind::Reply, ProbeOutcome::Stale));
+        let drop = at(SpanKind::Evict(CacheKind::Reply, EvictReason::Invalidated));
+        assert_eq!(drop, probe + 1);
+        assert_eq!(spans[drop].start_ns, spans[probe].start_ns);
     }
 }

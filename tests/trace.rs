@@ -420,3 +420,82 @@ proptest! {
         prop_assert_eq!(snap.stage(Stage::Placement).count, leaves);
     }
 }
+
+/// A stale reply probe and a stale eval probe, on a fixed history: the
+/// request after a rebind of the library's object finds the program's
+/// reply and the library's module stale. Each stale probe marks the
+/// probe, then the drop, at one cursor, and counts the same with
+/// tracing on and off.
+#[test]
+fn stale_probes_mark_the_probe_then_the_drop() {
+    let run = |tracing: bool| {
+        let s = world(2);
+        s.set_tracing(tracing);
+        s.instantiate("/bin/p0").unwrap();
+        s.instantiate("/bin/p1").unwrap();
+        let Some(omos::core::Entry::Object(obj)) = s.namespace.lookup("/libc/stdio.o") else {
+            panic!("an object");
+        };
+        s.namespace.bind_object("/libc/stdio.o", (*obj).clone());
+        let stale = s.instantiate("/bin/p0").unwrap();
+        assert!(!stale.cache_hit);
+        assert!(!s.instantiate("/bin/p1").unwrap().cache_hit);
+        let snap = s.trace_snapshot();
+        let spans: Vec<_> = snap
+            .request_spans(stale.req)
+            .iter()
+            .map(|sp| (sp.kind, sp.start_ns))
+            .collect();
+        (snap.counters, spans)
+    };
+    let (on, spans) = run(true);
+    let (off, untraced) = run(false);
+    assert!(untraced.is_empty());
+    assert_eq!(
+        off,
+        omos::core::trace::TraceCounters {
+            spans_recorded: 0,
+            ..on
+        }
+    );
+    // The figures this history gave when a stale probe was reported
+    // through two hooks (a probe and an eviction): folding them into one
+    // must not move a counter or a span.
+    assert_eq!(
+        (
+            on.requests,
+            on.replies_built,
+            on.reply_hits,
+            on.reply_misses
+        ),
+        (4, 4, 0, 8)
+    );
+    assert_eq!(
+        (on.reply_stale, on.eval_hits, on.eval_misses, on.eval_stale),
+        (2, 4, 10, 2)
+    );
+    assert_eq!(on.evict_invalidated, on.reply_stale + on.eval_stale);
+    use omos::core::trace::{CacheKind, EvictReason, FlightRole, ProbeOutcome};
+    let probe = |cache, outcome| SpanKind::CacheProbe(cache, outcome);
+    let drop = |cache| SpanKind::Evict(cache, EvictReason::Invalidated);
+    let (reply, eval) = (CacheKind::Reply, CacheKind::Eval);
+    let (miss, stale) = (ProbeOutcome::Miss, ProbeOutcome::Stale);
+    assert_eq!(
+        spans,
+        [
+            (probe(reply, stale), 0),
+            (drop(reply), 0),
+            (SpanKind::Flight(FlightRole::Leader), 0),
+            (probe(reply, miss), 0),
+            (probe(eval, miss), 350_000),
+            (probe(eval, stale), 350_000),
+            (drop(eval), 350_000),
+            (probe(eval, stale), 350_000),
+            (drop(eval), 350_000),
+            (SpanKind::Eval, 350_000),
+            (SpanKind::Placement, 362_800),
+            (SpanKind::LibraryBuild, 362_800),
+            (SpanKind::Request, 0),
+        ]
+    );
+}
