@@ -256,7 +256,6 @@ pub struct Omos {
     /// Reply builds in flight, by blueprint key; each result carries the
     /// namespace generation its leader started at.
     reply_flight: SingleFlight<ContentHash, (Result<InstantiateReply, OmosError>, u64)>,
-    image_flight: SingleFlight<ContentHash, Result<(Arc<CachedImage>, u64), OmosError>>,
     dynamic: RwLock<Vec<Arc<DynamicLib>>>,
     dynamic_keys: Mutex<HashMap<ContentHash, u32>>,
     preflight: AtomicBool,
@@ -296,7 +295,6 @@ impl Omos {
             eval_cache: DepCache::new(CACHE_SHARDS),
             reply_cache: DepCache::new(CACHE_SHARDS),
             reply_flight: SingleFlight::new(),
-            image_flight: SingleFlight::new(),
             dynamic: RwLock::new(Vec::new()),
             dynamic_keys: Mutex::new(HashMap::new()),
             preflight: AtomicBool::new(false),
@@ -461,16 +459,17 @@ impl Omos {
         let req = guard.req();
         let gen = self.namespace.generation();
         loop {
-            if let Some(mut hit) = self.probe_reply(key, gen) {
+            if let Some(mut hit) = self.probe_reply(key, gen, true) {
                 hit.req = req;
                 return Ok(hit);
             }
             // Double-check inside the flight: a leader elected just after
             // a previous flight completed finds the fresh entry instead
-            // of rebuilding.
+            // of rebuilding. It repeats a probe that just missed, so it
+            // counts a hit or a stale drop but not the miss again.
             let ((result, leader_gen), led) = self.reply_flight.run(key, || {
                 self.tracer.flight(FlightRole::Leader, 0);
-                let result = match self.probe_reply(key, gen) {
+                let result = match self.probe_reply(key, gen, false) {
                     Some(hit) => Ok(hit),
                     None => self.build_reply(bp, root, key),
                 };
@@ -507,12 +506,20 @@ impl Omos {
     /// Validated reply-cache probe: an entry whose dependency paths were
     /// touched after its derivation generation is dropped (lazy,
     /// key-selective invalidation) and answers as a miss. `now` is the
-    /// namespace generation, read before the probe.
-    fn probe_reply(&self, key: ContentHash, now: u64) -> Option<InstantiateReply> {
+    /// namespace generation, read before the probe; a plain miss is
+    /// counted only if `count_miss`.
+    fn probe_reply(
+        &self,
+        key: ContentHash,
+        now: u64,
+        count_miss: bool,
+    ) -> Option<InstantiateReply> {
         let entry = match self.reply_cache.probe(key, &self.namespace, now) {
             Ok(entry) => entry,
             Err(outcome) => {
-                self.tracer.probe(CacheKind::Reply, outcome);
+                if count_miss || outcome != ProbeOutcome::Miss {
+                    self.tracer.probe(CacheKind::Reply, outcome);
+                }
                 return None;
             }
         };
@@ -778,7 +785,10 @@ impl Omos {
         }
         let mut opts = LinkOptions::library(&lib.name, bases.0, bases.1);
         opts.externs = externs.clone();
-        let link = || self.cache_image(image_key, || self.build_image(image_key, &obj, &opts));
+        let link = || {
+            self.images
+                .link_once(image_key, || self.build_image(image_key, &obj, &opts))
+        };
         let (img, ns) = if lanes == 1 {
             link()?
         } else {
@@ -810,7 +820,9 @@ impl Omos {
         opts.text_base = bases.0;
         opts.data_base = bases.1;
         opts.externs = libs.externs.clone();
-        let (img, ns) = self.cache_image(image_key, || self.build_image(image_key, &obj, &opts))?;
+        let (img, ns) = self
+            .images
+            .link_once(image_key, || self.build_image(image_key, &obj, &opts))?;
         Ok((img, bases, ns))
     }
 
@@ -841,24 +853,6 @@ impl Omos {
             epoch: 0,
         };
         Ok((img, ns))
-    }
-
-    /// Caches the image `build` produces under `image_key`, single-flight
-    /// per key: concurrent builds of the same image coalesce, and an
-    /// image already cached is returned at zero cost without building.
-    fn cache_image(
-        &self,
-        image_key: ContentHash,
-        build: impl Fn() -> Result<(CachedImage, u64), OmosError>,
-    ) -> Result<(Arc<CachedImage>, u64), OmosError> {
-        let (result, _led) = self.image_flight.run(image_key, || {
-            if let Some(img) = self.images.get(image_key) {
-                return Ok((img, 0));
-            }
-            let (img, ns) = build()?;
-            Ok((self.images.insert(img), ns))
-        });
-        result
     }
 
     /// Builds the resolution manifest from what the build *actually*

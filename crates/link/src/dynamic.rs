@@ -63,12 +63,6 @@ pub struct DynExecutable {
 }
 
 impl DynExecutable {
-    /// PLT entry by index (what the `BIND` syscall receives in `r6`).
-    #[must_use]
-    pub fn plt_entry(&self, index: u32) -> Option<&PltEntry> {
-        self.plt.get(index as usize)
-    }
-
     /// Per-invocation dynamic-linking work if every PLT entry ends up
     /// bound: eager patches plus one lazy bind per entry.
     #[must_use]

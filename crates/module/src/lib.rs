@@ -491,12 +491,6 @@ fn append_object(
     Ok(())
 }
 
-/// Returns the total text size of a module, a convenience for memory
-/// accounting in the benchmarks.
-pub fn text_size(m: &Module) -> Result<u64> {
-    Ok(m.materialize()?.size_of_kind(SectionKind::Text))
-}
-
 /// Builds a one-definition module around raw bytes — a tiny helper used by
 /// tests and the `source` operator's fallback paths.
 #[must_use]

@@ -46,11 +46,6 @@ impl NativeWorld {
             .position(|l| l.name == name)
             .map(|i| (&self.libs[i], &self.lib_frames[i]))
     }
-
-    /// All registered library names.
-    pub fn lib_names(&self) -> impl Iterator<Item = &str> {
-        self.libs.iter().map(|l| l.name.as_str())
-    }
 }
 
 /// The in-process dynamic linker: answers lazy PLT binds.

@@ -295,7 +295,6 @@ fn parallel_siblings_render_sorted_by_start_then_worker() {
         "request",
         "  reply-cache probe: miss",
         "  single-flight: leader",
-        "  reply-cache probe: miss",
         "  eval",
     ];
     // One probe per planned node: 8 library objects, 4 library metas,
@@ -322,8 +321,7 @@ fn parallel_siblings_render_sorted_by_start_then_worker() {
         "  link [w2]",
         "  link [w3]",
         "  link [w1]",
-        // Program: probe (twice: flight double-check), link, frame.
-        "  image-cache probe: miss",
+        // Program: probe, link, frame.
         "  image-cache probe: miss",
         "  link",
         "  frame",
@@ -332,6 +330,29 @@ fn parallel_siblings_render_sorted_by_start_then_worker() {
         normalized, expected,
         "snapshot of the parallel span tree (timings stripped):\n{tree}"
     );
+}
+
+/// A cold build on a fresh server counts one image miss per image it
+/// links, at one lane and above one, where library links run detached
+/// from the request timeline.
+#[test]
+fn cold_build_counts_one_image_miss_per_link() {
+    for (libs, lanes) in [(1, 1), (3, 1), (3, 3)] {
+        let s = fanout_world(libs);
+        s.set_eval_jobs(lanes);
+        assert!(!s.instantiate("/bin/fan").unwrap().cache_hit);
+        let c = s.trace_snapshot().counters;
+        assert_eq!(
+            (c.libraries_built, c.programs_built),
+            (libs as u64, 1),
+            "{libs} libraries at {lanes} lane(s)"
+        );
+        assert_eq!(
+            (c.image_hits, c.image_misses),
+            (0, c.libraries_built + c.programs_built),
+            "{libs} libraries at {lanes} lane(s)"
+        );
+    }
 }
 
 // --- Property: arbitrary op sequences keep the span tree well formed ------------
@@ -458,9 +479,8 @@ fn stale_probes_mark_the_probe_then_the_drop() {
             ..on
         }
     );
-    // The figures this history gave when a stale probe was reported
-    // through two hooks (a probe and an eviction): folding them into one
-    // must not move a counter or a span.
+    // Each build counts one reply miss: the leader's double-check inside
+    // the flight counts a hit or a stale drop, not the miss again.
     assert_eq!(
         (
             on.requests,
@@ -468,7 +488,7 @@ fn stale_probes_mark_the_probe_then_the_drop() {
             on.reply_hits,
             on.reply_misses
         ),
-        (4, 4, 0, 8)
+        (4, 4, 0, 4)
     );
     assert_eq!(
         (on.reply_stale, on.eval_hits, on.eval_misses, on.eval_stale),
@@ -486,7 +506,6 @@ fn stale_probes_mark_the_probe_then_the_drop() {
             (probe(reply, stale), 0),
             (drop(reply), 0),
             (SpanKind::Flight(FlightRole::Leader), 0),
-            (probe(reply, miss), 0),
             (probe(eval, miss), 350_000),
             (probe(eval, stale), 350_000),
             (drop(eval), 350_000),
