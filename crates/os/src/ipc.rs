@@ -1003,6 +1003,141 @@ mod tests {
         }
     }
 
+    /// One bill: the clock's user, system and elapsed ns, then every
+    /// `IpcStats` field in declaration order.
+    type Bill = [u64; 12];
+
+    fn bill(clock: &SimClock, s: &IpcStats) -> Bill {
+        [
+            clock.user_ns,
+            clock.system_ns,
+            clock.elapsed_ns,
+            s.messages,
+            s.bytes,
+            s.batches,
+            s.batched_requests,
+            s.descriptors,
+            s.mappings,
+            s.mapped_pages,
+            s.retired,
+            s.backpressure_spins,
+        ]
+    }
+
+    /// Server work per request in a session run: mixes replies above and
+    /// below `server_batch_dispatch_ns`, so batches amortize both ways.
+    const SESSION_SERVER_NS: [u64; 6] = [350_000, 120_000, 500_000, 350_000, 80_000, 300_000];
+
+    fn images(keys: std::ops::Range<u64>, epoch: u64) -> Vec<ImageDescriptor> {
+        keys.map(|key| ImageDescriptor {
+            key,
+            epoch,
+            pages: key + 4,
+        })
+        .collect()
+    }
+
+    /// Six requests through a session, then a drain.
+    fn session_bill(session: &mut ClientSession, replies: &[ReplyShape]) -> Bill {
+        let cost = CostModel::hpux();
+        let mut clock = SimClock::new();
+        for (i, &server_ns) in SESSION_SERVER_NS.iter().enumerate() {
+            let reply = replies[i % replies.len()].clone();
+            session.request(&mut clock, &cost, i as u64, 96, reply, server_ns);
+        }
+        session.drain(&mut clock, &cost);
+        bill(&clock, &session.stats)
+    }
+
+    /// Every transport × {opaque, two-image} reply through one
+    /// `charge_request` and through sessions at window 1 and 4, plus a
+    /// five-image reply through a three-slot ring (with one image
+    /// rebuilt under a new epoch on the second request).
+    fn bill_table() -> Vec<(String, Bill)> {
+        let cost = CostModel::hpux();
+        let shapes = [
+            ("opaque", ReplyShape::opaque(200)),
+            (
+                "two-image",
+                ReplyShape::with_images(256 + HANDLE_BYTES_PER_PAGE * 12, images(1..3, 1)),
+            ),
+        ];
+        let mut rows = Vec::new();
+        for t in Transport::ALL {
+            for (shape_name, shape) in &shapes {
+                let mut clock = SimClock::new();
+                let mut stats = IpcStats::default();
+                charge_request(&mut clock, &cost, t, 96, shape, 350_000, &mut stats);
+                let name = format!("{}/{shape_name}", t.name());
+                rows.push((format!("{name}/request"), bill(&clock, &stats)));
+                for window in [1, 4] {
+                    let mut session = ClientSession::with_window(t, window);
+                    let b = session_bill(&mut session, std::slice::from_ref(shape));
+                    rows.push((format!("{name}/window-{window}"), b));
+                }
+            }
+            let mut rebuilt = images(10..15, 1);
+            rebuilt[2].epoch = 2;
+            let wide = [
+                ReplyShape::with_images(1024, images(10..15, 1)),
+                ReplyShape::with_images(1024, rebuilt),
+            ];
+            let mut session = ClientSession::with_config(t, 4, 3);
+            let b = session_bill(&mut session, &wide);
+            rows.push((format!("{}/five-image/ring-3", t.name()), b));
+        }
+        rows
+    }
+
+    #[rustfmt::skip]
+    const BILLS: [(&str, Bill); 35] = [
+        ("mach-ipc/opaque/request", [0, 233320, 583320, 2, 296, 0, 0, 0, 0, 0, 0, 0]),
+        ("mach-ipc/opaque/window-1", [0, 1399920, 3099920, 12, 1776, 0, 0, 0, 0, 0, 0, 0]),
+        ("mach-ipc/opaque/window-4", [0, 1399920, 3099920, 12, 1776, 0, 0, 0, 0, 0, 0, 0]),
+        ("mach-ipc/two-image/request", [0, 253120, 603120, 2, 736, 0, 0, 0, 0, 0, 0, 0]),
+        ("mach-ipc/two-image/window-1", [0, 1518720, 3218720, 12, 4416, 0, 0, 0, 0, 0, 0, 0]),
+        ("mach-ipc/two-image/window-4", [0, 1518720, 3218720, 12, 4416, 0, 0, 0, 0, 0, 0, 0]),
+        ("mach-ipc/five-image/ring-3", [0, 1622400, 3322400, 12, 6720, 0, 0, 0, 0, 0, 0, 0]),
+        ("sysv-msg/opaque/request", [0, 973320, 1323320, 2, 296, 0, 0, 0, 0, 0, 0, 0]),
+        ("sysv-msg/opaque/window-1", [0, 5839920, 7539920, 12, 1776, 0, 0, 0, 0, 0, 0, 0]),
+        ("sysv-msg/opaque/window-4", [0, 5839920, 7539920, 12, 1776, 0, 0, 0, 0, 0, 0, 0]),
+        ("sysv-msg/two-image/request", [0, 993120, 1343120, 2, 736, 0, 0, 0, 0, 0, 0, 0]),
+        ("sysv-msg/two-image/window-1", [0, 5958720, 7658720, 12, 4416, 0, 0, 0, 0, 0, 0, 0]),
+        ("sysv-msg/two-image/window-4", [0, 5958720, 7658720, 12, 4416, 0, 0, 0, 0, 0, 0, 0]),
+        ("sysv-msg/five-image/ring-3", [0, 6062400, 7762400, 12, 6720, 0, 0, 0, 0, 0, 0, 0]),
+        ("sun-rpc/opaque/request", [0, 3013320, 3363320, 2, 296, 0, 0, 0, 0, 0, 0, 0]),
+        ("sun-rpc/opaque/window-1", [0, 18079920, 19779920, 12, 1776, 0, 0, 0, 0, 0, 0, 0]),
+        ("sun-rpc/opaque/window-4", [0, 18079920, 19779920, 12, 1776, 0, 0, 0, 0, 0, 0, 0]),
+        ("sun-rpc/two-image/request", [0, 3033120, 3383120, 2, 736, 0, 0, 0, 0, 0, 0, 0]),
+        ("sun-rpc/two-image/window-1", [0, 18198720, 19898720, 12, 4416, 0, 0, 0, 0, 0, 0, 0]),
+        ("sun-rpc/two-image/window-4", [0, 18198720, 19898720, 12, 4416, 0, 0, 0, 0, 0, 0, 0]),
+        ("sun-rpc/five-image/ring-3", [0, 18302400, 20002400, 12, 6720, 0, 0, 0, 0, 0, 0, 0]),
+        ("pipelined/opaque/request", [0, 233320, 583320, 2, 296, 0, 0, 0, 0, 0, 0, 0]),
+        ("pipelined/opaque/window-1", [0, 1399920, 3099920, 12, 1776, 6, 6, 0, 0, 0, 0, 0]),
+        ("pipelined/opaque/window-4", [0, 519920, 1419920, 4, 1776, 2, 6, 0, 0, 0, 0, 0]),
+        ("pipelined/two-image/request", [0, 253120, 603120, 2, 736, 0, 0, 0, 0, 0, 0, 0]),
+        ("pipelined/two-image/window-1", [0, 1518720, 3218720, 12, 4416, 6, 6, 0, 0, 0, 0, 0]),
+        ("pipelined/two-image/window-4", [0, 638720, 1538720, 4, 4416, 2, 6, 0, 0, 0, 0, 0]),
+        ("pipelined/five-image/ring-3", [0, 742400, 1642400, 4, 6720, 2, 6, 0, 0, 0, 0, 0]),
+        ("shm-ring/opaque/request", [0, 73320, 423320, 2, 296, 0, 0, 0, 0, 0, 0, 0]),
+        ("shm-ring/opaque/window-1", [0, 439920, 2139920, 12, 1776, 0, 0, 0, 0, 0, 0, 0]),
+        ("shm-ring/opaque/window-4", [0, 439920, 2139920, 12, 1776, 0, 0, 0, 0, 0, 0, 0]),
+        ("shm-ring/two-image/request", [0, 101080, 451080, 2, 224, 0, 0, 2, 2, 11, 2, 0]),
+        ("shm-ring/two-image/window-1", [0, 456480, 2156480, 12, 1344, 0, 0, 12, 2, 11, 12, 0]),
+        ("shm-ring/two-image/window-4", [0, 456480, 2156480, 12, 1344, 0, 0, 12, 2, 11, 12, 0]),
+        ("shm-ring/five-image/ring-3", [0, 611400, 2311400, 12, 1920, 0, 0, 30, 10, 160, 30, 0]),
+    ];
+
+    #[test]
+    fn bill_table_is_pinned() {
+        let table = bill_table();
+        assert_eq!(table.len(), BILLS.len());
+        for ((name, got), (want_name, want)) in table.iter().zip(BILLS) {
+            assert_eq!(name, want_name);
+            assert_eq!(*got, want, "{name}");
+        }
+    }
+
     #[test]
     fn env_selection_falls_back() {
         // (No env mutation here — just the parser surface.)
