@@ -230,12 +230,6 @@ impl MNode {
         }
     }
 
-    /// Parses one m-graph expression from an s-expression.
-    pub fn from_sexpr(s: &Sexpr) -> Result<MNode, BlueprintError> {
-        let mut spans = SpanMap::default();
-        MNode::from_sexpr_spanned(s, Vec::new(), &mut spans)
-    }
-
     /// Parses one m-graph expression, recording each node's source span
     /// into `spans` under its [`NodePath`] (`path` is this node's path).
     pub fn from_sexpr_spanned(

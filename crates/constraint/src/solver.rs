@@ -191,7 +191,7 @@ pub struct SolverState {
     pub conflicts: Vec<ConflictRecord>,
 }
 
-/// A class's wire form: one byte, its index in [`RegionClass::ALL`]
+/// A class's wire form: one byte, its index in `RegionClass::ALL`
 /// (the declaration order).
 impl Wire for RegionClass {
     fn put(&self, w: &mut Writer) {

@@ -706,7 +706,8 @@ impl Omos {
     ) -> Result<Libraries, OmosError> {
         let mut images = Vec::with_capacity(libs.len());
         let mut bases = Vec::with_capacity(libs.len());
-        // Link work done off the timeline, for the lane schedule.
+        // Link and frame work done off the timeline, for the lane
+        // schedule.
         let mut lane_ns = Vec::new();
         let (mut inline_ns, mut reused, mut avoided_ns) = (0, 0, 0);
         for lib in libs {
@@ -726,24 +727,23 @@ impl Omos {
             } else if lanes == 1 {
                 inline_ns += ns;
             } else {
-                lane_ns.push(ns);
+                lane_ns.push((ns, self.frame_ns(&img.frames)));
             }
             images.push(img);
             bases.push(at);
         }
-        let (lane_slots, makespan) = schedule(lane_ns.iter().map(|&d| (d, &[][..])), lanes);
-        for (&(start, lane), &ns) in lane_slots.iter().zip(&lane_ns) {
-            if ns > 0 {
-                self.tracer.span_at(SpanKind::Link, start, ns, lane);
-                self.tracer.note(Stage::Link, ns);
-            }
+        let (lane_slots, makespan) = schedule(lane_ns.iter().map(|&(d, _)| (d, &[][..])), lanes);
+        for (&(start, lane), &(ns, frame_ns)) in lane_slots.iter().zip(&lane_ns) {
+            self.tracer.span_at(SpanKind::Link, start, ns, lane);
+            self.tracer.note(Stage::Link, ns);
+            self.tracer.note(Stage::Frame, frame_ns);
         }
         self.tracer.advance(makespan);
         Ok(Libraries {
             images,
             bases,
             externs,
-            work_ns: inline_ns + lane_ns.iter().sum::<u64>(),
+            work_ns: inline_ns + lane_ns.iter().map(|&(ns, _)| ns).sum::<u64>(),
             path_ns: inline_ns + makespan,
             reused,
             avoided_ns,
@@ -946,12 +946,14 @@ impl Omos {
     fn framed(&self, image: &omos_link::LinkedImage) -> ImageFrames {
         let span = self.tracer.open(SpanKind::Frame);
         let frames = ImageFrames::from_image(image);
-        self.tracer.close_leaf(
-            span,
-            Stage::Frame,
-            frames.total_pages() * self.cost.map_page_ns,
-        );
+        self.tracer
+            .close_leaf(span, Stage::Frame, self.frame_ns(&frames));
         frames
+    }
+
+    /// The metered cost of framing an image: one page mapping per page.
+    fn frame_ns(&self, frames: &ImageFrames) -> u64 {
+        frames.total_pages() * self.cost.map_page_ns
     }
 
     /// Registers (or finds) a `lib-dynamic` implementation.

@@ -143,13 +143,6 @@ impl Vm {
         }
     }
 
-    /// Attaches a locality tracker.
-    #[must_use]
-    pub fn with_tracker(mut self, t: Tracker) -> Vm {
-        self.tracker = Some(t);
-        self
-    }
-
     fn reg(&self, r: u8) -> u32 {
         if r == 0 {
             0

@@ -61,13 +61,6 @@ impl RelocKind {
             _ => None,
         }
     }
-
-    /// True if the patched value depends on where the *site* ends up (and
-    /// so stays correct when site and target move together).
-    #[must_use]
-    pub fn is_pc_relative(self) -> bool {
-        matches!(self, RelocKind::Pcrel32)
-    }
 }
 
 /// A relocation record: "patch `section`+`offset` with the address of

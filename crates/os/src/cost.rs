@@ -227,32 +227,6 @@ impl CostModel {
         }
     }
 
-    /// The billing tariff of a transport: how this transport splits its
-    /// cost between per-message, per-byte, and per-mapping charges.
-    #[must_use]
-    pub fn tariff(&self, t: Transport) -> Tariff {
-        match t {
-            Transport::MachIpc | Transport::SysVMsg | Transport::SunRpc => {
-                Tariff::Copy(CopyTariff {
-                    msg_ns: self.ipc_msg_ns(t),
-                    byte_ns: self.ipc_byte_ns,
-                })
-            }
-            Transport::Pipelined => Tariff::Batched(BatchTariff {
-                msg_ns: self.pipelined_msg_ns,
-                byte_ns: self.ipc_byte_ns,
-                dispatch_ns: self.server_batch_dispatch_ns,
-            }),
-            Transport::ShmRing => Tariff::Mapped(MappedTariff {
-                doorbell_ns: self.shm_doorbell_ns,
-                byte_ns: self.ipc_byte_ns,
-                grant_ns: self.shm_grant_ns,
-                retire_ns: self.shm_retire_ns,
-                spin_ns: self.shm_spin_ns,
-            }),
-        }
-    }
-
     /// Cost of mapping `pages` pages as one region.
     #[must_use]
     pub fn map_cost_ns(&self, pages: u64) -> u64 {
@@ -263,136 +237,6 @@ impl CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel::hpux()
-    }
-}
-
-// --- Transport billing -------------------------------------------------------
-
-/// How a transport bills work, split into the three cost dimensions the
-/// transports differ on. Copying transports pay per message and per
-/// byte; the batched transport amortizes the per-message (and the
-/// server's fixed dispatch) across a whole batch; the shared-memory
-/// transport replaces reply bytes with descriptor grants billed per
-/// *mapping* instead of per byte.
-pub trait TransportBilling {
-    /// Fixed cost of moving one message frame (or ringing a doorbell).
-    fn per_message_ns(&self) -> u64;
-    /// Marginal cost of each payload byte copied through the transport.
-    fn per_byte_ns(&self) -> u64;
-    /// Cost of installing one published mapping from a descriptor.
-    /// Zero for transports that copy reply bytes instead of mapping.
-    fn per_mapping_ns(&self) -> u64;
-}
-
-/// Tariff of the per-request copying transports (Mach IPC, System V
-/// messages, Sun RPC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CopyTariff {
-    /// Per-message kernel cost.
-    pub msg_ns: u64,
-    /// Per payload byte.
-    pub byte_ns: u64,
-}
-
-/// Tariff of the pipelined (batched) transport: one message frame per
-/// batch, bytes still copied, and the server's fixed dispatch paid once
-/// per batch instead of once per request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchTariff {
-    /// Per batch frame (one Mach message regardless of batch size).
-    pub msg_ns: u64,
-    /// Per payload byte.
-    pub byte_ns: u64,
-    /// The server's fixed per-message dispatch share, amortized across
-    /// the batch (see [`CostModel::server_batch_dispatch_ns`]).
-    pub dispatch_ns: u64,
-}
-
-/// Tariff of the shared-memory ring transport: doorbells instead of
-/// messages, descriptors instead of reply bytes, and a per-mapping
-/// grant charge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MappedTariff {
-    /// Ringing the doorbell (both directions).
-    pub doorbell_ns: u64,
-    /// Per byte actually copied (requests and descriptors are tiny).
-    pub byte_ns: u64,
-    /// Installing one granted mapping.
-    pub grant_ns: u64,
-    /// Retiring one ring slot.
-    pub retire_ns: u64,
-    /// One bounded poll while the ring is full.
-    pub spin_ns: u64,
-}
-
-impl TransportBilling for CopyTariff {
-    fn per_message_ns(&self) -> u64 {
-        self.msg_ns
-    }
-    fn per_byte_ns(&self) -> u64 {
-        self.byte_ns
-    }
-    fn per_mapping_ns(&self) -> u64 {
-        0
-    }
-}
-
-impl TransportBilling for BatchTariff {
-    fn per_message_ns(&self) -> u64 {
-        self.msg_ns
-    }
-    fn per_byte_ns(&self) -> u64 {
-        self.byte_ns
-    }
-    fn per_mapping_ns(&self) -> u64 {
-        0
-    }
-}
-
-impl TransportBilling for MappedTariff {
-    fn per_message_ns(&self) -> u64 {
-        self.doorbell_ns
-    }
-    fn per_byte_ns(&self) -> u64 {
-        self.byte_ns
-    }
-    fn per_mapping_ns(&self) -> u64 {
-        self.grant_ns
-    }
-}
-
-/// A transport's resolved tariff (see [`CostModel::tariff`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tariff {
-    /// Per-request copying transport.
-    Copy(CopyTariff),
-    /// Batched transport with vectored replies.
-    Batched(BatchTariff),
-    /// Shared-memory descriptor transport.
-    Mapped(MappedTariff),
-}
-
-impl TransportBilling for Tariff {
-    fn per_message_ns(&self) -> u64 {
-        match self {
-            Tariff::Copy(t) => t.per_message_ns(),
-            Tariff::Batched(t) => t.per_message_ns(),
-            Tariff::Mapped(t) => t.per_message_ns(),
-        }
-    }
-    fn per_byte_ns(&self) -> u64 {
-        match self {
-            Tariff::Copy(t) => t.per_byte_ns(),
-            Tariff::Batched(t) => t.per_byte_ns(),
-            Tariff::Mapped(t) => t.per_byte_ns(),
-        }
-    }
-    fn per_mapping_ns(&self) -> u64 {
-        match self {
-            Tariff::Copy(t) => t.per_mapping_ns(),
-            Tariff::Batched(t) => t.per_mapping_ns(),
-            Tariff::Mapped(t) => t.per_mapping_ns(),
-        }
     }
 }
 
@@ -442,22 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn tariffs_split_the_three_dimensions() {
-        let c = CostModel::hpux();
-        for t in [Transport::MachIpc, Transport::SysVMsg, Transport::SunRpc] {
-            let tariff = c.tariff(t);
-            assert_eq!(tariff.per_message_ns(), c.ipc_msg_ns(t));
-            assert_eq!(tariff.per_byte_ns(), c.ipc_byte_ns);
-            assert_eq!(tariff.per_mapping_ns(), 0, "copy transports never map");
-        }
-        let batched = c.tariff(Transport::Pipelined);
-        assert_eq!(batched.per_message_ns(), c.pipelined_msg_ns);
-        assert_eq!(batched.per_mapping_ns(), 0);
-        let mapped = c.tariff(Transport::ShmRing);
-        assert_eq!(mapped.per_message_ns(), c.shm_doorbell_ns);
-        assert_eq!(mapped.per_mapping_ns(), c.shm_grant_ns);
+    fn doorbell_is_cheaper_than_any_message() {
         // The doorbell is cheaper than any real message: that is the
         // whole point of publishing through shared memory.
-        assert!(c.shm_doorbell_ns < c.mach_msg_ns);
+        for c in [CostModel::hpux(), CostModel::osf1()] {
+            assert!(c.shm_doorbell_ns < c.mach_msg_ns);
+        }
     }
 }

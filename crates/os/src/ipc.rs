@@ -21,8 +21,12 @@
 //!   bounded number of billed polls and then reports backpressure
 //!   instead of deadlocking.
 //!
-//! Billing is split per-message vs per-byte vs per-mapping by the
-//! [`TransportBilling`] tariff trait (see [`crate::cost`]); the
+//! Every bill is one [`charge_roundtrip`]: a message each way at the
+//! transport's [`CostModel::ipc_msg_ns`] plus [`CostModel::ipc_byte_ns`]
+//! per payload byte, and the server's work as an I/O wait. A batch
+//! frame amortizes the server's fixed dispatch
+//! ([`CostModel::server_batch_dispatch_ns`]) out of that wait; a mapped
+//! reply adds [`CostModel::shm_grant_ns`] per new mapping. The
 //! transport changes only what the *client* is billed — replies,
 //! manifests, and `server_ns` stay bit-identical across all five
 //! transports (the transport-oracle suite enforces this).
@@ -30,7 +34,7 @@
 use std::collections::HashMap;
 
 use crate::clock::SimClock;
-use crate::cost::{CostModel, TransportBilling};
+use crate::cost::CostModel;
 
 /// Message transports between clients and the OMOS server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,10 +60,6 @@ impl Transport {
         Transport::Pipelined,
         Transport::ShmRing,
     ];
-
-    /// The original per-request copying transports.
-    pub const PER_REQUEST: [Transport; 3] =
-        [Transport::MachIpc, Transport::SysVMsg, Transport::SunRpc];
 
     /// Display name.
     #[must_use]
@@ -178,7 +178,7 @@ pub struct ImageDescriptor {
     pub pages: u64,
 }
 
-/// The physical shape of a reply, so each tariff can bill what *it*
+/// The physical shape of a reply, so each transport can bill what *it*
 /// actually moves: copying transports move `copied_bytes`; the
 /// shared-memory transport moves a descriptor per image (falling back
 /// to a copy for replies that carry no mappable images at all, e.g.
@@ -223,13 +223,14 @@ impl ReplyShape {
     }
 }
 
-/// Charges one client→server→client round trip.
+/// Charges one client→server→client round trip: a message each way at
+/// [`CostModel::ipc_msg_ns`] plus [`CostModel::ipc_byte_ns`] per byte.
 ///
 /// The kernel message work is system time; the time the server spends
 /// producing the reply (`server_ns`) is an I/O wait for the client.
 /// This is the per-request path; batched and mapped transports go
 /// through a [`ClientSession`] (a one-shot request on them is billed by
-/// [`charge_request`]).
+/// [`charge_request`]), which bills its frames and doorbells here too.
 pub fn charge_roundtrip(
     clock: &mut SimClock,
     cost: &CostModel,
@@ -239,12 +240,10 @@ pub fn charge_roundtrip(
     server_ns: u64,
     stats: &mut IpcStats,
 ) {
-    let tariff = cost.tariff(transport);
-    let msg = tariff.per_message_ns();
-    let byte = tariff.per_byte_ns();
-    clock.charge_system(msg + request_bytes * byte);
+    let msg = cost.ipc_msg_ns(transport);
+    clock.charge_system(msg + request_bytes * cost.ipc_byte_ns);
     clock.charge_io_wait(server_ns);
-    clock.charge_system(msg + reply_bytes * byte);
+    clock.charge_system(msg + reply_bytes * cost.ipc_byte_ns);
     stats.messages += 2;
     stats.bytes += request_bytes + reply_bytes;
 }
@@ -426,16 +425,6 @@ impl ShmRing {
 /// Default max-inflight window for the pipelined transport.
 pub const DEFAULT_WINDOW: usize = 32;
 
-/// The window named by `OMOS_IPC_WINDOW`, or [`DEFAULT_WINDOW`].
-#[must_use]
-pub fn window_from_env() -> usize {
-    std::env::var("OMOS_IPC_WINDOW")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(DEFAULT_WINDOW)
-}
-
 #[derive(Debug, Clone)]
 struct Pending {
     tag: u64,
@@ -467,19 +456,8 @@ pub struct ClientSession {
 }
 
 impl ClientSession {
-    /// A session with the environment-configured window
-    /// (`OMOS_IPC_WINDOW`) and ring size (`OMOS_RING_SLOTS`).
-    #[must_use]
-    pub fn new(transport: Transport) -> ClientSession {
-        let slots = std::env::var("OMOS_RING_SLOTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&s| s >= 1)
-            .unwrap_or(DEFAULT_RING_SLOTS);
-        ClientSession::with_config(transport, window_from_env(), slots)
-    }
-
-    /// A session with an explicit max-inflight window.
+    /// A session with an explicit max-inflight window and a
+    /// [`DEFAULT_RING_SLOTS`] ring.
     #[must_use]
     pub fn with_window(transport: Transport, window: usize) -> ClientSession {
         ClientSession::with_config(transport, window, DEFAULT_RING_SLOTS)
@@ -573,37 +551,36 @@ impl ClientSession {
     /// vectored reply; no-op on other transports. Returns the number of
     /// replies delivered.
     ///
-    /// Batch billing: one message each way, every byte still copied,
-    /// and the server wait amortized. Each member's reported work
-    /// contains a fixed per-message dispatch share,
-    /// `min(dispatch_ns, server_ns)`; the batch pays only the largest
-    /// member's share and amortizes every other member's away. A batch
-    /// of one therefore bills exactly like [`charge_roundtrip`], and
-    /// merging two batches never bills more than flushing them apart
-    /// (window amortization is monotone).
+    /// Batch billing: one [`CostModel::pipelined_msg_ns`] frame each
+    /// way, every byte still copied, and the server wait amortized. Each
+    /// member's reported work contains a fixed per-message dispatch
+    /// share, `min(server_batch_dispatch_ns, server_ns)`; the batch pays
+    /// only the largest member's share and amortizes every other
+    /// member's away. A batch of one therefore bills exactly like
+    /// [`charge_roundtrip`], and merging two batches never bills more
+    /// than flushing them apart (window amortization is monotone).
     pub fn flush(&mut self, clock: &mut SimClock, cost: &CostModel) -> u64 {
         if self.queue.is_empty() || self.transport != Transport::Pipelined {
             return 0;
         }
         let batch: Vec<Pending> = std::mem::take(&mut self.queue);
         let n = batch.len() as u64;
-        let tariff = match cost.tariff(Transport::Pipelined) {
-            crate::cost::Tariff::Batched(t) => t,
-            _ => unreachable!("pipelined tariff is batched"),
-        };
         let request_bytes: u64 = batch.iter().map(|p| p.request_bytes).sum();
         let reply_bytes: u64 = batch.iter().map(|p| p.reply.copied_bytes).sum();
         let server_sum: u64 = batch.iter().map(|p| p.server_ns).sum();
-        let shares: Vec<u64> = batch
+        let (shares, largest) = batch
             .iter()
-            .map(|p| tariff.dispatch_ns.min(p.server_ns))
-            .collect();
-        let saved = shares.iter().sum::<u64>() - shares.iter().max().copied().unwrap_or(0);
-        clock.charge_system(tariff.per_message_ns() + request_bytes * tariff.per_byte_ns());
-        clock.charge_io_wait(server_sum - saved);
-        clock.charge_system(tariff.per_message_ns() + reply_bytes * tariff.per_byte_ns());
-        self.stats.messages += 2;
-        self.stats.bytes += request_bytes + reply_bytes;
+            .map(|p| cost.server_batch_dispatch_ns.min(p.server_ns))
+            .fold((0, 0), |(sum, max), share| (sum + share, max.max(share)));
+        charge_roundtrip(
+            clock,
+            cost,
+            Transport::Pipelined,
+            request_bytes,
+            reply_bytes,
+            server_sum - (shares - largest),
+            &mut self.stats,
+        );
         self.stats.batches += 1;
         self.stats.batched_requests += n;
         self.delivered.extend(batch.iter().map(|p| p.tag));
@@ -620,9 +597,10 @@ impl ClientSession {
         delivered
     }
 
-    /// One shared-memory request: doorbell out, server wait, doorbell
-    /// back with descriptors, then grant new mappings and retire the
-    /// slots. Descriptors are published through the bounded ring in
+    /// One shared-memory request: a [`CostModel::shm_doorbell_ns`]
+    /// doorbell out, server wait, doorbell back with descriptors, then a
+    /// [`CostModel::shm_grant_ns`] grant per new mapping and the slots
+    /// retired. Descriptors are published through the bounded ring in
     /// chunks no larger than the free slot count, so a reply wider than
     /// the ring still makes progress one ring-full at a time.
     fn shm_request(
@@ -634,17 +612,15 @@ impl ClientSession {
         reply: &ReplyShape,
         server_ns: u64,
     ) {
-        let tariff = match cost.tariff(Transport::ShmRing) {
-            crate::cost::Tariff::Mapped(t) => t,
-            _ => unreachable!("shm tariff is mapped"),
-        };
-        clock.charge_system(tariff.per_message_ns() + request_bytes * tariff.per_byte_ns());
-        clock.charge_io_wait(server_ns);
-        clock.charge_system(
-            tariff.per_message_ns() + reply.descriptor_bytes() * tariff.per_byte_ns(),
+        charge_roundtrip(
+            clock,
+            cost,
+            Transport::ShmRing,
+            request_bytes,
+            reply.descriptor_bytes(),
+            server_ns,
+            &mut self.stats,
         );
-        self.stats.messages += 2;
-        self.stats.bytes += request_bytes + reply.descriptor_bytes();
         let mut remaining: &[ImageDescriptor] = &reply.images;
         while !remaining.is_empty() {
             let chunk = remaining.len().min(self.ring.free_slots().max(1));
@@ -659,7 +635,7 @@ impl ClientSession {
             for d in now {
                 self.stats.descriptors += 1;
                 if self.ring.grant(d.key, d.epoch) {
-                    clock.charge_system(tariff.per_mapping_ns());
+                    clock.charge_system(cost.shm_grant_ns);
                     self.stats.mappings += 1;
                     self.stats.mapped_pages += d.pages;
                 }

@@ -12,8 +12,8 @@
 //!    is in flight); we charge a stop/resume pair of kernel crossings.
 //! 2. **Retarget stubs** — for every stub whose library id changed, the
 //!    `li r5, LIB_ID` instruction in the old text is rewritten (a
-//!    privileged [`AddressSpace::force_write`], privatizing the page just
-//!    like dynamic-loader text patching does).
+//!    privileged [`crate::AddressSpace::force_write`], privatizing the
+//!    page just like dynamic-loader text patching does).
 //! 3. **Swap bound slots** — slots already holding a cached binding are
 //!    re-resolved against the *new* library through the normal binder
 //!    path (same hash-table lookup, same first-load mapping and IPC
@@ -34,7 +34,7 @@ use omos_link::stubs::scan_stub_sites;
 use omos_link::LinkedImage;
 
 use crate::cost::CostModel;
-use crate::ipc::{charge_request, ImageDescriptor, IpcStats, ReplyShape};
+use crate::ipc::IpcStats;
 use crate::process::{Binder, Process};
 use crate::SimClock;
 
@@ -110,23 +110,7 @@ pub fn live_patch_process(
             .omos_lookup(new.lib_id, &old.name)
             .map_err(|msg| format!("re-resolve `{}`: {msg}", old.name))?;
         if let Some(load) = l.load {
-            let shape = ReplyShape::with_images(
-                128,
-                vec![ImageDescriptor {
-                    key: load.image_key,
-                    epoch: load.image_epoch,
-                    pages: load.frames.total_pages(),
-                }],
-            );
-            charge_request(
-                clock,
-                cost,
-                load.transport,
-                64 + old.name.len() as u64,
-                &shape,
-                load.server_ns,
-                ipc,
-            );
+            load.charge(clock, cost, &old.name, ipc);
             report.pages_mapped += load.frames.total_pages();
             proc.map_more(&load.frames, clock, cost)?;
         }

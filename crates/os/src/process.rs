@@ -56,6 +56,38 @@ pub struct FirstLoad {
     pub image_epoch: u64,
 }
 
+impl FirstLoad {
+    /// Bills the `OMOS_LOOKUP` round trip that fetched this load for
+    /// `name`. The copied reply is 128 bytes flat; a mapped transport
+    /// grants the image by its content key instead.
+    pub(crate) fn charge(
+        &self,
+        clock: &mut SimClock,
+        cost: &CostModel,
+        name: &str,
+        ipc: &mut IpcStats,
+    ) {
+        let shape = ReplyShape::with_images(
+            128,
+            vec![ImageDescriptor {
+                key: self.image_key,
+                epoch: self.image_epoch,
+                pages: self.frames.total_pages(),
+            }],
+        );
+        let request_bytes = 64 + name.len() as u64;
+        charge_request(
+            clock,
+            cost,
+            self.transport,
+            request_bytes,
+            &shape,
+            self.server_ns,
+            ipc,
+        );
+    }
+}
+
 /// Run-time binding services, supplied per shared-library scheme.
 pub trait Binder {
     /// Resolves PLT entry `index` (native scheme). `Err` aborts the
@@ -396,25 +428,7 @@ impl SyscallHandler for Runtime<'_> {
                     .omos_lookup(lib_id, &name)
                     .map_err(|msg| VmFault::BadSyscall { num, msg })?;
                 if let Some(load) = l.load {
-                    // The copied reply is 128 flat; a mapped transport
-                    // grants the image by its content key instead.
-                    let shape = ReplyShape::with_images(
-                        128,
-                        vec![ImageDescriptor {
-                            key: load.image_key,
-                            epoch: load.image_epoch,
-                            pages: load.frames.total_pages(),
-                        }],
-                    );
-                    charge_request(
-                        self.clock,
-                        self.cost,
-                        load.transport,
-                        64 + name.len() as u64,
-                        &shape,
-                        load.server_ns,
-                        &mut self.ipc,
-                    );
+                    load.charge(self.clock, self.cost, &name, &mut self.ipc);
                     self.pending.push(PendingMap::Image(load.frames));
                 }
                 self.clock.charge_user(l.probes * self.cost.lookup_ns);

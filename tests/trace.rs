@@ -355,6 +355,28 @@ fn cold_build_counts_one_image_miss_per_link() {
     }
 }
 
+/// Every linked image is framed once, so the `Frame` histogram holds as
+/// many samples as `Link`, and neither moves with the lane count: lane
+/// links run off the request timeline, and the lane schedule notes both
+/// stages for them.
+#[test]
+fn frame_and_link_histograms_agree_at_every_lane_count() {
+    let stages = |lanes: usize| {
+        let s = fanout_world(2);
+        s.set_eval_jobs(lanes);
+        assert!(!s.instantiate("/bin/fan").unwrap().cache_hit);
+        let snap = s.trace_snapshot();
+        let (frame, link) = (snap.stage(Stage::Frame), snap.stage(Stage::Link));
+        assert_eq!(frame.count, link.count, "{lanes} lane(s)");
+        (frame.count, frame.sum_ns, link.count, link.sum_ns)
+    };
+    let one = stages(1);
+    assert_eq!(one.0, 3, "two libraries and the program");
+    for lanes in [2, 8] {
+        assert_eq!(stages(lanes), one, "{lanes} lanes against 1");
+    }
+}
+
 // --- Property: arbitrary op sequences keep the span tree well formed ------------
 
 /// Interprets a fuzzer op sequence against a tracer inside one request,
@@ -467,10 +489,10 @@ fn stale_probes_mark_the_probe_then_the_drop() {
             .iter()
             .map(|sp| (sp.kind, sp.start_ns))
             .collect();
-        (snap.counters, spans)
+        (snap.counters, spans, s.eval_jobs())
     };
-    let (on, spans) = run(true);
-    let (off, untraced) = run(false);
+    let (on, spans, lanes) = run(true);
+    let (off, untraced, _) = run(false);
     assert!(untraced.is_empty());
     assert_eq!(
         off,
@@ -500,21 +522,24 @@ fn stale_probes_mark_the_probe_then_the_drop() {
     let drop = |cache| SpanKind::Evict(cache, EvictReason::Invalidated);
     let (reply, eval) = (CacheKind::Reply, CacheKind::Eval);
     let (miss, stale) = (ProbeOutcome::Miss, ProbeOutcome::Stale);
-    assert_eq!(
-        spans,
-        [
-            (probe(reply, stale), 0),
-            (drop(reply), 0),
-            (SpanKind::Flight(FlightRole::Leader), 0),
-            (probe(eval, miss), 350_000),
-            (probe(eval, stale), 350_000),
-            (drop(eval), 350_000),
-            (probe(eval, stale), 350_000),
-            (drop(eval), 350_000),
-            (SpanKind::Eval, 350_000),
-            (SpanKind::Placement, 362_800),
-            (SpanKind::LibraryBuild, 362_800),
-            (SpanKind::Request, 0),
-        ]
-    );
+    let mut expected = vec![
+        (probe(reply, stale), 0),
+        (drop(reply), 0),
+        (SpanKind::Flight(FlightRole::Leader), 0),
+        (probe(eval, miss), 350_000),
+        (probe(eval, stale), 350_000),
+        (drop(eval), 350_000),
+        (probe(eval, stale), 350_000),
+        (drop(eval), 350_000),
+        (SpanKind::Eval, 350_000),
+        (SpanKind::Placement, 362_800),
+    ];
+    // Only a one-lane build nests the placement in a library-build span
+    // (`OMOS_EVAL_JOBS` sets the lanes); the library image is a cache
+    // hit, so no lane link is laid out either way.
+    if lanes == 1 {
+        expected.push((SpanKind::LibraryBuild, 362_800));
+    }
+    expected.push((SpanKind::Request, 0));
+    assert_eq!(spans, expected);
 }
