@@ -29,6 +29,7 @@
 //!   equal encode byte-identically and [`ResolutionManifest::hash`] is
 //!   a pure function of the resolution.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use omos_blueprint::eval::LibraryUse;
@@ -152,6 +153,17 @@ impl ResolutionManifest {
     #[must_use]
     pub fn hash(&self) -> ContentHash {
         fnv1a(&to_bytes(self))
+    }
+
+    /// [`ResolutionManifest::hash`] and [`ResolutionManifest::encode`]
+    /// from one serialization of the payload.
+    #[must_use]
+    pub fn hash_and_encode(&self) -> (ContentHash, Vec<u8>) {
+        let payload = to_bytes(self);
+        (
+            fnv1a(&payload),
+            container::seal(ContainerKind::Resolution, &payload),
+        )
     }
 
     /// Human-readable rendering (for `ofe explain`).
@@ -534,15 +546,17 @@ pub fn interpositions_of(out: &EvalOutput) -> Vec<String> {
     names
 }
 
-/// Materializes every library of `out`, in resolution order: the
-/// objects [`place_libraries`] sizes and [`manifest_of_placed`] lays
-/// out.
-pub fn materialize_libraries(out: &EvalOutput) -> Result<Vec<ObjectFile>, String> {
+/// Every library object of `out`, in resolution order: the objects
+/// [`place_libraries`] sizes and [`manifest_of_placed`] lays out. A
+/// library whose view has no pending operation is borrowed, not copied
+/// ([`omos_obj::View::object`]).
+pub fn materialize_libraries(out: &EvalOutput) -> Result<Vec<Cow<'_, ObjectFile>>, String> {
     out.libraries
         .iter()
         .map(|lib| {
             lib.module
-                .materialize()
+                .view()
+                .object()
                 .map_err(|e| format!("materialize `{}` failed: {e}", lib.name))
         })
         .collect()
@@ -555,7 +569,7 @@ pub fn materialize_libraries(out: &EvalOutput) -> Result<Vec<ObjectFile>, String
 /// runs this inside a [`PlacementSolver::trial`].
 pub fn place_libraries(
     out: &EvalOutput,
-    objects: &[ObjectFile],
+    objects: &[Cow<'_, ObjectFile>],
     solver: &mut PlacementSolver,
 ) -> Result<Vec<(u32, u32)>, String> {
     out.libraries
@@ -578,7 +592,7 @@ pub fn place_libraries(
 pub fn manifest_of_placed(
     bp: &Blueprint,
     out: &EvalOutput,
-    objects: &[ObjectFile],
+    objects: &[Cow<'_, ObjectFile>],
     bases: &[(u32, u32)],
 ) -> Result<ResolutionManifest, String> {
     let mut externs: HashMap<String, u32> = HashMap::new();
@@ -589,7 +603,7 @@ pub fn manifest_of_placed(
         // Exports depend on layout alone (externs only affect
         // relocation), so the options carry no extern environment.
         let opts = LinkOptions::library(&lib.name, text_base, data_base);
-        let symbols = layout_symbols(std::slice::from_ref(obj), &opts)
+        let symbols = layout_symbols(std::slice::from_ref(&**obj), &opts)
             .map_err(|e| format!("layout of `{}` failed: {e}", lib.name))?;
         // Left-to-right, first-definition-wins extern fold ("all
         // definitions of variables must be made in the library furthest
@@ -615,12 +629,13 @@ pub fn manifest_of_placed(
     );
     let prog_obj = out
         .module
-        .materialize()
+        .view()
+        .object()
         .map_err(|e| format!("materialize program failed: {e}"))?;
     let mut opts = LinkOptions::program("program");
     opts.text_base = text_base;
     opts.data_base = data_base;
-    let prog_syms = layout_symbols(std::slice::from_ref(&prog_obj), &opts)
+    let prog_syms = layout_symbols(std::slice::from_ref(&*prog_obj), &opts)
         .map_err(|e| format!("program layout failed: {e}"))?;
     let program = ProgramResolution {
         text_base,
@@ -723,6 +738,21 @@ mod tests {
         let back = ResolutionManifest::decode(&m.encode()).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.hash(), m.hash());
+    }
+
+    #[test]
+    fn hash_and_encode_matches_hash_and_encode() {
+        let mut with_policy = sample();
+        with_policy.policies = vec![LinkPolicy {
+            kind: PolicyKind::Trampoline,
+            pattern: "^_f$".into(),
+        }];
+        for m in [sample(), with_policy] {
+            let (hash, frame) = m.hash_and_encode();
+            assert_eq!(hash, m.hash());
+            assert_eq!(frame, m.encode());
+            assert_eq!(ResolutionManifest::decode(&frame).unwrap(), m);
+        }
     }
 
     #[test]

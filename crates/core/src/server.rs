@@ -655,7 +655,9 @@ impl Omos {
         let server_ns = base_ns + eval_ns + policy_ns + libs.work_ns + prog_ns;
         let latency_ns = base_ns + eval_path_ns + policy_ns + libs.path_ns + prog_ns;
 
-        let manifest = self.manifest_from_actuals(bp, &out, &libs, &program, client);
+        let (manifest_hash, frame) = self
+            .manifest_from_actuals(bp, &out, &libs, &program, client)
+            .hash_and_encode();
         let avoided_ns = libs.avoided_ns + if prog_ns == 0 { program.rebuild_ns } else { 0 };
         let linked = libs.images.len() as u64 - libs.reused;
         self.tracer
@@ -667,9 +669,9 @@ impl Omos {
             latency_ns,
             cache_hit: false,
             req: 0, // attributed by `request`
-            manifest: manifest.hash(),
+            manifest: manifest_hash,
         };
-        self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, &manifest);
+        self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, frame);
         Ok(reply)
     }
 
@@ -763,7 +765,7 @@ impl Omos {
         externs: &HashMap<String, u32>,
         lanes: usize,
     ) -> Result<PlacedLibrary, OmosError> {
-        let obj = lib.module.materialize().map_err(OmosError::Obj)?;
+        let obj = lib.module.view().object().map_err(OmosError::Obj)?;
         // Placement is get-or-reuse per (name, key): concurrent callers
         // for the same library receive the same bases. The span's cost
         // is metered (one lookup per segment) but unbilled: placement
@@ -814,7 +816,7 @@ impl Omos {
         if let Some(img) = self.images.get(image_key) {
             return Ok((img, bases, 0));
         }
-        let obj = out.module.materialize().map_err(OmosError::Obj)?;
+        let obj = out.module.view().object().map_err(OmosError::Obj)?;
         let mut opts = LinkOptions::program("program");
         opts.name = format!("<program:{reply_key}>");
         opts.text_base = bases.0;
@@ -914,9 +916,10 @@ impl Omos {
         self.explain_blueprint(&self.blueprint_at(path)?.0)
     }
 
-    /// Caches a freshly built reply under its blueprint key. The
-    /// dependency record is the evaluator's own (every path the
-    /// evaluation resolved), plus the root path the request named.
+    /// Caches a freshly built reply, with its sealed manifest `frame`,
+    /// under its blueprint key. The dependency record is the
+    /// evaluator's own (every path the evaluation resolved), plus the
+    /// root path the request named.
     #[allow(clippy::too_many_arguments)]
     fn cache_reply(
         &self,
@@ -926,7 +929,7 @@ impl Omos {
         mut deps: BTreeSet<String>,
         root: Option<&str>,
         bp: &Arc<Blueprint>,
-        manifest: &ResolutionManifest,
+        frame: Vec<u8>,
     ) {
         if let Some(p) = root {
             deps.insert(p.to_string());
@@ -934,7 +937,7 @@ impl Omos {
         let entry = ReplyEntry {
             reply: reply.clone(),
             blueprint: Arc::clone(bp),
-            manifest: Arc::new(manifest.encode()),
+            manifest: Arc::new(frame),
         };
         self.reply_cache.insert(key, entry, Arc::new(deps), gen);
     }

@@ -1,9 +1,12 @@
 //! Static linking: layout, symbol resolution, relocation application.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use omos_obj::{ObjectFile, RelocKind, SectionKind, SymbolBinding, SymbolDef, SymbolTable};
+use omos_obj::{
+    upgrade, ObjectFile, RelocKind, SectionKind, SymbolBinding, SymbolDef, SymbolTable, Upgrade,
+};
 
 use crate::error::{LinkError, LinkResult};
 use crate::image::{LinkedImage, Segment};
@@ -161,26 +164,31 @@ impl Layout {
 /// rules), segment layout, and symbol address assignment.
 fn compute_layout(objects: &[ObjectFile], opts: &LinkOptions) -> LinkResult<Layout> {
     // --- Pass 1: global symbol resolution (section-relative). -------------
+    // Each global's winning entry in first-seen order, with the object
+    // that supplied it: a Defined winner's home. Names stay borrowed.
     let mut symbols_resolved = 0u64;
-    let mut globals = SymbolTable::new();
-    // Global name -> (object index, section, offset) for Defined symbols.
-    let mut global_homes: HashMap<String, (usize, usize, u64)> = HashMap::new();
+    let mut globals: Vec<(&str, usize, SymbolBinding, SymbolDef)> = Vec::new();
+    let mut index: HashMap<&str, usize> = HashMap::new();
     for (i, obj) in objects.iter().enumerate() {
         for sym in obj.symbols.iter() {
             if sym.binding == SymbolBinding::Local {
                 continue;
             }
             symbols_resolved += 1;
-            // Track which object wins each Defined global: insert() applies
-            // the strong/weak/common rules; afterwards, if this symbol's
-            // def "won" (table now holds an identical def), record its home.
-            globals.insert(sym.clone())?;
-            if let (SymbolDef::Defined { section, offset }, Some(winner)) =
-                (sym.def, globals.get(&sym.name))
-            {
-                if winner.def == sym.def && winner.binding == sym.binding {
-                    global_homes.insert(sym.name.clone(), (i, section, offset));
+            let entry = (sym.name.as_str(), i, sym.binding, sym.def);
+            let held = match index.entry(&sym.name) {
+                Entry::Occupied(g) => &mut globals[*g.get()],
+                Entry::Vacant(g) => {
+                    g.insert(globals.len());
+                    globals.push(entry);
+                    continue;
                 }
+            };
+            match upgrade((held.2, held.3), (sym.binding, sym.def)) {
+                Upgrade::Keep => {}
+                Upgrade::Take => *held = entry,
+                Upgrade::Grow(size) => held.3 = SymbolDef::Common { size },
+                Upgrade::Duplicate => return Err(LinkError::Duplicate(sym.name.clone())),
             }
         }
     }
@@ -213,16 +221,6 @@ fn compute_layout(objects: &[ObjectFile], opts: &LinkOptions) -> LinkResult<Layo
         sec_off.push(offs);
     }
 
-    // Commons go at the end of BSS.
-    let mut common_addr_rel: HashMap<String, u64> = HashMap::new();
-    for sym in globals.iter() {
-        if let SymbolDef::Common { size } = sym.def {
-            bss_size = align_up(bss_size, 8);
-            common_addr_rel.insert(sym.name.clone(), bss_size);
-            bss_size += size;
-        }
-    }
-
     // Segment bases.
     let mut lay = Layout {
         sec_off,
@@ -235,27 +233,21 @@ fn compute_layout(objects: &[ObjectFile], opts: &LinkOptions) -> LinkResult<Layo
         symbols_resolved,
     };
 
-    // --- Pass 3: symbol addresses. ----------------------------------------
-    for sym in globals.iter() {
-        match sym.def {
-            SymbolDef::Defined { .. } => {
-                let &(i, j, off) = global_homes.get(&sym.name).ok_or_else(|| {
-                    LinkError::Reloc(format!("lost home of global `{}`", sym.name))
-                })?;
-                let base = lay.seg_base(objects[i].sections[j].kind);
-                let addr = (base + lay.sec_off[i][j] + off) as u32;
-                lay.addr_of.insert(sym.name.clone(), addr);
+    // --- Pass 3: symbol addresses; commons go at the end of BSS. ----------
+    for (name, i, _, def) in globals {
+        let addr = match def {
+            SymbolDef::Defined { section, offset } => {
+                lay.seg_base(objects[i].sections[section].kind) + lay.sec_off[i][section] + offset
             }
-            SymbolDef::Common { .. } => {
-                let rel = common_addr_rel[&sym.name];
-                lay.addr_of
-                    .insert(sym.name.clone(), (lay.bss_base + rel) as u32);
+            SymbolDef::Common { size } => {
+                let rel = align_up(lay.bss_size, 8);
+                lay.bss_size = rel + size;
+                lay.bss_base + rel
             }
-            SymbolDef::Absolute { value } => {
-                lay.addr_of.insert(sym.name.clone(), value as u32);
-            }
-            SymbolDef::Undefined => {}
-        }
+            SymbolDef::Absolute { value } => value,
+            SymbolDef::Undefined => continue,
+        };
+        lay.addr_of.insert(name.to_string(), addr as u32);
     }
     Ok(lay)
 }
@@ -751,6 +743,26 @@ _triple:    add r2, r1, r1
     }
 
     #[test]
+    fn equal_weak_definitions_keep_the_first_home() {
+        // Two weak `_f`s at the same (section, offset) of different
+        // objects: the first one seen wins, as it does in a SymbolTable.
+        let weak_f = |name: &str| {
+            let mut o = assemble(name, ".text\n_body: li r1, 1\n li r1, 2\n ret\n").unwrap();
+            o.symbols
+                .insert(Symbol::defined("_f", 0, 0).weak())
+                .unwrap();
+            o
+        };
+        let objects = [weak_f("a.o"), weak_f("b.o")];
+        let opts = LinkOptions::library("t", 0x1000, 0x4000_0000);
+        assert_eq!(
+            link(&objects, &opts).unwrap().image.find("_f"),
+            Some(0x1000)
+        );
+        assert_eq!(layout_symbols(&objects, &opts).unwrap()["_f"], 0x1000);
+    }
+
+    #[test]
     fn overlapping_bases_rejected() {
         let a = assemble(
             "a.o",
@@ -837,6 +849,128 @@ _counter:   .space 16
         let planned = layout_symbols(&objects, &opts).unwrap();
         let linked = link(&objects, &opts).unwrap();
         assert_eq!(planned, linked.image.symbols);
+    }
+
+    /// One generated symbol: name index, binding (0 global, 1 weak,
+    /// 2 local), def kind (0 undefined, 1 defined, 2 common, 3
+    /// absolute) and a value that sets its offset, size or value.
+    type GenSym = (u8, u8, u8, u64);
+
+    /// Objects of one text section each, `words` 4-byte words long.
+    fn model_objects(objects: &[(u64, Vec<GenSym>)]) -> Vec<ObjectFile> {
+        objects
+            .iter()
+            .enumerate()
+            .map(|(i, (words, syms))| {
+                let mut o = ObjectFile::new(&format!("o{i}.o"));
+                o.add_section(omos_obj::Section::with_bytes(
+                    ".text",
+                    SectionKind::Text,
+                    vec![0; *words as usize * 4],
+                    4,
+                ));
+                for &(name, binding, def, v) in syms {
+                    let name = format!("_s{name}");
+                    let sym = match def {
+                        0 => Symbol::undefined(&name),
+                        1 => Symbol::defined(&name, 0, (v % words) * 4),
+                        2 => Symbol::common(&name, v * 4 + 1),
+                        _ => Symbol::absolute(&name, 0x100 * v),
+                    };
+                    o.symbols.insert_override(match binding {
+                        0 => sym,
+                        1 => sym.weak(),
+                        _ => sym.local(),
+                    });
+                }
+                o
+            })
+            .collect()
+    }
+
+    /// The reference resolution: a `SymbolTable` fed by `insert`, the
+    /// home of a defined global being the first object whose entry the
+    /// table took, and addresses laid out by hand for one-text-section
+    /// objects. Returns the export map and the non-local symbols seen.
+    fn reference_exports(
+        objects: &[ObjectFile],
+        opts: &LinkOptions,
+    ) -> LinkResult<(HashMap<String, u32>, u64)> {
+        let mut table = SymbolTable::new();
+        let mut homes: HashMap<String, usize> = HashMap::new();
+        let mut seen = 0;
+        for (i, obj) in objects.iter().enumerate() {
+            for sym in obj.symbols.iter() {
+                if sym.binding == SymbolBinding::Local {
+                    continue;
+                }
+                seen += 1;
+                let before = table.get(&sym.name).cloned();
+                table.insert(sym.clone())?;
+                let after = table.get(&sym.name).map(|s| (s.binding, s.def));
+                let took = after == Some((sym.binding, sym.def))
+                    && before.is_none_or(|b| (b.binding, b.def) != (sym.binding, sym.def));
+                if took {
+                    homes.insert(sym.name.clone(), i);
+                }
+            }
+        }
+        let mut text_off = Vec::new();
+        let mut end = 0u64;
+        for obj in objects {
+            text_off.push(end);
+            end += obj.sections[0].bytes.len() as u64;
+        }
+        let mut bss = 0u64;
+        let mut exports = HashMap::new();
+        for sym in table.iter() {
+            let addr = match sym.def {
+                SymbolDef::Defined { offset, .. } => {
+                    u64::from(opts.text_base) + text_off[homes[&sym.name]] + offset
+                }
+                SymbolDef::Common { size } => {
+                    bss = bss.next_multiple_of(8);
+                    bss += size;
+                    u64::from(opts.data_base) + bss - size
+                }
+                SymbolDef::Absolute { value } => value,
+                SymbolDef::Undefined => continue,
+            };
+            exports.insert(sym.name.clone(), addr as u32);
+        }
+        Ok((exports, seen))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn resolution_matches_the_symbol_table_model(
+            objects in proptest::collection::vec(
+                (
+                    1u64..5,
+                    proptest::collection::vec((0u8..5, 0u8..3, 0u8..4, 0u64..4), 0..8),
+                ),
+                1..5,
+            ),
+        ) {
+            let objects = model_objects(&objects);
+            let opts = LinkOptions::library("m", 0x1000, 0x4000_0000);
+            let want = reference_exports(&objects, &opts);
+            let planned = layout_symbols(&objects, &opts);
+            let linked = link(&objects, &opts);
+            match want {
+                Ok((exports, seen)) => {
+                    proptest::prop_assert_eq!(planned.as_ref(), Ok(&exports));
+                    let linked = linked.unwrap();
+                    proptest::prop_assert_eq!(&linked.image.symbols, &exports);
+                    proptest::prop_assert_eq!(linked.stats.symbols_resolved, seen);
+                }
+                Err(e) => {
+                    proptest::prop_assert!(matches!(e, LinkError::Duplicate(_)));
+                    proptest::prop_assert_eq!(planned, Err(e.clone()));
+                    proptest::prop_assert_eq!(linked.map(|l| l.stats), Err(e));
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub use object::ObjectFile;
 pub use regex::Regex;
 pub use reloc::{RelocKind, Relocation};
 pub use section::{Section, SectionKind};
-pub use symbol::{Symbol, SymbolBinding, SymbolDef, SymbolTable};
+pub use symbol::{upgrade, Symbol, SymbolBinding, SymbolDef, SymbolTable, Upgrade};
 pub use view::View;

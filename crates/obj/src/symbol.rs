@@ -152,6 +152,47 @@ impl Symbol {
     }
 }
 
+/// What becomes of a held entry when another entry of the same name
+/// arrives ([`upgrade`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Upgrade {
+    /// The held entry stays.
+    Keep,
+    /// The arriving entry replaces the held one.
+    Take,
+    /// Both are commons: the held one grows to `size` bytes.
+    Grow(u64),
+    /// Two strong definitions clash.
+    Duplicate,
+}
+
+/// The upgrade rule for two entries of one name, `cur` held and `new`
+/// arriving, each as `(binding, def)` (mirroring classic Unix linkers):
+/// * undefined + anything ⇒ the other;
+/// * common + common ⇒ the larger common;
+/// * common + defined ⇒ defined;
+/// * weak definition + global definition ⇒ global;
+/// * two weak definitions ⇒ the first;
+/// * two strong definitions ⇒ [`Upgrade::Duplicate`].
+///
+/// [`SymbolTable::insert`] and the linker's resolution pass both apply it.
+#[must_use]
+pub fn upgrade(cur: (SymbolBinding, SymbolDef), new: (SymbolBinding, SymbolDef)) -> Upgrade {
+    match (cur.1, new.1) {
+        (SymbolDef::Undefined, _) => Upgrade::Take,
+        (_, SymbolDef::Undefined) => Upgrade::Keep,
+        (SymbolDef::Common { size: a }, SymbolDef::Common { size: b }) => Upgrade::Grow(a.max(b)),
+        (SymbolDef::Common { .. }, _) => Upgrade::Take,
+        // A real definition beats a common.
+        (_, SymbolDef::Common { .. }) => Upgrade::Keep,
+        _ => match (cur.0, new.0) {
+            (SymbolBinding::Weak, SymbolBinding::Global) => Upgrade::Take,
+            (SymbolBinding::Global | SymbolBinding::Weak, SymbolBinding::Weak) => Upgrade::Keep,
+            _ => Upgrade::Duplicate,
+        },
+    }
+}
+
 /// An ordered symbol table with by-name lookup.
 ///
 /// A table may contain at most one entry per name. (Separate *definition*
@@ -207,57 +248,25 @@ impl SymbolTable {
         }
     }
 
-    /// Inserts a new entry, or upgrades an existing one.
-    ///
-    /// Upgrade rules (mirroring classic Unix linkers):
-    /// * undefined + anything ⇒ the other;
-    /// * common + common ⇒ the larger common;
-    /// * common + defined ⇒ defined;
-    /// * weak definition + global definition ⇒ global;
-    /// * two strong definitions ⇒ [`ObjError::DuplicateSymbol`].
+    /// Inserts a new entry, or upgrades an existing one by [`upgrade`].
     pub fn insert(&mut self, sym: Symbol) -> Result<()> {
-        if let Some(&i) = self.by_name.get(&sym.name) {
-            let cur = &mut self.symbols[i];
-            match (&cur.def, &sym.def) {
-                (SymbolDef::Undefined, _) => {
-                    let frozen = cur.frozen;
-                    *cur = sym;
-                    cur.frozen |= frozen;
-                }
-                (_, SymbolDef::Undefined) => {
-                    // Existing entry already covers the reference.
-                }
-                (SymbolDef::Common { size: a }, SymbolDef::Common { size: b }) => {
-                    cur.def = SymbolDef::Common { size: (*a).max(*b) };
-                }
-                (SymbolDef::Common { .. }, _) => {
-                    let frozen = cur.frozen;
-                    *cur = sym;
-                    cur.frozen |= frozen;
-                }
-                (_, SymbolDef::Common { .. }) => {
-                    // Real definition beats common.
-                }
-                _ => {
-                    // Two real definitions: weak yields to global.
-                    match (cur.binding, sym.binding) {
-                        (SymbolBinding::Weak, SymbolBinding::Global) => {
-                            let frozen = cur.frozen;
-                            *cur = sym;
-                            cur.frozen |= frozen;
-                        }
-                        (SymbolBinding::Global, SymbolBinding::Weak) => {}
-                        (SymbolBinding::Weak, SymbolBinding::Weak) => {}
-                        _ => return Err(ObjError::DuplicateSymbol(sym.name)),
-                    }
-                }
-            }
-            Ok(())
-        } else {
+        let Some(&i) = self.by_name.get(&sym.name) else {
             self.by_name.insert(sym.name.clone(), self.symbols.len());
             self.symbols.push(sym);
-            Ok(())
+            return Ok(());
+        };
+        let cur = &mut self.symbols[i];
+        match upgrade((cur.binding, cur.def), (sym.binding, sym.def)) {
+            Upgrade::Keep => {}
+            Upgrade::Take => {
+                let frozen = cur.frozen;
+                *cur = sym;
+                cur.frozen |= frozen;
+            }
+            Upgrade::Grow(size) => cur.def = SymbolDef::Common { size },
+            Upgrade::Duplicate => return Err(ObjError::DuplicateSymbol(sym.name)),
         }
+        Ok(())
     }
 
     /// Inserts an entry, replacing any existing entry for that name
@@ -464,6 +473,102 @@ mod tests {
                 section: 1,
                 offset: 4
             }
+        );
+    }
+
+    #[test]
+    fn upgrade_table_is_pinned() {
+        // Every (binding, def) entry, in this order; rows are the held
+        // entry, columns the arriving one. K keeps the held entry, T
+        // takes the arriving one, G grows a common to the larger size
+        // and D is a duplicate definition.
+        let defs = [
+            SymbolDef::Undefined,
+            SymbolDef::Defined {
+                section: 0,
+                offset: 0,
+            },
+            SymbolDef::Common { size: 64 },
+            SymbolDef::Absolute { value: 7 },
+        ];
+        let bindings = [
+            SymbolBinding::Global,
+            SymbolBinding::Weak,
+            SymbolBinding::Local,
+        ];
+        let entries: Vec<(SymbolBinding, SymbolDef)> = bindings
+            .iter()
+            .flat_map(|&b| defs.iter().map(move |&d| (b, d)))
+            .collect();
+        #[rustfmt::skip]
+        let table = [
+            //  global    weak      local      arriving
+            //  U D C A   U D C A   U D C A    held
+            "TTTT TTTT TTTT", // global undefined
+            "KDKD KKKK KDKD", // global defined
+            "KTGT KTGT KTGT", // global common
+            "KDKD KKKK KDKD", // global absolute
+            "TTTT TTTT TTTT", // weak undefined
+            "KTKT KKKK KDKD", // weak defined
+            "KTGT KTGT KTGT", // weak common
+            "KTKT KKKK KDKD", // weak absolute
+            "TTTT TTTT TTTT", // local undefined
+            "KDKD KDKD KDKD", // local defined
+            "KTGT KTGT KTGT", // local common
+            "KDKD KDKD KDKD", // local absolute
+        ];
+        for (&cur, row) in entries.iter().zip(table) {
+            let row: Vec<char> = row.chars().filter(|c| *c != ' ').collect();
+            assert_eq!(row.len(), entries.len());
+            for (&new, want) in entries.iter().zip(row) {
+                let held = Symbol {
+                    name: "_x".into(),
+                    binding: cur.0,
+                    def: cur.1,
+                    frozen: true,
+                };
+                let arriving = Symbol {
+                    binding: new.0,
+                    def: new.1,
+                    frozen: false,
+                    ..held.clone()
+                };
+                let mut t = SymbolTable::new();
+                t.insert(held.clone()).unwrap();
+                let inserted = t.insert(arriving.clone());
+                let got = t.get("_x").unwrap();
+                let case = format!("held {cur:?}, arriving {new:?}");
+                match want {
+                    'K' => {
+                        assert_eq!(upgrade(cur, new), Upgrade::Keep, "{case}");
+                        assert_eq!((inserted, got), (Ok(()), &held), "{case}");
+                    }
+                    'T' => {
+                        assert_eq!(upgrade(cur, new), Upgrade::Take, "{case}");
+                        let frozen = Symbol {
+                            frozen: true,
+                            ..arriving
+                        };
+                        assert_eq!((inserted, got), (Ok(()), &frozen), "{case}");
+                    }
+                    'G' => {
+                        assert_eq!(upgrade(cur, new), Upgrade::Grow(64), "{case}");
+                        assert_eq!((inserted, got), (Ok(()), &held), "{case}");
+                    }
+                    _ => {
+                        assert_eq!(upgrade(cur, new), Upgrade::Duplicate, "{case}");
+                        assert_eq!(inserted, Err(ObjError::DuplicateSymbol("_x".into())));
+                        assert_eq!(got, &held, "{case}");
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            upgrade(
+                (SymbolBinding::Weak, SymbolDef::Common { size: 8 }),
+                (SymbolBinding::Global, SymbolDef::Common { size: 32 })
+            ),
+            Upgrade::Grow(32)
         );
     }
 

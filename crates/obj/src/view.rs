@@ -11,6 +11,7 @@
 //! [`View::materialize`] (called by `merge`, `freeze`, and the linker) pays
 //! to apply the transformations to a concrete [`ObjectFile`].
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -205,6 +206,17 @@ impl View {
     /// other operator just derives a new view.
     pub fn materialize(&self) -> Result<ObjectFile> {
         apply_ops(&self.ops, (*self.base).clone())
+    }
+
+    /// The object this view denotes, for a reader: the base itself,
+    /// uncopied, when no transformation is pending, else
+    /// [`View::materialize`]d.
+    pub fn object(&self) -> Result<Cow<'_, ObjectFile>> {
+        if self.ops.is_empty() {
+            Ok(Cow::Borrowed(&self.base))
+        } else {
+            self.materialize().map(Cow::Owned)
+        }
     }
 
     /// [`View::materialize`], consuming the view: when it is the base's

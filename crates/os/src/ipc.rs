@@ -95,12 +95,6 @@ impl Transport {
     pub fn is_batched(self) -> bool {
         self == Transport::Pipelined
     }
-
-    /// True for the shared-memory transport (descriptor replies).
-    #[must_use]
-    pub fn is_mapped(self) -> bool {
-        self == Transport::ShmRing
-    }
 }
 
 /// Accumulated IPC statistics.
@@ -339,12 +333,6 @@ impl ShmRing {
         }
     }
 
-    /// Total slots.
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
     /// Slots currently free for the writer.
     #[must_use]
     pub fn free_slots(&self) -> usize {
@@ -355,12 +343,6 @@ impl ShmRing {
     #[must_use]
     pub fn drained(&self) -> bool {
         self.free == self.slots
-    }
-
-    /// Content keys this client has already granted (mapped).
-    #[must_use]
-    pub fn granted(&self) -> usize {
-        self.granted.len()
     }
 
     /// Server side: occupies `n` slots for descriptors. A full ring
@@ -474,12 +456,6 @@ impl ClientSession {
             delivered: Vec::new(),
             stats: IpcStats::default(),
         }
-    }
-
-    /// The session's max-inflight window.
-    #[must_use]
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Requests not yet flushed (always 0 outside the pipelined
@@ -1123,7 +1099,6 @@ mod tests {
         );
         assert_eq!(Transport::from_name("shm-ring"), Some(Transport::ShmRing));
         assert!(Transport::Pipelined.is_batched());
-        assert!(Transport::ShmRing.is_mapped());
         assert!(!Transport::MachIpc.is_batched());
     }
 }
