@@ -37,7 +37,7 @@ use omos_blueprint::{eval_blueprint, Blueprint, EvalContext, EvalOutput, LinkPol
 use omos_constraint::{
     PlacementRequest, PlacementSolver, RegionClass, SegmentRequest, SolverState,
 };
-use omos_link::{layout_symbols, LinkOptions};
+use omos_link::{layout_symbols, read_externs, LinkOptions};
 use omos_obj::encode::container::{self, ContainerKind};
 use omos_obj::encode::{from_bytes, to_bytes};
 use omos_obj::{fnv1a, ContentHash, ObjError, ObjectFile, SectionKind};
@@ -452,40 +452,51 @@ pub fn library_placement(lib: &LibraryUse, obj: &ObjectFile) -> PlacementRequest
 }
 
 /// A library's bound-image key: its content key, its placed bases, and
-/// the extern bindings it links against. If a dependency moved or was
-/// rebuilt, the library's bound image is stale even though its own
-/// bytes and bases are unchanged.
+/// `read`, the extern bindings its link reads ([`read_externs`] of its
+/// object against the exports of the libraries before it). Those are
+/// all the link's inputs, so every program whose earlier libraries bind
+/// the names this library references to the same addresses maps one
+/// image; a binding it does not reference moves no key.
 #[must_use]
 pub fn library_image_key(
     key: ContentHash,
     (text_base, data_base): (u32, u32),
-    externs: &HashMap<String, u32>,
+    read: &[(&str, u32)],
 ) -> ContentHash {
-    let mut ext: Vec<(&String, &u32)> = externs.iter().collect();
-    ext.sort();
-    ext.into_iter().fold(
+    with_bindings(
         key.with_str("library")
             .with_u64(u64::from(text_base))
             .with_u64(u64::from(data_base)),
-        |k, (name, addr)| k.with_str(name).with_u64(u64::from(*addr)),
+        read,
     )
 }
 
-/// A program's bound-image key: its module content, the image key of
-/// every library it links against (in resolution order), and its
-/// client bases. Content-derived, so rebound fragments produce fresh
-/// images.
+/// A program's bound-image key: its module content, its client bases,
+/// and `read`, the library bindings its link reads ([`read_externs`] of
+/// its object against every library's exports). It names no library
+/// image: a rebuilt library whose bindings the program does not read
+/// leaves the program image in place. Reply reuse does not rest on this
+/// key but on the dependency-checked reply cache, which drops a reply
+/// whenever a path it resolved is rebound.
 #[must_use]
 pub fn program_image_key(
     content: ContentHash,
-    libraries: impl IntoIterator<Item = ContentHash>,
     (text_base, data_base): (u32, u32),
+    read: &[(&str, u32)],
 ) -> ContentHash {
-    libraries
-        .into_iter()
-        .fold(content.with_str("program"), ContentHash::combine)
-        .with_u64(u64::from(text_base))
-        .with_u64(u64::from(data_base))
+    with_bindings(
+        content
+            .with_str("program")
+            .with_u64(u64::from(text_base))
+            .with_u64(u64::from(data_base)),
+        read,
+    )
+}
+
+fn with_bindings(key: ContentHash, read: &[(&str, u32)]) -> ContentHash {
+    read.iter().fold(key, |k, &(name, addr)| {
+        k.with_str(name).with_u64(u64::from(addr))
+    })
 }
 
 /// Evaluates `bp` (view algebra, no linking) and applies its link
@@ -599,7 +610,11 @@ pub fn manifest_of_placed(
     let mut libraries = Vec::with_capacity(out.libraries.len());
     let mut exports = Vec::with_capacity(out.libraries.len());
     for ((lib, obj), &(text_base, data_base)) in out.libraries.iter().zip(objects).zip(bases) {
-        let image_key = library_image_key(lib.key, (text_base, data_base), &externs);
+        let image_key = library_image_key(
+            lib.key,
+            (text_base, data_base),
+            &read_externs(obj, &externs),
+        );
         // Exports depend on layout alone (externs only affect
         // relocation), so the options carry no extern environment.
         let opts = LinkOptions::library(&lib.name, text_base, data_base);
@@ -622,16 +637,16 @@ pub fn manifest_of_placed(
     }
 
     let (text_base, data_base) = client_bases(&out.constraints);
-    let image_key = program_image_key(
-        out.module.content_hash(),
-        libraries.iter().map(|l| l.image_key),
-        (text_base, data_base),
-    );
     let prog_obj = out
         .module
         .view()
         .object()
         .map_err(|e| format!("materialize program failed: {e}"))?;
+    let image_key = program_image_key(
+        out.module.content_hash(),
+        (text_base, data_base),
+        &read_externs(&prog_obj, &externs),
+    );
     let mut opts = LinkOptions::program("program");
     opts.text_base = text_base;
     opts.data_base = data_base;

@@ -5,11 +5,12 @@
 //! pair into a [`RelinkPlan`] that explains what a rebuild will redo:
 //! per library, either **reuse** (the new manifest commits to exactly
 //! the resolution the old one recorded, so the cached image — content
-//! key, placement, and extern environment all unchanged — is byte-valid
-//! as-is) or **relink** (anything about the library's resolution
-//! moved). The program frame relinks whenever its own image key moved,
-//! which includes any upstream library change (library image keys fold
-//! into the program key).
+//! key, placement, and the extern bindings its link reads all unchanged
+//! — is byte-valid as-is) or **relink** (anything about the library's
+//! resolution moved). The program frame relinks whenever its own image
+//! key moved: its content, its bases, or a library binding it reads.
+//! A rebuilt library whose bindings the program does not read leaves
+//! it reused.
 //!
 //! The plan is an offline tool (`ofe relink`): the server does not
 //! execute it. Its rebuild is the ordinary build, which finds a reused
@@ -116,8 +117,8 @@ impl RelinkPlan {
 /// `after`'s resolution. A library reuses if and only if an *identical*
 /// [`crate::manifest::LibraryResolution`] row (same name, content key,
 /// placement, and image key) exists in `before` — the image key covers
-/// the extern environment, so equality proves the cached image's bytes
-/// are the ones a fresh link would produce.
+/// the extern bindings the link reads, so equality proves the cached
+/// image's bytes are the ones a fresh link would produce.
 #[must_use]
 pub fn plan_relink(before: &ResolutionManifest, after: &ResolutionManifest) -> RelinkPlan {
     let d = diff(before, after);

@@ -38,6 +38,7 @@
 //! and flight-table locks are leaves; nothing calls back into the
 //! server while holding one.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -57,9 +58,11 @@ use omos_blueprint::{
     EvalStats, LinkPolicy, MNode, PolicyKind, ResolvedNode,
 };
 use omos_constraint::PlacementSolver;
-use omos_link::{link, scan_audit_stubs, FunctionHashTable, LinkOptions, LinkStats, LinkedImage};
+use omos_link::{
+    link, read_externs, scan_audit_stubs, FunctionHashTable, LinkOptions, LinkStats, LinkedImage,
+};
 use omos_module::Module;
-use omos_obj::{ContentHash, ObjectFile, SectionKind};
+use omos_obj::{ContentHash, ObjError, ObjectFile, SectionKind};
 use omos_os::ipc::{ImageDescriptor, ReplyShape, Transport};
 use omos_os::{CostModel, ImageFrames};
 
@@ -259,6 +262,7 @@ pub struct Omos {
     dynamic: RwLock<Vec<Arc<DynamicLib>>>,
     dynamic_keys: Mutex<HashMap<ContentHash, u32>>,
     preflight: AtomicBool,
+    image_audit: AtomicBool,
     eval_jobs: AtomicUsize,
     tracer: Arc<Tracer>,
 }
@@ -298,6 +302,7 @@ impl Omos {
             dynamic: RwLock::new(Vec::new()),
             dynamic_keys: Mutex::new(HashMap::new()),
             preflight: AtomicBool::new(false),
+            image_audit: AtomicBool::new(false),
             eval_jobs: AtomicUsize::new(
                 std::env::var("OMOS_EVAL_JOBS")
                     .ok()
@@ -386,6 +391,16 @@ impl Omos {
     /// server sits above both and is the natural gate.
     pub fn set_preflight(&self, enabled: bool) {
         self.preflight.store(enabled, Ordering::Relaxed);
+    }
+
+    /// Turns the image audit on or off (off by default). With it on,
+    /// every image the image cache serves to a build is first compared
+    /// with a fresh, unbilled link of the same object under the same
+    /// options, and a difference fails the request. It is the check the
+    /// oracle suites run to show that an image key covers every input of
+    /// its link; it costs a link per cache hit.
+    pub fn set_image_audit(&self, enabled: bool) {
+        self.image_audit.store(enabled, Ordering::Relaxed);
     }
 
     /// Lints the meta-object (or bare fragment) at `path` without
@@ -753,12 +768,9 @@ impl Omos {
     }
 
     /// Places one library with the constraint solver and computes its
-    /// bound-image key against `externs` — the only place either
-    /// happens — then gets its image: from the cache, else linked on
-    /// the spot. Above one lane the link runs with the request's trace
-    /// context set aside ([`Tracer::detached`]); the executor lays it
-    /// out on a lane afterwards. Returns the bases, the image and the
-    /// link work paid.
+    /// bound-image key from the bindings of `externs` it reads — the only
+    /// place either happens — then gets its image ([`Omos::image`]).
+    /// Returns the bases, the image and the link work paid.
     fn place_library(
         &self,
         lib: &LibraryUse,
@@ -781,26 +793,21 @@ impl Omos {
             placement.allocations[0].base as u32,
             placement.allocations[1].base as u32,
         );
-        let image_key = library_image_key(lib.key, bases, externs);
-        if let Some(img) = self.images.get(image_key) {
-            return Ok((bases, img, 0));
-        }
-        let mut opts = LinkOptions::library(&lib.name, bases.0, bases.1);
-        opts.externs = externs.clone();
-        let link = || {
-            self.images
-                .link_once(image_key, || self.build_image(image_key, &obj, &opts))
+        let read = read_externs(&obj, externs);
+        let image_key = library_image_key(lib.key, bases, &read);
+        let opts = || LinkOptions {
+            externs: owned(&read),
+            ..LinkOptions::library(&lib.name, bases.0, bases.1)
         };
-        let (img, ns) = if lanes == 1 {
-            link()?
-        } else {
-            self.tracer.detached(link)?
-        };
+        let (img, ns) = self.image(image_key, || Ok(Cow::Borrowed(&*obj)), opts, lanes)?;
         Ok((bases, img, ns))
     }
 
     /// Links the client program against the libraries, or fetches it by
-    /// image key — the only place a program is linked.
+    /// image key — the only place a program is linked. The key reads the
+    /// program's relocation targets from [`omos_obj::View::skeleton`],
+    /// which copies no section bytes, so a cached program is served
+    /// without materializing a pending view.
     fn link_program(
         &self,
         out: &EvalOutput,
@@ -808,24 +815,50 @@ impl Omos {
         libs: &Libraries,
     ) -> Result<ProgramBuild, OmosError> {
         let bases = client_bases(&out.constraints);
-        let image_key = program_image_key(
-            out.module.content_hash(),
-            libs.images.iter().map(|l| l.key),
-            bases,
-        );
-        if let Some(img) = self.images.get(image_key) {
-            return Ok((img, bases, 0));
-        }
-        let obj = out.module.view().object().map_err(OmosError::Obj)?;
-        let mut opts = LinkOptions::program("program");
-        opts.name = format!("<program:{reply_key}>");
-        opts.text_base = bases.0;
-        opts.data_base = bases.1;
-        opts.externs = libs.externs.clone();
-        let (img, ns) = self
-            .images
-            .link_once(image_key, || self.build_image(image_key, &obj, &opts))?;
+        let view = out.module.view();
+        let read = read_externs(&*view.skeleton()?, &libs.externs);
+        let image_key = program_image_key(out.module.content_hash(), bases, &read);
+        let opts = || LinkOptions {
+            name: format!("<program:{reply_key}>"),
+            text_base: bases.0,
+            data_base: bases.1,
+            externs: owned(&read),
+            ..LinkOptions::program("program")
+        };
+        let (img, ns) = self.image(image_key, || view.object(), opts, 1)?;
         Ok((img, bases, ns))
+    }
+
+    /// The image under `image_key`: the cached one, else `obj` linked
+    /// under `opts` once, however many requests ask for it meanwhile.
+    /// Above one lane the link runs with the request's trace context set
+    /// aside ([`Tracer::detached`]); the library executor lays it out on
+    /// a lane afterwards. With the image audit on
+    /// ([`Omos::set_image_audit`]), a cached image is first checked
+    /// against a fresh link. Returns the image and the link work paid (0
+    /// when cached).
+    fn image<'o>(
+        &self,
+        image_key: ContentHash,
+        obj: impl Fn() -> Result<Cow<'o, ObjectFile>, ObjError>,
+        opts: impl Fn() -> LinkOptions,
+        lanes: usize,
+    ) -> Result<(Arc<CachedImage>, u64), OmosError> {
+        if let Some(img) = self.images.get(image_key) {
+            if self.image_audit.load(Ordering::Relaxed) {
+                audit_image(&img, &*obj()?, &opts())?;
+            }
+            return Ok((img, 0));
+        }
+        let link = || {
+            self.images
+                .link_once(image_key, || self.build_image(image_key, &*obj()?, &opts()))
+        };
+        if lanes == 1 {
+            link()
+        } else {
+            self.tracer.detached(link)
+        }
     }
 
     /// Links and frames one image, not yet cached, with its link work,
@@ -1071,8 +1104,9 @@ pub(crate) struct ReqCtx<'a> {
     server: &'a Omos,
     /// Namespace generation when the request started.
     gen: u64,
-    /// A key `cache_put` does not publish: a program's root, which the
-    /// reply cache already holds as its linked image.
+    /// A key `cache_put` does not publish, so `cache_get` does not probe
+    /// it: a program's root, which the reply cache already holds as its
+    /// linked image.
     unpublished: Option<ContentHash>,
 }
 
@@ -1108,6 +1142,9 @@ impl EvalContext for ReqCtx<'_> {
     }
 
     fn cache_get(&self, key: ContentHash) -> Option<CachedEval> {
+        if self.unpublished == Some(key) {
+            return None;
+        }
         let s = self.server;
         let found = s.eval_cache.probe(key, &s.namespace, self.gen);
         s.tracer.probe(
@@ -1188,6 +1225,34 @@ fn schedule<'a>(
 fn fold_exports(externs: &mut HashMap<String, u32>, exports: &HashMap<String, u32>) {
     for (s, a) in exports {
         externs.entry(s.clone()).or_insert(*a);
+    }
+}
+
+/// An extern map holding just `read`: the link options of an image
+/// keyed by those bindings.
+fn owned(read: &[(&str, u32)]) -> HashMap<String, u32> {
+    read.iter()
+        .map(|&(name, addr)| (name.to_owned(), addr))
+        .collect()
+}
+
+/// The image audit ([`Omos::set_image_audit`]): `img`, served by the
+/// image cache, against a fresh link of `obj` under `opts`. The image's
+/// name is a label outside the key, so it is not compared.
+fn audit_image(img: &CachedImage, obj: &ObjectFile, opts: &LinkOptions) -> Result<(), OmosError> {
+    let fresh = link(std::slice::from_ref(obj), opts)?;
+    let (a, b) = (&fresh.image, &img.image);
+    if a.segments == b.segments
+        && a.symbols == b.symbols
+        && a.entry == b.entry
+        && fresh.stats == img.link_stats
+    {
+        Ok(())
+    } else {
+        Err(OmosError::Client(format!(
+            "image audit: the cached image under {} is not a fresh link of `{}`",
+            img.key, opts.name
+        )))
     }
 }
 

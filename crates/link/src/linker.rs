@@ -264,6 +264,30 @@ pub fn layout_symbols(
     Ok(compute_layout(objects, opts)?.addr_of)
 }
 
+/// The bindings of `externs` a link of `obj` reads: those named as the
+/// target of one of its relocations, sorted by name. Pass 5 consults
+/// the extern map for a relocation's target and nowhere else, so
+/// linking `obj` against these alone gives the image and [`LinkStats`]
+/// of linking it against all of `externs`. Image keys hash this set.
+#[must_use]
+pub fn read_externs<'a>(
+    obj: &ObjectFile,
+    externs: &'a HashMap<String, u32>,
+) -> Vec<(&'a str, u32)> {
+    let mut read: Vec<(&str, u32)> = obj
+        .relocs
+        .iter()
+        .filter_map(|r| externs.get_key_value(&r.symbol))
+        .map(|(name, &addr)| (name.as_str(), addr))
+        .collect();
+    // Relocations repeat targets. Every repeat borrows the same map key,
+    // so dropping repeats by key address leaves few names to sort.
+    read.sort_unstable_by_key(|&(name, _)| name.as_ptr());
+    read.dedup_by_key(|&mut (name, _)| name.as_ptr());
+    read.sort_unstable();
+    read
+}
+
 /// Links `objects` into a single image.
 ///
 /// The classic pipeline: per-object local-symbol scoping, global symbol

@@ -16,14 +16,6 @@ impl ContentHash {
     /// Hash of the empty byte string.
     pub const EMPTY: ContentHash = ContentHash(FNV_OFFSET);
 
-    /// Combines this hash with another, order-sensitively.
-    #[must_use]
-    pub fn combine(self, other: ContentHash) -> ContentHash {
-        let mut h = Fnv64::with_state(self.0);
-        h.write(&other.0.to_le_bytes());
-        ContentHash(h.finish())
-    }
-
     /// Combines this hash with raw bytes.
     #[must_use]
     pub fn with_bytes(self, bytes: &[u8]) -> ContentHash {
@@ -114,13 +106,6 @@ mod tests {
         assert_eq!(fnv1a(b"").0, 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a").0, 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar").0, 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn combine_is_order_sensitive() {
-        let a = fnv1a(b"alpha");
-        let b = fnv1a(b"beta");
-        assert_ne!(a.combine(b), b.combine(a));
     }
 
     #[test]

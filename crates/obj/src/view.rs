@@ -19,6 +19,7 @@ use crate::error::{ObjError, Result};
 use crate::hash::ContentHash;
 use crate::object::ObjectFile;
 use crate::regex::Regex;
+use crate::section::Section;
 use crate::symbol::{Symbol, SymbolBinding, SymbolDef};
 
 /// Which of a name's roles a `rename` applies to.
@@ -227,25 +228,44 @@ impl View {
         apply_ops(&self.ops, obj)
     }
 
-    /// Names this view exports as definitions, without materializing the
-    /// section bytes. Cost is O(symbols × ops).
-    pub fn exported_definitions(&self) -> Result<Vec<String>> {
+    /// The object this view denotes, for a reader of its names alone
+    /// (symbols, sections, relocations): the base itself, uncopied, when
+    /// no transformation is pending, else the transformations applied
+    /// to a copy without section bytes. Not a [`View::materialize`].
+    pub fn skeleton(&self) -> Result<Cow<'_, ObjectFile>> {
+        if self.ops.is_empty() {
+            return Ok(Cow::Borrowed(&self.base));
+        }
         // Name-only simulation would duplicate the op semantics; symbol
         // tables are small, so run the real transformation on a byte-free
         // copy of the object.
         let mut skeleton = ObjectFile::new(&self.base.name);
-        for s in &self.base.sections {
-            let mut sec = s.clone();
-            sec.bytes = Vec::new();
-            skeleton.sections.push(sec);
-        }
+        skeleton.sections = self
+            .base
+            .sections
+            .iter()
+            .map(|s| Section {
+                name: s.name.clone(),
+                kind: s.kind,
+                bytes: Vec::new(),
+                size: s.size,
+                align: s.align,
+            })
+            .collect();
         skeleton.symbols = self.base.symbols.clone();
         skeleton.relocs = self.base.relocs.clone();
         let mut hidden_counter = 0usize;
         for op in &self.ops {
             apply_view_op(&mut skeleton, op, &mut hidden_counter)?;
         }
-        Ok(skeleton
+        Ok(Cow::Owned(skeleton))
+    }
+
+    /// Names this view exports as definitions, without materializing the
+    /// section bytes. Cost is O(symbols × ops).
+    pub fn exported_definitions(&self) -> Result<Vec<String>> {
+        Ok(self
+            .skeleton()?
             .symbols
             .iter()
             .filter(|s| s.def.is_definition() && s.binding != SymbolBinding::Local)
@@ -695,5 +715,40 @@ mod tests {
         let m = v.materialize().unwrap();
         // Both survive under distinct names.
         assert_eq!(m.symbols.len(), 2);
+    }
+
+    #[test]
+    fn skeleton_names_what_materialize_names() {
+        let identity = libc_like();
+        assert!(matches!(identity.skeleton().unwrap(), Cow::Borrowed(_)));
+        for name in [
+            "rename",
+            "rename-refs",
+            "rename-defs",
+            "hide",
+            "show",
+            "restrict",
+            "project",
+            "copy-as",
+            "freeze",
+        ] {
+            let kind = ViewKind::from_name(name).unwrap();
+            let v = identity.derive(op(kind, "^_malloc$", "_m")).derive(op(
+                ViewKind::Hide,
+                "^_free$",
+                "",
+            ));
+            let before = materialize_count();
+            let skeleton = v.skeleton().unwrap();
+            assert_eq!(materialize_count(), before, "{name}: no materialize");
+            let m = v.materialize().unwrap();
+            assert_eq!(skeleton.symbols, m.symbols, "{name}");
+            assert_eq!(skeleton.relocs, m.relocs, "{name}");
+            assert!(skeleton.sections.iter().all(|s| s.bytes.is_empty()));
+            assert_eq!(
+                skeleton.sections.iter().map(|s| s.size).collect::<Vec<_>>(),
+                m.sections.iter().map(|s| s.size).collect::<Vec<_>>()
+            );
+        }
     }
 }

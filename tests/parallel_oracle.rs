@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use omos::core::Omos;
+use omos::core::{Entry, InstantiateReply, Omos};
 use omos::isa::assemble;
 use omos::obj::{ObjectFile, Section, SectionKind, Symbol};
 use omos::os::ipc::Transport;
@@ -23,8 +23,11 @@ use omos::os::CostModel;
 /// A world with enough shape for the generator: plain mergeable
 /// objects, a conflicting pair (`/o/a` and `/o/dup` both define `_a`),
 /// a dynamic specialization target, and a constraint-placed library.
+/// The image audit is on: an image the cache serves must equal a fresh
+/// link under the same key and options.
 fn server() -> Omos {
     let s = Omos::new(CostModel::hpux(), Transport::SysVMsg);
+    s.set_image_audit(true);
     s.namespace.bind_object(
         "/o/main",
         assemble("main.o", ".text\n.global _start\n_start: sys 0\n").unwrap(),
@@ -142,6 +145,52 @@ proptest! {
                 &base, &got,
                 "jobs={} diverged from sequential for {}", jobs, src
             );
+        }
+    }
+}
+
+/// The image hashes of a reply: program first, then each library.
+fn image_hashes(r: &InstantiateReply) -> Vec<u64> {
+    std::iter::once(&r.program)
+        .chain(&r.libraries)
+        .map(|img| img.image.content_hash().0)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The image audit at every parallelism: a rebind of `/o/main` (same
+    /// bytes) makes the reply stale, and its rebuild takes the program
+    /// and every library image from the cache, each checked against a
+    /// fresh link, answering with the cold build's images or its error.
+    #[test]
+    fn stale_rebuilds_serve_audited_images_at_every_parallelism(src in arb_program()) {
+        for jobs in [1usize, 8] {
+            let s = server();
+            s.set_eval_jobs(jobs);
+            s.namespace.bind_blueprint("/bin/t", &src).unwrap();
+            let cold = s.instantiate("/bin/t");
+            let Some(Entry::Object(main)) = s.namespace.lookup("/o/main") else {
+                panic!("/o/main is an object");
+            };
+            s.namespace.bind_object("/o/main", (*main).clone());
+            let hits = s.tracer().counters().image_hits;
+            let rebuilt = s.instantiate("/bin/t");
+            match (cold, rebuilt) {
+                (Ok(cold), Ok(rebuilt)) => {
+                    prop_assert!(!rebuilt.cache_hit);
+                    prop_assert_eq!(image_hashes(&rebuilt), image_hashes(&cold));
+                    prop_assert_eq!(
+                        s.tracer().counters().image_hits - hits,
+                        1 + cold.libraries.len() as u64
+                    );
+                }
+                (cold, rebuilt) => prop_assert_eq!(
+                    cold.err().map(|e| e.to_string()),
+                    rebuilt.err().map(|e| e.to_string())
+                ),
+            }
         }
     }
 }

@@ -25,12 +25,12 @@ use proptest::prelude::*;
 use omos::analysis::manifest::diff;
 use omos::core::spill::SpillTier;
 use omos::core::trace::{Stage, TraceCounters};
-use omos::core::{live_update, run_under_omos, ImageCache, Omos, OmosBinder};
+use omos::core::{live_update, run_under_omos, CachedImage, ImageCache, Omos, OmosBinder};
 use omos::isa::{assemble, StopReason, Vm};
 use omos::link::encode_image;
 use omos::os::ipc::{IpcStats, Transport};
 use omos::os::process::STACK_TOP;
-use omos::os::{run_process, CostModel, InMemFs, SimClock};
+use omos::os::{run_process, CostModel, ImageFrames, InMemFs, SimClock};
 
 const NLIBS: usize = 3;
 
@@ -61,8 +61,11 @@ fn lib_src(i: usize, v: u32) -> String {
 
 /// Binds the world into `server`: three constraint-placed libraries at
 /// version 0, four programs over different subsets, and one
-/// partial-image (dynamic) program over lib0.
+/// partial-image (dynamic) program over lib0. Turns the image audit on:
+/// every image the cache serves must equal a fresh link under the same
+/// key and options, so a key too narrow to cover its link fails here.
 fn populate(s: &Omos) {
+    s.set_image_audit(true);
     for i in 0..NLIBS {
         rebind_lib(s, i, 0);
         s.namespace
@@ -249,13 +252,15 @@ fn rebind_heavy_history_rebuilds_stale_replies_from_the_caches() {
     // first-touch misses are not stale).
     assert_eq!(c.reply_stale, 3);
     // A library image is keyed by content, placement and the externs
-    // folded in from the libraries before it. The stale rebuilds reuse
-    // l0 in c's first rebuild (l1 changed) and link the other seven
-    // rows; the cold builds link c (3), b (2) and d (1), and a's first
-    // build reuses the l0 v1 image c's second rebuild linked.
+    // its link reads. These libraries reference nothing outside
+    // themselves, so every program maps the one image of each version.
+    // Five rows link: c's cold build (3), l1 v2 in c's first rebuild and
+    // l0 v1 in its second. The other ten come from the image cache, the
+    // cold builds of b, a and d included; l1 v0 returns to its held
+    // placement and so to its first image.
     assert_eq!(
         (c.relink_reused_images, c.relink_relinked_libraries),
-        (2, 13),
+        (10, 5),
         "library images taken from the image cache vs linked"
     );
 }
@@ -462,13 +467,15 @@ fn rebind_invalidates_exactly_the_manifest_predicted_set() {
         predicted_dirty,
         "exactly the predicted entries were invalidated — no more, no less"
     );
-    // Each dirty program's rebuild took the libraries the rebind left
-    // clean from the image cache: b = [l1, l2] relinks both (l2's
-    // externs include l1's moved _g1), c = [l0, l1, l2] reuses l0.
+    // Each dirty program's rebuild took from the image cache every
+    // library image whose link reads no moved binding. These libraries
+    // read none, so b = [l1, l2] links the new l1 and reuses l2, and
+    // c = [l0, l1, l2] then reuses all three, l1 as b's rebuild linked
+    // it.
     assert_eq!(
         snap1.relink_reused_images - snap0.relink_reused_images,
-        1,
-        "the clean library image came from the image cache"
+        4,
+        "the clean library images came from the image cache"
     );
 }
 
@@ -556,4 +563,37 @@ fn oracle_world_programs_exit_with_their_library_values() {
     let out = run_under_omos(&server, "/bin/a", true, &mut clock, &cost, &mut fs, 100_000)
         .expect("a runs");
     assert_eq!(out.stop, StopReason::Exited(90));
+}
+
+/// The image audit is not vacuous: an image planted under the key a
+/// build will probe, one byte off what that key's link produces, fails
+/// the build while the audit is on, and is served as it stands once it
+/// is off.
+#[test]
+fn the_image_audit_rejects_an_image_its_key_does_not_describe() {
+    let server = Omos::new(CostModel::hpux(), Transport::MachIpc);
+    populate(&server);
+    let built = server.instantiate("/bin/a").unwrap();
+    let lib = &built.libraries[0];
+    let mut planted = lib.image.clone();
+    let mut text = planted.segments[0].bytes.to_vec();
+    text[0] ^= 1;
+    planted.segments[0].bytes = text.into();
+    server.images.insert(CachedImage {
+        key: lib.key,
+        frames: ImageFrames::from_image(&planted),
+        image: planted.clone(),
+        link_stats: lib.link_stats,
+        rebuild_ns: lib.rebuild_ns,
+        epoch: 0,
+    });
+    // An idempotent rebind: the reply goes stale, every key stays.
+    rebind_lib(&server, 0, 0);
+    let err = server.instantiate("/bin/a").unwrap_err().to_string();
+    assert!(err.contains("image audit"), "{err}");
+
+    server.set_image_audit(false);
+    let served = server.instantiate("/bin/a").unwrap();
+    assert_eq!(served.libraries[0].key, lib.key);
+    assert_eq!(served.libraries[0].image, planted);
 }

@@ -297,9 +297,10 @@ fn parallel_siblings_render_sorted_by_start_then_worker() {
         "  single-flight: leader",
         "  eval",
     ];
-    // One probe per planned node: 8 library objects, 4 library metas,
-    // the client object, and the client merge.
-    expected.extend(std::iter::repeat_n("    eval-cache probe: miss", 14));
+    // One probe per planned node but the client merge, the program's
+    // root, which is never published: 8 library objects, 4 library
+    // metas, and the client object.
+    expected.extend(std::iter::repeat_n("    eval-cache probe: miss", 13));
     expected.extend([
         // The four library evals round-robin three lanes in ordinal
         // order; the zero-work client merge emits no unit span.
@@ -512,21 +513,23 @@ fn stale_probes_mark_the_probe_then_the_drop() {
         ),
         (4, 4, 0, 4)
     );
+    // A program's root is never published to the eval cache, so no
+    // build probes it: each of the four builds counts one eval miss
+    // fewer than a build that probed its root.
     assert_eq!(
         (on.reply_stale, on.eval_hits, on.eval_misses, on.eval_stale),
-        (2, 4, 10, 2)
+        (2, 4, 6, 2)
     );
     assert_eq!(on.evict_invalidated, on.reply_stale + on.eval_stale);
     use omos::core::trace::{CacheKind, EvictReason, FlightRole, ProbeOutcome};
     let probe = |cache, outcome| SpanKind::CacheProbe(cache, outcome);
     let drop = |cache| SpanKind::Evict(cache, EvictReason::Invalidated);
     let (reply, eval) = (CacheKind::Reply, CacheKind::Eval);
-    let (miss, stale) = (ProbeOutcome::Miss, ProbeOutcome::Stale);
+    let stale = ProbeOutcome::Stale;
     let mut expected = vec![
         (probe(reply, stale), 0),
         (drop(reply), 0),
         (SpanKind::Flight(FlightRole::Leader), 0),
-        (probe(eval, miss), 350_000),
         (probe(eval, stale), 350_000),
         (drop(eval), 350_000),
         (probe(eval, stale), 350_000),
