@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the implementation's hot paths: symbol
-//! views, module merging, encodings, linking, placement, DeltaBlue, and
-//! warm server instantiation. These measure *host* wall-clock time of
+//! views, module merging, encodings, linking, placement, and warm
+//! server instantiation. These measure *host* wall-clock time of
 //! this Rust implementation (the simulated-time tables come from the
 //! `table1`/`reorder`/`memuse` binaries).
 
@@ -8,7 +8,6 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use omos_bench::workload::{libc_objects, ls_object, LsVariant, WorkloadSizes};
-use omos_constraint::deltablue::ChainLayout;
 use omos_constraint::{PlacementRequest, PlacementSolver, RegionClass, SegmentRequest};
 use omos_module::Module;
 use omos_obj::encode::{read, write, Format};
@@ -145,21 +144,6 @@ fn bench_solver(c: &mut Criterion) {
     });
 }
 
-fn bench_deltablue(c: &mut Criterion) {
-    let sizes: Vec<i64> = (0..128).map(|i| 0x1000 * (i % 8 + 1)).collect();
-    c.bench_function("deltablue/chain_build_128", |b| {
-        b.iter(|| ChainLayout::new(0x0100_0000, black_box(&sizes), 0).unwrap())
-    });
-    let mut chain = ChainLayout::new(0x0100_0000, &sizes, 0).unwrap();
-    let mut origin = 0x0100_0000i64;
-    c.bench_function("deltablue/incremental_move_128", |b| {
-        b.iter(|| {
-            origin += 0x1000;
-            chain.move_origin(black_box(origin));
-        })
-    });
-}
-
 fn bench_server(c: &mut Criterion) {
     use omos_os::ipc::Transport;
     use omos_os::{CostModel, Process, SimClock};
@@ -203,7 +187,6 @@ criterion_group!(
     bench_encodings,
     bench_link,
     bench_solver,
-    bench_deltablue,
     bench_server
 );
 criterion_main!(benches);

@@ -6,7 +6,6 @@
 
 use std::fmt::Write as _;
 
-use omos_constraint::deltablue::ChainLayout;
 use omos_constraint::{PlacementRequest, PlacementSolver, RegionClass, SegmentRequest};
 use omos_os::ipc::Transport;
 use omos_os::{CostModel, InMemFs, SimClock, Times};
@@ -300,9 +299,7 @@ pub fn reorder() -> String {
 ///    multi-megabyte binary under synchronous writes;
 /// 4. **Constraint conflicts** (§3.5/§4.1) — the common case generates
 ///    one library version; a library asking for a range another one
-///    holds is placed elsewhere and lands in the conflict log;
-/// 5. **DeltaBlue vs first-fit** (§10) — incremental re-layout of a
-///    library chain.
+///    holds is placed elsewhere and lands in the conflict log.
 #[must_use]
 pub fn ablate() -> String {
     let mut out = String::new();
@@ -310,7 +307,6 @@ pub fn ablate() -> String {
     cold_vs_warm(&mut out);
     sync_write_cost(&mut out);
     constraint_conflicts(&mut out);
-    deltablue_vs_first_fit(&mut out);
     out
 }
 
@@ -440,23 +436,6 @@ fn constraint_conflicts(out: &mut String) {
             .conflicts()
             .last()
             .and_then(|c| c.occupant.as_deref())
-    );
-}
-
-fn deltablue_vs_first_fit(out: &mut String) {
-    out.push_str("5. DeltaBlue chain layout vs first-fit re-placement (§10):\n");
-    let sizes: Vec<i64> = (0..64).map(|i| 0x1000 * (i % 8 + 1)).collect();
-    let mut chain = ChainLayout::new(0x0100_0000, &sizes, 0x1000).expect("chain solves");
-    let before = chain.bases();
-    chain.move_origin(0x0200_0000);
-    let after = chain.bases();
-    let moved = after.iter().zip(&before).filter(|(a, b)| a != b).count();
-    let _ = write!(
-        out,
-        "  DeltaBlue: moving the chain origin re-placed {moved}/64 libraries in one plan\n  \
-         first-fit: the same move releases and re-places all 64 (64 solver calls),\n  \
-         but DeltaBlue cannot express overlap avoidance against foreign bookings —\n  \
-         which is why the production path uses the priority solver (§4.4 of DESIGN.md).\n"
     );
 }
 

@@ -11,9 +11,6 @@
 //! * [`PlacementSolver`] — the production solver: first-fit placement under
 //!   the three priority levels, a reuse table keyed by content, and a
 //!   conflict log for the "system manager feedback" loop of §4.1.
-//! * [`deltablue`] — the DeltaBlue incremental solver the paper names as
-//!   future work (§10), implemented in full and wired into an alternative
-//!   chain-layout strategy for the ablation benchmarks.
 
 #![cfg_attr(
     not(test),
@@ -25,7 +22,6 @@
     )
 )]
 
-pub mod deltablue;
 pub mod solver;
 
 pub use solver::{

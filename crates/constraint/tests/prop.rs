@@ -1,8 +1,7 @@
-//! Property tests for the placement solver and DeltaBlue.
+//! Property tests for the placement solver.
 
 use proptest::prelude::*;
 
-use omos_constraint::deltablue::{ChainLayout, Planner, Strength};
 use omos_constraint::{
     PlaceError, Placement, PlacementRequest, PlacementSolver, RegionClass, SegmentRequest,
 };
@@ -217,43 +216,6 @@ proptest! {
                     prop_assert_eq!(a.base % 4096, 0);
                 }
             }
-        }
-    }
-
-    /// DeltaBlue chain layouts satisfy their defining equation at every
-    /// origin, and moves are exact.
-    #[test]
-    fn chain_invariant_holds(
-        sizes in proptest::collection::vec(1i64..0x10000, 1..32),
-        origins in proptest::collection::vec(0i64..0x1000_0000, 1..5),
-        gap in 0i64..0x1000,
-    ) {
-        let mut chain = ChainLayout::new(origins[0], &sizes, gap).expect("solvable");
-        for &o in &origins {
-            chain.move_origin(o);
-            let bases = chain.bases();
-            prop_assert_eq!(bases[0], o);
-            for i in 1..bases.len() {
-                prop_assert_eq!(bases[i], bases[i - 1] + sizes[i - 1] + gap);
-            }
-        }
-    }
-
-    /// Planner: an edit constraint propagates through a random chain of
-    /// equalities regardless of where the stay sits.
-    #[test]
-    fn equality_chain_propagates(n in 2usize..30, value in any::<i32>(), stay_at in any::<u16>()) {
-        let mut p = Planner::new();
-        let vars: Vec<_> = (0..n).map(|_| p.variable(0)).collect();
-        for i in 0..n - 1 {
-            p.equality(vars[i], vars[i + 1], Strength::Required).expect("satisfiable");
-        }
-        let stay = vars[stay_at as usize % n];
-        p.stay(stay, Strength::WeakDefault).expect("satisfiable");
-        let e = p.edit(vars[0], Strength::Preferred).expect("satisfiable");
-        p.set_and_propagate(e, i64::from(value));
-        for &v in &vars {
-            prop_assert_eq!(p.value(v), i64::from(value));
         }
     }
 }

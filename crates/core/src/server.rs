@@ -317,13 +317,13 @@ impl Omos {
     /// Sets the number of simulated lanes a cold build is scheduled on.
     /// Every build plans the m-graph into a work-unit DAG and runs it,
     /// then places and links each library in turn, all on the
-    /// requesting thread; `jobs` only shapes the simulated schedule.
-    /// At 1 (the default, or the `OMOS_EVAL_JOBS` environment variable
-    /// at construction) the work runs back to back on the timeline.
-    /// Above 1 the units and the library links are list-scheduled onto
-    /// `jobs` lanes. Images, bills and manifests are byte-identical at
-    /// every width; only [`InstantiateReply::latency_ns`] and the span
-    /// timeline change.
+    /// requesting thread, and records the same timeline whatever
+    /// `jobs` is. `jobs` (default 1, or the `OMOS_EVAL_JOBS`
+    /// environment variable at construction) is the number of lanes the
+    /// units and the library links are list-scheduled onto to compute
+    /// [`InstantiateReply::latency_ns`]. Images, bills, manifests and
+    /// spans are byte-identical at every width; only `latency_ns`
+    /// changes.
     pub fn set_eval_jobs(&self, jobs: usize) {
         self.eval_jobs.store(jobs.max(1), Ordering::Relaxed);
     }
@@ -575,63 +575,40 @@ impl Omos {
         result
     }
 
-    /// The eval step: the m-graph is planned into a work-unit DAG, run
-    /// in order, and its units laid out on `lanes` simulated lanes.
-    /// Returns the output, the billed work (identical at every lane
-    /// count), and the critical path the Eval span covers: planning plus
-    /// the units' list-scheduled makespan, which at one lane is the
-    /// billed work itself.
-    fn eval(
-        &self,
-        bp: &Blueprint,
-        ctx: &ReqCtx<'_>,
-        lanes: usize,
-    ) -> Result<(EvalOutput, u64, u64), OmosError> {
+    /// The eval step: the m-graph is planned into a work-unit DAG and
+    /// run in order inside one Eval span, closed with the billed work.
+    fn eval(&self, bp: &Blueprint, ctx: &ReqCtx<'_>) -> Result<Evaluated, OmosError> {
         let span = self.tracer.open(SpanKind::Eval);
         let evaluated = eval_blueprint_with_units(bp, ctx);
-        let (work_ns, path_ns) = match &evaluated {
-            Ok(p) => {
-                // Planning is serial; the unit makespan is what the lanes
-                // need.
-                let plan_ns = p.output.stats.nodes * self.cost.lookup_ns;
-                // Units cost their simulated work (merge steps and
-                // source compiles); pure view shuffles are free.
-                let durs: Vec<u64> = p
-                    .units
-                    .iter()
-                    .map(|u| {
-                        u.merges * self.cost.server_merge_ns
-                            + u.source_compiles * self.cost.server_compile_ns
-                    })
-                    .collect();
-                let units = durs.iter().zip(&p.units).map(|(&d, u)| (d, &u.deps[..]));
-                let (slots, makespan) = schedule(units, lanes);
-                // One lane's units run back to back inside the Eval
-                // span; only a wider schedule lays them out on lanes.
-                if lanes > 1 {
-                    for (&(start, lane), &dur) in slots.iter().zip(&durs) {
-                        if dur > 0 {
-                            self.tracer
-                                .span_at(SpanKind::EvalUnit, plan_ns + start, dur, lane);
-                        }
-                    }
-                }
-                (
-                    eval_work_ns(&p.output.stats, &self.cost),
-                    plan_ns + makespan,
-                )
-            }
-            Err(_) => (0, 0),
-        };
-        self.tracer.close_leaf(span, Stage::Eval, path_ns);
-        Ok((evaluated?.output, work_ns, path_ns))
+        let work_ns = evaluated
+            .as_ref()
+            .map_or(0, |p| eval_work_ns(&p.output.stats, &self.cost));
+        self.tracer.close_leaf(span, Stage::Eval, work_ns);
+        let p = evaluated?;
+        // Units cost their simulated work (merge steps and source
+        // compiles); pure view shuffles are free.
+        let units = p
+            .units
+            .into_iter()
+            .map(|u| {
+                let ns = u.merges * self.cost.server_merge_ns
+                    + u.source_compiles * self.cost.server_compile_ns;
+                (ns, u.deps)
+            })
+            .collect();
+        Ok(Evaluated {
+            plan_ns: p.output.stats.nodes * self.cost.lookup_ns,
+            out: p.output,
+            work_ns,
+            units,
+        })
     }
 
     /// The one link pipeline, run by the leader of a cache-missing reply:
     /// pre-flight (if enabled), eval, policies, the library executor,
     /// the program link, the manifest, and the cached reply. Every reply
-    /// is built here, on `eval_jobs` lanes, whether it was never built,
-    /// a rebind made it stale, or a restore dropped it. A rebuild reuses
+    /// is built here, whether it was never built, a rebind made it
+    /// stale, or a restore dropped it. A rebuild reuses
     /// what the rebind left untouched through the ordinary caches: the
     /// solver returns the known placement of an unchanged library, and
     /// the image cache then holds its image under the same key.
@@ -659,16 +636,31 @@ impl Omos {
         // racing this build lands after the snapshot and invalidates
         // the entry on its next lookup.
         let ctx = ReqCtx::for_reply(self, bp);
-        let lanes = self.eval_jobs();
-        let (mut out, eval_ns, eval_path_ns) = self.eval(bp, &ctx, lanes)?;
-        // Policy application is serial (it rewrites the single program
-        // module), so it lands on the critical path as well.
+        let Evaluated {
+            mut out,
+            work_ns: eval_ns,
+            plan_ns,
+            units,
+        } = self.eval(bp, &ctx)?;
         let policy_ns = self.apply_policies(bp, &mut out)?;
 
-        let libs = self.link_libraries(&out.libraries, lanes, HashMap::new())?;
-        let (program, client, prog_ns) = self.link_program(&out, key, &libs)?;
-        let server_ns = base_ns + eval_ns + policy_ns + libs.work_ns + prog_ns;
-        let latency_ns = base_ns + eval_path_ns + policy_ns + libs.path_ns + prog_ns;
+        let libs = self.link_libraries(&out.libraries, HashMap::new())?;
+        let (program, client, prog_ns) = self.link_program(&out, &libs)?;
+        let links_ns = libs.links.iter().sum::<u64>();
+        let server_ns = base_ns + eval_ns + policy_ns + links_ns + prog_ns;
+        // The lane model: planning, policy application (it rewrites the
+        // single program module) and the program link are serial; the
+        // work units and the library links are list-scheduled onto
+        // `eval_jobs` lanes. At one lane this is `server_ns`.
+        let lanes = self.eval_jobs();
+        let units = units.iter().map(|(ns, deps)| (*ns, &deps[..]));
+        let links = libs.links.iter().map(|&ns| (ns, &[][..]));
+        let latency_ns = base_ns
+            + plan_ns
+            + schedule(units, lanes)
+            + policy_ns
+            + schedule(links, lanes)
+            + prog_ns;
 
         let (manifest_hash, frame) = self
             .manifest_from_actuals(bp, &out, &libs, &program, client)
@@ -708,31 +700,21 @@ impl Omos {
     /// definitions of variables must be made in the library furthest
     /// downstream"). Each library is placed and then linked in turn, so
     /// a library that cannot link stops the pass before the next is
-    /// placed.
-    ///
-    /// At one lane a library's placement and link nest under one
-    /// library-build span. Above one, each link runs off the request
-    /// timeline and the links are then laid out on the simulated lanes
-    /// by [`schedule`]. The billed work is the same at every lane count;
-    /// only the critical path shrinks.
+    /// placed. Each library's placement, image probe, link and frame
+    /// nest under one library-build span.
     fn link_libraries(
         &self,
         libs: &[LibraryUse],
-        lanes: usize,
         mut externs: HashMap<String, u32>,
     ) -> Result<Libraries, OmosError> {
         let mut images = Vec::with_capacity(libs.len());
         let mut bases = Vec::with_capacity(libs.len());
-        // Link and frame work done off the timeline, for the lane
-        // schedule.
-        let mut lane_ns = Vec::new();
-        let (mut inline_ns, mut reused, mut avoided_ns) = (0, 0, 0);
+        let mut links = Vec::new();
+        let (mut reused, mut avoided_ns) = (0, 0);
         for lib in libs {
-            let span = (lanes == 1).then(|| self.tracer.open(SpanKind::LibraryBuild));
-            let step = self.place_library(lib, &externs, lanes);
-            if let Some(span) = span {
-                self.tracer.close(span);
-            }
+            let span = self.tracer.open(SpanKind::LibraryBuild);
+            let step = self.place_library(lib, &externs);
+            self.tracer.close(span);
             let (at, img, ns) = step?;
             fold_exports(&mut externs, &img.image.symbols);
             if ns == 0 {
@@ -741,27 +723,17 @@ impl Omos {
                 // deterministic, so it is the recorded cost).
                 reused += 1;
                 avoided_ns += img.rebuild_ns;
-            } else if lanes == 1 {
-                inline_ns += ns;
             } else {
-                lane_ns.push((ns, self.frame_ns(&img.frames)));
+                links.push(ns);
             }
             images.push(img);
             bases.push(at);
         }
-        let (lane_slots, makespan) = schedule(lane_ns.iter().map(|&(d, _)| (d, &[][..])), lanes);
-        for (&(start, lane), &(ns, frame_ns)) in lane_slots.iter().zip(&lane_ns) {
-            self.tracer.span_at(SpanKind::Link, start, ns, lane);
-            self.tracer.note(Stage::Link, ns);
-            self.tracer.note(Stage::Frame, frame_ns);
-        }
-        self.tracer.advance(makespan);
         Ok(Libraries {
             images,
             bases,
             externs,
-            work_ns: inline_ns + lane_ns.iter().map(|&(ns, _)| ns).sum::<u64>(),
-            path_ns: inline_ns + makespan,
+            links,
             reused,
             avoided_ns,
         })
@@ -775,7 +747,6 @@ impl Omos {
         &self,
         lib: &LibraryUse,
         externs: &HashMap<String, u32>,
-        lanes: usize,
     ) -> Result<PlacedLibrary, OmosError> {
         let obj = lib.module.view().object().map_err(OmosError::Obj)?;
         // Placement is get-or-reuse per (name, key): concurrent callers
@@ -799,7 +770,7 @@ impl Omos {
             externs: owned(&read),
             ..LinkOptions::library(&lib.name, bases.0, bases.1)
         };
-        let (img, ns) = self.image(image_key, || Ok(Cow::Borrowed(&*obj)), opts, lanes)?;
+        let (img, ns) = self.image(image_key, || Ok(Cow::Borrowed(&*obj)), opts)?;
         Ok((bases, img, ns))
     }
 
@@ -808,41 +779,32 @@ impl Omos {
     /// program's relocation targets from [`omos_obj::View::skeleton`],
     /// which copies no section bytes, so a cached program is served
     /// without materializing a pending view.
-    fn link_program(
-        &self,
-        out: &EvalOutput,
-        reply_key: ContentHash,
-        libs: &Libraries,
-    ) -> Result<ProgramBuild, OmosError> {
+    fn link_program(&self, out: &EvalOutput, libs: &Libraries) -> Result<ProgramBuild, OmosError> {
         let bases = client_bases(&out.constraints);
         let view = out.module.view();
         let read = read_externs(&*view.skeleton()?, &libs.externs);
         let image_key = program_image_key(out.module.content_hash(), bases, &read);
         let opts = || LinkOptions {
-            name: format!("<program:{reply_key}>"),
+            name: format!("<program:{image_key}>"),
             text_base: bases.0,
             data_base: bases.1,
             externs: owned(&read),
             ..LinkOptions::program("program")
         };
-        let (img, ns) = self.image(image_key, || view.object(), opts, 1)?;
+        let (img, ns) = self.image(image_key, || view.object(), opts)?;
         Ok((img, bases, ns))
     }
 
     /// The image under `image_key`: the cached one, else `obj` linked
     /// under `opts` once, however many requests ask for it meanwhile.
-    /// Above one lane the link runs with the request's trace context set
-    /// aside ([`Tracer::detached`]); the library executor lays it out on
-    /// a lane afterwards. With the image audit on
-    /// ([`Omos::set_image_audit`]), a cached image is first checked
-    /// against a fresh link. Returns the image and the link work paid (0
-    /// when cached).
+    /// With the image audit on ([`Omos::set_image_audit`]), a cached
+    /// image is first checked against a fresh link. Returns the image
+    /// and the link work paid (0 when cached).
     fn image<'o>(
         &self,
         image_key: ContentHash,
         obj: impl Fn() -> Result<Cow<'o, ObjectFile>, ObjError>,
         opts: impl Fn() -> LinkOptions,
-        lanes: usize,
     ) -> Result<(Arc<CachedImage>, u64), OmosError> {
         if let Some(img) = self.images.get(image_key) {
             if self.image_audit.load(Ordering::Relaxed) {
@@ -850,21 +812,12 @@ impl Omos {
             }
             return Ok((img, 0));
         }
-        let link = || {
-            self.images
-                .link_once(image_key, || self.build_image(image_key, &*obj()?, &opts()))
-        };
-        if lanes == 1 {
-            link()
-        } else {
-            self.tracer.detached(link)
-        }
+        self.images
+            .link_once(image_key, || self.build_image(image_key, &*obj()?, &opts()))
     }
 
     /// Links and frames one image, not yet cached, with its link work,
-    /// and counts it as a library or program build. Run detached from
-    /// the request timeline (above one lane), its trace hooks record no
-    /// span; the executor meters the returned work instead.
+    /// and counts it as a library or program build.
     fn build_image(
         &self,
         image_key: ContentHash,
@@ -978,18 +931,13 @@ impl Omos {
     /// Frames an image, recording a metered (but unbilled) Frame span:
     /// framing cost is amortized across every client that maps the
     /// image, so it appears on the trace timeline without inflating any
-    /// single reply's `server_ns`.
+    /// single reply's `server_ns`. It costs one page mapping per page.
     fn framed(&self, image: &omos_link::LinkedImage) -> ImageFrames {
         let span = self.tracer.open(SpanKind::Frame);
         let frames = ImageFrames::from_image(image);
-        self.tracer
-            .close_leaf(span, Stage::Frame, self.frame_ns(&frames));
+        let ns = frames.total_pages() * self.cost.map_page_ns;
+        self.tracer.close_leaf(span, Stage::Frame, ns);
         frames
-    }
-
-    /// The metered cost of framing an image: one page mapping per page.
-    fn frame_ns(&self, frames: &ImageFrames) -> u64 {
-        frames.total_pages() * self.cost.map_page_ns
     }
 
     /// Registers (or finds) a `lib-dynamic` implementation.
@@ -1042,11 +990,11 @@ impl Omos {
                     constraints: Vec::new(),
                 };
                 let libs = std::slice::from_ref(&lib_use);
-                let built = self.link_libraries(libs, 1, HashMap::new())?;
+                let built = self.link_libraries(libs, HashMap::new())?;
+                server_ns = built.links.iter().sum();
                 let instance = built.images.into_iter().next().ok_or_else(|| {
                     OmosError::Client(format!("dynamic lib {lib_id} linked no image"))
                 })?;
-                server_ns = built.work_ns;
                 let entries: Vec<(String, u32)> = instance
                     .image
                     .symbols
@@ -1179,6 +1127,16 @@ type ProgramBuild = (Arc<CachedImage>, (u32, u32), u64);
 /// work paid.
 type PlacedLibrary = ((u32, u32), Arc<CachedImage>, u64);
 
+/// An evaluation with its billed work and the shape the lane model
+/// schedules: the serial planning share of that work, and each work
+/// unit's duration and dependencies.
+struct Evaluated {
+    out: EvalOutput,
+    work_ns: u64,
+    plan_ns: u64,
+    units: Vec<(u64, Vec<usize>)>,
+}
+
 /// What the library executor assembled, in resolution order.
 struct Libraries {
     images: Vec<Arc<CachedImage>>,
@@ -1186,10 +1144,8 @@ struct Libraries {
     bases: Vec<(u32, u32)>,
     /// The extern environment every library folded into.
     externs: HashMap<String, u32>,
-    /// Link work billed.
-    work_ns: u64,
-    /// Critical path of that work on the executor's lanes.
-    path_ns: u64,
+    /// The link work of each library the executor linked, in order.
+    links: Vec<u64>,
     /// Libraries the image cache served, and the link work they skipped.
     reused: u64,
     avoided_ns: u64,
@@ -1198,26 +1154,19 @@ struct Libraries {
 /// Deterministic greedy list schedule onto `lanes` identical simulated
 /// workers: items in order, each a `(duration, dependencies)` pair
 /// placed on the lane that lets it start earliest, ties to the lowest
-/// lane. Returns per-item `(start, lane)` — lanes 1-based, for span
-/// `worker` ids — and the makespan: the simulated critical path.
-fn schedule<'a>(
-    items: impl IntoIterator<Item = (u64, &'a [usize])>,
-    lanes: usize,
-) -> (Vec<(u64, u16)>, u64) {
+/// lane. Returns the makespan: the simulated critical path.
+fn schedule<'a>(items: impl IntoIterator<Item = (u64, &'a [usize])>, lanes: usize) -> u64 {
     let mut lane_free = vec![0u64; lanes.max(1)];
     let mut finish = Vec::new();
-    let mut placed = Vec::new();
     for (dur, deps) in items {
         let ready = deps.iter().map(|&d| finish[d]).max().unwrap_or(0);
         let best = (0..lane_free.len())
             .min_by_key(|&l| lane_free[l].max(ready))
             .unwrap_or(0);
-        let start = lane_free[best].max(ready);
-        lane_free[best] = start + dur;
-        finish.push(start + dur);
-        placed.push((start, (best + 1) as u16));
+        lane_free[best] = lane_free[best].max(ready) + dur;
+        finish.push(lane_free[best]);
     }
-    (placed, finish.into_iter().max().unwrap_or(0))
+    finish.into_iter().max().unwrap_or(0)
 }
 
 /// Folds a library's exports into the extern environment: the first
@@ -1237,16 +1186,10 @@ fn owned(read: &[(&str, u32)]) -> HashMap<String, u32> {
 }
 
 /// The image audit ([`Omos::set_image_audit`]): `img`, served by the
-/// image cache, against a fresh link of `obj` under `opts`. The image's
-/// name is a label outside the key, so it is not compared.
+/// image cache, against a fresh link of `obj` under `opts`.
 fn audit_image(img: &CachedImage, obj: &ObjectFile, opts: &LinkOptions) -> Result<(), OmosError> {
     let fresh = link(std::slice::from_ref(obj), opts)?;
-    let (a, b) = (&fresh.image, &img.image);
-    if a.segments == b.segments
-        && a.symbols == b.symbols
-        && a.entry == b.entry
-        && fresh.stats == img.link_stats
-    {
+    if fresh.image == img.image && fresh.stats == img.link_stats {
         Ok(())
     } else {
         Err(OmosError::Client(format!(
@@ -1617,7 +1560,11 @@ impl Omos {
         let ctx = ReqCtx::new(self);
         let base_ns = self.cost.server_cached_request_ns;
         self.tracer.begin_build(base_ns);
-        let (out, eval_ns, _) = self.eval(bp, &ctx, 1)?;
+        let Evaluated {
+            out,
+            work_ns: eval_ns,
+            ..
+        } = self.eval(bp, &ctx)?;
 
         // Resolve any referenced self-contained libraries first, then
         // bind the class against libraries + the client's own exports:
@@ -1629,8 +1576,8 @@ impl Omos {
             module: out.module,
             constraints: out.constraints,
         });
-        let built = self.link_libraries(&libs, 1, client_exports.clone())?;
-        let server_ns = base_ns + eval_ns + built.work_ns;
+        let built = self.link_libraries(&libs, client_exports.clone())?;
+        let server_ns = base_ns + eval_ns + built.links.iter().sum::<u64>();
         let img = &built.images[libs.len() - 1];
 
         let mut values = HashMap::new();

@@ -245,8 +245,6 @@ pub enum SpanKind {
     Ipc,
     /// A `dyn_lookup` request.
     DynLookup,
-    /// One work unit of an evaluation, laid out on a simulated lane.
-    EvalUnit,
     /// Link-policy application (deny screening + stub interposition).
     Policy,
     /// A cache probe (instant).
@@ -271,7 +269,6 @@ impl SpanKind {
             SpanKind::Map => "map",
             SpanKind::Ipc => "ipc",
             SpanKind::DynLookup => "dyn-lookup",
-            SpanKind::EvalUnit => "eval-unit",
             SpanKind::Policy => "policy",
             SpanKind::CacheProbe(..) => "cache-probe",
             SpanKind::Evict(..) => "evict",
@@ -306,9 +303,6 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Duration, ns (0 for instants).
     pub dur_ns: u64,
-    /// Simulated worker lane (0 = the request's own thread; parallel
-    /// evaluation/link units carry their scheduled lane, 1-based).
-    pub worker: u16,
 }
 
 // --- Span kinds as ring words ---------------------------------------------------
@@ -323,7 +317,7 @@ const REASONS: [EvictReason; 4] = [
 ];
 const ROLES: [FlightRole; 2] = [FlightRole::Leader, FlightRole::Coalesced];
 /// The kinds without a payload, in code order.
-const PLAIN: [SpanKind; 11] = [
+const PLAIN: [SpanKind; 10] = [
     SpanKind::Request,
     SpanKind::Eval,
     SpanKind::LibraryBuild,
@@ -333,11 +327,10 @@ const PLAIN: [SpanKind; 11] = [
     SpanKind::Map,
     SpanKind::Ipc,
     SpanKind::DynLookup,
-    SpanKind::EvalUnit,
     SpanKind::Policy,
 ];
 /// First code of each payload-carrying kind.
-const PROBE_CODES: u64 = 11;
+const PROBE_CODES: u64 = 10;
 const EVICT_CODES: u64 = PROBE_CODES + 9;
 const FLIGHT_CODES: u64 = EVICT_CODES + 12;
 
@@ -366,8 +359,7 @@ impl SpanKind {
             SpanKind::Map => 6,
             SpanKind::Ipc => 7,
             SpanKind::DynLookup => 8,
-            SpanKind::EvalUnit => 9,
-            SpanKind::Policy => 10,
+            SpanKind::Policy => 9,
         }
     }
 
@@ -900,24 +892,11 @@ impl Drop for ReqGuard<'_> {
                 depth: 0,
                 start_ns: 0,
                 dur_ns: state.cursor_ns,
-                worker: 0,
             };
             let shard = shard_of(shards, tracer);
             shard.hist(Stage::Request).record(state.cursor_ns);
             shard.push_span(&root);
         });
-    }
-}
-
-/// Puts a request context set aside by [`Tracer::detached`] back on
-/// this thread when dropped, so a panic inside the detached closure
-/// cannot leave the request without its timeline.
-struct Reattach(Active);
-
-impl Drop for Reattach {
-    fn drop(&mut self) {
-        let stack = std::mem::take(&mut self.0);
-        with_local(|local| local.active = stack);
     }
 }
 
@@ -966,7 +945,7 @@ impl Shard {
             r.req,
             r.start_ns,
             r.dur_ns,
-            r.kind.code() | u64::from(r.depth) << 16 | u64::from(r.worker) << 32,
+            r.kind.code() | u64::from(r.depth) << 16,
         ]);
     }
 
@@ -1039,7 +1018,6 @@ fn instant(kind: SpanKind, s: &ReqState) -> SpanRecord {
         depth: s.depth,
         start_ns: s.cursor_ns,
         dur_ns: 0,
-        worker: 0,
     }
 }
 
@@ -1233,7 +1211,6 @@ impl Tracer {
                 depth: span.depth,
                 start_ns: span.start_ns,
                 dur_ns: end.saturating_sub(span.start_ns),
-                worker: 0,
             })
         });
     }
@@ -1256,62 +1233,8 @@ impl Tracer {
                 depth: span.depth,
                 start_ns: span.start_ns,
                 dur_ns: ns,
-                worker: 0,
             })
         });
-    }
-
-    /// Advances the request cursor without a span (baseline request
-    /// handling charged to no particular stage).
-    pub fn advance(&self, ns: u64) {
-        if self.enabled() {
-            self.with_state(|s| s.cursor_ns += ns);
-        }
-    }
-
-    /// Records a span at `cursor + start_offset_ns` on simulated lane
-    /// `worker` *without* moving the cursor or touching any histogram.
-    /// The lane schedule lays evaluation units and library links out
-    /// this way: the cursor advances once by the schedule's makespan
-    /// (critical-path billing), while each span shows where on which
-    /// lane the work is scheduled.
-    pub fn span_at(&self, kind: SpanKind, start_offset_ns: u64, dur_ns: u64, worker: u16) {
-        if !self.enabled() {
-            return;
-        }
-        self.record(None, |_, state| {
-            state.map(|s| SpanRecord {
-                req: s.req,
-                seq: 0,
-                kind,
-                depth: s.depth,
-                start_ns: s.cursor_ns + start_offset_ns,
-                dur_ns,
-                worker,
-            })
-        });
-    }
-
-    /// Runs `f` with this thread's request context set aside. Counters
-    /// (cache probes, evictions, builds) still count, but no
-    /// span lands on the timeline, no span close feeds a histogram, and
-    /// the request cursor does not move. Work on a simulated lane runs
-    /// this way; the caller lays it out afterwards with
-    /// [`Tracer::span_at`] and [`Tracer::note`]. The context is restored
-    /// when `f` returns or panics.
-    pub fn detached<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _reattach =
-            Reattach(with_local(|local| std::mem::take(&mut local.active)).unwrap_or_default());
-        f()
-    }
-
-    /// Records `ns` into `stage`'s histogram without a span or cursor
-    /// movement. The lane schedule uses this to feed a stage's histogram
-    /// the durations it lays out as overlapped spans.
-    pub fn note(&self, stage: Stage, ns: u64) {
-        if self.enabled() {
-            self.record(Some((stage, ns)), |_, _| None);
-        }
     }
 
     /// Records a cache probe. Hits are counter-only — they are the
@@ -1526,7 +1449,6 @@ impl Tracer {
             depth: 0,
             start_ns: 0,
             dur_ns: ns,
-            worker: 0,
         };
         self.record(traced.then_some((stage, ns)), |c, _| {
             if stage == Stage::Ipc {
@@ -1614,7 +1536,6 @@ impl Tracer {
                 depth: (w[3] >> 16) as u16,
                 start_ns: w[1],
                 dur_ns: w[2],
-                worker: (w[3] >> 32) as u16,
             })
             .collect();
         let mut counters = Tracer::sum_counters(&shards);
@@ -1666,14 +1587,11 @@ fn span_line(s: &SpanRecord) -> String {
 pub fn render_tree(spans: &[SpanRecord]) -> String {
     let mut ordered: Vec<&SpanRecord> = spans.iter().collect();
     // Parents start no later than their children and sit at lower
-    // depth; parallel siblings order by start cursor then worker lane
-    // (not completion order), so output is stable across runs; ties
-    // fall back to record order.
+    // depth; ties fall back to record order.
     ordered.sort_by(|a, b| {
         a.start_ns
             .cmp(&b.start_ns)
             .then(a.depth.cmp(&b.depth))
-            .then(a.worker.cmp(&b.worker))
             .then(a.seq.cmp(&b.seq))
     });
     let mut out = String::new();
@@ -1684,12 +1602,7 @@ pub fn render_tree(spans: &[SpanRecord]) -> String {
         } else {
             String::new()
         };
-        let lane = if s.worker > 0 {
-            format!(" [w{}]", s.worker)
-        } else {
-            String::new()
-        };
-        let _ = writeln!(out, "{indent}{}{lane}{at}", span_line(s));
+        let _ = writeln!(out, "{indent}{}{at}", span_line(s));
     }
     out
 }
@@ -1703,7 +1616,6 @@ pub fn chrome_json(spans: &[SpanRecord]) -> String {
     let us = |ns: u64| Json::fixed(ns as f64 / 1e3, 3);
     let event = |s: &SpanRecord| {
         let mut event = vec![("name", chrome_name(s).into()), ("cat", "omos".into())];
-        let mut args = vec![("seq", s.seq.into())];
         if s.kind.is_instant() {
             event.extend([
                 ("ph", "i".into()),
@@ -1716,12 +1628,11 @@ pub fn chrome_json(spans: &[SpanRecord]) -> String {
                 ("ts", us(s.start_ns)),
                 ("dur", us(s.dur_ns)),
             ]);
-            args.push(("worker", u64::from(s.worker).into()));
         }
         event.extend([
             ("pid", 1u64.into()),
             ("tid", s.req.into()),
-            ("args", Json::obj(args)),
+            ("args", Json::obj([("seq", s.seq.into())])),
         ]);
         Json::obj(event)
     };
@@ -1910,10 +1821,6 @@ mod tests {
         assert_eq!(eval.get("ph"), Some(&"X".into()));
         assert_eq!(eval.get("dur"), Some(&Json::fixed(42.0, 3)));
         assert_eq!(eval.get("tid"), Some(&req.into()));
-        assert_eq!(
-            eval.get("args").and_then(|a| a.get("worker")),
-            Some(&0u64.into())
-        );
         let probe = named("probe:reply:miss").expect("a probe instant");
         assert_eq!(probe.get("ph"), Some(&"i".into()));
         assert_eq!(probe.get("s"), Some(&"t".into()));
@@ -1936,46 +1843,6 @@ mod tests {
         assert!(lines[0].starts_with("request ("));
         assert!(lines[1].starts_with("  library-build"));
         assert!(lines[2].starts_with("    placement"));
-    }
-
-    #[test]
-    fn detached_work_counts_but_leaves_the_timeline_alone() {
-        let t = Tracer::new();
-        let g = t.begin_request(SpanKind::Request);
-        let req = g.req();
-        t.advance(1_000);
-        let answer = t.detached(|| {
-            t.probe(CacheKind::Image, ProbeOutcome::Miss);
-            t.evict(CacheKind::Image, EvictReason::Budget, 2);
-            let link = t.open(SpanKind::Link);
-            t.close_leaf(link, Stage::Link, 5_000);
-            t.advance(7_000);
-            42
-        });
-        assert_eq!(answer, 42);
-        // A panic inside the scope restores the context as well.
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.detached(|| {
-                t.advance(9_000);
-                panic!("lane work failed")
-            })
-        }));
-        assert!(panicked.is_err());
-        // Restored: spans land again, at the cursor the scopes left alone.
-        let eval = t.open(SpanKind::Eval);
-        t.close_leaf(eval, Stage::Eval, 10);
-        drop(g);
-
-        let snap = t.snapshot();
-        let kinds: Vec<SpanKind> = snap.request_spans(req).iter().map(|s| s.kind).collect();
-        assert_eq!(kinds, vec![SpanKind::Eval, SpanKind::Request]);
-        let spans = snap.request_spans(req);
-        assert_eq!((spans[0].start_ns, spans[0].depth), (1_000, 1));
-        assert_eq!(spans[1].dur_ns, 1_010);
-        assert_eq!(snap.counters.image_misses, 1);
-        assert_eq!(snap.counters.image_evict_budget, 2);
-        assert_eq!(snap.stage(Stage::Link).count, 0);
-        assert_eq!(snap.counters.spans_recorded, 2);
     }
 
     #[test]
@@ -2005,10 +1872,9 @@ mod tests {
                     for i in 0..PER_THREAD {
                         let g = t.begin_request(SpanKind::Request);
                         t.probe(CacheKind::Reply, ProbeOutcome::Hit);
-                        t.advance(i);
                         let req = g.req();
                         drop(g);
-                        t.client_span(req, Stage::Ipc, 10);
+                        t.client_span(req, Stage::Ipc, i);
                     }
                 });
             }
@@ -2020,7 +1886,7 @@ mod tests {
         assert_eq!(snap.counters.ipc_roundtrips, n);
         assert_eq!(snap.stage(Stage::Request).count, n);
         assert_eq!(
-            snap.stage(Stage::Request).sum_ns,
+            snap.stage(Stage::Ipc).sum_ns,
             THREADS as u64 * (0..PER_THREAD).sum::<u64>()
         );
         assert_eq!(snap.counters, t.counters());

@@ -43,10 +43,9 @@
 //!                                  instantiate the blueprint on an
 //!                                  in-process server and print the
 //!                                  request's span tree; --eval-jobs N
-//!                                  schedules evaluation and links on N
-//!                                  simulated lanes (overlapping units
-//!                                  show as sibling spans tagged
-//!                                  [w<lane>]); --chrome
+//!                                  reports the critical path on N
+//!                                  simulated lanes (the tree is the
+//!                                  same at every N); --chrome
 //!                                  also writes a Chrome-trace export
 //! ofe stats [FILE]                 per-stage latency percentiles and
 //!                                  trace counters from an mcbench
@@ -278,9 +277,9 @@ fn view_cmd(cmd: &str, kind: ViewKind, rest: &[String]) -> Result<String, String
 /// in-process server, instantiates it once, and prints the request's
 /// span tree. The client-side mapping cost is recorded against the same
 /// request, so the tree covers the full instantiate path: eval, link,
-/// placement, framing, and map. With `jobs > 1` the server evaluates
-/// and links on that many workers; parallel work units render as
-/// sibling spans tagged with their worker lane.
+/// placement, framing, and map. With `jobs > 1` the header also gives
+/// the request's critical path on that many simulated lanes; the tree
+/// is the same at every lane count.
 fn trace_blueprint(
     file: &str,
     jobs: usize,

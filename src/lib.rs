@@ -9,7 +9,7 @@
 //! * [`module`] — the Jigsaw module operators;
 //! * [`blueprint`] — the blueprint language and m-graph evaluator;
 //! * [`analysis`] — the pre-link static analyzer behind `ofe lint`;
-//! * [`constraint`] — address placement and the DeltaBlue solver;
+//! * [`constraint`] — address placement;
 //! * [`os`] — the simulated operating system (clock, fs, vm, ipc, exec);
 //! * [`core`] — the OMOS server itself;
 //! * [`mod@bench`] — workload generators and the paper's experiment harnesses.

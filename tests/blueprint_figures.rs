@@ -716,14 +716,14 @@ fn checkpoint_bytes_are_pinned() {
         .collect();
     let want: [(&str, u64); 9] = [
         ("/ckpt/journal", 0xecbd_015f_8bc9_5e63),
-        ("/ckpt/manifest.a", 0xfd8b_127d_e913_ef7a),
-        ("/ckpt/manifest.b", 0xfd8b_127d_e913_ef7a),
-        ("/ckpt/img/38796fd0b31694ad", 0xb0b5_8fe4_5d7d_a743),
-        ("/ckpt/img/5d0f97214bffbfac", 0xc536_a92d_97c8_46cd),
+        ("/ckpt/manifest.a", 0x41ae_7143_c0bd_f134),
+        ("/ckpt/manifest.b", 0x41ae_7143_c0bd_f134),
+        ("/ckpt/img/38796fd0b31694ad", 0x27b9_2e6c_1a8e_e272),
+        ("/ckpt/img/5d0f97214bffbfac", 0x4afb_fc35_2285_aa47),
         ("/ckpt/img/6d7178bfc7beeabe", 0x3a7b_2919_1842_0103),
-        ("/ckpt/img/6ffad1489015d87e", 0x039f_5408_cafa_0b9a),
+        ("/ckpt/img/6ffad1489015d87e", 0x7489_cdc8_d970_e213),
         ("/ckpt/img/a4e30093bb625097", 0x5f40_92bb_eaef_a3a6),
-        ("/ckpt/img/e732973163bc57fa", 0xd387_de39_bc10_0aad),
+        ("/ckpt/img/e732973163bc57fa", 0xff6b_aa7b_02fd_6cd8),
     ];
     let want: Vec<(String, u64)> = want.iter().map(|(p, h)| (p.to_string(), *h)).collect();
     assert_eq!(got, want, "checkpoint bytes moved:\n{rendered}");

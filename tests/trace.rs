@@ -255,87 +255,104 @@ fn fanout_world(n: usize) -> Omos {
     s
 }
 
-/// Drops the timing payload from a rendered span line — the `(dur)`
-/// and `@ cursor` parts — keeping the indentation, the label, and the
-/// worker-lane tag: the parts the snapshot pins.
-fn normalize_line(line: &str) -> String {
-    let label = line
-        .split(" (")
-        .next()
-        .unwrap_or(line)
-        .split(" @ ")
-        .next()
-        .unwrap_or(line);
-    let lane = line
-        .find(" [w")
-        .map(|i| &line[i..i + line[i..].find(']').map_or(0, |j| j + 1)])
-        .unwrap_or("");
-    format!("{label}{lane}")
+/// What one build recorded: its span tree as (kind, depth, start,
+/// duration), its reply's bill and its latency.
+type Build = (Vec<(SpanKind, u16, u64, u64)>, u64, u64);
+
+/// Every stage histogram as (count, sum, buckets).
+type Stages = Vec<(u64, u64, Vec<u64>)>;
+
+/// Runs one history on `fanout_world(4)` at `lanes` simulated lanes: a
+/// cold build, a stale rebuild after one library object changes, a
+/// monitored build and a `dynamic_load`. Returns each build and the
+/// stage histograms.
+fn lane_history(lanes: usize) -> (Vec<Build>, Stages) {
+    let s = fanout_world(4);
+    s.set_eval_jobs(lanes);
+    let spans = |req: u64| -> Vec<(SpanKind, u16, u64, u64)> {
+        s.trace_snapshot()
+            .request_spans(req)
+            .iter()
+            .map(|sp| (sp.kind, sp.depth, sp.start_ns, sp.dur_ns))
+            .collect()
+    };
+    let mut builds = Vec::new();
+    let mut reply = |r: omos::core::InstantiateReply| {
+        assert!(!r.cache_hit, "{lanes} lane(s)");
+        builds.push((spans(r.req), r.server_ns, r.latency_ns));
+    };
+    reply(s.instantiate("/bin/fan").unwrap());
+    s.namespace.bind_object(
+        "/obj/f0a.o",
+        assemble("f0a.o", ".text\n.global _f0a\n_f0a: li r1, 99\n ret\n").unwrap(),
+    );
+    reply(s.instantiate("/bin/fan").unwrap());
+    reply(s.instantiate_monitored("/bin/fan", "^_start$").unwrap().0);
+    let class = omos::blueprint::Blueprint::parse(
+        r#"(merge (source "asm" ".text\n.global _m\n_m: call _f1a\n ret\n") /lib/f0 /lib/f1)"#,
+    )
+    .unwrap();
+    let load = s
+        .dynamic_load(&class, &["_m"], &std::collections::HashMap::new())
+        .unwrap();
+    let snap = s.trace_snapshot();
+    // The load is the newest request; it reports no latency of its own.
+    let last = snap.spans.iter().map(|sp| sp.req).max().unwrap();
+    builds.push((spans(last), load.server_ns, load.server_ns));
+    let stages = Stage::ALL
+        .iter()
+        .map(|&stage| {
+            let h = snap.stage(stage);
+            (h.count, h.sum_ns, h.buckets.clone())
+        })
+        .collect();
+    // Every linked image is framed once.
+    assert_eq!(
+        snap.stage(Stage::Frame).count,
+        snap.stage(Stage::Link).count,
+        "{lanes} lane(s)"
+    );
+    (builds, stages)
 }
 
-/// Satellite snapshot: a parallel request's sibling work-unit and link
-/// spans render in (start cursor, worker lane) order — never completion
-/// order — so the tree is byte-stable run over run.
+/// The lane count moves only `latency_ns`: one request history gives
+/// the same span trees (kind, depth, start, duration), the same stage
+/// histograms and the same bills at 1, 2 and 8 simulated lanes, while
+/// the cold build's critical path still shrinks at 8.
 #[test]
-fn parallel_siblings_render_sorted_by_start_then_worker() {
-    let render = || {
-        let s = fanout_world(4);
-        s.set_eval_jobs(3);
-        let r = s.instantiate("/bin/fan").unwrap();
-        assert!(!r.cache_hit);
-        let snap = s.trace_snapshot();
-        omos::core::trace::render_tree(&snap.request_spans(r.req))
-    };
-
-    let tree = render();
-    assert_eq!(tree, render(), "parallel render is deterministic");
-
-    let normalized: Vec<String> = tree.lines().map(normalize_line).collect();
-    let mut expected = vec![
-        "request",
-        "  reply-cache probe: miss",
-        "  single-flight: leader",
-        "  eval",
-    ];
-    // One probe per planned node but the client merge, the program's
-    // root, which is never published: 8 library objects, 4 library
-    // metas, and the client object.
-    expected.extend(std::iter::repeat_n("    eval-cache probe: miss", 13));
-    expected.extend([
-        // The four library evals round-robin three lanes in ordinal
-        // order; the zero-work client merge emits no unit span.
-        "    eval-unit [w1]",
-        "    eval-unit [w2]",
-        "    eval-unit [w3]",
-        "    eval-unit [w1]",
-        // Serial prepare: placement and image-cache probe per library...
-        "  placement",
-        "  image-cache probe: miss",
-        "  placement",
-        "  image-cache probe: miss",
-        "  placement",
-        "  image-cache probe: miss",
-        "  placement",
-        "  image-cache probe: miss",
-        // ...then the links fan out over the lanes.
-        "  link [w1]",
-        "  link [w2]",
-        "  link [w3]",
-        "  link [w1]",
-        // Program: probe, link, frame.
-        "  image-cache probe: miss",
-        "  link",
-        "  frame",
-    ]);
-    assert_eq!(
-        normalized, expected,
-        "snapshot of the parallel span tree (timings stripped):\n{tree}"
-    );
+fn one_timeline_at_every_lane_count() {
+    let (one, one_stages) = lane_history(1);
+    assert_eq!(one.len(), 4);
+    for (spans, server_ns, latency_ns) in &one {
+        assert!(!spans.is_empty());
+        assert_eq!(latency_ns, server_ns, "one lane bills the critical path");
+    }
+    // Four libraries and the program, then the changed library (the
+    // program reads none of its bindings, so its image is reused), the
+    // monitored program, and the loaded class.
+    let link = Stage::ALL.iter().position(|&st| st == Stage::Link).unwrap();
+    assert_eq!(one_stages[link].0, 8);
+    for lanes in [2, 8] {
+        let (wide, wide_stages) = lane_history(lanes);
+        for (i, (w, o)) in wide.iter().zip(&one).enumerate() {
+            assert_eq!(w.0, o.0, "build {i}: span tree at {lanes} lanes against 1");
+            assert_eq!(w.1, o.1, "build {i}: bill at {lanes} lanes against 1");
+            assert!(w.2 <= o.2, "build {i}: latency at {lanes} lanes");
+        }
+        assert_eq!(wide_stages, one_stages, "stage histograms at {lanes} lanes");
+        if lanes == 8 {
+            assert!(
+                wide[0].2 < one[0].2,
+                "the cold build's four library links overlap on 8 lanes: {} vs {}",
+                wide[0].2,
+                one[0].2
+            );
+        }
+    }
 }
 
 /// A cold build on a fresh server counts one image miss per image it
-/// links, at one lane and above one, where library links run detached
-/// from the request timeline.
+/// links, at one lane and above one.
 #[test]
 fn cold_build_counts_one_image_miss_per_link() {
     for (libs, lanes) in [(1, 1), (3, 1), (3, 3)] {
@@ -356,28 +373,6 @@ fn cold_build_counts_one_image_miss_per_link() {
     }
 }
 
-/// Every linked image is framed once, so the `Frame` histogram holds as
-/// many samples as `Link`, and neither moves with the lane count: lane
-/// links run off the request timeline, and the lane schedule notes both
-/// stages for them.
-#[test]
-fn frame_and_link_histograms_agree_at_every_lane_count() {
-    let stages = |lanes: usize| {
-        let s = fanout_world(2);
-        s.set_eval_jobs(lanes);
-        assert!(!s.instantiate("/bin/fan").unwrap().cache_hit);
-        let snap = s.trace_snapshot();
-        let (frame, link) = (snap.stage(Stage::Frame), snap.stage(Stage::Link));
-        assert_eq!(frame.count, link.count, "{lanes} lane(s)");
-        (frame.count, frame.sum_ns, link.count, link.sum_ns)
-    };
-    let one = stages(1);
-    assert_eq!(one.0, 3, "two libraries and the program");
-    for lanes in [2, 8] {
-        assert_eq!(stages(lanes), one, "{lanes} lanes against 1");
-    }
-}
-
 // --- Property: arbitrary op sequences keep the span tree well formed ------------
 
 /// Interprets a fuzzer op sequence against a tracer inside one request,
@@ -394,7 +389,7 @@ fn run_ops(t: &Tracer, ops: &[(u8, u64)]) -> (u64, Vec<(u16, u64, u64)>) {
     let mut open: Vec<ModelOpen> = Vec::new();
     let mut closed: Vec<(u16, u64, u64)> = Vec::new();
     for &(op, ns) in ops {
-        match op % 4 {
+        match op {
             0 => {
                 open.push(ModelOpen {
                     span: t.open(SpanKind::Link),
@@ -410,14 +405,10 @@ fn run_ops(t: &Tracer, ops: &[(u8, u64)]) -> (u64, Vec<(u16, u64, u64)>) {
                     closed.push((m.depth, m.start, cursor - m.start));
                 }
             }
-            2 => {
+            _ => {
                 let span = t.open(SpanKind::Placement);
                 t.close_leaf(span, Stage::Placement, ns);
                 closed.push((depth, cursor, ns));
-                cursor += ns;
-            }
-            _ => {
-                t.advance(ns);
                 cursor += ns;
             }
         }
@@ -434,7 +425,7 @@ fn run_ops(t: &Tracer, ops: &[(u8, u64)]) -> (u64, Vec<(u16, u64, u64)>) {
 proptest! {
     #[test]
     fn op_sequences_produce_well_formed_trees(
-        ops in proptest::collection::vec((0u8..4, 0u64..10_000), 0..120),
+        ops in proptest::collection::vec((0u8..3, 0u64..10_000), 0..120),
     ) {
         let t = Tracer::new();
         let guard = t.begin_request(SpanKind::Request);
@@ -446,7 +437,7 @@ proptest! {
         let spans = snap.request_spans(req);
         assert_well_formed(req, &spans);
 
-        // The root span bills exactly the sum of leaves and advances.
+        // The root span bills exactly the sum of leaves.
         let root = spans.iter().find(|s| s.depth == 0).expect("root span");
         prop_assert_eq!(root.dur_ns, expect_root);
 
@@ -460,7 +451,7 @@ proptest! {
         prop_assert_eq!(recorded, model);
 
         // Histogram conservation: placement samples == leaf closes.
-        let leaves = ops.iter().filter(|(op, _)| op % 4 == 2).count() as u64;
+        let leaves = ops.iter().filter(|(op, _)| *op == 2).count() as u64;
         prop_assert_eq!(snap.stage(Stage::Placement).count, leaves);
     }
 }
@@ -490,10 +481,10 @@ fn stale_probes_mark_the_probe_then_the_drop() {
             .iter()
             .map(|sp| (sp.kind, sp.start_ns))
             .collect();
-        (snap.counters, spans, s.eval_jobs())
+        (snap.counters, spans)
     };
-    let (on, spans, lanes) = run(true);
-    let (off, untraced, _) = run(false);
+    let (on, spans) = run(true);
+    let (off, untraced) = run(false);
     assert!(untraced.is_empty());
     assert_eq!(
         off,
@@ -526,7 +517,7 @@ fn stale_probes_mark_the_probe_then_the_drop() {
     let drop = |cache| SpanKind::Evict(cache, EvictReason::Invalidated);
     let (reply, eval) = (CacheKind::Reply, CacheKind::Eval);
     let stale = ProbeOutcome::Stale;
-    let mut expected = vec![
+    let expected = vec![
         (probe(reply, stale), 0),
         (drop(reply), 0),
         (SpanKind::Flight(FlightRole::Leader), 0),
@@ -536,13 +527,8 @@ fn stale_probes_mark_the_probe_then_the_drop() {
         (drop(eval), 350_000),
         (SpanKind::Eval, 350_000),
         (SpanKind::Placement, 362_800),
+        (SpanKind::LibraryBuild, 362_800),
+        (SpanKind::Request, 0),
     ];
-    // Only a one-lane build nests the placement in a library-build span
-    // (`OMOS_EVAL_JOBS` sets the lanes); the library image is a cache
-    // hit, so no lane link is laid out either way.
-    if lanes == 1 {
-        expected.push((SpanKind::LibraryBuild, 362_800));
-    }
-    expected.push((SpanKind::Request, 0));
     assert_eq!(spans, expected);
 }
